@@ -31,12 +31,21 @@ at the repository root:
   recurrences for JIT'd per-energy kernels.  Measured only where the
   optional package is installed (the CI optional-backend job); the
   committed block records availability honestly otherwise.
+* **Semianalytic WKB kernel** — ``SBFETModel.transmission`` shares one
+  ``(E - u)**2`` across modes, reduces each mode's gap integral with a
+  single matvec and reads the band masks off a sorted-profile CDF.
+  Replays every ``transmission`` call of the nominal N = 12 table build
+  through the frozen per-mode formulation
+  (``tests/device/wkb_reference.py``) and the production kernel.
+  Target: >= 4x per call with relative parity <= 1e-12; the whole
+  table sweep is timed under both kernels.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the workloads and relaxes
 the ratio assertions to sanity bounds; it never rewrites the committed
 ``BENCH_solvers.json``.
 """
 
+import importlib.util
 import json
 import os
 import time
@@ -45,9 +54,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.device.geometry import GNRFETGeometry
+from repro.device.iv import sweep_iv
 from repro.device.negf_modespace import ModeSpaceGNRDevice
 from repro.device.negf_realspace import RealSpaceGNRDevice
 from repro.device.sbfet import SBFETModel
+from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
 from repro.poisson.fd import PoissonOperator, solve_poisson_2d
 from repro.poisson.grid import Grid2D
 from repro.reporting.tables import format_table
@@ -70,6 +81,12 @@ MODESPACE_CELLS = 12 if SMOKE else 36
 MODESPACE_ENERGIES = 21 if SMOKE else 61
 MODESPACE_REPEATS = 1 if SMOKE else 3
 MODESPACE_SWEEP = (4,) if SMOKE else (2, 4, 6, None)
+WKB_VG_GRID = DEFAULT_VG_GRID[::6] if SMOKE else DEFAULT_VG_GRID
+WKB_VD_GRID = DEFAULT_VD_GRID[::3] if SMOKE else DEFAULT_VD_GRID
+WKB_REPEATS = 1 if SMOKE else 3
+
+ORACLE_PATH = (Path(__file__).resolve().parent.parent
+               / "tests" / "device" / "wkb_reference.py")
 
 
 def _bench_poisson() -> dict:
@@ -262,12 +279,86 @@ def _bench_backend_numba() -> dict:
     }
 
 
+def _load_wkb_oracle():
+    """The frozen per-mode WKB formulation the test suite pins."""
+    spec = importlib.util.spec_from_file_location("wkb_reference",
+                                                  ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_transmission
+
+
+def _bench_wkb_kernel() -> dict:
+    """Production WKB kernel vs the frozen oracle on real table inputs.
+
+    The nominal N = 12 table sweep runs once with a recording wrapper
+    around ``SBFETModel.transmission``; the captured (energies, profile)
+    pairs are then replayed through both kernels.  The whole sweep is
+    also timed with each kernel installed.
+    """
+    oracle = _load_wkb_oracle()
+    geometry = GNRFETGeometry()
+    production = SBFETModel.transmission
+    calls: list[tuple[SBFETModel, np.ndarray, np.ndarray]] = []
+
+    def record(self, energies_ev, profile_midgap_ev):
+        calls.append((self, np.array(energies_ev, dtype=float),
+                      np.array(profile_midgap_ev, dtype=float)))
+        return production(self, energies_ev, profile_midgap_ev)
+
+    def sweep_s(kernel) -> float:
+        SBFETModel.transmission = kernel
+        try:
+            start = time.perf_counter()
+            sweep_iv(geometry, WKB_VG_GRID, WKB_VD_GRID, workers=1,
+                     checkpoint=0, resume=False)
+            return time.perf_counter() - start
+        finally:
+            SBFETModel.transmission = production
+
+    sweep_s(record)
+    max_rel = 0.0
+    for model, energies, profile in calls:
+        ref = oracle(model, energies, profile)
+        new = production(model, energies, profile)
+        rel = np.abs(new - ref) / np.maximum(np.abs(ref), 1e-300)
+        max_rel = max(max_rel, float(rel.max()))
+
+    def replay_s(kernel) -> float:
+        best = np.inf
+        for _ in range(WKB_REPEATS):
+            start = time.perf_counter()
+            for model, energies, profile in calls:
+                kernel(model, energies, profile)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    oracle_s = replay_s(oracle)
+    kernel_s = replay_s(production)
+    sweep_oracle_s = min(sweep_s(oracle) for _ in range(WKB_REPEATS))
+    sweep_kernel_s = min(sweep_s(production) for _ in range(WKB_REPEATS))
+    return {
+        "n_index": geometry.n_index,
+        "grid": [int(WKB_VG_GRID.size), int(WKB_VD_GRID.size)],
+        "calls": len(calls),
+        "energies": int(sum(e.size for _, e, _ in calls)),
+        "oracle_ms_per_call": oracle_s / len(calls) * 1e3,
+        "kernel_ms_per_call": kernel_s / len(calls) * 1e3,
+        "speedup": oracle_s / kernel_s,
+        "max_rel_dT": max_rel,
+        "sweep_oracle_s": sweep_oracle_s,
+        "sweep_kernel_s": sweep_kernel_s,
+        "sweep_speedup": sweep_oracle_s / sweep_kernel_s,
+    }
+
+
 def test_solver_acceleration(save_report):
     poisson = _bench_poisson()
     warmstart = _bench_warmstart()
     transport = _bench_batched_transport()
     modespace = _bench_modespace_engine()
     numba_backend = _bench_backend_numba()
+    wkb = _bench_wkb_kernel()
 
     rows = [
         ["Poisson prefactorized "
@@ -300,6 +391,16 @@ def test_solver_acceleration(save_report):
              f"{numba_backend['numpy_ms']:.1f} ms",
              f"{numba_backend['numba_ms']:.1f} ms",
              f"{numba_backend['speedup']:.2f}x"])
+    rows.append(
+        [f"WKB kernel (N={wkb['n_index']} table, {wkb['calls']} calls)",
+         f"{wkb['oracle_ms_per_call']:.2f} ms/call",
+         f"{wkb['kernel_ms_per_call']:.2f} ms/call",
+         f"{wkb['speedup']:.2f}x (rel dT {wkb['max_rel_dT']:.1e})"])
+    rows.append(
+        [f"WKB table sweep ({wkb['grid'][0]}x{wkb['grid'][1]})",
+         f"{wkb['sweep_oracle_s']:.2f} s",
+         f"{wkb['sweep_kernel_s']:.2f} s",
+         f"{wkb['sweep_speedup']:.2f}x"])
     report = format_table(
         ["path", "before", "after", "gain"], rows,
         title="Solver acceleration layer (best of repeated runs)")
@@ -322,6 +423,7 @@ def test_solver_acceleration(save_report):
             assert g["rel_dI"] <= tol["rel_dI"]
     if numba_backend["available"]:
         assert numba_backend["bitwise_equal"]
+    assert wkb["max_rel_dT"] <= 1e-12
 
     if SMOKE:
         # Sanity bounds only: smoke runners are slow and shared.
@@ -330,6 +432,7 @@ def test_solver_acceleration(save_report):
         for g in transport["energy_grids"].values():
             assert g["speedup"] > 1.5
         assert modespace["n_modes_sweep"]["4"]["speedup"] > 1.5
+        assert wkb["speedup"] > 1.5
         return
 
     assert poisson["speedup"] >= 3.0
@@ -338,13 +441,15 @@ def test_solver_acceleration(save_report):
         assert g["speedup"] >= 5.0
     # The headline claim: >= 5x over real space at matched accuracy.
     assert modespace["n_modes_sweep"]["4"]["speedup"] >= 5.0
+    assert wkb["speedup"] >= 4.0
 
     payload = {
-        "schema": "repro-bench-solvers/2",
+        "schema": "repro-bench-solvers/3",
         "poisson_prefactorized": poisson,
         "scf_warmstart": warmstart,
         "batched_transport": transport,
         "modespace_engine": modespace,
         "backend_numba": numba_backend,
+        "wkb_kernel": wkb,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")

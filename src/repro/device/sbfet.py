@@ -149,11 +149,20 @@ class SBFETModel:
         length = geometry.channel_length_nm
         self._x_nm = np.linspace(0.0, length, n_x)
         self._dx_nm = self._x_nm[1] - self._x_nm[0]
+        # Trapezoid weights of the WKB x-integrals (dx, halved at the ends).
+        self._trap_w = np.full(n_x, self._dx_nm)
+        self._trap_w[[0, -1]] *= 0.5
 
         # Per-mode hbar*v in eV nm (converts kappa to 1/nm).
         self._hv_ev_nm = np.array(
             [HBAR_SI * m.velocity_m_per_s / Q_E * 1e9 for m in self.modes])
         self._edges_ev = np.array([m.edge_ev for m in self.modes])
+        # Band-mask bounds b with mask == [E - u >= b]: ``E - u > edge``
+        # is ``>=`` the next float above the edge (hole channel, one row
+        # per mode), and "not ``E - u < -edge``" is ``>= -edge``
+        # (electron channel); see _mask_weights.
+        self._mask_bounds = np.concatenate(
+            (np.nextafter(self._edges_ev, np.inf), -self._edges_ev))[:, None]
 
         # k-grids for the charge integral, one per mode, spanning energies
         # up to ~1 eV above each subband edge.
@@ -215,7 +224,8 @@ class SBFETModel:
         one equilibrium table ``n0(u)`` / ``p0(u)`` at ``mu = 0`` serves
         every bias: the ballistic two-contact filling is the average of
         two shifted lookups.  This turns the inner loop of the
-        electrostatic bisection into two ``np.interp`` calls.
+        electrostatic bisection into two ``np.interp`` calls on the
+        net-charge table ``q0 = n0 - p0``.
         """
         u_grid = np.linspace(-3.0, 3.0, 2401)
         n0 = np.zeros_like(u_grid)
@@ -232,6 +242,7 @@ class SBFETModel:
         self._lut_u = u_grid
         self._lut_n0 = n0
         self._lut_p0 = p0
+        self._lut_q0 = n0 - p0
 
     def _densities_at_level(self, u_ev: np.ndarray, mu_s_ev: float,
                             mu_d_ev: float) -> tuple[np.ndarray, np.ndarray]:
@@ -272,11 +283,14 @@ class SBFETModel:
         u_laplace = self.laplace_midgap_ev(vg, vd)
         c_ins = self.geometry.insulator_capacitance_f_per_nm
         mu_s, mu_d = 0.0, -vd
+        lut_u, lut_q0 = self._lut_u, self._lut_q0
 
         def residual(u: float) -> float:
-            n, p = self._densities_at_level(np.array([u]), mu_s, mu_d)
-            charging = Q_E * (n[0] - p[0]) / c_ins  # volts == eV here
-            return u - u_laplace - charging
+            # n - p with the ballistic filling of _densities_at_level.
+            q = 0.5 * (np.interp(u - mu_s, lut_u, lut_q0)
+                       + np.interp(u - mu_d, lut_u, lut_q0))
+            charging = Q_E * q / c_ins  # volts == eV here
+            return float(u - u_laplace - charging)
 
         lo = hi = None
         if initial_guess_ev is not None:
@@ -348,6 +362,20 @@ class SBFETModel:
         (interband mixing is neglected), and modes add as independent
         Landauer channels.
 
+        Evaluation takes a few array passes per (E, x) element.  Since
+        the gap ``kappa`` vanishes wherever ``|E - u| >= edge``, the
+        per-channel decay rates fold into
+        ``kappa_e = kappa_gap + kappa_max [E - u < -edge]`` and
+        ``kappa_h = kappa_gap + kappa_max [E - u > edge]``.  The square
+        ``(E - u(x))**2`` is formed once and shared by every mode; each
+        mode then writes ``sqrt(max(edge**2 - d2, 0))`` into one reused
+        buffer and reduces it with a single matvec against the
+        trapezoid weights (divided by ``hbar v`` after the reduction).
+        The two mask integrals are weighted CDFs of the profile, read
+        off the sorted ``u(x)`` by ``searchsorted`` (see
+        :meth:`_mask_weights`), so they cost ``O(n_energy log n_x)``
+        per mode instead of a pass over every (E, x) element.
+
         When a NEGF engine is selected (``engine=`` / ``REPRO_ENGINE``),
         the WKB evaluation below is replaced by the corresponding
         atomistic kernel on the same profile; everything upstream
@@ -364,8 +392,8 @@ class SBFETModel:
                     "SBFETModel.transmission",
                     energies_ev=np.asarray(energies_ev, dtype=float))
             return total
-        e = np.asarray(energies_ev, dtype=float)[:, None]
-        u = np.asarray(profile_midgap_ev, dtype=float)[None, :]
+        e = np.asarray(energies_ev, dtype=float)
+        u = np.asarray(profile_midgap_ev, dtype=float)
         # Interior midgap level and impurity-induced well depths for the
         # quantum-reflection correction (WKB alone is transparent to
         # attractive wells, which would overstate the benefit of
@@ -375,33 +403,64 @@ class SBFETModel:
         well_e = max(0.0, -float(imp.min()))   # electron well (positive charge)
         well_h = max(0.0, float(imp.max()))    # hole well (negative charge)
 
-        total = np.zeros(e.shape[0])
-        for edge, hv in zip(self._edges_ev, self._hv_ev_nm):
-            delta = e - u
-            kappa_gap = np.sqrt(np.clip(edge ** 2 - delta ** 2, 0.0, None)) / hv
+        d2 = np.subtract.outer(e, u)
+        np.square(d2, out=d2)
+        buf = np.empty_like(d2)
+        w_above, w_below = self._mask_weights(e, u)
+
+        total = np.zeros(e.size)
+        for m, (edge, hv) in enumerate(zip(self._edges_ev, self._hv_ev_nm)):
+            np.subtract(edge ** 2, d2, out=buf)
+            np.maximum(buf, 0.0, out=buf)
+            np.sqrt(buf, out=buf)
+            gap = (buf @ self._trap_w) / hv
             kappa_max = edge / hv
-            above_cond = delta > edge
-            below_val = delta < -edge
-            kappa_e = np.where(above_cond, 0.0,
-                               np.where(below_val, kappa_max, kappa_gap))
-            kappa_h = np.where(below_val, 0.0,
-                               np.where(above_cond, kappa_max, kappa_gap))
-            exp_e = 2.0 * np.trapezoid(kappa_e, dx=self._dx_nm, axis=1)
-            exp_h = 2.0 * np.trapezoid(kappa_h, dx=self._dx_nm, axis=1)
+            exp_e = 2.0 * (gap + kappa_max * w_below[m])
+            exp_h = 2.0 * (gap + kappa_max * w_above[m])
             t_e = np.exp(-np.clip(exp_e, 0.0, 200.0))
             t_h = np.exp(-np.clip(exp_h, 0.0, 200.0))
             if well_e > 0.0:
                 t_e = t_e * self._well_factor(
-                    e[:, 0] - u_interior, edge, hv, well_e)
+                    e - u_interior, edge, hv, well_e)
             if well_h > 0.0:
                 t_h = t_h * self._well_factor(
-                    -(e[:, 0] - u_interior), edge, hv, well_h)
+                    -(e - u_interior), edge, hv, well_h)
             total += np.maximum(t_e, t_h)
         if sanitize.ACTIVE:
             sanitize.check_transmission(total, len(self.modes),
                                         "SBFETModel.transmission",
-                                        energies_ev=e[:, 0])
+                                        energies_ev=e)
         return total
+
+    def _mask_weights(self, e: np.ndarray, u: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """x-integrals of the band masks, each of shape ``(n_modes, n_E)``.
+
+        Returns ``(sum_x w [E - u > edge], sum_x w [E - u < -edge])``
+        with ``w`` the trapezoid weights, computed with the same
+        floating-point comparisons as an elementwise mask.  ``E - u``
+        rounds monotonically in ``u``, so each mask selects a run of the
+        sorted profile and its integral is a cumulative sum of the
+        sorted weights, indexed at the cut.  ``searchsorted`` on
+        ``E - bound`` places the cut up to round-off; elements within an
+        ulp of it are then settled by the exact comparison.
+        """
+        order = np.argsort(u, kind="stable")
+        cdf = np.concatenate(([0.0], np.cumsum(self._trap_w[order])))
+        bound = self._mask_bounds
+        # Cut k = number of sorted u with E - u >= bound.  Infinite
+        # sentinels make the checks at k = 0 and k = n_x pass trivially.
+        padded = np.concatenate(([-np.inf], u[order], [np.inf]))
+        k = np.searchsorted(padded[1:-1], e - bound, side="right")
+        while True:
+            grow = e - padded[k + 1] >= bound
+            shrink = e - padded[k] < bound
+            if not (grow.any() or shrink.any()):
+                break
+            k += grow
+            k -= shrink
+        n_modes = self._edges_ev.size
+        return cdf[k[:n_modes]], cdf[-1] - cdf[k[n_modes:]]
 
     @staticmethod
     def _well_factor(delta_ev: np.ndarray, edge_ev: float, hv_ev_nm: float,

@@ -104,6 +104,8 @@ class DeviceTable:
         chg = np.asarray(self.charge_c, dtype=float)
         if vg.ndim != 1 or vd.ndim != 1:
             raise ValueError("bias axes must be 1-D")
+        if vg.size < 2 or vd.size < 2:
+            raise ValueError("bias axes need at least two points")
         if np.any(np.diff(vg) <= 0) or np.any(np.diff(vd) <= 0):
             raise ValueError("bias axes must be strictly ascending")
         if cur.shape != (vg.size, vd.size) or chg.shape != cur.shape:

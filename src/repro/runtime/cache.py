@@ -49,7 +49,9 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 #: physics or numerics change so previously cached tables are not reused.
 #: v2: warm-start continuation along V_D rows (converged midgaps move
 #: within the bisection tolerance relative to cold-started v1 tables).
-TABLE_ENGINE_VERSION = "sbfet-v2"
+#: v3: semianalytic WKB kernel with shared ``(E - u)**2``, matvec gap
+#: integrals and CDF band masks (currents move in the last bits).
+TABLE_ENGINE_VERSION = "sbfet-v3"
 
 
 def cache_enabled() -> bool:

@@ -177,6 +177,14 @@ class TestValidation:
                         current_a=np.zeros((3, 2)),
                         charge_c=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("n_vg, n_vd", [(1, 3), (3, 1), (1, 1)])
+    def test_rejects_single_point_axis(self, n_vg, n_vd):
+        with pytest.raises(ValueError, match="at least two points"):
+            DeviceTable(vg=np.linspace(0.0, 0.2, n_vg),
+                        vd=np.linspace(0.0, 0.2, n_vd),
+                        current_a=np.zeros((n_vg, n_vd)),
+                        charge_c=np.zeros((n_vg, n_vd)))
+
     def test_rejects_wrong_grid_shape(self):
         with pytest.raises(ValueError):
             DeviceTable(vg=np.array([0.0, 0.1]), vd=np.array([0.0, 0.1]),

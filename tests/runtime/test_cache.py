@@ -128,6 +128,15 @@ class TestTableCacheKey:
         assert (table_cache_key(g, VG, VD, None, version="sbfet-v1")
                 != table_cache_key(g, VG, VD, None, version="sbfet-v2"))
 
+    def test_current_kernel_never_reads_older_tables(self):
+        """Tables from the pre-CDF WKB kernel live under other keys."""
+        g = GNRFETGeometry()
+        current = table_cache_key(g, VG, VD, None, engine="semianalytic")
+        for old in ("sbfet-v1", "sbfet-v2"):
+            assert current != table_cache_key(g, VG, VD, None,
+                                              engine="semianalytic",
+                                              version=old)
+
 
 class TestDeviceTablePersistence:
     @pytest.fixture(autouse=True)
