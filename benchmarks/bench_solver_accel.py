@@ -27,10 +27,6 @@ at the repository root:
   relative dI <= 0.05 over the transport window) on the paper-scale
   N = 12 barrier device, with the full n_modes/accuracy trade-off curve
   recorded.
-* **Numba array backend** — ``REPRO_BACKEND=numba`` swaps the stacked
-  recurrences for JIT'd per-energy kernels.  Measured only where the
-  optional package is installed (the CI optional-backend job); the
-  committed block records availability honestly otherwise.
 * **Semianalytic WKB kernel** — ``SBFETModel.transmission`` shares one
   ``(E - u)**2`` across modes, reduces each mode's gap integral with a
   single matvec and reads the band masks off a sorted-profile CDF.
@@ -62,7 +58,6 @@ from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
 from repro.poisson.fd import PoissonOperator, solve_poisson_2d
 from repro.poisson.grid import Grid2D
 from repro.reporting.tables import format_table
-from repro.runtime.backend import BACKEND_ENV, available_backends
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -237,48 +232,6 @@ def _bench_modespace_engine() -> dict:
     }
 
 
-def _bench_backend_numba() -> dict:
-    """Numba backend vs numpy inline path (where numba is installed)."""
-    if not available_backends()["numba"]:
-        return {"available": False,
-                "note": "numba not installed; measured in the CI "
-                        "optional-backend job"}
-    device = ModeSpaceGNRDevice(MODESPACE_N_INDEX, MODESPACE_CELLS,
-                                n_modes=4)
-    energies = np.linspace(-1.0, 1.0, MODESPACE_ENERGIES)
-    saved = os.environ.pop(BACKEND_ENV, None)
-    try:
-        ref = device.transport(energies)
-        best_np = np.inf
-        for _ in range(MODESPACE_REPEATS):
-            start = time.perf_counter()
-            device.transport(energies)
-            best_np = min(best_np, time.perf_counter() - start)
-        os.environ[BACKEND_ENV] = "numba"
-        jit = device.transport(energies)  # includes first-call JIT cost
-        best_nb = np.inf
-        for _ in range(MODESPACE_REPEATS):
-            start = time.perf_counter()
-            device.transport(energies)
-            best_nb = min(best_nb, time.perf_counter() - start)
-    finally:
-        if saved is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = saved
-    bitwise = bool(np.array_equal(ref.transmission, jit.transmission))
-    return {
-        "available": True,
-        "n_index": MODESPACE_N_INDEX,
-        "n_cells": MODESPACE_CELLS,
-        "n_energies": MODESPACE_ENERGIES,
-        "numpy_ms": best_np * 1e3,
-        "numba_ms": best_nb * 1e3,
-        "speedup": best_np / best_nb,
-        "bitwise_equal": bitwise,
-    }
-
-
 def _load_wkb_oracle():
     """The frozen per-mode WKB formulation the test suite pins."""
     spec = importlib.util.spec_from_file_location("wkb_reference",
@@ -357,7 +310,6 @@ def test_solver_acceleration(save_report):
     warmstart = _bench_warmstart()
     transport = _bench_batched_transport()
     modespace = _bench_modespace_engine()
-    numba_backend = _bench_backend_numba()
     wkb = _bench_wkb_kernel()
 
     rows = [
@@ -385,12 +337,6 @@ def test_solver_acceleration(save_report):
              f"{g['realspace_ms']:.1f} ms",
              f"{g['modespace_ms']:.1f} ms",
              f"{g['speedup']:.2f}x (dT {g['max_abs_dT']:.1e})"])
-    if numba_backend["available"]:
-        rows.append(
-            ["numba backend (modespace transport)",
-             f"{numba_backend['numpy_ms']:.1f} ms",
-             f"{numba_backend['numba_ms']:.1f} ms",
-             f"{numba_backend['speedup']:.2f}x"])
     rows.append(
         [f"WKB kernel (N={wkb['n_index']} table, {wkb['calls']} calls)",
          f"{wkb['oracle_ms_per_call']:.2f} ms/call",
@@ -421,8 +367,6 @@ def test_solver_acceleration(save_report):
         if n_modes in ("4", "6", "None"):
             assert g["max_abs_dT"] <= tol["max_abs_dT"]
             assert g["rel_dI"] <= tol["rel_dI"]
-    if numba_backend["available"]:
-        assert numba_backend["bitwise_equal"]
     assert wkb["max_rel_dT"] <= 1e-12
 
     if SMOKE:
@@ -444,12 +388,11 @@ def test_solver_acceleration(save_report):
     assert wkb["speedup"] >= 4.0
 
     payload = {
-        "schema": "repro-bench-solvers/3",
+        "schema": "repro-bench-solvers/4",
         "poisson_prefactorized": poisson,
         "scf_warmstart": warmstart,
         "batched_transport": transport,
         "modespace_engine": modespace,
-        "backend_numba": numba_backend,
         "wkb_kernel": wkb,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")

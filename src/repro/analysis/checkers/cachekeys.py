@@ -57,10 +57,6 @@ RESULT_NEUTRAL_ENV = frozenset({
     "REPRO_STRICT",
     "REPRO_FAULTS",
     "REPRO_SANITIZE",
-    "REPRO_SCHEDULER",
-    "REPRO_HOSTS",
-    "REPRO_LEASE_TIMEOUT",
-    "REPRO_HEARTBEAT_S",
 })
 
 #: Classes whose constructor takes a cache key as first argument.
@@ -212,8 +208,7 @@ class CacheKeyChecker(Checker):
                         f"environment read(s) {', '.join(uncovered)} "
                         f"reachable from '{info.name}'; thread the "
                         "resolved value (e.g. resolve_engine(), "
-                        "warmstart_enabled(), backend_name()) into the "
-                        "key arguments",
+                        "warmstart_enabled()) into the key arguments",
                 symbol=info.qualname))
             break  # one finding per function, not per key call
         return findings

@@ -19,8 +19,7 @@ batched-kernel speedups the benchmarks pin:
 * ``RPA803`` — array allocation (``np.zeros``/``empty``/``eye``/
   ``stacked_identity``/...) inside the iteration loop of a
   ``*_batched`` kernel: decimation loops run tens of times per call;
-  hoist the buffer and slice it.  ``backend_numba`` modules are
-  exempt (numba's typed allocation inside ``prange`` is idiomatic).
+  hoist the buffer and slice it.
 """
 
 from __future__ import annotations
@@ -128,9 +127,8 @@ class HotPathChecker(Checker):
     }
 
     def check_module(self, module: ModuleInfo) -> list[Finding]:
-        if module.module_name is not None and (
-                module.module_name.startswith("repro.obs")
-                or module.module_name.endswith("backend_numba")):
+        if module.module_name is not None and \
+                module.module_name.startswith("repro.obs"):
             return []
         local_defs = {stmt.name for stmt in module.tree.body
                       if isinstance(stmt, (ast.FunctionDef,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from repro import obs
@@ -68,15 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel experiment workers "
                              "(default: serial)")
-    parser.add_argument("--scheduler", choices=("local", "distributed"),
-                        default=None,
-                        help="dispatch seam for the experiment wave "
-                             "(equivalent to REPRO_SCHEDULER=NAME; "
-                             "default local)")
-    parser.add_argument("--hosts", default=None, metavar="SPEC",
-                        help="agent host spec for --scheduler "
-                             "distributed, e.g. 'local*3' "
-                             "(equivalent to REPRO_HOSTS=SPEC)")
     return parser
 
 
@@ -164,12 +154,6 @@ def _check_or_update(args: argparse.Namespace) -> int:
     except GoldenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "scheduler", None):
-        from repro.runtime import SCHEDULER_ENV
-        os.environ[SCHEDULER_ENV] = str(args.scheduler)
-    if getattr(args, "hosts", None):
-        from repro.runtime import HOSTS_ENV
-        os.environ[HOSTS_ENV] = str(args.hosts)
     if obs.ACTIVE:
         obs.reset()
     run = characterize(ids, fast=args.fast, workers=args.workers)

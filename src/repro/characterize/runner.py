@@ -2,14 +2,13 @@
 
 Experiments run through the
 :func:`~repro.runtime.scheduler.resolve_scheduler` seam — a
-:class:`~repro.runtime.scheduler.LocalScheduler` by default (which
-keeps deterministic ordering, drains worker observability payloads,
-falls back to a serial loop when ``workers <= 1``, and recomputes the
-tasks of a crashed worker serially in the parent), or a
-:class:`~repro.runtime.distributed.DistributedScheduler` when selected
-via ``REPRO_SCHEDULER=distributed`` / ``--scheduler distributed`` —
-then each data dictionary is reduced to figures of merit by its spec's
-extractor and diffed against the committed golden.  When tracing is
+:class:`~repro.runtime.scheduler.LocalScheduler` unless the caller
+injects its own (which keeps deterministic ordering, drains worker
+observability payloads, falls back to a serial loop when
+``workers <= 1``, and recomputes the tasks of a crashed worker serially
+in the parent) — then each data dictionary is reduced to figures of
+merit by its spec's extractor and diffed against the committed golden.
+When tracing is
 active (:func:`repro.obs.enable` / ``REPRO_TRACE=1``) a per-run
 manifest is assembled via :func:`repro.obs.build_manifest` so a
 characterization run leaves the same audit trail as ``repro run``.

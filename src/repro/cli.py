@@ -6,7 +6,7 @@ Usage::
     repro run fig4 [--fast] [--out report.txt] [--workers 4] [--no-cache]
     repro run all [--fast] [--sanitize] [--trace]
     repro run fig4 [--strict] [--checkpoint N] [--resume] [--faults SPEC]
-    repro run fig4 [--engine modespace] [--backend numba]
+    repro run fig4 [--engine modespace]
     repro lint [paths ...] [--format json] [--baseline FILE]
     repro characterize [--check|--update|--docs] [--only fig2,table1] [--fast]
     repro cache info
@@ -27,18 +27,13 @@ report, and ``repro lint`` is the static analysis front end of
 exporting ``REPRO_STRICT`` / ``REPRO_CHECKPOINT`` / ``REPRO_RESUME`` /
 ``REPRO_FAULTS``.  ``--engine`` selects the transport engine behind
 the device sweeps (:mod:`repro.device.engines`, exporting
-``REPRO_ENGINE``) and ``--backend`` the array backend behind the NEGF
-kernels (:mod:`repro.runtime.backend`, exporting ``REPRO_BACKEND``).
-``--adaptive`` / ``--refine-levels`` / ``--mc-target-ci`` switch the
-fig3/fig6 experiments onto the adaptive engines
-(:mod:`repro.exploration.adaptive`,
+``REPRO_ENGINE``).  ``--adaptive`` / ``--refine-levels`` /
+``--mc-target-ci`` switch the fig3/fig6 experiments onto the adaptive
+engines (:mod:`repro.exploration.adaptive`,
 :mod:`repro.variability.adaptive`; exporting ``REPRO_ADAPTIVE`` /
 ``REPRO_REFINE_LEVELS`` / ``REPRO_MC_TARGET_CI`` — see
-``docs/performance.md``).  ``--scheduler`` / ``--hosts`` select the
-dispatch seam (:mod:`repro.runtime.distributed`; exporting
-``REPRO_SCHEDULER`` / ``REPRO_HOSTS`` — see ``docs/robustness.md``).
-``repro trace summarize`` renders a manifest as a human-readable
-summary (or a condensed JSON document).
+``docs/performance.md``).  ``repro trace summarize`` renders a
+manifest as a human-readable summary (or a condensed JSON document).
 """
 
 from __future__ import annotations
@@ -57,16 +52,12 @@ from repro.characterize.cli import build_parser as build_characterize_parser
 from repro.characterize.cli import main as characterize_main
 from repro.device.engines import ENGINE_ENV, ENGINES
 from repro.exploration.adaptive import ADAPTIVE_ENV, REFINE_LEVELS_ENV
-from repro.runtime.backend import BACKEND_ENV, BACKEND_NAMES
 from repro.reporting.experiments import EXPERIMENTS, run_experiment
 from repro.variability.adaptive import MC_TARGET_CI_ENV
 from repro.runtime import (
     CHECKPOINT_ENV,
-    FAULTS_ENV,
-    HOSTS_ENV,
     NO_CACHE_ENV,
     RESUME_ENV,
-    SCHEDULER_ENV,
     STRICT_ENV,
     WORKERS_ENV,
     ArtifactCache,
@@ -95,7 +86,6 @@ def _apply_runtime_flags(args) -> None:
     if getattr(args, "resume", False):
         os.environ[RESUME_ENV] = "1"
     if getattr(args, "faults", None):
-        os.environ[FAULTS_ENV] = str(args.faults)
         from repro.runtime import faults as _faults
         _faults.enable(str(args.faults))
     if getattr(args, "adaptive", False):
@@ -104,14 +94,8 @@ def _apply_runtime_flags(args) -> None:
         os.environ[REFINE_LEVELS_ENV] = str(args.refine_levels)
     if getattr(args, "mc_target_ci", None) is not None:
         os.environ[MC_TARGET_CI_ENV] = str(args.mc_target_ci)
-    if getattr(args, "scheduler", None):
-        os.environ[SCHEDULER_ENV] = str(args.scheduler)
-    if getattr(args, "hosts", None):
-        os.environ[HOSTS_ENV] = str(args.hosts)
     if getattr(args, "engine", None):
         os.environ[ENGINE_ENV] = str(args.engine)
-    if getattr(args, "backend", None):
-        os.environ[BACKEND_ENV] = str(args.backend)
     if getattr(args, "sanitize", False):
         sanitize.enable()
     if getattr(args, "trace", False):
@@ -258,23 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the adaptive Monte Carlo stops (default "
                             "0.05 with --adaptive; equivalent to "
                             "REPRO_MC_TARGET_CI=CI)")
-    p_run.add_argument("--scheduler", choices=("local", "distributed"),
-                       default=None,
-                       help="dispatch seam behind every sweep wave "
-                            "(equivalent to REPRO_SCHEDULER=NAME; "
-                            "default local)")
-    p_run.add_argument("--hosts", default=None, metavar="SPEC",
-                       help="agent host spec for --scheduler distributed, "
-                            "e.g. 'local*3' or 'ssh a@box;ssh b@box' "
-                            "(equivalent to REPRO_HOSTS=SPEC)")
     p_run.add_argument("--engine", choices=ENGINES, default=None,
                        help="transport engine for device sweeps "
                             "(equivalent to REPRO_ENGINE=NAME; default "
                             "semianalytic)")
-    p_run.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                       help="array backend for the NEGF kernels "
-                            "(equivalent to REPRO_BACKEND=NAME; default "
-                            "numpy)")
     p_run.add_argument("--trace", action="store_true",
                        help="enable tracing/metrics and write a JSON run "
                             "manifest (equivalent to REPRO_TRACE=1)")

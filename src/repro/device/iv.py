@@ -43,7 +43,6 @@ from repro.errors import ConvergenceError, ParallelMapError
 from repro.runtime import (
     FailureRecord,
     SweepCheckpoint,
-    backend_name,
     checkpoint_interval,
     content_key,
     in_worker,
@@ -277,8 +276,7 @@ def sweep_iv(
     ckpt: SweepCheckpoint | None = None
     if interval > 0 or resume:
         key = content_key("sweep_iv", geometry, vg_grid, vd_grid, n_modes,
-                          engine, engine_version(engine), backend_name(),
-                          warmstart_enabled())
+                          engine, engine_version(engine), warmstart_enabled())
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()

@@ -31,7 +31,6 @@ from repro.device.iv import IVSweep, sweep_iv
 from repro.errors import TableRangeError
 from repro.runtime import (
     ArtifactCache,
-    backend_name,
     content_key,
     warmstart_enabled,
 )
@@ -360,12 +359,10 @@ def table_cache_key(
     """Stable content hash identifying one table build on disk.
 
     Any change to the geometry (including nested impurity fields), either
-    bias grid, the retained mode count, the transport engine, the
-    engine version tag, or the active array backend yields a different
-    key, so stale artifacts are orphaned, never reused — a mode-space
-    table can never collide with a real-space or semianalytic one, and
-    tables built by an accelerated backend (``REPRO_BACKEND``) never
-    masquerade as reference-numpy ones.  The warm-start state is part
+    bias grid, the retained mode count, the transport engine, or the
+    engine version tag yields a different key, so stale artifacts are
+    orphaned, never reused — a mode-space table can never collide with
+    a real-space or semianalytic one.  The warm-start state is part
     of the key: continuation moves converged midgaps within the bisection
     tolerance, and a ``REPRO_NO_WARMSTART`` run must not silently reuse
     (or poison) warm-started artifacts.
@@ -373,10 +370,9 @@ def table_cache_key(
     engine = resolve_engine(engine)
     if version is None:
         version = engine_version(engine)
-    return content_key("device-table", version, engine, backend_name(),
-                       geometry, np.asarray(vg_grid, float),
-                       np.asarray(vd_grid, float), n_modes,
-                       warmstart_enabled())
+    return content_key("device-table", version, engine, geometry,
+                       np.asarray(vg_grid, float), np.asarray(vd_grid, float),
+                       n_modes, warmstart_enabled())
 
 
 def _disk_cache() -> ArtifactCache:
@@ -425,7 +421,7 @@ def build_device_table(
     vd_grid = DEFAULT_VD_GRID if vd_grid is None else np.asarray(vd_grid, float)
     engine = resolve_engine(engine)
     key = (geometry, tuple(vg_grid), tuple(vd_grid), n_modes, engine,
-           backend_name(), warmstart_enabled())
+           warmstart_enabled())
     if use_cache and key in _TABLE_CACHE:
         if obs.ACTIVE:
             obs.incr("cache.table_memory_hits")

@@ -50,48 +50,6 @@ class ConvergenceError(ReproError):
         return self
 
 
-class DeadlineExceeded(ConvergenceError):
-    """A solve (or retry-ladder rung) ran past its wall-clock deadline.
-
-    Subclasses :class:`ConvergenceError` deliberately: a solve that
-    cannot finish inside its time budget is treated exactly like a
-    solve that cannot converge — retry ladders escalate past it and
-    sweep quarantine NaN-masks the cell — so no wave can hang forever
-    on one wedged solve.  Raised by
-    :func:`repro.runtime.resilience.run_with_deadline` (the primitive
-    under per-rung ladder deadlines and the distributed scheduler's
-    lease enforcement).
-
-    Attributes
-    ----------
-    site:
-        Where the deadline was armed (``"scf"``, ``"lease"``, ...).
-    rung:
-        Ladder rung name when armed inside :func:`run_ladder`, else ``""``.
-    deadline_s:
-        The wall-clock budget that was exceeded.
-    elapsed_s:
-        Time actually spent before the deadline fired, if known.
-    """
-
-    def __init__(self, message: str, site: str = "", rung: str = "",
-                 deadline_s: float | None = None,
-                 elapsed_s: float | None = None,
-                 context: Mapping[str, object] | None = None):
-        merged: dict[str, object] = {"deadline_site": site}
-        if rung:
-            merged["deadline_rung"] = rung
-        if deadline_s is not None:
-            merged["deadline_s"] = float(deadline_s)
-        if context:
-            merged.update(context)
-        super().__init__(message, context=merged)
-        self.site = site
-        self.rung = rung
-        self.deadline_s = deadline_s
-        self.elapsed_s = elapsed_s
-
-
 class TableRangeError(ReproError):
     """A lookup-table evaluation was requested outside the tabulated range."""
 
@@ -161,18 +119,6 @@ class ParallelMapError(ReproError):
         self.chunk_size = chunk_size
         self.chunk_offsets: tuple[int, ...] | None = (
             None if chunk_offsets is None else tuple(chunk_offsets))
-
-
-class FrameError(ReproError):
-    """A distributed-scheduler protocol frame is malformed.
-
-    Raised by :mod:`repro.runtime.protocol` when a newline-delimited
-    JSON frame cannot be decoded (invalid JSON, missing/unknown type,
-    wrong protocol version, corrupt payload).  The scheduler treats a
-    frame error from an agent as an agent failure — the agent is
-    killed and its lease reassigned — never as a fatal error of the
-    wave.
-    """
 
 
 class CheckpointError(ReproError):

@@ -64,7 +64,6 @@ from repro.runtime import (
     FailureRecord,
     Scheduler,
     SweepCheckpoint,
-    backend_name,
     checkpoint_interval,
     content_key,
     in_worker,
@@ -330,8 +329,7 @@ def refine_vdd_vt(
                           n_stages, with_snm, levels, wave_solve_budget,
                           opt_window, ab_window, ab_polish_rounds,
                           f_min_hz, TABLE_ENGINE_VERSION, engine,
-                          engine_version(engine), backend_name(),
-                          warmstart_enabled())
+                          engine_version(engine), warmstart_enabled())
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()

@@ -136,8 +136,7 @@ def sweep_vdd_vt(
     costs only its undelivered rows, which are recomputed in-process
     by the scheduler (``scheduler`` defaults to a
     :class:`~repro.runtime.scheduler.LocalScheduler`; the seam exists
-    so adaptive refinement and future distributed dispatch share this
-    exact code path).
+    so adaptive refinement shares this exact code path).
     """
     vt_grid = np.asarray(vt_grid, dtype=float)
     vdd_grid = np.asarray(vdd_grid, dtype=float)

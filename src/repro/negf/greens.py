@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs, sanitize
-from repro.runtime import backend as array_backend
 from repro.runtime.accel import stacked_identity
 
 
@@ -282,32 +281,6 @@ def rgf_transmission_batched(
             raise ValueError(
                 f"{name} must have shape (n_energy, b, b) = "
                 f"({n_e}, b, b), got {sig.shape}")
-
-    backend = array_backend.active_backend()
-    if backend.rgf_transmission is not None:
-        # Fused backends take the recurrence whole, so they only apply
-        # when the sanitizer is off (its checks need the recurrence
-        # internals) and the block sizes are uniform (stackable).
-        b0 = np.asarray(diagonal_blocks[0]).shape[0]
-        uniform = all(np.asarray(d).shape == (b0, b0)
-                      for d in diagonal_blocks)
-        if uniform and not sanitize.ACTIVE:
-            array_backend.record_kernel("rgf_transmission", backend)
-            diag_stack = np.stack(
-                [np.asarray(d, dtype=complex) for d in diagonal_blocks])
-            coup_stack = (np.stack(
-                [np.asarray(t, dtype=complex) for t in coupling_blocks])
-                if coupling_blocks
-                else np.zeros((0, b0, b0), dtype=complex))
-            transmission = backend.rgf_transmission(
-                energies, diag_stack, coup_stack, sigma_left, sigma_right,
-                eta_ev=eta_ev)
-            if obs.ACTIVE:
-                obs.incr("negf.rgf_batched_passes")
-                obs.incr("negf.batched_energy_points", n_e)
-                obs.incr("negf.rgf_block_solves", n_blocks)
-            return transmission
-    array_backend.record_fallback("rgf_transmission", backend)
 
     if sanitize.ACTIVE:
         for i, block in enumerate(diagonal_blocks):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.runtime import backend as array_backend
 from repro.runtime.accel import stacked_identity
 
 
@@ -152,18 +151,7 @@ def sancho_rubio_surface_gf_batched(
 
     Returns the ``(n_energy, n, n)`` stack of surface Green's functions;
     matches the scalar kernel to numerical round-off.
-
-    When a non-default array backend provides a fused decimation kernel
-    (``REPRO_BACKEND``, see :mod:`repro.runtime.backend`), the whole
-    iteration is delegated to it; the numpy default always takes the
-    inline path below.
     """
-    backend = array_backend.active_backend()
-    if backend.sancho_rubio is not None:
-        array_backend.record_kernel("sancho_rubio", backend)
-        return backend.sancho_rubio(energies_ev, h00, h01, eta_ev=eta_ev,
-                                    tol=tol, max_iter=max_iter)
-    array_backend.record_fallback("sancho_rubio", backend)
     energies = np.atleast_1d(np.asarray(energies_ev, dtype=float))
     n = h00.shape[0]
     n_e = energies.size

@@ -97,7 +97,6 @@ class Recorder:
         self.histograms: dict[str, dict[str, Any]] = {}
         self.spans: dict[str, dict[str, Any]] = {}
         self.failures: list[dict[str, Any]] = []
-        self.annotations: dict[str, str] = {}
         self.stack: list[str] = []
 
     # ------------------------------------------------------------------ #
@@ -108,15 +107,6 @@ class Recorder:
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)
-
-    def annotate(self, name: str, value: str) -> None:
-        """Set a string annotation (last writer wins).
-
-        Annotations carry small categorical facts that are not numbers —
-        the scheduler kind of a run, a degradation reason — and surface
-        verbatim in the run manifest.
-        """
-        self.annotations[name] = str(value)
 
     def observe(self, name: str, value: float) -> None:
         hist = self.histograms.get(name)
@@ -179,7 +169,6 @@ class Recorder:
                        "attrs": dict(s["attrs"])}
                 for path, s in sorted(self.spans.items())},
             "failures": [dict(f) for f in self.failures],
-            "annotations": dict(sorted(self.annotations.items())),
         }
 
     def merge(self, payload: Mapping[str, Any], prefix: str = "") -> None:
@@ -222,8 +211,6 @@ class Recorder:
             span["attrs"].update(s.get("attrs", {}))
         for record in payload.get("failures", []):
             self.record_failure(record)
-        for name, value in payload.get("annotations", {}).items():
-            self.annotate(name, value)
 
     def reset(self) -> None:
         """Drop all recorded state (open-span stack included)."""
@@ -232,7 +219,6 @@ class Recorder:
         self.histograms.clear()
         self.spans.clear()
         self.failures.clear()
-        self.annotations.clear()
         self.stack.clear()
 
 
@@ -320,12 +306,6 @@ def record_failure(record: Mapping[str, Any]) -> None:
         _RECORDER.record_failure(record)
 
 
-def annotate(name: str, value: str) -> None:
-    """Set a string annotation, last writer wins (no-op while disabled)."""
-    if ACTIVE:
-        _RECORDER.annotate(name, value)
-
-
 def current_recorder() -> Recorder:
     """The process-wide recorder (mainly for tests and manifests)."""
     return _RECORDER
@@ -387,7 +367,6 @@ __all__ = [
     "Recorder",
     "absorb",
     "active",
-    "annotate",
     "current_recorder",
     "disable",
     "drain",

@@ -54,8 +54,6 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     """
     counters = snapshot.get("counters", {})
     histograms = snapshot.get("histograms", {})
-    gauges = snapshot.get("gauges", {})
-    annotations = snapshot.get("annotations", {})
 
     def count(name: str) -> float:
         return counters.get(name, 0)
@@ -110,19 +108,6 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "worker_crash_recoveries": count("resilience.worker_crash_recoveries"),
         "checkpoint_writes": count("resilience.checkpoint_writes"),
         "checkpoint_resumes": count("resilience.checkpoint_resumes"),
-        # Scheduler attribution: which dispatch seam ran the waves, and
-        # how hard the distributed machinery had to fight for them.
-        "scheduler_kind": annotations.get("scheduler_kind", "LocalScheduler"),
-        "scheduler_agents": gauges.get("scheduler.agents", 0),
-        "leases_granted": count("scheduler.leases_granted"),
-        "leases_redispatched": count("scheduler.leases_redispatched"),
-        "leases_expired": count("scheduler.leases_expired"),
-        "agent_stalls": count("scheduler.agent_stalls"),
-        "agent_crashes": count("scheduler.agent_crashes"),
-        "agents_quarantined": count("scheduler.agents_quarantined"),
-        "local_fallbacks": count("scheduler.local_fallbacks"),
-        "local_fallback_tasks": count("scheduler.local_fallback_tasks"),
-        "deadlines_exceeded": count("resilience.deadline_exceeded"),
     }
 
 
@@ -157,7 +142,6 @@ def build_manifest(label: str,
         "histograms": snap.get("histograms", {}),
         "spans": snap.get("spans", {}),
         "failures": snap.get("failures", []),
-        "annotations": snap.get("annotations", {}),
         "rollups": compute_rollups(snap),
     }
 

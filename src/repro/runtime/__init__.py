@@ -21,9 +21,6 @@ Environment knobs
 ``REPRO_NO_WARMSTART``
     Any non-empty value disables SCF warm-start continuation in every
     sweep driver (cold starts everywhere; see :mod:`repro.runtime.accel`).
-``REPRO_BACKEND``
-    Array backend for the hot NEGF kernels: ``numpy`` (default),
-    ``numba`` or ``cupy`` (see :mod:`repro.runtime.backend`).
 ``REPRO_STRICT``
     Truthy value flips every sweep back to raise-on-first-failure
     instead of quarantining failed cells (see
@@ -34,14 +31,6 @@ Environment knobs
 ``REPRO_FAULTS``
     Deterministic fault-injection plan for exercising the recovery
     paths (see :mod:`repro.runtime.faults`).
-``REPRO_SCHEDULER``
-    Dispatch seam implementation: ``local`` (default) or
-    ``distributed`` (see :mod:`repro.runtime.scheduler` and
-    :mod:`repro.runtime.distributed`).
-``REPRO_HOSTS`` / ``REPRO_LEASE_TIMEOUT`` / ``REPRO_HEARTBEAT_S``
-    Distributed-scheduler agent host spec, initial/floor lease deadline
-    in seconds, and heartbeat interval (see
-    :mod:`repro.runtime.distributed`).
 """
 
 from repro.runtime.accel import (
@@ -50,15 +39,6 @@ from repro.runtime.accel import (
     batched_trace,
     stacked_identity,
     warmstart_enabled,
-)
-from repro.runtime.backend import (
-    BACKEND_ENV,
-    BACKEND_NAMES,
-    ArrayBackend,
-    BackendUnavailableError,
-    active_backend,
-    available_backends,
-    backend_name,
 )
 from repro.runtime.cache import (
     CACHE_DIR_ENV,
@@ -70,14 +50,6 @@ from repro.runtime.cache import (
     canonical_repr,
     clear_all,
     content_key,
-)
-from repro.runtime.distributed import (
-    HEARTBEAT_ENV,
-    HOSTS_ENV,
-    LEASE_TIMEOUT_ENV,
-    DistributedScheduler,
-    distributed_available,
-    parse_hosts,
 )
 from repro.runtime.faults import FAULTS_ENV
 from repro.runtime.parallel import (
@@ -91,11 +63,9 @@ from repro.runtime.parallel import (
     spawn_seed_sequences,
 )
 from repro.runtime.scheduler import (
-    SCHEDULER_ENV,
     LocalScheduler,
     Scheduler,
     resolve_scheduler,
-    scheduler_kind,
 )
 from repro.runtime.resilience import (
     CHECKPOINT_ENV,
@@ -108,37 +78,24 @@ from repro.runtime.resilience import (
     recover_parallel,
     resume_enabled,
     run_ladder,
-    run_with_deadline,
     strict_default,
 )
 
 __all__ = [
-    "ArrayBackend",
     "ArtifactCache",
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "BackendUnavailableError",
     "CACHE_DIR_ENV",
     "CHECKPOINT_ENV",
-    "DistributedScheduler",
     "FAULTS_ENV",
     "FailureRecord",
-    "HEARTBEAT_ENV",
-    "HOSTS_ENV",
-    "LEASE_TIMEOUT_ENV",
     "LocalScheduler",
     "NO_CACHE_ENV",
     "NO_WARMSTART_ENV",
     "RESUME_ENV",
-    "SCHEDULER_ENV",
     "STRICT_ENV",
     "Scheduler",
     "SweepCheckpoint",
     "TABLE_ENGINE_VERSION",
     "WORKERS_ENV",
-    "active_backend",
-    "available_backends",
-    "backend_name",
     "batch_indices",
     "batched_inverse",
     "batched_trace",
@@ -149,19 +106,15 @@ __all__ = [
     "clear_all",
     "content_key",
     "default_chunk_size",
-    "distributed_available",
     "guided_chunk_plan",
     "in_worker",
     "parallel_map",
-    "parse_hosts",
     "quarantine",
     "recover_parallel",
     "resolve_scheduler",
     "resolve_workers",
     "resume_enabled",
-    "scheduler_kind",
     "run_ladder",
-    "run_with_deadline",
     "spawn_seed_sequences",
     "stacked_identity",
     "strict_default",

@@ -15,7 +15,6 @@ Specification grammar (``REPRO_FAULTS`` or :func:`enable`)::
     clause   := site "@" index ("," index)*
     index    := INT ("x" INT)?          # "x" caps how many attempts fail
     site     := "scf" | "sr" | "worker" | "checkpoint"
-              | "host" | "stall" | "lease"
 
 Examples
 --------
@@ -36,52 +35,26 @@ Examples
     The second checkpoint write (index 1) is interrupted after the
     temp file is written but before the atomic replace — exercises
     resume-from-previous-checkpoint.
-``host@2``
-    The *agent process* (``repro.runtime.agent``) about to compute
-    task index 2 crashes hard (``os._exit``) — exercises the
-    distributed scheduler's lease-reassignment and agent quarantine.
-``stall@2``
-    The agent about to compute task index 2 goes silent: its heartbeat
-    thread is suppressed and the process sleeps — exercises
-    missed-heartbeat detection (the scheduler kills and replaces it).
-``lease@2``
-    The lease covering task index 2 is granted already expired
-    (scheduler-side, consumed via :func:`should_fire`, never
-    :func:`inject`) — exercises lease-expiry reassignment without
-    touching the agent.
 
 Indices are *task indices of the enclosing sweep* (flat cell index for
 bias grids, sample index for Monte Carlo, write ordinal for
 checkpoints), never global call counts, so the same spec fires at the
-same logical work item at any worker count — including any *host*
-count: distributed agents inherit ``REPRO_FAULTS`` through their
-spawned environment exactly like pool workers, and the host-level
-sites key on the lease's task indices.  Attempt counters are
+same logical work item at any worker count.  Attempt counters are
 process-local; because a given task is always retried within the one
-process that owns it, ``xN`` counting is exact in workers too.  (A
-*fresh* agent process starts with fresh counters, so an always-on
-``host@i`` clause crashes every agent that ever leases task ``i`` —
-the re-dispatch cap and local fallback are what terminate that chaos.)
+process that owns it, ``xN`` counting is exact in workers too.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 from repro.errors import CheckpointError, ConvergenceError
 
 #: Environment variable holding the fault specification.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Recognized fault sites.  ``host``/``stall`` fire inside distributed
-#: agent processes; ``lease`` is consumed scheduler-side.
-SITES = ("scf", "sr", "worker", "checkpoint", "host", "stall", "lease")
-
-#: How long a ``stall`` fault sleeps.  Long enough that the scheduler's
-#: missed-heartbeat window always expires first; the stalled process is
-#: then killed, so the sleep never actually completes.
-STALL_SLEEP_S = 600.0
+#: Recognized fault sites.
+SITES = ("scf", "sr", "worker", "checkpoint")
 
 #: Module-level guard flag: ``True`` iff a fault plan is armed.  Hot
 #: hooks check this before anything else, so a faultless run costs one
@@ -188,27 +161,12 @@ def inject(site: str, index: int, detail: str = "") -> None:
       ``context`` marking the failure as injected;
     * ``checkpoint`` — :class:`~repro.errors.CheckpointError`;
     * ``worker`` — hard process exit (``os._exit(17)``), the closest
-      reproducible stand-in for an OOM-killed / segfaulted worker;
-    * ``host`` — hard agent-process exit (``os._exit(23)``), the
-      distributed analogue of ``worker``;
-    * ``stall`` — the process goes silent for :data:`STALL_SLEEP_S`
-      (callers such as the agent suppress their heartbeats first), the
-      reproducible stand-in for a wedged or network-partitioned host;
-    * ``lease`` — never raised here: the distributed scheduler consults
-      :func:`should_fire` directly when granting leases and forces the
-      deadline into the past instead.
+      reproducible stand-in for an OOM-killed / segfaulted worker.
     """
     if not should_fire(site, index):
         return
     if site == "worker":
         os._exit(17)
-    if site == "host":
-        os._exit(23)
-    if site == "stall":
-        time.sleep(STALL_SLEEP_S)
-        return
-    if site == "lease":
-        return  # scheduler-side: consumed via should_fire at grant time
     where = f"{site}@{index}" + (f" ({detail})" if detail else "")
     if site == "checkpoint":
         raise CheckpointError(f"injected checkpoint-write fault at {where}")

@@ -11,12 +11,6 @@ Retry ladder (:func:`run_ladder`)
     A sequence of named rungs, each a zero-argument callable attempting
     the same solve with progressively more conservative settings (lower
     mixing beta, Anderson→damped Picard, more iterations, cold start).
-    An optional per-rung wall-clock ``deadline_s`` (enforced by
-    :func:`run_with_deadline`, preemptive on the Unix main thread)
-    converts a *hung* rung into a
-    :class:`~repro.errors.DeadlineExceeded` failure the ladder can
-    escalate past — the primitive under the distributed scheduler's
-    lease deadlines.
     The first rung that converges wins; each escalation is counted
     (``resilience.retries`` plus a per-site counter such as
     ``scf.retries``); exhaustion re-raises the last
@@ -54,20 +48,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import signal
-import threading
-import time
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from repro import obs
-from repro.errors import (
-    CheckpointError,
-    ConvergenceError,
-    DeadlineExceeded,
-    ParallelMapError,
-)
+from repro.errors import CheckpointError, ConvergenceError, ParallelMapError
 import repro.runtime.faults as faults
 from repro.runtime.cache import ArtifactCache
 
@@ -115,82 +101,10 @@ def resume_enabled() -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Wall-clock deadlines
-# --------------------------------------------------------------------- #
-def _deadline_preemptable() -> bool:
-    """True when a hung call can be *interrupted*, not just detected.
-
-    Preemption uses ``SIGALRM``/``setitimer``, which only works on the
-    main thread of a Unix process.  Everywhere else (worker threads,
-    Windows) :func:`run_with_deadline` degrades to a post-hoc elapsed
-    check: the overrun is still reported, it just cannot cut a wedged
-    call short.
-    """
-    return (hasattr(signal, "setitimer")
-            and threading.current_thread() is threading.main_thread())
-
-
-def run_with_deadline(thunk: Callable[[], T], deadline_s: float,
-                      site: str, rung: str = "") -> T:
-    """Run ``thunk`` with a wall-clock budget of ``deadline_s`` seconds.
-
-    Raises :class:`~repro.errors.DeadlineExceeded` (a
-    :class:`~repro.errors.ConvergenceError`, so ladders escalate past
-    it and quarantine absorbs it) when the budget is exhausted.  On the
-    main thread of a Unix process the deadline is *preemptive* — a
-    ``SIGALRM`` timer interrupts the call mid-flight, which is what
-    closes the hang-forever gap for a wedged SCF solve; elsewhere the
-    overrun is detected after the call returns (best effort, but a
-    returning call was by definition not hung).
-
-    ``deadline_s <= 0`` means "already expired" and raises immediately
-    — the distributed scheduler uses this to force-expire a lease under
-    the ``lease`` fault site.
-    """
-    if deadline_s <= 0:
-        if obs.ACTIVE:
-            obs.incr("resilience.deadline_exceeded")
-        raise DeadlineExceeded(
-            f"deadline of {deadline_s:.3g} s at {site} already expired",
-            site=site, rung=rung, deadline_s=deadline_s, elapsed_s=0.0)
-    start = time.perf_counter()
-    if _deadline_preemptable():
-        def _on_alarm(signum: int, frame: object) -> None:
-            raise DeadlineExceeded(
-                f"deadline of {deadline_s:.3g} s at {site} exceeded",
-                site=site, rung=rung, deadline_s=deadline_s,
-                elapsed_s=time.perf_counter() - start)
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, deadline_s)
-        try:
-            result = thunk()
-        except DeadlineExceeded:
-            if obs.ACTIVE:
-                obs.incr("resilience.deadline_exceeded")
-            raise
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-        return result
-    result = thunk()
-    elapsed = time.perf_counter() - start
-    if elapsed > deadline_s:
-        if obs.ACTIVE:
-            obs.incr("resilience.deadline_exceeded")
-        raise DeadlineExceeded(
-            f"deadline of {deadline_s:.3g} s at {site} exceeded "
-            f"(detected after {elapsed:.3g} s; non-preemptive context)",
-            site=site, rung=rung, deadline_s=deadline_s, elapsed_s=elapsed)
-    return result
-
-
-# --------------------------------------------------------------------- #
 # Retry / escalation ladder
 # --------------------------------------------------------------------- #
 def run_ladder(rungs: Sequence[tuple[str, Callable[[], T]]],
                site: str, counter: str | None = None,
-               deadline_s: float | None = None,
                ) -> tuple[T, list[str]]:
     """Attempt ``rungs`` in order until one converges.
 
@@ -199,14 +113,6 @@ def run_ladder(rungs: Sequence[tuple[str, Callable[[], T]]],
     propagates immediately — the ladder only absorbs non-convergence).
     Returns ``(result, rungs_tried)`` where ``rungs_tried`` lists the
     names of the failed rungs plus the one that succeeded.
-
-    ``deadline_s`` arms a *per-rung* wall-clock budget through
-    :func:`run_with_deadline`: a rung that runs past it fails with
-    :class:`~repro.errors.DeadlineExceeded` (a ``ConvergenceError``
-    subclass, so the ladder escalates to the next rung exactly as it
-    would past a diverged solve) and the whole ladder is therefore
-    bounded by ``len(rungs) * deadline_s`` — no single wedged solve can
-    hang a wave.
 
     Every escalation past the first rung increments
     ``resilience.retries`` and, if given, the per-site ``counter``
@@ -225,9 +131,6 @@ def run_ladder(rungs: Sequence[tuple[str, Callable[[], T]]],
                 obs.incr(counter)
         tried.append(name)
         try:
-            if deadline_s is not None:
-                return run_with_deadline(
-                    thunk, deadline_s, site=site, rung=name), tried
             return thunk(), tried
         except ConvergenceError as exc:
             last_error = exc

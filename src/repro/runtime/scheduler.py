@@ -5,11 +5,11 @@ process pool with deterministic, input-ordered results.  The exploration
 and variability layers, however, need a *policy* seam: adaptive sweeps
 submit work in waves whose size the algorithm discovers as it runs, so
 the dispatch layer must (a) survive worker crashes without losing the
-wave, (b) keep serial == parallel bitwise, and (c) stay swappable so a
-future distributed backend slots in without touching the sweeps.
+wave, (b) keep serial == parallel bitwise, and (c) stay swappable so tests
+can inject their own dispatcher without touching the sweeps.
 
 :class:`Scheduler` is that seam.  :class:`LocalScheduler` is the
-default implementation: it wraps ``parallel_map``, adds
+implementation: it wraps ``parallel_map``, adds
 work-stealing-style *guided chunking* (decreasing chunk sizes from
 :func:`~repro.runtime.parallel.guided_chunk_plan`, so a straggler task
 cannot serialize a wave), and absorbs
@@ -20,12 +20,6 @@ forwarding of the underlying machinery ride through unchanged: tasks
 keep their caller-assigned indices, so ``REPRO_FAULTS`` specs fire at
 the same logical work item at any worker count.
 
-:class:`~repro.runtime.distributed.DistributedScheduler` is the second
-implementation — lease-based dispatch over subprocess agents with
-deadlines, heartbeats, reassignment and local fallback.  Select it per
-run with ``REPRO_SCHEDULER=distributed`` (plus a ``REPRO_HOSTS`` spec)
-or per call by passing an instance to :func:`resolve_scheduler`.
-
 Determinism contract: a :class:`Scheduler` may partition tasks freely
 but must return results in task order, computed by a per-task pure
 function — exactly ``[fn(t) for t in tasks]``.  Chunking/worker-count
@@ -34,13 +28,11 @@ choices affect wall-clock only, never values.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.errors import ParallelMapError
 from repro.runtime.parallel import (
     guided_chunk_plan,
-    in_worker,
     parallel_map,
     resolve_workers,
 )
@@ -48,11 +40,6 @@ from repro.runtime.resilience import recover_parallel
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Environment variable choosing the scheduler implementation
-#: (``local`` | ``distributed``); unset means local.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
 
 class Scheduler:
     """Abstract task dispatcher behind which every adaptive sweep runs.
@@ -111,39 +98,18 @@ class LocalScheduler(Scheduler):
 
 def resolve_scheduler(scheduler: Scheduler | None = None,
                       workers: int | None = None) -> Scheduler:
-    """The scheduler to use: explicit > ``REPRO_SCHEDULER`` > local.
+    """The scheduler to use: ``scheduler`` if given, else a local one.
 
-    ``workers`` only applies when a scheduler is constructed here; an
-    explicit ``scheduler`` argument wins as-is.  Inside a worker or
-    agent process the answer is always a :class:`LocalScheduler` —
-    nested distribution would fan out recursively.  An unknown
-    ``REPRO_SCHEDULER`` value raises ``ValueError`` (misconfiguration
-    should fail loudly, not silently fall back to local).
+    ``workers`` only applies when a :class:`LocalScheduler` is
+    constructed here; an explicit ``scheduler`` argument wins as-is.
     """
     if scheduler is not None:
         return scheduler
-    choice = os.environ.get(SCHEDULER_ENV, "").strip().lower()
-    if choice in ("", "local") or in_worker():
-        return LocalScheduler(workers=workers)
-    if choice == "distributed":
-        # Imported here, not at module top: distributed.py subclasses
-        # Scheduler and wraps LocalScheduler, so a top-level import
-        # would be cyclic.
-        from repro.runtime.distributed import DistributedScheduler
-        return DistributedScheduler(workers=workers)
-    raise ValueError(
-        f"{SCHEDULER_ENV} must be 'local' or 'distributed', got {choice!r}")
-
-
-def scheduler_kind(scheduler: Any) -> str:
-    """Short label for obs/manifest attribution."""
-    return type(scheduler).__name__
+    return LocalScheduler(workers=workers)
 
 
 __all__ = [
     "LocalScheduler",
-    "SCHEDULER_ENV",
     "Scheduler",
     "resolve_scheduler",
-    "scheduler_kind",
 ]

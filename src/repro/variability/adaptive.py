@@ -42,7 +42,6 @@ from repro.runtime import (
     FailureRecord,
     Scheduler,
     SweepCheckpoint,
-    backend_name,
     batch_indices,
     checkpoint_interval,
     content_key,
@@ -218,8 +217,7 @@ def run_ring_oscillator_monte_carlo_adaptive(
                           vt, n_stages, tuple(width_levels),
                           tuple(charge_levels), seed, granularity,
                           TABLE_ENGINE_VERSION, engine,
-                          engine_version(engine), backend_name(),
-                          warmstart_enabled())
+                          engine_version(engine), warmstart_enabled())
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()

@@ -52,7 +52,6 @@ from repro.runtime import (
     FailureRecord,
     Scheduler,
     SweepCheckpoint,
-    backend_name,
     batch_indices,
     checkpoint_interval,
     content_key,
@@ -413,17 +412,15 @@ def run_ring_oscillator_monte_carlo(
     if interval > 0 or resume:
         # The samples are functions of the variant device tables, so
         # everything that selects a table variant — the resolved
-        # transport engine (REPRO_ENGINE), its version, the array
-        # backend and the warm-start state — must be in the key, or a
-        # checkpoint written under one engine could resume under
-        # another.
+        # transport engine (REPRO_ENGINE), its version and the
+        # warm-start state — must be in the key, or a checkpoint
+        # written under one engine could resume under another.
         engine = resolve_engine(None)
         key = content_key("monte_carlo", tech.geometry, tech.params,
                           n_samples, vdd, vt, n_stages,
                           tuple(width_levels), tuple(charge_levels), seed,
                           granularity, TABLE_ENGINE_VERSION, engine,
-                          engine_version(engine), backend_name(),
-                          warmstart_enabled())
+                          engine_version(engine), warmstart_enabled())
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()

@@ -191,14 +191,3 @@ class TestRPA803:
                 return out
         """})
         assert report.clean
-
-    def test_numba_backend_module_exempt(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/negf/backend_numba.py": """\
-            import numpy as np
-
-            def solve_batched(z, n):
-                for _ in range(50):
-                    z = z + np.zeros((n, n))
-                return z
-        """})
-        assert report.clean

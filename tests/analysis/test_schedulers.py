@@ -128,139 +128,3 @@ class TestRPA901:
         assert "RPA901" in codes
         assert "parallel_map" in codes["RPA901"]
 
-
-class TestRPA902:
-    def test_keyboard_interrupt_catch_fires(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/swallow.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class SwallowScheduler(Scheduler):
-                def run(self, fn, tasks):
-                    try:
-                        return [fn(t) for t in tasks]
-                    except KeyboardInterrupt:
-                        return []
-        """})
-        assert [f.code for f in report.findings] == ["RPA902"]
-        assert "KeyboardInterrupt" in report.findings[0].message
-
-    def test_base_exception_in_tuple_fires(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/swallow.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class SwallowScheduler(Scheduler):
-                def run(self, fn, tasks):
-                    try:
-                        return [fn(t) for t in tasks]
-                    except (ValueError, BaseException):
-                        return []
-        """})
-        assert [f.code for f in report.findings] == ["RPA902"]
-
-    def test_bare_except_fires(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/swallow.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class SwallowScheduler(Scheduler):
-                def run(self, fn, tasks):
-                    try:
-                        return [fn(t) for t in tasks]
-                    except:
-                        return []
-        """})
-        assert [f.code for f in report.findings] == ["RPA902"]
-        assert "bare except" in report.findings[0].message
-
-    def test_order_destroying_return_fires(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/unsorted.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class SortingScheduler(Scheduler):
-                def run(self, fn, tasks):
-                    return sorted(fn(t) for t in tasks)
-        """})
-        assert [f.code for f in report.findings] == ["RPA902"]
-        assert "sorted" in report.findings[0].message
-
-    def test_set_return_fires(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/unsorted.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class DedupScheduler(Scheduler):
-                def run(self, fn, tasks):
-                    return set(fn(t) for t in tasks)
-        """})
-        assert [f.code for f in report.findings] == ["RPA902"]
-
-    def test_value_error_catch_is_quiet(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/careful.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class CarefulScheduler(Scheduler):
-                def run(self, fn, tasks):
-                    try:
-                        return [fn(t) for t in tasks]
-                    except ValueError:
-                        raise
-        """})
-        assert not report.findings
-
-    def test_dotted_base_is_recognised(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/swallow.py": """\
-            import repro.runtime.scheduler as scheduler
-
-            class SwallowScheduler(scheduler.Scheduler):
-                def run(self, fn, tasks):
-                    try:
-                        return [fn(t) for t in tasks]
-                    except BaseException:
-                        return []
-        """})
-        assert [f.code for f in report.findings] == ["RPA902"]
-
-    def test_non_scheduler_class_is_exempt(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/other.py": """\
-            class Job:
-                def run(self, fn, tasks):
-                    try:
-                        return [fn(t) for t in tasks]
-                    except BaseException:
-                        return []
-        """})
-        assert not report.findings
-
-    def test_non_run_method_is_exempt(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/other.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class PatientScheduler(Scheduler):
-                def close(self):
-                    try:
-                        pass
-                    except BaseException:
-                        pass
-
-                def run(self, fn, tasks):
-                    return [fn(t) for t in tasks]
-        """})
-        assert not report.findings
-
-    def test_noqa_escape(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/runtime/swallow.py": """\
-            from repro.runtime.scheduler import Scheduler
-
-            class SwallowScheduler(Scheduler):
-                def run(self, fn, tasks):
-                    try:
-                        return [fn(t) for t in tasks]
-                    except KeyboardInterrupt:  # repro: noqa[RPA902]
-                        return []
-        """})
-        assert not report.findings
-
-    def test_live_code_listing(self):
-        from repro.analysis.checkers import all_codes
-
-        codes = all_codes()
-        assert "RPA902" in codes
-        assert "order" in codes["RPA902"]

@@ -126,39 +126,6 @@ class TestMetrics:
         assert len(h["values"]) == obs.HISTOGRAM_VALUE_CAP
 
 
-class TestAnnotations:
-    def test_last_writer_wins(self):
-        obs.enable()
-        obs.annotate("scheduler_kind", "LocalScheduler")
-        obs.annotate("scheduler_kind", "DistributedScheduler")
-        assert obs.snapshot()["annotations"] == {
-            "scheduler_kind": "DistributedScheduler"}
-
-    def test_values_are_coerced_to_str(self):
-        obs.enable()
-        obs.annotate("agents", 3)
-        assert obs.snapshot()["annotations"]["agents"] == "3"
-
-    def test_noop_when_disabled(self):
-        obs.annotate("ghost", "x")
-        obs.enable()
-        assert obs.snapshot()["annotations"] == {}
-
-    def test_annotations_merge_through_drain_absorb(self):
-        obs.enable()
-        obs.annotate("from_worker", "yes")
-        payload = obs.drain()
-        obs.annotate("parent", "1")
-        obs.absorb(payload)
-        snap = obs.snapshot()
-        assert snap["annotations"] == {"from_worker": "yes", "parent": "1"}
-
-    def test_reset_clears_annotations(self):
-        obs.enable()
-        obs.annotate("a", "b")
-        obs.reset()
-        assert obs.snapshot()["annotations"] == {}
-
 
 class TestDrainAbsorb:
     def test_drain_clears_the_recorder(self):

@@ -50,41 +50,11 @@ class TestRollups:
         assert roll["transient_steps_total"] == 0
         assert roll["device_bias_points"] == 0
 
-    def test_scheduler_rollups(self):
-        obs.enable()
-        obs.annotate("scheduler_kind", "DistributedScheduler")
-        obs.gauge("scheduler.agents", 3)
-        obs.incr("scheduler.leases_granted", 7)
-        obs.incr("scheduler.leases_redispatched", 2)
-        obs.incr("scheduler.leases_expired", 1)
-        obs.incr("scheduler.agent_crashes", 1)
-        obs.incr("scheduler.agents_quarantined", 1)
-        obs.incr("scheduler.local_fallbacks", 1)
-        obs.incr("scheduler.local_fallback_tasks", 4)
-        obs.incr("resilience.deadline_exceeded", 2)
-        roll = obs.compute_rollups(obs.snapshot())
-        assert roll["scheduler_kind"] == "DistributedScheduler"
-        assert roll["scheduler_agents"] == 3
-        assert roll["leases_granted"] == 7
-        assert roll["leases_redispatched"] == 2
-        assert roll["leases_expired"] == 1
-        assert roll["agent_crashes"] == 1
-        assert roll["agents_quarantined"] == 1
-        assert roll["local_fallbacks"] == 1
-        assert roll["local_fallback_tasks"] == 4
-        assert roll["deadlines_exceeded"] == 2
-
-    def test_scheduler_kind_defaults_to_local(self):
+    def test_no_scheduler_rollups(self):
         roll = obs.compute_rollups({"counters": {}, "histograms": {}})
-        assert roll["scheduler_kind"] == "LocalScheduler"
-        assert roll["leases_granted"] == 0
-
-    def test_manifest_carries_annotations_block(self):
-        obs.enable()
-        obs.annotate("scheduler_kind", "DistributedScheduler")
-        manifest = obs.build_manifest(label="t", config={})
-        assert manifest["annotations"] == {
-            "scheduler_kind": "DistributedScheduler"}
+        assert not [k for k in roll
+                    if k.startswith(("scheduler", "lease", "agent"))]
+        assert "deadlines_exceeded" not in roll
 
     def test_memory_hits_count_as_cache_hits(self):
         roll = obs.compute_rollups(
@@ -153,6 +123,19 @@ class TestPersistence:
         bad.write_text(json.dumps({"schema": "something-else/9"}))
         with pytest.raises(ValueError, match="unsupported manifest schema"):
             obs.load_manifest(bad)
+
+    def test_legacy_annotations_block_still_loads(self, tmp_path):
+        # Older manifests carry an "annotations" block; it must still
+        # load and summarize.
+        _traced_snapshot()
+        manifest = obs.build_manifest("legacy")
+        assert "annotations" not in manifest
+        manifest["annotations"] = {"scheduler_kind": "LocalScheduler"}
+        path = obs.write_manifest(manifest, tmp_path / "old.manifest.json")
+        loaded = obs.load_manifest(path)
+        assert loaded["annotations"] == {"scheduler_kind": "LocalScheduler"}
+        assert "run manifest: legacy" in obs.summarize_text(loaded)
+        json.dumps(obs.summarize_json(loaded))
 
     def test_parent_directories_are_created(self, tmp_path):
         manifest = obs.build_manifest("nested")

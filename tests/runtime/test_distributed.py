@@ -1,403 +1,25 @@
-"""Distributed-scheduler tests: parity, chaos, fallback, resolution.
+"""Scheduler resolution after the distributed scheduler's retirement.
 
-Task functions live at module level: lease payloads are pickled by
-module reference (the same constraint ``multiprocessing`` spawn puts on
-pool workers), so a function defined inside a test body would not
-resolve inside an agent process.
+Dispatch is local-only: the retired ``REPRO_SCHEDULER`` knob must not
+change what :func:`~repro.runtime.scheduler.resolve_scheduler` returns,
+so an environment left over from older runs still resolves to a
+:class:`~repro.runtime.scheduler.LocalScheduler` (or to the caller's
+explicit instance).
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import time
+from repro.runtime.scheduler import LocalScheduler, resolve_scheduler
 
-import pytest
-
-from repro import obs
-from repro.runtime import faults
-from repro.runtime.distributed import (
-    AGENT_ARGV,
-    DistributedScheduler,
-    agent_command,
-    distributed_available,
-    heartbeat_default,
-    lease_timeout_default,
-    parse_hosts,
-)
-from repro.runtime.scheduler import (
-    LocalScheduler,
-    resolve_scheduler,
-    SCHEDULER_ENV,
-)
-
-
-def _square(x):
-    return x * x
-
-
-def _fail_on_7(x):
-    if x == 7:
-        raise ValueError("boom at 7")
-    return x + 1
-
-
-@pytest.fixture(autouse=True)
-def _clean_fault_plan():
-    faults.disable()
-    yield
-    faults.disable()
-
-
-
-
-def _chaos_scheduler(**overrides):
-    """A scheduler tuned so chaos tests converge in seconds, not minutes."""
-    kwargs = dict(hosts="local*2", heartbeat_s=0.1, lease_timeout_s=30.0,
-                  redispatch_cap=3, quarantine_after=2,
-                  backoff_base_s=0.01, hello_timeout_s=20.0)
-    kwargs.update(overrides)
-    return DistributedScheduler(**kwargs)
-
-
-class TestParseHosts:
-    def test_single_local(self):
-        assert parse_hosts("local") == ["local"]
-
-    def test_multiplier_expands(self):
-        assert parse_hosts("local*3") == ["local", "local", "local"]
-
-    def test_comma_separated(self):
-        assert parse_hosts("local, ssh a@b") == ["local", "ssh a@b"]
-
-    def test_semicolon_wins_so_commands_may_contain_commas(self):
-        assert parse_hosts("ssh -o Opt=a,b host; local") == [
-            "ssh -o Opt=a,b host", "local"]
-
-    def test_mixed_multiplier(self):
-        assert parse_hosts("local*2;ssh box") == ["local", "local",
-                                                  "ssh box"]
-
-    def test_blank_entries_dropped(self):
-        assert parse_hosts(" ; local ;; ") == ["local"]
-
-    def test_bad_multiplier_raises(self):
-        with pytest.raises(ValueError):
-            parse_hosts("local*0")
-
-
-class TestAgentCommand:
-    def test_local_uses_this_interpreter(self):
-        argv = agent_command("local")
-        assert argv[0] == sys.executable
-        assert argv[-3:] == ["-m", "repro.runtime.agent", ][-3:] or True
-        assert argv == [sys.executable, "-u", "-m", "repro.runtime.agent"]
-
-    def test_template_appends_agent_invocation(self):
-        argv = agent_command("ssh user@box")
-        assert argv[:2] == ["ssh", "user@box"]
-        assert argv[2:] == list(AGENT_ARGV)
-
-    def test_explicit_agent_token_substitutes(self):
-        argv = agent_command("ssh box nice -n 19 {agent}")
-        assert argv[:5] == ["ssh", "box", "nice", "-n", "19"]
-        assert argv[5:] == list(AGENT_ARGV)
-
-    def test_empty_entry_raises(self):
-        with pytest.raises(ValueError):
-            agent_command("   ")
-
-
-class TestEnvDefaults:
-    def test_lease_timeout_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TIMEOUT", "12.5")
-        assert lease_timeout_default() == 12.5
-
-    def test_lease_timeout_bad_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TIMEOUT", "soon")
-        with pytest.raises(ValueError):
-            lease_timeout_default()
-
-    def test_heartbeat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.25")
-        assert heartbeat_default() == 0.25
-
-    def test_distributed_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HOSTS", raising=False)
-        assert not distributed_available()
-        monkeypatch.setenv("REPRO_HOSTS", "local*2")
-        assert distributed_available()
-
-
-class TestParity:
-    def test_bitwise_parity_with_local(self):
-        tasks = list(range(23))
-        expected = LocalScheduler().run(_square, tasks)
-        with _chaos_scheduler(hosts="local*3") as sched:
-            assert sched.run(_square, tasks) == expected
-
-    def test_empty_wave(self):
-        with _chaos_scheduler() as sched:
-            assert sched.run(_square, []) == []
-
-    def test_agents_persist_across_waves(self):
-        with _chaos_scheduler() as sched:
-            assert sched.run(_square, [1, 2, 3]) == [1, 4, 9]
-            assert sched.run(_square, [4, 5]) == [16, 25]
-
-    def test_explicit_chunk_size(self):
-        with _chaos_scheduler() as sched:
-            assert sched.run(_square, list(range(10)),
-                             chunk_size=1) == [x * x for x in range(10)]
-
-
-class TestChaos:
-    def test_agent_crash_mid_wave_is_bitwise_invisible(self):
-        # host@5 hard-kills (os._exit) every agent that picks up task 5;
-        # each relaunched agent re-arms from the environment, so the
-        # lease exhausts its re-dispatch cap and the parent computes it
-        # locally.  Results must not change.
-        faults.enable("host@5")
-        tasks = list(range(12))
-        obs.enable()
-        obs.reset()
-        try:
-            with _chaos_scheduler() as sched:
-                result = sched.run(_square, tasks, chunk_size=1)
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        assert result == [x * x for x in tasks]
-        counters = snap["counters"]
-        assert counters["scheduler.agent_crashes"] >= 1
-        assert counters["scheduler.leases_parked"] >= 1
-        assert counters["scheduler.local_fallbacks"] >= 1
-
-    def test_stalled_agent_is_detected_and_wave_completes(self):
-        # stall@3 silences heartbeats and sleeps; only the scheduler's
-        # missed-heartbeat window may end it.
-        faults.enable("stall@3")
-        tasks = list(range(8))
-        obs.enable()
-        obs.reset()
-        try:
-            with _chaos_scheduler(redispatch_cap=2) as sched:
-                result = sched.run(_square, tasks, chunk_size=1)
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        assert result == [x * x for x in tasks]
-        assert snap["counters"]["scheduler.agent_stalls"] >= 1
-
-    def test_forced_lease_expiry_then_success(self):
-        # lease@0x2: the first two grants of task 0's lease are issued
-        # already expired; the agent reports cooperatively (no kill, no
-        # strike) and the third grant succeeds on an agent.
-        faults.enable("lease@0x2")
-        tasks = list(range(6))
-        obs.enable()
-        obs.reset()
-        try:
-            with _chaos_scheduler() as sched:
-                result = sched.run(_square, tasks, chunk_size=1)
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        assert result == [x * x for x in tasks]
-        counters = snap["counters"]
-        assert counters["scheduler.leases_expired"] == 2
-        assert counters["scheduler.leases_redispatched"] >= 2
-        # Cooperative expiry must not kill agents.
-        assert counters.get("scheduler.agent_crashes", 0) == 0
-
-    def test_forced_expiry_past_cap_parks_and_falls_back(self):
-        faults.enable("lease@0")  # every grant expires
-        tasks = list(range(4))
-        with _chaos_scheduler() as sched:
-            assert sched.run(_square, tasks,
-                             chunk_size=1) == [x * x for x in tasks]
-
-
-class TestDegradation:
-    def test_no_hosts_falls_back_to_local(self):
-        sched = DistributedScheduler(hosts=[])
-        obs.enable()
-        obs.reset()
-        try:
-            result = sched.run(_square, [1, 2, 3])
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        assert result == [1, 4, 9]
-        assert snap["counters"]["scheduler.local_fallbacks"] == 1
-        assert snap["annotations"]["scheduler_degraded"] == \
-            "no hosts configured"
-
-    def test_unlaunchable_hosts_quarantine_then_fall_back(self):
-        sched = DistributedScheduler(
-            hosts=["/nonexistent-agent-binary"] * 2,
-            quarantine_after=1, backoff_base_s=0.01)
-        obs.enable()
-        obs.reset()
-        try:
-            with sched:
-                result = sched.run(_square, [1, 2, 3, 4])
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        assert result == [1, 4, 9, 16]
-        counters = snap["counters"]
-        assert counters["scheduler.agents_quarantined"] == 2
-        assert counters["scheduler.local_fallbacks"] == 1
-        failures = snap["failures"]
-        assert any(f["site"] == "agent" for f in failures)
-
-    def test_all_agents_dying_forever_still_completes(self):
-        # Agents that exit immediately after launch: every lease grant
-        # path dies, strikes quarantine both slots, the wave breaks out
-        # and the parent computes everything.
-        entry = f"{sys.executable} -c 'import sys; sys.exit(9)' --"
-        with DistributedScheduler(hosts=[entry, entry],
-                                  quarantine_after=1,
-                                  backoff_base_s=0.01) as sched:
-            assert sched.run(_square, list(range(6))) == [
-                x * x for x in range(6)]
-
-    def test_hello_version_mismatch_is_fatal_quarantine(self):
-        script = ('import json,time;'
-                  'print(json.dumps({"type":"hello","v":99,"pid":1}),'
-                  'flush=True); time.sleep(20)')
-        entry = f"{sys.executable} -c '{script}' --"
-        obs.enable()
-        obs.reset()
-        try:
-            with DistributedScheduler(hosts=[entry],
-                                      backoff_base_s=0.01) as sched:
-                result = sched.run(_square, [2, 3])
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        assert result == [4, 9]
-        counters = snap["counters"]
-        assert counters["scheduler.protocol_errors"] >= 1
-        assert counters["scheduler.agents_quarantined"] == 1
-
-    def test_garbage_emitting_agent_is_contained(self):
-        script = ('import time;'
-                  'print("!!not a frame!!", flush=True); time.sleep(20)')
-        entry = f"{sys.executable} -c '{script}' --"
-        with DistributedScheduler(hosts=[entry], quarantine_after=1,
-                                  backoff_base_s=0.01) as sched:
-            assert sched.run(_square, [5]) == [25]
-
-
-class TestTaskErrors:
-    def test_task_exception_reraises_faithfully(self):
-        # A deterministic task failure is never re-dispatched; the
-        # parent recomputes the lease locally and the original exception
-        # class/message surface to the caller.
-        with _chaos_scheduler() as sched:
-            with pytest.raises(ValueError, match="boom at 7"):
-                sched.run(_fail_on_7, list(range(10)), chunk_size=1,
-                          strict=True)
-
-    def test_task_error_does_not_strike_the_agent(self):
-        obs.enable()
-        obs.reset()
-        try:
-            with _chaos_scheduler() as sched:
-                with pytest.raises(ValueError):
-                    sched.run(_fail_on_7, [7], strict=True)
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        counters = snap["counters"]
-        assert counters["scheduler.task_errors"] == 1
-        assert counters.get("scheduler.agents_quarantined", 0) == 0
-        assert counters.get("scheduler.leases_redispatched", 0) == 0
-
-
-class TestObservability:
-    def test_manifest_rollups_and_annotations(self):
-        from repro.obs.manifest import build_manifest
-        obs.enable()
-        obs.reset()
-        try:
-            with _chaos_scheduler() as sched:
-                sched.run(_square, list(range(5)))
-            manifest = build_manifest(label="test", config={})
-        finally:
-            obs.disable()
-        rollups = manifest["rollups"]
-        assert rollups["scheduler_kind"] == "DistributedScheduler"
-        assert rollups["scheduler_agents"] == 2
-        assert rollups["leases_granted"] >= 1
-        assert manifest["annotations"]["scheduler_kind"] == \
-            "DistributedScheduler"
-
-    def test_worker_obs_payloads_are_absorbed(self):
-        obs.enable()
-        obs.reset()
-        try:
-            with _chaos_scheduler() as sched:
-                sched.run(_square, list(range(4)))
-            snap = obs.snapshot()
-        finally:
-            obs.disable()
-        # Agent-side spans/counters ride back through result frames.
-        assert snap["counters"]["scheduler.leases_granted"] >= 1
+RETIRED_SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 
 class TestResolveScheduler:
     def test_default_is_local(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+        monkeypatch.setenv(RETIRED_SCHEDULER_ENV, "distributed")
         assert isinstance(resolve_scheduler(), LocalScheduler)
-
-    def test_env_selects_distributed(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "distributed")
-        sched = resolve_scheduler()
-        assert isinstance(sched, DistributedScheduler)
 
     def test_explicit_instance_wins(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "distributed")
+        monkeypatch.setenv(RETIRED_SCHEDULER_ENV, "distributed")
         mine = LocalScheduler()
         assert resolve_scheduler(mine) is mine
-
-    def test_worker_processes_never_distribute(self, monkeypatch):
-        from repro.runtime.parallel import _IN_WORKER_ENV
-        monkeypatch.setenv(SCHEDULER_ENV, "distributed")
-        monkeypatch.setenv(_IN_WORKER_ENV, "1")
-        assert isinstance(resolve_scheduler(), LocalScheduler)
-
-    def test_unknown_value_raises(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "quantum")
-        with pytest.raises(ValueError, match="REPRO_SCHEDULER"):
-            resolve_scheduler()
-
-
-class TestShutdown:
-    def test_close_terminates_agents(self):
-        sched = _chaos_scheduler()
-        sched.run(_square, [1, 2])
-        procs = [a.proc for a in sched._agents if a.proc is not None]
-        assert procs
-        sched.close()
-        time.sleep(0.1)
-        assert all(p.poll() is not None for p in procs)
-
-    def test_close_is_idempotent(self):
-        sched = _chaos_scheduler()
-        sched.run(_square, [1])
-        sched.close()
-        sched.close()
-
-
-@pytest.mark.slow
-class TestRealSweepFallback:
-    def test_characterize_fig3_fast_via_distributed(self):
-        # A real experiment through the distributed seam must match the
-        # committed golden exactly (determinism is host-count-invariant).
-        from repro.characterize.runner import characterize
-        with DistributedScheduler(hosts="local*2") as sched:
-            run = characterize(["fig3"], fast=True, scheduler=sched)
-        assert run.ok, run.diffs["fig3"]

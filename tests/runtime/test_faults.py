@@ -32,7 +32,7 @@ class TestParseSpec:
 
     @pytest.mark.parametrize("bad", [
         "bogus@1", "scf", "scf@", "scf@x2", "scf@1x0", "scf@-1",
-        "scf@1.5", "scf@1,,2",
+        "scf@1.5", "scf@1,,2", "host@0", "stall@1", "lease@2",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -92,32 +92,3 @@ class TestInject:
         faults.enable("scf@4")
         faults.inject("scf", 5)  # must not raise
 
-
-class TestHostLevelSites:
-    def test_host_level_sites_parse(self):
-        plan = faults.parse_spec("host@2;stall@3x1;lease@0")
-        assert plan == {("host", 2): None, ("stall", 3): 1,
-                        ("lease", 0): None}
-
-    def test_host_site_crashes_the_process(self):
-        # os._exit must not run inside the test process: exercise it in
-        # a child and check the documented exit code.
-        import subprocess
-        import sys
-        code = subprocess.call([
-            sys.executable, "-c",
-            "from repro.runtime import faults;"
-            "faults.enable('host@0');"
-            "faults.inject('host', 0)"])
-        assert code == 23
-
-    def test_stall_and_lease_never_raise_from_inject(self):
-        # `stall` sleeps (agent-side) and `lease` is consumed by the
-        # scheduler at grant time; inject() must not raise for either.
-        faults.enable("lease@0")
-        faults.inject("lease", 0)
-
-    def test_lease_site_consumed_via_should_fire(self):
-        faults.enable("lease@5x1")
-        assert faults.should_fire("lease", 5)
-        assert not faults.should_fire("lease", 5)

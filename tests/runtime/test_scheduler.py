@@ -9,7 +9,6 @@ from repro.runtime.scheduler import (
     LocalScheduler,
     Scheduler,
     resolve_scheduler,
-    scheduler_kind,
 )
 
 
@@ -141,7 +140,7 @@ class TestResolveScheduler:
     def test_default_is_local(self):
         sched = resolve_scheduler(None, workers=2)
         assert isinstance(sched, LocalScheduler)
-        assert scheduler_kind(sched) == "LocalScheduler"
+        assert sched.workers == 2
 
     def test_explicit_instance_wins(self):
         class Recording(Scheduler):
