@@ -1,6 +1,6 @@
-"""Solver acceleration layer: the three hot-path wins, measured.
+"""Solver acceleration layer: the hot-path wins, measured.
 
-The acceleration work has three legs, each with a quantitative
+The acceleration work has four legs, each with a quantitative
 acceptance target measured here and persisted to ``BENCH_solvers.json``
 at the repository root:
 
@@ -9,11 +9,6 @@ at the repository root:
   SCF iteration then pays two triangular substitutions.  Target: >= 3x
   over assemble-per-solve on the reference 61 x 15 device grid (measured
   ~25x: factorization dominates at this size).
-* **SCF warm-start continuation** — sweep drivers seed each bias point's
-  bisection from an extrapolation of the two previous converged midgaps,
-  shrinking the bracket from 3 eV to ~0.016 eV.  Target: >= 30% fewer
-  bisection iterations on a 13-point I_D(V_G) sweep, with every root
-  within the solver tolerance of its cold value.
 * **Energy-batched real-space transport** — stacked Sancho-Rubio + RGF
   kernels carry all energies per LAPACK call.  Target: >= 5x over the
   per-energy loop at 12 and at 64 energies on the edge-roughness
@@ -66,7 +61,6 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_solvers.json"
 # Workload sizes (full / smoke).
 POISSON_SHAPE = (61, 15)
 POISSON_REPEATS = 50 if SMOKE else 200
-SWEEP_POINTS = 13
 TRANSPORT_N_INDEX = 7
 TRANSPORT_CELLS = 16 if SMOKE else 80
 TRANSPORT_GRIDS = (12,) if SMOKE else (12, 64)
@@ -111,38 +105,6 @@ def _bench_poisson() -> dict:
         "prefactorized_ms": prefactorized_s * 1e3,
         "speedup": one_shot_s / prefactorized_s,
         "max_abs_dphi": float(np.max(np.abs(phi_fast - phi_ref))),
-    }
-
-
-def _bench_warmstart() -> dict:
-    model = SBFETModel(GNRFETGeometry())
-    vgs = np.linspace(0.0, 0.75, SWEEP_POINTS)
-    vd = 0.5
-
-    cold = [model.solve_bias(float(vg), vd) for vg in vgs]
-    cold_iterations = sum(s.iterations for s in cold)
-
-    warm_iterations = 0
-    max_dmid = 0.0
-    mids: list[float] = []
-    for j, vg in enumerate(vgs):
-        if j >= 2:
-            guess = 2.0 * mids[-1] - mids[-2]
-        elif j == 1:
-            guess = mids[0]
-        else:
-            guess = None
-        sol = model.solve_bias(float(vg), vd, initial_midgap_ev=guess)
-        warm_iterations += sol.iterations
-        max_dmid = max(max_dmid, abs(sol.midgap_ev - cold[j].midgap_ev))
-        mids.append(sol.midgap_ev)
-
-    return {
-        "sweep_points": SWEEP_POINTS,
-        "cold_iterations": cold_iterations,
-        "warm_iterations": warm_iterations,
-        "reduction": 1.0 - warm_iterations / cold_iterations,
-        "max_abs_dmidgap_ev": max_dmid,
     }
 
 
@@ -307,7 +269,6 @@ def _bench_wkb_kernel() -> dict:
 
 def test_solver_acceleration(save_report):
     poisson = _bench_poisson()
-    warmstart = _bench_warmstart()
     transport = _bench_batched_transport()
     modespace = _bench_modespace_engine()
     wkb = _bench_wkb_kernel()
@@ -318,10 +279,6 @@ def test_solver_acceleration(save_report):
          f"{poisson['one_shot_ms']:.2f} ms",
          f"{poisson['prefactorized_ms']:.3f} ms",
          f"{poisson['speedup']:.1f}x"],
-        [f"SCF warm-start ({warmstart['sweep_points']}-pt I_D(V_G))",
-         f"{warmstart['cold_iterations']} iter",
-         f"{warmstart['warm_iterations']} iter",
-         f"-{warmstart['reduction']:.1%}"],
     ]
     for n_energy, g in transport["energy_grids"].items():
         rows.append(
@@ -355,7 +312,6 @@ def test_solver_acceleration(save_report):
 
     # Physics parity first: acceleration is worthless if answers moved.
     assert poisson["max_abs_dphi"] == 0.0  # same operator, same solve
-    assert warmstart["max_abs_dmidgap_ev"] < 2e-6  # 2 x bisection tol
     for g in transport["energy_grids"].values():
         assert g["max_abs_dT"] < 1e-10
     # Full rank must reproduce real space to round-off; the truncated
@@ -372,7 +328,6 @@ def test_solver_acceleration(save_report):
     if SMOKE:
         # Sanity bounds only: smoke runners are slow and shared.
         assert poisson["speedup"] > 1.5
-        assert warmstart["reduction"] > 0.15
         for g in transport["energy_grids"].values():
             assert g["speedup"] > 1.5
         assert modespace["n_modes_sweep"]["4"]["speedup"] > 1.5
@@ -380,7 +335,6 @@ def test_solver_acceleration(save_report):
         return
 
     assert poisson["speedup"] >= 3.0
-    assert warmstart["reduction"] >= 0.30
     for g in transport["energy_grids"].values():
         assert g["speedup"] >= 5.0
     # The headline claim: >= 5x over real space at matched accuracy.
@@ -388,9 +342,8 @@ def test_solver_acceleration(save_report):
     assert wkb["speedup"] >= 4.0
 
     payload = {
-        "schema": "repro-bench-solvers/4",
+        "schema": "repro-bench-solvers/5",
         "poisson_prefactorized": poisson,
-        "scf_warmstart": warmstart,
         "batched_transport": transport,
         "modespace_engine": modespace,
         "wkb_kernel": wkb,

@@ -15,8 +15,7 @@ every key in the tree, using the dataflow layer:
 * ``RPA602`` — a result-affecting ``REPRO_*`` environment variable is
   transitively readable from a key-computing function but no call
   whose result flows into the key covers it (e.g. a key missing
-  ``warmstart_enabled()`` while the solver honors
-  ``REPRO_NO_WARMSTART``).
+  ``resolve_engine()`` while the solver honors ``REPRO_ENGINE``).
 * ``RPA603`` — a ``.put(key, ...)`` / ``SweepCheckpoint(key, ...)``
   whose key derives from neither a content-key call nor a parameter
   (an ad-hoc string or counter is not a content hash).
@@ -207,8 +206,8 @@ class CacheKeyChecker(Checker):
                 message="cache key does not cover result-affecting "
                         f"environment read(s) {', '.join(uncovered)} "
                         f"reachable from '{info.name}'; thread the "
-                        "resolved value (e.g. resolve_engine(), "
-                        "warmstart_enabled()) into the key arguments",
+                        "resolved value (e.g. resolve_engine()) into "
+                        "the key arguments",
                 symbol=info.qualname))
             break  # one finding per function, not per key call
         return findings

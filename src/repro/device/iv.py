@@ -6,60 +6,51 @@ tables "at discrete voltage steps of V_GS and V_DS ranging from 0 V to
 0.75 V".
 
 The grid fans out across worker processes through
-:func:`repro.runtime.parallel_map` with one task per gate row; within a
-row each converged midgap warm-starts the next drain point (SCF
-continuation, disabled by ``REPRO_NO_WARMSTART``), and rows always cold
-start.  Serial sweeps run the identical per-row helper, so parallel and
-serial sweeps are bit-for-bit equal regardless of worker count or
-chunking.
+:class:`repro.runtime.LocalScheduler` with one task per gate row.  Every
+cell is solved from scratch, so a stored current is a pure function of
+the geometry and its own ``(V_G, V_D)``: serial and parallel sweeps are
+bit-for-bit equal regardless of worker count or chunking, and a sweep
+over a subset of the bias axes reproduces the full sweep at the shared
+points.
 
-Resilience (see ``docs/robustness.md``): every cell solve runs behind
-the warm→cold→relaxed retry ladder of :func:`solve_cell_resilient`; a
-cell whose ladder exhausts is NaN-masked and recorded as a
+Resilience (see ``docs/robustness.md``): a cell whose solve raises
+:class:`~repro.errors.ConvergenceError` is NaN-masked and recorded as a
 :class:`~repro.runtime.resilience.FailureRecord` on the result (and in
 the obs manifest) unless ``strict`` is set, in which case the first
-failure raises as before.  With ``REPRO_CHECKPOINT``/``REPRO_RESUME``
-(or the corresponding arguments) the sweep writes atomic row-granular
-checkpoints and skips already-completed rows on resume — bitwise
-identical to an uninterrupted run because rows are independent and
-cold-started.  A crashed worker process costs only its unfinished rows,
-which are recomputed in-process from the salvaged
-:class:`~repro.errors.ParallelMapError` state.
+failure raises with its bias point and cell index in the error context.
+With ``REPRO_CHECKPOINT``/``REPRO_RESUME`` (or the corresponding
+arguments) the sweep writes atomic row-granular checkpoints and skips
+already-completed rows on resume — bitwise identical to an
+uninterrupted run because rows are independent.  A crashed worker
+process costs only its unfinished rows, which are recomputed in-process
+from the salvaged :class:`~repro.errors.ParallelMapError` state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.device.engines import engine_version, resolve_engine
 from repro.device.geometry import GNRFETGeometry
-from repro.device.sbfet import SBFETModel, SBFETSolution
-from repro.errors import ConvergenceError, ParallelMapError
+from repro.device.sbfet import SBFETModel
+from repro.errors import ConvergenceError
 from repro.runtime import (
     FailureRecord,
+    LocalScheduler,
     SweepCheckpoint,
     checkpoint_interval,
     content_key,
     in_worker,
-    parallel_map,
     quarantine,
-    recover_parallel,
     resolve_workers,
     resume_enabled,
-    run_ladder,
     strict_default,
 )
 from repro.runtime import faults
-from repro.runtime.accel import warmstart_enabled
-
-#: Base electrostatic-bisection budget of the cell ladder (the engine's
-#: historical default); the ``relaxed`` rung quadruples it.
-CELL_BASE_MAX_ITER = 80
 
 
 @dataclass
@@ -79,7 +70,7 @@ class IVSweep:
     geometry:
         The device specification the sweep belongs to.
     failures:
-        Quarantined cells (empty unless a retry ladder exhausted in a
+        Quarantined cells (empty unless a cell failed to converge in a
         non-strict sweep); each record's grid coordinates point at a
         NaN-masked cell of the arrays above.
     """
@@ -113,51 +104,6 @@ class IVSweep:
         return float(i_on / i_off)
 
 
-def solve_cell_resilient(model: SBFETModel, vg: float, vd: float,
-                         guess_ev: float | None,
-                         cell_index: int) -> SBFETSolution:
-    """Solve one bias cell behind the warm→cold→relaxed retry ladder.
-
-    Rungs (via :func:`repro.runtime.resilience.run_ladder`, retries
-    counted under ``scf.retries``):
-
-    1. ``warm`` — the continuation ``guess_ev`` with the base bisection
-       budget; byte-identical to the pre-ladder solve, so sweeps without
-       failures are unchanged.  Skipped when there is no guess.
-    2. ``cold`` — discard the guess (a stale warm bracket is the usual
-       reason a cell that used to converge stops doing so).
-    3. ``relaxed`` — cold with a 4x iteration budget.
-
-    The ``scf`` fault-injection site fires here, keyed by the flat
-    ``cell_index``, *inside* each rung attempt — injected failures
-    traverse the genuine recovery path.  Exhaustion re-raises the last
-    :class:`~repro.errors.ConvergenceError` with the bias point, cell
-    index, and rungs tried in its context.
-    """
-    def attempt(initial: float | None,
-                max_iter: int) -> Callable[[], SBFETSolution]:
-        def thunk() -> SBFETSolution:
-            if faults.ACTIVE:
-                faults.inject("scf", cell_index,
-                              detail=f"VG={vg}, VD={vd}")
-            return model.solve_bias(vg, vd, initial_midgap_ev=initial,
-                                    max_iter=max_iter)
-        return thunk
-
-    rungs: list[tuple[str, Callable[[], SBFETSolution]]] = []
-    if guess_ev is not None:
-        rungs.append(("warm", attempt(guess_ev, CELL_BASE_MAX_ITER)))
-    rungs.append(("cold", attempt(None, CELL_BASE_MAX_ITER)))
-    rungs.append(("relaxed", attempt(None, 4 * CELL_BASE_MAX_ITER)))
-    try:
-        solution, _tried = run_ladder(rungs, site="scf",
-                                      counter="scf.retries")
-    except ConvergenceError as exc:
-        raise exc.with_context(vg=float(vg), vd=float(vd),
-                               cell_index=int(cell_index))
-    return solution
-
-
 def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
                   n_modes: int | None, strict: bool, engine: str,
                   task: tuple[int, float],
@@ -166,16 +112,12 @@ def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
                              list[FailureRecord]]:
     """One gate row of the sweep (module-level so it pickles to workers).
 
-    ``task`` is ``(row_index, vg)``; the row index keys fault injection
-    and the flat cell indices of quarantine records.  When no ``model``
-    is supplied (worker processes) one is rebuilt from the geometry;
-    construction is deterministic, so row results do not depend on how
-    rows are batched.  Each converged midgap warm-starts the next drain
-    point of the *same* row (continuation along V_D); rows always
-    cold-start, which makes serial and parallel sweeps — where the row
-    is the unit of work — bit-for-bit identical.  A quarantined cell
-    breaks the continuation chain: the next cell falls back to the last
-    finite midgap, or a cold start.
+    ``task`` is ``(row_index, vg)``; the row index keys the ``worker``
+    fault site, and the flat cell index ``row * len(vd_grid) + column``
+    keys the ``scf`` fault site and quarantine records.  When no
+    ``model`` is supplied (worker processes) one is rebuilt from the
+    geometry; construction is deterministic and every cell is solved
+    from scratch, so row results do not depend on how rows are batched.
     """
     i, vg = task
     if model is None:
@@ -183,36 +125,23 @@ def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
     if faults.ACTIVE and in_worker():
         faults.inject("worker", i)
     n_vd = vd_grid.size
-    current = np.empty(n_vd)
-    charge = np.empty(n_vd)
-    midgap = np.empty(n_vd)
+    current = np.full(n_vd, np.nan)
+    charge = np.full(n_vd, np.nan)
+    midgap = np.full(n_vd, np.nan)
     failures: list[FailureRecord] = []
     for j, vd in enumerate(vd_grid):
-        # Continuation guess: linear extrapolation of the two previous
-        # converged midgaps.  The midgap is nearly linear in V_D over a
-        # sweep step, so the extrapolation error (~the second difference)
-        # is an order of magnitude below the step itself and the warm
-        # bracket almost always holds on its first, tightest width.
-        prev1 = midgap[j - 1] if j >= 1 else np.nan
-        prev2 = midgap[j - 2] if j >= 2 else np.nan
-        guess: float | None
-        if j >= 2 and np.isfinite(prev1) and np.isfinite(prev2):
-            guess = 2.0 * prev1 - prev2
-        elif j >= 1 and np.isfinite(prev1):
-            guess = float(prev1)
-        else:
-            guess = None
         cell = i * n_vd + j
         try:
-            sol = solve_cell_resilient(model, float(vg), float(vd),
-                                       guess, cell)
+            if faults.ACTIVE:
+                faults.inject("scf", cell, detail=f"VG={vg}, VD={vd}")
+            sol = model.solve_bias(float(vg), float(vd))
         except ConvergenceError as exc:
+            exc.with_context(vg=float(vg), vd=float(vd), cell_index=cell)
             if strict:
                 raise
             failures.append(quarantine(
                 exc, site="scf", index=cell, coords=(i, j),
                 bias={"vg": float(vg), "vd": float(vd)}))
-            current[j] = charge[j] = midgap[j] = np.nan
             continue
         current[j] = sol.current_a
         charge[j] = sol.charge_c
@@ -246,7 +175,7 @@ def sweep_iv(
     from different engines can never be resumed into each other.
 
     ``strict`` (default from ``REPRO_STRICT``, normally ``False``)
-    re-raises the first exhausted cell instead of quarantining it.
+    re-raises the first failed cell instead of quarantining it.
     ``checkpoint`` is the checkpoint interval in completed rows (default
     from ``REPRO_CHECKPOINT``; 0 disables); ``resume`` (default from
     ``REPRO_RESUME``) loads an existing checkpoint and computes only the
@@ -276,7 +205,7 @@ def sweep_iv(
     ckpt: SweepCheckpoint | None = None
     if interval > 0 or resume:
         key = content_key("sweep_iv", geometry, vg_grid, vd_grid, n_modes,
-                          engine, engine_version(engine), warmstart_enabled())
+                          engine, engine_version(engine))
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()
@@ -310,10 +239,7 @@ def sweep_iv(
     with obs.span("device.sweep_iv", n_index=geometry.n_index,
                   grid=f"{vg_grid.size}x{vd_grid.size}"):
         if resolve_workers(workers) <= 1:
-            # Serial fast path: one model serves every row.  The rows run
-            # through the same helper as the parallel path (per-row
-            # warm-start continuation, cold start at row boundaries), so
-            # serial and parallel sweeps stay bit-for-bit identical.
+            # Serial fast path: one model serves every row.
             model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
             for task in tasks:
                 store(task[0], fn(task, model=model))
@@ -322,18 +248,13 @@ def sweep_iv(
         else:
             # With checkpointing on, rows are dispatched in waves of one
             # checkpoint interval so a snapshot lands between waves;
-            # with it off this is a single parallel_map call, exactly
-            # the historical fast path.
+            # with it off this is a single scheduler call.
+            scheduler = LocalScheduler(workers=workers)
             wave_size = (interval if ckpt is not None and ckpt.enabled
                          and interval > 0 else len(tasks)) or 1
             for w in range(0, len(tasks), wave_size):
                 wave = tasks[w:w + wave_size]
-                try:
-                    rows = parallel_map(fn, wave, workers=workers)
-                except ParallelMapError as err:
-                    if strict:
-                        raise
-                    rows = recover_parallel(err, fn, wave)
+                rows = scheduler.run(fn, wave, strict=strict)
                 for task, row in zip(wave, rows):
                     store(task[0], row)
                 if ckpt is not None and ckpt.enabled and interval > 0:

@@ -59,7 +59,6 @@ from repro.negf.self_energy import lead_self_energy_1d
 from repro.poisson.fd import PoissonOperator
 from repro.poisson.grid import Grid2D
 from repro.poisson.pointcharge import screened_impurity_potential_ev
-from repro.runtime.accel import warmstart_enabled
 
 
 @dataclass
@@ -353,22 +352,14 @@ class NEGFDevice:
     # ------------------------------------------------------------------ #
     def solve(self, vg: float, vd: float,
               tolerance_ev: float = 1e-3,
-              max_iterations: int = 60,
-              initial_midgap_ev: np.ndarray | None = None
-              ) -> NEGFDeviceResult:
+              max_iterations: int = 60) -> NEGFDeviceResult:
         """Self-consistently solve one bias point.
 
-        ``initial_midgap_ev`` optionally seeds the SCF fixed point with a
-        previously converged midgap profile (warm-start continuation for
-        bias sweeps).  The converged answer is unchanged within
-        ``tolerance_ev``; only the iteration count drops.  Ignored when
-        ``REPRO_NO_WARMSTART`` is set.
-
-        A base solve that fails to converge escalates through the
-        :func:`repro.negf.scf.scf_escalation` retry ladder (halved
-        mixing beta, damped Picard with a larger iteration budget) and,
-        for warm-started solves, a final cold rung that discards the
-        seed.  Escalations count under ``scf.retries`` /
+        The SCF loop starts from the Laplace (zero-charge) midgap
+        profile.  A base solve that fails to converge escalates through
+        the :func:`repro.negf.scf.scf_escalation` retry ladder (halved
+        mixing beta, damped Picard with a larger iteration budget).
+        Escalations count under ``scf.retries`` /
         ``resilience.retries``; if every rung fails the method keeps its
         historical never-raise contract and returns the last best-effort
         state (``result.scf.converged`` is ``False``).
@@ -387,15 +378,7 @@ class NEGFDevice:
         def solve_potential(net: np.ndarray) -> np.ndarray:
             return self._solve_poisson_midgap(net, vg, vd)
 
-        warm = (initial_midgap_ev is not None and warmstart_enabled())
-        if warm:
-            u0 = np.asarray(initial_midgap_ev, dtype=float)
-            if u0.shape != self.x_nm.shape:
-                raise ValueError(
-                    f"initial_midgap_ev has shape {u0.shape}, expected "
-                    f"{self.x_nm.shape}")
-        else:
-            u0 = self._solve_poisson_midgap(np.zeros_like(self.x_nm), vg, vd)
+        u0 = self._solve_poisson_midgap(np.zeros_like(self.x_nm), vg, vd)
         options = SCFOptions(tolerance_ev=tolerance_ev,
                              max_iterations=max_iterations,
                              mixer=AndersonMixer(beta=0.15, history=6),
@@ -404,27 +387,17 @@ class NEGFDevice:
             scf = self_consistent_loop(solve_charge, solve_potential, u0,
                                        options)
             if not scf.converged:
-                rungs = [(name, opts, u0)
-                         for name, opts in scf_escalation(options)[1:]]
-                if warm:
-                    # Last resort: discard the warm-start seed entirely.
-                    cold_u0 = self._solve_poisson_midgap(
-                        np.zeros_like(self.x_nm), vg, vd)
-                    rungs.append(("cold", rungs[-1][1], cold_u0))
-                for _name, opts, start in rungs:
+                for _name, opts in scf_escalation(options)[1:]:
                     if obs.ACTIVE:
                         obs.incr("resilience.retries")
                         obs.incr("scf.retries")
-                    # raise_on_failure stays False: each rung returns its
-                    # best-effort state, and SCFResult guarantees charge/
-                    # potential consistency, so the never-raise contract
-                    # of this method survives an exhausted ladder.
-                    relaxed = SCFOptions(tolerance_ev=opts.tolerance_ev,
-                                         max_iterations=opts.max_iterations,
-                                         mixer=opts.mixer,
-                                         raise_on_failure=False)
+                    # The rungs inherit raise_on_failure=False: each one
+                    # returns its best-effort state, and SCFResult
+                    # guarantees charge/potential consistency, so the
+                    # never-raise contract of this method survives an
+                    # exhausted ladder.
                     scf = self_consistent_loop(solve_charge, solve_potential,
-                                               start, relaxed)
+                                               u0, opts)
                     if scf.converged:
                         break
                 else:
@@ -432,13 +405,6 @@ class NEGFDevice:
                         obs.incr("resilience.exhausted")
         if obs.ACTIVE:
             obs.incr("device.bias_points")
-            if warm:
-                obs.incr("scf.warm_starts")
-                obs.incr("scf.warm_solves")
-                obs.incr("scf.warm_iterations", scf.iterations)
-            else:
-                obs.incr("scf.cold_solves")
-                obs.incr("scf.cold_iterations", scf.iterations)
 
         u = scf.potential
         if sanitize.ACTIVE:

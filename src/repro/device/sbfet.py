@@ -52,7 +52,6 @@ from repro.device.geometry import GNRFETGeometry, GRAPHENE_THICKNESS_NM
 from repro.errors import ConvergenceError
 from repro.negf.energy_grid import adaptive_energy_grid
 from repro.poisson.pointcharge import screened_impurity_potential_ev
-from repro.runtime.accel import warmstart_enabled
 
 
 @dataclass(frozen=True)
@@ -261,24 +260,14 @@ class SBFETModel:
 
     def solve_midgap_ev(self, vg: float, vd: float,
                         tol_ev: float = 1e-6,
-                        max_iter: int = 80,
-                        initial_guess_ev: float | None = None
-                        ) -> tuple[float, int]:
+                        max_iter: int = 80) -> tuple[float, int]:
         """Self-consistent channel midgap by bisection.
 
         The residual ``r(U) = U - U_L - q (n(U) - p(U)) / C_ins`` is
         strictly increasing in ``U`` (raising the bands empties electrons
         and adds holes), so the root is unique and bisection cannot fail
-        once bracketed.
-
-        ``initial_guess_ev`` optionally warm-starts the bracket from a
-        previously converged midgap of an adjacent bias point: bisection
-        halves a bracket width of 3 eV down to ``tol_ev``, so a tight
-        bracket around the guess saves most of the iterations when the
-        root moved by only one sweep step.  The bracket is expanded
-        geometrically around the guess if the root escaped it, falling
-        back to the cold bracket, so the returned root is the same one
-        (within ``tol_ev``) with or without the guess.
+        once bracketed.  The bracket starts 3 eV wide around the Laplace
+        midgap and widens by 1 eV per side until it holds the root.
         """
         u_laplace = self.laplace_midgap_ev(vg, vd)
         c_ins = self.geometry.insulator_capacitance_f_per_nm
@@ -292,35 +281,22 @@ class SBFETModel:
             charging = Q_E * q / c_ins  # volts == eV here
             return float(u - u_laplace - charging)
 
-        lo = hi = None
-        if initial_guess_ev is not None:
-            w = max(8.0 * tol_ev, 0.008)
-            g_lo, g_hi = initial_guess_ev - w, initial_guess_ev + w
-            for _ in range(4):
-                if residual(g_lo) <= 0.0 and residual(g_hi) >= 0.0:
-                    lo, hi = g_lo, g_hi
-                    break
-                w *= 4.0
-                g_lo, g_hi = initial_guess_ev - w, initial_guess_ev + w
-            # else: guess bracket never captured the root — cold start.
-
-        if lo is None or hi is None:
-            lo, hi = u_laplace - 1.5, u_laplace + 1.5
+        lo, hi = u_laplace - 1.5, u_laplace + 1.5
+        r_lo, r_hi = residual(lo), residual(hi)
+        expand = 0
+        while r_lo > 0.0 or r_hi < 0.0:
+            lo -= 1.0
+            hi += 1.0
             r_lo, r_hi = residual(lo), residual(hi)
-            expand = 0
-            while r_lo > 0.0 or r_hi < 0.0:
-                lo -= 1.0
-                hi += 1.0
-                r_lo, r_hi = residual(lo), residual(hi)
-                expand += 1
-                if expand > 5:
-                    raise ConvergenceError(
-                        f"cannot bracket electrostatic solution at "
-                        f"VG={vg}, VD={vd}",
-                        context={"solver": "sbfet_bisection",
-                                 "stage": "bracket",
-                                 "vg": float(vg), "vd": float(vd),
-                                 "n_index": self.geometry.n_index})
+            expand += 1
+            if expand > 5:
+                raise ConvergenceError(
+                    f"cannot bracket electrostatic solution at "
+                    f"VG={vg}, VD={vd}",
+                    context={"solver": "sbfet_bisection",
+                             "stage": "bracket",
+                             "vg": float(vg), "vd": float(vd),
+                             "n_index": self.geometry.n_index})
 
         for iteration in range(1, max_iter + 1):
             mid = 0.5 * (lo + hi)
@@ -520,21 +496,13 @@ class SBFETModel:
     # ------------------------------------------------------------------ #
     # Public entry point
     # ------------------------------------------------------------------ #
-    def solve_bias(self, vg: float, vd: float,
-                   initial_midgap_ev: float | None = None,
-                   max_iter: int = 80) -> SBFETSolution:
+    def solve_bias(self, vg: float, vd: float) -> SBFETSolution:
         """Solve one bias point self-consistently and return all outputs.
 
-        ``initial_midgap_ev`` warm-starts the electrostatic bisection from
-        an adjacent bias point's converged midgap (see
-        :meth:`solve_midgap_ev`); ignored when ``REPRO_NO_WARMSTART`` is
-        set.  ``max_iter`` bounds the bisection and is raised by the
-        retry ladder of :func:`repro.device.iv.solve_cell_resilient`.
+        The result depends on ``(vg, vd)`` and the model alone, never on
+        which bias points were solved before it.
         """
-        warm = (initial_midgap_ev is not None and warmstart_enabled())
-        u_ch, iterations = self.solve_midgap_ev(
-            vg, vd, max_iter=max_iter,
-            initial_guess_ev=initial_midgap_ev if warm else None)
+        u_ch, iterations = self.solve_midgap_ev(vg, vd)
         if obs.ACTIVE:
             # The bisection is this engine's SCF: emit the same counter
             # family as the NEGF loop so rollups cover both engines.
@@ -543,13 +511,6 @@ class SBFETModel:
             obs.incr("scf.converged")
             obs.incr("scf.iterations", iterations)
             obs.observe("scf.iterations_to_converge", iterations)
-            if warm:
-                obs.incr("scf.warm_starts")
-                obs.incr("scf.warm_solves")
-                obs.incr("scf.warm_iterations", iterations)
-            else:
-                obs.incr("scf.cold_solves")
-                obs.incr("scf.cold_iterations", iterations)
         n, p = self._densities_at_level(np.array([u_ch]), 0.0, -vd)
         current = self.current_a(u_ch, vd)
         charge = self.channel_charge_c(u_ch, vd)

@@ -29,11 +29,7 @@ from repro.device.engines import DEFAULT_ENGINE, engine_version, resolve_engine
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import IVSweep, sweep_iv
 from repro.errors import TableRangeError
-from repro.runtime import (
-    ArtifactCache,
-    content_key,
-    warmstart_enabled,
-)
+from repro.runtime import ArtifactCache, content_key
 
 
 def _bilinear(axis_x: np.ndarray, axis_y: np.ndarray, grid: np.ndarray,
@@ -362,17 +358,14 @@ def table_cache_key(
     bias grid, the retained mode count, the transport engine, or the
     engine version tag yields a different key, so stale artifacts are
     orphaned, never reused — a mode-space table can never collide with
-    a real-space or semianalytic one.  The warm-start state is part
-    of the key: continuation moves converged midgaps within the bisection
-    tolerance, and a ``REPRO_NO_WARMSTART`` run must not silently reuse
-    (or poison) warm-started artifacts.
+    a real-space or semianalytic one.
     """
     engine = resolve_engine(engine)
     if version is None:
         version = engine_version(engine)
     return content_key("device-table", version, engine, geometry,
                        np.asarray(vg_grid, float), np.asarray(vd_grid, float),
-                       n_modes, warmstart_enabled())
+                       n_modes)
 
 
 def _disk_cache() -> ArtifactCache:
@@ -420,8 +413,7 @@ def build_device_table(
     vg_grid = DEFAULT_VG_GRID if vg_grid is None else np.asarray(vg_grid, float)
     vd_grid = DEFAULT_VD_GRID if vd_grid is None else np.asarray(vd_grid, float)
     engine = resolve_engine(engine)
-    key = (geometry, tuple(vg_grid), tuple(vd_grid), n_modes, engine,
-           warmstart_enabled())
+    key = (geometry, tuple(vg_grid), tuple(vd_grid), n_modes, engine)
     if use_cache and key in _TABLE_CACHE:
         if obs.ACTIVE:
             obs.incr("cache.table_memory_hits")

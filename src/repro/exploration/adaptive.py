@@ -71,7 +71,6 @@ from repro.runtime import (
     resolve_scheduler,
     resume_enabled,
     strict_default,
-    warmstart_enabled,
 )
 from repro.runtime import faults
 
@@ -329,7 +328,7 @@ def refine_vdd_vt(
                           n_stages, with_snm, levels, wave_solve_budget,
                           opt_window, ab_window, ab_polish_rounds,
                           f_min_hz, TABLE_ENGINE_VERSION, engine,
-                          engine_version(engine), warmstart_enabled())
+                          engine_version(engine))
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()

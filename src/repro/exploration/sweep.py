@@ -61,7 +61,7 @@ def _explore_vt_row(tech: GNRFETTechnology, vdd_grid: np.ndarray,
 
     ``task`` is ``(row_index, vt)``; the row index keys the ``worker``
     fault-injection site and quarantine records.  A device-table build
-    whose retry ladder exhausts (it surfaces here as a
+    with a failed cell (it surfaces here as a
     :class:`~repro.errors.ConvergenceError` when the underlying sweep is
     strict) NaN-masks the whole row and yields one
     :class:`~repro.runtime.resilience.FailureRecord` unless ``strict``.
@@ -131,7 +131,7 @@ def sweep_vdd_vt(
     are bit-for-bit identical to a serial sweep.
 
     ``strict`` (default from ``REPRO_STRICT``) re-raises the first
-    exhausted device-table build; otherwise the affected V_T row is
+    failed device-table build; otherwise the affected V_T row is
     NaN-masked and recorded on ``failures``.  A crashed worker process
     costs only its undelivered rows, which are recomputed in-process
     by the scheduler (``scheduler`` defaults to a

@@ -36,7 +36,6 @@ from repro.negf.mixing import LinearMixer, AndersonMixer
 from repro.negf.scf import (
     SCFOptions,
     SCFResult,
-    resilient_scf_loop,
     scf_escalation,
     self_consistent_loop,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "AndersonMixer",
     "SCFOptions",
     "SCFResult",
-    "resilient_scf_loop",
     "scf_escalation",
     "self_consistent_loop",
 ]

@@ -30,7 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs, sanitize
-from repro.runtime.accel import stacked_identity
+
+
+def stacked_identity(n_batch: int, n: int) -> np.ndarray:
+    """``(n_batch, n, n)`` complex array holding one identity per batch.
+
+    The right-hand side shared by the energy-batched inversions of the
+    RGF and Sancho-Rubio recurrences; built once per kernel invocation
+    and reused across recurrence steps.
+    """
+    eye = np.eye(n, dtype=complex)
+    return np.broadcast_to(eye, (n_batch, n, n)).copy()
 
 
 def dense_retarded_gf(

@@ -137,10 +137,11 @@ def self_consistent_loop(
 
 
 def scf_escalation(options: SCFOptions) -> list[tuple[str, SCFOptions]]:
-    """Escalation rungs for :func:`resilient_scf_loop`.
+    """Escalation rungs for a :func:`self_consistent_loop` that failed.
 
     The sequence trades speed for robustness, mirroring gmin/source
-    stepping practice in SPICE-class simulators:
+    stepping practice in SPICE-class simulators.  Every rung keeps the
+    tolerance and ``raise_on_failure`` of ``options``:
 
     1. ``base`` — the configured options, unchanged.
     2. ``half-beta`` — same mixer family with the mixing factor halved
@@ -157,60 +158,16 @@ def scf_escalation(options: SCFOptions) -> list[tuple[str, SCFOptions]]:
         history = getattr(base_mixer, "history", 5)
         half = AndersonMixer(beta=beta / 2, history=history)
     tol, iters = options.tolerance_ev, options.max_iterations
+    raising = options.raise_on_failure
     return [
         ("base", options),
         ("half-beta", SCFOptions(tolerance_ev=tol, max_iterations=iters,
-                                 mixer=half, raise_on_failure=True)),
+                                 mixer=half, raise_on_failure=raising)),
         ("picard", SCFOptions(tolerance_ev=tol, max_iterations=2 * iters,
                               mixer=LinearMixer(beta=0.1),
-                              raise_on_failure=True)),
+                              raise_on_failure=raising)),
         ("picard-long", SCFOptions(tolerance_ev=tol,
                                    max_iterations=4 * iters,
                                    mixer=LinearMixer(beta=0.05),
-                                   raise_on_failure=True)),
+                                   raise_on_failure=raising)),
     ]
-
-
-def resilient_scf_loop(
-    solve_charge: Callable[[np.ndarray], np.ndarray],
-    solve_potential: Callable[[np.ndarray], np.ndarray],
-    initial_potential: np.ndarray,
-    options: SCFOptions | None = None,
-    cold_potential: np.ndarray | None = None,
-) -> tuple[SCFResult, list[str]]:
-    """:func:`self_consistent_loop` behind a retry/escalation ladder.
-
-    Runs the :func:`scf_escalation` rungs through
-    :func:`repro.runtime.resilience.run_ladder`; if ``cold_potential``
-    is given (the unseeded initial guess of a warm-started solve), a
-    final ``cold`` rung discards the warm-start seed and re-runs the
-    most conservative settings from it.  Returns the converged
-    :class:`SCFResult` plus the rung names tried; exhaustion re-raises
-    the last :class:`~repro.errors.ConvergenceError` with the ladder
-    context attached.  Escalations count under ``scf.retries``.
-    """
-    # Function-level import: negf -> runtime is a sanctioned DAG edge,
-    # but scf.py is imported by runtime-free unit tests of the mixers,
-    # so the dependency stays lazy.
-    from repro.runtime.resilience import run_ladder
-
-    options = options or SCFOptions()
-    rungs: list[tuple[str, Callable[[], SCFResult]]] = []
-
-    def make_attempt(opts: SCFOptions,
-                     start: np.ndarray) -> Callable[[], SCFResult]:
-        raising = SCFOptions(tolerance_ev=opts.tolerance_ev,
-                             max_iterations=opts.max_iterations,
-                             mixer=opts.mixer, raise_on_failure=True)
-        return lambda: self_consistent_loop(
-            solve_charge, solve_potential, start, raising)
-
-    for name, opts in scf_escalation(options):
-        rungs.append((name, make_attempt(opts, initial_potential)))
-    if cold_potential is not None:
-        cold_opts = SCFOptions(tolerance_ev=options.tolerance_ev,
-                               max_iterations=4 * options.max_iterations,
-                               mixer=LinearMixer(beta=0.05),
-                               raise_on_failure=True)
-        rungs.append(("cold", make_attempt(cold_opts, cold_potential)))
-    return run_ladder(rungs, site="scf", counter="scf.retries")

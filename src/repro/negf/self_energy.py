@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.runtime.accel import stacked_identity
+from repro.negf.greens import stacked_identity
 
 
 def lead_self_energy_1d(

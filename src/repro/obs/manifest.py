@@ -60,10 +60,6 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
 
     scf_solves = count("scf.solves")
     scf_iterations = count("scf.iterations")
-    warm_solves = count("scf.warm_solves")
-    warm_iterations = count("scf.warm_iterations")
-    cold_solves = count("scf.cold_solves")
-    cold_iterations = count("scf.cold_iterations")
     artifact_hits = count("cache.artifact_hits")
     artifact_misses = count("cache.artifact_misses")
     memory_hits = count("cache.table_memory_hits")
@@ -77,14 +73,6 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "scf_iterations_mean": (
             scf_iterations / scf_solves if scf_solves else None),
         "scf_iterations_max": iter_hist.get("max"),
-        # Warm-start continuation split: a blended mean hides the effect
-        # of seeding a solve from an adjacent bias point, so cold and
-        # warm solves are averaged separately.
-        "scf_warm_starts": count("scf.warm_starts"),
-        "scf_cold_iterations_mean": (
-            cold_iterations / cold_solves if cold_solves else None),
-        "scf_warm_iterations_mean": (
-            warm_iterations / warm_solves if warm_solves else None),
         "energy_grids_built": count("negf.energy_grids"),
         "energy_grid_points_total": count("negf.energy_grid_points"),
         "rgf_block_solves_total": count("negf.rgf_block_solves"),

@@ -2,7 +2,8 @@
 
 Every sweep layer in the repo — device ``I_D/Q(V_G, V_D)`` grids, the
 V_DD-V_T exploration plane, the ring-oscillator Monte Carlo — dispatches
-through :func:`repro.runtime.parallel.parallel_map`, and the expensive
+through :class:`repro.runtime.scheduler.LocalScheduler` (a process pool
+over :func:`repro.runtime.parallel.parallel_map`), and the expensive
 self-consistent device tables persist across processes through
 :class:`repro.runtime.cache.ArtifactCache`.
 
@@ -18,9 +19,6 @@ Environment knobs
 ``REPRO_TRACE``
     Enables :mod:`repro.obs` tracing; worker processes inherit it and
     forward their recorded metrics back to the parent in chunk order.
-``REPRO_NO_WARMSTART``
-    Any non-empty value disables SCF warm-start continuation in every
-    sweep driver (cold starts everywhere; see :mod:`repro.runtime.accel`).
 ``REPRO_STRICT``
     Truthy value flips every sweep back to raise-on-first-failure
     instead of quarantining failed cells (see
@@ -33,13 +31,6 @@ Environment knobs
     paths (see :mod:`repro.runtime.faults`).
 """
 
-from repro.runtime.accel import (
-    NO_WARMSTART_ENV,
-    batched_inverse,
-    batched_trace,
-    stacked_identity,
-    warmstart_enabled,
-)
 from repro.runtime.cache import (
     CACHE_DIR_ENV,
     NO_CACHE_ENV,
@@ -89,7 +80,6 @@ __all__ = [
     "FailureRecord",
     "LocalScheduler",
     "NO_CACHE_ENV",
-    "NO_WARMSTART_ENV",
     "RESUME_ENV",
     "STRICT_ENV",
     "Scheduler",
@@ -97,8 +87,6 @@ __all__ = [
     "TABLE_ENGINE_VERSION",
     "WORKERS_ENV",
     "batch_indices",
-    "batched_inverse",
-    "batched_trace",
     "cache_enabled",
     "cache_root",
     "canonical_repr",
@@ -116,7 +104,5 @@ __all__ = [
     "resume_enabled",
     "run_ladder",
     "spawn_seed_sequences",
-    "stacked_identity",
     "strict_default",
-    "warmstart_enabled",
 ]

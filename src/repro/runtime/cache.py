@@ -50,7 +50,9 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 #: v2: warm-start continuation along V_D rows (converged midgaps move
 #: within the bisection tolerance relative to cold-started v1 tables).
 #: v3: semianalytic WKB kernel with shared ``(E - u)**2``, matvec gap
-#: integrals and CDF band masks (currents move in the last bits).
+#: integrals and CDF band masks (currents move in the last bits).  Cells
+#: are cold-started again without a tag bump: dropping the warm-start
+#: flag from the table key already changed every digest.
 TABLE_ENGINE_VERSION = "sbfet-v3"
 
 

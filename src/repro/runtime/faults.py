@@ -19,14 +19,14 @@ Specification grammar (``REPRO_FAULTS`` or :func:`enable`)::
 Examples
 --------
 ``scf@3,7``
-    Every solve attempt of sweep cells 3 and 7 raises a
-    :class:`~repro.errors.ConvergenceError` — the retry ladder exhausts
-    and the cells are quarantined.
-``scf@3x2``
-    Only the first two attempts at cell 3 fail; the third (a later
-    ladder rung) succeeds — exercises ladder *recovery*.
+    The solves of sweep cells 3 and 7 raise a
+    :class:`~repro.errors.ConvergenceError` and the cells are
+    quarantined.
 ``sr@5``
     The Sancho-Rubio decimation fails at task index 5.
+``sr@5x2``
+    Only the first two attempts at task 5 fail; the third (a later
+    ladder rung) succeeds — exercises ladder *recovery*.
 ``worker@2``
     The worker process handling task index 2 exits hard
     (``os._exit``), breaking the process pool — exercises

@@ -10,7 +10,7 @@ three generic mechanisms that make the sweeps behave that way:
 Retry ladder (:func:`run_ladder`)
     A sequence of named rungs, each a zero-argument callable attempting
     the same solve with progressively more conservative settings (lower
-    mixing beta, Anderson→damped Picard, more iterations, cold start).
+    mixing beta, Anderson→damped Picard, more iterations).
     The first rung that converges wins; each escalation is counted
     (``resilience.retries`` plus a per-site counter such as
     ``scf.retries``); exhaustion re-raises the last
@@ -20,7 +20,7 @@ Retry ladder (:func:`run_ladder`)
     them, keeping the layer DAG intact.
 
 Failure quarantine (:class:`FailureRecord`)
-    When a ladder exhausts and the sweep is not ``strict``, the cell is
+    When a cell fails and the sweep is not ``strict``, the cell is
     NaN-masked and a structured, JSON-round-trippable record (exception
     class, message, task index, grid coordinates, bias, rungs tried,
     residual, solver context) is collected into the sweep's result
@@ -31,8 +31,8 @@ Checkpoint/resume (:class:`SweepCheckpoint`)
     (namespace ``checkpoints``), keyed like the table cache by a content
     hash of the sweep specification.  A resumed run loads the mask of
     completed units and recomputes only the rest; because sweep units
-    (rows / samples) are computed independently and cold-started, the
-    resumed result is bitwise-identical to an uninterrupted one.  The
+    (rows / samples) are computed independently, the resumed result is
+    bitwise-identical to an uninterrupted one.  The
     checkpoint is deleted when the sweep completes.
 
 Environment knobs: ``REPRO_STRICT`` flips the quarantine default back to
@@ -290,9 +290,9 @@ class SweepCheckpoint:
     previous snapshot intact.
 
     The key must content-hash everything that determines the sweep's
-    output (geometry, grids, mode count, engine version, warm-start
-    flag), exactly like the table cache: a resumed run with a different
-    spec simply misses and starts fresh.
+    output (geometry, grids, mode count, engine and its version),
+    exactly like the table cache: a resumed run with a different spec
+    simply misses and starts fresh.
     """
 
     def __init__(self, key: str, interval: int | None = None,

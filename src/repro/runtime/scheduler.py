@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, TypeVar
 
-from repro.errors import ParallelMapError
+from repro.errors import ConvergenceError, ParallelMapError
 from repro.runtime.parallel import (
     guided_chunk_plan,
     parallel_map,
@@ -54,8 +54,10 @@ class Scheduler:
             chunk_size: int | None = None) -> list[R]:
         """Evaluate ``fn`` over ``tasks``, results in task order.
 
-        ``strict=True`` propagates the first failure (including
-        :class:`~repro.errors.ParallelMapError`) instead of recovering.
+        ``strict=True`` propagates the first failure instead of
+        recovering: a task's :class:`~repro.errors.ConvergenceError`
+        as itself at any worker count, a broken pool as
+        :class:`~repro.errors.ParallelMapError`.
         ``chunk_size`` pins uniform chunking; ``None`` lets the
         scheduler pick its own partitioning.
         """
@@ -92,6 +94,10 @@ class LocalScheduler(Scheduler):
                 chunk_size=chunk_size, chunk_plan=chunk_plan)
         except ParallelMapError as err:
             if strict:
+                if isinstance(err.__cause__, ConvergenceError):
+                    # A task raised, the pool did not break: surface the
+                    # task's own error, exactly as the serial path does.
+                    raise err.__cause__
                 raise
             return recover_parallel(err, fn, tasks)
 

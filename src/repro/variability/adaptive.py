@@ -50,7 +50,6 @@ from repro.runtime import (
     resume_enabled,
     spawn_seed_sequences,
     strict_default,
-    warmstart_enabled,
 )
 from repro.variability.montecarlo import (
     MonteCarloResult,
@@ -217,7 +216,7 @@ def run_ring_oscillator_monte_carlo_adaptive(
                           vt, n_stages, tuple(width_levels),
                           tuple(charge_levels), seed, granularity,
                           TABLE_ENGINE_VERSION, engine,
-                          engine_version(engine), warmstart_enabled())
+                          engine_version(engine))
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()

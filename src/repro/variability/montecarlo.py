@@ -62,7 +62,6 @@ from repro.runtime import (
     resume_enabled,
     spawn_seed_sequences,
     strict_default,
-    warmstart_enabled,
 )
 from repro.runtime import faults
 from repro.variability.sampling import discretized_normal_choice
@@ -412,15 +411,15 @@ def run_ring_oscillator_monte_carlo(
     if interval > 0 or resume:
         # The samples are functions of the variant device tables, so
         # everything that selects a table variant — the resolved
-        # transport engine (REPRO_ENGINE), its version and the
-        # warm-start state — must be in the key, or a checkpoint
-        # written under one engine could resume under another.
+        # transport engine (REPRO_ENGINE) and its version — must be in
+        # the key, or a checkpoint written under one engine could
+        # resume under another.
         engine = resolve_engine(None)
         key = content_key("monte_carlo", tech.geometry, tech.params,
                           n_samples, vdd, vt, n_stages,
                           tuple(width_levels), tuple(charge_levels), seed,
                           granularity, TABLE_ENGINE_VERSION, engine,
-                          engine_version(engine), warmstart_enabled())
+                          engine_version(engine))
         ckpt = SweepCheckpoint(key, interval=interval)
         if resume:
             loaded = ckpt.load()

@@ -56,10 +56,14 @@ class TestRowQuarantine:
                                   equal_nan=True), name
         assert serial.failures == parallel.failures
 
-    def test_strict_raises(self, tech):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_strict_raises(self, tech, workers):
         faults.enable("scf@1")
-        with pytest.raises(ConvergenceError):
-            sweep_vdd_vt(tech, VT, VDD, workers=1, strict=True)
+        with pytest.raises(ConvergenceError) as err:
+            sweep_vdd_vt(tech, VT, VDD, workers=workers, strict=True)
+        assert err.value.context["row_index"] == 1
+        assert err.value.context["vt"] == float(VT[1])
+        assert err.value.context["injected"] is True
 
 
 class TestWorkerCrashRecovery:

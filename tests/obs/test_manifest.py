@@ -63,23 +63,6 @@ class TestRollups:
         assert roll["cache_hits"] == 2
         assert roll["cache_hit_rate"] == pytest.approx(0.5)
 
-    def test_warm_cold_scf_split(self):
-        """Warm-started and cold-started solves are averaged separately —
-        a blended mean would hide the continuation win."""
-        roll = obs.compute_rollups(
-            {"counters": {"scf.cold_solves": 2, "scf.cold_iterations": 44,
-                          "scf.warm_solves": 4, "scf.warm_iterations": 60,
-                          "scf.warm_starts": 4}})
-        assert roll["scf_warm_starts"] == 4
-        assert roll["scf_cold_iterations_mean"] == pytest.approx(22.0)
-        assert roll["scf_warm_iterations_mean"] == pytest.approx(15.0)
-
-    def test_warm_cold_split_defaults_to_none(self):
-        roll = obs.compute_rollups({"counters": {}, "histograms": {}})
-        assert roll["scf_warm_starts"] == 0
-        assert roll["scf_cold_iterations_mean"] is None
-        assert roll["scf_warm_iterations_mean"] is None
-
 
 class TestManifestDocument:
     def test_build_uses_live_recorder_by_default(self):

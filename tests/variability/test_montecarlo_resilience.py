@@ -57,13 +57,15 @@ class TestSampleQuarantine:
                               parallel.static_power_w, equal_nan=True)
         assert serial.failures == parallel.failures
 
-    def test_strict_raises_with_sample_index(self, tech):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_strict_raises_with_sample_index(self, tech, workers):
         faults.enable("scf@7")
         with pytest.raises(ConvergenceError) as err:
             run_ring_oscillator_monte_carlo(tech, n_samples=N_SAMPLES,
-                                            seed=2008, workers=1,
+                                            seed=2008, workers=workers,
                                             strict=True)
         assert err.value.context["sample_index"] == 7
+        assert err.value.context["injected"] is True
 
 
 class TestCheckpointResume:
