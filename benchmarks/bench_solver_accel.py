@@ -1,6 +1,6 @@
 """Solver acceleration layer: the hot-path wins, measured.
 
-The acceleration work has four legs, each with a quantitative
+The acceleration work has five legs, each with a quantitative
 acceptance target measured here and persisted to ``BENCH_solvers.json``
 at the repository root:
 
@@ -30,9 +30,18 @@ at the repository root:
   (``tests/device/wkb_reference.py``) and the production kernel.
   Target: >= 4x per call with relative parity <= 1e-12; the whole
   table sweep is timed under both kernels.
+* **Compiled circuit engine** — ``solve_dc`` and ``simulate_transient``
+  run one assembly kernel over each circuit's compiled stamp program
+  (:class:`repro.circuit.netlist.StampProgram`).  Replays the nominal FO4
+  transient of ``characterize_inverter``, a 61-point inverter VTC and
+  300 steps of the 15-stage ring through the frozen per-element engine
+  (``tests/circuit/engine_reference.py``) and through production.
+  Target: bitwise-identical waveforms and DC solutions, >= 1.6x per FO4
+  transient step.
 
-Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the workloads and relaxes
-the ratio assertions to sanity bounds; it never rewrites the committed
+Each test rewrites only its own legs of ``BENCH_solvers.json``.  Smoke
+mode (``REPRO_BENCH_SMOKE=1``) shrinks the workloads and relaxes the
+ratio assertions to sanity bounds; it never rewrites the committed
 ``BENCH_solvers.json``.
 """
 
@@ -44,6 +53,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.circuit import inverter
+from repro.circuit.dc import solve_dc
+from repro.circuit.inverter import (
+    add_inverter,
+    characterize_inverter,
+    estimate_inverter_delay,
+)
+from repro.circuit.netlist import Circuit
+from repro.circuit.ring_oscillator import build_ring_oscillator
+from repro.circuit.transient import simulate_transient
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device.negf_modespace import ModeSpaceGNRDevice
@@ -73,9 +92,31 @@ MODESPACE_SWEEP = (4,) if SMOKE else (2, 4, 6, None)
 WKB_VG_GRID = DEFAULT_VG_GRID[::6] if SMOKE else DEFAULT_VG_GRID
 WKB_VD_GRID = DEFAULT_VD_GRID[::3] if SMOKE else DEFAULT_VD_GRID
 WKB_REPEATS = 1 if SMOKE else 3
+CIRCUIT_FO4_CYCLES = 0.5 if SMOKE else 2.0
+CIRCUIT_VTC_POINTS = 21 if SMOKE else 61
+CIRCUIT_RING_STEPS = 40 if SMOKE else 300
+CIRCUIT_REPEATS = 1 if SMOKE else 5
 
-ORACLE_PATH = (Path(__file__).resolve().parent.parent
-               / "tests" / "device" / "wkb_reference.py")
+SCHEMA = "repro-bench-solvers/6"
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
+ORACLE_PATH = TESTS_DIR / "device" / "wkb_reference.py"
+CIRCUIT_ORACLE_PATH = TESTS_DIR / "circuit" / "engine_reference.py"
+
+
+def _load_module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_legs(legs: dict) -> None:
+    """Replace ``legs`` in ``BENCH_solvers.json``, keeping the others."""
+    payload = (json.loads(JSON_PATH.read_text()) if JSON_PATH.exists()
+               else {})
+    payload.update(legs)
+    payload["schema"] = SCHEMA
+    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _bench_poisson() -> dict:
@@ -196,11 +237,7 @@ def _bench_modespace_engine() -> dict:
 
 def _load_wkb_oracle():
     """The frozen per-mode WKB formulation the test suite pins."""
-    spec = importlib.util.spec_from_file_location("wkb_reference",
-                                                  ORACLE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.reference_transmission
+    return _load_module(ORACLE_PATH).reference_transmission
 
 
 def _bench_wkb_kernel() -> dict:
@@ -341,11 +378,179 @@ def test_solver_acceleration(save_report):
     assert modespace["n_modes_sweep"]["4"]["speedup"] >= 5.0
     assert wkb["speedup"] >= 4.0
 
-    payload = {
-        "schema": "repro-bench-solvers/5",
+    _write_legs({
         "poisson_prefactorized": poisson,
         "batched_transport": transport,
         "modespace_engine": modespace,
         "wkb_kernel": wkb,
+    })
+
+
+def _best_pair_s(oracle, kernel, repeats: int) -> tuple[float, float]:
+    """Best times of two callables, run alternately so that a change in
+    host speed during the measurement hits both sides."""
+    best = [np.inf, np.inf]
+    for _ in range(repeats):
+        for k, fn in enumerate((oracle, kernel)):
+            start = time.perf_counter()
+            fn()
+            best[k] = min(best[k], time.perf_counter() - start)
+    return best[0], best[1]
+
+
+def _fo4_transient(n_table, p_table, vdd, params):
+    """The nominal FO4 transient exactly as ``characterize_inverter``
+    issues it, as ``(circuit, args, kwargs)`` of ``simulate_transient``,
+    cut to ``CIRCUIT_FO4_CYCLES`` input cycles (characterize runs two)."""
+    calls = []
+
+    def record(circuit, *args, **kwargs):
+        calls.append((circuit, args, kwargs))
+        return simulate_transient(circuit, *args, **kwargs)
+
+    inverter.simulate_transient = record
+    try:
+        characterize_inverter(n_table, p_table, vdd, params)
+    finally:
+        inverter.simulate_transient = simulate_transient
+    circuit, (t_end_s, dt_s, v0), kwargs = calls[0]
+    return circuit, (t_end_s * CIRCUIT_FO4_CYCLES / 2.0, dt_s, v0), kwargs
+
+
+def _ring_transient(n_table, p_table, vdd, params, n_stages=15):
+    """``CIRCUIT_RING_STEPS`` steps of the ring from the alternating start
+    and at the time step of ``simulate_ring_oscillator``."""
+    circuit = build_ring_oscillator(n_table, p_table, vdd, n_stages, params)
+    v0 = np.zeros(circuit.n_nodes)
+    v0[circuit.node("vdd")] = vdd
+    for i in range(n_stages):
+        v0[circuit.node(f"s{i}")] = vdd if i % 2 == 0 else 0.0
+    v0[circuit.node(f"s{n_stages - 1}")] = vdd / 2.0
+    for i in range(n_stages):
+        for k in range(params.fanout - 1):
+            drive = v0[circuit.node(f"s{(i + 1) % n_stages}")]
+            v0[circuit.node(f"inv{i}.load{k}")] = vdd - drive
+    est = estimate_inverter_delay(n_table, p_table, vdd, params)
+    dt = max(2.0 * n_stages * est * 2.5 / 480.0, 0.05e-12)
+    args = (CIRCUIT_RING_STEPS * dt, dt, v0)
+    return circuit, args, {"monitor_supplies": (circuit.node("vdd"),)}
+
+
+def _transient_leg(oracle, circuit, args, kwargs) -> tuple[dict, bool]:
+    result = simulate_transient(circuit, *args, **kwargs)
+    ref_t, ref_v, ref_supplies = oracle.simulate_transient(circuit, *args,
+                                                           **kwargs)
+    bitwise = (np.array_equal(result.time_s, ref_t)
+               and np.array_equal(result.voltages, ref_v)
+               and all(np.array_equal(result.supply_currents[m], trace)
+                       for m, trace in ref_supplies.items()))
+    steps = len(ref_t) - 1
+    oracle_s, kernel_s = _best_pair_s(
+        lambda: oracle.simulate_transient(circuit, *args, **kwargs),
+        lambda: simulate_transient(circuit, *args, **kwargs),
+        CIRCUIT_REPEATS)
+    return {
+        "nodes": circuit.n_nodes,
+        "elements": len(circuit.elements),
+        "steps": steps,
+        "oracle_ms_per_step": oracle_s / steps * 1e3,
+        "kernel_ms_per_step": kernel_s / steps * 1e3,
+        "speedup": oracle_s / kernel_s,
+    }, bitwise
+
+
+def _vtc_leg(oracle, n_table, p_table, vdd, params) -> tuple[dict, bool]:
+    """A continuation VTC of one inverter, as ``compute_vtc`` runs it."""
+    circuit = Circuit("inverter-vtc")
+    vin, vout = circuit.node("in"), circuit.node("out")
+    vdd_node = circuit.node("vdd")
+    circuit.fix(vdd_node, vdd)
+    circuit.fix(vin, 0.0)
+    add_inverter(circuit, "dut", vin, vout, vdd_node, n_table, p_table,
+                 params)
+    grid = np.linspace(0.0, vdd, CIRCUIT_VTC_POINTS)
+
+    def sweep(solve) -> tuple[list, int]:
+        solutions, iterations, v_prev = [], 0, None
+        for value in grid:
+            circuit.fixed[vin] = float(value)
+            v_prev, iters = solve(v_prev)
+            solutions.append(v_prev)
+            iterations += iters
+        return solutions, iterations
+
+    def kernel(v0):
+        result = solve_dc(circuit, v0=v0)
+        return result.voltages, result.iterations
+
+    def reference(v0):
+        return oracle.solve_dc(circuit, v0=v0)
+
+    new, iterations = sweep(kernel)
+    ref, ref_iterations = sweep(reference)
+    bitwise = (iterations == ref_iterations
+               and all(np.array_equal(a, b) for a, b in zip(new, ref)))
+    oracle_s, kernel_s = _best_pair_s(lambda: sweep(reference),
+                                      lambda: sweep(kernel), CIRCUIT_REPEATS)
+    return {
+        "points": int(grid.size),
+        "newton_iterations": iterations,
+        "oracle_us_per_iteration": oracle_s / iterations * 1e6,
+        "kernel_us_per_iteration": kernel_s / iterations * 1e6,
+        "speedup": oracle_s / kernel_s,
+    }, bitwise
+
+
+def _bench_circuit_engine(tech) -> dict:
+    """Production circuit engine vs the frozen per-element oracle."""
+    oracle = _load_module(CIRCUIT_ORACLE_PATH)
+    n_table, p_table = tech.inverter_tables(0.13)
+    params, vdd = tech.params, 0.4
+    fo4, fo4_bitwise = _transient_leg(
+        oracle, *_fo4_transient(n_table, p_table, vdd, params))
+    vtc, vtc_bitwise = _vtc_leg(oracle, n_table, p_table, vdd, params)
+    ring, ring_bitwise = _transient_leg(
+        oracle, *_ring_transient(n_table, p_table, vdd, params))
+    return {
+        "fo4_transient": fo4,
+        "vtc": vtc,
+        "ring_window": ring,
+        "bitwise": fo4_bitwise and vtc_bitwise and ring_bitwise,
     }
-    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def test_circuit_engine(tech, save_report):
+    engine = _bench_circuit_engine(tech)
+    fo4, vtc, ring = (engine["fo4_transient"], engine["vtc"],
+                      engine["ring_window"])
+    rows = [
+        [f"FO4 transient ({fo4['nodes']} nodes, {fo4['steps']} steps)",
+         f"{fo4['oracle_ms_per_step']:.3f} ms/step",
+         f"{fo4['kernel_ms_per_step']:.3f} ms/step",
+         f"{fo4['speedup']:.2f}x"],
+        [f"inverter VTC ({vtc['points']} points, "
+         f"{vtc['newton_iterations']} Newton iterations)",
+         f"{vtc['oracle_us_per_iteration']:.1f} us/iter",
+         f"{vtc['kernel_us_per_iteration']:.1f} us/iter",
+         f"{vtc['speedup']:.2f}x"],
+        [f"15-stage ring ({ring['nodes']} nodes, {ring['steps']} steps)",
+         f"{ring['oracle_ms_per_step']:.2f} ms/step",
+         f"{ring['kernel_ms_per_step']:.2f} ms/step",
+         f"{ring['speedup']:.2f}x"],
+    ]
+    report = format_table(
+        ["path", "oracle", "kernel", "gain"], rows,
+        title="Compiled circuit engine vs per-element oracle "
+              f"(best of {CIRCUIT_REPEATS}; bitwise: {engine['bitwise']})")
+    save_report("circuit_engine", report)
+    print(report)
+
+    # Same float operations in the same order: every waveform, DC
+    # solution and iteration count is identical to the oracle's.
+    assert engine["bitwise"]
+    if SMOKE:
+        assert fo4["speedup"] > 1.2
+        return
+    assert fo4["speedup"] >= 1.6
+    assert vtc["speedup"] >= 1.2
+    _write_legs({"circuit_engine": engine})

@@ -10,7 +10,9 @@ extrinsic parasitics of Fig. 3(a): contact resistances ``R_S = R_D``
 Engines: DC operating point (damped Newton with source stepping), transient
 (trapezoidal with per-step Newton), voltage transfer curves, butterfly /
 static-noise-margin extraction, and metric extraction (delay, static and
-dynamic power, energy, frequency, EDP).
+dynamic power, energy, frequency, EDP).  Both solvers evaluate a netlist
+through its compiled stamp program
+(:class:`repro.circuit.netlist.StampProgram`), built once per circuit.
 
 Circuit builders for the paper's three representative circuits: inverter
 (fanout-of-4), 15-stage ring oscillator, and latch.

@@ -3,7 +3,8 @@
 The residual at each free node is the sum of element currents flowing out
 of it (KCL); fixed nodes (supplies, inputs) contribute known voltages.  A
 small ``gmin`` conductance to ground conditions the Jacobian in cut-off
-regions where table derivatives vanish.
+regions where table derivatives vanish.  Every Newton iteration runs the
+circuit's compiled stamp program (:meth:`Circuit.program`).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs, sanitize
-from repro.circuit.netlist import Circuit, GROUND
-from repro.errors import ConvergenceError
+from repro.circuit.netlist import Circuit, GROUND, StampProgram
+from repro.errors import CircuitError, ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,8 @@ class DCResult:
     """Converged DC solution.
 
     ``voltages`` is the full node-voltage vector (fixed nodes included);
-    use :func:`node_current` / :meth:`source_current` for source currents.
+    use :meth:`source_current` for the current a fixed node's source
+    delivers.
     """
 
     circuit: Circuit
@@ -36,52 +38,33 @@ class DCResult:
     def source_current(self, node: int | str) -> float:
         """Current delivered *by* the source pinning ``node`` (A).
 
-        Positive when the source pushes current into the circuit.
+        Positive when the source pushes current into the circuit.  Only
+        fixed nodes have a source; asking for ground or a free node
+        raises :class:`CircuitError`.
         """
         idx = self.circuit.node(node) if isinstance(node, str) else node
-        f = np.zeros(self.circuit.n_nodes)
-        for el in self.circuit.elements:
-            el.stamp_static(self.voltages, f, None)
+        if idx == GROUND or idx not in self.circuit.fixed:
+            raise CircuitError(
+                f"node {self.circuit.node_name(idx)!r} is not driven by a "
+                "source (only fixed nodes are)")
+        f, _ = self.circuit.program().assemble(self.voltages.tolist() + [0.0])
         # f[idx] is the net element current flowing out of the node into
         # the elements; the source supplies exactly that.
         return float(f[idx])
 
 
-def _assemble(circuit: Circuit, v: np.ndarray, gmin: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    n = circuit.n_nodes
-    f = np.zeros(n)
-    jac = np.zeros((n, n))
-    for el in circuit.elements:
-        el.stamp_static(v, f, jac)
-    if gmin > 0.0:
-        f += gmin * v
-        jac[np.diag_indices(n)] += gmin
-    return f, jac
-
-
-def _newton(circuit: Circuit, v: np.ndarray, free: np.ndarray,
-            gmin: float, tol_a: float, max_iter: int, damping_v: float
-            ) -> tuple[np.ndarray, int, bool]:
+def _newton(prog: StampProgram, v: list[float], gmin: float, tol_a: float,
+            max_iter: int, damping_v: float) -> tuple[int, bool]:
+    """Damped Newton on the free slots of ``v``, updated in place;
+    returns ``(iterations, converged)``."""
     for iteration in range(1, max_iter + 1):
-        f, jac = _assemble(circuit, v, gmin)
-        residual = f[free]
-        if np.max(np.abs(residual)) < tol_a:
-            return v, iteration, True
-        j_ff = jac[np.ix_(free, free)]
-        try:
-            dv = np.linalg.solve(j_ff, -residual)
-        except np.linalg.LinAlgError:
-            return v, iteration, False
-        if not np.all(np.isfinite(dv)):
-            return v, iteration, False
-        # Voltage-step damping keeps table FETs in a sane region.
-        max_step = np.max(np.abs(dv))
-        if max_step > damping_v:
-            dv *= damping_v / max_step
-        v = v.copy()
-        v[free] += dv
-    return v, max_iter, False
+        f, jac = prog.assemble(v)
+        if gmin > 0.0:
+            prog.add_gmin(v, f, jac, gmin)
+        status = prog.newton_update(v, f, jac, tol_a, damping_v)
+        if status is not None:
+            return iteration, status
+    return max_iter, False
 
 
 def solve_dc(
@@ -103,10 +86,9 @@ def solve_dc(
 
     ``v0`` also selects the basin for bistable circuits (latches).
     """
-    circuit.validate()
+    prog = circuit.program()
     fixed = circuit.fixed_voltages(t)
-    free = circuit.free_nodes()
-    n = circuit.n_nodes
+    n = prog.n_nodes
 
     if v0 is not None:
         v = np.asarray(v0, dtype=float).copy()
@@ -115,13 +97,14 @@ def solve_dc(
     else:
         v = np.zeros(n)
         if fixed:
-            v[free] = 0.5 * float(np.mean(list(fixed.values())))
+            v[prog.free] = 0.5 * float(np.mean(list(fixed.values())))
     for node, value in fixed.items():
         v[node] = value
 
-    v_sol, iters, ok = _newton(circuit, v, free, gmin, tol_a,
-                               max_iter, damping_v)
+    v_slots = v.tolist() + [0.0]
+    iters, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
     if ok:
+        v_sol = np.array(v_slots[:n])
         if sanitize.ACTIVE:
             sanitize.check_finite(v_sol, "solve_dc", "node voltages")
         if obs.ACTIVE:
@@ -131,29 +114,29 @@ def solve_dc(
         return DCResult(circuit=circuit, voltages=v_sol, iterations=iters)
 
     # Source stepping from zero bias.
-    v = np.zeros(n)
+    v_slots = [0.0] * (n + 1)
     total_iters = iters
     for step in range(1, source_steps + 1):
         frac = step / source_steps
         for node, value in fixed.items():
-            v[node] = frac * value
-        v, it, ok = _newton(circuit, v, free, gmin, tol_a,
-                            max_iter, damping_v)
+            v_slots[node] = frac * value
+        it, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
         total_iters += it
         if not ok:
             # Retry this stage with a larger gmin before giving up.
-            v, it, ok = _newton(circuit, v, free, gmin * 1e3, tol_a * 10,
-                                max_iter, damping_v)
+            it, ok = _newton(prog, v_slots, gmin * 1e3, tol_a * 10,
+                             max_iter, damping_v)
             total_iters += it
             if not ok:
                 raise ConvergenceError(
                     f"DC source stepping failed at {frac:.0%} of supply",
                     iterations=total_iters)
+    v_sol = np.array(v_slots[:n])
     if sanitize.ACTIVE:
-        sanitize.check_finite(v, "solve_dc", "node voltages")
+        sanitize.check_finite(v_sol, "solve_dc", "node voltages")
     if obs.ACTIVE:
         obs.incr("circuit.dc_solves")
         obs.incr("circuit.dc_source_stepped")
         obs.incr("circuit.newton_iterations", total_iters)
         obs.observe("circuit.dc_newton_iterations", total_iters)
-    return DCResult(circuit=circuit, voltages=v, iterations=total_iters)
+    return DCResult(circuit=circuit, voltages=v_sol, iterations=total_iters)

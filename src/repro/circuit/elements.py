@@ -1,4 +1,14 @@
-"""Circuit elements: linear R/C, table-lookup FETs, compact-model MOSFETs.
+"""Circuit elements: linear R/C, current sources, table-lookup FETs and
+compact-model MOSFETs.
+
+The five classes here are the closed set of netlist records that a
+:class:`repro.circuit.netlist.Circuit` accepts.  They hold terminals and
+parameters only; :meth:`Circuit.program` compiles them into the flat stamp
+program that the DC and transient engines evaluate, so the element
+physics (branch currents, Jacobian entries, capacitor branches) lives in
+one assembly kernel in :mod:`repro.circuit.netlist`.  The program copies
+each record's fields when it compiles, so an element must not be changed
+after it is added to a circuit.
 
 The table FET implements the paper's extrinsic GNRFET of Fig. 3(a): the
 intrinsic lookup-table device plus parasitic junction capacitances.  The
@@ -14,20 +24,7 @@ engine.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.circuit.netlist import GROUND, voltage_at
 from repro.device.tables import DeviceTable
-
-
-def _add_current(f: np.ndarray, node: int, value: float) -> None:
-    if node != GROUND:
-        f[node] += value
-
-
-def _add_jac(jac: np.ndarray | None, row: int, col: int, value: float) -> None:
-    if jac is not None and row != GROUND and col != GROUND:
-        jac[row, col] += value
 
 
 class Resistor:
@@ -39,21 +36,6 @@ class Resistor:
         self.nodes = (n1, n2)
         self.resistance_ohm = float(resistance_ohm)
 
-    def stamp_static(self, v: np.ndarray, f: np.ndarray,
-                     jac: np.ndarray | None) -> None:
-        n1, n2 = self.nodes
-        g = 1.0 / self.resistance_ohm
-        i = g * (voltage_at(v, n1) - voltage_at(v, n2))
-        _add_current(f, n1, i)
-        _add_current(f, n2, -i)
-        _add_jac(jac, n1, n1, g)
-        _add_jac(jac, n1, n2, -g)
-        _add_jac(jac, n2, n1, -g)
-        _add_jac(jac, n2, n2, g)
-
-    def capacitor_stamps(self, v: np.ndarray) -> list[tuple[int, int, float]]:
-        return []
-
 
 class Capacitor:
     """Linear capacitor between two nodes."""
@@ -64,28 +46,18 @@ class Capacitor:
         self.nodes = (n1, n2)
         self.capacitance_f = float(capacitance_f)
 
-    def stamp_static(self, v: np.ndarray, f: np.ndarray,
-                     jac: np.ndarray | None) -> None:
-        return None
-
-    def capacitor_stamps(self, v: np.ndarray) -> list[tuple[int, int, float]]:
-        return [(self.nodes[0], self.nodes[1], self.capacitance_f)]
-
 
 class CurrentSource:
-    """Constant current injected from ``n_from`` into ``n_to``."""
+    """Constant current injected from ``n_from`` into ``n_to``.
+
+    It counts as a current flowing *out of* ``n_from`` into the
+    element, so its static residual is ``+I`` at ``n_from`` and ``-I`` at
+    ``n_to``.
+    """
 
     def __init__(self, n_from: int, n_to: int, current_a: float):
         self.nodes = (n_from, n_to)
         self.current_a = float(current_a)
-
-    def stamp_static(self, v: np.ndarray, f: np.ndarray,
-                     jac: np.ndarray | None) -> None:
-        _add_current(f, self.nodes[0], self.current_a)
-        _add_current(f, self.nodes[1], -self.current_a)
-
-    def capacitor_stamps(self, v: np.ndarray) -> list[tuple[int, int, float]]:
-        return []
 
 
 class TableFET:
@@ -104,7 +76,8 @@ class TableFET:
         electron-hole mirror of its table:
         ``I_p(v_gs, v_ds) = -I_table(-v_gs, -v_ds)``.
     c_par_gs_f, c_par_gd_f:
-        Extrinsic junction capacitances (``C_GS,e``, ``C_GD,e``).
+        Extrinsic junction capacitances (``C_GS,e``, ``C_GD,e``), added
+        to the table's intrinsic ``C_GS,i`` / ``C_GD,i``.
     """
 
     def __init__(self, drain: int, gate: int, source: int,
@@ -117,49 +90,6 @@ class TableFET:
         self.polarity = polarity
         self.c_par_gs_f = float(c_par_gs_f)
         self.c_par_gd_f = float(c_par_gd_f)
-
-    def _bias(self, v) -> tuple[float, float]:
-        d, g, s = self.nodes
-        vgs = voltage_at(v, g) - voltage_at(v, s)
-        vds = voltage_at(v, d) - voltage_at(v, s)
-        return vgs, vds
-
-    def stamp_static(self, v: np.ndarray, f: np.ndarray,
-                     jac: np.ndarray | None) -> None:
-        d, g, s = self.nodes
-        vgs, vds = self._bias(v)
-        p = self.polarity
-        i, di_dvgs, di_dvds = self.table.current_and_derivatives(
-            p * vgs, p * vds)
-        i = p * float(i)
-        di_dvgs = float(di_dvgs)
-        di_dvds = float(di_dvds)
-        # Current flows drain -> source inside the device for i > 0.
-        _add_current(f, d, i)
-        _add_current(f, s, -i)
-        # dI/dVd = di_dvds ; dI/dVg = di_dvgs ; dI/dVs = -(both).
-        _add_jac(jac, d, d, di_dvds)
-        _add_jac(jac, d, g, di_dvgs)
-        _add_jac(jac, d, s, -(di_dvds + di_dvgs))
-        _add_jac(jac, s, d, -di_dvds)
-        _add_jac(jac, s, g, -di_dvgs)
-        _add_jac(jac, s, s, di_dvds + di_dvgs)
-
-    def capacitor_stamps(self, v: np.ndarray) -> list[tuple[int, int, float]]:
-        d, g, s = self.nodes
-        vgs, vds = self._bias(v)
-        p = self.polarity
-        cgs_i, cgd_i = self.table.capacitances(p * vgs, p * vds)
-        return [
-            (g, s, float(cgs_i) + self.c_par_gs_f),
-            (g, d, float(cgd_i) + self.c_par_gd_f),
-        ]
-
-    def current(self, v: np.ndarray) -> float:
-        """Drain-to-source channel current at node voltages ``v``."""
-        vgs, vds = self._bias(v)
-        p = self.polarity
-        return p * float(self.table.current(p * vgs, p * vds))
 
 
 class CompactMOSFET:
@@ -179,39 +109,7 @@ class CompactMOSFET:
         self.model = model
         self.polarity = polarity
 
-    def _bias(self, v) -> tuple[float, float]:
-        d, g, s = self.nodes
-        vgs = voltage_at(v, g) - voltage_at(v, s)
-        vds = voltage_at(v, d) - voltage_at(v, s)
-        return vgs, vds
 
-    def stamp_static(self, v: np.ndarray, f: np.ndarray,
-                     jac: np.ndarray | None) -> None:
-        d, g, s = self.nodes
-        vgs, vds = self._bias(v)
-        p = self.polarity
-        i, di_dvgs, di_dvds = self.model.ids(p * vgs, p * vds)
-        i = p * float(i)
-        di_dvgs = float(di_dvgs)
-        di_dvds = float(di_dvds)
-        _add_current(f, d, i)
-        _add_current(f, s, -i)
-        _add_jac(jac, d, d, di_dvds)
-        _add_jac(jac, d, g, di_dvgs)
-        _add_jac(jac, d, s, -(di_dvds + di_dvgs))
-        _add_jac(jac, s, d, -di_dvds)
-        _add_jac(jac, s, g, -di_dvgs)
-        _add_jac(jac, s, s, di_dvds + di_dvgs)
-
-    def capacitor_stamps(self, v: np.ndarray) -> list[tuple[int, int, float]]:
-        d, g, s = self.nodes
-        vgs, vds = self._bias(v)
-        p = self.polarity
-        cgs, cgd = self.model.capacitances(p * vgs, p * vds)
-        return [(g, s, float(cgs)), (g, d, float(cgd))]
-
-    def current(self, v: np.ndarray) -> float:
-        vgs, vds = self._bias(v)
-        p = self.polarity
-        i, _, _ = self.model.ids(p * vgs, p * vds)
-        return p * float(i)
+Element = Resistor | Capacitor | CurrentSource | TableFET | CompactMOSFET
+"""The closed set of records :meth:`repro.circuit.netlist.Circuit.program`
+compiles; any other object raises :class:`repro.errors.CircuitError`."""

@@ -1,8 +1,8 @@
 """Transient analysis: trapezoidal integration with per-step Newton.
 
-Every dynamic element reduces to bias-dependent two-terminal capacitances
-(see :class:`repro.circuit.netlist.Element`), so the integrator builds
-trapezoidal companion models generically:
+Every dynamic element reduces to bias-dependent two-terminal capacitor
+branches (see :class:`repro.circuit.netlist.StampProgram`), so the
+integrator builds trapezoidal companion models generically:
 
 ``i_C^{n+1} = (2C/h) (v^{n+1} - v^n) - i_C^n``
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs, sanitize
-from repro.circuit.netlist import Circuit, GROUND, voltage_at
+from repro.circuit.netlist import Circuit, GROUND, StampProgram
 from repro.errors import ConvergenceError
 
 
@@ -63,72 +63,31 @@ class TransientResult:
                                   self.time_s))
 
 
-def _collect_caps(circuit: Circuit, v: np.ndarray
-                  ) -> list[tuple[int, int, float]]:
-    stamps: list[tuple[int, int, float]] = []
-    for el in circuit.elements:
-        stamps.extend(el.capacitor_stamps(v))
-    return stamps
+def _step_newton(prog: StampProgram, v: list[float], geqs: list[float],
+                 dv_old: list[float], i_prev: list[float],
+                 monitor: list[int], gmin: float, tol_a: float,
+                 max_iter: int, damping_v: float
+                 ) -> tuple[list[float], list[float]] | None:
+    """Newton iterations of one integration step, updating ``v`` in place.
 
-
-def _step_newton(circuit: Circuit, v_guess: np.ndarray, free: np.ndarray,
-                 caps: list[tuple[int, int, float]],
-                 i_cap_prev: np.ndarray, v_prev: np.ndarray, h: float,
-                 gmin: float, tol_a: float, max_iter: int,
-                 damping_v: float, backward_euler: bool = False
-                 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One integration step; returns (v, new companion currents, ok).
-
-    Trapezoidal by default; ``backward_euler=True`` is used for the very
-    first step (and could be used after discontinuities), where the
-    trapezoidal companion current is not yet known - the classic SPICE
-    startup rule.
+    Returns the branch companion currents and the static supply residuals
+    of the converged iterate, or ``None`` if the step failed.
     """
-    n = circuit.n_nodes
-    v = v_guess.copy()
     for _ in range(max_iter):
-        f = np.zeros(n)
-        jac = np.zeros((n, n))
-        for el in circuit.elements:
-            el.stamp_static(v, f, jac)
-        i_cap_new = np.empty(len(caps))
-        for k, (a, b, c) in enumerate(caps):
-            dv_now = voltage_at(v, a) - voltage_at(v, b)
-            dv_old = voltage_at(v_prev, a) - voltage_at(v_prev, b)
-            if backward_euler:
-                geq = c / h
-                i_k = geq * (dv_now - dv_old)
-            else:
-                geq = 2.0 * c / h
-                i_k = geq * (dv_now - dv_old) - i_cap_prev[k]
-            i_cap_new[k] = i_k
-            if a != GROUND:
-                f[a] += i_k
-                jac[a, a] += geq
-                if b != GROUND:
-                    jac[a, b] -= geq
-            if b != GROUND:
-                f[b] -= i_k
-                jac[b, b] += geq
-                if a != GROUND:
-                    jac[b, a] -= geq
-        f += gmin * v
-        jac[np.diag_indices(n)] += gmin
-
-        residual = f[free]
-        if np.max(np.abs(residual)) < tol_a:
-            return v, i_cap_new, True
-        try:
-            dv = np.linalg.solve(jac[np.ix_(free, free)], -residual)
-        except np.linalg.LinAlgError:
-            return v, i_cap_new, False
-        if not np.all(np.isfinite(dv)):
-            return v, i_cap_new, False
-        max_step = np.max(np.abs(dv))
-        if max_step > damping_v:
-            dv *= damping_v / max_step
-        v[free] += dv
-    return v, i_cap_prev, False
+        f, jac = prog.assemble(v)
+        # Supply current: the static residual of the source nodes, taken
+        # before companion currents and gmin (capacitive displacement
+        # currents integrate to ~zero over a cycle and the builders put
+        # decoupling caps on rails anyway).
+        supplies = [f[m] for m in monitor]
+        currents = prog.add_companions(v, f, jac, geqs, dv_old, i_prev)
+        prog.add_gmin(v, f, jac, gmin)
+        status = prog.newton_update(v, f, jac, tol_a, damping_v)
+        if status is True:
+            return currents, supplies
+        if status is False:
+            break
+    return None
 
 
 def simulate_transient(
@@ -156,42 +115,35 @@ def simulate_transient(
         Fixed nodes whose delivered current should be recorded (e.g. the
         VDD rail, for power metrics).
     """
-    circuit.validate()
+    prog = circuit.program()
     if dt_s <= 0.0 or t_end_s <= 0.0:
         raise ValueError("time step and end time must be positive")
-    free = circuit.free_nodes()
-    n = circuit.n_nodes
+    n = prog.n_nodes
 
     monitor = [circuit.node(m) if isinstance(m, str) else m
                for m in monitor_supplies]
 
-    v = np.asarray(v0, dtype=float).copy()
-    if v.shape != (n,):
-        raise ValueError(f"v0 must have shape ({n},), got {v.shape}")
+    v_init = np.asarray(v0, dtype=float).copy()
+    if v_init.shape != (n,):
+        raise ValueError(f"v0 must have shape ({n},), got {v_init.shape}")
     for node, value in circuit.fixed_voltages(0.0).items():
-        v[node] = value
+        v_init[node] = value
+    v = v_init.tolist() + [0.0]
 
     times = [0.0]
-    traj = [v.copy()]
+    traj = [v[:n]]
     supply_traces: dict[int, list[float]] = {m: [] for m in monitor}
 
-    def record_supplies(v_now: np.ndarray) -> None:
-        if not monitor:
-            return
-        f = np.zeros(n)
-        for el in circuit.elements:
-            el.stamp_static(v_now, f, None)
-        # Static current only; capacitive displacement currents integrate
-        # to ~zero over a cycle and the builders put decoupling caps on
-        # rails anyway.  The dynamic supply charge is added by the caller
-        # from the waveforms when needed.
-        for m in monitor:
-            supply_traces[m].append(float(f[m]))
+    def record_supplies(sample: list[float]) -> None:
+        for m, current in zip(monitor, sample):
+            supply_traces[m].append(current)
+
+    if monitor:
+        f0, _ = prog.assemble(v)
+        record_supplies([f0[m] for m in monitor])
 
     # Initial capacitor state: zero companion current (consistent DC start).
-    caps = _collect_caps(circuit, v)
-    i_cap = np.zeros(len(caps))
-    record_supplies(v)
+    i_cap = [0.0] * len(prog.branches)
 
     t = 0.0
     first_step = True
@@ -202,38 +154,44 @@ def simulate_transient(
     with obs.span("circuit.transient", t_end_s=t_end_s, dt_s=dt_s):
         while t < t_end_s - 1e-21:
             h = min(dt_s, t_end_s - t)
-            ok = False
+            # Branch capacitances and old branch voltages depend only on
+            # the previous converged state, so every halving reuses them.
+            caps = prog.capacitances(v)
+            dv_old = [v[a] - v[b] for a, b, *_ in prog.branches]
             for attempt in range(max_step_halvings + 1):
-                v_try = v.copy()
+                v_try = list(v)
                 for node, value in circuit.fixed_voltages(t + h).items():
                     v_try[node] = value
-                caps = _collect_caps(circuit, v)
-                if len(caps) != i_cap.size:
-                    raise ConvergenceError(
-                        "element capacitor count changed during simulation")
-                v_new, i_cap_new, ok = _step_newton(
-                    circuit, v_try, free, caps, i_cap, v, h,
-                    gmin, tol_a, max_iter, damping_v,
-                    backward_euler=first_step)
-                if ok:
+                if first_step:
+                    # Backward Euler: the trapezoidal companion current
+                    # is not known yet (the classic SPICE startup rule).
+                    # ``i_cap`` is still all zeros, and subtracting 0.0
+                    # leaves the BE current bit for bit.
+                    geqs = [c / h for c in caps]
+                else:
+                    geqs = [2.0 * c / h for c in caps]
+                step = _step_newton(prog, v_try, geqs, dv_old, i_cap,
+                                    monitor, gmin, tol_a, max_iter,
+                                    damping_v)
+                if step is not None:
                     n_halvings += attempt
                     break
                 h *= 0.5
-            if not ok:
+            else:
                 raise ConvergenceError(
                     f"transient step failed to converge at t = {t:.3e} s "
                     f"even after {max_step_halvings} step halvings")
             t += h
-            v = v_new
-            i_cap = i_cap_new
+            v = v_try
+            i_cap, sample = step
             if sanitize.ACTIVE:
-                sanitize.check_finite(v, "simulate_transient",
+                sanitize.check_finite(np.array(v[:n]), "simulate_transient",
                                       f"node voltages at t={t:.6g} s")
             first_step = False
             n_steps += 1
             times.append(t)
-            traj.append(v.copy())
-            record_supplies(v)
+            traj.append(v[:n])
+            record_supplies(sample)
     if obs.ACTIVE:
         obs.incr("circuit.transient_runs")
         obs.incr("circuit.transient_steps", n_steps)

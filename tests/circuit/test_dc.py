@@ -7,6 +7,7 @@ from repro.circuit.dc import solve_dc
 from repro.circuit.elements import CurrentSource, Resistor, TableFET
 from repro.circuit.netlist import Circuit, GROUND
 from repro.device.tables import DeviceTable
+from repro.errors import CircuitError
 
 
 def _resistor_divider():
@@ -54,6 +55,24 @@ class TestLinearCircuits:
         # Each stage divides; voltages strictly decreasing and positive.
         vs = [result.voltage(f"n{i}") for i in range(5)]
         assert all(a > b > 0 for a, b in zip(vs, vs[1:]))
+
+    def test_source_current_of_ground_rejected(self):
+        """Ground has no source; it used to return node ``mid``'s
+        residual through ``f[-1]``."""
+        c, _, _ = _resistor_divider()
+        result = solve_dc(c)
+        with pytest.raises(CircuitError):
+            result.source_current("gnd")
+        with pytest.raises(CircuitError):
+            result.source_current(GROUND)
+
+    def test_source_current_of_free_node_rejected(self):
+        c, mid, _ = _resistor_divider()
+        result = solve_dc(c)
+        with pytest.raises(CircuitError):
+            result.source_current(mid)
+        with pytest.raises(CircuitError):
+            result.source_current("mid")
 
     def test_v0_shape_checked(self):
         c, _, _ = _resistor_divider()
@@ -106,7 +125,5 @@ class TestNonlinearCircuits:
         c.fix(vin, 0.2)
         add_inverter(c, "inv", vin, vout, vdd, nt, pt, params)
         result = solve_dc(c)
-        f = np.zeros(c.n_nodes)
-        for el in c.elements:
-            el.stamp_static(result.voltages, f, None)
-        assert np.max(np.abs(f[c.free_nodes()])) < 1e-12
+        f, _ = c.program().assemble(result.voltages.tolist() + [0.0])
+        assert np.max(np.abs(np.array(f)[c.free_nodes()])) < 1e-12

@@ -44,6 +44,23 @@ class TestFixedNodes:
         with pytest.raises(CircuitError):
             c.fix("0", 1.0)
 
+    def test_negative_index_rejected(self):
+        """``fix(-2, ...)`` used to alias node ``a`` of a two-node
+        circuit through negative indexing."""
+        c = Circuit()
+        a, b = c.node("a"), c.node("b")
+        c.fix(a, 1.0)
+        with pytest.raises(CircuitError):
+            c.fix(-2, 0.3)
+        assert c.fixed == {a: 1.0}
+
+    def test_out_of_range_index_rejected(self):
+        c = Circuit()
+        c.node("a")
+        c.node("b")
+        with pytest.raises(CircuitError):
+            c.fix(2, 0.3)
+
     def test_free_nodes_excludes_fixed(self):
         c = Circuit()
         a, b = c.node("a"), c.node("b")
@@ -76,3 +93,17 @@ class TestValidation:
         c = Circuit()
         c.add(Resistor(c.node("a"), GROUND, 1e3))
         c.validate()
+
+    def test_direct_fixed_keys_checked(self):
+        """Callers write ``circuit.fixed`` directly, so ``validate()``
+        checks every key, not only the ones ``fix()`` saw."""
+        for bad in (-2, 2, "a"):
+            c = Circuit()
+            a, b = c.node("a"), c.node("b")
+            c.add(Resistor(a, b, 1e3))
+            c.add(Resistor(b, GROUND, 1e3))
+            c.fixed[bad] = 0.3
+            with pytest.raises(CircuitError):
+                c.validate()
+            with pytest.raises(CircuitError):
+                c.program()
