@@ -1,24 +1,17 @@
 """Adaptive exploration engine: solve reduction at golden accuracy.
 
-Measures the two adaptive paths against their dense/fixed baselines and
-writes the headline numbers to ``BENCH_adaptive.json`` at the
+Measures contour-guided V_DD-V_T refinement against the dense Fig. 3
+sweep and writes the headline numbers to ``BENCH_adaptive.json`` at the
 repository root (plus a line in ``BENCH_trajectory.jsonl``):
+``refine_vdd_vt`` on the full Fig. 3 grid (15 x 13) must pass every
+committed ``goldens/fig3.json`` allowance (the goldens were blessed
+from the *dense* sweep) while issuing at least **5x fewer** device
+solves than the dense grid's valid-cell count.
 
-* **Contour-guided V_DD-V_T refinement** — ``refine_vdd_vt`` on the
-  full Fig. 3 grid (15 x 13): every figure of merit must pass the
-  committed ``goldens/fig3.json`` allowances (the goldens were blessed
-  from the *dense* sweep), while issuing at least **5x fewer** device
-  solves than the dense grid's valid-cell count.
-* **Variance-adaptive Monte Carlo** — the Fig. 6 ensemble with a
-  bootstrap-CI stop: the early-stopped run must reproduce the
-  ``goldens/fig6.json`` spread and mean shifts within allowances at no
-  more than **50%** of the fixed 2000-sample budget.
-
-Smoke mode (``REPRO_BENCH_SMOKE=1``) switches to the fast grids where
-the adaptive schedule still beats dense (>= 2x) and the MC budget is
-too small to certify (the run then degenerates, by construction, to
-the fixed ensemble bit for bit); golden agreement is asserted in both
-modes.  Smoke never rewrites the committed ``BENCH_adaptive.json``.
+Smoke mode (``REPRO_BENCH_SMOKE=1``) switches to the fast grid, where
+the adaptive schedule must still beat dense by >= 2x; golden agreement
+is asserted in both modes.  Smoke never rewrites the committed
+``BENCH_adaptive.json``.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ import numpy as np
 
 from repro.characterize.diffing import diff_experiment
 from repro.characterize.goldens import load_goldens
-from repro.characterize.specs import SPECS, extract_fig3, extract_fig6
+from repro.characterize.specs import SPECS, extract_fig3
 from repro.characterize.trajectory import (
     append_trajectory,
     trajectory_entry,
@@ -44,7 +37,6 @@ from repro.exploration.operating_point import (
     min_edp_point,
 )
 from repro.reporting.tables import format_table
-from repro.variability.adaptive import run_ring_oscillator_monte_carlo_adaptive
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -53,7 +45,6 @@ JSON_PATH = ROOT / "BENCH_adaptive.json"
 GOLDEN_ROOT = ROOT / "goldens"
 
 MODE = "fast" if SMOKE else "full"
-MC_BUDGET = 200 if SMOKE else 2000
 MIN_REDUCTION = 2.0 if SMOKE else 5.0
 
 
@@ -91,16 +82,6 @@ def test_adaptive_exploration_engine(benchmark, tech, save_report):
     reduction_valid = refined.n_valid / refined.n_solves
     reduction_cells = n_cells / refined.n_solves
 
-    # ---- variance-adaptive Monte Carlo vs the fixed-budget golden -- #
-    start = time.perf_counter()
-    mc = run_ring_oscillator_monte_carlo_adaptive(
-        tech, n_max=MC_BUDGET, target_ci=0.05)
-    mc_wall = time.perf_counter() - start
-    fig6_diff = diff_experiment(SPECS["fig6"],
-                                extract_fig6({"result": mc}),
-                                goldens.get("fig6"), MODE)
-    budget_frac = mc.n_used / mc.n_max
-
     rows = [
         [f"fig3 refinement ({len(vt_grid)}x{len(vdd_grid)})",
          f"{refined.n_solves} solves",
@@ -111,14 +92,6 @@ def test_adaptive_exploration_engine(benchmark, tech, save_report):
          "ok" if fig3_diff.ok else "FAIL",
          f"{len(fig3_diff.metrics)} metrics vs goldens/fig3.json "
          f"[{MODE}]"],
-        [f"fig6 adaptive MC (n_max={mc.n_max})",
-         f"{mc.n_used} samples",
-         f"{budget_frac:.0%} of budget, converged={mc.converged}, "
-         f"{mc_wall:.1f} s"],
-        ["fig6 golden diff",
-         "ok" if fig6_diff.ok else "FAIL",
-         f"{len(fig6_diff.metrics)} metrics vs goldens/fig6.json "
-         f"[{MODE}]"],
     ]
     report = format_table(
         ["path", "result", "detail"], rows,
@@ -127,34 +100,26 @@ def test_adaptive_exploration_engine(benchmark, tech, save_report):
     save_report("adaptive", report)
     print(report)
 
-    # Accuracy first: both golden diffs pass within the committed
-    # per-metric allowances (blessed from the dense/fixed baselines).
+    # Accuracy first: the golden diff passes within the committed
+    # per-metric allowances (blessed from the dense baseline).
     assert fig3_diff.ok, [m.name for m in fig3_diff.metrics if not m.ok]
-    assert fig6_diff.ok, [m.name for m in fig6_diff.metrics if not m.ok]
 
-    # Then economy: the refinement must beat dense by the mode's floor,
-    # and the full-mode MC must stop at no more than half its budget.
+    # Then economy: the refinement must beat dense by the mode's floor.
     assert reduction_valid >= MIN_REDUCTION
     assert reduction_cells >= MIN_REDUCTION
-    if not SMOKE:
-        assert mc.converged
-        assert budget_frac <= 0.5
 
     metrics = {
         "fig3_solves": refined.n_solves,
         "fig3_reduction_vs_valid": round(reduction_valid, 3),
-        "fig6_samples": mc.n_used,
-        "fig6_budget_frac": round(budget_frac, 3),
     }
     append_trajectory(trajectory_entry(
-        "bench_adaptive", MODE, fig3_diff.ok and fig6_diff.ok,
-        refine_wall + mc_wall, metrics))
+        "bench_adaptive", MODE, fig3_diff.ok, refine_wall, metrics))
 
     if SMOKE:
         return
 
     payload = {
-        "schema": "repro-bench-adaptive/1",
+        "schema": "repro-bench-adaptive/2",
         "fig3_refinement": {
             "grid": [len(vt_grid), len(vdd_grid)],
             "dense_cells": n_cells,
@@ -169,16 +134,6 @@ def test_adaptive_exploration_engine(benchmark, tech, save_report):
             "reduction_vs_cells": reduction_cells,
             "golden_diff_ok": fig3_diff.ok,
             "wall_s": refine_wall,
-        },
-        "fig6_monte_carlo": {
-            "n_max": mc.n_max,
-            "n_used": mc.n_used,
-            "budget_frac": budget_frac,
-            "target_ci": mc.target_ci,
-            "converged": mc.converged,
-            "ci_halfwidths": mc.ci_halfwidths,
-            "golden_diff_ok": fig6_diff.ok,
-            "wall_s": mc_wall,
         },
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -38,6 +38,13 @@ at the repository root:
   (``tests/circuit/engine_reference.py``) and through production.
   Target: bitwise-identical waveforms and DC solutions, >= 1.6x per FO4
   transient step.
+* **Vectorized Monte Carlo** — the Fig. 6 sample phase draws one block
+  of normals per sample and evaluates the stage-delay surrogate on
+  vectors spanning every sample.  Replays the Fig. 6 study (2,000
+  samples) through the frozen scalar sampler
+  (``tests/variability/mc_reference.py``) and through production.
+  Target: bitwise-identical samples, nominal values, variant counts and
+  failure records, >= 20x in samples per second.
 
 Each test rewrites only its own legs of ``BENCH_solvers.json``.  Smoke
 mode (``REPRO_BENCH_SMOKE=1``) shrinks the workloads and relaxes the
@@ -72,6 +79,7 @@ from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
 from repro.poisson.fd import PoissonOperator, solve_poisson_2d
 from repro.poisson.grid import Grid2D
 from repro.reporting.tables import format_table
+from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -96,11 +104,14 @@ CIRCUIT_FO4_CYCLES = 0.5 if SMOKE else 2.0
 CIRCUIT_VTC_POINTS = 21 if SMOKE else 61
 CIRCUIT_RING_STEPS = 40 if SMOKE else 300
 CIRCUIT_REPEATS = 1 if SMOKE else 5
+MC_SAMPLES = 200 if SMOKE else 2000
+MC_REPEATS = 1 if SMOKE else 3
 
-SCHEMA = "repro-bench-solvers/6"
+SCHEMA = "repro-bench-solvers/7"
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 ORACLE_PATH = TESTS_DIR / "device" / "wkb_reference.py"
 CIRCUIT_ORACLE_PATH = TESTS_DIR / "circuit" / "engine_reference.py"
+MC_ORACLE_PATH = TESTS_DIR / "variability" / "mc_reference.py"
 
 
 def _load_module(path: Path):
@@ -554,3 +565,59 @@ def test_circuit_engine(tech, save_report):
     assert fo4["speedup"] >= 1.6
     assert vtc["speedup"] >= 1.2
     _write_legs({"circuit_engine": engine})
+
+
+def _bench_monte_carlo(tech) -> dict:
+    """Production Fig. 6 sampler vs the frozen scalar oracle."""
+    oracle = _load_module(MC_ORACLE_PATH)
+    result = run_ring_oscillator_monte_carlo(tech, n_samples=MC_SAMPLES,
+                                             workers=1)
+    reference = oracle.monte_carlo(tech, n_samples=MC_SAMPLES)
+    bitwise = (
+        all(np.array_equal(getattr(result, name), reference[name])
+            for name in ("frequencies_hz", "dynamic_power_w",
+                         "static_power_w"))
+        and all(getattr(result, name) == reference[name]
+                for name in ("nominal_frequency_hz",
+                             "nominal_dynamic_power_w",
+                             "nominal_static_power_w"))
+        and (list(result.variant_counts.items())
+             == list(reference["variant_counts"].items()))
+        and result.failures == reference["failures"])
+    oracle_s, kernel_s = _best_pair_s(
+        lambda: oracle.monte_carlo(tech, n_samples=MC_SAMPLES),
+        lambda: run_ring_oscillator_monte_carlo(
+            tech, n_samples=MC_SAMPLES, workers=1),
+        MC_REPEATS)
+    return {
+        "samples": MC_SAMPLES,
+        "oracle_s": oracle_s,
+        "kernel_s": kernel_s,
+        "oracle_samples_per_s": MC_SAMPLES / oracle_s,
+        "kernel_samples_per_s": MC_SAMPLES / kernel_s,
+        "speedup": oracle_s / kernel_s,
+        "bitwise": bitwise,
+    }
+
+
+def test_monte_carlo(tech, save_report):
+    mc = _bench_monte_carlo(tech)
+    report = format_table(
+        ["path", "oracle", "kernel", "gain"],
+        [[f"Fig. 6 Monte Carlo ({mc['samples']} samples, warm tables)",
+          f"{mc['oracle_samples_per_s']:,.0f} samples/s",
+          f"{mc['kernel_samples_per_s']:,.0f} samples/s",
+          f"{mc['speedup']:.1f}x"]],
+        title="Vectorized Monte Carlo vs scalar oracle "
+              f"(best of {MC_REPEATS}; bitwise: {mc['bitwise']})")
+    save_report("monte_carlo", report)
+    print(report)
+
+    # Same draws and float operations in the same order: every sample,
+    # nominal value, variant count and failure record is the oracle's.
+    assert mc["bitwise"]
+    if SMOKE:
+        assert mc["speedup"] >= 5.0
+        return
+    assert mc["speedup"] >= 20.0
+    _write_legs({"monte_carlo": mc})

@@ -27,13 +27,12 @@ report, and ``repro lint`` is the static analysis front end of
 exporting ``REPRO_STRICT`` / ``REPRO_CHECKPOINT`` / ``REPRO_RESUME`` /
 ``REPRO_FAULTS``.  ``--engine`` selects the transport engine behind
 the device sweeps (:mod:`repro.device.engines`, exporting
-``REPRO_ENGINE``).  ``--adaptive`` / ``--refine-levels`` /
-``--mc-target-ci`` switch the fig3/fig6 experiments onto the adaptive
-engines (:mod:`repro.exploration.adaptive`,
-:mod:`repro.variability.adaptive`; exporting ``REPRO_ADAPTIVE`` /
-``REPRO_REFINE_LEVELS`` / ``REPRO_MC_TARGET_CI`` — see
-``docs/performance.md``).  ``repro trace summarize`` renders a
-manifest as a human-readable summary (or a condensed JSON document).
+``REPRO_ENGINE``).  ``--adaptive`` / ``--refine-levels`` switch the
+fig3 exploration onto the contour-guided refinement of
+:mod:`repro.exploration.adaptive` (exporting ``REPRO_ADAPTIVE`` /
+``REPRO_REFINE_LEVELS`` — see ``docs/performance.md``).  ``repro trace
+summarize`` renders a manifest as a human-readable summary (or a
+condensed JSON document).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.characterize.cli import main as characterize_main
 from repro.device.engines import ENGINE_ENV, ENGINES
 from repro.exploration.adaptive import ADAPTIVE_ENV, REFINE_LEVELS_ENV
 from repro.reporting.experiments import EXPERIMENTS, run_experiment
-from repro.variability.adaptive import MC_TARGET_CI_ENV
 from repro.runtime import (
     CHECKPOINT_ENV,
     NO_CACHE_ENV,
@@ -92,8 +90,6 @@ def _apply_runtime_flags(args) -> None:
         os.environ[ADAPTIVE_ENV] = "1"
     if getattr(args, "refine_levels", None) is not None:
         os.environ[REFINE_LEVELS_ENV] = str(args.refine_levels)
-    if getattr(args, "mc_target_ci", None) is not None:
-        os.environ[MC_TARGET_CI_ENV] = str(args.mc_target_ci)
     if getattr(args, "engine", None):
         os.environ[ENGINE_ENV] = str(args.engine)
     if getattr(args, "sanitize", False):
@@ -227,21 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(equivalent to REPRO_FAULTS=SPEC; testing "
                             "aid — see docs/robustness.md)")
     p_run.add_argument("--adaptive", action="store_true",
-                       help="adaptive engines: contour-guided V_DD-V_T "
-                            "refinement for fig3, variance-adaptive "
-                            "Monte Carlo for fig6 "
+                       help="contour-guided V_DD-V_T refinement for fig3 "
                             "(equivalent to REPRO_ADAPTIVE=1)")
     p_run.add_argument("--refine-levels", type=int, default=None,
                        metavar="L",
                        help="coarse stride 2**L for --adaptive "
                             "refinement (default: auto; equivalent to "
                             "REPRO_REFINE_LEVELS=L)")
-    p_run.add_argument("--mc-target-ci", type=float, default=None,
-                       metavar="CI",
-                       help="relative bootstrap CI half-width at which "
-                            "the adaptive Monte Carlo stops (default "
-                            "0.05 with --adaptive; equivalent to "
-                            "REPRO_MC_TARGET_CI=CI)")
     p_run.add_argument("--engine", choices=ENGINES, default=None,
                        help="transport engine for device sweeps "
                             "(equivalent to REPRO_ENGINE=NAME; default "

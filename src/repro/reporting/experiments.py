@@ -33,10 +33,6 @@ from repro.exploration.technology import GNRFETTechnology
 from repro.reporting.ascii_plot import ascii_histogram, ascii_line_plot
 from repro.reporting.figures import FigureSeries
 from repro.reporting.tables import format_pct_pair, format_table
-from repro.variability.adaptive import (
-    mc_target_ci_default,
-    run_ring_oscillator_monte_carlo_adaptive,
-)
 from repro.variability.combined import combined_variation_study
 from repro.variability.impurity import charge_impurity_study
 from repro.variability.latch_study import latch_variability_study
@@ -299,13 +295,7 @@ def run_fig6(fast: bool = False) -> tuple[str, dict]:
     """Fig. 6: Monte Carlo distributions of the ring oscillator."""
     tech = nominal_technology()
     n_samples = 200 if fast else 2000
-    target_ci = mc_target_ci_default()
-    if adaptive_enabled() or target_ci is not None:
-        result = run_ring_oscillator_monte_carlo_adaptive(
-            tech, n_max=n_samples,
-            target_ci=0.05 if target_ci is None else target_ci)
-    else:
-        result = run_ring_oscillator_monte_carlo(tech, n_samples=n_samples)
+    result = run_ring_oscillator_monte_carlo(tech, n_samples=n_samples)
     report = "\n\n".join([
         ascii_histogram(result.frequencies_hz / 1e9, title=(
             "Fig 6: frequency (GHz); nominal "

@@ -23,14 +23,29 @@ and mean shifts (the quantities Fig. 6 reports) are what the study
 asserts.  The surrogate is validated against direct transients in
 ``benchmarks/bench_ablation_estimators.py``.
 
+Array evaluation
+----------------
+The electricals of every reachable variant sit in one ``(2, 9, 5)``
+array indexed by (polarity, ``3 * width_level + charge_level``,
+quantity).  Each sample draws one block of standard normals ordered
+(stage, n- then p-device, ribbon, width then charge) — the order, and
+so the values, of one scalar draw per trait — and maps it to level
+indices with the +-sigma/2 rule.  Devices are summed ribbon by ribbon
+and the surrogate walks the stages on vectors spanning every sample of
+a batch, keeping the float operations of a one-sample-at-a-time
+evaluation in their order, so samples, nominal values and variant
+counts are bitwise those of the scalar formulation
+(``tests/variability/test_mc_parity.py``).
+
 Parallel execution
 ------------------
-Both expensive phases dispatch through :mod:`repro.runtime`: the variant
-ribbon tables are prefetched across worker processes, and the sample
-loop is batched across workers.  Every sample draws from its own
-generator spawned (``np.random.SeedSequence.spawn``) from the root seed
-by sample index, so a fixed seed gives bit-for-bit identical
-distributions at any worker count.
+Both phases dispatch through :mod:`repro.runtime`: the variant ribbon
+tables are prefetched across worker processes (the expensive part when
+tables are cold), and the samples are batched across workers.  Every
+sample draws from its own generator spawned
+(``np.random.SeedSequence.spawn``) from the root seed by sample index,
+so a fixed seed gives bit-for-bit identical distributions at any worker
+count.
 """
 
 from __future__ import annotations
@@ -44,7 +59,6 @@ import numpy as np
 from repro import obs
 from repro.circuit.ring_oscillator import simulate_ring_oscillator
 from repro.device.engines import engine_version, resolve_engine
-from repro.device.tables import DeviceTable
 from repro.errors import ConvergenceError
 from repro.exploration.technology import GNRFETTechnology
 from repro.runtime import (
@@ -64,8 +78,19 @@ from repro.runtime import (
     strict_default,
 )
 from repro.runtime import faults
-from repro.variability.sampling import discretized_normal_choice
+from repro.variability.sampling import (
+    discretized_normal_indices,
+    require_three_levels,
+)
 from repro.variability.variants import DeviceVariant, variant_ribbon_table
+
+#: Per-ribbon electrical quantities, in the order of the last axis of
+#: the electricals arrays; all of them add linearly over ribbons.
+QUANTITIES = ("g_gate", "q_self", "i1", "i2", "i_off")
+G_GATE, Q_SELF, I1, I2, I_OFF = range(len(QUANTITIES))
+
+#: Device polarities along axis 0 of the electricals arrays.
+POLARITIES = (+1, -1)
 
 
 @dataclass(frozen=True)
@@ -147,121 +172,104 @@ def _ribbon_task(tech: GNRFETTechnology, offset: float, vdd: float,
     return key, _ribbon_electricals(tech, offset, vdd, variant, polarity)
 
 
-class _RibbonCache:
-    """Per-(variant, polarity) electrical quantities of a single ribbon.
+def _variant_electricals(tech: GNRFETTechnology, vdd: float, vt: float,
+                         width_levels, charge_levels,
+                         workers: int | None, scheduler: Scheduler | None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ribbon electricals of every variant the levels can draw.
 
-    Everything stored here composes linearly over the ribbons of an
-    array (currents and charges add), so array- and pair-level values
-    are cheap sums at sampling time.
+    Returns ``(electricals, nominal)``: ``electricals[polarity, code]``
+    holds the :data:`QUANTITIES` of the ribbon with width level ``w``
+    and charge level ``q`` at ``code = 3 * w + q``, and
+    ``nominal[polarity]`` those of the nominal ribbon (polarity 0 is
+    the n-device, 1 the p-device).  The variant table builds behind
+    them (the expensive part when tables are cold) fan across workers.
     """
+    variants = [DeviceVariant(n_index=n, impurity_e=q)
+                for n in width_levels for q in charge_levels]
+    keys = [(v, pol) for v in dict.fromkeys([DeviceVariant()] + variants)
+            for pol in POLARITIES]
+    sched = resolve_scheduler(scheduler, workers=workers)
+    data = dict(sched.run(
+        partial(_ribbon_task, tech, tech.gate_offset_for_vt(vt), vdd), keys))
 
-    def __init__(self, tech: GNRFETTechnology, vdd: float, vt: float,
-                 data: dict[tuple[DeviceVariant, int], dict] | None = None):
-        self.tech = tech
-        self.vdd = vdd
-        self.offset = tech.gate_offset_for_vt(vt)
-        self._data: dict[tuple[DeviceVariant, int], dict] = dict(data or {})
+    def quantities(variant: DeviceVariant, polarity: int) -> list[float]:
+        return [data[variant, polarity][q] for q in QUANTITIES]
 
-    def ribbon(self, variant: DeviceVariant, polarity: int) -> dict:
-        key = (variant, polarity)
-        if key not in self._data:
-            self._data[key] = _ribbon_electricals(
-                self.tech, self.offset, self.vdd, variant, polarity)
-        return self._data[key]
-
-    def prefetch(self, variants: list[DeviceVariant],
-                 workers: int | None = None,
-                 scheduler: Scheduler | None = None) -> None:
-        """Populate every (variant, polarity) entry, optionally fanning
-        the expensive table builds across worker processes."""
-        keys = [(v, pol) for v in dict.fromkeys(variants)
-                for pol in (+1, -1) if (v, pol) not in self._data]
-        sched = resolve_scheduler(scheduler, workers=workers)
-        for key, data in sched.run(
-                partial(_ribbon_task, self.tech, self.offset, self.vdd),
-                keys):
-            self._data[key] = data
-
-    @property
-    def data(self) -> dict[tuple[DeviceVariant, int], dict]:
-        return self._data
-
-    def device(self, ribbons: list[dict]) -> dict:
-        """Linear composition of per-ribbon data into one device."""
-        return {k: sum(r[k] for r in ribbons)
-                for k in ("g_gate", "q_self", "i1", "i2", "i_off")}
+    electricals = np.array([[quantities(v, pol) for v in variants]
+                            for pol in POLARITIES])
+    nominal = np.array([quantities(DeviceVariant(), pol)
+                        for pol in POLARITIES])
+    return electricals, nominal
 
 
-def _drive_a(device: dict, vdd: float, r_contact: float) -> float:
-    i_eff = 0.5 * (device["i1"] + device["i2"])
-    r = 2.0 * r_contact
-    return i_eff / (1.0 + r * i_eff / max(vdd, 1e-9))
+def _compose(electricals: np.ndarray, codes: np.ndarray,
+             n_ribbons: int) -> np.ndarray:
+    """Linear composition of ribbons into devices.
 
-
-def _surrogate_oscillator(stages: list[tuple[dict, dict]],
-                          nominal: tuple[dict, dict],
-                          vdd: float, params) -> tuple[float, float, float]:
-    """(frequency, dynamic power, ring static power) of one sample.
-
-    ``stages`` holds (n_device, p_device) composed dictionaries; replica
-    loads are nominal.
+    ``codes[..., polarity, r]`` selects the ``electricals`` row of drawn
+    ribbon ``r``; a single drawn ribbon stands for all ``n_ribbons``
+    (whole-device draws).  Ribbons are added one at a time from 0, as
+    ``sum()`` over a ribbon list adds them, so every device is bitwise
+    the scalar composition.  Returns ``codes.shape[:-1] + (5,)``.
     """
-    n_stages = len(stages)
+    polarity = np.arange(len(electricals))
+    n_drawn = codes.shape[-1]
+    device = 0 + electricals[polarity, codes[..., 0]]
+    for r in range(1, n_ribbons):
+        device = device + electricals[polarity, codes[..., r % n_drawn]]
+    return device
+
+
+def _surrogate_oscillator(devices: np.ndarray, nominal: np.ndarray,
+                          vdd: float, params
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frequency, dynamic power, ring static power) of each sample.
+
+    ``devices[sample, stage, polarity]`` holds the composed quantities
+    of every stage's n- and p-device; replica loads are the ``nominal``
+    (n, p) devices.  The stages accumulate one at a time in ring order,
+    so each sample sees exactly the float operations of a scalar
+    evaluation; only the operands are vectors over samples.
+    """
+    n_samples, n_stages = devices.shape[:2]
+    dev_n, dev_p = devices[:, :, 0], devices[:, :, 1]
     nom_n, nom_p = nominal
     c_par4 = 4.0 * params.c_parasitic_f
-    q_gate_nom = nom_n["g_gate"] + nom_p["g_gate"] + c_par4 * vdd
-    p_stat_nom = vdd * (nom_n["i_off"] + nom_p["i_off"]) / 2.0
+    q_gate_nom = nom_n[G_GATE] + nom_p[G_GATE] + c_par4 * vdd
+    p_stat_nom = vdd * (nom_n[I_OFF] + nom_p[I_OFF]) / 2.0
 
-    total_delay = 0.0
-    energy_per_cycle = 0.0
-    p_stat = n_stages * (params.fanout - 1) * p_stat_nom
-    for i, (dev_n, dev_p) in enumerate(stages):
-        nxt_n, nxt_p = stages[(i + 1) % n_stages]
-        q_gate_next = nxt_n["g_gate"] + nxt_p["g_gate"] + c_par4 * vdd
-        q_load = (params.fanout - 1) * q_gate_nom + q_gate_next
-        q_self = (dev_n["q_self"] + dev_p["q_self"]
-                  + (2.0 * params.c_parasitic_f + params.c_wire_f) * vdd)
-        q_total = q_load + q_self
-        i_n = _drive_a(dev_n, vdd, params.contact_resistance_ohm)
-        i_p = _drive_a(dev_p, vdd, params.contact_resistance_ohm)
-        total_delay += 0.25 * q_total * (1.0 / i_n + 1.0 / i_p)
+    q_gate = dev_n[..., G_GATE] + dev_p[..., G_GATE] + c_par4 * vdd
+    q_self = (dev_n[..., Q_SELF] + dev_p[..., Q_SELF]
+              + (2.0 * params.c_parasitic_f + params.c_wire_f) * vdd)
+    i_eff = 0.5 * (devices[..., I1] + devices[..., I2])
+    r = 2.0 * params.contact_resistance_ohm
+    drive = i_eff / (1.0 + r * i_eff / max(vdd, 1e-9))
+
+    total_delay = np.zeros(n_samples)
+    energy_per_cycle = np.zeros(n_samples)
+    p_stat = np.full(n_samples, n_stages * (params.fanout - 1) * p_stat_nom)
+    for i in range(n_stages):
+        q_load = ((params.fanout - 1) * q_gate_nom
+                  + q_gate[:, (i + 1) % n_stages])
+        q_total = q_load + q_self[:, i]
+        total_delay += 0.25 * q_total * (1.0 / drive[:, i, 0]
+                                         + 1.0 / drive[:, i, 1])
         energy_per_cycle += q_total * vdd
-        p_stat += vdd * (dev_n["i_off"] + dev_p["i_off"]) / 2.0
+        p_stat += vdd * (dev_n[:, i, I_OFF] + dev_p[:, i, I_OFF]) / 2.0
     freq = 1.0 / (2.0 * total_delay)
     return freq, energy_per_cycle * freq, p_stat
 
 
-def _draw_device(rng: np.random.Generator, cache: _RibbonCache,
-                 granularity: str, n_ribbons: int,
-                 width_levels, charge_levels,
-                 counts: dict[str, int], polarity: int) -> dict:
-    """Draw one device's ribbons and compose their electricals."""
-    if granularity == "ribbon":
-        ribbons = []
-        for _ in range(n_ribbons):
-            v = DeviceVariant(
-                n_index=discretized_normal_choice(rng, width_levels),
-                impurity_e=discretized_normal_choice(rng, charge_levels))
-            counts[v.label()] = counts.get(v.label(), 0) + 1
-            ribbons.append(cache.ribbon(v, polarity))
-        return cache.device(ribbons)
-    v = DeviceVariant(
-        n_index=discretized_normal_choice(rng, width_levels),
-        impurity_e=discretized_normal_choice(rng, charge_levels))
-    counts[v.label()] = counts.get(v.label(), 0) + 1
-    return cache.device([cache.ribbon(v, polarity)] * n_ribbons)
-
-
 def _evaluate_batch(
-    tech: GNRFETTechnology,
+    params,
     vdd: float,
     vt: float,
     n_stages: int,
-    width_levels,
-    charge_levels,
+    labels: tuple[str, ...],
     granularity: str,
-    ribbon_data: dict,
-    nominal: tuple[dict, dict],
+    electricals: np.ndarray,
+    nominal: np.ndarray,
     strict: bool,
     task: tuple[tuple[int, ...], list[np.random.SeedSequence]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int],
@@ -274,47 +282,59 @@ def _evaluate_batch(
     workers — ``workers=1`` and ``workers=4`` are bit-for-bit identical,
     and a resumed run may re-batch the remaining samples freely.
 
+    Each sample draws one block of standard normals ordered (stage,
+    polarity n then p, ribbon, width then charge) — the order of the
+    scalar draws it replaces, so the values are the same.  ``labels``
+    names the variant of each code for ``variant_counts``, which keep
+    first-draw order.
+
     The ``scf`` fault-injection site fires per sample (keyed by the
     global sample index, before any draws, so variant counts stay
     exact); the ``worker`` site is keyed by the batch's first sample
-    index.  A failed sample is NaN-masked and recorded unless
-    ``strict``.
+    index.  A failed sample draws nothing and is NaN-masked and recorded
+    unless ``strict``.
     """
     indices, seeds = task
     if faults.ACTIVE and in_worker():
         faults.inject("worker", indices[0] if indices else 0)
-    cache = _RibbonCache(tech, vdd, vt, data=ribbon_data)
-    n_ribbons = tech.params.n_ribbons
     n = len(seeds)
     freqs = np.full(n, np.nan)
     p_dyns = np.full(n, np.nan)
     p_stats = np.full(n, np.nan)
-    counts: dict[str, int] = {}
     failures: list[FailureRecord] = []
-    for k, seed_seq in enumerate(seeds):
-        sample = int(indices[k])
-        rng = np.random.default_rng(seed_seq)
-        try:
-            if faults.ACTIVE:
+    ok = list(range(n))
+    if faults.ACTIVE:
+        ok = []
+        for k in range(n):
+            sample = int(indices[k])
+            try:
                 faults.inject("scf", sample, detail=f"sample={sample}")
-            stages = [
-                (_draw_device(rng, cache, granularity, n_ribbons,
-                              width_levels, charge_levels, counts, +1),
-                 _draw_device(rng, cache, granularity, n_ribbons,
-                              width_levels, charge_levels, counts, -1))
-                for _ in range(n_stages)]
-            f, p_dyn, p_stat = _surrogate_oscillator(stages, nominal, vdd,
-                                                     tech.params)
-        except ConvergenceError as exc:
-            if strict:
-                raise exc.with_context(sample_index=sample)
-            failures.append(quarantine(
-                exc, site="montecarlo", index=sample, coords=(sample,),
-                bias={"vdd": float(vdd), "vt": float(vt)}))
-            continue
-        freqs[k] = f
-        p_dyns[k] = p_dyn
-        p_stats[k] = p_stat
+            except ConvergenceError as exc:
+                if strict:
+                    raise exc.with_context(sample_index=sample)
+                failures.append(quarantine(
+                    exc, site="montecarlo", index=sample, coords=(sample,),
+                    bias={"vdd": float(vdd), "vt": float(vt)}))
+            else:
+                ok.append(k)
+
+    n_drawn = params.n_ribbons if granularity == "ribbon" else 1
+    shape = (n_stages, len(POLARITIES), n_drawn, 2)
+    draws = np.empty((len(ok),) + shape)
+    for row, k in enumerate(ok):
+        draws[row] = np.random.default_rng(seeds[k]).standard_normal(shape)
+    levels = discretized_normal_indices(draws)
+    codes = 3 * levels[..., 0] + levels[..., 1]
+    devices = _compose(electricals, codes, params.n_ribbons)
+    freqs[ok], p_dyns[ok], p_stats[ok] = _surrogate_oscillator(
+        devices, nominal, vdd, params)
+
+    counts: dict[str, int] = {}
+    drawn, first, tally = np.unique(codes, return_index=True,
+                                    return_counts=True)
+    for j in np.argsort(first):
+        label = labels[drawn[j]]
+        counts[label] = counts.get(label, 0) + int(tally[j])
     return freqs, p_dyns, p_stats, counts, failures
 
 
@@ -364,29 +384,28 @@ def run_ring_oscillator_monte_carlo(
     if granularity not in ("ribbon", "device"):
         raise ValueError(f"granularity must be 'ribbon' or 'device', "
                          f"got {granularity!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if n_stages < 3 or n_stages % 2 == 0:
+        raise ValueError(f"ring needs an odd number of stages >= 3, "
+                         f"got {n_stages}")
+    require_three_levels(width_levels, "width_levels")
+    require_three_levels(charge_levels, "charge_levels")
     strict = strict_default() if strict is None else strict
     interval = (checkpoint_interval() if checkpoint is None
                 else max(0, int(checkpoint)))
     resume = resume_enabled() if resume is None else resume
     n_workers = resolve_workers(workers)
     sched = resolve_scheduler(scheduler, workers=workers)
-    cache = _RibbonCache(tech, vdd, vt)
-    n_ribbons = tech.params.n_ribbons
 
-    # Prefetch every variant the discretized distributions can draw (the
-    # expensive part when tables are cold: fans across workers).
-    nominal_variant = DeviceVariant()
-    reachable = [nominal_variant] + [
-        DeviceVariant(n_index=n, impurity_e=q)
-        for n in width_levels for q in charge_levels]
-    cache.prefetch(reachable, workers=workers, scheduler=scheduler)
-
-    nom_n = cache.device([cache.ribbon(nominal_variant, +1)] * n_ribbons)
-    nom_p = cache.device([cache.ribbon(nominal_variant, -1)] * n_ribbons)
-    nominal = (nom_n, nom_p)
-
-    f_nom, p_dyn_nom, p_stat_nom = _surrogate_oscillator(
-        [nominal] * n_stages, nominal, vdd, tech.params)
+    electricals, nominal_ribbon = _variant_electricals(
+        tech, vdd, vt, width_levels, charge_levels, workers, scheduler)
+    nominal = _compose(nominal_ribbon[:, None],
+                       np.zeros((len(POLARITIES), 1), dtype=int),
+                       tech.params.n_ribbons)
+    nominal_ring = np.broadcast_to(nominal, (1, n_stages) + nominal.shape)
+    f_nom, p_dyn_nom, p_stat_nom = (float(x[0]) for x in _surrogate_oscillator(
+        nominal_ring, nominal, vdd, tech.params))
 
     calibration = 1.0
     if calibrate_against_transient:
@@ -396,9 +415,10 @@ def run_ring_oscillator_monte_carlo(
         calibration = metrics.frequency_hz / f_nom
 
     seeds = spawn_seed_sequences(seed, n_samples)
-    eval_fn = partial(_evaluate_batch, tech, vdd, vt, n_stages,
-                      width_levels, charge_levels, granularity, cache.data,
-                      nominal, strict)
+    labels = tuple(DeviceVariant(n_index=n, impurity_e=q).label()
+                   for n in width_levels for q in charge_levels)
+    eval_fn = partial(_evaluate_batch, tech.params, vdd, vt, n_stages,
+                      labels, granularity, electricals, nominal, strict)
 
     freqs = np.full(n_samples, np.nan)
     p_dyns = np.full(n_samples, np.nan)

@@ -30,13 +30,26 @@ def discretized_normal_choice(
     ``levels`` is ``(minus_sigma_value, mean_value, plus_sigma_value)``.
     Returns one element (``size=None``) or a list of ``size`` elements.
     """
-    if len(levels) != 3:
-        raise ValueError(f"need exactly 3 levels, got {len(levels)}")
+    require_three_levels(levels, "levels")
     n = 1 if size is None else size
-    draws = rng.standard_normal(n)
-    indices = np.where(draws < -0.5, 0, np.where(draws > 0.5, 2, 1))
+    indices = discretized_normal_indices(rng.standard_normal(n))
     picked = [levels[int(i)] for i in indices]
     return picked[0] if size is None else picked
+
+
+def discretized_normal_indices(draws: np.ndarray) -> np.ndarray:
+    """Level index (0, 1, 2) of each standard-normal draw (+-sigma/2 rule).
+
+    Elementwise, so one block draw maps to the same indices as the same
+    number of sequential scalar draws from the generator.
+    """
+    return np.where(draws < -0.5, 0, np.where(draws > 0.5, 2, 1))
+
+
+def require_three_levels(levels: Sequence, name: str) -> None:
+    """Reject a level tuple the three-level rule cannot index."""
+    if len(levels) != 3:
+        raise ValueError(f"need exactly 3 {name}, got {len(levels)}")
 
 
 def discretized_level_probabilities() -> tuple[float, float, float]:

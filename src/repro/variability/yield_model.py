@@ -27,19 +27,21 @@ from repro.circuit.inverter import inverter_vtc
 from repro.circuit.snm import butterfly_curves, static_noise_margin
 from repro.device.tables import DeviceTable
 from repro.exploration.technology import GNRFETTechnology
-from repro.variability.sampling import discretized_normal_choice
+from repro.variability.sampling import (
+    discretized_normal_indices,
+    require_three_levels,
+)
 from repro.variability.variants import DeviceVariant, variant_ribbon_table
 
 
-def _draw_array_table(rng, tech, polarity, offset, width_levels,
-                      charge_levels) -> DeviceTable:
-    ribbons = []
-    for _ in range(tech.params.n_ribbons):
-        variant = DeviceVariant(
-            n_index=discretized_normal_choice(rng, width_levels),
-            impurity_e=discretized_normal_choice(rng, charge_levels))
-        ribbons.append(variant_ribbon_table(variant, polarity,
-                                            tech.geometry))
+def _array_table(tech, polarity, offset, width_levels, charge_levels,
+                 levels: np.ndarray) -> DeviceTable:
+    """Array table of one device from its ribbons' (width, charge)
+    level indices."""
+    ribbons = [variant_ribbon_table(
+        DeviceVariant(n_index=width_levels[int(w)],
+                      impurity_e=charge_levels[int(q)]),
+        polarity, tech.geometry) for w, q in levels]
     return DeviceTable.compose(ribbons).with_gate_offset(offset)
 
 
@@ -60,16 +62,24 @@ def sample_latch_snm(
     Fig. 7 setup: "Both inverters in the latch are assumed to have the
     same widths and impurities"), with per-ribbon sampling.  An
     explicit ``rng`` overrides ``seed``.
+
+    Each cell draws one block of standard normals ordered (n- then
+    p-device, ribbon, width then charge): the same values, and the same
+    generator consumption, as one scalar draw per trait in that order.
     """
+    require_three_levels(width_levels, "width_levels")
+    require_three_levels(charge_levels, "charge_levels")
     if rng is None:
         rng = np.random.default_rng(seed)
     offset = tech.gate_offset_for_vt(vt)
+    shape = (2, tech.params.n_ribbons, 2)
     snms = np.empty(n_cells)
     for c in range(n_cells):
-        nt = _draw_array_table(rng, tech, +1, offset, width_levels,
-                               charge_levels)
-        pt = _draw_array_table(rng, tech, -1, offset, width_levels,
-                               charge_levels)
+        levels = discretized_normal_indices(rng.standard_normal(shape))
+        nt = _array_table(tech, +1, offset, width_levels, charge_levels,
+                          levels[0])
+        pt = _array_table(tech, -1, offset, width_levels, charge_levels,
+                          levels[1])
         vin, vout = inverter_vtc(nt, pt, vdd, tech.params,
                                  n_points=n_vtc_points)
         snms[c] = static_noise_margin(butterfly_curves(vin, vout))

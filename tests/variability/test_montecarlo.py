@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.runtime import Scheduler
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 
 
@@ -61,7 +62,7 @@ class TestRealDistribution:
     def test_reproducible(self, tech, result):
         again = run_ring_oscillator_monte_carlo(tech, n_samples=250,
                                                 seed=2008)
-        assert np.allclose(again.frequencies_hz, result.frequencies_hz)
+        assert np.array_equal(again.frequencies_hz, result.frequencies_hz)
 
     def test_variant_counts_cover_levels(self, result):
         # ribbon granularity: 2 devices x 15 stages x 4 ribbons per sample.
@@ -76,3 +77,30 @@ class TestRealDistribution:
         assert (np.std(device.frequencies_hz)
                 > np.std(result.frequencies_hz))
         assert device.mean_frequency_shift < result.mean_frequency_shift
+
+
+class _NoDispatch(Scheduler):
+    """A scheduler that fails the test if any work reaches it."""
+
+    def run(self, fn, tasks, *, strict=False, chunk_size=None):
+        raise AssertionError("work was dispatched")
+
+
+class TestArgumentValidation:
+    """Arguments the study cannot honour fail before any table work."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0},
+        {"n_samples": -3},
+        {"n_stages": 0},
+        {"n_stages": 1},
+        {"n_stages": 4},
+        {"n_stages": 14},
+        {"width_levels": (9, 12)},
+        {"charge_levels": (-1.0, 0.0, 0.5, 1.0)},
+        {"granularity": "array"},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejected_before_prefetch(self, tech, kwargs):
+        with pytest.raises(ValueError):
+            run_ring_oscillator_monte_carlo(tech, scheduler=_NoDispatch(),
+                                            **kwargs)

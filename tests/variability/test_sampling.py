@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.variability.sampling import (
     discretized_level_probabilities,
     discretized_normal_choice,
+    discretized_normal_indices,
 )
 
 
@@ -53,3 +55,25 @@ class TestSampler:
     def test_rejects_wrong_level_count(self):
         with pytest.raises(ValueError):
             discretized_normal_choice(np.random.default_rng(0), (1, 2))
+
+
+class TestBlockIndices:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 300))
+    def test_block_draw_equals_sequential_scalar_draws(self, seed, n):
+        """One block of ``n`` draws maps to the same level indices as
+        ``n`` scalar choices from the same generator, and consumes the
+        generator identically."""
+        block_rng = np.random.default_rng(seed)
+        block = discretized_normal_indices(block_rng.standard_normal(n))
+        scalar_rng = np.random.default_rng(seed)
+        scalar = [discretized_normal_choice(scalar_rng, (0, 1, 2))
+                  for _ in range(n)]
+        assert block.tolist() == scalar
+        assert block_rng.standard_normal() == scalar_rng.standard_normal()
+
+    def test_thresholds_at_half_sigma(self):
+        draws = np.array([-np.inf, -0.5000001, -0.5, 0.0, 0.5, 0.5000001,
+                          np.inf])
+        assert discretized_normal_indices(draws).tolist() == [
+            0, 0, 1, 1, 1, 2, 2]

@@ -78,6 +78,16 @@ class TestLatchSampling:
         b = sample_latch_snm(tech, n_cells=6, seed=9, n_vtc_points=21)
         assert np.allclose(a, b)
 
+    def test_caller_rng_advances_one_draw_per_trait(self, tech):
+        """A cell draws width and charge for every ribbon of its n- and
+        p-device, so a caller's generator ends where that many scalar
+        draws leave it."""
+        rng = np.random.default_rng(3)
+        sample_latch_snm(tech, n_cells=2, n_vtc_points=21, rng=rng)
+        expected = np.random.default_rng(3)
+        expected.standard_normal(2 * 2 * tech.params.n_ribbons * 2)
+        assert rng.standard_normal() == expected.standard_normal()
+
     def test_variability_spreads_snm(self, tech):
         """Variant cells must show spread and a degraded tail vs the
         nominal cell SNM."""
