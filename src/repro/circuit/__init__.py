@@ -11,8 +11,9 @@ Engines: DC operating point (damped Newton with source stepping), transient
 (trapezoidal with per-step Newton), voltage transfer curves, butterfly /
 static-noise-margin extraction, and metric extraction (delay, static and
 dynamic power, energy, frequency, EDP).  Both solvers evaluate a netlist
-through its compiled stamp program
-(:class:`repro.circuit.netlist.StampProgram`), built once per circuit.
+through the straight-line Newton steps its topology is compiled into
+(:class:`repro.circuit.netlist.Kernel`), built once per topology and
+shared by every circuit with that topology.
 
 Circuit builders for the paper's three representative circuits: inverter
 (fanout-of-4), 15-stage ring oscillator, and latch.

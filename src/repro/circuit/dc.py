@@ -4,7 +4,7 @@ The residual at each free node is the sum of element currents flowing out
 of it (KCL); fixed nodes (supplies, inputs) contribute known voltages.  A
 small ``gmin`` conductance to ground conditions the Jacobian in cut-off
 regions where table derivatives vanish.  Every Newton iteration runs the
-circuit's compiled stamp program (:meth:`Circuit.program`).
+``dc_step`` of the circuit's compiled kernel (:meth:`Circuit.program`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import obs, sanitize
 from repro.circuit.netlist import Circuit, GROUND, StampProgram
-from repro.errors import CircuitError, ConvergenceError
+from repro.errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,7 @@ class DCResult:
         fixed nodes have a source; asking for ground or a free node
         raises :class:`CircuitError`.
         """
-        idx = self.circuit.node(node) if isinstance(node, str) else node
-        if idx == GROUND or idx not in self.circuit.fixed:
-            raise CircuitError(
-                f"node {self.circuit.node_name(idx)!r} is not driven by a "
-                "source (only fixed nodes are)")
+        idx = self.circuit.source_node(node)
         f, _ = self.circuit.program().assemble(self.voltages.tolist() + [0.0])
         # f[idx] is the net element current flowing out of the node into
         # the elements; the source supplies exactly that.
@@ -57,11 +53,10 @@ def _newton(prog: StampProgram, v: list[float], gmin: float, tol_a: float,
             max_iter: int, damping_v: float) -> tuple[int, bool]:
     """Damped Newton on the free slots of ``v``, updated in place;
     returns ``(iterations, converged)``."""
+    step, data, update = prog.kernel.dc_step, prog.data, prog.newton_update
     for iteration in range(1, max_iter + 1):
-        f, jac = prog.assemble(v)
-        if gmin > 0.0:
-            prog.add_gmin(v, f, jac, gmin)
-        status = prog.newton_update(v, f, jac, tol_a, damping_v)
+        residual, jac = step(v, data, gmin)
+        status = update(v, residual, jac, tol_a, damping_v)
         if status is not None:
             return iteration, status
     return max_iter, False
@@ -85,7 +80,11 @@ def solve_dc(
     ``source_steps`` stages, re-converging at each stage.
 
     ``v0`` also selects the basin for bistable circuits (latches).
+    ``max_iter`` and ``source_steps`` must be at least 1.
     """
+    if max_iter < 1 or source_steps < 1:
+        raise ValueError("max_iter and source_steps must be >= 1, got "
+                         f"{max_iter} and {source_steps}")
     prog = circuit.program()
     fixed = circuit.fixed_voltages(t)
     n = prog.n_nodes
@@ -102,41 +101,45 @@ def solve_dc(
         v[node] = value
 
     v_slots = v.tolist() + [0.0]
-    iters, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
-    if ok:
-        v_sol = np.array(v_slots[:n])
-        if sanitize.ACTIVE:
-            sanitize.check_finite(v_sol, "solve_dc", "node voltages")
-        if obs.ACTIVE:
-            obs.incr("circuit.dc_solves")
-            obs.incr("circuit.newton_iterations", iters)
-            obs.observe("circuit.dc_newton_iterations", iters)
-        return DCResult(circuit=circuit, voltages=v_sol, iterations=iters)
-
-    # Source stepping from zero bias.
-    v_slots = [0.0] * (n + 1)
-    total_iters = iters
-    for step in range(1, source_steps + 1):
-        frac = step / source_steps
-        for node, value in fixed.items():
-            v_slots[node] = frac * value
-        it, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
-        total_iters += it
+    with np.errstate(all="ignore"):
+        iters, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
         if not ok:
-            # Retry this stage with a larger gmin before giving up.
-            it, ok = _newton(prog, v_slots, gmin * 1e3, tol_a * 10,
-                             max_iter, damping_v)
-            total_iters += it
-            if not ok:
-                raise ConvergenceError(
-                    f"DC source stepping failed at {frac:.0%} of supply",
-                    iterations=total_iters)
+            v_slots, iters = _source_stepping(prog, fixed, gmin, tol_a,
+                                              max_iter, damping_v,
+                                              source_steps, iters)
     v_sol = np.array(v_slots[:n])
     if sanitize.ACTIVE:
         sanitize.check_finite(v_sol, "solve_dc", "node voltages")
     if obs.ACTIVE:
         obs.incr("circuit.dc_solves")
-        obs.incr("circuit.dc_source_stepped")
-        obs.incr("circuit.newton_iterations", total_iters)
-        obs.observe("circuit.dc_newton_iterations", total_iters)
-    return DCResult(circuit=circuit, voltages=v_sol, iterations=total_iters)
+        if not ok:
+            obs.incr("circuit.dc_source_stepped")
+        obs.incr("circuit.newton_iterations", iters)
+        obs.observe("circuit.dc_newton_iterations", iters)
+    return DCResult(circuit=circuit, voltages=v_sol, iterations=iters)
+
+
+def _source_stepping(prog: StampProgram, fixed: dict[int, float],
+                     gmin: float, tol_a: float, max_iter: int,
+                     damping_v: float, source_steps: int, iters: int
+                     ) -> tuple[list[float], int]:
+    """Ramp every fixed voltage from 0 to its target over
+    ``source_steps`` stages, re-converging at each; returns the slot
+    voltages and the total iteration count (``iters`` spent before)."""
+    v_slots = [0.0] * (prog.n_nodes + 1)
+    for step in range(1, source_steps + 1):
+        frac = step / source_steps
+        for node, value in fixed.items():
+            v_slots[node] = frac * value
+        it, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
+        iters += it
+        if not ok:
+            # Retry this stage with a larger gmin before giving up.
+            it, ok = _newton(prog, v_slots, gmin * 1e3, tol_a * 10,
+                             max_iter, damping_v)
+            iters += it
+            if not ok:
+                raise ConvergenceError(
+                    f"DC source stepping failed at {frac:.0%} of supply",
+                    iterations=iters)
+    return v_slots, iters

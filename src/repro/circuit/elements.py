@@ -3,12 +3,13 @@ compact-model MOSFETs.
 
 The five classes here are the closed set of netlist records that a
 :class:`repro.circuit.netlist.Circuit` accepts.  They hold terminals and
-parameters only; :meth:`Circuit.program` compiles them into the flat stamp
-program that the DC and transient engines evaluate, so the element
-physics (branch currents, Jacobian entries, capacitor branches) lives in
-one assembly kernel in :mod:`repro.circuit.netlist`.  The program copies
-each record's fields when it compiles, so an element must not be changed
-after it is added to a circuit.
+parameters only; :meth:`Circuit.program` splits them into a topology,
+which is compiled into the Newton steps that the DC and transient engines
+run, and the instance data those steps read, so the element physics
+(branch currents, Jacobian entries, capacitor branches) lives in one
+kernel emitter in :mod:`repro.circuit.netlist`.  The program copies each
+record's fields when it is built, so an element must not be changed after
+it is added to a circuit.
 
 The table FET implements the paper's extrinsic GNRFET of Fig. 3(a): the
 intrinsic lookup-table device plus parasitic junction capacitances.  The

@@ -1,4 +1,4 @@
-"""Netlists and their compiled stamp program.
+"""Netlists and their compiled kernels.
 
 The engine uses nodal analysis with *fixed nodes* instead of explicit
 voltage-source branches: every voltage source in the paper's circuits
@@ -10,23 +10,32 @@ the solve by evaluating the KCL residual at its node.
 A :class:`Circuit` holds elements from the closed set of
 :mod:`repro.circuit.elements` (``Resistor``, ``Capacitor``,
 ``CurrentSource``, ``TableFET``, ``CompactMOSFET``).  The solvers never
-walk those objects: :meth:`Circuit.program` compiles them once into a
-:class:`StampProgram`, a flat list of records with precomputed voltage
-slots and Jacobian positions, and :meth:`StampProgram.assemble` is the
-one kernel that stamps every element.  Voltages, residuals and Jacobians
-live in Python lists inside the kernel (numpy only sees the assembled
-vector and matrix), because for the paper's gates (a handful of FETs)
+walk those objects: :meth:`Circuit.program` turns them into a
+:class:`StampProgram`, which splits the netlist into a *topology* (the
+element kinds and their node slots) and the instance *data* (element
+values, lookup callables, polarities).  Each topology is emitted once as
+straight-line Python source and compiled into a :class:`Kernel`: every
+slot of the residual and every Jacobian entry becomes one expression that
+adds its element contributions in element order, so the kernel performs
+the float operations of a record-by-record assembly in the same order
+without its loops, tuple unpacking or kind dispatch.  Circuits with the
+same topology (every inverter of a VTC sweep, every variant of an FO4
+chain) share one kernel.  For the paper's gates (a handful of FETs)
 per-call numpy overhead costs more than the scalar work it would replace
-(see docs/performance.md, "Why not array assembly").
+(see docs/performance.md, "Why not array assembly"), so numpy only sees
+the assembled free-node system.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections import defaultdict
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
+from repro import obs
 from repro.circuit.elements import (
     Capacitor,
     CompactMOSFET,
@@ -40,95 +49,291 @@ from repro.errors import CircuitError
 GROUND = -1
 """Node index of the reference node (0 V)."""
 
-# Record kinds of the stamp program.
-_RESISTOR, _SOURCE, _TABLE_FET, _MOSFET, _FIXED_CAP = range(5)
+_GROUND_NAMES = ("0", "gnd", "ground")
+
+# Element kinds of a topology signature.
+_RESISTOR, _SOURCE, _CAPACITOR, _TABLE_FET, _MOSFET = range(5)
+
+#: The LAPACK gufunc ``np.linalg.solve`` dispatches to for a vector
+#: right-hand side.  Called bare it reports a singular matrix as a NaN
+#: solution (with the invalid flag, which the solvers' ``np.errstate``
+#: silences) instead of raising ``LinAlgError``.
+_solve1 = _umath_linalg.solve1
+
+
+class Kernel(NamedTuple):
+    """The compiled functions of one topology.
+
+    Voltages live in *slots*: slot ``i < n`` is node ``i`` and slot ``n``
+    is ground, which always holds ``0.0``.  Every function takes the slot
+    voltages ``v`` and the instance ``data`` tuple of a
+    :class:`StampProgram`.
+
+    * ``dc_step(v, data, gmin)`` -> ``(residual, jacobian)`` over the
+      free nodes (ascending), the Jacobian flat and row-major; ``gmin``
+      is stamped only when positive.
+    * ``transient_step(v, data, geqs, dv_old, i_prev, gmin)`` ->
+      ``(residual, jacobian, branch_currents, fixed_residual)``: the
+      static stamps, then every capacitor branch's trapezoidal companion
+      (conductance ``geqs[k]``, current
+      ``geqs[k] * (v_a - v_b - dv_old[k]) - i_prev[k]``), then ``gmin``;
+      ``fixed_residual`` is the static residual at each fixed node
+      (ascending), which is the current its source delivers.
+    * ``branches(v, data)`` -> ``(capacitances, voltages)`` of the
+      capacitor branches.
+    * ``assemble(v, data)`` -> static ``(residual, jacobian)`` over every
+      slot, ground included; the Jacobian is flat ``(n+1)**2``.
+    """
+
+    source: str
+    dc_step: Callable
+    transient_step: Callable
+    branches: Callable
+    assemble: Callable
+
+
+#: Compiled kernels by topology signature, for the life of the process.
+_KERNELS: dict[tuple, Kernel] = {}
+
+
+def _kernel(signature: tuple) -> Kernel:
+    kernel = _KERNELS.get(signature)
+    if kernel is None:
+        source = _kernel_source(*signature)
+        namespace: dict = {}
+        exec(compile(source, "<circuit kernel>", "exec"), namespace)
+        kernel = Kernel(source, namespace["dc_step"],
+                        namespace["transient_step"], namespace["branches"],
+                        namespace["assemble"])
+        _KERNELS[signature] = kernel
+        if obs.ACTIVE:
+            obs.incr("circuit.kernels_compiled")
+    return kernel
+
+
+def _sum(terms: list[str]) -> str:
+    """An accumulator started at ``0.0`` (not at its first term, so a
+    signed zero comes out as the record-by-record assembly left it)."""
+    return "0.0" + "".join(terms)
+
+
+def _kernel_source(n: int, fixed: tuple[int, ...],
+                   elements: tuple[tuple[int, ...], ...]) -> str:
+    """Python source of the :class:`Kernel` functions of one topology.
+
+    ``elements`` holds ``(kind, *slots)`` per element in netlist order;
+    ``fixed`` the fixed node slots, ascending.  Each residual slot and
+    Jacobian entry collects its terms in element order (capacitor
+    companions after every static stamp, ``gmin`` last); only the entries
+    a function returns are emitted.
+    """
+    width = n + 1
+    free = [i for i in range(n) if i not in fixed]
+    n_free = len(free)
+    data: list[str] = []
+    statics: list[str] = []   # element currents and derivatives
+    caps: list[str] = []
+    cap_values: list[str] = []
+    branches: list[tuple[int, int]] = []
+    f_terms: dict[int, list[str]] = defaultdict(list)
+    j_terms: dict[tuple[int, int], list[str]] = defaultdict(list)
+
+    for k, (kind, *slots) in enumerate(elements):
+        if kind == _RESISTOR:
+            a, b = slots
+            data.append(f"G{k}")
+            statics.append(f"    e{k} = G{k} * (v{a} - v{b})")
+            f_terms[a].append(f" + e{k}")
+            f_terms[b].append(f" - e{k}")
+            j_terms[a, a].append(f" + G{k}")
+            j_terms[a, b].append(f" - G{k}")
+            j_terms[b, a].append(f" - G{k}")
+            j_terms[b, b].append(f" + G{k}")
+        elif kind == _SOURCE:
+            a, b = slots
+            data.append(f"I{k}")
+            f_terms[a].append(f" + I{k}")
+            f_terms[b].append(f" - I{k}")
+        elif kind == _CAPACITOR:
+            data.append(f"C{k}")
+            cap_values.append(f"C{k}")
+            branches.append((slots[0], slots[1]))
+        else:
+            d, g, s = slots
+            data += [f"IV{k}", f"CV{k}", f"P{k}"]
+            bias = f"P{k} * (v{g} - v{s}), P{k} * (v{d} - v{s})"
+            # Current flows drain -> source inside the device for i > 0;
+            # dI/dVs = -(dI/dVd + dI/dVg).
+            statics += [f"    e{k}, x{k}, y{k} = IV{k}({bias})",
+                        f"    e{k} = P{k} * e{k}",
+                        f"    u{k} = y{k} + x{k}"]
+            f_terms[d].append(f" + e{k}")
+            f_terms[s].append(f" - e{k}")
+            j_terms[d, d].append(f" + y{k}")
+            j_terms[d, g].append(f" + x{k}")
+            j_terms[d, s].append(f" - u{k}")
+            j_terms[s, d].append(f" - y{k}")
+            j_terms[s, g].append(f" - x{k}")
+            j_terms[s, s].append(f" + u{k}")
+            caps.append(f"    a{k}, b{k} = CV{k}({bias})")
+            if kind == _TABLE_FET:
+                # Intrinsic table capacitance plus the extrinsic junction.
+                data += [f"PS{k}", f"PD{k}"]
+                cap_values += [f"a{k} + PS{k}", f"b{k} + PD{k}"]
+            else:
+                cap_values += [f"float(a{k})", f"float(b{k})"]
+            branches += [(g, s), (g, d)]
+
+    # Transient terms: each capacitor branch's companion after the statics.
+    companions: list[str] = []
+    t_f = defaultdict(list, {i: list(t) for i, t in f_terms.items()})
+    t_j = defaultdict(list, {p: list(t) for p, t in j_terms.items()})
+    for k, (a, b) in enumerate(branches):
+        companions.append(f"    c{k} = B{k} * ((v{a} - v{b}) - O{k}) - Q{k}")
+        t_f[a].append(f" + c{k}")
+        t_j[a, a].append(f" + B{k}")
+        t_j[a, b].append(f" - B{k}")
+        t_f[b].append(f" - c{k}")
+        t_j[b, b].append(f" + B{k}")
+        t_j[b, a].append(f" - B{k}")
+
+    def unpack(names: list[str], value: str) -> list[str]:
+        return [f"    {', '.join(names)}, = {value}"] if names else []
+
+    def header(signature: str) -> list[str]:
+        return ([f"def {signature}:"]
+                + unpack([f"v{i}" for i in range(width)], "v")
+                + unpack(data, "data"))
+
+    def free_jacobian(terms: dict, diagonal: Callable[[int], str]
+                      ) -> list[str]:
+        lines = [f"    jac = [0.0] * {n_free * n_free}"]
+        for fi, row in enumerate(free):
+            for fj, col in enumerate(free):
+                if row == col:
+                    value = diagonal(row)
+                elif (row, col) in terms:
+                    value = _sum(terms[row, col])
+                else:
+                    continue
+                lines.append(f"    jac[{fi * n_free + fj}] = {value}")
+        return lines
+
+    residual = "[" + ", ".join(f"r{i}" for i in free) + "]"
+    src: list[str] = []
+
+    # DC Newton step: gmin only when positive (adding 0.0 could flip a
+    # signed zero).
+    lines = []
+    for i in free:
+        lines.append(f"    r{i} = {_sum(f_terms.get(i, []))}")
+        lines.append(f"    q{i} = {_sum(j_terms.get((i, i), []))}")
+    if free:
+        lines.append("    if gmin > 0.0:")
+        for i in free:
+            lines.append(f"        r{i} = r{i} + gmin * v{i}")
+            lines.append(f"        q{i} = q{i} + gmin")
+    lines += free_jacobian(j_terms, lambda i: f"q{i}")
+    src += header("dc_step(v, data, gmin)") + statics + lines
+    src += [f"    return {residual}, jac", ""]
+
+    # Transient Newton step.
+    lines = [f"    r{i} = {_sum(t_f.get(i, []))} + gmin * v{i}" for i in free]
+    lines += free_jacobian(t_j, lambda i: f"{_sum(t_j.get((i, i), []))}"
+                                          " + gmin")
+    fixed_rows = ", ".join(_sum(f_terms.get(m, [])) for m in fixed)
+    currents = ", ".join(f"c{k}" for k in range(len(branches)))
+    src += header("transient_step(v, data, geqs, dv_old, i_prev, gmin)")
+    for name, value in (("B", "geqs"), ("O", "dv_old"), ("Q", "i_prev")):
+        src += unpack([f"{name}{k}" for k in range(len(branches))], value)
+    src += statics + companions + lines
+    src += [f"    return {residual}, jac, [{currents}], [{fixed_rows}]", ""]
+
+    # Branch capacitances and voltages.
+    voltages = ", ".join(f"v{a} - v{b}" for a, b in branches)
+    src += header("branches(v, data)") + caps
+    src += [f"    return [{', '.join(cap_values)}], [{voltages}]", ""]
+
+    # Full-slot static assembly.
+    lines = [f"    jac = [0.0] * {width * width}"]
+    lines += [f"    jac[{row * width + col}] = {_sum(terms)}"
+              for (row, col), terms in sorted(j_terms.items())]
+    rows = ", ".join(_sum(f_terms.get(i, [])) for i in range(width))
+    src += header("assemble(v, data)") + statics + lines
+    src += [f"    return [{rows}], jac", ""]
+    return "\n".join(src)
 
 
 class StampProgram:
-    """A circuit compiled for the assembly kernel.
+    """A circuit split into its topology's :class:`Kernel` and its data.
 
-    Voltages are held in *slots*: slot ``i < n`` is node ``i`` and slot
-    ``n`` is ground, which always holds ``0.0``.  Residuals use the same
-    slots and the Jacobian is a flat ``(n+1)**2`` row-major list, so
-    ground rows and columns are real positions that the solvers simply
-    never read.
-
-    ``static`` has one record per element with a static current, in
-    element order: resistors and current sources carry their
-    conductance or current, FETs their device and polarity.
-    ``cap_sources`` lists the capacitive elements in element order, and
-    ``branches`` the two-terminal capacitor branches they expand to
-    (a fixed capacitor gives one branch, a FET its gate-source then
-    gate-drain branch).
+    ``data`` holds, in element order, each resistor's conductance, each
+    current source's current, each capacitor's capacitance, and for each
+    FET its scalar ``current_and_derivatives`` and ``capacitances``
+    callables and polarity (table FETs also their two parasitic
+    capacitances).  ``branches`` lists the two-terminal capacitor
+    branches as slot pairs, in element order (a fixed capacitor gives one
+    branch, a FET its gate-source then gate-drain branch); ``fixed`` the
+    fixed node slots in the kernel's order.
     """
 
     def __init__(self, circuit: "Circuit"):
         n = circuit.n_nodes
-        width = n + 1
 
         def slot(node: int) -> int:
             return n if node == GROUND else node
 
-        def pos(row: int, col: int) -> int:
-            return slot(row) * width + slot(col)
-
-        static: list[tuple] = []
-        cap_sources: list[tuple] = []
-        branches: list[tuple[int, int, int, int, int, int]] = []
-
-        def branch(a: int, b: int) -> None:
-            branches.append((slot(a), slot(b), pos(a, a), pos(a, b),
-                             pos(b, b), pos(b, a)))
-
+        elements: list[tuple[int, ...]] = []
+        data: list = []
+        branches: list[tuple[int, int]] = []
         for el in circuit.elements:
             if isinstance(el, Resistor):
                 a, b = el.nodes
-                static.append((_RESISTOR, slot(a), slot(b),
-                               1.0 / el.resistance_ohm, pos(a, a),
-                               pos(a, b), pos(b, a), pos(b, b)))
+                elements.append((_RESISTOR, slot(a), slot(b)))
+                data.append(1.0 / el.resistance_ohm)
             elif isinstance(el, CurrentSource):
                 a, b = el.nodes
-                static.append((_SOURCE, slot(a), slot(b), el.current_a))
+                elements.append((_SOURCE, slot(a), slot(b)))
+                data.append(el.current_a)
             elif isinstance(el, Capacitor):
                 a, b = el.nodes
-                cap_sources.append((_FIXED_CAP, el.capacitance_f))
-                branch(a, b)
+                elements.append((_CAPACITOR, slot(a), slot(b)))
+                data.append(el.capacitance_f)
+                branches.append((slot(a), slot(b)))
             elif isinstance(el, (TableFET, CompactMOSFET)):
-                d, g, s = el.nodes
+                d, g, s = (slot(node) for node in el.nodes)
                 if isinstance(el, TableFET):
-                    kind, device = _TABLE_FET, el.table
-                    parasitics = (el.c_par_gs_f, el.c_par_gd_f)
+                    lookups = el.table.scalar_lookups()
+                    elements.append((_TABLE_FET, d, g, s))
+                    data += [lookups.current_and_derivatives,
+                             lookups.capacitances, el.polarity,
+                             el.c_par_gs_f, el.c_par_gd_f]
                 else:
-                    kind, device = _MOSFET, el.model
-                    parasitics = None
-                static.append((kind, slot(d), slot(g), slot(s), device,
-                               el.polarity, pos(d, d), pos(d, g),
-                               pos(d, s), pos(s, d), pos(s, g), pos(s, s)))
-                cap_sources.append((kind, slot(d), slot(g), slot(s),
-                                    device, el.polarity, parasitics))
-                branch(g, s)
-                branch(g, d)
+                    elements.append((_MOSFET, d, g, s))
+                    data += [el.model.ids, el.model.capacitances,
+                             el.polarity]
+                branches += [(g, s), (g, d)]
             else:
                 raise CircuitError(
                     f"{el!r} is not a circuit element (Resistor, Capacitor, "
                     "CurrentSource, TableFET or CompactMOSFET)")
 
-        free = circuit.free_nodes().tolist()
+        fixed = tuple(i for i in range(n) if i in circuit.fixed)
+        #: The topology: ``(n_nodes, fixed slots, (kind, *slots) per element)``.
+        self.signature = (n, fixed, tuple(elements))
         self.n_nodes = n
         self.n_elements = len(circuit.elements)
         self.fixed_nodes = frozenset(circuit.fixed)
-        self.static = static
-        self.cap_sources = cap_sources
+        self.fixed = fixed
+        #: Free node indices (ascending).
+        self.free = [i for i in range(n) if i not in circuit.fixed]
         self.branches = branches
-        #: Free node indices, and ``(node, diagonal position)`` pairs.
-        self.free = free
-        self.free_diag = [(i, i * width + i) for i in free]
-        free_idx = np.array(free, dtype=np.intp)
-        self._free_block = free_idx[:, None] * width + free_idx[None, :]
-        self._n_slots = width
-        self._n_jac = width * width
+        self.data = tuple(data)
+        self.kernel = _kernel(self.signature)
+        # The free-node Jacobian handed to LAPACK, refilled in place.
+        self._jac = np.empty((len(self.free), len(self.free)))
+        self._jac_flat = self._jac.reshape(-1)
 
-    # --- kernel -------------------------------------------------------------
     def assemble(self, v: list[float]) -> tuple[list[float], list[float]]:
         """Static residual and Jacobian at slot voltages ``v``.
 
@@ -137,113 +342,32 @@ class StampProgram:
         to ``v[j]``.  Each slot accumulates its contributions in element
         order.
         """
-        f = [0.0] * self._n_slots
-        jac = [0.0] * self._n_jac
-        for rec in self.static:
-            kind = rec[0]
-            if kind == _RESISTOR:
-                _, a, b, g, paa, pab, pba, pbb = rec
-                i = g * (v[a] - v[b])
-                f[a] += i
-                f[b] -= i
-                jac[paa] += g
-                jac[pab] -= g
-                jac[pba] -= g
-                jac[pbb] += g
-            elif kind == _SOURCE:
-                _, a, b, i = rec
-                f[a] += i
-                f[b] -= i
-            else:
-                _, d, g, s, dev, p, pdd, pdg, pds, psd, psg, pss = rec
-                vs = v[s]
-                if kind == _TABLE_FET:
-                    i, di_dvgs, di_dvds = dev.current_and_derivatives(
-                        p * (v[g] - vs), p * (v[d] - vs))
-                else:
-                    i, di_dvgs, di_dvds = dev.ids(
-                        p * (v[g] - vs), p * (v[d] - vs))
-                # Current flows drain -> source inside the device for
-                # i > 0; dI/dVs = -(dI/dVd + dI/dVg).
-                i = p * i
-                f[d] += i
-                f[s] -= i
-                di_sum = di_dvds + di_dvgs
-                jac[pdd] += di_dvds
-                jac[pdg] += di_dvgs
-                jac[pds] -= di_sum
-                jac[psd] -= di_dvds
-                jac[psg] -= di_dvgs
-                jac[pss] += di_sum
-        return f, jac
+        return self.kernel.assemble(v, self.data)
 
     def capacitances(self, v: list[float]) -> list[float]:
         """Capacitance of every branch (farads) at slot voltages ``v``."""
-        caps: list[float] = []
-        for rec in self.cap_sources:
-            kind = rec[0]
-            if kind == _FIXED_CAP:
-                caps.append(rec[1])
-                continue
-            _, d, g, s, dev, p, parasitics = rec
-            vs = v[s]
-            cgs, cgd = dev.capacitances(p * (v[g] - vs), p * (v[d] - vs))
-            if kind == _TABLE_FET:
-                # Intrinsic table capacitance plus the extrinsic junction.
-                caps.append(float(cgs) + parasitics[0])
-                caps.append(float(cgd) + parasitics[1])
-            else:
-                caps.append(float(cgs))
-                caps.append(float(cgd))
-        return caps
+        return self.kernel.branches(v, self.data)[0]
 
-    def add_companions(self, v: list[float], f: list[float],
-                       jac: list[float], geqs: list[float],
-                       dv_old: list[float], i_prev: list[float]
-                       ) -> list[float]:
-        """Stamp each branch's companion current; returns the currents.
-
-        Branch ``k`` carries ``geqs[k] * (v_a - v_b - dv_old[k]) -
-        i_prev[k]`` from ``a`` to ``b``, with conductance ``geqs[k]``.
-        """
-        currents = []
-        for (a, b, paa, pab, pbb, pba), geq, dv0, i0 in zip(
-                self.branches, geqs, dv_old, i_prev):
-            i = geq * ((v[a] - v[b]) - dv0) - i0
-            currents.append(i)
-            f[a] += i
-            jac[paa] += geq
-            jac[pab] -= geq
-            f[b] -= i
-            jac[pbb] += geq
-            jac[pba] -= geq
-        return currents
-
-    def add_gmin(self, v: list[float], f: list[float], jac: list[float],
-                 gmin: float) -> None:
-        """Conductance ``gmin`` from every free node to ground."""
-        for i, pd in self.free_diag:
-            f[i] += gmin * v[i]
-            jac[pd] += gmin
-
-    def newton_update(self, v: list[float], f: list[float],
+    def newton_update(self, v: list[float], residual: list[float],
                       jac: list[float], tol_a: float,
                       damping_v: float) -> bool | None:
         """One damped Newton update of the free slots of ``v``, in place.
 
-        Returns ``True`` when the free residual is already below
-        ``tol_a`` (``v`` untouched), ``False`` when the linear solve
-        fails or yields a non-finite step, and ``None`` after a step.
+        ``residual`` and ``jac`` are a kernel step's free-node system.
+        Returns ``True`` when the residual is already below ``tol_a``
+        (``v`` untouched), ``False`` when the linear solve fails (a
+        singular or non-finite system gives a non-finite step), and
+        ``None`` after a step.  The caller holds the ``np.errstate`` that
+        silences the solver's floating-point flags.
         """
-        residual = [f[i] for i in self.free]
         # A NaN residual never converges (as with ``max(|r|) < tol``).
-        if all(abs(r) < tol_a for r in residual):
+        for r in residual:
+            if not abs(r) < tol_a:
+                break
+        else:
             return True
-        try:
-            j_ff = np.fromiter(jac, np.float64, self._n_jac)[self._free_block]
-            dv = np.linalg.solve(j_ff, np.negative(residual)).tolist()
-        except np.linalg.LinAlgError:
-            return False
+        self._jac_flat[:] = jac
+        dv = _solve1(self._jac, np.negative(residual)).tolist()
         if not all(map(math.isfinite, dv)):
             return False
         # Voltage-step damping keeps table FETs in a sane region.
@@ -274,7 +398,7 @@ class Circuit:
         The names ``"0"``, ``"gnd"`` and ``"ground"`` refer to the
         reference node.
         """
-        if name in ("0", "gnd", "ground"):
+        if name in _GROUND_NAMES:
             return GROUND
         if name not in self._node_ids:
             self._node_ids[name] = len(self._node_ids)
@@ -293,6 +417,21 @@ class Circuit:
             if idx == index:
                 return name
         raise CircuitError(f"unknown node index {index}")
+
+    def source_node(self, node: int | str) -> int:
+        """Index of a node driven by a source, i.e. a fixed node.
+
+        Ground, free nodes and unknown nodes raise :class:`CircuitError`;
+        a name is looked up without creating a node.
+        """
+        if isinstance(node, str):
+            idx = GROUND if node in _GROUND_NAMES else self._node_ids.get(node)
+        else:
+            idx = node
+        if idx not in self.fixed:
+            raise CircuitError(f"node {node!r} is not driven by a source "
+                               "(only fixed nodes are)")
+        return idx
 
     # --- construction -----------------------------------------------------------
     def add(self, element: Element) -> None:

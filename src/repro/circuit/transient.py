@@ -2,7 +2,8 @@
 
 Every dynamic element reduces to bias-dependent two-terminal capacitor
 branches (see :class:`repro.circuit.netlist.StampProgram`), so the
-integrator builds trapezoidal companion models generically:
+circuit's compiled kernel stamps trapezoidal companion models
+generically:
 
 ``i_C^{n+1} = (2C/h) (v^{n+1} - v^n) - i_C^n``
 
@@ -17,6 +18,7 @@ is recorded every step so energy and power integrate directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,27 +66,22 @@ class TransientResult:
 
 
 def _step_newton(prog: StampProgram, v: list[float], geqs: list[float],
-                 dv_old: list[float], i_prev: list[float],
-                 monitor: list[int], gmin: float, tol_a: float,
-                 max_iter: int, damping_v: float
+                 dv_old: list[float], i_prev: list[float], gmin: float,
+                 tol_a: float, max_iter: int, damping_v: float
                  ) -> tuple[list[float], list[float]] | None:
     """Newton iterations of one integration step, updating ``v`` in place.
 
-    Returns the branch companion currents and the static supply residuals
-    of the converged iterate, or ``None`` if the step failed.
+    Returns the branch companion currents and the static residuals at the
+    fixed nodes of the converged iterate, or ``None`` if the step failed.
     """
+    step, data, update = prog.kernel.transient_step, prog.data, \
+        prog.newton_update
     for _ in range(max_iter):
-        f, jac = prog.assemble(v)
-        # Supply current: the static residual of the source nodes, taken
-        # before companion currents and gmin (capacitive displacement
-        # currents integrate to ~zero over a cycle and the builders put
-        # decoupling caps on rails anyway).
-        supplies = [f[m] for m in monitor]
-        currents = prog.add_companions(v, f, jac, geqs, dv_old, i_prev)
-        prog.add_gmin(v, f, jac, gmin)
-        status = prog.newton_update(v, f, jac, tol_a, damping_v)
+        residual, jac, currents, fixed_f = step(v, data, geqs, dv_old,
+                                                i_prev, gmin)
+        status = update(v, residual, jac, tol_a, damping_v)
         if status is True:
-            return currents, supplies
+            return currents, fixed_f
         if status is False:
             break
     return None
@@ -113,15 +110,22 @@ def simulate_transient(
         :meth:`Circuit.fix`.
     monitor_supplies:
         Fixed nodes whose delivered current should be recorded (e.g. the
-        VDD rail, for power metrics).
-    """
-    prog = circuit.program()
-    if dt_s <= 0.0 or t_end_s <= 0.0:
-        raise ValueError("time step and end time must be positive")
-    n = prog.n_nodes
+        VDD rail, for power metrics); any other node raises
+        :class:`repro.errors.CircuitError`.
 
-    monitor = [circuit.node(m) if isinstance(m, str) else m
-               for m in monitor_supplies]
+    ``t_end_s`` and ``dt_s`` must be finite and positive, ``max_iter`` at
+    least 1 and ``max_step_halvings`` at least 0.
+    """
+    if not (math.isfinite(t_end_s) and math.isfinite(dt_s)
+            and t_end_s > 0.0 and dt_s > 0.0):
+        raise ValueError("time step and end time must be finite and "
+                         f"positive, got dt_s={dt_s}, t_end_s={t_end_s}")
+    if max_iter < 1 or max_step_halvings < 0:
+        raise ValueError("max_iter must be >= 1 and max_step_halvings >= 0, "
+                         f"got {max_iter} and {max_step_halvings}")
+    monitor = [circuit.source_node(m) for m in monitor_supplies]
+    prog = circuit.program()
+    n = prog.n_nodes
 
     v_init = np.asarray(v0, dtype=float).copy()
     if v_init.shape != (n,):
@@ -141,6 +145,12 @@ def simulate_transient(
     if monitor:
         f0, _ = prog.assemble(v)
         record_supplies([f0[m] for m in monitor])
+    # Supply current: the static residual of the source node, taken
+    # before companion currents and gmin (capacitive displacement
+    # currents integrate to ~zero over a cycle and the builders put
+    # decoupling caps on rails anyway); the kernel returns it for every
+    # fixed node, in ``prog.fixed`` order.
+    monitor_pos = [prog.fixed.index(m) for m in monitor]
 
     # Initial capacitor state: zero companion current (consistent DC start).
     i_cap = [0.0] * len(prog.branches)
@@ -151,13 +161,14 @@ def simulate_transient(
     # the step loop is the hot path of every delay/power figure.
     n_steps = 0
     n_halvings = 0
-    with obs.span("circuit.transient", t_end_s=t_end_s, dt_s=dt_s):
+    branches = prog.kernel.branches
+    with obs.span("circuit.transient", t_end_s=t_end_s, dt_s=dt_s), \
+            np.errstate(all="ignore"):
         while t < t_end_s - 1e-21:
             h = min(dt_s, t_end_s - t)
             # Branch capacitances and old branch voltages depend only on
             # the previous converged state, so every halving reuses them.
-            caps = prog.capacitances(v)
-            dv_old = [v[a] - v[b] for a, b, *_ in prog.branches]
+            caps, dv_old = branches(v, prog.data)
             for attempt in range(max_step_halvings + 1):
                 v_try = list(v)
                 for node, value in circuit.fixed_voltages(t + h).items():
@@ -171,8 +182,7 @@ def simulate_transient(
                 else:
                     geqs = [2.0 * c / h for c in caps]
                 step = _step_newton(prog, v_try, geqs, dv_old, i_cap,
-                                    monitor, gmin, tol_a, max_iter,
-                                    damping_v)
+                                    gmin, tol_a, max_iter, damping_v)
                 if step is not None:
                     n_halvings += attempt
                     break
@@ -183,7 +193,7 @@ def simulate_transient(
                     f"even after {max_step_halvings} step halvings")
             t += h
             v = v_try
-            i_cap, sample = step
+            i_cap, fixed_f = step
             if sanitize.ACTIVE:
                 sanitize.check_finite(np.array(v[:n]), "simulate_transient",
                                       f"node voltages at t={t:.6g} s")
@@ -191,7 +201,7 @@ def simulate_transient(
             n_steps += 1
             times.append(t)
             traj.append(v[:n])
-            record_supplies(sample)
+            record_supplies([fixed_f[k] for k in monitor_pos])
     if obs.ACTIVE:
         obs.incr("circuit.transient_runs")
         obs.incr("circuit.transient_steps", n_steps)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,164 @@ def _bilinear(axis_x: np.ndarray, axis_y: np.ndarray, grid: np.ndarray,
     dfdx = ((f10 - f00) * (1 - ty) + (f11 - f01) * ty) / (x1 - x0)
     dfdy = ((f01 - f00) * (1 - tx) + (f11 - f10) * tx) / (y1 - y0)
     return value, dfdx, dfdy
+
+
+#: Query types served by the scalar lookups (``np.float64`` included).
+_SCALAR = (int, float)
+
+
+class ScalarLookups(NamedTuple):
+    """Float-query evaluations of one table (built by
+    :meth:`DeviceTable.scalar_lookups`)."""
+
+    #: ``(vgs, vds) -> (I, dI/dV_GS, dI/dV_DS)``
+    current_and_derivatives: Callable[[float, float],
+                                      tuple[float, float, float]]
+    #: ``(vgs, vds) -> (C_GS,i, C_GD,i)``
+    capacitances: Callable[[float, float], tuple[float, float]]
+    #: ``(vgs, vds) -> Q``
+    charge: Callable[[float, float], float]
+
+
+def _scalar_lookups(table: "DeviceTable") -> ScalarLookups:
+    """Closures over ``table``'s grids for one-point-at-a-time queries.
+
+    On a uniform grid they evaluate the bilinear interpolant in pure
+    Python (~10x faster than the numpy path for the circuit Newton loop);
+    on any other grid they are the numpy path itself.  The two hot
+    closures inline :func:`bilinear`: the same float operations in the
+    same order (a repeated ``1 - t`` is computed once), so every entry
+    point gives the same bits for a query.
+    """
+    vg, vd = table.vg, table.vd
+    steps_g = np.diff(vg)
+    steps_d = np.diff(vd)
+    if not (np.allclose(steps_g, steps_g[0], rtol=1e-9, atol=1e-12)
+            and np.allclose(steps_d, steps_d[0], rtol=1e-9, atol=1e-12)):
+        return ScalarLookups(table._array_current_and_derivatives,
+                             table._array_capacitances, table._array_charge)
+    vg0, dvg, fx_max, ix_max = (float(vg[0]), float(steps_g[0]),
+                                float(vg.size - 1), vg.size - 2)
+    vd0, dvd, fy_max, iy_max = (float(vd[0]), float(steps_d[0]),
+                                float(vd.size - 1), vd.size - 2)
+    offset = table.gate_offset_v
+    cur = table.current_a.tolist()
+    chg = table.charge_c.tolist()
+
+    def bilinear(grid: list, x: float, y: float
+                 ) -> tuple[float, float, float]:
+        """``(value, d/dx, d/dy)`` at a mapped bias, clamped to the grid."""
+        fx = (x - vg0) / dvg
+        if fx < 0.0:
+            fx = 0.0
+        elif fx > fx_max:
+            fx = fx_max
+        ix = int(fx)
+        if ix > ix_max:
+            ix = ix_max
+        tx = fx - ix
+        fy = (y - vd0) / dvd
+        if fy < 0.0:
+            fy = 0.0
+        elif fy > fy_max:
+            fy = fy_max
+        iy = int(fy)
+        if iy > iy_max:
+            iy = iy_max
+        ty = fy - iy
+        row0 = grid[ix]
+        row1 = grid[ix + 1]
+        f00 = row0[iy]
+        f01 = row0[iy + 1]
+        f10 = row1[iy]
+        f11 = row1[iy + 1]
+        sx = 1.0 - tx
+        sy = 1.0 - ty
+        value = f00 * sx * sy + f10 * tx * sy + f01 * sx * ty + f11 * tx * ty
+        dfdx = ((f10 - f00) * sy + (f11 - f01) * ty) / dvg
+        dfdy = ((f01 - f00) * sx + (f11 - f10) * tx) / dvd
+        return value, dfdx, dfdy
+
+    def current_and_derivatives(vgs: float, vds: float
+                                ) -> tuple[float, float, float]:
+        # I(vgs, vds < 0) = -f(vgs - vds, -vds): source/drain mirroring.
+        if vds < 0.0:
+            fx = (vgs - vds + offset - vg0) / dvg
+            fy = (-vds - vd0) / dvd
+        else:
+            fx = (vgs + offset - vg0) / dvg
+            fy = (vds - vd0) / dvd
+        if fx < 0.0:
+            fx = 0.0
+        elif fx > fx_max:
+            fx = fx_max
+        ix = int(fx)
+        if ix > ix_max:
+            ix = ix_max
+        tx = fx - ix
+        if fy < 0.0:
+            fy = 0.0
+        elif fy > fy_max:
+            fy = fy_max
+        iy = int(fy)
+        if iy > iy_max:
+            iy = iy_max
+        ty = fy - iy
+        row0 = cur[ix]
+        row1 = cur[ix + 1]
+        f00 = row0[iy]
+        f01 = row0[iy + 1]
+        f10 = row1[iy]
+        f11 = row1[iy + 1]
+        sx = 1.0 - tx
+        sy = 1.0 - ty
+        value = f00 * sx * sy + f10 * tx * sy + f01 * sx * ty + f11 * tx * ty
+        dfdx = ((f10 - f00) * sy + (f11 - f01) * ty) / dvg
+        dfdy = ((f01 - f00) * sx + (f11 - f10) * tx) / dvd
+        if vds < 0.0:
+            return -value, -dfdx, dfdx + dfdy
+        return value, dfdx, dfdy
+
+    def capacitances(vgs: float, vds: float) -> tuple[float, float]:
+        # Q is mirrored without a sign: Q(vgs, vds < 0) = Q(vgs - vds, -vds).
+        if vds < 0.0:
+            fx = (vgs - vds + offset - vg0) / dvg
+            fy = (-vds - vd0) / dvd
+        else:
+            fx = (vgs + offset - vg0) / dvg
+            fy = (vds - vd0) / dvd
+        if fx < 0.0:
+            fx = 0.0
+        elif fx > fx_max:
+            fx = fx_max
+        ix = int(fx)
+        if ix > ix_max:
+            ix = ix_max
+        tx = fx - ix
+        if fy < 0.0:
+            fy = 0.0
+        elif fy > fy_max:
+            fy = fy_max
+        iy = int(fy)
+        if iy > iy_max:
+            iy = iy_max
+        ty = fy - iy
+        row0 = chg[ix]
+        row1 = chg[ix + 1]
+        f00 = row0[iy]
+        f01 = row0[iy + 1]
+        f10 = row1[iy]
+        f11 = row1[iy + 1]
+        cgd = abs(((f01 - f00) * (1.0 - tx) + (f11 - f10) * tx) / dvd)
+        cgs = abs(((f10 - f00) * (1.0 - ty) + (f11 - f01) * ty) / dvg) - cgd
+        return (cgs if cgs > 0.0 else 0.0), cgd
+
+    def charge(vgs: float, vds: float) -> float:
+        if vds < 0.0:
+            vgs, vds = vgs - vds, -vds
+        return bilinear(chg, vgs + offset, vds)[0]
+
+    return ScalarLookups(current_and_derivatives, capacitances, charge)
 
 
 @dataclass(frozen=True)
@@ -109,59 +268,24 @@ class DeviceTable:
         object.__setattr__(self, "vd", vd)
         object.__setattr__(self, "current_a", cur)
         object.__setattr__(self, "charge_c", chg)
-        # Uniform-grid fast path for the (scalar-heavy) circuit engine.
-        dvg = np.diff(vg)
-        dvd = np.diff(vd)
-        uniform = (np.allclose(dvg, dvg[0], rtol=1e-9, atol=1e-12)
-                   and np.allclose(dvd, dvd[0], rtol=1e-9, atol=1e-12))
-        object.__setattr__(self, "_uniform", bool(uniform))
-        object.__setattr__(self, "_vg0", float(vg[0]))
-        object.__setattr__(self, "_dvg", float(dvg[0]))
-        object.__setattr__(self, "_nvg", int(vg.size))
-        object.__setattr__(self, "_vd0", float(vd[0]))
-        object.__setattr__(self, "_dvd", float(dvd[0]))
-        object.__setattr__(self, "_nvd", int(vd.size))
-        object.__setattr__(self, "_cur_list", cur.tolist())
-        object.__setattr__(self, "_chg_list", chg.tolist())
 
-    def _scalar_bilinear(self, grid: list, x: float, y: float
-                         ) -> tuple[float, float, float]:
-        """Pure-Python bilinear evaluation on the uniform grid.
+    def __getstate__(self) -> dict:
+        # The lookup closures are rebuilt on first use, never pickled.
+        state = dict(self.__dict__)
+        state.pop("_lookups", None)
+        return state
 
-        ~10x faster than the numpy path for the one-point-at-a-time
-        queries issued by the circuit Newton loop.
+    def scalar_lookups(self) -> ScalarLookups:
+        """The table's float-query closures, built on first use.
+
+        The four evaluation methods serve float queries through them, and
+        the circuit kernel calls them directly.
         """
-        fx = (x - self._vg0) / self._dvg
-        if fx < 0.0:
-            fx = 0.0
-        elif fx > self._nvg - 1:
-            fx = float(self._nvg - 1)
-        ix = int(fx)
-        if ix > self._nvg - 2:
-            ix = self._nvg - 2
-        tx = fx - ix
-
-        fy = (y - self._vd0) / self._dvd
-        if fy < 0.0:
-            fy = 0.0
-        elif fy > self._nvd - 1:
-            fy = float(self._nvd - 1)
-        iy = int(fy)
-        if iy > self._nvd - 2:
-            iy = self._nvd - 2
-        ty = fy - iy
-
-        row0 = grid[ix]
-        row1 = grid[ix + 1]
-        f00 = row0[iy]
-        f01 = row0[iy + 1]
-        f10 = row1[iy]
-        f11 = row1[iy + 1]
-        value = (f00 * (1 - tx) * (1 - ty) + f10 * tx * (1 - ty)
-                 + f01 * (1 - tx) * ty + f11 * tx * ty)
-        dfdx = ((f10 - f00) * (1 - ty) + (f11 - f01) * ty) / self._dvg
-        dfdy = ((f01 - f00) * (1 - tx) + (f11 - f10) * tx) / self._dvd
-        return value, dfdx, dfdy
+        lookups = self.__dict__.get("_lookups")
+        if lookups is None:
+            lookups = _scalar_lookups(self)
+            object.__setattr__(self, "_lookups", lookups)
+        return lookups
 
     # --- construction helpers ------------------------------------------------
     @classmethod
@@ -221,15 +345,12 @@ class DeviceTable:
         sign = np.where(neg, -1.0, 1.0)
         return vgs_m + self.gate_offset_v, vds_m, sign
 
-    def _is_scalar_query(self, vgs, vds) -> bool:
-        return (self._uniform and isinstance(vgs, (int, float))
-                and isinstance(vds, (int, float)))
-
     def current(self, vgs: float | np.ndarray,
                 vds: float | np.ndarray) -> float | np.ndarray:
         """Drain current (A) at arbitrary bias, bilinear interpolation."""
-        if self._is_scalar_query(vgs, vds):
-            i, _, _ = self.current_and_derivatives(vgs, vds)
+        if isinstance(vgs, _SCALAR) and isinstance(vds, _SCALAR):
+            i, _, _ = self.scalar_lookups().current_and_derivatives(
+                float(vgs), float(vds))
             return i
         vg_i, vd_i, sign = self._map_bias(vgs, vds)
         value, _, _ = _bilinear(self.vg, self.vd, self.current_a, vg_i, vd_i)
@@ -241,17 +362,12 @@ class DeviceTable:
                float | np.ndarray]:
         """``(I, dI/dV_GS, dI/dV_DS)`` with derivatives consistent with
         the mirroring rule (used by the circuit Newton solver)."""
-        if self._is_scalar_query(vgs, vds):
-            vgs = float(vgs)
-            vds = float(vds)
-            if vds < 0.0:
-                # I(vgs, vds<0) = -f(vgs - vds, -vds)
-                v, dx, dy = self._scalar_bilinear(
-                    self._cur_list, vgs - vds + self.gate_offset_v, -vds)
-                return -v, -dx, dx + dy
-            v, dx, dy = self._scalar_bilinear(
-                self._cur_list, vgs + self.gate_offset_v, vds)
-            return v, dx, dy
+        if isinstance(vgs, _SCALAR) and isinstance(vds, _SCALAR):
+            return self.scalar_lookups().current_and_derivatives(
+                float(vgs), float(vds))
+        return self._array_current_and_derivatives(vgs, vds)
+
+    def _array_current_and_derivatives(self, vgs, vds):
         vg_i, vd_i, sign = self._map_bias(vgs, vds)
         value, d_dvg, d_dvd = _bilinear(self.vg, self.vd, self.current_a,
                                         vg_i, vd_i)
@@ -264,14 +380,11 @@ class DeviceTable:
     def charge(self, vgs: float | np.ndarray,
                vds: float | np.ndarray) -> float | np.ndarray:
         """Channel charge (C) at arbitrary bias."""
-        if self._is_scalar_query(vgs, vds):
-            vgs = float(vgs)
-            vds = float(vds)
-            if vds < 0.0:
-                vgs, vds = vgs - vds, -vds
-            v, _, _ = self._scalar_bilinear(
-                self._chg_list, vgs + self.gate_offset_v, vds)
-            return v
+        if isinstance(vgs, _SCALAR) and isinstance(vds, _SCALAR):
+            return self.scalar_lookups().charge(float(vgs), float(vds))
+        return self._array_charge(vgs, vds)
+
+    def _array_charge(self, vgs, vds):
         vg_i, vd_i, _ = self._map_bias(vgs, vds)
         value, _, _ = _bilinear(self.vg, self.vd, self.charge_c, vg_i, vd_i)
         return value
@@ -286,16 +399,11 @@ class DeviceTable:
         discretized |dQ/dV_GS| can dip below |dQ/dV_DS| near the
         ambipolar turning point).
         """
-        if self._is_scalar_query(vgs, vds):
-            vgs = float(vgs)
-            vds = float(vds)
-            if vds < 0.0:
-                vgs, vds = vgs - vds, -vds
-            _, dq_dvg, dq_dvd = self._scalar_bilinear(
-                self._chg_list, vgs + self.gate_offset_v, vds)
-            cgd = abs(dq_dvd)
-            cgs = abs(dq_dvg) - cgd
-            return (cgs if cgs > 0.0 else 0.0), cgd
+        if isinstance(vgs, _SCALAR) and isinstance(vds, _SCALAR):
+            return self.scalar_lookups().capacitances(float(vgs), float(vds))
+        return self._array_capacitances(vgs, vds)
+
+    def _array_capacitances(self, vgs, vds):
         vg_i, vd_i, _ = self._map_bias(vgs, vds)
         _, dq_dvg, dq_dvd = _bilinear(self.vg, self.vd, self.charge_c,
                                       vg_i, vd_i)

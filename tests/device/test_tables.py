@@ -1,11 +1,15 @@
 """Tests for device lookup tables: interpolation, offsets, composition."""
 
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.device.tables import DeviceTable
 from repro.errors import TableRangeError
+from tests.device.table_reference import ReferenceTable
 
 
 def _toy_table(gate_offset=0.0):
@@ -70,6 +74,97 @@ class TestInterpolation:
             cs, cd = t.capacitances(float(vg[k]), float(vd[k]))
             assert cs == pytest.approx(float(c_arr[0][k]), abs=1e-12)
             assert cd == pytest.approx(float(c_arr[1][k]), abs=1e-12)
+
+
+def _curved_table(uniform, gate_offset):
+    """A table with no bilinear structure (every cell, derivative and the
+    ``C_GS,i`` clamp differ) on a uniform or a non-uniform grid."""
+    vg = np.linspace(-0.4, 1.0, 15)
+    vd = np.linspace(0.0, 0.8, 9)
+    if not uniform:
+        vg = np.sort(np.append(vg, 0.123))
+        vd = np.sort(np.append(vd, 0.07))
+    gg, dd = np.meshgrid(vg, vd, indexing="ij")
+    return DeviceTable(vg=vg, vd=vd,
+                       current_a=1e-6 * np.sin(3.0 * gg) * np.tanh(4.0 * dd),
+                       charge_c=1e-18 * (gg * gg + 2.0 * dd - gg * dd),
+                       gate_offset_v=gate_offset)
+
+
+_CURVED = {(uniform, offset): _curved_table(uniform, offset)
+           for uniform in (True, False) for offset in (0.0, 0.05, -0.137)}
+_REFERENCES = {key: ReferenceTable(t) for key, t in _CURVED.items()}
+
+#: Gate and drain drives (``V_GS``, ``V_DS`` before the polarity) that
+#: reach both clamped edges of both axes (the gate axis spans
+#: [-0.4, 1.0] V before the offset, the drain axis [0, 0.8] V, and a
+#: negative drive is mirrored), exact grid points and signed zeros, and
+#: mostly land inside the grid, where every corner value matters.
+_GATE_DRIVE = st.one_of(st.floats(min_value=-0.7, max_value=1.3),
+                        st.sampled_from([-0.4, 1.0, 0.35, 0.0, -0.0]))
+_DRAIN_DRIVE = st.one_of(st.floats(min_value=-1.0, max_value=1.0),
+                         st.sampled_from([0.8, -0.8, 0.05, 0.0, -0.0]))
+_SOURCE = st.one_of(st.floats(min_value=-0.5, max_value=0.5),
+                    st.sampled_from([0.0, -0.0, 0.4]))
+
+
+def _bits(value):
+    """The exact bits of a float or a tuple of floats."""
+    values = value if isinstance(value, tuple) else (value,)
+    return tuple(struct.pack("<d", float(v)) for v in values)
+
+
+class TestScalarLookupsMatchReference:
+    """The float-query path equals the frozen pre-closure lookup
+    (``tests/device/table_reference.py``) bit for bit."""
+
+    @given(uniform=st.booleans(),
+           offset=st.sampled_from([0.0, 0.05, -0.137]),
+           polarity=st.sampled_from([+1, -1]),
+           v_s=_SOURCE, gate=_GATE_DRIVE, drain=_DRAIN_DRIVE,
+           drain_on_source=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_bitwise_as_the_kernel_queries(self, uniform, offset, polarity,
+                                           v_s, gate, drain,
+                                           drain_on_source):
+        """Biases formed from terminal voltages as the circuit kernel
+        forms them: a p-device with ``v_d == v_s`` queries
+        ``V_DS = -0.0``."""
+        table = _CURVED[uniform, offset]
+        ref = _REFERENCES[uniform, offset]
+        v_g = v_s + polarity * gate
+        v_d = v_s if drain_on_source else v_s + polarity * drain
+        vgs = polarity * (v_g - v_s)
+        vds = polarity * (v_d - v_s)
+        lookups = table.scalar_lookups()
+        for name in ("current_and_derivatives", "capacitances", "charge"):
+            expected = _bits(getattr(ref, name)(vgs, vds))
+            assert _bits(getattr(table, name)(vgs, vds)) == expected
+            assert _bits(getattr(lookups, name)(vgs, vds)) == expected
+        assert _bits(table.current(vgs, vds)) == _bits(ref.current(vgs, vds))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.05, -0.137])
+    def test_bitwise_over_a_seeded_sweep(self, offset):
+        """Hypothesis favours round biases, where a reordered product
+        often rounds the same; a sweep of arbitrary biases inside and
+        beyond the grid catches a last-bit change of the formula."""
+        table, ref = _CURVED[True, offset], _REFERENCES[True, offset]
+        biases = np.random.default_rng(7).uniform([-0.7, -1.0], [1.3, 1.0],
+                                                  size=(3000, 2))
+        for vgs, vds in biases.tolist():
+            for name in ("current_and_derivatives", "capacitances",
+                         "charge", "current"):
+                assert _bits(getattr(table, name)(vgs, vds)) == _bits(
+                    getattr(ref, name)(vgs, vds))
+
+    @pytest.mark.parametrize("vds", [0.0, -0.0])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_signed_zero_drain_bias(self, vds, uniform):
+        table, ref = _CURVED[uniform, 0.05], _REFERENCES[uniform, 0.05]
+        for name in ("current_and_derivatives", "capacitances", "charge",
+                     "current"):
+            assert _bits(getattr(table, name)(0.3, vds)) == _bits(
+                getattr(ref, name)(0.3, vds))
 
 
 class TestNegativeVds:
@@ -167,6 +262,15 @@ class TestPersistence:
         assert np.allclose(loaded.charge_c, t.charge_c)
         assert loaded.gate_offset_v == 0.15
         assert loaded.label == "toy"
+
+
+    def test_pickles_after_a_lookup(self):
+        """The lookup closures a query builds are never pickled."""
+        t = _toy_table(gate_offset=0.15)
+        expected = t.current_and_derivatives(0.3, 0.2)
+        clone = pickle.loads(pickle.dumps(t))
+        assert clone.current_and_derivatives(0.3, 0.2) == expected
+        assert clone.capacitances(0.3, -0.2) == t.capacitances(0.3, -0.2)
 
 
 class TestValidation:
