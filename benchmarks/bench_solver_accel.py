@@ -1,6 +1,6 @@
 """Solver acceleration layer: the hot-path wins, measured.
 
-The acceleration work has five legs, each with a quantitative
+The acceleration work has seven legs, each with a quantitative
 acceptance target measured here and persisted to ``BENCH_solvers.json``
 at the repository root:
 
@@ -47,6 +47,16 @@ at the repository root:
   (``tests/variability/mc_reference.py``) and through production.
   Target: bitwise-identical samples, nominal values, variant counts and
   failure records, >= 20x in samples per second.
+* **NEGF experiments** — the Fig. 5 chain kernel runs site-major into
+  scratch rows, ``fermi_dirac`` takes one exponential, and an
+  edge-roughness ensemble decimates its leads once and runs a
+  transmission-only RGF per sample.  Replays every chain call of one
+  full-grid Fig. 5 solve, the conduction-band Fermi–Dirac argument of
+  the equilibrium density table, and one ensemble (N = 12, p = 0.05,
+  24 cells, 10 samples) through the frozen formulation
+  (``tests/device/negf_reference.py``) and through production.  Target:
+  bitwise-identical outputs, >= 1.2x per chain call, >= 2x per
+  Fermi–Dirac call and >= 3x per ensemble.
 
 Each test rewrites only its own legs of ``BENCH_solvers.json``.  Smoke
 mode (``REPRO_BENCH_SMOKE=1``) shrinks the workloads and relaxes the
@@ -59,6 +69,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +84,8 @@ from repro.circuit.inverter import (
 from repro.circuit.netlist import Circuit
 from repro.circuit.ring_oscillator import build_ring_oscillator
 from repro.circuit.transient import simulate_transient
+from repro.constants import fermi_dirac
+from repro.device import negf_device
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device.negf_modespace import ModeSpaceGNRDevice
@@ -82,6 +95,7 @@ from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
 from repro.poisson.fd import PoissonOperator, solve_poisson_2d
 from repro.poisson.grid import Grid2D
 from repro.reporting.tables import format_table
+from repro.variability.edge_roughness import roughness_ensemble
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -109,12 +123,16 @@ CIRCUIT_RING_STEPS = 40 if SMOKE else 300
 CIRCUIT_REPEATS = 1 if SMOKE else 5
 MC_SAMPLES = 200 if SMOKE else 2000
 MC_REPEATS = 1 if SMOKE else 3
+NEGF_CHAIN_N_X = 31 if SMOKE else 51
+NEGF_ENSEMBLE = (12, 0.05, 12, 4) if SMOKE else (12, 0.05, 24, 10)
+NEGF_REPEATS = 3 if SMOKE else 10
 
-SCHEMA = "repro-bench-solvers/8"
+SCHEMA = "repro-bench-solvers/9"
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 ORACLE_PATH = TESTS_DIR / "device" / "wkb_reference.py"
 CIRCUIT_ORACLE_PATH = TESTS_DIR / "circuit" / "engine_reference.py"
 MC_ORACLE_PATH = TESTS_DIR / "variability" / "mc_reference.py"
+NEGF_ORACLE_PATH = TESTS_DIR / "device" / "negf_reference.py"
 
 
 def _load_module(path: Path):
@@ -652,3 +670,142 @@ def test_monte_carlo(tech, save_report):
         return
     assert mc["speedup"] >= 20.0
     _write_legs({"monte_carlo": mc})
+
+
+def _bench_negf() -> dict:
+    """Production NEGF experiment kernels vs the frozen oracle."""
+    oracle = _load_module(NEGF_ORACLE_PATH)
+
+    # Chain kernel: every call of one Fig. 5 solve, replayed.
+    production = negf_device._scalar_chain_rgf
+    calls: list[tuple] = []
+
+    def record(*args):
+        calls.append(args)
+        return production(*args)
+
+    negf_device._scalar_chain_rgf = record
+    try:
+        negf_device.NEGFDevice(GNRFETGeometry(n_index=12),
+                               n_x=NEGF_CHAIN_N_X, n_y=11).solve(0.1, 0.5)
+    finally:
+        negf_device._scalar_chain_rgf = production
+    chain_bitwise = True
+    for args in calls:
+        new, ref = production(*args), oracle._scalar_chain_rgf(*args)
+        chain_bitwise &= all(
+            np.array_equal(getattr(new, name), getattr(ref, name))
+            for name in ("transmission", "spectral_source",
+                         "spectral_drain"))
+
+    def replay(kernel):
+        for args in calls:
+            kernel(*args)
+
+    chain_oracle_s, chain_kernel_s = _best_pair_s(
+        lambda: replay(oracle._scalar_chain_rgf), lambda: replay(production),
+        NEGF_REPEATS)
+
+    # Fermi-Dirac: the conduction-band argument of the density table.
+    model = SBFETModel(GNRFETGeometry())
+    e_k = np.sqrt(model.modes[0].edge_ev ** 2
+                  + (model._hv_ev_nm[0] * model._k_grids[0]) ** 2)
+    energies = np.linspace(-3.0, 3.0, 2401)[:, None] + e_k[None, :]
+    kt = model.kt_ev
+    fermi_bitwise = np.array_equal(
+        fermi_dirac(energies, 0.0, kt).view(np.uint64),
+        oracle.fermi_dirac(energies, 0.0, kt).view(np.uint64))
+    fermi_oracle_s, fermi_kernel_s = _best_pair_s(
+        lambda: oracle.fermi_dirac(energies, 0.0, kt),
+        lambda: fermi_dirac(energies, 0.0, kt), 2 * NEGF_REPEATS)
+    peaks = []
+    for fn in (oracle.fermi_dirac, fermi_dirac):
+        tracemalloc.start()
+        fn(energies, 0.0, kt)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        tracemalloc.stop()
+
+    # One edge-roughness ensemble.
+    n_index, probability, n_cells, n_samples = NEGF_ENSEMBLE
+
+    def ensemble():
+        return roughness_ensemble(n_index, probability, n_cells=n_cells,
+                                  n_samples=n_samples).samples
+
+    def ensemble_oracle():
+        return oracle.roughness_samples(n_index, probability, n_cells,
+                                        n_samples)
+
+    ensemble_bitwise = np.array_equal(ensemble(), ensemble_oracle())
+    ens_oracle_s, ens_kernel_s = _best_pair_s(ensemble_oracle, ensemble,
+                                              NEGF_REPEATS)
+    return {
+        "chain_kernel": {
+            "n_x": NEGF_CHAIN_N_X,
+            "calls": len(calls),
+            "max_energies": max(args[0].size for args in calls),
+            "oracle_ms_per_call": chain_oracle_s / len(calls) * 1e3,
+            "kernel_ms_per_call": chain_kernel_s / len(calls) * 1e3,
+            "speedup": chain_oracle_s / chain_kernel_s,
+            "bitwise": chain_bitwise,
+        },
+        "fermi_dirac": {
+            "shape": list(energies.shape),
+            "oracle_ms": fermi_oracle_s * 1e3,
+            "kernel_ms": fermi_kernel_s * 1e3,
+            "speedup": fermi_oracle_s / fermi_kernel_s,
+            "oracle_peak_mb": peaks[0],
+            "kernel_peak_mb": peaks[1],
+            "bitwise": bool(fermi_bitwise),
+        },
+        "roughness_ensemble": {
+            "n_index": n_index,
+            "vacancy_probability": probability,
+            "n_cells": n_cells,
+            "n_samples": n_samples,
+            "oracle_ms": ens_oracle_s * 1e3,
+            "kernel_ms": ens_kernel_s * 1e3,
+            "speedup": ens_oracle_s / ens_kernel_s,
+            "bitwise": bool(ensemble_bitwise),
+        },
+    }
+
+
+def test_negf(save_report):
+    legs = _bench_negf()
+    chain, fermi, ens = (legs["chain_kernel"], legs["fermi_dirac"],
+                         legs["roughness_ensemble"])
+    rows = [
+        [f"chain kernel (n_x={chain['n_x']}, {chain['calls']} calls of "
+         f"one Fig. 5 solve, <= {chain['max_energies']} E)",
+         f"{chain['oracle_ms_per_call']:.2f} ms/call",
+         f"{chain['kernel_ms_per_call']:.2f} ms/call",
+         f"{chain['speedup']:.2f}x", str(chain["bitwise"])],
+        [f"fermi_dirac {fermi['shape'][0]}x{fermi['shape'][1]} "
+         f"(peak {fermi['oracle_peak_mb']:.1f} -> "
+         f"{fermi['kernel_peak_mb']:.1f} MB)",
+         f"{fermi['oracle_ms']:.2f} ms", f"{fermi['kernel_ms']:.2f} ms",
+         f"{fermi['speedup']:.2f}x", str(fermi["bitwise"])],
+        [f"roughness ensemble (N={ens['n_index']}, "
+         f"p={ens['vacancy_probability']}, {ens['n_cells']} cells, "
+         f"{ens['n_samples']} samples)",
+         f"{ens['oracle_ms']:.1f} ms", f"{ens['kernel_ms']:.1f} ms",
+         f"{ens['speedup']:.2f}x", str(ens["bitwise"])],
+    ]
+    report = format_table(
+        ["path", "oracle", "kernel", "gain", "bitwise"], rows,
+        title="NEGF experiment kernels vs frozen oracle "
+              f"(best of {NEGF_REPEATS} alternating)")
+    save_report("negf", report)
+    print(report)
+
+    # Same float operations in the same order: every output is the
+    # oracle's, bit for bit.
+    assert chain["bitwise"] and fermi["bitwise"] and ens["bitwise"]
+    if SMOKE:
+        assert ens["speedup"] >= 1.5
+        return
+    assert chain["speedup"] >= 1.2
+    assert fermi["speedup"] >= 2.0
+    assert ens["speedup"] >= 3.0
+    _write_legs({"negf": legs})

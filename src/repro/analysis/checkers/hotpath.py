@@ -39,6 +39,7 @@ _SCALAR_KERNELS = {
     "resilient_surface_gf": "resilient_surface_gf_batched",
     "dense_retarded_gf": "rgf_transmission_batched",
     "recursive_greens_function": "rgf_transmission_batched",
+    "rgf_transmission": "rgf_transmission_batched",
 }
 
 #: Per-point evaluation methods with a batched counterpart.

@@ -121,17 +121,25 @@ def fermi_dirac(energy_ev: float | np.ndarray, mu_ev: float,
     """Fermi-Dirac occupation f(E) for energies in eV.
 
     Implemented in an overflow-safe way so it can be evaluated on numpy
-    arrays spanning many k_B T on either side of the chemical potential.
+    arrays spanning many k_B T on either side of the chemical potential:
+    with ``e = exp(-|x|)``, which never overflows, ``f = e / (1 + e)``
+    for ``x > 0`` and ``1 / (1 + e)`` otherwise.  The one exponential is
+    taken in place in a private copy of the energies, so an array call
+    holds two arrays of its size (plus a boolean mask).
     """
     import numpy as np
 
     if kt_ev <= 0.0:
         raise ValueError(f"kT must be positive, got {kt_ev}")
-    x = (np.asarray(energy_ev, dtype=float) - mu_ev) / kt_ev
-    # exp(-|x|) never overflows; branch on the sign of x.
-    out = np.where(x > 0.0,
-                   np.exp(-np.clip(x, 0.0, None)) / (1.0 + np.exp(-np.clip(x, 0.0, None))),
-                   1.0 / (1.0 + np.exp(np.clip(x, None, 0.0))))
+    # A fresh array even for a scalar, so the steps below work in place.
+    x = np.asarray((np.asarray(energy_ev, dtype=float) - mu_ev) / kt_ev)
+    positive = x > 0.0
+    # Negating only where x > 0 leaves a NaN's sign bit as it came in.
+    np.negative(x, out=x, where=positive)
+    np.exp(x, out=x)
+    denominator = 1.0 + x
+    np.copyto(x, 1.0, where=~positive)
+    out = np.divide(x, denominator, out=x)
     if np.isscalar(energy_ev):
         return float(out)
     return out

@@ -86,6 +86,16 @@ def _scalar_chain_rgf(
     vector (two orders of magnitude faster than looping the generic
     matrix kernel over energies).  Validated against the matrix kernel in
     the test suite.
+
+    The recurrences run site-major: each stored array is ``(n_x, n_e)``,
+    so every step reads and writes contiguous rows, through ``out=``
+    ufuncs into two scratch rows.  Only ``G_11`` of the diagonal is read,
+    so the diagonal recurrence keeps one running row, and the first and
+    last block columns overwrite the right- and left-connected functions
+    they are built from.  Each element sees the same float operations in
+    the same order as in the energy-major formulation, so the results are
+    bitwise the same; the spectral arrays are returned C-ordered as
+    ``(n_e, n_x)``, so energy integrals over them sum in that order too.
     """
     energies = np.asarray(energies_ev, dtype=float)
     eps = np.asarray(onsite_ev, dtype=float)
@@ -95,42 +105,63 @@ def _scalar_chain_rgf(
     h01 = -hopping_ev  # off-diagonal Hamiltonian element
     h2 = h01 * h01
 
-    a0 = z[:, None] - eps[None, :]
-    a = a0.copy()
-    a[:, 0] -= sigma_left
-    a[:, -1] -= sigma_right
+    a = z[None, :] - eps[:, None]
+    a[0] -= sigma_left
+    a[-1] -= sigma_right
+    # Two scratch rows: a complex product written over one of its own
+    # operands rounds differently for a single energy, so products
+    # never alias their output.
+    s1 = np.empty(n_e, dtype=complex)
+    s2 = np.empty(n_e, dtype=complex)
 
-    g_left = np.empty((n_e, n_x), dtype=complex)
-    g_left[:, 0] = 1.0 / a[:, 0]
+    # Left-connected g_i; becomes the last column G_iN below.
+    g_left = np.empty((n_x, n_e), dtype=complex)
+    np.divide(1.0, a[0], out=g_left[0])
     for i in range(1, n_x):
-        g_left[:, i] = 1.0 / (a[:, i] - h2 * g_left[:, i - 1])
+        np.multiply(h2, g_left[i - 1], out=s1)
+        np.subtract(a[i], s1, out=s1)
+        np.divide(1.0, s1, out=g_left[i])
 
-    g_right = np.empty((n_e, n_x), dtype=complex)
-    g_right[:, -1] = 1.0 / a[:, -1]
+    # Right-connected g_i; becomes the first column G_i1 below.
+    g_right = np.empty((n_x, n_e), dtype=complex)
+    np.divide(1.0, a[-1], out=g_right[-1])
     for i in range(n_x - 2, -1, -1):
-        g_right[:, i] = 1.0 / (a[:, i] - h2 * g_right[:, i + 1])
+        np.multiply(h2, g_right[i + 1], out=s1)
+        np.subtract(a[i], s1, out=s1)
+        np.divide(1.0, s1, out=g_right[i])
 
-    diag = np.empty((n_e, n_x), dtype=complex)
-    diag[:, -1] = g_left[:, -1]
+    # Backward: diagonal G_ii (one running row, ending at G_11) and the
+    # last column G_iN = g_i h01 G_{i+1,N}, in place of g_i.
+    diag = g_left[-1].copy()
     for i in range(n_x - 2, -1, -1):
-        diag[:, i] = g_left[:, i] * (1.0 + h2 * diag[:, i + 1] * g_left[:, i])
+        g_i = g_left[i]
+        np.multiply(h2, diag, out=s1)
+        np.multiply(s1, g_i, out=s2)
+        np.add(1.0, s2, out=s2)
+        np.multiply(g_i, s2, out=diag)
+        np.multiply(g_i, h01, out=s1)
+        np.multiply(s1, g_left[i + 1], out=g_i)
+    last_col = g_left
 
-    first_col = np.empty((n_e, n_x), dtype=complex)
-    first_col[:, 0] = diag[:, 0]
+    # Forward: first column G_i1 = g_i h01 G_{i-1,1}, in place of g_i.
+    first_col = g_right
+    first_col[0] = diag
     for i in range(1, n_x):
-        first_col[:, i] = g_right[:, i] * h01 * first_col[:, i - 1]
-
-    last_col = np.empty((n_e, n_x), dtype=complex)
-    last_col[:, -1] = diag[:, -1]
-    for i in range(n_x - 2, -1, -1):
-        last_col[:, i] = g_left[:, i] * h01 * last_col[:, i + 1]
+        np.multiply(first_col[i], h01, out=s1)
+        np.multiply(s1, first_col[i - 1], out=first_col[i])
 
     gamma_left = -2.0 * np.imag(sigma_left)
     gamma_right = -2.0 * np.imag(sigma_right)
 
-    transmission = gamma_left * gamma_right * np.abs(last_col[:, 0]) ** 2
-    spectral_source = (np.abs(first_col) ** 2) * gamma_left[:, None]
-    spectral_drain = (np.abs(last_col) ** 2) * gamma_right[:, None]
+    abs_first = np.abs(first_col)
+    np.square(abs_first, out=abs_first)
+    abs_last = np.abs(last_col)
+    np.square(abs_last, out=abs_last)
+    transmission = gamma_left * gamma_right * abs_last[0]
+    spectral_source = np.multiply(abs_first.T, gamma_left[:, None],
+                                  out=np.empty((n_e, n_x)))
+    spectral_drain = np.multiply(abs_last.T, gamma_right[:, None],
+                                 out=np.empty((n_e, n_x)))
     if sanitize.ACTIVE:
         op = "_scalar_chain_rgf"
         sanitize.check_transmission(transmission, 1.0, op,
@@ -188,6 +219,14 @@ class NEGFDevice:
     def __init__(self, geometry: GNRFETGeometry, n_modes: int = 2,
                  n_x: int = 61, n_y: int = 15,
                  coarse_step_ev: float = 5e-3, fine_step_ev: float = 1e-3):
+        # The contact columns and gate rails are Dirichlet nodes: with
+        # fewer than three nodes along x there is no interior channel
+        # site, and along y the channel row would be a gate rail, so
+        # Poisson would never see the mobile charge.
+        if n_x < 3 or n_y < 3:
+            raise ValueError(
+                f"NEGFDevice needs n_x >= 3 and n_y >= 3, got n_x={n_x}, "
+                f"n_y={n_y}")
         self.geometry = geometry
         self.modes = transverse_modes(geometry.n_index, n_modes)
         self.kt_ev = thermal_energy_ev(geometry.temperature_k)
@@ -293,12 +332,15 @@ class NEGFDevice:
 
     def _solve_chain(self, edge_profile: np.ndarray, t_chain: float,
                      mu_left: float, mu_right: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray, np.ndarray]:
         """NEGF solve of one carrier chain.
 
-        Returns ``(energies, transmission, density_per_site)`` where the
-        density is the carrier occupation per site filled from the two
-        contacts at their chemical potentials.
+        Returns ``(energies, transmission, density_per_site, f_left,
+        f_right)`` where the density is the carrier occupation per site
+        filled from the two contacts at their chemical potentials, and
+        ``f_left``/``f_right`` are the contacts' Fermi factors on the
+        energy grid (the current integral reuses them).
         """
         energies = self._energy_grid(edge_profile, mu_left, mu_right)
         onsite = edge_profile + 2.0 * t_chain
@@ -312,7 +354,7 @@ class NEGFDevice:
                      + out.spectral_drain * f_r[:, None])
         density = (2.0 / (2.0 * np.pi)) * np.trapezoid(
             integrand, energies, axis=0)
-        return energies, out.transmission, density
+        return energies, out.transmission, density, f_l, f_r
 
     def _transport(self, midgap_ev: np.ndarray, vd: float
                    ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -325,10 +367,8 @@ class NEGFDevice:
             # Electron chain: conduction edge U + E_n; metal Fermi levels
             # pin the contact midgap, i.e. barriers of height E_n.
             e_edge = midgap_ev + mode.edge_ev
-            energies, trans, dens = self._solve_chain(
+            energies, trans, dens, f_s, f_d = self._solve_chain(
                 e_edge, t_chain, mu_s, mu_d)
-            f_s = fermi_dirac(energies, mu_s, self.kt_ev)
-            f_d = fermi_dirac(energies, mu_d, self.kt_ev)
             current += LANDAUER_PREFACTOR_A_PER_EV * float(
                 np.trapezoid(trans * (f_s - f_d), energies))
             n_tot += dens / self._dx
@@ -337,10 +377,8 @@ class NEGFDevice:
             # -E_V = E_n - U, hole chemical potentials -mu.
             h_edge = mode.edge_ev - midgap_ev
             mu_s_h, mu_d_h = 0.0, vd
-            energies_h, trans_h, dens_h = self._solve_chain(
+            energies_h, trans_h, dens_h, f_s_h, f_d_h = self._solve_chain(
                 h_edge, t_chain, mu_s_h, mu_d_h)
-            f_s_h = fermi_dirac(energies_h, mu_s_h, self.kt_ev)
-            f_d_h = fermi_dirac(energies_h, mu_d_h, self.kt_ev)
             # I_v = (2e/h) int T_h(eps) [f(eps; vd) - f(eps; 0)] deps >= 0
             current += LANDAUER_PREFACTOR_A_PER_EV * float(
                 np.trapezoid(trans_h * (f_d_h - f_s_h), energies_h))

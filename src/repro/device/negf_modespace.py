@@ -40,10 +40,7 @@ from repro.atomistic.lattice import ArmchairGNR
 from repro.atomistic.modespace import ModeBasis, transverse_mode_basis
 from repro.device.negf_realspace import RealSpaceTransport
 from repro.errors import InvalidDeviceError
-from repro.negf.greens import (
-    recursive_greens_function,
-    rgf_transmission_batched,
-)
+from repro.negf.greens import rgf_transmission, rgf_transmission_batched
 from repro.negf.self_energy import (
     resilient_surface_gf,
     resilient_surface_gf_batched,
@@ -185,10 +182,10 @@ negf_realspace.longitudinal_onsite`).  A transversely *non-uniform*
                         eta_ev: float = 1e-6) -> float:
         """Landauer transmission at one energy."""
         sigma_l, sigma_r = self.lead_self_energies(energy_ev, eta_ev)
-        result = recursive_greens_function(
+        transmission = rgf_transmission(
             energy_ev, self.diagonal, self.coupling, sigma_l, sigma_r,
             eta_ev)
-        return max(result.transmission, 0.0)
+        return max(transmission, 0.0)
 
     def lead_self_energies_batched(
             self, energies_ev: np.ndarray, eta_ev: float = 1e-6

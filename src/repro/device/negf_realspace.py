@@ -45,7 +45,7 @@ from repro.atomistic.hamiltonian import (
 )
 from repro.atomistic.lattice import ArmchairGNR
 from repro.errors import InvalidDeviceError
-from repro.negf.greens import recursive_greens_function, rgf_transmission_batched
+from repro.negf.greens import rgf_transmission, rgf_transmission_batched
 from repro.negf.self_energy import (
     resilient_surface_gf,
     resilient_surface_gf_batched,
@@ -145,14 +145,25 @@ class RealSpaceGNRDevice:
         sigma_r = self_energy_from_surface_gf(g_right, self._h01)
         return sigma_l, sigma_r
 
-    def transmission_at(self, energy_ev: float,
-                        eta_ev: float = 1e-6) -> float:
-        """Landauer transmission at one energy."""
-        sigma_l, sigma_r = self.lead_self_energies(energy_ev, eta_ev)
-        result = recursive_greens_function(
+    def transmission_at(
+            self, energy_ev: float, eta_ev: float = 1e-6, *,
+            self_energies: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> float:
+        """Landauer transmission at one energy.
+
+        ``self_energies`` is ``lead_self_energies(energy_ev, eta_ev)``
+        computed earlier, for callers that probe many devices with the
+        same leads at the same energy (a disorder ensemble); the leads
+        depend only on the ribbon index, the lead shifts, the energy and
+        ``eta_ev``, not on the device segment.
+        """
+        if self_energies is None:
+            self_energies = self.lead_self_energies(energy_ev, eta_ev)
+        sigma_l, sigma_r = self_energies
+        transmission = rgf_transmission(
             energy_ev, self.diagonal, self.coupling, sigma_l, sigma_r,
             eta_ev)
-        return max(result.transmission, 0.0)
+        return max(transmission, 0.0)
 
     def lead_self_energies_batched(
             self, energies_ev: np.ndarray, eta_ev: float = 1e-6

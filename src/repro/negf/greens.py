@@ -17,6 +17,10 @@ is implemented twice:
   This is one of the "efficient computational algorithms ... to make
   routine device simulation and design possible on a personal computer"
   the paper refers to.
+* :func:`rgf_transmission` — only the transmission piece of that pass
+  (left-connected sweep and last-column recurrence down to ``G_1N``),
+  bit for bit equal to its ``transmission``, for callers that probe one
+  energy per device, such as an edge-roughness ensemble.
 * :func:`rgf_transmission_batched` — the transmission piece of the RGF
   recurrences carried over a leading energy axis (broadcast
   ``np.linalg.solve``), so a dense energy grid costs O(N_blocks) stacked
@@ -97,6 +101,45 @@ class RGFResult:
     transmission: float
 
 
+def _block_count(diagonal_blocks: list[np.ndarray],
+                 coupling_blocks: list[np.ndarray]) -> int:
+    """Number of blocks, after checking the couplings match them."""
+    n_blocks = len(diagonal_blocks)
+    if n_blocks == 0:
+        raise ValueError("device must contain at least one block")
+    if len(coupling_blocks) != n_blocks - 1:
+        raise ValueError(
+            f"expected {n_blocks - 1} coupling blocks, got {len(coupling_blocks)}")
+    return n_blocks
+
+
+def _a_block(i: int, z: complex, diagonal_blocks: list[np.ndarray],
+             sigma_left: np.ndarray, sigma_right: np.ndarray) -> np.ndarray:
+    """``A_ii = z I - H_ii``, less the contact self-energy on an end block."""
+    d = np.asarray(diagonal_blocks[i], dtype=complex)
+    a = z * np.eye(d.shape[0], dtype=complex) - d
+    if i == 0:
+        a = a - sigma_left
+    if i == len(diagonal_blocks) - 1:
+        a = a - sigma_right
+    return a
+
+
+def _left_connected(z: complex, diagonal_blocks: list[np.ndarray],
+                    coupling_blocks: list[np.ndarray],
+                    sigma_left: np.ndarray,
+                    sigma_right: np.ndarray) -> list[np.ndarray]:
+    """Forward sweep: the left-connected Green's functions ``gL_i``."""
+    g_left: list[np.ndarray] = []
+    for i in range(len(diagonal_blocks)):
+        a = _a_block(i, z, diagonal_blocks, sigma_left, sigma_right)
+        if i > 0:
+            t_prev = np.asarray(coupling_blocks[i - 1], dtype=complex)
+            a = a - t_prev.conj().T @ g_left[i - 1] @ t_prev
+        g_left.append(np.linalg.solve(a, np.eye(a.shape[0], dtype=complex)))
+    return g_left
+
+
 def recursive_greens_function(
     energy_ev: float,
     diagonal_blocks: list[np.ndarray],
@@ -129,12 +172,7 @@ def recursive_greens_function(
     ``G_{i,1} = -gL_i T_{i-1}^dag G_{i-1,1}`` ... (built forward), and
     ``G_{i,N} = -gL_i T_i G_{i+1,N}`` (built backward).
     """
-    n_blocks = len(diagonal_blocks)
-    if n_blocks == 0:
-        raise ValueError("device must contain at least one block")
-    if len(coupling_blocks) != n_blocks - 1:
-        raise ValueError(
-            f"expected {n_blocks - 1} coupling blocks, got {len(coupling_blocks)}")
+    n_blocks = _block_count(diagonal_blocks, coupling_blocks)
 
     if sanitize.ACTIVE:
         for i, block in enumerate(diagonal_blocks):
@@ -143,24 +181,8 @@ def recursive_greens_function(
                 energy_ev=energy_ev)
 
     z = energy_ev + 1j * eta_ev
-
-    def a_block(i: int) -> np.ndarray:
-        d = np.asarray(diagonal_blocks[i], dtype=complex)
-        a = z * np.eye(d.shape[0], dtype=complex) - d
-        if i == 0:
-            a = a - sigma_left
-        if i == n_blocks - 1:
-            a = a - sigma_right
-        return a
-
-    # Forward sweep: left-connected Green's functions.
-    g_left: list[np.ndarray] = []
-    for i in range(n_blocks):
-        a = a_block(i)
-        if i > 0:
-            t_prev = np.asarray(coupling_blocks[i - 1], dtype=complex)
-            a = a - t_prev.conj().T @ g_left[i - 1] @ t_prev
-        g_left.append(np.linalg.solve(a, np.eye(a.shape[0], dtype=complex)))
+    g_left = _left_connected(z, diagonal_blocks, coupling_blocks, sigma_left,
+                             sigma_right)
 
     # Backward sweep: full diagonal blocks.
     diag: list[np.ndarray | None] = [None] * n_blocks
@@ -173,7 +195,7 @@ def recursive_greens_function(
     # Right-connected Green's functions, needed for the first block column.
     g_right: list[np.ndarray | None] = [None] * n_blocks
     for i in range(n_blocks - 1, -1, -1):
-        a = a_block(i)
+        a = _a_block(i, z, diagonal_blocks, sigma_left, sigma_right)
         if i < n_blocks - 1:
             t_i = np.asarray(coupling_blocks[i], dtype=complex)
             a = a - t_i @ g_right[i + 1] @ t_i.conj().T
@@ -236,6 +258,48 @@ def recursive_greens_function(
     )
 
 
+def rgf_transmission(
+    energy_ev: float,
+    diagonal_blocks: list[np.ndarray],
+    coupling_blocks: list[np.ndarray],
+    sigma_left: np.ndarray,
+    sigma_right: np.ndarray,
+    eta_ev: float = 1e-6,
+) -> float:
+    """Landauer transmission at one energy, and nothing else.
+
+    Equal to ``recursive_greens_function(...).transmission`` bit for bit:
+    it runs only that function's left-connected sweep and its last-block-
+    column recurrence down to ``G_1N``, in the same operation order, and
+    skips the diagonal blocks, the right-connected sweep and the first
+    block column, which transmission never reads.  Under the sanitizer it
+    delegates to :func:`recursive_greens_function`, so the hermiticity,
+    finiteness, bound and reciprocity checks all still run.
+    """
+    if sanitize.ACTIVE:
+        return recursive_greens_function(
+            energy_ev, diagonal_blocks, coupling_blocks, sigma_left,
+            sigma_right, eta_ev).transmission
+    n_blocks = _block_count(diagonal_blocks, coupling_blocks)
+    g_left = _left_connected(energy_ev + 1j * eta_ev, diagonal_blocks,
+                             coupling_blocks, sigma_left, sigma_right)
+
+    # The last-column recurrence G_{i,N} = gL_i T_i G_{i+1,N}, kept only
+    # down to G_1N.
+    g_1n = g_left[n_blocks - 1]
+    for i in range(n_blocks - 2, -1, -1):
+        t_i = np.asarray(coupling_blocks[i], dtype=complex)
+        g_1n = g_left[i] @ t_i @ g_1n
+
+    gamma_left = 1j * (sigma_left - sigma_left.conj().T)
+    gamma_right = 1j * (sigma_right - sigma_right.conj().T)
+    t_matrix = gamma_left @ g_1n @ gamma_right @ g_1n.conj().T
+    if obs.ACTIVE:
+        obs.incr("negf.rgf_passes")
+        obs.incr("negf.rgf_block_solves", n_blocks)
+    return float(np.real(np.trace(t_matrix)))
+
+
 def rgf_transmission_batched(
     energies_ev: np.ndarray,
     diagonal_blocks: list[np.ndarray],
@@ -275,13 +339,7 @@ def rgf_transmission_batched(
     adds the right-connected sweep only in that case.
     """
     energies = np.atleast_1d(np.asarray(energies_ev, dtype=float))
-    n_blocks = len(diagonal_blocks)
-    if n_blocks == 0:
-        raise ValueError("device must contain at least one block")
-    if len(coupling_blocks) != n_blocks - 1:
-        raise ValueError(
-            f"expected {n_blocks - 1} coupling blocks, "
-            f"got {len(coupling_blocks)}")
+    n_blocks = _block_count(diagonal_blocks, coupling_blocks)
     n_e = energies.size
     sigma_left = np.asarray(sigma_left, dtype=complex)
     sigma_right = np.asarray(sigma_right, dtype=complex)

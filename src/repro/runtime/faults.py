@@ -14,7 +14,7 @@ Specification grammar (``REPRO_FAULTS`` or :func:`enable`)::
     spec     := clause (";" clause)*
     clause   := site "@" index ("," index)*
     index    := INT ("x" INT)?          # "x" caps how many attempts fail
-    site     := "scf" | "sr" | "worker" | "checkpoint"
+    site     := "scf" | "worker" | "checkpoint"
 
 Examples
 --------
@@ -22,11 +22,9 @@ Examples
     The solves of sweep cells 3 and 7 raise a
     :class:`~repro.errors.ConvergenceError` and the cells are
     quarantined.
-``sr@5``
-    The Sancho-Rubio decimation fails at task index 5.
-``sr@5x2``
-    Only the first two attempts at task 5 fail; the third (a later
-    ladder rung) succeeds — exercises ladder *recovery*.
+``scf@5x2``
+    Only the first two attempts at task 5 fail; a third solve of that
+    task in the same process succeeds.
 ``worker@2``
     The worker process handling task index 2 exits hard
     (``os._exit``), breaking the process pool — exercises
@@ -54,7 +52,7 @@ from repro.errors import CheckpointError, ConvergenceError
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: Recognized fault sites.
-SITES = ("scf", "sr", "worker", "checkpoint")
+SITES = ("scf", "worker", "checkpoint")
 
 #: Module-level guard flag: ``True`` iff a fault plan is armed.  Hot
 #: hooks check this before anything else, so a faultless run costs one
@@ -157,7 +155,7 @@ def inject(site: str, index: int, detail: str = "") -> None:
     never entered in a faultless run.  The raised exception type
     matches what the real failure mode would produce:
 
-    * ``scf`` / ``sr`` — :class:`~repro.errors.ConvergenceError` with a
+    * ``scf`` — :class:`~repro.errors.ConvergenceError` with a
       ``context`` marking the failure as injected;
     * ``checkpoint`` — :class:`~repro.errors.CheckpointError`;
     * ``worker`` — hard process exit (``os._exit(17)``), the closest

@@ -83,13 +83,18 @@ def roughness_ensemble(
 
     samples = np.empty(n_samples)
     removed = np.empty(n_samples)
+    # Every sample shares the pristine leads, which do not depend on the
+    # segment, so their self-energies at the probe energy are decimated
+    # once for the whole ensemble (on a one-cell device).
+    self_energies = RealSpaceGNRDevice(n_index, 1).lead_self_energies(energy)
     for s in range(n_samples):
         onsite, n_removed = rough_edge_onsite(ribbon, vacancy_probability,
                                               rng)
         device = RealSpaceGNRDevice(n_index, n_cells, onsite)
         # Single probe energy per disorder sample: no energy grid to
         # batch over.
-        samples[s] = device.transmission_at(energy)  # repro: noqa[RPA802]
+        samples[s] = device.transmission_at(  # repro: noqa[RPA802]
+            energy, self_energies=self_energies)
         removed[s] = n_removed
     return RoughnessStatistics(
         n_index=n_index, vacancy_probability=vacancy_probability,
@@ -126,7 +131,12 @@ def localization_length_cells(
     Fits ``<ln T> = -2 L / xi + const`` over the given channel lengths;
     returns ``(xi_in_cells, mean_lnT_by_length)``.  The ensemble average
     of ln T (not T) is the self-averaging quantity in 1-D localization.
+    A line needs at least two distinct lengths.
     """
+    if len(set(lengths_cells)) < 2:
+        raise ValueError(
+            "need at least two distinct channel lengths to fit a "
+            f"localization length, got {lengths_cells}")
     means = {}
     for n_cells in lengths_cells:
         stats = roughness_ensemble(n_index, vacancy_probability,
@@ -158,6 +168,8 @@ def effective_gap_widening_ev(
     the effective gap widening (Yoon & Guo report that roughness opens a
     transport gap beyond the structural one).
     """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     edge = band_gap_ev(n_index) / 2.0
     energies = edge + np.linspace(0.0, 0.5, 26)
     if rng is None:

@@ -86,6 +86,18 @@ class TestRPA802:
         assert "sancho_rubio_surface_gf_batched" in \
             report.findings[0].message
 
+    def test_transmission_only_rgf_in_loop_fires(self, tmp_path):
+        # The transmission-only scalar RGF is flagged like its parent.
+        report = _run(tmp_path, {"src/repro/device/scan.py": """\
+            from repro.negf.greens import rgf_transmission
+
+            def scan(energies, diag, coup, sl, sr):
+                return [rgf_transmission(e, diag, coup, sl, sr)
+                        for e in energies]
+        """})
+        assert [f.code for f in report.findings] == ["RPA802"]
+        assert "rgf_transmission_batched" in report.findings[0].message
+
     def test_scalar_kernel_in_comprehension_fires(self, tmp_path):
         report = _run(tmp_path, {"src/repro/device/scan.py": """\
             from repro.negf.self_energy import sancho_rubio_surface_gf

@@ -91,6 +91,25 @@ class TestNEGFDevice:
         assert abs(n.sum() - p.sum()) < 0.3 * max(n.sum(), p.sum(), 1e-6)
 
 
+class TestGridValidation:
+    @pytest.mark.parametrize("n_x, n_y", [(1, 9), (2, 9), (31, 1), (31, 2),
+                                          (2, 2)])
+    def test_rejects_grids_without_interior(self, n_x, n_y):
+        # n_x = 1 raised a raw IndexError and n_x = 2 had no interior
+        # site; with n_y < 3 the channel row is a Dirichlet gate rail.
+        with pytest.raises(ValueError, match="n_x >= 3 and n_y >= 3"):
+            NEGFDevice(GNRFETGeometry(n_index=12), n_x=n_x, n_y=n_y)
+
+    def test_smallest_grid_sees_mobile_charge(self):
+        """At n_y = 3 the channel row is interior, so Poisson responds
+        to the carriers (at n_y = 2 it returned the Laplace profile for
+        any charge and solve() reported it converged)."""
+        device = NEGFDevice(GNRFETGeometry(n_index=12), n_x=31, n_y=3)
+        empty = device._solve_poisson_midgap(np.zeros(31), 0.4, 0.4)
+        charged = device._solve_poisson_midgap(np.full(31, 5.0), 0.4, 0.4)
+        assert not np.array_equal(empty, charged)
+
+
 class TestImpurityBandProfile:
     def test_negative_impurity_raises_barrier(self):
         """Paper Fig. 5(a): a negative charge increases the barrier

@@ -24,7 +24,7 @@ class TestParseSpec:
                         ("scf", 40): None, ("worker", 1): None}
 
     def test_attempt_cap(self):
-        assert faults.parse_spec("sr@5x2") == {("sr", 5): 2}
+        assert faults.parse_spec("scf@5x2") == {("scf", 5): 2}
 
     def test_whitespace_tolerated(self):
         assert faults.parse_spec(" scf@1 ; checkpoint@0 ") == {
@@ -32,7 +32,7 @@ class TestParseSpec:
 
     @pytest.mark.parametrize("bad", [
         "bogus@1", "scf", "scf@", "scf@x2", "scf@1x0", "scf@-1",
-        "scf@1.5", "scf@1,,2", "host@0", "stall@1", "lease@2",
+        "scf@1.5", "scf@1,,2", "host@0", "stall@1", "lease@2", "sr@5",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):

@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.variability import edge_roughness
 from repro.variability.edge_roughness import (
     effective_gap_widening_ev,
     localization_length_cells,
     roughness_ensemble,
     roughness_width_study,
 )
+
+
+@pytest.fixture()
+def no_transport(monkeypatch):
+    """Fail any device construction: validation must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("transport work before argument validation")
+    monkeypatch.setattr(edge_roughness, "RealSpaceGNRDevice", refuse)
 
 
 class TestEnsemble:
@@ -27,7 +36,7 @@ class TestEnsemble:
     def test_reproducible_with_seed(self):
         a = roughness_ensemble(9, 0.1, n_cells=10, n_samples=4, seed=7)
         b = roughness_ensemble(9, 0.1, n_cells=10, n_samples=4, seed=7)
-        assert np.allclose(a.samples, b.samples)
+        assert np.array_equal(a.samples, b.samples)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
@@ -65,8 +74,23 @@ class TestLocalization:
                                           n_samples=1)
         assert xi == np.inf or xi > 1e4
 
+    @pytest.mark.parametrize("lengths", [(6,), (6, 6), ()])
+    def test_needs_two_distinct_lengths(self, lengths, no_transport):
+        # One length (or one repeated) is a one-point fit: it used to
+        # return a "localization length" from a poorly conditioned
+        # polyfit.
+        with pytest.raises(ValueError, match="two distinct"):
+            localization_length_cells(9, 0.15, lengths_cells=lengths,
+                                      n_samples=2)
+
 
 class TestTransportGap:
+    def test_sample_validation(self, no_transport):
+        # An empty ensemble used to return the 0.5 eV scan ceiling after
+        # "Mean of empty slice" warnings.
+        with pytest.raises(ValueError, match="at least one sample"):
+            effective_gap_widening_ev(9, 0.1, n_samples=0)
+
     def test_roughness_widens_transport_gap(self):
         widening = effective_gap_widening_ev(9, 0.12, n_cells=16,
                                              n_samples=4)
