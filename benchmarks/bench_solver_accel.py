@@ -1,6 +1,6 @@
 """Solver acceleration layer: the hot-path wins, measured.
 
-The acceleration work has seven legs, each with a quantitative
+The acceleration work has eight legs, each with a quantitative
 acceptance target measured here and persisted to ``BENCH_solvers.json``
 at the repository root:
 
@@ -37,9 +37,19 @@ at the repository root:
   61-point inverter VTC and 300 steps of the 15-stage ring through the
   frozen per-element engine (``tests/circuit/engine_reference.py``) and
   through production, and records each circuit's generated kernel (source
-  lines, emit + compile time).  Target: bitwise-identical waveforms and DC
-  solutions, >= 3.5x per FO4 transient step and per VTC Newton
-  iteration, >= 1.6x per ring step.
+  lines, emit + compile time).  The FO4 and ring netlists come from the
+  frozen explicit-replica netlist functions
+  (``tests/circuit/replica_reference.py``), so this leg keeps measuring
+  the engine on the same circuits.  Target:
+  bitwise-identical waveforms and DC solutions, >= 3.5x per FO4 transient
+  step and per VTC Newton iteration, >= 1.6x per ring step.
+* **Fanout replicas as one m-fold load** — the netlists wire a load's
+  identical replica inverters as one inverter with ``m``-fold tables and
+  junction capacitances (FO4 chain 10 -> 4 FETs, 15-stage ring
+  120 -> 60).  Runs one nominal ``characterize_inverter`` and 300 ring
+  steps on the explicit netlists of the frozen reference and on the
+  collapsed ones.  Target: figures of merit within 1e-6 relative,
+  >= 1.5x per FO4 transient step and per ring step.
 * **Vectorized Monte Carlo** — the Fig. 6 sample phase draws one block
   of normals per sample and evaluates the stage-delay surrogate on
   vectors spanning every sample.  Replays the Fig. 6 study (2,000
@@ -78,11 +88,15 @@ from repro.circuit import inverter, netlist
 from repro.circuit.dc import solve_dc
 from repro.circuit.inverter import (
     add_inverter,
+    build_inverter_chain,
     characterize_inverter,
     estimate_inverter_delay,
 )
 from repro.circuit.netlist import Circuit
-from repro.circuit.ring_oscillator import build_ring_oscillator
+from repro.circuit.ring_oscillator import (
+    _alternating_start,
+    build_ring_oscillator,
+)
 from repro.circuit.transient import simulate_transient
 from repro.constants import fermi_dirac
 from repro.device import negf_device
@@ -121,16 +135,18 @@ CIRCUIT_FO4_CYCLES = 0.5 if SMOKE else 2.0
 CIRCUIT_VTC_POINTS = 21 if SMOKE else 61
 CIRCUIT_RING_STEPS = 40 if SMOKE else 300
 CIRCUIT_REPEATS = 1 if SMOKE else 5
+REPLICA_REPEATS = 3 if SMOKE else 7
 MC_SAMPLES = 200 if SMOKE else 2000
 MC_REPEATS = 1 if SMOKE else 3
 NEGF_CHAIN_N_X = 31 if SMOKE else 51
 NEGF_ENSEMBLE = (12, 0.05, 12, 4) if SMOKE else (12, 0.05, 24, 10)
 NEGF_REPEATS = 3 if SMOKE else 10
 
-SCHEMA = "repro-bench-solvers/9"
+SCHEMA = "repro-bench-solvers/10"
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 ORACLE_PATH = TESTS_DIR / "device" / "wkb_reference.py"
 CIRCUIT_ORACLE_PATH = TESTS_DIR / "circuit" / "engine_reference.py"
+REPLICA_ORACLE_PATH = TESTS_DIR / "circuit" / "replica_reference.py"
 MC_ORACLE_PATH = TESTS_DIR / "variability" / "mc_reference.py"
 NEGF_ORACLE_PATH = TESTS_DIR / "device" / "negf_reference.py"
 
@@ -430,10 +446,11 @@ def _best_pair_s(oracle, kernel, repeats: int) -> tuple[float, float]:
     return best[0], best[1]
 
 
-def _fo4_transient(n_table, p_table, vdd, params):
-    """The nominal FO4 transient exactly as ``characterize_inverter``
-    issues it, as ``(circuit, args, kwargs)`` of ``simulate_transient``,
-    cut to ``CIRCUIT_FO4_CYCLES`` input cycles (characterize runs two)."""
+def _fo4_characterization(n_table, p_table, vdd, params, build):
+    """One nominal ``characterize_inverter`` on the FO4 chain ``build``
+    makes:
+    its metrics and the FO4 transient it ran, as ``(circuit, args,
+    kwargs)`` of ``simulate_transient``."""
     calls = []
 
     def record(circuit, *args, **kwargs):
@@ -441,27 +458,31 @@ def _fo4_transient(n_table, p_table, vdd, params):
         return simulate_transient(circuit, *args, **kwargs)
 
     inverter.simulate_transient = record
+    inverter.build_inverter_chain = build
     try:
-        characterize_inverter(n_table, p_table, vdd, params)
+        metrics = characterize_inverter(n_table, p_table, vdd, params)
     finally:
         inverter.simulate_transient = simulate_transient
-    circuit, (t_end_s, dt_s, v0), kwargs = calls[0]
+        inverter.build_inverter_chain = build_inverter_chain
+    return metrics, calls[0]
+
+
+def _fo4_transient(n_table, p_table, vdd, params, build):
+    """The nominal FO4 transient exactly as ``characterize_inverter``
+    runs it on the chain ``build`` makes, cut to ``CIRCUIT_FO4_CYCLES``
+    input cycles (characterize runs two)."""
+    _, (circuit, (t_end_s, dt_s, v0), kwargs) = _fo4_characterization(
+        n_table, p_table, vdd, params, build)
     return circuit, (t_end_s * CIRCUIT_FO4_CYCLES / 2.0, dt_s, v0), kwargs
 
 
-def _ring_transient(n_table, p_table, vdd, params, n_stages=15):
-    """``CIRCUIT_RING_STEPS`` steps of the ring from the alternating start
-    and at the time step of ``simulate_ring_oscillator``."""
-    circuit = build_ring_oscillator(n_table, p_table, vdd, n_stages, params)
-    v0 = np.zeros(circuit.n_nodes)
-    v0[circuit.node("vdd")] = vdd
-    for i in range(n_stages):
-        v0[circuit.node(f"s{i}")] = vdd if i % 2 == 0 else 0.0
-    v0[circuit.node(f"s{n_stages - 1}")] = vdd / 2.0
-    for i in range(n_stages):
-        for k in range(params.fanout - 1):
-            drive = v0[circuit.node(f"s{(i + 1) % n_stages}")]
-            v0[circuit.node(f"inv{i}.load{k}")] = vdd - drive
+def _ring_transient(n_table, p_table, vdd, params, build, start,
+                    n_stages=15):
+    """``CIRCUIT_RING_STEPS`` steps of the ring ``build`` makes, from the
+    alternating ``start`` and at the time step of
+    ``simulate_ring_oscillator``."""
+    circuit = build(n_table, p_table, vdd, n_stages, params)
+    v0 = start(circuit, vdd, n_stages, params)
     est = estimate_inverter_delay(n_table, p_table, vdd, params)
     dt = max(2.0 * n_stages * est * 2.5 / 480.0, 0.05e-12)
     args = (CIRCUIT_RING_STEPS * dt, dt, v0)
@@ -554,13 +575,17 @@ def _bench_circuit_engine(tech) -> dict:
     if str(TESTS_DIR.parent) not in sys.path:
         sys.path.insert(0, str(TESTS_DIR.parent))
     oracle = _load_module(CIRCUIT_ORACLE_PATH)
+    replicas = _load_module(REPLICA_ORACLE_PATH)
     n_table, p_table = tech.inverter_tables(0.13)
     params, vdd = tech.params, 0.4
-    fo4_case = _fo4_transient(n_table, p_table, vdd, params)
+    fo4_case = _fo4_transient(n_table, p_table, vdd, params,
+                              replicas.build_inverter_chain)
     fo4, fo4_bitwise = _transient_leg(oracle, *fo4_case)
     vtc, vtc_bitwise, vtc_circuit = _vtc_leg(oracle, n_table, p_table, vdd,
                                              params)
-    ring_case = _ring_transient(n_table, p_table, vdd, params)
+    ring_case = _ring_transient(n_table, p_table, vdd, params,
+                                replicas.build_ring_oscillator,
+                                replicas.ring_initial_state)
     ring, ring_bitwise = _transient_leg(oracle, *ring_case)
     return {
         "fo4_transient": fo4,
@@ -614,6 +639,96 @@ def test_circuit_engine(tech, save_report):
     assert vtc["speedup"] >= 3.5
     assert ring["speedup"] >= 1.6
     _write_legs({"circuit_engine": engine})
+
+
+#: The figures of merit of ``characterize_inverter``.
+FO4_METRICS = ("delay_s", "t_plh_s", "t_phl_s", "static_power_w",
+               "dynamic_power_w", "snm_v")
+
+
+def _replica_leg(explicit, collapsed) -> dict:
+    """One transient on the explicit and on the collapsed netlist: sizes,
+    best alternating ms per step and the largest voltage difference on
+    the nodes both netlists have."""
+    (old, old_args, old_kwargs), (new, new_args, new_kwargs) = (explicit,
+                                                                collapsed)
+    want = simulate_transient(old, *old_args, **old_kwargs)
+    got = simulate_transient(new, *new_args, **new_kwargs)
+    assert np.array_equal(got.time_s, want.time_s)
+    names = [old.node_name(i) for i in range(old.n_nodes)]
+    shared = [name for name in (new.node_name(i) for i in range(new.n_nodes))
+              if name in names]
+    max_dv = max(float(np.max(np.abs(got.v(name) - want.v(name))))
+                 for name in shared)
+    explicit_s, collapsed_s = _best_pair_s(
+        lambda: simulate_transient(old, *old_args, **old_kwargs),
+        lambda: simulate_transient(new, *new_args, **new_kwargs),
+        REPLICA_REPEATS)
+    steps = len(want.time_s) - 1
+    return {
+        "nodes": [old.n_nodes, new.n_nodes],
+        "elements": [len(old.elements), len(new.elements)],
+        "steps": steps,
+        "explicit_ms_per_step": explicit_s / steps * 1e3,
+        "collapsed_ms_per_step": collapsed_s / steps * 1e3,
+        "speedup": explicit_s / collapsed_s,
+        "max_abs_dv": max_dv,
+    }
+
+
+def _bench_fanout_replicas(tech) -> dict:
+    """Explicit replica loads (frozen reference) vs one m-fold replica."""
+    replicas = _load_module(REPLICA_ORACLE_PATH)
+    n_table, p_table = tech.inverter_tables(0.13)
+    params, vdd = tech.params, 0.4
+    want, fo4_explicit = _fo4_characterization(
+        n_table, p_table, vdd, params, replicas.build_inverter_chain)
+    got, fo4_collapsed = _fo4_characterization(
+        n_table, p_table, vdd, params, build_inverter_chain)
+    drift = {name: abs(getattr(got, name) - getattr(want, name))
+             / abs(getattr(want, name)) for name in FO4_METRICS}
+    ring = [_ring_transient(n_table, p_table, vdd, params, build, start)
+            for build, start in ((replicas.build_ring_oscillator,
+                                  replicas.ring_initial_state),
+                                 (build_ring_oscillator,
+                                  _alternating_start))]
+    return {
+        "fo4_transient": _replica_leg(fo4_explicit, fo4_collapsed),
+        "ring_window": _replica_leg(*ring),
+        "fo4_rel_drift": drift,
+        "max_rel_drift": max(drift.values()),
+    }
+
+
+def test_fanout_replicas(tech, save_report):
+    legs = _bench_fanout_replicas(tech)
+    fo4, ring = legs["fo4_transient"], legs["ring_window"]
+    rows = [
+        [f"{label} ({leg['nodes'][0]} -> {leg['nodes'][1]} nodes, "
+         f"{leg['steps']} steps)",
+         f"{leg['explicit_ms_per_step']:.3f} ms/step",
+         f"{leg['collapsed_ms_per_step']:.3f} ms/step",
+         f"{leg['speedup']:.2f}x", f"{leg['max_abs_dv']:.1e} V"]
+        for label, leg in (("FO4 transient", fo4),
+                           ("15-stage ring", ring))]
+    report = format_table(
+        ["path", "explicit", "collapsed", "gain", "max |dv|"], rows,
+        title="Fanout replicas as one m-fold load (best of "
+              f"{REPLICA_REPEATS} alternating; FO4 figures of merit within "
+              f"{legs['max_rel_drift']:.1e} relative)")
+    save_report("fanout_replicas", report)
+    print(report)
+
+    # Exact in real arithmetic; rounding, tol_a and the gmin shunts of
+    # the replica outputs the collapsed netlist no longer has move the
+    # figures of merit by ~3e-7 at most.
+    assert legs["max_rel_drift"] <= 1e-6
+    if SMOKE:
+        assert fo4["speedup"] >= 1.3
+        return
+    assert fo4["speedup"] >= 1.5
+    assert ring["speedup"] >= 1.5
+    _write_legs({"fanout_replicas": legs})
 
 
 def _bench_monte_carlo(tech) -> dict:

@@ -39,6 +39,7 @@ from repro.circuit.metrics import (
 from repro.circuit.inverter import (
     CircuitParameters,
     add_inverter,
+    add_replica_load,
     build_inverter_chain,
     characterize_inverter,
     estimate_inverter_delay,
@@ -84,6 +85,7 @@ __all__ = [
     "average_power_w",
     "CircuitParameters",
     "add_inverter",
+    "add_replica_load",
     "estimate_inverter_delay",
     "estimate_inverter_energy",
     "inverter_snm",

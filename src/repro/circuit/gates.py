@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.circuit.dc import solve_dc
 from repro.circuit.elements import Capacitor, Resistor, TableFET
-from repro.circuit.inverter import CircuitParameters, add_inverter
+from repro.circuit.inverter import CircuitParameters, add_replica_load
 from repro.circuit.metrics import propagation_delays
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import simulate_transient
@@ -78,7 +78,7 @@ def build_nand2(n_table: DeviceTable, p_table: DeviceTable, vdd: float,
 
     Nodes: ``a``, ``b`` (fixed inputs), ``out``, ``vdd``; the output
     carries the wire load and a fanout-of-``params.fanout`` replica
-    inverter load.
+    inverter load (one ``params.fanout``-fold inverter, ``load.out``).
     """
     params = params or CircuitParameters()
     circuit = Circuit("nand2")
@@ -95,11 +95,8 @@ def build_nand2(n_table: DeviceTable, p_table: DeviceTable, vdd: float,
                    params)
     if params.c_wire_f > 0.0:
         circuit.add(Capacitor(out, gnd, params.c_wire_f))
-    for k in range(params.fanout):
-        load_out = circuit.node(f"load{k}.out")
-        add_inverter(circuit, f"load{k}", out, load_out, vdd_node,
-                     n_table, p_table, params,
-                     with_contact_resistors=False)
+    add_replica_load(circuit, "load", out, vdd_node, n_table, p_table,
+                     params, copies=params.fanout)
     return circuit
 
 
@@ -121,11 +118,8 @@ def build_nor2(n_table: DeviceTable, p_table: DeviceTable, vdd: float,
                   params)
     if params.c_wire_f > 0.0:
         circuit.add(Capacitor(out, gnd, params.c_wire_f))
-    for k in range(params.fanout):
-        load_out = circuit.node(f"load{k}.out")
-        add_inverter(circuit, f"load{k}", out, load_out, vdd_node,
-                     n_table, p_table, params,
-                     with_contact_resistors=False)
+    add_replica_load(circuit, "load", out, vdd_node, n_table, p_table,
+                     params, copies=params.fanout)
     return circuit
 
 

@@ -4,7 +4,10 @@ The extrinsic GNRFET of the paper's Fig. 3(a) is assembled here: intrinsic
 table device, contact resistances ``R_S = R_D`` on both terminals, and the
 parasitic junction capacitances folded into the FET element.  The
 characterized configuration matches Section 5: "an inverter with a
-fanout-of-4 load", the load being four replica inverter inputs.
+fanout-of-4 load", the load being four replica inverter inputs.  The
+replicas share one input and drive nothing, so their outputs move
+together; :func:`add_replica_load` simulates them as one inverter whose
+tables and junction capacitances are four times larger.
 
 Two characterization paths:
 
@@ -31,6 +34,7 @@ from repro.circuit.snm import butterfly_curves, static_noise_margin
 from repro.circuit.transient import simulate_transient
 from repro.circuit.vtc import compute_vtc
 from repro.device.tables import DeviceTable
+from repro.errors import AnalysisError
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,8 @@ class CircuitParameters:
     n_ribbons:
         Ribbons per GNRFET channel.
     fanout:
-        Load inverters per driving inverter.
+        Load inverters per driving inverter (the multiplier of the
+        replica load's tables).
     c_wire_f:
         Fixed load on every driven (non-replica) inverter output: local
         interconnect plus contact-pad capacitance.  The paper's absolute
@@ -59,6 +64,10 @@ class CircuitParameters:
         nominal 15-stage ring oscillator lands at the paper's point-B
         frequency (~3.3 GHz), after which delay, dynamic power and EDP
         all fall onto the paper's scale (see EXPERIMENTS.md).
+
+    The constructor raises ``ValueError`` unless ``n_ribbons`` and
+    ``fanout`` are ints >= 1, the contact resistance and width are
+    positive and both capacitances are non-negative (NaN fails).
     """
 
     contact_resistance_ohm: float = 10e3
@@ -67,6 +76,22 @@ class CircuitParameters:
     n_ribbons: int = 4
     fanout: int = 4
     c_wire_f: float = 45e-18
+
+    def __post_init__(self) -> None:
+        for name in ("n_ribbons", "fanout"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < 1):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        # ``not value > 0`` rather than ``value <= 0``, so that NaN fails.
+        for name in ("contact_resistance_ohm", "contact_width_nm"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        for name in ("c_parasitic_af_per_nm", "c_wire_f"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
     @property
     def c_parasitic_f(self) -> float:
@@ -96,40 +121,64 @@ def add_inverter(
     n_table: DeviceTable,
     p_table: DeviceTable,
     params: CircuitParameters,
-    with_contact_resistors: bool = True,
 ) -> tuple[TableFET, TableFET]:
-    """Wire one inverter; returns its (n, p) FET elements.
-
-    ``with_contact_resistors=False`` builds the lightweight variant used
-    for replica loads in large ring oscillators (FETs sit directly on the
-    rails; parasitic caps retained).
-    """
+    """Wire one extrinsic inverter; returns its (n, p) FET elements."""
     cp = params.c_parasitic_f
     gnd = circuit.node("0")
-    if with_contact_resistors:
-        if params.c_wire_f > 0.0:
-            circuit.add(Capacitor(output_node, gnd, params.c_wire_f))
-        r = params.contact_resistance_ohm
-        nd = circuit.node(f"{prefix}.nd")
-        ns = circuit.node(f"{prefix}.ns")
-        pd = circuit.node(f"{prefix}.pd")
-        ps = circuit.node(f"{prefix}.ps")
-        circuit.add(Resistor(output_node, nd, r))
-        circuit.add(Resistor(ns, gnd, r))
-        circuit.add(Resistor(output_node, pd, r))
-        circuit.add(Resistor(ps, vdd_node, r))
-        nfet = TableFET(nd, input_node, ns, n_table, polarity=+1,
-                        c_par_gs_f=cp, c_par_gd_f=cp)
-        pfet = TableFET(pd, input_node, ps, p_table, polarity=-1,
-                        c_par_gs_f=cp, c_par_gd_f=cp)
-    else:
-        nfet = TableFET(output_node, input_node, gnd, n_table, polarity=+1,
-                        c_par_gs_f=cp, c_par_gd_f=cp)
-        pfet = TableFET(output_node, input_node, vdd_node, p_table,
-                        polarity=-1, c_par_gs_f=cp, c_par_gd_f=cp)
+    if params.c_wire_f > 0.0:
+        circuit.add(Capacitor(output_node, gnd, params.c_wire_f))
+    r = params.contact_resistance_ohm
+    nd = circuit.node(f"{prefix}.nd")
+    ns = circuit.node(f"{prefix}.ns")
+    pd = circuit.node(f"{prefix}.pd")
+    ps = circuit.node(f"{prefix}.ps")
+    circuit.add(Resistor(output_node, nd, r))
+    circuit.add(Resistor(ns, gnd, r))
+    circuit.add(Resistor(output_node, pd, r))
+    circuit.add(Resistor(ps, vdd_node, r))
+    nfet = TableFET(nd, input_node, ns, n_table, polarity=+1,
+                    c_par_gs_f=cp, c_par_gd_f=cp)
+    pfet = TableFET(pd, input_node, ps, p_table, polarity=-1,
+                    c_par_gs_f=cp, c_par_gd_f=cp)
     circuit.add(nfet)
     circuit.add(pfet)
     return nfet, pfet
+
+
+def add_replica_load(
+    circuit: Circuit,
+    prefix: str,
+    input_node: int,
+    vdd_node: int,
+    n_table: DeviceTable,
+    p_table: DeviceTable,
+    params: CircuitParameters,
+    copies: int,
+) -> None:
+    """Wire ``copies`` replica inverters on ``input_node`` as one inverter.
+
+    A replica is a load inverter that nothing reads: its FETs sit
+    directly on the rails (no contact resistors, parasitic caps kept),
+    and only its gate capacitance loads the input node.  Identical
+    replicas on one input all follow the same output waveform, so one
+    inverter whose tables (current and charge, hence both intrinsic
+    capacitances) and junction capacitances are ``copies`` times larger
+    draws the same current from every node it shares with them.  Its
+    output ``f"{prefix}.out"`` stands for every replica's output, so the
+    solvers' ``gmin`` shunt to ground sits on one node instead of
+    ``copies``.  ``copies == 0`` adds nothing.
+    """
+    if isinstance(copies, bool) or not isinstance(copies, int) or copies < 0:
+        raise ValueError(f"copies must be an int >= 0, got {copies!r}")
+    if copies == 0:
+        return
+    cp = copies * params.c_parasitic_f
+    out = circuit.node(f"{prefix}.out")
+    circuit.add(TableFET(out, input_node, circuit.node("0"),
+                         n_table.scaled(copies), polarity=+1,
+                         c_par_gs_f=cp, c_par_gd_f=cp))
+    circuit.add(TableFET(out, input_node, vdd_node, p_table.scaled(copies),
+                         polarity=-1, c_par_gs_f=cp, c_par_gd_f=cp))
 
 
 def build_inverter_chain(
@@ -141,11 +190,12 @@ def build_inverter_chain(
 ) -> Circuit:
     """DUT inverter with a fanout-of-``params.fanout`` replica load.
 
-    Nodes: ``in`` (fixed input), ``out`` (DUT output), ``vdd``.  The load
-    inverters' inputs hang on ``out``; their own outputs are simulated but
-    unloaded.  ``load_tables`` lets the load be a different (e.g. nominal)
-    device than the DUT, which is how the variability studies keep the
-    load fixed while varying the driver.
+    Nodes: ``in`` (fixed input), ``out`` (DUT output), ``vdd``.  The
+    load hangs on ``out`` as one ``params.fanout``-fold replica inverter
+    (:func:`add_replica_load`); its output ``load.out`` is simulated but
+    unloaded.  ``load_tables`` lets the load be a different (e.g.
+    nominal) device than the DUT, which is how the variability studies
+    keep the load fixed while varying the DUT.
     """
     params = params or CircuitParameters()
     load_tables = load_tables or (n_table, p_table)
@@ -158,11 +208,8 @@ def build_inverter_chain(
 
     add_inverter(circuit, "dut", vin, vout, vdd_node,
                  n_table, p_table, params)
-    for k in range(params.fanout):
-        load_out = circuit.node(f"load{k}.out")
-        add_inverter(circuit, f"load{k}", vout, load_out, vdd_node,
-                     load_tables[0], load_tables[1], params,
-                     with_contact_resistors=False)
+    add_replica_load(circuit, "load", vout, vdd_node, load_tables[0],
+                     load_tables[1], params, copies=params.fanout)
     return circuit
 
 
@@ -247,6 +294,9 @@ def characterize_inverter(
     """
     params = params or CircuitParameters()
     est = estimate_inverter_delay(n_table, p_table, vdd, params)
+    if not (np.isfinite(est) and est > 0.0):
+        raise AnalysisError("drive current is zero; the inverter cannot "
+                            "switch its FO4 load")
     if cycle_s is None:
         cycle_s = max(16.0 * est, 40e-12)
     ramp = max(2.0 * est, 2e-12)
@@ -285,8 +335,6 @@ def characterize_inverter(
     # Simulate two full cycles; measure on the second (settled) cycle.
     # Heavily degraded variants can settle slower than the quasi-static
     # estimate suggests; retry with a doubled cycle if an edge is missed.
-    from repro.errors import AnalysisError
-
     for _attempt in range(3):
         result = simulate_transient(circuit, 2.0 * cycle_s, dt_s,
                                     dc0.voltages,

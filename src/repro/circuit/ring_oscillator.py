@@ -3,7 +3,8 @@
 The paper's representative circuit for technology exploration: "a 15-stage
 ring oscillator where each inverter drives a fanout-of-four load".  In the
 ring, each stage's load is the next stage plus ``fanout - 1`` replica
-inverters.
+inverters, simulated as one ``(fanout - 1)``-fold replica inverter
+(:func:`repro.circuit.inverter.add_replica_load`).
 
 Two paths again:
 
@@ -27,6 +28,7 @@ from repro.circuit.dc import solve_dc
 from repro.circuit.inverter import (
     CircuitParameters,
     add_inverter,
+    add_replica_load,
     estimate_inverter_delay,
     estimate_inverter_energy,
     inverter_static_power_w,
@@ -85,14 +87,8 @@ def build_ring_oscillator(
         nt, pt = (per_stage_tables[i] if per_stage_tables is not None
                   else (n_table, p_table))
         add_inverter(circuit, f"inv{i}", vin, vout, vdd_node, nt, pt, params)
-        # fanout - 1 replica loads on each stage output (lightweight: no
-        # contact resistors, to bound the node count of the 60-inverter
-        # system; the replica gate capacitance is what loads the ring).
-        for k in range(params.fanout - 1):
-            load_out = circuit.node(f"inv{i}.load{k}")
-            add_inverter(circuit, f"inv{i}.l{k}", vout, load_out, vdd_node,
-                         n_table, p_table, params,
-                         with_contact_resistors=False)
+        add_replica_load(circuit, f"inv{i}.load", vout, vdd_node, n_table,
+                         p_table, params, copies=params.fanout - 1)
     return circuit
 
 
@@ -126,17 +122,7 @@ def simulate_ring_oscillator(
     period_est = 2.0 * n_stages * est_stage * 2.5
     t_end = n_periods * period_est
     dt = dt_s if dt_s is not None else max(period_est / 480.0, 0.05e-12)
-
-    # Alternating initial state (last stage mid-rail to break the tie).
-    v0 = np.zeros(circuit.n_nodes)
-    v0[circuit.node("vdd")] = vdd
-    for i in range(n_stages):
-        v0[circuit.node(f"s{i}")] = vdd if i % 2 == 0 else 0.0
-    v0[circuit.node(f"s{n_stages - 1}")] = vdd / 2.0
-    for i in range(n_stages):
-        for k in range(params.fanout - 1):
-            drive = v0[circuit.node(f"s{(i + 1) % n_stages}")]
-            v0[circuit.node(f"inv{i}.load{k}")] = vdd - drive
+    v0 = _alternating_start(circuit, vdd, n_stages, params)
 
     # The window is budgeted from the quasi-static estimate; if the real
     # oscillation turns out slower, extend and retry rather than fail.
@@ -170,6 +156,23 @@ def simulate_ring_oscillator(
         frequency_hz=freq, stage_delay_s=stage_delay, total_power_w=p_total,
         static_power_w=p_stat, dynamic_power_w=p_dyn, edp_j_s=edp,
         vdd=vdd, n_stages=n_stages)
+
+
+def _alternating_start(circuit: Circuit, vdd: float, n_stages: int,
+                       params: CircuitParameters) -> np.ndarray:
+    """Alternating initial state of a ring from
+    :func:`build_ring_oscillator` (last stage mid-rail to break the tie;
+    each replica output at the complement of its input)."""
+    v0 = np.zeros(circuit.n_nodes)
+    v0[circuit.node("vdd")] = vdd
+    for i in range(n_stages):
+        v0[circuit.node(f"s{i}")] = vdd if i % 2 == 0 else 0.0
+    v0[circuit.node(f"s{n_stages - 1}")] = vdd / 2.0
+    if params.fanout > 1:
+        for i in range(n_stages):
+            drive = v0[circuit.node(f"s{(i + 1) % n_stages}")]
+            v0[circuit.node(f"inv{i}.load.out")] = vdd - drive
+    return v0
 
 
 def _ring_static_power(n_table, p_table, vdd, n_stages, params,

@@ -97,8 +97,12 @@ def static_noise_margin(butterfly: ButterflyData) -> float:
 
     lo, hi = float(x_grid[0]), float(x_grid[-1])
     for _ in range(60):
-        lo = loop_map(lo)
-        hi = loop_map(hi)
+        next_lo, next_hi = loop_map(lo), loop_map(hi)
+        # Both corners at an exact fixed point: every further iteration
+        # would repeat these values (NaN never compares equal).
+        if next_lo == lo and next_hi == hi:
+            break
+        lo, hi = next_lo, next_hi
     if abs(hi - lo) < 0.02 * (x_grid[-1] - x_grid[0]):
         return 0.0
 

@@ -1,5 +1,7 @@
 """Tests for inverter building and characterization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from repro.circuit.inverter import (
     inverter_vtc,
     switched_gate_charge_c,
 )
+from repro.errors import AnalysisError
+from repro.variability import width
+from repro.variability.variants import DeviceVariant
 
 
 class TestCircuitParameters:
@@ -28,13 +33,35 @@ class TestCircuitParameters:
         p = CircuitParameters()
         assert p.c_parasitic_f == pytest.approx(2e-18)
 
+    @pytest.mark.parametrize("field, value", [
+        ("fanout", -1), ("fanout", 0), ("fanout", 2.5), ("fanout", True),
+        ("fanout", 4.0), ("n_ribbons", 0), ("n_ribbons", False),
+        ("n_ribbons", 2.0), ("contact_resistance_ohm", -5.0),
+        ("contact_resistance_ohm", 0.0),
+        ("contact_resistance_ohm", float("nan")),
+        ("contact_width_nm", 0.0), ("contact_width_nm", float("nan")),
+        ("c_parasitic_af_per_nm", -0.01),
+        ("c_parasitic_af_per_nm", float("nan")), ("c_wire_f", -1e-18),
+        ("c_wire_f", float("nan")),
+    ])
+    def test_rejects_invalid(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(CircuitParameters(), **{field: value})
+
+    def test_accepts_boundaries(self):
+        p = replace(CircuitParameters(), fanout=1, n_ribbons=1,
+                    c_parasitic_af_per_nm=0.0, c_wire_f=0.0)
+        assert p.c_parasitic_f == 0.0
+
 
 class TestBuild:
     def test_node_count(self, nominal_pair, params):
         nt, pt = nominal_pair
         c = build_inverter_chain(nt, pt, 0.4, params)
-        # in + out + vdd + 4 DUT internals + 4 load outputs.
-        assert c.n_nodes == 3 + 4 + params.fanout
+        # in + out + vdd + 4 DUT internals + 1 load output: the fanout
+        # replicas are one params.fanout-fold inverter, so the node count
+        # no longer grows with the fanout.
+        assert c.n_nodes == 3 + 4 + 1
         c.validate()
 
     def test_load_tables_override(self, nominal_pair, params, tech):
@@ -123,3 +150,34 @@ class TestFullCharacterization:
         nt, pt = nominal_pair
         est = estimate_inverter_delay(nt, pt, 0.4, params)
         assert 0.2 < est / metrics.delay_s < 1.2
+
+
+def _zero_table(table):
+    return replace(table, current_a=np.zeros_like(table.current_a))
+
+
+class TestZeroDrive:
+    def test_fo4_raises_analysis_error(self, nominal_pair, params):
+        """The quasi-static estimate is inf, so is the input cycle; the
+        FO4 is refused before any circuit is built."""
+        nt, pt = nominal_pair
+        with pytest.raises(AnalysisError, match="drive current is zero"):
+            characterize_inverter(_zero_table(nt), pt, 0.4, params)
+
+    def test_degenerate_variant_is_a_nan_cell(self, tech, monkeypatch):
+        """``degenerate_ok=True`` turns a dead variant into NaN delay and
+        dynamic power; static power and SNM are still measured."""
+        build = width.variant_array_table
+
+        def dead_n(variant, polarity, *args):
+            table = build(variant, polarity, *args)
+            return _zero_table(table) if polarity == +1 else table
+
+        monkeypatch.setattr(width, "variant_array_table", dead_n)
+        nominal = DeviceVariant()
+        m = width.characterize_variant_inverter(
+            tech, nominal, nominal, tech.params.n_ribbons, 0.4, 0.13,
+            degenerate_ok=True)
+        assert np.isnan(m.delay_s) and np.isnan(m.dynamic_power_w)
+        assert m.static_power_w == pytest.approx(6.4e-13, rel=0.05)
+        assert m.snm_v == 0.0

@@ -14,9 +14,10 @@ class TestBuild:
     def test_structure(self, nominal_pair, params):
         nt, pt = nominal_pair
         c = build_ring_oscillator(nt, pt, 0.4, n_stages=5, params=params)
-        # vdd + 5 stage nodes + 5 stages * (4 internals + 3 replica
-        # outputs) = 1 + 5 + 35.
-        assert c.n_nodes == 1 + 5 + 5 * (4 + (params.fanout - 1))
+        # vdd + 5 stage nodes + 5 stages * (4 internals + 1 replica
+        # output) = 1 + 5 + 25: each stage's fanout - 1 replicas are one
+        # (fanout - 1)-fold inverter with a single output node.
+        assert c.n_nodes == 1 + 5 + 5 * (4 + 1)
         c.validate()
 
     def test_rejects_even_ring(self, nominal_pair, params):

@@ -91,3 +91,94 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             butterfly_curves(np.zeros(5), np.zeros(4))
+
+
+def _snm_sixty_iterations(butterfly):
+    """``static_noise_margin`` as it was before the loop map stopped at
+    its fixed point: always 60 iterations from both corners."""
+    sq2 = np.sqrt(2.0)
+    u1 = (butterfly.v_in - butterfly.forward) / sq2
+    w1 = (butterfly.v_in + butterfly.forward) / sq2
+    u2 = (butterfly.mirrored_x - butterfly.mirrored_y) / sq2
+    w2 = (butterfly.mirrored_x + butterfly.mirrored_y) / sq2
+    o1 = np.argsort(u1)
+    o2 = np.argsort(u2)
+    u_lo = max(u1.min(), u2.min())
+    u_hi = min(u1.max(), u2.max())
+    if u_hi <= u_lo:
+        return 0.0
+    u = np.linspace(u_lo, u_hi, 801)
+    w1_u = np.interp(u, u1[o1], w1[o1])
+    w2_u = np.interp(u, u2[o2], w2[o2])
+    gap = w1_u - w2_u
+    x_grid = butterfly.v_in
+
+    def loop_map(x: float) -> float:
+        y = float(np.interp(x, x_grid, butterfly.forward))
+        return float(np.interp(y, butterfly.mirrored_y,
+                               butterfly.mirrored_x))
+
+    lo, hi = float(x_grid[0]), float(x_grid[-1])
+    for _ in range(60):
+        lo = loop_map(lo)
+        hi = loop_map(hi)
+    if abs(hi - lo) < 0.02 * (x_grid[-1] - x_grid[0]):
+        return 0.0
+    positive = float(np.max(gap, initial=0.0))
+    negative = float(np.max(-gap, initial=0.0))
+    if positive <= 0.0 or negative <= 0.0:
+        return 0.0
+    return min(positive, negative) / sq2
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestFixedPointStop:
+    """The loop map stops once both corners map to themselves; the SNM is
+    the one 60 iterations give, bit for bit."""
+
+    @pytest.mark.parametrize("vdd", [0.2, 0.3, 0.4, 0.5])
+    @pytest.mark.parametrize("vt", [0.13, 0.25])
+    def test_real_butterflies(self, tech, vdd, vt):
+        from repro.circuit.inverter import inverter_vtc
+
+        nt, pt = tech.inverter_tables(vt)
+        vin, fwd = inverter_vtc(nt, pt, vdd, tech.params, n_points=61)
+        _, bwd = inverter_vtc(*tech.inverter_tables(0.05), vdd,
+                              tech.params, n_points=61)
+        for butterfly in (butterfly_curves(vin, fwd),
+                          butterfly_curves(vin, fwd, bwd)):
+            assert static_noise_margin(butterfly) == \
+                _snm_sixty_iterations(butterfly)
+
+    @pytest.mark.parametrize("switch_b", [0.05, 0.2, 0.5])
+    def test_monostable_and_synthetic(self, switch_b):
+        vin = np.linspace(0, 1, 301)
+        f1 = _step_vtc(vin, 1.0, 0.5, 40.0)
+        f2 = _step_vtc(vin, 1.0, switch_b, 40.0)
+        butterfly = butterfly_curves(vin, f1, f2)
+        assert static_noise_margin(butterfly) == \
+            _snm_sixty_iterations(butterfly)
+        stuck = butterfly_curves(vin, np.full_like(vin, 0.9))
+        assert static_noise_margin(stuck) == _snm_sixty_iterations(stuck)
+        assert static_noise_margin(stuck) == 0.0
+
+    def test_one_corner_settles_first(self):
+        """A monostable cell whose low corner lands on the lone fixed
+        point in one step while the high corner creeps toward it (x0.9
+        per iteration): the loop must run until both corners stop."""
+        vin = np.linspace(0, 1, 101)
+        bwd = np.where(vin < 0.5, 0.5 + 0.9 * (0.5 - vin), 0.5)
+        butterfly = butterfly_curves(vin, 1.0 - vin, bwd)
+        assert static_noise_margin(butterfly) == \
+            _snm_sixty_iterations(butterfly) == 0.0
+
+    def test_nan_curve(self):
+        vin = np.linspace(0, 1, 101)
+        fwd = _step_vtc(vin, 1.0, 0.5, 100.0)
+        fwd[40] = np.nan
+        butterfly = butterfly_curves(vin, fwd)
+        assert _same(static_noise_margin(butterfly),
+                     _snm_sixty_iterations(butterfly))
