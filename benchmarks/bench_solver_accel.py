@@ -31,18 +31,25 @@ at the repository root:
   Target: >= 4x per call with relative parity <= 1e-12; the whole
   table sweep is timed under both kernels.
 * **Compiled circuit engine** — ``solve_dc`` and ``simulate_transient``
-  run the Newton steps that each netlist topology is emitted and compiled
-  into as straight-line Python (:class:`repro.circuit.netlist.Kernel`).
-  Replays the nominal FO4 transient of ``characterize_inverter``, a
-  61-point inverter VTC and 300 steps of the 15-stage ring through the
-  frozen per-element engine (``tests/circuit/engine_reference.py``) and
-  through production, and records each circuit's generated kernel (source
-  lines, emit + compile time).  The FO4 and ring netlists come from the
+  run the Newton loops that each netlist topology is emitted and
+  compiled into as straight-line Python
+  (:class:`repro.circuit.netlist.Kernel`), each iteration solved by a
+  sparse elimination fixed at emit time, each transient step started
+  from a predicted iterate.  Replays the nominal FO4 transient of
+  ``characterize_inverter``, a 61-point inverter VTC (``compute_vtc``,
+  each DC solve replayed from the same start) and 300 steps of the
+  15-stage ring through the frozen per-element engine
+  (``tests/circuit/engine_reference.py``) and through production, and
+  records each circuit's generated kernel (source lines, emit + compile
+  time, multipliers, updates and fill of both eliminations) and one ring
+  iteration's linear solve through dense LAPACK, ``splu`` and the
+  generated elimination.  The FO4 and ring netlists come from the
   frozen explicit-replica netlist functions
   (``tests/circuit/replica_reference.py``), so this leg keeps measuring
-  the engine on the same circuits.  Target:
-  bitwise-identical waveforms and DC solutions, >= 3.5x per FO4 transient
-  step and per VTC Newton iteration, >= 1.6x per ring step.
+  the engine on the same circuits.  Target: identical time grids and DC
+  iteration counts, drift within the bounds of
+  ``tests/circuit/test_engine_parity.py``, >= 3.5x per FO4 transient
+  step and per VTC sweep, >= 6x per ring step.
 * **Fanout replicas as one m-fold load** — the netlists wire a load's
   identical replica inverters as one inverter with ``m``-fold tables and
   junction capacitances (FO4 chain 10 -> 4 FETs, 15-stage ring
@@ -84,7 +91,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.circuit import inverter, netlist
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
+
+from repro.circuit import inverter, netlist, vtc
 from repro.circuit.dc import solve_dc
 from repro.circuit.inverter import (
     add_inverter,
@@ -98,6 +108,7 @@ from repro.circuit.ring_oscillator import (
     build_ring_oscillator,
 )
 from repro.circuit.transient import simulate_transient
+from repro.circuit.vtc import compute_vtc
 from repro.constants import fermi_dirac
 from repro.device import negf_device
 from repro.device.geometry import GNRFETGeometry
@@ -135,6 +146,7 @@ CIRCUIT_FO4_CYCLES = 0.5 if SMOKE else 2.0
 CIRCUIT_VTC_POINTS = 21 if SMOKE else 61
 CIRCUIT_RING_STEPS = 40 if SMOKE else 300
 CIRCUIT_REPEATS = 1 if SMOKE else 5
+RING_SOLVE_REPEATS = 20 if SMOKE else 200
 REPLICA_REPEATS = 3 if SMOKE else 7
 MC_SAMPLES = 200 if SMOKE else 2000
 MC_REPEATS = 1 if SMOKE else 3
@@ -142,10 +154,11 @@ NEGF_CHAIN_N_X = 31 if SMOKE else 51
 NEGF_ENSEMBLE = (12, 0.05, 12, 4) if SMOKE else (12, 0.05, 24, 10)
 NEGF_REPEATS = 3 if SMOKE else 10
 
-SCHEMA = "repro-bench-solvers/10"
+SCHEMA = "repro-bench-solvers/11"
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 ORACLE_PATH = TESTS_DIR / "device" / "wkb_reference.py"
 CIRCUIT_ORACLE_PATH = TESTS_DIR / "circuit" / "engine_reference.py"
+CIRCUIT_PARITY_PATH = TESTS_DIR / "circuit" / "test_engine_parity.py"
 REPLICA_ORACLE_PATH = TESTS_DIR / "circuit" / "replica_reference.py"
 MC_ORACLE_PATH = TESTS_DIR / "variability" / "mc_reference.py"
 NEGF_ORACLE_PATH = TESTS_DIR / "device" / "negf_reference.py"
@@ -489,14 +502,24 @@ def _ring_transient(n_table, p_table, vdd, params, build, start,
     return circuit, args, {"monitor_supplies": (circuit.node("vdd"),)}
 
 
-def _transient_leg(oracle, circuit, args, kwargs) -> tuple[dict, bool]:
+def _max_abs_diff(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def _transient_leg(oracle, circuit, args, kwargs) -> tuple[dict, dict]:
+    """Timings of one transient, and its drift from the oracle's: the
+    largest voltage difference and the largest supply-current difference
+    relative to that trace's peak.  The time grids must be identical."""
     result = simulate_transient(circuit, *args, **kwargs)
     ref_t, ref_v, ref_supplies = oracle.simulate_transient(circuit, *args,
                                                            **kwargs)
-    bitwise = (np.array_equal(result.time_s, ref_t)
-               and np.array_equal(result.voltages, ref_v)
-               and all(np.array_equal(result.supply_currents[m], trace)
-                       for m, trace in ref_supplies.items()))
+    assert np.array_equal(result.time_s, ref_t)
+    drift = {
+        "waveform_v": _max_abs_diff(result.voltages, ref_v),
+        "supply": max(_max_abs_diff(result.supply_currents[m], trace)
+                      / float(np.max(np.abs(trace)))
+                      for m, trace in ref_supplies.items()),
+    }
     steps = len(ref_t) - 1
     oracle_s, kernel_s = _best_pair_s(
         lambda: oracle.simulate_transient(circuit, *args, **kwargs),
@@ -509,12 +532,15 @@ def _transient_leg(oracle, circuit, args, kwargs) -> tuple[dict, bool]:
         "oracle_ms_per_step": oracle_s / steps * 1e3,
         "kernel_ms_per_step": kernel_s / steps * 1e3,
         "speedup": oracle_s / kernel_s,
-    }, bitwise
+    }, drift
 
 
 def _vtc_leg(oracle, n_table, p_table, vdd, params
-             ) -> tuple[dict, bool, Circuit]:
-    """A continuation VTC of one inverter, as ``compute_vtc`` runs it."""
+             ) -> tuple[dict, dict, Circuit]:
+    """A ``compute_vtc`` sweep of one inverter against the oracle's
+    plain continuation over the same grid, and the DC drift: every
+    production solve replayed through the oracle from the same start
+    must take as many iterations."""
     circuit = Circuit("inverter-vtc")
     vin, vout = circuit.node("in"), circuit.node("out")
     vdd_node = circuit.node("vdd")
@@ -524,49 +550,156 @@ def _vtc_leg(oracle, n_table, p_table, vdd, params
                  params)
     grid = np.linspace(0.0, vdd, CIRCUIT_VTC_POINTS)
 
-    def sweep(solve) -> tuple[list, int]:
-        solutions, iterations, v_prev = [], 0, None
+    calls = []
+
+    def record(circuit, v0=None, **kwargs):
+        result = solve_dc(circuit, v0=v0, **kwargs)
+        calls.append((v0, result))
+        return result
+
+    vtc.solve_dc = record
+    try:
+        compute_vtc(circuit, vin, vout, grid)
+    finally:
+        vtc.solve_dc = solve_dc
+    dc_v, iterations = 0.0, 0
+    for value, (v0, result) in zip(grid, calls):
+        circuit.fixed[vin] = float(value)
+        ref_v, ref_iterations = oracle.solve_dc(circuit, v0=v0)
+        assert result.iterations == ref_iterations
+        dc_v = max(dc_v, _max_abs_diff(result.voltages, ref_v))
+        iterations += result.iterations
+
+    def reference() -> int:
+        total, v_prev = 0, None
         for value in grid:
             circuit.fixed[vin] = float(value)
-            v_prev, iters = solve(v_prev)
-            solutions.append(v_prev)
-            iterations += iters
-        return solutions, iterations
+            v_prev, iters = oracle.solve_dc(circuit, v0=v_prev)
+            total += iters
+        return total
 
-    def kernel(v0):
-        result = solve_dc(circuit, v0=v0)
-        return result.voltages, result.iterations
-
-    def reference(v0):
-        return oracle.solve_dc(circuit, v0=v0)
-
-    new, iterations = sweep(kernel)
-    ref, ref_iterations = sweep(reference)
-    bitwise = (iterations == ref_iterations
-               and all(np.array_equal(a, b) for a, b in zip(new, ref)))
-    oracle_s, kernel_s = _best_pair_s(lambda: sweep(reference),
-                                      lambda: sweep(kernel), CIRCUIT_REPEATS)
+    ref_iterations = reference()
+    oracle_s, kernel_s = _best_pair_s(
+        reference, lambda: compute_vtc(circuit, vin, vout, grid),
+        CIRCUIT_REPEATS)
     return {
         "points": int(grid.size),
         "newton_iterations": iterations,
-        "oracle_us_per_iteration": oracle_s / iterations * 1e6,
+        "oracle_newton_iterations": ref_iterations,
+        "oracle_us_per_iteration": oracle_s / ref_iterations * 1e6,
         "kernel_us_per_iteration": kernel_s / iterations * 1e6,
         "speedup": oracle_s / kernel_s,
-    }, bitwise, circuit
+    }, {"dc_v": dc_v}, circuit
 
 
 def _generated_kernel(circuit) -> dict:
-    """Size of ``circuit``'s generated kernel and the best time to emit
-    and compile it again."""
+    """Size of ``circuit``'s generated kernel, the best time to emit and
+    compile it again, and the symbolic factorizations of its DC and
+    transient Newton functions."""
     program = circuit.program()
     best = np.inf
     for _ in range(CIRCUIT_REPEATS):
         start = time.perf_counter()
-        source = netlist._kernel_source(*program.signature)
+        source, _, _ = netlist._kernel_source(*program.signature)
         compile(source, "<circuit kernel>", "exec")
         best = min(best, time.perf_counter() - start)
-    return {"source_lines": len(program.kernel.source.splitlines()),
-            "emit_compile_ms": best * 1e3}
+    kernel = program.kernel
+    return {
+        "source_lines": len(kernel.source.splitlines()),
+        "emit_compile_ms": best * 1e3,
+        **{name: {"multipliers": lu.multipliers, "updates": lu.updates,
+                  "fill": lu.fill}
+           for name, lu in (("dc_elimination", kernel.dc_elimination),
+                            ("transient_elimination",
+                             kernel.transient_elimination))},
+    }
+
+
+def _ring_linear_solve(circuit, args) -> dict:
+    """One Newton iteration's linear solve on the production ring (one
+    ``fanout - 1``-fold replica per stage), three ways.
+
+    The system is the ring's transient free-block Jacobian one step into
+    the window (static stamps, each capacitor branch's companion,
+    ``gmin``) with the static residual there as ``r`` in ``J dv = -r``.
+    It is solved by the dense LAPACK call the engine used to
+    make (a preallocated matrix refilled from the flat Jacobian list,
+    ``solve1``, the step back to a list), by ``splu`` (CSC assembly,
+    factorization, solve) and by the kernel's generated elimination
+    (compiled alone, reading the same entries).  Best per-call time of
+    ``RING_SOLVE_REPEATS`` calls each, and the largest difference of the
+    two alternatives from LAPACK relative to the step's largest entry.
+    """
+    program = circuit.program()
+    free, width = program.free, program.n_nodes + 1
+    t_end_s, dt_s, v0 = args
+    v = list(simulate_transient(circuit, dt_s, dt_s, v0).voltages[-1])
+    v.append(0.0)
+    caps, dv_old = program.kernel.branches(v, program.data)
+    geqs = [2.0 * c / dt_s for c in caps]
+    f, flat = program.assemble(v)
+    jac = np.array(flat).reshape(width, width)
+    for (a, b), geq in zip(program.branches, geqs):
+        jac[a, a] += geq
+        jac[a, b] -= geq
+        jac[b, b] += geq
+        jac[b, a] -= geq
+    gmin = 1e-12
+    jac = jac[np.ix_(free, free)] + gmin * np.eye(len(free))
+    residual = [f[i] + gmin * v[i] for i in free]
+    m = len(free)
+
+    matrix = np.empty((m, m))
+    flat_jac = jac.reshape(-1).tolist()
+
+    def dense():
+        matrix.reshape(-1)[:] = flat_jac
+        return netlist._solve1(matrix, np.negative(residual)).tolist()
+
+    index = {slot: k for k, slot in enumerate(free)}
+    lu = program.kernel.transient_elimination
+    entries = sorted(lu.pattern)
+    rows = [index[i] for i, _ in entries]
+    cols = [index[j] for _, j in entries]
+    values = [float(jac[r, c]) for r, c in zip(rows, cols)]
+
+    def sparse():
+        matrix = csc_matrix((values, (rows, cols)), shape=(m, m))
+        return splu(matrix).solve(np.negative(residual)).tolist()
+
+    lines, _, _ = netlist._elimination(width, list(lu.order), lu.pattern)
+    names = [f"q{i * width + j}" for i, j in entries]
+    names += [f"r{i}" for i in free]
+    solution = ", ".join(f"-q{i * width + width - 1}" for i in free)
+    namespace: dict = {}
+    exec(compile("\n".join(
+        ["def eliminate(values):", f"    {', '.join(names)}, = values"]
+        + ["    " + line for line in lines]
+        + [f"    return [{solution}]"]), "<ring elimination>", "exec"),
+        namespace)
+    eliminate = namespace["eliminate"]
+    inputs = values + residual
+
+    def best_us(fn) -> float:
+        best = np.inf
+        for _ in range(RING_SOLVE_REPEATS):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        return best * 1e6
+
+    want = np.array(dense())
+    scale = float(np.max(np.abs(want)))
+    return {
+        "free_nodes": m,
+        "nonzeros": len(entries),
+        "dense_solve1_us": best_us(dense),
+        "splu_us": best_us(sparse),
+        "elimination_us": best_us(lambda: eliminate(inputs)),
+        "splu_rel_diff": _max_abs_diff(sparse(), want) / scale,
+        "elimination_rel_diff": _max_abs_diff(eliminate(inputs), want)
+        / scale,
+    }
 
 
 def _bench_circuit_engine(tech) -> dict:
@@ -580,64 +713,96 @@ def _bench_circuit_engine(tech) -> dict:
     params, vdd = tech.params, 0.4
     fo4_case = _fo4_transient(n_table, p_table, vdd, params,
                               replicas.build_inverter_chain)
-    fo4, fo4_bitwise = _transient_leg(oracle, *fo4_case)
-    vtc, vtc_bitwise, vtc_circuit = _vtc_leg(oracle, n_table, p_table, vdd,
-                                             params)
+    fo4, fo4_drift = _transient_leg(oracle, *fo4_case)
+    vtc_leg, vtc_drift, vtc_circuit = _vtc_leg(oracle, n_table, p_table,
+                                               vdd, params)
     ring_case = _ring_transient(n_table, p_table, vdd, params,
                                 replicas.build_ring_oscillator,
                                 replicas.ring_initial_state)
-    ring, ring_bitwise = _transient_leg(oracle, *ring_case)
+    ring, ring_drift = _transient_leg(oracle, *ring_case)
     return {
         "fo4_transient": fo4,
-        "vtc": vtc,
+        "vtc": vtc_leg,
         "ring_window": ring,
         "generated_kernel": {
             "fo4_transient": _generated_kernel(fo4_case[0]),
             "vtc": _generated_kernel(vtc_circuit),
             "ring_window": _generated_kernel(ring_case[0]),
         },
-        "bitwise": fo4_bitwise and vtc_bitwise and ring_bitwise,
+        "ring_linear_solve": _ring_linear_solve(*_ring_transient(
+            n_table, p_table, vdd, params, build_ring_oscillator,
+            _alternating_start)[:2]),
+        "max_drift": {
+            "dc_v": vtc_drift["dc_v"],
+            "waveform_v": max(fo4_drift["waveform_v"],
+                              ring_drift["waveform_v"]),
+            "supply": max(fo4_drift["supply"], ring_drift["supply"]),
+        },
     }
 
 
 def test_circuit_engine(tech, save_report):
     engine = _bench_circuit_engine(tech)
-    fo4, vtc, ring = (engine["fo4_transient"], engine["vtc"],
-                      engine["ring_window"])
+    fo4, vtc_leg, ring = (engine["fo4_transient"], engine["vtc"],
+                          engine["ring_window"])
     kernels = {leg: f"{k['source_lines']} lines, "
-                    f"{k['emit_compile_ms']:.1f} ms"
+                    f"{k['emit_compile_ms']:.1f} ms, fill "
+                    f"{k['transient_elimination']['fill']}"
                for leg, k in engine["generated_kernel"].items()}
     rows = [
         [f"FO4 transient ({fo4['nodes']} nodes, {fo4['steps']} steps)",
          f"{fo4['oracle_ms_per_step']:.3f} ms/step",
          f"{fo4['kernel_ms_per_step']:.3f} ms/step",
          f"{fo4['speedup']:.2f}x", kernels["fo4_transient"]],
-        [f"inverter VTC ({vtc['points']} points, "
-         f"{vtc['newton_iterations']} Newton iterations)",
-         f"{vtc['oracle_us_per_iteration']:.1f} us/iter",
-         f"{vtc['kernel_us_per_iteration']:.1f} us/iter",
-         f"{vtc['speedup']:.2f}x", kernels["vtc"]],
+        [f"inverter VTC ({vtc_leg['points']} points, "
+         f"{vtc_leg['oracle_newton_iterations']} -> "
+         f"{vtc_leg['newton_iterations']} Newton iterations)",
+         f"{vtc_leg['oracle_us_per_iteration']:.1f} us/iter",
+         f"{vtc_leg['kernel_us_per_iteration']:.1f} us/iter",
+         f"{vtc_leg['speedup']:.2f}x", kernels["vtc"]],
         [f"15-stage ring ({ring['nodes']} nodes, {ring['steps']} steps)",
          f"{ring['oracle_ms_per_step']:.2f} ms/step",
          f"{ring['kernel_ms_per_step']:.2f} ms/step",
          f"{ring['speedup']:.2f}x", kernels["ring_window"]],
     ]
+    drift = engine["max_drift"]
     report = format_table(
         ["path", "oracle", "kernel", "gain", "generated kernel"], rows,
         title="Generated circuit kernel vs per-element oracle "
-              f"(best of {CIRCUIT_REPEATS}; bitwise: {engine['bitwise']})")
+              f"(best of {CIRCUIT_REPEATS}; drift: DC "
+              f"{drift['dc_v']:.1e} V, waveform "
+              f"{drift['waveform_v']:.1e} V, supply "
+              f"{drift['supply']:.1e} of peak)")
+    solve = engine["ring_linear_solve"]
+    report += "\n" + format_table(
+        ["solver", "us per iteration", "max rel diff"],
+        [["dense LAPACK solve1", f"{solve['dense_solve1_us']:.1f}", "-"],
+         ["scipy splu", f"{solve['splu_us']:.1f}",
+          f"{solve['splu_rel_diff']:.1e}"],
+         ["generated elimination", f"{solve['elimination_us']:.1f}",
+          f"{solve['elimination_rel_diff']:.1e}"]],
+        title=f"One ring iteration's linear solve ({solve['free_nodes']} "
+              f"free nodes, {solve['nonzeros']} nonzeros; best of "
+              f"{RING_SOLVE_REPEATS})")
     save_report("circuit_engine", report)
     print(report)
 
-    # Same float operations in the same order: every waveform, DC
-    # solution and iteration count is identical to the oracle's.
-    assert engine["bitwise"]
+    # The kernel eliminates in its own order (LAPACK pivots) and starts
+    # each step from a predicted iterate, so waveforms and DC solutions
+    # drift from the oracle's by rounding and the Newton tolerance, within
+    # the parity suite's bounds.
+    parity = _load_module(CIRCUIT_PARITY_PATH)
+    assert drift["dc_v"] <= parity.DC_BOUND_V
+    assert drift["waveform_v"] <= parity.WAVEFORM_BOUND_V
+    assert drift["supply"] <= parity.SUPPLY_BOUND
+    assert solve["elimination_rel_diff"] <= 1e-12
     if SMOKE:
         assert fo4["speedup"] > 1.2
         return
     assert fo4["speedup"] >= 3.5
-    assert vtc["speedup"] >= 3.5
-    assert ring["speedup"] >= 1.6
+    assert vtc_leg["speedup"] >= 3.5
+    assert ring["speedup"] >= 6.0
+    assert solve["elimination_us"] < solve["dense_solve1_us"]
     _write_legs({"circuit_engine": engine})
 
 

@@ -3,8 +3,9 @@
 The residual at each free node is the sum of element currents flowing out
 of it (KCL); fixed nodes (supplies, inputs) contribute known voltages.  A
 small ``gmin`` conductance to ground conditions the Jacobian in cut-off
-regions where table derivatives vanish.  Every Newton iteration runs the
-``dc_step`` of the circuit's compiled kernel (:meth:`Circuit.program`).
+regions where table derivatives vanish.  Each Newton solve runs as the
+``dc_newton`` loop of the circuit's compiled kernel
+(:meth:`Circuit.program`).
 """
 
 from __future__ import annotations
@@ -50,16 +51,13 @@ class DCResult:
 
 
 def _newton(prog: StampProgram, v: list[float], gmin: float, tol_a: float,
-            max_iter: int, damping_v: float) -> tuple[int, bool]:
+            max_iter: int, damping_v: float, fallbacks: int
+            ) -> tuple[int, bool, int]:
     """Damped Newton on the free slots of ``v``, updated in place;
-    returns ``(iterations, converged)``."""
-    step, data, update = prog.kernel.dc_step, prog.data, prog.newton_update
-    for iteration in range(1, max_iter + 1):
-        residual, jac = step(v, data, gmin)
-        status = update(v, residual, jac, tol_a, damping_v)
-        if status is not None:
-            return iteration, status
-    return max_iter, False
+    returns ``(iterations, converged, fallbacks)``, the LAPACK-fallback
+    count added to ``fallbacks``."""
+    return prog.kernel.dc_newton(v, prog.data, gmin, tol_a, max_iter,
+                                 damping_v, fallbacks)
 
 
 def solve_dc(
@@ -101,12 +99,15 @@ def solve_dc(
         v[node] = value
 
     v_slots = v.tolist() + [0.0]
+    # The kernel's LAPACK fallback reports a singular system as a NaN
+    # step, with floating-point flags this silences.
     with np.errstate(all="ignore"):
-        iters, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
+        iters, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a,
+                                       max_iter, damping_v, 0)
         if not ok:
-            v_slots, iters = _source_stepping(prog, fixed, gmin, tol_a,
-                                              max_iter, damping_v,
-                                              source_steps, iters)
+            v_slots, iters, fallbacks = _source_stepping(
+                prog, fixed, gmin, tol_a, max_iter, damping_v, source_steps,
+                iters, fallbacks)
     v_sol = np.array(v_slots[:n])
     if sanitize.ACTIVE:
         sanitize.check_finite(v_sol, "solve_dc", "node voltages")
@@ -116,30 +117,34 @@ def solve_dc(
             obs.incr("circuit.dc_source_stepped")
         obs.incr("circuit.newton_iterations", iters)
         obs.observe("circuit.dc_newton_iterations", iters)
+        obs.incr("circuit.newton_fallbacks", fallbacks)
     return DCResult(circuit=circuit, voltages=v_sol, iterations=iters)
 
 
 def _source_stepping(prog: StampProgram, fixed: dict[int, float],
                      gmin: float, tol_a: float, max_iter: int,
-                     damping_v: float, source_steps: int, iters: int
-                     ) -> tuple[list[float], int]:
+                     damping_v: float, source_steps: int, iters: int,
+                     fallbacks: int) -> tuple[list[float], int, int]:
     """Ramp every fixed voltage from 0 to its target over
     ``source_steps`` stages, re-converging at each; returns the slot
-    voltages and the total iteration count (``iters`` spent before)."""
+    voltages and the total iteration and LAPACK-fallback counts
+    (``iters`` and ``fallbacks`` spent before)."""
     v_slots = [0.0] * (prog.n_nodes + 1)
     for step in range(1, source_steps + 1):
         frac = step / source_steps
         for node, value in fixed.items():
             v_slots[node] = frac * value
-        it, ok = _newton(prog, v_slots, gmin, tol_a, max_iter, damping_v)
+        it, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a, max_iter,
+                                    damping_v, fallbacks)
         iters += it
         if not ok:
             # Retry this stage with a larger gmin before giving up.
-            it, ok = _newton(prog, v_slots, gmin * 1e3, tol_a * 10,
-                             max_iter, damping_v)
+            it, ok, fallbacks = _newton(prog, v_slots, gmin * 1e3,
+                                        tol_a * 10, max_iter, damping_v,
+                                        fallbacks)
             iters += it
             if not ok:
                 raise ConvergenceError(
                     f"DC source stepping failed at {frac:.0%} of supply",
                     iterations=iters)
-    return v_slots, iters
+    return v_slots, iters, fallbacks

@@ -18,18 +18,21 @@ straight-line Python source and compiled into a :class:`Kernel`: every
 slot of the residual and every Jacobian entry becomes one expression that
 adds its element contributions in element order, so the kernel performs
 the float operations of a record-by-record assembly in the same order
-without its loops, tuple unpacking or kind dispatch.  Circuits with the
-same topology (every inverter of a VTC sweep, every variant of an FO4
-chain) share one kernel.  For the paper's gates (a handful of FETs)
-per-call numpy overhead costs more than the scalar work it would replace
-(see docs/performance.md, "Why not array assembly"), so numpy only sees
-the assembled free-node system.
+without its loops, tuple unpacking or kind dispatch.  The kernel runs a
+whole damped Newton loop and solves each iteration's free-node system by
+sparse elimination in an order fixed at emit time, also as straight-line
+code.  Circuits with the same topology (every inverter of a VTC sweep,
+every variant of an FO4 chain) share one kernel.  For the paper's gates
+(a handful of FETs) per-call numpy overhead costs more than the scalar
+work it would replace (see docs/performance.md, "Why not array
+assembly"), so numpy only sees a free-node system the elimination
+declines.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
+from collections.abc import Collection
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,11 +57,44 @@ _GROUND_NAMES = ("0", "gnd", "ground")
 # Element kinds of a topology signature.
 _RESISTOR, _SOURCE, _CAPACITOR, _TABLE_FET, _MOSFET = range(5)
 
+#: Largest multiplier magnitude the generated elimination accepts.  It
+#: does not pivot, so a larger multiplier (or a NaN) sends that Newton
+#: iteration to LAPACK, which does.
+MAX_MULTIPLIER = 10.0
+
 #: The LAPACK gufunc ``np.linalg.solve`` dispatches to for a vector
 #: right-hand side.  Called bare it reports a singular matrix as a NaN
 #: solution (with the invalid flag, which the solvers' ``np.errstate``
 #: silences) instead of raising ``LinAlgError``.
 _solve1 = _umath_linalg.solve1
+
+
+def _lapack(jac: list[float], residual: list[float]) -> list[float]:
+    """``J^-1 r`` for the flat, row-major free-node Jacobian ``jac`` by
+    LAPACK (partial pivoting): the kernels' fallback.  The kernels step
+    by ``-J^-1 r``, and negating the right-hand side negates every
+    intermediate exactly, so this is the step of ``solve(J, -r)`` bit for
+    bit."""
+    m = len(residual)
+    return _solve1(np.array(jac).reshape(m, m), residual).tolist()
+
+
+class Elimination(NamedTuple):
+    """The symbolic LU factorization of one free-node Jacobian pattern.
+
+    ``order`` lists the free slots in elimination order and ``pattern``
+    the structurally nonzero ``(row, column)`` slot pairs, diagonal
+    included; ``multipliers`` counts the entries of ``L`` below the
+    diagonal, ``updates`` the multiply-subtract operations of forward
+    elimination on the augmented system ``[J | r]`` and ``fill`` the
+    entries of ``L + U`` outside the pattern.
+    """
+
+    order: tuple[int, ...]
+    pattern: frozenset
+    multipliers: int
+    updates: int
+    fill: int
 
 
 class Kernel(NamedTuple):
@@ -69,27 +105,43 @@ class Kernel(NamedTuple):
     voltages ``v`` and the instance ``data`` tuple of a
     :class:`StampProgram`.
 
-    * ``dc_step(v, data, gmin)`` -> ``(residual, jacobian)`` over the
-      free nodes (ascending), the Jacobian flat and row-major; ``gmin``
-      is stamped only when positive.
-    * ``transient_step(v, data, geqs, dv_old, i_prev, gmin)`` ->
-      ``(residual, jacobian, branch_currents, fixed_residual)``: the
-      static stamps, then every capacitor branch's trapezoidal companion
-      (conductance ``geqs[k]``, current
-      ``geqs[k] * (v_a - v_b - dv_old[k]) - i_prev[k]``), then ``gmin``;
+    * ``dc_newton(v, data, gmin, tol_a, max_iter, damping_v, fallbacks)``
+      -> ``(iterations, converged, fallbacks)``: damped Newton on the
+      free slots of ``v``, updated in place.  Each iteration evaluates
+      the free residual, returns once every entry is below ``tol_a`` in
+      magnitude (a NaN never is), then evaluates the free-block Jacobian
+      and steps by ``-J^-1 r``, scaled down to ``damping_v`` in its
+      largest entry; a non-finite step fails.  ``gmin`` is stamped only
+      when positive.
+    * ``transient_newton(v, data, geqs, dv_old, i_prev, gmin, tol_a,
+      max_iter, damping_v, fallbacks)`` -> ``(converged, branch_currents,
+      fixed_residual, fallbacks)``, both lists empty when the step fails
+      (``v`` then holds the last iterate):
+      the same loop over the static stamps, then every capacitor branch's
+      trapezoidal companion (conductance ``geqs[k]``, current
+      ``geqs[k] * (v_a - v_b - dv_old[k]) - i_prev[k]``), then ``gmin``.
       ``fixed_residual`` is the static residual at each fixed node
-      (ascending), which is the current its source delivers.
+      (ascending) of the converged iterate, which is the current its
+      source delivers.
     * ``branches(v, data)`` -> ``(capacitances, voltages)`` of the
       capacitor branches.
     * ``assemble(v, data)`` -> static ``(residual, jacobian)`` over every
       slot, ground included; the Jacobian is flat ``(n+1)**2``.
+
+    The Newton functions solve by elimination without pivoting in the
+    order of ``dc_elimination`` / ``transient_elimination``.  A
+    multiplier above :data:`MAX_MULTIPLIER` in magnitude (or NaN), a zero
+    pivot or a non-finite step sends that iteration to LAPACK on the
+    dense free block instead, and adds one to ``fallbacks``.
     """
 
     source: str
-    dc_step: Callable
-    transient_step: Callable
+    dc_newton: Callable
+    transient_newton: Callable
     branches: Callable
     assemble: Callable
+    dc_elimination: Elimination
+    transient_elimination: Elimination
 
 
 #: Compiled kernels by topology signature, for the life of the process.
@@ -99,12 +151,12 @@ _KERNELS: dict[tuple, Kernel] = {}
 def _kernel(signature: tuple) -> Kernel:
     kernel = _KERNELS.get(signature)
     if kernel is None:
-        source = _kernel_source(*signature)
-        namespace: dict = {}
+        source, dc_lu, transient_lu = _kernel_source(*signature)
+        namespace: dict = {"lapack": _lapack}
         exec(compile(source, "<circuit kernel>", "exec"), namespace)
-        kernel = Kernel(source, namespace["dc_step"],
-                        namespace["transient_step"], namespace["branches"],
-                        namespace["assemble"])
+        kernel = Kernel(source, namespace["dc_newton"],
+                        namespace["transient_newton"], namespace["branches"],
+                        namespace["assemble"], dc_lu, transient_lu)
         _KERNELS[signature] = kernel
         if obs.ACTIVE:
             obs.incr("circuit.kernels_compiled")
@@ -117,21 +169,80 @@ def _sum(terms: list[str]) -> str:
     return "0.0" + "".join(terms)
 
 
+def _min_degree_order(free: list[int],
+                      pattern: Collection[tuple[int, int]]) -> list[int]:
+    """``free`` in minimum-degree order on the symmetrized ``pattern``
+    (slot pairs): repeatedly take the slot with the fewest neighbours
+    (the lowest slot on a tie), then join its neighbours into a clique,
+    as eliminating it fills them in."""
+    neighbours: dict[int, set[int]] = {i: set() for i in free}
+    for i, j in pattern:
+        if i != j:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    order: list[int] = []
+    while neighbours:
+        k = min(neighbours, key=lambda i: (len(neighbours[i]), i))
+        order.append(k)
+        clique = neighbours.pop(k)
+        for i in clique:
+            neighbours[i] |= clique
+            neighbours[i] -= {i, k}
+    return order
+
+
+def _symbolic_lu(order: list[int], pattern: Collection[tuple[int, int]]
+                 ) -> tuple[dict[tuple[int, int], list[int]], set]:
+    """The pivots that update each entry of the LU factors of a matrix
+    with nonzero ``pattern`` eliminated in ``order`` without pivoting.
+
+    Returns ``terms``, mapping every entry of ``L + U`` to its pivots in
+    elimination order (``[]`` for an entry no pivot updates), and the
+    pattern of ``L + U`` (``pattern`` plus fill).
+    """
+    pos = {slot: p for p, slot in enumerate(order)}
+    lower: dict[int, set[int]] = {k: set() for k in order}
+    upper: dict[int, set[int]] = {k: set() for k in order}
+    for i, j in pattern:
+        if pos[i] > pos[j]:
+            lower[j].add(i)
+        elif pos[i] < pos[j]:
+            upper[i].add(j)
+    filled = set(pattern)
+    terms: dict[tuple[int, int], list[int]] = {entry: [] for entry in filled}
+    for k in order:
+        for i in lower[k]:
+            for j in upper[k]:
+                if (i, j) not in filled:
+                    filled.add((i, j))
+                    terms[i, j] = []
+                    if pos[i] > pos[j]:
+                        lower[j].add(i)
+                    else:
+                        upper[i].add(j)
+                terms[i, j].append(k)
+    return terms, filled
+
+
 def _kernel_source(n: int, fixed: tuple[int, ...],
-                   elements: tuple[tuple[int, ...], ...]) -> str:
-    """Python source of the :class:`Kernel` functions of one topology.
+                   elements: tuple[tuple[int, ...], ...]
+                   ) -> tuple[str, Elimination, Elimination]:
+    """Python source of the :class:`Kernel` functions of one topology,
+    and the eliminations of its DC and transient Newton functions.
 
     ``elements`` holds ``(kind, *slots)`` per element in netlist order;
     ``fixed`` the fixed node slots, ascending.  Each residual slot and
     Jacobian entry collects its terms in element order (capacitor
     companions after every static stamp, ``gmin`` last); only the entries
-    a function returns are emitted.
+    a function reads are emitted.  Both Newton functions eliminate the
+    free slots in minimum-degree order on the transient Jacobian's
+    pattern, which contains the DC pattern.
     """
     width = n + 1
     free = [i for i in range(n) if i not in fixed]
-    n_free = len(free)
     data: list[str] = []
-    statics: list[str] = []   # element currents and derivatives
+    currents: list[str] = []   # element currents and their derivatives
+    slopes: list[str] = []     # derivatives only the Jacobian reads
     caps: list[str] = []
     cap_values: list[str] = []
     branches: list[tuple[int, int]] = []
@@ -142,7 +253,7 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
         if kind == _RESISTOR:
             a, b = slots
             data.append(f"G{k}")
-            statics.append(f"    e{k} = G{k} * (v{a} - v{b})")
+            currents.append(f"e{k} = G{k} * (v{a} - v{b})")
             f_terms[a].append(f" + e{k}")
             f_terms[b].append(f" - e{k}")
             j_terms[a, a].append(f" + G{k}")
@@ -164,9 +275,9 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
             bias = f"P{k} * (v{g} - v{s}), P{k} * (v{d} - v{s})"
             # Current flows drain -> source inside the device for i > 0;
             # dI/dVs = -(dI/dVd + dI/dVg).
-            statics += [f"    e{k}, x{k}, y{k} = IV{k}({bias})",
-                        f"    e{k} = P{k} * e{k}",
-                        f"    u{k} = y{k} + x{k}"]
+            currents += [f"e{k}, x{k}, y{k} = IV{k}({bias})",
+                         f"e{k} = P{k} * e{k}"]
+            slopes.append(f"u{k} = y{k} + x{k}")
             f_terms[d].append(f" + e{k}")
             f_terms[s].append(f" - e{k}")
             j_terms[d, d].append(f" + y{k}")
@@ -175,7 +286,7 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
             j_terms[s, d].append(f" - y{k}")
             j_terms[s, g].append(f" - x{k}")
             j_terms[s, s].append(f" + u{k}")
-            caps.append(f"    a{k}, b{k} = CV{k}({bias})")
+            caps.append(f"a{k}, b{k} = CV{k}({bias})")
             if kind == _TABLE_FET:
                 # Intrinsic table capacitance plus the extrinsic junction.
                 data += [f"PS{k}", f"PD{k}"]
@@ -189,7 +300,7 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
     t_f = defaultdict(list, {i: list(t) for i, t in f_terms.items()})
     t_j = defaultdict(list, {p: list(t) for p, t in j_terms.items()})
     for k, (a, b) in enumerate(branches):
-        companions.append(f"    c{k} = B{k} * ((v{a} - v{b}) - O{k}) - Q{k}")
+        companions.append(f"c{k} = B{k} * ((v{a} - v{b}) - O{k}) - Q{k}")
         t_f[a].append(f" + c{k}")
         t_j[a, a].append(f" + B{k}")
         t_j[a, b].append(f" - B{k}")
@@ -197,71 +308,208 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
         t_j[b, b].append(f" + B{k}")
         t_j[b, a].append(f" - B{k}")
 
+    # Free-block Jacobians, diagonal always present.  The DC diagonal
+    # takes ``gmin`` at run time, only when it is positive (adding 0.0
+    # could flip a signed zero).
+    def free_block(terms: dict) -> dict[tuple[int, int], str]:
+        return {(i, j): _sum(terms.get((i, j), [])) for i in free
+                for j in free if i == j or (i, j) in terms}
+
+    dc_jac = free_block(j_terms)
+    t_jac = {(i, j): value + " + gmin" if i == j else value
+             for (i, j), value in free_block(t_j).items()}
+    order = _min_degree_order(free, t_jac)
+
     def unpack(names: list[str], value: str) -> list[str]:
-        return [f"    {', '.join(names)}, = {value}"] if names else []
+        return [f"{', '.join(names)}, = {value}"] if names else []
 
-    def header(signature: str) -> list[str]:
-        return ([f"def {signature}:"]
-                + unpack([f"v{i}" for i in range(width)], "v")
-                + unpack(data, "data"))
+    def indent(lines: list[str], depth: int) -> list[str]:
+        return ["    " * depth + line for line in lines]
 
-    def free_jacobian(terms: dict, diagonal: Callable[[int], str]
-                      ) -> list[str]:
-        lines = [f"    jac = [0.0] * {n_free * n_free}"]
-        for fi, row in enumerate(free):
-            for fj, col in enumerate(free):
-                if row == col:
-                    value = diagonal(row)
-                elif (row, col) in terms:
-                    value = _sum(terms[row, col])
-                else:
-                    continue
-                lines.append(f"    jac[{fi * n_free + fj}] = {value}")
-        return lines
+    write_back = [f"v[{i}] = v{i}" for i in free]
+    header = (unpack([f"v{i}" for i in range(width)], "v")
+              + unpack(data, "data"))
 
-    residual = "[" + ", ".join(f"r{i}" for i in free) + "]"
-    src: list[str] = []
+    def newton(signature: str, prologue: list[str], loop: str,
+               body: list[str], done: list[str], jacobian: dict,
+               dc_gmin: bool, failed: str) -> tuple[list[str], Elimination]:
+        """A Newton function: ``body`` evaluates the free residual, and
+        ``done`` returns once it is below ``tol_a`` in every entry (a NaN
+        never is), which with no free slot is at once."""
+        lines = [f"def {signature}:"] + indent(header + prologue + [loop], 1)
+        if not free:
+            return lines + indent(body + done, 2) + [""], Elimination(
+                (), frozenset(), 0, 0, 0)
+        step, lu = _newton_lines(width, free, order, jacobian, dc_gmin)
+        test = " and ".join(f"abs(r{i}) < tol_a" for i in free)
+        lines += indent(body + [f"if {test}:"] + indent(write_back + done, 1)
+                        + slopes + step, 2)
+        return lines + indent(write_back + [failed], 1) + [""], lu
 
-    # DC Newton step: gmin only when positive (adding 0.0 could flip a
-    # signed zero).
-    lines = []
-    for i in free:
-        lines.append(f"    r{i} = {_sum(f_terms.get(i, []))}")
-        lines.append(f"    q{i} = {_sum(j_terms.get((i, i), []))}")
+    # One DC solve attempt.
+    body = currents + [f"r{i} = {_sum(f_terms.get(i, []))}" for i in free]
     if free:
-        lines.append("    if gmin > 0.0:")
-        for i in free:
-            lines.append(f"        r{i} = r{i} + gmin * v{i}")
-            lines.append(f"        q{i} = q{i} + gmin")
-    lines += free_jacobian(j_terms, lambda i: f"q{i}")
-    src += header("dc_step(v, data, gmin)") + statics + lines
-    src += [f"    return {residual}, jac", ""]
+        body += ["if gmin > 0.0:"]
+        body += indent([f"r{i} = r{i} + gmin * v{i}" for i in free], 1)
+    src, dc_lu = newton(
+        "dc_newton(v, data, gmin, tol_a, max_iter, damping_v, fallbacks)",
+        [], "for iteration in range(1, max_iter + 1):", body,
+        ["return iteration, True, fallbacks"], dc_jac, True,
+        "return iteration, False, fallbacks")
 
-    # Transient Newton step.
-    lines = [f"    r{i} = {_sum(t_f.get(i, []))} + gmin * v{i}" for i in free]
-    lines += free_jacobian(t_j, lambda i: f"{_sum(t_j.get((i, i), []))}"
-                                          " + gmin")
+    # One integration step.
     fixed_rows = ", ".join(_sum(f_terms.get(m, [])) for m in fixed)
-    currents = ", ".join(f"c{k}" for k in range(len(branches)))
-    src += header("transient_step(v, data, geqs, dv_old, i_prev, gmin)")
+    step_currents = ", ".join(f"c{k}" for k in range(len(branches)))
+    prologue: list[str] = []
     for name, value in (("B", "geqs"), ("O", "dv_old"), ("Q", "i_prev")):
-        src += unpack([f"{name}{k}" for k in range(len(branches))], value)
-    src += statics + companions + lines
-    src += [f"    return {residual}, jac, [{currents}], [{fixed_rows}]", ""]
+        prologue += unpack([f"{name}{k}" for k in range(len(branches))],
+                           value)
+    lines, transient_lu = newton(
+        "transient_newton(v, data, geqs, dv_old, i_prev, gmin, tol_a, "
+        "max_iter, damping_v, fallbacks)", prologue,
+        "for iteration in range(max_iter):",
+        currents + companions + [
+            f"r{i} = {_sum(t_f.get(i, []))} + gmin * v{i}" for i in free],
+        [f"return True, [{step_currents}], [{fixed_rows}], fallbacks"],
+        t_jac, False, "return False, [], [], fallbacks")
+    src += lines
 
     # Branch capacitances and voltages.
     voltages = ", ".join(f"v{a} - v{b}" for a, b in branches)
-    src += header("branches(v, data)") + caps
+    src += ["def branches(v, data):"] + indent(header + caps, 1)
     src += [f"    return [{', '.join(cap_values)}], [{voltages}]", ""]
 
     # Full-slot static assembly.
-    lines = [f"    jac = [0.0] * {width * width}"]
-    lines += [f"    jac[{row * width + col}] = {_sum(terms)}"
+    lines = [f"jac = [0.0] * {width * width}"]
+    lines += [f"jac[{row * width + col}] = {_sum(terms)}"
               for (row, col), terms in sorted(j_terms.items())]
     rows = ", ".join(_sum(f_terms.get(i, [])) for i in range(width))
-    src += header("assemble(v, data)") + statics + lines
+    src += ["def assemble(v, data):"]
+    src += indent(header + currents + slopes + lines, 1)
     src += [f"    return [{rows}], jac", ""]
-    return "\n".join(src)
+    return "\n".join(src), dc_lu, transient_lu
+
+
+def _elimination(width: int, order: list[int],
+                 pattern: Collection[tuple[int, int]]
+                 ) -> tuple[list[str], list[str], Elimination]:
+    """Straight-line solve of the free-node system with nonzero
+    ``pattern`` (slot pairs), eliminated in ``order`` without pivoting.
+
+    Entry ``(i, j)`` of the system lives in ``q{i * width + j}``, and
+    column ``n = width - 1`` (the ground slot, never free) holds the
+    right-hand side, which starts as the residual ``r{i}``.  The lines
+    run the elimination row by row in ``order`` (Doolittle), overwriting
+    each entry with its ``L`` or ``U`` factor; every factor is one
+    expression that subtracts its updates in elimination order, the
+    order of a right-looking LU.  Back substitution leaves ``J^-1 r`` in
+    column ``n``.  A zero pivot raises ``ZeroDivisionError``.  Returns
+    the lines, the names of the multipliers and the symbolic
+    factorization.
+    """
+    n = width - 1
+
+    def q(i: int, j: int) -> str:
+        return f"q{i * width + j}"
+
+    terms, filled = _symbolic_lu(order, pattern)
+    pos = {slot: p for p, slot in enumerate(order)}
+    rows: dict[int, list[int]] = {i: [] for i in order}
+    for i, j in filled:
+        rows[i].append(j)
+    lines: list[str] = []
+    multipliers: list[str] = []
+    rhs = {i: f"r{i}" for i in order}
+    for i in order:
+        row = sorted(rows[i], key=pos.__getitem__)
+        for j in row:
+            updates = "".join(f" - {q(i, k)} * {q(k, j)}"
+                              for k in terms[i, j])
+            value = (q(i, j) + updates if (i, j) in pattern
+                     else "-" + updates[3:])
+            if pos[j] < pos[i]:
+                if updates:
+                    value = f"({value})"
+                lines.append(f"{q(i, j)} = {value} / {q(j, j)}")
+                multipliers.append(q(i, j))
+            elif updates:
+                lines.append(f"{q(i, j)} = {value}")
+        lower = [k for k in row if pos[k] < pos[i]]
+        if lower:
+            lines.append(f"{q(i, n)} = r{i}" + "".join(
+                f" - {q(i, k)} * {rhs[k]}" for k in lower))
+            rhs[i] = q(i, n)
+    for i in reversed(order):
+        upper = sorted((j for j in rows[i] if pos[j] > pos[i]),
+                       key=pos.__getitem__, reverse=True)
+        updates = "".join(f" - {q(i, j)} * {q(j, n)}" for j in upper)
+        value = f"({rhs[i]}{updates})" if updates else rhs[i]
+        lines.append(f"{q(i, n)} = {value} / {q(i, i)}")
+    lu = Elimination(
+        order=tuple(order),
+        pattern=frozenset(pattern),
+        multipliers=len(multipliers),
+        updates=sum(map(len, terms.values())) + len(multipliers),
+        fill=len(filled) - len(pattern))
+    return lines, multipliers, lu
+
+
+def _newton_lines(width: int, free: list[int], order: list[int],
+                  jacobian: dict[tuple[int, int], str], dc_gmin: bool
+                  ) -> tuple[list[str], Elimination]:
+    """One Newton step after the residual: Jacobian, solve, damped update.
+
+    ``jacobian`` maps each free-block entry to its expression; with
+    ``dc_gmin`` the diagonal also takes ``gmin`` when it is positive.
+    The system is solved by :func:`_elimination`.  On a zero pivot, a
+    multiplier above :data:`MAX_MULTIPLIER` in magnitude (or NaN) or a
+    non-finite solution, LAPACK solves the same iteration from the dense
+    free block, rebuilt from the same expressions.  A non-finite step
+    leaves the loop.
+    """
+    m = len(free)
+    lines = [f"q{i * width + j} = {value}"
+             for (i, j), value in jacobian.items()]
+    if dc_gmin:
+        lines += ["if gmin > 0.0:"] + [
+            f"    q{i * (width + 1)} = q{i * (width + 1)} + gmin"
+            for i in free]
+    solve, multipliers, lu = _elimination(width, order, jacobian)
+    step = [f"q{i * width + width - 1}" for i in free]
+    # A sum is finite only if every term is (an overflowing sum only
+    # costs a LAPACK solve).
+    finite = f"0.0 * ({' + '.join(step)}) == 0.0"
+    checks = [f"abs({x}) <= {MAX_MULTIPLIER!r}" for x in multipliers]
+    checks.append(finite)
+    solve.append(f"solved = ({checks[0]}")
+    solve += [f"          and {check}" for check in checks[1:]]
+    solve[-1] += ")"
+
+    # The dense free block, ascending free order, for LAPACK.
+    index = {slot: fi for fi, slot in enumerate(free)}
+    dense = [f"jac = [0.0] * {m * m}"]
+    dense += [f"jac[{index[i] * m + index[j]}] = {value}"
+              for (i, j), value in sorted(jacobian.items())]
+    if dc_gmin:
+        dense += ["if gmin > 0.0:"]
+        dense += [f"    jac[{index[i] * (m + 1)}] = "
+                  f"jac[{index[i] * (m + 1)}] + gmin" for i in free]
+    residual = ", ".join(f"r{i}" for i in free)
+    fallback = ["fallbacks += 1"] + dense + [
+        f"{', '.join(step)}, = lapack(jac, [{residual}])",
+        f"if not {finite}:", "    break"]
+
+    largest = (f"max({', '.join(f'abs({x})' for x in step)})" if m > 1
+               else f"abs({step[0]})")
+    lines += ["try:"] + ["    " + line for line in solve]
+    lines += ["except ZeroDivisionError:", "    solved = False",
+              "if not solved:"] + ["    " + line for line in fallback]
+    # Voltage-step damping keeps table FETs in a sane region.
+    lines += [f"max_step = {largest}", "if max_step > damping_v:",
+              "    scale = damping_v / max_step"]
+    lines += [f"    {x} = {x} * scale" for x in step]
+    lines += [f"v{i} = v{i} - {x}" for i, x in zip(free, step)]
+    return lines, lu
 
 
 class StampProgram:
@@ -330,9 +578,6 @@ class StampProgram:
         self.branches = branches
         self.data = tuple(data)
         self.kernel = _kernel(self.signature)
-        # The free-node Jacobian handed to LAPACK, refilled in place.
-        self._jac = np.empty((len(self.free), len(self.free)))
-        self._jac_flat = self._jac.reshape(-1)
 
     def assemble(self, v: list[float]) -> tuple[list[float], list[float]]:
         """Static residual and Jacobian at slot voltages ``v``.
@@ -347,37 +592,6 @@ class StampProgram:
     def capacitances(self, v: list[float]) -> list[float]:
         """Capacitance of every branch (farads) at slot voltages ``v``."""
         return self.kernel.branches(v, self.data)[0]
-
-    def newton_update(self, v: list[float], residual: list[float],
-                      jac: list[float], tol_a: float,
-                      damping_v: float) -> bool | None:
-        """One damped Newton update of the free slots of ``v``, in place.
-
-        ``residual`` and ``jac`` are a kernel step's free-node system.
-        Returns ``True`` when the residual is already below ``tol_a``
-        (``v`` untouched), ``False`` when the linear solve fails (a
-        singular or non-finite system gives a non-finite step), and
-        ``None`` after a step.  The caller holds the ``np.errstate`` that
-        silences the solver's floating-point flags.
-        """
-        # A NaN residual never converges (as with ``max(|r|) < tol``).
-        for r in residual:
-            if not abs(r) < tol_a:
-                break
-        else:
-            return True
-        self._jac_flat[:] = jac
-        dv = _solve1(self._jac, np.negative(residual)).tolist()
-        if not all(map(math.isfinite, dv)):
-            return False
-        # Voltage-step damping keeps table FETs in a sane region.
-        max_step = max(map(abs, dv))
-        if max_step > damping_v:
-            scale = damping_v / max_step
-            dv = [step * scale for step in dv]
-        for i, step in zip(self.free, dv):
-            v[i] += step
-        return None
 
 
 class Circuit:

@@ -10,7 +10,9 @@ generically:
 with ``C`` evaluated at the previous converged solution (semi-implicit in
 the bias dependence — standard practice for table-based simulators and
 accurate for the smooth Q-V characteristics here).  The per-capacitor
-companion current is part of the integrator state.
+companion current is part of the integrator state.  Each step's Newton
+loop is the kernel's ``transient_newton``, started from a first-order
+prediction of the free node voltages.
 
 Non-converging steps are retried with halved step size; the supply current
 is recorded every step so energy and power integrate directly.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs, sanitize
-from repro.circuit.netlist import Circuit, GROUND, StampProgram
+from repro.circuit.netlist import Circuit, GROUND
 from repro.errors import ConvergenceError
 
 
@@ -63,28 +65,6 @@ class TransientResult:
         volt = self.v(idx)
         return float(np.trapezoid(self.supply_currents[idx] * volt,
                                   self.time_s))
-
-
-def _step_newton(prog: StampProgram, v: list[float], geqs: list[float],
-                 dv_old: list[float], i_prev: list[float], gmin: float,
-                 tol_a: float, max_iter: int, damping_v: float
-                 ) -> tuple[list[float], list[float]] | None:
-    """Newton iterations of one integration step, updating ``v`` in place.
-
-    Returns the branch companion currents and the static residuals at the
-    fixed nodes of the converged iterate, or ``None`` if the step failed.
-    """
-    step, data, update = prog.kernel.transient_step, prog.data, \
-        prog.newton_update
-    for _ in range(max_iter):
-        residual, jac, currents, fixed_f = step(v, data, geqs, dv_old,
-                                                i_prev, gmin)
-        status = update(v, residual, jac, tol_a, damping_v)
-        if status is True:
-            return currents, fixed_f
-        if status is False:
-            break
-    return None
 
 
 def simulate_transient(
@@ -157,33 +137,44 @@ def simulate_transient(
 
     t = 0.0
     first_step = True
+    # The previous accepted state and step, for the predictor.
+    v_old, h_old = v, dt_s
     # Counters accumulate in locals and flush to obs once at the end:
     # the step loop is the hot path of every delay/power figure.
     n_steps = 0
     n_halvings = 0
-    branches = prog.kernel.branches
+    fallbacks = 0
+    branches, newton, data = (prog.kernel.branches,
+                              prog.kernel.transient_newton, prog.data)
     with obs.span("circuit.transient", t_end_s=t_end_s, dt_s=dt_s), \
             np.errstate(all="ignore"):
         while t < t_end_s - 1e-21:
             h = min(dt_s, t_end_s - t)
             # Branch capacitances and old branch voltages depend only on
             # the previous converged state, so every halving reuses them.
-            caps, dv_old = branches(v, prog.data)
+            caps, dv_old = branches(v, data)
             for attempt in range(max_step_halvings + 1):
-                v_try = list(v)
-                for node, value in circuit.fixed_voltages(t + h).items():
-                    v_try[node] = value
                 if first_step:
                     # Backward Euler: the trapezoidal companion current
                     # is not known yet (the classic SPICE startup rule).
                     # ``i_cap`` is still all zeros, and subtracting 0.0
-                    # leaves the BE current bit for bit.
+                    # leaves the BE current bit for bit.  Newton starts
+                    # from ``v0``.
+                    v_try = list(v)
                     geqs = [c / h for c in caps]
                 else:
+                    # Newton starts from the last step extrapolated over
+                    # ``h``, but never further than one step (``h`` may
+                    # exceed a halved last step).
+                    ratio = min(h / h_old, 1.0)
+                    v_try = [x + ratio * (x - y) for x, y in zip(v, v_old)]
                     geqs = [2.0 * c / h for c in caps]
-                step = _step_newton(prog, v_try, geqs, dv_old, i_cap,
-                                    gmin, tol_a, max_iter, damping_v)
-                if step is not None:
+                for node, value in circuit.fixed_voltages(t + h).items():
+                    v_try[node] = value
+                converged, currents, fixed_f, fallbacks = newton(
+                    v_try, data, geqs, dv_old, i_cap, gmin, tol_a, max_iter,
+                    damping_v, fallbacks)
+                if converged:
                     n_halvings += attempt
                     break
                 h *= 0.5
@@ -192,8 +183,8 @@ def simulate_transient(
                     f"transient step failed to converge at t = {t:.3e} s "
                     f"even after {max_step_halvings} step halvings")
             t += h
-            v = v_try
-            i_cap, fixed_f = step
+            v_old, v, h_old = v, v_try, h
+            i_cap = currents
             if sanitize.ACTIVE:
                 sanitize.check_finite(np.array(v[:n]), "simulate_transient",
                                       f"node voltages at t={t:.6g} s")
@@ -206,6 +197,7 @@ def simulate_transient(
         obs.incr("circuit.transient_runs")
         obs.incr("circuit.transient_steps", n_steps)
         obs.incr("circuit.step_halvings", n_halvings)
+        obs.incr("circuit.newton_fallbacks", fallbacks)
 
     return TransientResult(
         circuit=circuit,

@@ -18,8 +18,10 @@ def compute_vtc(
 
     The input node must already be a fixed node of the circuit; its value
     is overwritten point by point.  Continuation (warm-starting each solve
-    from the previous point) makes the sweep fast and keeps the solver on
-    one branch of the curve.
+    near the previous point) makes the sweep fast and keeps the solver on
+    one branch of the curve: from the third point on, each solve starts
+    on the secant through the last two solutions, and from the last
+    solution itself when those two share an input value.
     """
     vin_grid = np.asarray(vin_grid, dtype=float)
     in_idx = circuit.node(input_node) if isinstance(input_node, str) else input_node
@@ -28,10 +30,16 @@ def compute_vtc(
         raise ValueError("input node must be fixed (driven) in the circuit")
 
     vout = np.empty_like(vin_grid)
-    v_prev = None
-    for i, vin in enumerate(vin_grid):
-        circuit.fixed[in_idx] = float(vin)
-        result = solve_dc(circuit, v0=v_prev)
-        v_prev = result.voltages
+    points = vin_grid.tolist()
+    v_prev = v_older = None
+    for i, vin in enumerate(points):
+        circuit.fixed[in_idx] = vin
+        v0 = v_prev
+        if i >= 2 and points[i - 1] != points[i - 2]:
+            v0 = v_prev - v_older
+            v0 *= (vin - points[i - 1]) / (points[i - 1] - points[i - 2])
+            v0 += v_prev
+        result = solve_dc(circuit, v0=v0)
+        v_older, v_prev = v_prev, result.voltages
         vout[i] = result.voltage(out_idx)
     return vout

@@ -262,7 +262,81 @@ def _single_fets(draw):
     return fet, v
 
 
+def _free_system(prog, v, gmin, companions=None):
+    """The free-node Jacobian and residual a Newton function solves at
+    slot voltages ``v``: the static ``assemble``, then (for a transient
+    step) each capacitor branch's companion ``(geqs, dv_old, i_prev)``
+    in branch order, then ``gmin`` (DC: only when positive), which is
+    the kernel's float order."""
+    width = len(v)
+    f, flat = prog.assemble(v)
+    jac = np.array(flat).reshape(width, width)
+    if companions is not None:
+        for (a, b), geq, old, prev in zip(prog.branches, *companions):
+            current = geq * ((v[a] - v[b]) - old) - prev
+            f[a] = f[a] + current
+            jac[a, a] += geq
+            jac[a, b] -= geq
+            f[b] = f[b] - current
+            jac[b, b] += geq
+            jac[b, a] -= geq
+    free = prog.free
+    jac = jac[np.ix_(free, free)]
+    residual = np.array([f[i] for i in free])
+    if companions is not None or gmin > 0.0:
+        residual = np.array([f[i] + gmin * v[i] for i in free])
+        jac[np.diag_indices(len(free))] += gmin
+    return jac, residual
+
+
 class TestKernelProperties:
+    @given(_netlists(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_newton_iteration_solves_the_free_block(self, netlist, data):
+        """One undamped DC and one transient Newton iteration
+        (``max_iter=1``) step by the free block's solution: LAPACK's step
+        bit for bit when the elimination hands the iteration to it, else
+        ``np.linalg.solve``'s to 1e-12 relative in units of the block's
+        condition number (two backward-stable solvers of one system agree
+        that far), above the rounding of the update itself."""
+        elements, v = netlist
+        prog = _program(elements, len(v))
+        kernel = prog.kernel
+        slots = [float(x) for x in v] + [0.0]
+        caps, dv_old = kernel.branches(slots, prog.data)
+        geqs = [2.0 * c / 1e-13 for c in caps]
+        i_prev = data.draw(st.lists(
+            st.floats(min_value=-1e-6, max_value=1e-6),
+            min_size=len(caps), max_size=len(caps)))
+        gmin = 1e-12
+        for transient in (False, True):
+            got = list(slots)
+            if transient:
+                companions = (geqs, dv_old, i_prev)
+                *_, fallbacks = kernel.transient_newton(
+                    got, prog.data, geqs, dv_old, i_prev, gmin, 0.0, 1,
+                    math.inf, 0)
+            else:
+                companions = None
+                *_, fallbacks = kernel.dc_newton(got, prog.data, gmin, 0.0,
+                                                 1, math.inf, 0)
+            jac, residual = _free_system(prog, slots, gmin, companions)
+            try:
+                want = np.linalg.solve(jac, -residual)
+            except np.linalg.LinAlgError:
+                # LAPACK's NaN step fails the iteration before any update.
+                assert fallbacks == 1 and got == slots
+                continue
+            expected = [slots[i] + step for i, step in zip(prog.free, want)]
+            step = np.array([got[i] - slots[i] for i in prog.free])
+            if fallbacks:
+                assert [got[i] for i in prog.free] == expected
+                continue
+            bound = (1e-12 * np.linalg.cond(jac, np.inf)
+                     * np.max(np.abs(want))
+                     + 4.0 * np.finfo(float).eps * np.max(np.abs(expected)))
+            assert np.max(np.abs(step - want)) <= bound
+
     @given(_netlists())
     @settings(max_examples=60, deadline=None)
     def test_jacobian_is_residual_derivative(self, netlist):

@@ -1,10 +1,15 @@
-"""Bitwise parity of the circuit engine with the frozen reference engine.
+"""Parity of the circuit engine with the frozen reference engine.
 
 Every production ``solve_dc`` / ``simulate_transient`` call below is
 replayed through ``tests/circuit/engine_reference.py`` on the same
-circuit state, and the results must be identical arrays: time points,
-node voltages, supply traces, DC voltages, iteration counts and source
-currents.  The circuits are the ones the experiments run (the FO4
+circuit state.  Time points, DC iteration counts and source currents
+(the oracle's, evaluated at the production voltages) must be identical;
+DC voltages, waveforms and supply traces must agree to the bounds below.
+The production kernel solves each Newton iteration by a sparse
+elimination in its own order (LAPACK pivots), and each transient step
+starts Newton from a predicted iterate (the oracle from the last one),
+so they differ from the oracle's by rounding and by the Newton
+tolerance.  The circuits are the ones the experiments run (the FO4
 transient exactly as ``characterize_inverter`` issues it, the VTC, latch
 hold states, a window of the 15-stage ring) plus a NAND2, a CMOS
 inverter and the analytic RC circuits of ``test_transient.py``.
@@ -37,24 +42,36 @@ from tests.circuit import engine_reference as ref
 
 VDD = 0.4
 
+#: Largest differences from the oracle: 10x the largest drift measured
+#: over both parity suites (1.8e-16 V on DC voltages, 2.0e-9 V on
+#: waveforms, 1.1e-8 of the peak on supply traces).
+DC_BOUND_V = 2e-15
+WAVEFORM_BOUND_V = 2.1e-8
+SUPPLY_BOUND = 1.2e-7
+
+
+def _max_abs_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
 
 def _assert_dc_equal(circuit, result, v0=None, **kwargs):
     ref_v, ref_iters = ref.solve_dc(circuit, v0=v0, **kwargs)
-    assert np.array_equal(result.voltages, ref_v)
+    assert _max_abs_diff(result.voltages, ref_v) <= DC_BOUND_V
     assert result.iterations == ref_iters
     for node in circuit.fixed:
         assert result.source_current(node) == ref.source_current(
-            circuit, ref_v, node)
+            circuit, result.voltages, node)
 
 
 def _assert_transient_equal(circuit, result, *args, **kwargs):
     ref_t, ref_v, ref_supplies = ref.simulate_transient(circuit, *args,
                                                         **kwargs)
     assert np.array_equal(result.time_s, ref_t)
-    assert np.array_equal(result.voltages, ref_v)
+    assert _max_abs_diff(result.voltages, ref_v) <= WAVEFORM_BOUND_V
     assert result.supply_currents.keys() == ref_supplies.keys()
     for node, trace in ref_supplies.items():
-        assert np.array_equal(result.supply_currents[node], trace)
+        assert (_max_abs_diff(result.supply_currents[node], trace)
+                <= SUPPLY_BOUND * np.max(np.abs(trace)))
 
 
 class _Replay:

@@ -2,19 +2,22 @@
 circuits leave out, and the shape of what it emits.
 
 The parity cases replay each production solve through the frozen oracle
-``tests/circuit/engine_reference.py`` with the helpers of
+``tests/circuit/engine_reference.py`` with the helpers (and bounds) of
 ``test_engine_parity.py``: DC without ``gmin`` (the kernel's
-``gmin > 0.0`` branch), a singular Jacobian (LAPACK's NaN solution must
-take the path ``LinAlgError`` takes in the oracle), an FO4 transient of
-compact-model CMOS FETs (their ``float(C)`` capacitance stamps) and an
-FO4 chain whose tables sit on a non-uniform grid (the numpy lookup path).
-The structure tests pin one kernel per topology and a source made of
-integer slots and fixed identifiers only.
+``gmin > 0.0`` branch), a singular Jacobian (the elimination's zero
+pivot goes to LAPACK, whose NaN solution must take the path
+``LinAlgError`` takes in the oracle), an FO4 transient of compact-model
+CMOS FETs (their ``float(C)`` capacitance stamps) and an FO4 chain whose
+tables sit on a non-uniform grid (the numpy lookup path).  The structure
+tests pin one kernel per topology, a source made of integer slots and
+fixed identifiers only, and the fill of the eliminations; a hand-built
+system with a zero pivot pins the LAPACK fallback.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import re
 import warnings
 
@@ -25,6 +28,7 @@ from repro.circuit import dc, transient
 from repro.circuit.elements import Capacitor, CompactMOSFET, Resistor
 from repro.circuit.inverter import add_inverter, build_inverter_chain
 from repro.circuit.netlist import GROUND, Circuit
+from repro.circuit.ring_oscillator import build_ring_oscillator
 from repro.cmos.ptm import ptm_node
 from repro.device.tables import DeviceTable
 from repro.errors import ConvergenceError
@@ -61,6 +65,19 @@ def _cmos_fo4(node):
         c.add(CompactMOSFET(load, vout, vdd, node.pmos, polarity=-1))
         c.add(Capacitor(load, GROUND, 1e-17))
     return c
+
+
+class _Slopes:
+    """A compact model with constant current and slopes."""
+
+    def __init__(self, gm, gds):
+        self.gm, self.gds = gm, gds
+
+    def ids(self, vgs, vds):
+        return 1e-6, self.gm, self.gds
+
+    def capacitances(self, vgs, vds):
+        return 1e-18, 1e-18
 
 
 def _non_uniform(table, drop=7):
@@ -129,9 +146,12 @@ class TestParity:
 
 
 #: Identifiers the emitter may write besides ``<letters><slot or index>``.
-_FIXED_IDENTIFIERS = {"dc_step", "transient_step", "branches", "assemble",
-                      "v", "data", "gmin", "geqs", "dv_old", "i_prev",
-                      "jac", "float"}
+_FIXED_IDENTIFIERS = {"dc_newton", "transient_newton", "branches",
+                      "assemble", "v", "data", "gmin", "geqs", "dv_old",
+                      "i_prev", "tol_a", "max_iter", "damping_v",
+                      "fallbacks", "iteration", "solved", "max_step",
+                      "scale", "jac", "lapack", "float", "abs", "max",
+                      "range", "ZeroDivisionError"}
 _NUMBERED = re.compile(r"(v|e|x|y|u|a|b|c|r|q|B|O|Q|G|I|C|IV|CV|P|PS|PD)"
                        r"\d+")
 
@@ -166,3 +186,42 @@ class TestKernelStructure:
         odd = {name for name in names if name not in _FIXED_IDENTIFIERS
                and not _NUMBERED.fullmatch(name)}
         assert not odd
+
+    def test_elimination_fill(self, nominal_pair, params):
+        """Minimum degree eliminates the FO4 chain and the VTC inverter
+        without fill; the 15-stage ring's counts are pinned."""
+        nt, pt = nominal_pair
+        for circuit in (build_inverter_chain(nt, pt, VDD, params),
+                        _inverter(nt, pt, params, 0.0)):
+            kernel = circuit.program().kernel
+            assert kernel.dc_elimination.fill == 0
+            assert kernel.transient_elimination.fill == 0
+        ring = build_ring_oscillator(nt, pt, VDD, 15, params)
+        kernel = ring.program().kernel
+        assert len(kernel.transient_elimination.order) == 90
+        for lu, counts in ((kernel.transient_elimination, (162, 470, 54)),
+                           (kernel.dc_elimination, (76, 212, 29))):
+            assert (lu.multipliers, lu.updates, lu.fill) == counts
+
+    @pytest.mark.parametrize("gds", [0.0, 1e-30])
+    def test_zero_pivot_takes_the_lapack_fallback(self, gds):
+        """Two cross-coupled FETs, the first with ``gds`` zero or tiny,
+        and no ``gmin``: the free block ``[[gds, gm1], [gm2, gds2]]`` is
+        regular, but its first pivot is zero (or makes a multiplier of
+        3e25), so the elimination hands the iteration to LAPACK (which
+        swaps the rows) and the step is LAPACK's."""
+        c = Circuit()
+        a, b = c.node("a"), c.node("b")
+        c.add(CompactMOSFET(a, b, GROUND, _Slopes(2e-5, gds), polarity=+1))
+        c.add(CompactMOSFET(b, a, GROUND, _Slopes(3e-5, 1e-6), polarity=+1))
+        prog = c.program()
+        assert prog.kernel.dc_elimination.order == (a, b)
+        v = [0.3, 0.2, 0.0]
+        got = list(v)
+        assert prog.kernel.dc_newton(got, prog.data, 0.0, 0.0, 1, math.inf,
+                                     0) == (1, False, 1)
+        f, flat = prog.assemble(v)
+        jac = np.array(flat).reshape(3, 3)[:2, :2]
+        assert jac[0, 0] == gds
+        step = np.linalg.solve(jac, -np.array(f[:2]))
+        assert got[:2] == [v[0] + step[0], v[1] + step[1]]

@@ -179,6 +179,71 @@ class TestMonitorValidation:
                               by_index.supply_currents[0])
 
 
+class TestPredictor:
+    """Every step but the first starts Newton from the last step
+    extrapolated over the new step, never further than one step."""
+
+    @staticmethod
+    def _starts(monkeypatch, circuit):
+        """Record the slot voltages each ``transient_newton`` call starts
+        from, and whether it converged."""
+        prog = circuit.program()
+        newton = prog.kernel.transient_newton
+        calls = []
+
+        def spy(v, *args):
+            start = list(v)
+            result = newton(v, *args)
+            calls.append((start, result[0]))
+            return result
+
+        monkeypatch.setattr(prog, "kernel",
+                            prog.kernel._replace(transient_newton=spy))
+        return calls
+
+    def test_first_step_starts_from_v0(self, monkeypatch):
+        circ, out = _rc_circuit()
+        circ.fixed[circ.node("in")] = lambda t: min(t / 1e-9, 1.0)
+        calls = self._starts(monkeypatch, circ)
+        v0 = np.zeros(circ.n_nodes)
+        v0[out] = 0.25
+        res = simulate_transient(circ, 3e-10, 1e-10, v0)
+        (first, ok_first), (second, ok_second) = calls[:2]
+        assert ok_first and ok_second
+        assert first[out] == 0.25
+        v = res.v(out)
+        assert second[out] == v[1] + 1.0 * (v[1] - v[0])
+
+    def test_step_after_halvings_extrapolates_at_most_one_step(
+            self, monkeypatch):
+        """A stiff input (2 V in 4 ps through a 1 ps RC, at most three
+        damped 0.3 V Newton iterations per attempt) forces halvings.  A
+        full step after a halved one extrapolates by the last step only
+        (the ratio is capped at 1), and no attempt starts further than
+        one step from the last state."""
+        circ, out = _rc_circuit(r=1e3, c=1e-15)
+        circ.fixed[circ.node("in")] = lambda t: 2.0 * min(t / 4e-12, 1.0)
+        calls = self._starts(monkeypatch, circ)
+        dt = 4e-12
+        res = simulate_transient(circ, 40e-12, dt, np.zeros(circ.n_nodes),
+                                 max_iter=3)
+        v, steps = res.v(out), np.diff(res.time_s)
+        halved = [k for k in range(1, len(steps))
+                  if steps[k - 1] < dt and steps[k] == dt]
+        assert halved
+        firsts, n = {}, 0
+        for start, converged in calls:
+            firsts.setdefault(n, start[out])
+            if n == 0:
+                assert start[out] == v[0]
+            else:
+                assert (abs(start[out] - v[n])
+                        <= abs(v[n] - v[n - 1]) + 1e-15 * abs(v[n]))
+            n += converged
+        for k in halved:
+            assert firsts[k] == v[k] + 1.0 * (v[k] - v[k - 1])
+
+
 class TestInverterTransient:
     def test_output_switches(self, nominal_pair, params):
         from repro.circuit.inverter import build_inverter_chain

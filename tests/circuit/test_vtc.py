@@ -40,3 +40,25 @@ class TestComputeVTC:
                      c.node("vdd"), nt, pt, params)
         vout = compute_vtc(c, "in", "out", np.linspace(0, 0.4, 9))
         assert vout[0] > vout[-1]
+
+    def test_repeated_grid_point(self, nominal_pair, params):
+        """A repeated input value gives the secant predictor no slope:
+        the sweep continues from the last solution and matches the sweep
+        without repeats."""
+        from repro.circuit.inverter import add_inverter
+
+        nt, pt = nominal_pair
+
+        def sweep(grid):
+            c = Circuit()
+            c.fix(c.node("vdd"), 0.4)
+            c.fix(c.node("in"), 0.0)
+            add_inverter(c, "inv", c.node("in"), c.node("out"),
+                         c.node("vdd"), nt, pt, params)
+            return compute_vtc(c, "in", "out", grid)
+
+        grid = np.linspace(0, 0.4, 9)
+        want = sweep(grid)
+        got = sweep(np.repeat(grid, 2))
+        assert np.allclose(got[0::2], want, atol=1e-9)
+        assert np.allclose(got[1::2], want, atol=1e-9)
