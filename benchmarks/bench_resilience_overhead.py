@@ -28,6 +28,7 @@ import timeit
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.reporting.tables import format_table
@@ -48,7 +49,7 @@ def _time_sweep(repeats: int) -> list[float]:
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        sweep_iv(geom, vg, vd, workers=1)
+        sweep_iv(geom, vg, vd, config=RunConfig())
         times.append(time.perf_counter() - start)
     return times
 

@@ -22,10 +22,11 @@ import time
 
 import numpy as np
 
+from repro.config import CACHE_DIR_ENV, RunConfig
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device.tables import build_device_table, clear_table_cache
-from repro.runtime import CACHE_DIR_ENV, resolve_workers
+from repro.runtime import resolve_workers
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -52,9 +53,10 @@ def test_runtime_scaling(tmp_path, monkeypatch, save_report):
     # --- parallel scaling (cache bypassed so both runs really sweep) ----
     geom = GNRFETGeometry()
     serial_sweep, t_serial = _timed(
-        lambda: sweep_iv(geom, VG_GRID, VD_GRID, workers=1))
+        lambda: sweep_iv(geom, VG_GRID, VD_GRID, config=RunConfig()))
     parallel_sweep, t_parallel = _timed(
-        lambda: sweep_iv(geom, VG_GRID, VD_GRID, workers=workers))
+        lambda: sweep_iv(geom, VG_GRID, VD_GRID,
+                         config=RunConfig(workers=workers)))
     assert np.array_equal(serial_sweep.current_a, parallel_sweep.current_a)
     speedup = t_serial / max(t_parallel, 1e-9)
 

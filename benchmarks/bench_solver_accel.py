@@ -109,6 +109,7 @@ from repro.circuit.ring_oscillator import (
 )
 from repro.circuit.transient import simulate_transient
 from repro.circuit.vtc import compute_vtc
+from repro.config import RunConfig
 from repro.constants import fermi_dirac
 from repro.device import negf_device
 from repro.device.geometry import GNRFETGeometry
@@ -323,8 +324,7 @@ def _bench_wkb_kernel() -> dict:
         SBFETModel.transmission = kernel
         try:
             start = time.perf_counter()
-            sweep_iv(geometry, WKB_VG_GRID, WKB_VD_GRID, workers=1,
-                     checkpoint=0, resume=False)
+            sweep_iv(geometry, WKB_VG_GRID, WKB_VD_GRID, config=RunConfig())
             return time.perf_counter() - start
         finally:
             SBFETModel.transmission = production
@@ -900,7 +900,7 @@ def _bench_monte_carlo(tech) -> dict:
     """Production Fig. 6 sampler vs the frozen scalar oracle."""
     oracle = _load_module(MC_ORACLE_PATH)
     result = run_ring_oscillator_monte_carlo(tech, n_samples=MC_SAMPLES,
-                                             workers=1)
+                                             config=RunConfig())
     reference = oracle.monte_carlo(tech, n_samples=MC_SAMPLES)
     bitwise = (
         all(np.array_equal(getattr(result, name), reference[name])
@@ -916,7 +916,7 @@ def _bench_monte_carlo(tech) -> dict:
     oracle_s, kernel_s = _best_pair_s(
         lambda: oracle.monte_carlo(tech, n_samples=MC_SAMPLES),
         lambda: run_ring_oscillator_monte_carlo(
-            tech, n_samples=MC_SAMPLES, workers=1),
+            tech, n_samples=MC_SAMPLES, config=RunConfig()),
         MC_REPEATS)
     return {
         "samples": MC_SAMPLES,

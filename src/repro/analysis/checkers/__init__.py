@@ -5,10 +5,8 @@ only ``errors``).  Responsibility: enumerate the rule families the
 engine runs — RPA1xx determinism, RPA2xx units, RPA3xx layering,
 RPA4xx API contracts (annotations, defaults, frozen results, package
 docstrings), RPA5xx resilience (no broad exception handlers outside
-the recovery layer), and the dataflow families RPA6xx cache-key
-soundness, RPA7xx worker/parallel safety, RPA8xx hot-path hygiene,
-RPA9xx scheduler-seam discipline — so `python -m repro.analysis` and
-`repro lint` agree on the rule set.
+the recovery layer) and RPA8xx hot-path hygiene — so `python -m
+repro.analysis` and `repro lint` agree on the rule set.
 Add new checkers here (``default_checkers``) and their codes surface
 automatically in ``all_codes`` / ``--list-codes``.
 """
@@ -16,27 +14,21 @@ automatically in ``all_codes`` / ``--list-codes``.
 from __future__ import annotations
 
 from repro.analysis.checkers.base import Checker
-from repro.analysis.checkers.cachekeys import CacheKeyChecker
 from repro.analysis.checkers.contracts import ContractsChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.hotpath import HotPathChecker
 from repro.analysis.checkers.layering import LayeringChecker
 from repro.analysis.checkers.resilience import ResilienceChecker
-from repro.analysis.checkers.schedulers import SchedulerSeamChecker
 from repro.analysis.checkers.units import UnitsChecker
-from repro.analysis.checkers.workers import WorkerSafetyChecker
 
 __all__ = [
-    "CacheKeyChecker",
     "Checker",
     "ContractsChecker",
     "DeterminismChecker",
     "HotPathChecker",
     "LayeringChecker",
     "ResilienceChecker",
-    "SchedulerSeamChecker",
     "UnitsChecker",
-    "WorkerSafetyChecker",
     "all_codes",
     "default_checkers",
 ]
@@ -45,9 +37,7 @@ __all__ = [
 def default_checkers() -> list[Checker]:
     """Fresh instances of every registered checker, in report order."""
     return [DeterminismChecker(), UnitsChecker(), LayeringChecker(),
-            ContractsChecker(), ResilienceChecker(), CacheKeyChecker(),
-            WorkerSafetyChecker(), HotPathChecker(),
-            SchedulerSeamChecker()]
+            ContractsChecker(), ResilienceChecker(), HotPathChecker()]
 
 
 def all_codes() -> dict[str, str]:

@@ -46,21 +46,15 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def walk_functions(tree: ast.Module,
-                   include_nested: bool = False
+def walk_functions(tree: ast.Module
                    ) -> Iterable[tuple[ast.FunctionDef | ast.AsyncFunctionDef,
                                        ast.ClassDef | None]]:
     """Yield ``(function, owning_class)`` pairs.
 
-    By default only module-level functions and direct methods of
-    module-level classes are yielded — nested closures are local
-    implementation detail, not API surface.
+    Only module-level functions and direct methods of module-level
+    classes are yielded — nested closures are local implementation
+    detail, not API surface.
     """
-    if include_nested:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node, None
-        return
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node, None

@@ -5,9 +5,10 @@ The architecture (DESIGN.md §4) is a strict pipeline
 ``constants -> atomistic -> {poisson, negf} -> device -> circuit ->
 cmos -> exploration -> variability -> reporting -> characterize -> cli``
 
-with four cross-cutting utility layers importable from anywhere:
-``errors`` (exception hierarchy), ``runtime`` (execution substrate),
-``sanitize`` (numerical guards) and ``obs`` (tracing/metrics).  A package may import any package
+with five cross-cutting utility layers importable from anywhere:
+``errors`` (exception hierarchy), ``config`` (the resolved run
+configuration), ``runtime`` (execution substrate), ``sanitize``
+(numerical guards) and ``obs`` (tracing/metrics).  A package may import any package
 *reachable* through the DAG below it; importing upward (``negf`` pulling
 in ``device``) or across unrelated branches (``poisson`` pulling in
 ``negf``) couples layers that were designed independent, and any cycle
@@ -33,8 +34,9 @@ from repro.analysis.findings import Finding
 LAYER_DAG: dict[str, frozenset[str]] = {
     "constants": frozenset(),
     "errors": frozenset(),
-    "obs": frozenset({"errors"}),
-    "runtime": frozenset({"errors", "obs"}),
+    "config": frozenset({"errors"}),
+    "obs": frozenset({"errors", "config"}),
+    "runtime": frozenset({"errors", "obs", "sanitize"}),
     "sanitize": frozenset({"constants", "errors"}),
     "analysis": frozenset({"errors"}),
     "atomistic": frozenset({"constants", "errors"}),

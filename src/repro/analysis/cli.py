@@ -1,8 +1,8 @@
 """Command-line front end: ``python -m repro.analysis`` / ``repro lint``.
 
 Exit codes: 0 clean, 1 findings reported, 2 usage error (or, under
-``--strict``, findings reported — so CI jobs that must hard-fail on the
-dataflow families can distinguish "dirty" from "merely advisory").
+``--strict``, findings reported — so CI jobs that must hard-fail can
+distinguish "dirty" from "merely advisory").
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.checkers import all_codes
 from repro.analysis.engine import run_analysis
-from repro.analysis.reporters import render_json, render_sarif, render_text
+from repro.analysis.reporters import render_json, render_text
 
 _RENDERERS = {
     "text": render_text,
     "json": render_json,
-    "sarif": render_sarif,
 }
 
 
@@ -33,18 +32,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description="Physics-aware static analysis for the repro tree "
                     "(determinism RPA1xx, units RPA2xx, layering RPA3xx, "
-                    "API contracts RPA4xx, resilience RPA5xx, cache-key "
-                    "soundness RPA6xx, worker safety RPA7xx, hot-path "
+                    "API contracts RPA4xx, resilience RPA5xx, hot-path "
                     "hygiene RPA8xx)")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyse "
                              "(default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
     parser.add_argument("--select", metavar="PREFIXES", default=None,
                         help="comma-separated code prefixes to run "
-                             "(e.g. 'RPA6,RPA7,RPA8' for the dataflow "
-                             "families only)")
+                             "(e.g. 'RPA3,RPA8' for layering and hot-path "
+                             "hygiene only)")
     parser.add_argument("--changed", metavar="REF", nargs="?",
                         const="HEAD", default=None,
                         help="restrict analysis to .py files differing "
@@ -132,8 +130,8 @@ def main(argv: list[str] | None = None,
                 print(f"0 finding(s): no .py files changed vs {changed}")
                 return 0
             # The full path set is still parsed (the project-wide
-            # passes need the real tree to resolve imports and call
-            # edges); only the reporting narrows to the changed files.
+            # passes need the real tree to resolve imports); only the
+            # reporting narrows to the changed files.
             focus = subset
         else:
             print(f"warning: cannot diff against {changed!r}; "

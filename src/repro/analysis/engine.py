@@ -3,16 +3,10 @@
 The engine parses every target file once, hands the shared
 :class:`ModuleInfo` to each checker (per-module pass), then hands the
 whole :class:`Project` to checkers that need a global view (the layering
-DAG, the RPA6xx-7xx dataflow families).  Findings flow through three
-suppression filters:
+DAG).  Findings flow through two suppression filters:
 
 * per-line ``# repro: noqa[CODE]`` (or blanket ``# repro: noqa``)
   comments on the offending line;
-* per-line ``# repro: nokey[RPA6xx] <reason>`` annotations declaring a
-  parameter deliberately absent from a cache key — the reason text is
-  mandatory (an annotation without one does not suppress) and only
-  RPA6xx codes are accepted, so the cache-key contract can never be
-  waved off wholesale;
 * an optional baseline file of previously accepted findings
   (:mod:`repro.analysis.baseline`).
 """
@@ -33,10 +27,6 @@ PARSE_ERROR_CODE = "RPA001"
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?", re.IGNORECASE)
 
-_NOKEY_RE = re.compile(
-    r"#\s*repro:\s*nokey\[(?P<codes>[A-Z0-9,\s]+)\]\s*(?P<reason>.*)",
-    re.IGNORECASE)
-
 
 @dataclass(frozen=True)
 class ModuleInfo:
@@ -56,11 +46,6 @@ class ModuleInfo:
     noqa:
         Mapping of line number to the set of suppressed codes on that
         line; an empty set means a blanket ``# repro: noqa``.
-    nokey:
-        Mapping of line number to the set of RPA6xx codes a
-        ``# repro: nokey[...] reason`` annotation suppresses there.
-        Annotations without a reason, or naming non-RPA6xx codes, are
-        dropped at scan time and suppress nothing.
     """
 
     path: str
@@ -68,7 +53,6 @@ class ModuleInfo:
     tree: ast.Module
     source_lines: tuple[str, ...]
     noqa: dict[int, frozenset[str]] = field(default_factory=dict)
-    nokey: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @property
     def package(self) -> str | None:
@@ -95,10 +79,6 @@ class ModuleInfo:
         if codes is None:
             return False
         return not codes or finding.code in codes
-
-    def is_nokey_annotated(self, finding: Finding) -> bool:
-        """Does a valid ``nokey`` annotation cover this finding's line?"""
-        return finding.code in self.nokey.get(finding.line, frozenset())
 
 
 @dataclass
@@ -130,32 +110,6 @@ def scan_noqa(source_lines: Sequence[str]) -> dict[int, frozenset[str]]:
     return noqa
 
 
-def scan_nokey(source_lines: Sequence[str]) -> dict[int, frozenset[str]]:
-    """Extract ``# repro: nokey[RPA6xx] reason`` annotations.
-
-    The reason is mandatory: an annotation with no text after the code
-    list is invalid and suppresses nothing (the finding it fails to
-    suppress points straight at the line).  Only RPA6xx codes are
-    accepted — ``nokey`` is a cache-key design statement, not a general
-    escape hatch (that is what ``noqa`` is for).
-    """
-    nokey: dict[int, frozenset[str]] = {}
-    for lineno, text in enumerate(source_lines, start=1):
-        if "repro:" not in text:
-            continue
-        match = _NOKEY_RE.search(text)
-        if match is None:
-            continue
-        if not match.group("reason").strip():
-            continue
-        codes = frozenset(
-            c.strip().upper() for c in match.group("codes").split(",")
-            if c.strip() and c.strip().upper().startswith("RPA6"))
-        if codes:
-            nokey[lineno] = codes
-    return nokey
-
-
 def module_name_for(path: Path) -> str | None:
     """Dotted module name of ``path`` if it sits inside a ``repro`` tree."""
     parts = list(path.with_suffix("").parts)
@@ -182,8 +136,7 @@ def load_module(path: Path, display_path: str | None = None
     lines = tuple(source.splitlines())
     return ModuleInfo(path=display, module_name=module_name_for(path),
                       tree=tree, source_lines=lines,
-                      noqa=scan_noqa(lines),
-                      nokey=scan_nokey(lines)), None
+                      noqa=scan_noqa(lines)), None
 
 
 def discover_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -215,7 +168,6 @@ class AnalysisReport:
     n_files: int
     n_noqa_suppressed: int
     n_baseline_suppressed: int
-    n_nokey_suppressed: int = 0
 
     @property
     def clean(self) -> bool:
@@ -238,20 +190,18 @@ def run_analysis(paths: Iterable[str | Path],
     findings (see :mod:`repro.analysis.baseline`); matching findings are
     consumed against their counts and dropped from the report.
 
-    ``select`` restricts the run to code prefixes (``["RPA6", "RPA7"]``
-    runs only the dataflow families): checkers with no matching code
-    are skipped entirely (the expensive project passes never build),
-    and stray findings outside the selection are filtered.  Parse
-    errors (RPA001) are always reported.
+    ``select`` restricts the run to code prefixes (``["RPA3", "RPA8"]``
+    runs only layering and hot-path hygiene): checkers with no matching
+    code are skipped entirely, and stray findings outside the selection
+    are filtered.  Parse errors (RPA001) are always reported.
 
     ``focus`` restricts *reporting* (not analysis) to the given files:
     the whole path set is still parsed so the project-wide passes —
-    call graph, import cycles, layering — resolve against the real
-    tree, but only findings landing in a focus file survive.  This is
-    what ``--changed`` mode uses; analysing the changed subset alone
-    would hand the dataflow checkers a truncated project in which,
-    e.g., ``content_key`` no longer resolves and sound keys look
-    ad-hoc.
+    import cycles, layering — resolve against the real tree, but only
+    findings landing in a focus file survive.  This is what
+    ``--changed`` mode uses; analysing the changed subset alone would
+    hand the layering checker a truncated project in which package
+    imports appear cyclic or unknown.
     """
     from repro.analysis.checkers import default_checkers
 
@@ -295,14 +245,10 @@ def run_analysis(paths: Iterable[str | Path],
     by_path = {m.path: m for m in modules}
     kept: list[Finding] = []
     n_noqa = 0
-    n_nokey = 0
     for finding in sorted(findings):
         module = by_path.get(finding.path)
         if module is not None and module.is_suppressed(finding):
             n_noqa += 1
-            continue
-        if module is not None and module.is_nokey_annotated(finding):
-            n_nokey += 1
             continue
         kept.append(finding)
 
@@ -321,5 +267,4 @@ def run_analysis(paths: Iterable[str | Path],
 
     return AnalysisReport(findings=tuple(kept), n_files=n_files,
                           n_noqa_suppressed=n_noqa,
-                          n_baseline_suppressed=n_baseline,
-                          n_nokey_suppressed=n_nokey)
+                          n_baseline_suppressed=n_baseline)

@@ -10,8 +10,6 @@ the ``RPA<family><rule>`` scheme:
 * ``RPA3xx`` — layering (package dependency DAG);
 * ``RPA4xx`` — API contracts (annotations, defaults, frozen results);
 * ``RPA5xx`` — resilience (exception-handling discipline);
-* ``RPA6xx`` — cache/checkpoint key soundness (dataflow);
-* ``RPA7xx`` — worker/parallel safety (dataflow);
 * ``RPA8xx`` — hot-path hygiene (guarded obs records, batched kernels,
   loop allocations).
 """

@@ -1,4 +1,4 @@
-"""Text, JSON and SARIF rendering of an analysis report."""
+"""Text and JSON rendering of an analysis report."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ def render_text(report: AnalysisReport) -> str:
     suppressed = []
     if report.n_noqa_suppressed:
         suppressed.append(f"{report.n_noqa_suppressed} noqa-suppressed")
-    if report.n_nokey_suppressed:
-        suppressed.append(f"{report.n_nokey_suppressed} nokey-annotated")
     if report.n_baseline_suppressed:
         suppressed.append(
             f"{report.n_baseline_suppressed} baseline-suppressed")
@@ -44,71 +42,8 @@ def render_json(report: AnalysisReport) -> str:
             "files": report.n_files,
             "findings": len(report.findings),
             "noqa_suppressed": report.n_noqa_suppressed,
-            "nokey_suppressed": report.n_nokey_suppressed,
             "baseline_suppressed": report.n_baseline_suppressed,
         },
     }
     return json.dumps(document, indent=2)
 
-
-def render_sarif(report: AnalysisReport) -> str:
-    """SARIF 2.1.0 document for GitHub code-scanning upload.
-
-    One run, one ``tool.driver`` (``repro-lint``), one rule entry per
-    distinct code that actually fired, one ``result`` per finding with
-    a physical location.  Paths are emitted as given (repo-relative in
-    CI), which is what the code-scanning ingester expects.
-    """
-    from repro.analysis.checkers import all_codes
-
-    descriptions = all_codes()
-    fired = sorted({f.code for f in report.findings})
-    rules = [
-        {
-            "id": code,
-            "shortDescription": {
-                "text": descriptions.get(code, code)},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for code in fired
-    ]
-    rule_index = {code: i for i, code in enumerate(fired)}
-    results = [
-        {
-            "ruleId": f.code,
-            "ruleIndex": rule_index[f.code],
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": f.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": max(1, f.line),
-                            "startColumn": max(1, f.col + 1),
-                        },
-                    }
-                }
-            ],
-        }
-        for f in report.findings
-    ]
-    document = {
-        "$schema": "https://raw.githubusercontent.com/oasis-tcs/"
-                   "sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2)

@@ -12,6 +12,10 @@ Modes (composable, mirroring ``repro lint`` conventions — exit codes:
   goldens without running anything;
 * ``--docs --check`` — drift check only: fail if a committed page
   differs from its regeneration.
+
+The run config (:class:`~repro.config.RunConfig`) is resolved once from
+the environment, ``--workers`` taking precedence; a malformed knob
+exits 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from repro.characterize.runner import (
     run_manifest,
 )
 from repro.characterize.specs import SPECS
-from repro.characterize.trajectory import append_trajectory, trajectory_entry
+from repro.config import RunConfig
 from repro.errors import GoldenError
+from repro.runtime import activate
 
 _GLYPH = {"pass": "ok", "fail": "FAIL", "nan-mismatch": "NAN-MISMATCH",
           "missing-metric": "MISSING", "new-metric": "NEW"}
@@ -66,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="report format")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel experiment workers "
-                             "(default: serial)")
+                             "(default: $REPRO_WORKERS or serial)")
     return parser
 
 
@@ -148,7 +153,7 @@ def _docs_only(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_or_update(args: argparse.Namespace) -> int:
+def _check_or_update(args: argparse.Namespace, config: RunConfig) -> int:
     try:
         ids = resolve_ids(args.only)
     except GoldenError as exc:
@@ -156,7 +161,7 @@ def _check_or_update(args: argparse.Namespace) -> int:
         return 2
     if obs.ACTIVE:
         obs.reset()
-    run = characterize(ids, fast=args.fast, workers=args.workers)
+    run = characterize(ids, fast=args.fast, config=config)
 
     if args.update:
         mode = "fast" if args.fast else "full"
@@ -170,13 +175,8 @@ def _check_or_update(args: argparse.Namespace) -> int:
 
     renderer = render_text if args.format == "text" else render_json
     print(renderer(run))
-    failing = run.failing_ids()
-    append_trajectory(trajectory_entry(
-        "characterize", run.mode, run.ok, run.wall_s,
-        {"n_experiments": len(run.diffs), "n_fail": len(failing),
-         "failing": ",".join(failing)}))
     if obs.ACTIVE:
-        manifest = run_manifest(run, ids)
+        manifest = run_manifest(run, ids, config)
         path = obs.write_manifest(manifest,
                                   "repro-characterize.manifest.json")
         print(f"wrote {path}", file=sys.stderr)
@@ -193,10 +193,16 @@ def main(argv: list[str] | None = None,
                   if args.docs else "--update requires --reason TEXT")
         print(f"error: {reason}", file=sys.stderr)
         return 2
+    try:
+        config = RunConfig.from_env().override(workers=args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.docs:
         return _docs_only(args)
+    activate(config)
     try:
-        return _check_or_update(args)
+        return _check_or_update(args, config)
     except GoldenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,12 @@
 """Characterization runner: execute experiments, extract, diff.
 
-Experiments run through the
-:func:`~repro.runtime.scheduler.resolve_scheduler` seam — a
-:class:`~repro.runtime.scheduler.LocalScheduler` unless the caller
-injects its own (which keeps deterministic ordering, drains worker
-observability payloads, falls back to a serial loop when
+Experiments run through a :class:`~repro.runtime.scheduler.LocalScheduler`
+at the run config's worker count (which keeps deterministic ordering,
+drains worker observability payloads, falls back to a serial loop when
 ``workers <= 1``, and recomputes the tasks of a crashed worker serially
-in the parent) — then each data dictionary is reduced to figures of
-merit by its spec's extractor and diffed against the committed golden.
-When tracing is
+in the parent), each with the same :class:`~repro.config.RunConfig` —
+then each data dictionary is reduced to figures of merit by its spec's
+extractor and diffed against the committed golden.  When tracing is
 active (:func:`repro.obs.enable` / ``REPRO_TRACE=1``) a per-run
 manifest is assembled via :func:`repro.obs.build_manifest` so a
 characterization run leaves the same audit trail as ``repro run``.
@@ -18,14 +16,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro import obs
 from repro.characterize.diffing import ExperimentDiff, diff_experiment
 from repro.characterize.goldens import load_goldens
 from repro.characterize.specs import SPECS
+from repro.config import RunConfig
 from repro.errors import GoldenError
-from repro.runtime import Scheduler, resolve_scheduler
+from repro.runtime import LocalScheduler
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def resolve_ids(only: str | None) -> list[str]:
     return ids
 
 
-def _measure_one(item: tuple[str, bool]
+def _measure_one(config: RunConfig, item: tuple[str, bool]
                  ) -> tuple[str, dict[str, float], float]:
     """Run one experiment and extract its figures of merit.
 
@@ -74,34 +74,36 @@ def _measure_one(item: tuple[str, bool]
         # Import the runner lazily through the registry, matching the
         # ids pinned by tests against repro.reporting.experiments.
         from repro.reporting.experiments import run_experiment
-        _, data = run_experiment(experiment_id, fast=fast)
+        _, data = run_experiment(experiment_id, fast=fast, config=config)
         metrics = spec.extract(data)
     elapsed = time.perf_counter() - start
     return experiment_id, {k: float(v) for k, v in metrics.items()}, elapsed
 
 
 def measure(ids: list[str], fast: bool = False,
-            workers: int | None = None,
-            scheduler: Scheduler | None = None,
+            config: RunConfig | None = None,
             ) -> tuple[dict[str, dict[str, float]], dict[str, float]]:
-    """Run experiments and return ``(measured, timings_s)`` by id."""
+    """Run experiments and return ``(measured, timings_s)`` by id.
+
+    ``config`` (default :meth:`RunConfig.from_env`) sets the worker
+    count across experiments and is passed on to each experiment.
+    """
+    config = RunConfig.from_env() if config is None else config
     items = [(eid, fast) for eid in ids]
-    sched = resolve_scheduler(scheduler, workers=workers)
-    results = sched.run(_measure_one, items)
+    results = LocalScheduler(config.workers).run(
+        partial(_measure_one, config), items)
     measured = {eid: metrics for eid, metrics, _ in results}
     timings = {eid: elapsed for eid, _, elapsed in results}
     return measured, timings
 
 
 def characterize(ids: list[str] | None = None, fast: bool = False,
-                 workers: int | None = None,
                  golden_root: Path | None = None,
-                 scheduler: Scheduler | None = None) -> CharacterizationRun:
+                 config: RunConfig | None = None) -> CharacterizationRun:
     """Run experiments and diff them against the committed goldens."""
     selected = list(SPECS) if ids is None else ids
     wall_start = time.perf_counter()
-    measured, timings = measure(selected, fast=fast, workers=workers,
-                                scheduler=scheduler)
+    measured, timings = measure(selected, fast=fast, config=config)
     mode = "fast" if fast else "full"
     goldens = load_goldens(selected, root=golden_root)
     diffs = {
@@ -114,9 +116,10 @@ def characterize(ids: list[str] | None = None, fast: bool = False,
                                wall_s=time.perf_counter() - wall_start)
 
 
-def run_manifest(run: CharacterizationRun, ids: list[str]) -> dict:
+def run_manifest(run: CharacterizationRun, ids: list[str],
+                 config: RunConfig | None = None) -> dict:
     """Assemble an observability manifest for a characterization run."""
     return obs.build_manifest(
         label="repro characterize " + " ".join(ids),
         config={"experiments": ids, "mode": run.mode},
-        wall_s=run.wall_s)
+        wall_s=run.wall_s, run_config=config)

@@ -6,31 +6,24 @@ Usage::
     repro run fig4 [--fast] [--out report.txt] [--workers 4] [--no-cache]
     repro run all [--fast] [--sanitize] [--trace]
     repro run fig4 [--strict] [--checkpoint N] [--resume] [--faults SPEC]
-    repro run fig4 [--engine modespace]
     repro lint [paths ...] [--format json] [--baseline FILE]
     repro characterize [--check|--update|--docs] [--only fig2,table1] [--fast]
     repro cache info
     repro cache clear
     repro trace summarize manifest.json [--format text|json] [--top N]
 
-``--workers`` and ``--no-cache`` configure the shared execution runtime
-(:mod:`repro.runtime`) by exporting ``REPRO_WORKERS`` /
-``REPRO_NO_CACHE`` for the process, so every sweep the experiment
-touches picks them up.  ``--sanitize`` (or ``REPRO_SANITIZE=1``)
-switches on the numerical sanitizer of :mod:`repro.sanitize` for the
-run, ``--trace`` (or ``REPRO_TRACE=1``) switches on the observability
-layer of :mod:`repro.obs` and writes a JSON run manifest next to the
-report, and ``repro lint`` is the static analysis front end of
-:mod:`repro.analysis`.  ``--strict`` / ``--checkpoint N`` / ``--resume``
-/ ``--faults SPEC`` configure the resilience layer of
-:mod:`repro.runtime.resilience` (see ``docs/robustness.md``) by
-exporting ``REPRO_STRICT`` / ``REPRO_CHECKPOINT`` / ``REPRO_RESUME`` /
-``REPRO_FAULTS``.  ``--engine`` selects the transport engine behind
-the device sweeps (:mod:`repro.device.engines`, exporting
-``REPRO_ENGINE``).  ``--adaptive`` / ``--refine-levels`` switch the
-fig3 exploration onto the contour-guided refinement of
-:mod:`repro.exploration.adaptive` (exporting ``REPRO_ADAPTIVE`` /
-``REPRO_REFINE_LEVELS`` — see ``docs/performance.md``).  ``repro trace
+``repro run``, ``repro characterize`` and ``repro cache`` resolve one
+:class:`~repro.config.RunConfig` from the ``REPRO_*`` environment, their
+flags taking precedence, before doing anything else; a malformed knob
+exits 2 with one line naming it.  ``repro run`` passes the config to
+every experiment: ``--workers`` / ``--no-cache`` set the worker count
+and the on-disk table cache of every sweep, ``--strict`` /
+``--checkpoint N`` / ``--resume`` / ``--faults SPEC`` the resilience
+layer of :mod:`repro.runtime.resilience` (see ``docs/robustness.md``),
+``--sanitize`` the numerical sanitizer of :mod:`repro.sanitize` and
+``--trace`` the observability layer of :mod:`repro.obs`, which writes
+a JSON run manifest next to the report.  ``repro lint`` is the static
+analysis front end of :mod:`repro.analysis`, and ``repro trace
 summarize`` renders a manifest as a human-readable summary (or a
 condensed JSON document).
 """
@@ -39,28 +32,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-from repro import obs, sanitize
+from repro import obs
 from repro.analysis.cli import build_parser as build_lint_parser
 from repro.analysis.cli import main as lint_main
 from repro.characterize.cli import build_parser as build_characterize_parser
 from repro.characterize.cli import main as characterize_main
-from repro.device.engines import ENGINE_ENV, ENGINES
-from repro.exploration.adaptive import ADAPTIVE_ENV, REFINE_LEVELS_ENV
+from repro.config import RunConfig
 from repro.reporting.experiments import EXPERIMENTS, run_experiment
-from repro.runtime import (
-    CHECKPOINT_ENV,
-    NO_CACHE_ENV,
-    RESUME_ENV,
-    STRICT_ENV,
-    WORKERS_ENV,
-    ArtifactCache,
-    cache_root,
-)
+from repro.runtime import ArtifactCache, activate
 
 
 def _cmd_list(_args) -> int:
@@ -71,31 +54,25 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _apply_runtime_flags(args) -> None:
-    """Export runtime knobs so every sweep layer sees them."""
-    if getattr(args, "workers", None) is not None:
-        os.environ[WORKERS_ENV] = str(args.workers)
-    if getattr(args, "no_cache", False):
-        os.environ[NO_CACHE_ENV] = "1"
-    if getattr(args, "strict", False):
-        os.environ[STRICT_ENV] = "1"
-    if getattr(args, "checkpoint", None) is not None:
-        os.environ[CHECKPOINT_ENV] = str(args.checkpoint)
-    if getattr(args, "resume", False):
-        os.environ[RESUME_ENV] = "1"
-    if getattr(args, "faults", None):
-        from repro.runtime import faults as _faults
-        _faults.enable(str(args.faults))
-    if getattr(args, "adaptive", False):
-        os.environ[ADAPTIVE_ENV] = "1"
-    if getattr(args, "refine_levels", None) is not None:
-        os.environ[REFINE_LEVELS_ENV] = str(args.refine_levels)
-    if getattr(args, "engine", None):
-        os.environ[ENGINE_ENV] = str(args.engine)
-    if getattr(args, "sanitize", False):
-        sanitize.enable()
-    if getattr(args, "trace", False):
-        obs.enable()
+def _resolve_config(args) -> RunConfig | None:
+    """The environment's config with this command's flags on top.
+
+    Prints one line naming the bad knob and returns None when a value is
+    malformed.
+    """
+    try:
+        return RunConfig.from_env().override(
+            workers=getattr(args, "workers", None),
+            use_cache=False if getattr(args, "no_cache", False) else None,
+            strict=getattr(args, "strict", False) or None,
+            checkpoint=getattr(args, "checkpoint", None),
+            resume=getattr(args, "resume", False) or None,
+            faults=getattr(args, "faults", None),
+            sanitize=getattr(args, "sanitize", False) or None,
+            trace=getattr(args, "trace", False) or None)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _manifest_path(out: str | None) -> Path:
@@ -106,7 +83,10 @@ def _manifest_path(out: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    _apply_runtime_flags(args)
+    config = _resolve_config(args)
+    if config is None:
+        return 2
+    activate(config)
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     reports = []
     if obs.ACTIVE:
@@ -120,7 +100,7 @@ def _cmd_run(args) -> int:
             return 2
         start = time.perf_counter()
         with obs.span(f"cli.run.{target}", fast=args.fast):
-            report, _ = run_experiment(target, fast=args.fast)
+            report, _ = run_experiment(target, fast=args.fast, config=config)
         elapsed = time.perf_counter() - start
         banner = f"=== {target} ({elapsed:.1f} s) ==="
         reports.append(banner + "\n" + report)
@@ -135,7 +115,7 @@ def _cmd_run(args) -> int:
             label="repro run " + " ".join(targets),
             config={"experiments": targets, "fast": bool(args.fast)},
             wall_s=time.perf_counter() - wall_start,
-            cpu_s=time.process_time() - cpu_start)
+            cpu_s=time.process_time() - cpu_start, run_config=config)
         path = obs.write_manifest(manifest, _manifest_path(args.out))
         print(f"wrote {path}")
     return 0
@@ -150,14 +130,17 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    store = ArtifactCache("tables")
+    config = _resolve_config(args)
+    if config is None:
+        return 2
+    store = ArtifactCache.for_config("tables", config)
     if args.action == "clear":
         removed = store.clear()
         print(f"removed {removed} cached table(s) from {store.directory}")
         return 0
     keys = store.keys()
     size_mb = store.size_bytes() / 1e6
-    print(f"cache root:  {cache_root()}")
+    print(f"cache root:  {config.cache_root}")
     print(f"enabled:     {store.enabled}")
     print(f"tables:      {len(keys)} artifact(s), {size_mb:.2f} MB")
     for key in keys:
@@ -199,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="also write the report to a file")
     p_run.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker processes for every sweep "
-                            f"(default: ${WORKERS_ENV} or serial)")
+                            "(default: $REPRO_WORKERS or serial)")
     p_run.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk device-table cache")
+                       help="bypass the on-disk device-table cache "
+                            "(equivalent to REPRO_NO_CACHE=1)")
     p_run.add_argument("--sanitize", action="store_true",
                        help="enable the numerical sanitizer "
                             "(equivalent to REPRO_SANITIZE=1)")
@@ -222,18 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'scf@3,17x2;worker@1' "
                             "(equivalent to REPRO_FAULTS=SPEC; testing "
                             "aid — see docs/robustness.md)")
-    p_run.add_argument("--adaptive", action="store_true",
-                       help="contour-guided V_DD-V_T refinement for fig3 "
-                            "(equivalent to REPRO_ADAPTIVE=1)")
-    p_run.add_argument("--refine-levels", type=int, default=None,
-                       metavar="L",
-                       help="coarse stride 2**L for --adaptive "
-                            "refinement (default: auto; equivalent to "
-                            "REPRO_REFINE_LEVELS=L)")
-    p_run.add_argument("--engine", choices=ENGINES, default=None,
-                       help="transport engine for device sweeps "
-                            "(equivalent to REPRO_ENGINE=NAME; default "
-                            "semianalytic)")
     p_run.add_argument("--trace", action="store_true",
                        help="enable tracing/metrics and write a JSON run "
                             "manifest (equivalent to REPRO_TRACE=1)")

@@ -2,7 +2,7 @@
 
 Several transport engines produce the intrinsic ``I_D(V_G, V_D)`` /
 ``Q(V_G, V_D)`` data that the circuit layer consumes — selected per call
-or via ``REPRO_ENGINE`` (see :mod:`repro.device.engines`):
+with ``engine=`` (see :mod:`repro.device.engines`):
 
 * :mod:`repro.device.sbfet` — fast semi-analytic ballistic Schottky-barrier
   FET engine (two-band WKB tunneling + Landauer transport with
@@ -27,7 +27,6 @@ All engines share the same atomistic band-structure inputs and the same
 from repro.device.geometry import GNRFETGeometry, ChargeImpurity
 from repro.device.engines import (
     DEFAULT_ENGINE,
-    ENGINE_ENV,
     ENGINES,
     AtomisticTransport,
     engine_version,
@@ -50,7 +49,6 @@ from repro.device.negf_realspace import (
 __all__ = [
     "AtomisticTransport",
     "DEFAULT_ENGINE",
-    "ENGINE_ENV",
     "ENGINES",
     "ModeSpaceGNRDevice",
     "RealSpaceGNRDevice",

@@ -21,22 +21,18 @@ part of every table/checkpoint cache key through
 :func:`engine_version`, so artifacts from different engines can never
 collide.
 
-Selection: per-call ``engine=`` argument, else the ``REPRO_ENGINE``
-environment variable, else the default.  Unknown names fail loudly.
+Selection: an explicit ``engine=`` argument of the device model, sweep
+and table builders, ``semianalytic`` by default.  Unknown names fail
+loudly.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.constants import ARMCHAIR_PERIOD_NM, EDGE_RELAXATION, T_HOPPING_EV
 from repro.errors import InvalidDeviceError
 from repro.runtime.cache import TABLE_ENGINE_VERSION
-
-#: Environment variable selecting the transport engine.
-ENGINE_ENV = "REPRO_ENGINE"
 
 #: Recognized engine names.
 ENGINES = ("semianalytic", "realspace", "modespace")
@@ -54,16 +50,8 @@ ENGINE_VERSIONS = {
 }
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine name (argument > ``REPRO_ENGINE`` > default).
-
-    The environment is read at every call — never cached at import — so
-    drivers and tests can flip engines mid-process.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or None
-    if engine is None:
-        return DEFAULT_ENGINE
+def resolve_engine(engine: str = DEFAULT_ENGINE) -> str:
+    """Validate an engine name; unknown names raise."""
     if engine not in ENGINES:
         raise InvalidDeviceError(
             f"unknown transport engine {engine!r}; expected one of "
@@ -71,8 +59,8 @@ def resolve_engine(engine: str | None = None) -> str:
     return engine
 
 
-def engine_version(engine: str | None = None) -> str:
-    """Cache-key version tag of the resolved engine."""
+def engine_version(engine: str = DEFAULT_ENGINE) -> str:
+    """Cache-key version tag of an engine."""
     return ENGINE_VERSIONS[resolve_engine(engine)]
 
 

@@ -16,14 +16,14 @@ points.
 Resilience (see ``docs/robustness.md``): a cell whose solve raises
 :class:`~repro.errors.ConvergenceError` is NaN-masked and recorded as a
 :class:`~repro.runtime.resilience.FailureRecord` on the result (and in
-the obs manifest) unless ``strict`` is set, in which case the first
-failure raises with its bias point and cell index in the error context.
-With ``REPRO_CHECKPOINT``/``REPRO_RESUME`` (or the corresponding
-arguments) the sweep writes atomic row-granular checkpoints and skips
-already-completed rows on resume — bitwise identical to an
-uninterrupted run because rows are independent.  A crashed worker
-process costs only its unfinished rows, which are recomputed in-process
-from the salvaged :class:`~repro.errors.ParallelMapError` state.
+the obs manifest) unless the run config is ``strict``, in which case
+the first failure raises with its bias point and cell index in the
+error context.  With the config's ``checkpoint``/``resume`` the sweep
+writes atomic row-granular checkpoints and skips already-completed rows
+on resume — bitwise identical to an uninterrupted run because rows are
+independent.  A crashed worker process costs only its unfinished rows,
+which are recomputed in-process from the salvaged
+:class:`~repro.errors.ParallelMapError` state.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from functools import partial
 import numpy as np
 
 from repro import obs
-from repro.device.engines import engine_version, resolve_engine
+from repro.config import RunConfig
+from repro.device.engines import DEFAULT_ENGINE, engine_version, resolve_engine
 from repro.device.geometry import GNRFETGeometry
 from repro.device.sbfet import SBFETModel
 from repro.errors import ConvergenceError
@@ -42,13 +43,10 @@ from repro.runtime import (
     FailureRecord,
     LocalScheduler,
     SweepCheckpoint,
-    checkpoint_interval,
     content_key,
     in_worker,
     quarantine,
     resolve_workers,
-    resume_enabled,
-    strict_default,
 )
 from repro.runtime import faults
 
@@ -152,35 +150,38 @@ def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
 _RowResult = tuple[np.ndarray, np.ndarray, np.ndarray, list[FailureRecord]]
 
 
+def sweep_checkpoint_key(geometry: GNRFETGeometry, vg_grid: np.ndarray,
+                         vd_grid: np.ndarray, n_modes: int | None,
+                         engine: str = DEFAULT_ENGINE) -> str:
+    """Checkpoint key of one sweep: every input its rows depend on."""
+    return content_key("sweep_iv", geometry, np.asarray(vg_grid, float),
+                       np.asarray(vd_grid, float), n_modes, engine,
+                       engine_version(engine))
+
+
 def sweep_iv(
     geometry: GNRFETGeometry,
     vg_grid: np.ndarray,
     vd_grid: np.ndarray,
     n_modes: int | None = None,
-    workers: int | None = None,  # repro: nokey[RPA601] parallelism degree; serial and parallel sweeps are bit-identical
-    strict: bool | None = None,  # repro: nokey[RPA601] failure policy: strict raises, non-strict quarantines; finished rows agree
-    checkpoint: int | None = None,  # repro: nokey[RPA601] checkpoint cadence only; saved rows are engine output either way
-    resume: bool | None = None,  # repro: nokey[RPA601] whether to load the checkpoint this key names, not what it holds
-    engine: str | None = None,
+    engine: str = DEFAULT_ENGINE,
+    config: RunConfig | None = None,
 ) -> IVSweep:
     """Run the selected transport engine over a (V_G, V_D) grid.
 
-    ``workers`` > 1 fans the gate rows out across a process pool (default
-    comes from ``REPRO_WORKERS``; unset means serial).  Parallel results
-    are bit-for-bit identical to serial ones.
+    ``engine`` picks the transmission engine (see
+    :mod:`repro.device.engines`).  Its name and version tag enter the
+    checkpoint key, so checkpoints from different engines can never be
+    resumed into each other.
 
-    ``engine`` picks the transmission engine (argument > ``REPRO_ENGINE``
-    > ``semianalytic``; see :mod:`repro.device.engines`).  The resolved
-    name and its version tag enter the checkpoint key, so checkpoints
-    from different engines can never be resumed into each other.
-
-    ``strict`` (default from ``REPRO_STRICT``, normally ``False``)
-    re-raises the first failed cell instead of quarantining it.
-    ``checkpoint`` is the checkpoint interval in completed rows (default
-    from ``REPRO_CHECKPOINT``; 0 disables); ``resume`` (default from
-    ``REPRO_RESUME``) loads an existing checkpoint and computes only the
-    missing rows.  Checkpoints are keyed by the full sweep spec under
-    the ``checkpoints`` cache namespace and deleted on completion.
+    ``config`` (default :meth:`RunConfig.from_env`) says how the sweep
+    executes: ``workers`` > 1 fans the gate rows out across a process
+    pool (bit-for-bit identical to serial); ``strict`` re-raises the
+    first failed cell instead of quarantining it; ``checkpoint`` is the
+    checkpoint interval in completed rows (0 disables) and ``resume``
+    loads an existing checkpoint and computes only the missing rows.
+    Checkpoints are keyed by :func:`sweep_checkpoint_key` under the
+    ``checkpoints`` cache namespace and deleted on completion.
     """
     vg_grid = np.asarray(vg_grid, dtype=float)
     vd_grid = np.asarray(vd_grid, dtype=float)
@@ -190,10 +191,10 @@ def sweep_iv(
         raise ValueError("bias grids must be strictly ascending")
 
     engine = resolve_engine(engine)
-    strict = strict_default() if strict is None else strict
-    interval = (checkpoint_interval() if checkpoint is None
-                else max(0, int(checkpoint)))
-    resume = resume_enabled() if resume is None else resume
+    config = RunConfig.from_env() if config is None else config
+    strict = config.strict
+    interval = config.checkpoint
+    resume = config.resume
 
     shape = (vg_grid.size, vd_grid.size)
     current = np.full(shape, np.nan)
@@ -204,9 +205,9 @@ def sweep_iv(
 
     ckpt: SweepCheckpoint | None = None
     if interval > 0 or resume:
-        key = content_key("sweep_iv", geometry, vg_grid, vd_grid, n_modes,
-                          engine, engine_version(engine))
-        ckpt = SweepCheckpoint(key, interval=interval)
+        ckpt = SweepCheckpoint.for_config(
+            sweep_checkpoint_key(geometry, vg_grid, vd_grid, n_modes,
+                                 engine), config)
         if resume:
             loaded = ckpt.load()
             if loaded is not None and loaded[0].shape == done.shape:
@@ -238,7 +239,7 @@ def sweep_iv(
     fn = partial(_solve_iv_row, geometry, vd_grid, n_modes, strict, engine)
     with obs.span("device.sweep_iv", n_index=geometry.n_index,
                   grid=f"{vg_grid.size}x{vd_grid.size}"):
-        if resolve_workers(workers) <= 1:
+        if resolve_workers(config.workers) <= 1:
             # Serial fast path: one model serves every row.
             model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
             for task in tasks:
@@ -249,7 +250,7 @@ def sweep_iv(
             # With checkpointing on, rows are dispatched in waves of one
             # checkpoint interval so a snapshot lands between waves;
             # with it off this is a single scheduler call.
-            scheduler = LocalScheduler(workers=workers)
+            scheduler = LocalScheduler(workers=config.workers)
             wave_size = (interval if ckpt is not None and ckpt.enabled
                          and interval > 0 else len(tasks)) or 1
             for w in range(0, len(tasks), wave_size):

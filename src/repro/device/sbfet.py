@@ -47,7 +47,11 @@ from repro.constants import (
     thermal_energy_ev,
 )
 from repro.atomistic.modespace import TransverseMode, transverse_modes
-from repro.device.engines import AtomisticTransport, resolve_engine
+from repro.device.engines import (
+    DEFAULT_ENGINE,
+    AtomisticTransport,
+    resolve_engine,
+)
 from repro.device.geometry import GNRFETGeometry, GRAPHENE_THICKNESS_NM
 from repro.errors import ConvergenceError
 from repro.negf.energy_grid import adaptive_energy_grid
@@ -119,14 +123,14 @@ class SBFETModel:
         :mod:`repro.device.engines`): ``semianalytic`` (default; the
         WKB kernel below), ``modespace`` (coupled mode-space NEGF on
         the retained subbands) or ``realspace`` (full atomistic NEGF).
-        ``None`` defers to ``REPRO_ENGINE``.  The electrostatics
-        (bisection, density LUT) are shared by all engines.
+        The electrostatics (bisection, density LUT) are shared by all
+        engines.
     """
 
     def __init__(self, geometry: GNRFETGeometry, n_modes: int | None = None,
                  n_x: int = 81, n_k: int = 161,
                  mode_cutoff_ev: float = 1.35,
-                 engine: str | None = None):
+                 engine: str = DEFAULT_ENGINE):
         self.geometry = geometry
         self.engine = resolve_engine(engine)
         if n_modes is None:
@@ -352,7 +356,7 @@ class SBFETModel:
         :meth:`_mask_weights`), so they cost ``O(n_energy log n_x)``
         per mode instead of a pass over every (E, x) element.
 
-        When a NEGF engine is selected (``engine=`` / ``REPRO_ENGINE``),
+        When a NEGF engine is selected (``engine=``),
         the WKB evaluation below is replaced by the corresponding
         atomistic kernel on the same profile; everything upstream
         (electrostatics, energy grids, current integral) is shared.

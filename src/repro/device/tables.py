@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro import obs
+from repro.config import RunConfig
 from repro.device.engines import DEFAULT_ENGINE, engine_version, resolve_engine
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import IVSweep, sweep_iv
@@ -457,7 +458,7 @@ def table_cache_key(
     vg_grid: np.ndarray,
     vd_grid: np.ndarray,
     n_modes: int | None,
-    engine: str | None = None,
+    engine: str = DEFAULT_ENGINE,
     version: str | None = None,
 ) -> str:
     """Stable content hash identifying one table build on disk.
@@ -476,8 +477,12 @@ def table_cache_key(
                        n_modes)
 
 
-def _disk_cache() -> ArtifactCache:
-    return ArtifactCache(TABLE_CACHE_NAMESPACE)
+def table_memo_key(geometry: GNRFETGeometry, vg_grid: np.ndarray,
+                   vd_grid: np.ndarray, n_modes: int | None,
+                   engine: str = DEFAULT_ENGINE) -> tuple:
+    """Key of the in-process table memo: the same inputs as the disk key."""
+    return (geometry, tuple(np.asarray(vg_grid, float)),
+            tuple(np.asarray(vd_grid, float)), n_modes, engine)
 
 
 def _table_from_payload(payload: dict) -> DeviceTable:
@@ -492,28 +497,29 @@ def build_device_table(
     vg_grid: np.ndarray | None = None,
     vd_grid: np.ndarray | None = None,
     n_modes: int | None = None,
-    use_cache: bool = True,  # repro: nokey[RPA601] cache-layer switch, not table content
-    workers: int | None = None,  # repro: nokey[RPA601] parallelism degree; rows are bitwise order-independent
-    strict: bool | None = None,  # repro: nokey[RPA601] failed cells are never cached (NaN-hole tables skip both layers)
-    engine: str | None = None,
+    engine: str = DEFAULT_ENGINE,
+    config: RunConfig | None = None,
 ) -> DeviceTable:
     """Build (or fetch from cache) one ribbon's table.
 
-    Lookup order: in-process dict, then the persistent on-disk store
-    (``~/.cache/repro-gnrfet`` unless ``REPRO_CACHE_DIR``/
-    ``REPRO_NO_CACHE`` say otherwise), then a fresh ``sweep_iv`` — fanned
-    across ``workers`` processes when requested — whose result is written
-    back to both layers.  The cache key includes the full geometry (a
-    frozen dataclass), the grids, the mode count and the engine version,
-    so variant devices (width, impurity) coexist and physics changes
-    invalidate cleanly.  ``use_cache=False`` bypasses both layers.
+    Lookup order: in-process memo (:func:`table_memo_key`), then the
+    persistent on-disk store (:func:`table_cache_key`), then a fresh
+    :func:`~repro.device.iv.sweep_iv` whose result is written back to
+    both layers.  Both keys hold the full geometry (a frozen
+    dataclass), the grids, the mode count and the engine, so variant
+    devices (width, impurity) coexist and physics changes invalidate
+    cleanly.
 
-    ``strict`` is passed through to :func:`~repro.device.iv.sweep_iv`
-    (default from ``REPRO_STRICT``).  A non-strict build whose sweep
-    quarantined cells returns a table with NaN holes and a non-empty
-    ``failures`` tuple; such a table is **not** written to either cache
-    layer, so a later build retries the failed cells instead of reusing
-    the holes.
+    ``config`` (default :meth:`RunConfig.from_env`) says how the build
+    executes and is passed on to the sweep: ``use_cache=False`` keeps
+    the disk store out of it (no reads, no writes), ``cache_dir``
+    locates that store, ``workers`` fans the sweep across processes and
+    ``strict`` raises on a failed cell.  The in-process memo serves
+    repeats within a process either way (:func:`clear_table_cache`
+    empties it).  A non-strict build whose sweep quarantined cells
+    returns a table with NaN holes and a non-empty ``failures`` tuple;
+    such a table is **not** written to either cache layer, so a later
+    build retries the failed cells instead of reusing the holes.
 
     ``engine`` selects the transport engine (see
     :mod:`repro.device.engines`); it is part of both cache keys.
@@ -521,31 +527,31 @@ def build_device_table(
     vg_grid = DEFAULT_VG_GRID if vg_grid is None else np.asarray(vg_grid, float)
     vd_grid = DEFAULT_VD_GRID if vd_grid is None else np.asarray(vd_grid, float)
     engine = resolve_engine(engine)
-    key = (geometry, tuple(vg_grid), tuple(vd_grid), n_modes, engine)
-    if use_cache and key in _TABLE_CACHE:
+    key = table_memo_key(geometry, vg_grid, vd_grid, n_modes, engine)
+    if key in _TABLE_CACHE:
         if obs.ACTIVE:
             obs.incr("cache.table_memory_hits")
         return _TABLE_CACHE[key]
 
-    disk = _disk_cache() if use_cache else None
+    config = RunConfig.from_env() if config is None else config
+    disk = ArtifactCache.for_config(TABLE_CACHE_NAMESPACE, config)
     digest = table_cache_key(geometry, vg_grid, vd_grid, n_modes,
                              engine=engine)
     table = None
-    if disk is not None:
-        payload = disk.get(digest)
-        if payload is not None:
-            try:
-                table = _table_from_payload(payload)
-            except (KeyError, ValueError):
-                table = None  # corrupt/foreign payload: rebuild
-        if table is not None and obs.ACTIVE:
-            obs.incr("cache.table_disk_hits")
+    payload = disk.get(digest)
+    if payload is not None:
+        try:
+            table = _table_from_payload(payload)
+        except (KeyError, ValueError):
+            table = None  # corrupt/foreign payload: rebuild
+    if table is not None and obs.ACTIVE:
+        obs.incr("cache.table_disk_hits")
     if table is None:
         if obs.ACTIVE:
             obs.incr("cache.table_builds")
         with obs.span("device.build_table", n_index=geometry.n_index):
             sweep = sweep_iv(geometry, vg_grid, vd_grid, n_modes=n_modes,
-                             workers=workers, strict=strict, engine=engine)
+                             engine=engine, config=config)
             label = f"N={geometry.n_index}"
             if geometry.impurity is not None and \
                     geometry.impurity.charge_e != 0.0:
@@ -558,12 +564,10 @@ def build_device_table(
             # table with NaN cells would turn a transient failure into a
             # permanently poisoned artifact.
             return table
-        if disk is not None:
-            disk.put(digest, vg=table.vg, vd=table.vd,
-                     current_a=table.current_a, charge_c=table.charge_c,
-                     label=np.array(table.label))
-    if use_cache:
-        _TABLE_CACHE[key] = table
+        disk.put(digest, vg=table.vg, vd=table.vd,
+                 current_a=table.current_a, charge_c=table.charge_c,
+                 label=np.array(table.label))
+    _TABLE_CACHE[key] = table
     return table
 
 
@@ -574,4 +578,4 @@ def clear_table_cache(disk: bool = False) -> None:
     """
     _TABLE_CACHE.clear()
     if disk:
-        _disk_cache().clear()
+        ArtifactCache(TABLE_CACHE_NAMESPACE).clear()

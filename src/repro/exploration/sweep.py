@@ -2,8 +2,9 @@
 
 Every (V_T, V_DD) cell is an independent quasi-static analysis, so the
 sweep fans V_T rows out across worker processes through
-:func:`repro.runtime.parallel_map`; the per-cell computation is identical
-either way, so parallel and serial grids are bit-for-bit equal.
+:class:`repro.runtime.LocalScheduler`; the per-cell computation is
+identical either way, so parallel and serial grids are bit-for-bit
+equal.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ import numpy as np
 from repro import obs
 from repro.circuit.inverter import inverter_snm
 from repro.circuit.ring_oscillator import estimate_ring_oscillator
+from repro.config import RunConfig
 from repro.errors import AnalysisError, ConvergenceError
 from repro.exploration.technology import GNRFETTechnology
 from repro.runtime import (
     FailureRecord,
-    Scheduler,
+    LocalScheduler,
     in_worker,
     quarantine,
-    resolve_scheduler,
-    strict_default,
 )
 from repro.runtime import faults
 
@@ -118,29 +118,25 @@ def sweep_vdd_vt(
     n_stages: int = 15,
     with_snm: bool = True,
     snm_points: int = 41,
-    workers: int | None = None,
-    strict: bool | None = None,
-    scheduler: Scheduler | None = None,
+    config: RunConfig | None = None,
 ) -> ExplorationGrid:
     """Quasi-static sweep of RO metrics and inverter SNM.
 
     Invalid corners (V_T >= V_DD with no headroom, vanishing drive) are
     recorded as NaN rather than raised, so contour extraction can operate
-    on the full rectangle.  ``workers`` > 1 distributes V_T rows across a
-    process pool (default from ``REPRO_WORKERS``); the resulting grids
-    are bit-for-bit identical to a serial sweep.
+    on the full rectangle.
 
-    ``strict`` (default from ``REPRO_STRICT``) re-raises the first
-    failed device-table build; otherwise the affected V_T row is
-    NaN-masked and recorded on ``failures``.  A crashed worker process
-    costs only its undelivered rows, which are recomputed in-process
-    by the scheduler (``scheduler`` defaults to a
-    :class:`~repro.runtime.scheduler.LocalScheduler`; the seam exists
-    so adaptive refinement shares this exact code path).
+    ``config`` (default :meth:`RunConfig.from_env`): ``workers`` > 1
+    distributes V_T rows across a process pool, bit-for-bit identical
+    to a serial sweep; ``strict`` re-raises the first failed
+    device-table build, otherwise the affected V_T row is NaN-masked
+    and recorded on ``failures``.  A crashed worker process costs only
+    its undelivered rows, which the scheduler recomputes in-process.
     """
     vt_grid = np.asarray(vt_grid, dtype=float)
     vdd_grid = np.asarray(vdd_grid, dtype=float)
-    strict = strict_default() if strict is None else strict
+    config = RunConfig.from_env() if config is None else config
+    strict = config.strict
     shape = (vt_grid.size, vdd_grid.size)
     freq = np.full(shape, np.nan)
     edp = np.full(shape, np.nan)
@@ -152,11 +148,11 @@ def sweep_vdd_vt(
     tasks = [(int(i), float(vt)) for i, vt in enumerate(vt_grid)]
     fn = partial(_explore_vt_row, tech, vdd_grid, n_stages, with_snm,
                  strict)
-    sched = resolve_scheduler(scheduler, workers=workers)
     with obs.span("exploration.sweep_vdd_vt",
                   grid=f"{vt_grid.size}x{vdd_grid.size}"):
-        rows = sched.run(fn, tasks, strict=strict)
-    for i, (f_row, e_row, s_row, pt_row, ps_row, row_failures)             in enumerate(rows):
+        rows = LocalScheduler(config.workers).run(fn, tasks, strict=strict)
+    for i, (f_row, e_row, s_row, pt_row, ps_row, row_failures) \
+            in enumerate(rows):
         freq[i] = f_row
         edp[i] = e_row
         snm[i] = s_row

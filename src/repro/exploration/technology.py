@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.circuit.inverter import CircuitParameters
+from repro.config import RunConfig
+from repro.device.engines import DEFAULT_ENGINE
 from repro.device.geometry import GNRFETGeometry
 from repro.device.tables import DeviceTable, build_device_table
 from repro.device.vt_extraction import extract_vt_linear
@@ -44,20 +46,18 @@ class GNRFETTechnology:
     @classmethod
     def build(cls, geometry: GNRFETGeometry | None = None,
               params: CircuitParameters | None = None,
-              workers: int | None = None,
-              engine: str | None = None) -> "GNRFETTechnology":
+              engine: str = DEFAULT_ENGINE,
+              config: RunConfig | None = None) -> "GNRFETTechnology":
         """Simulate (or fetch cached) nominal device data.
 
-        ``workers`` fans the table's bias sweep across processes when the
-        table is not already cached (default from ``REPRO_WORKERS``).
-        ``engine`` picks the transport engine behind the table sweep
-        (argument > ``REPRO_ENGINE`` > ``semianalytic``); tables from
-        different engines are cached under different keys.
+        ``engine`` picks the transport engine behind the table sweep;
+        tables from different engines are cached under different keys.
+        ``config`` (default :meth:`RunConfig.from_env`) is passed on to
+        :func:`~repro.device.tables.build_device_table`.
         """
         geometry = geometry or GNRFETGeometry()
         params = params or CircuitParameters()
-        table = build_device_table(geometry, workers=workers,
-                                   engine=engine)
+        table = build_device_table(geometry, engine=engine, config=config)
         vt0 = extract_vt_linear(table.vg, table.current_a[:, 1],
                                 vd=float(table.vd[1]))
         return cls(ribbon_table=table, vt0=vt0, params=params,

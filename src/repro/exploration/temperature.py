@@ -19,6 +19,7 @@ from repro.circuit.inverter import (
     estimate_inverter_delay,
     inverter_static_power_w,
 )
+from repro.config import RunConfig
 from repro.constants import ROOM_TEMPERATURE_K
 from repro.device.geometry import GNRFETGeometry
 from repro.device.tables import build_device_table
@@ -44,21 +45,24 @@ def temperature_study(
     params: CircuitParameters | None = None,
     vdd: float = 0.4,
     vt_target: float = 0.13,
+    config: RunConfig | None = None,
 ) -> list[TemperaturePoint]:
     """Sweep lattice/contact temperature; device re-simulated per point.
 
     The gate work-function offset is re-derived at each temperature from
     that temperature's extracted V_T (a real design would fix the metal;
     both conventions give the same leakage activation, and re-extraction
-    keeps the operating point comparable across T).
+    keeps the operating point comparable across T).  ``config`` is
+    passed on to the table builds.
     """
     base_geometry = base_geometry or GNRFETGeometry()
+    config = RunConfig.from_env() if config is None else config
     params = params or CircuitParameters()
 
     points = []
     for t_k in temperatures_k:
         geometry = replace(base_geometry, temperature_k=float(t_k))
-        table = build_device_table(geometry)
+        table = build_device_table(geometry, config=config)
         vgs = table.vg[(table.vg >= 0.0) & (table.vg <= 0.8)]
         j_low = 1  # lowest non-zero V_D column
         curve = np.array([table.current(float(v), float(table.vd[j_low]))

@@ -10,9 +10,11 @@ accumulates spans, counters, gauges and histograms; hot call sites
 guard with ``if obs.ACTIVE:`` so the disabled path is one attribute
 load and an untaken branch (the same pattern — and the same overhead
 benchmark methodology — as :mod:`repro.sanitize`, pinned by
-``benchmarks/bench_obs_overhead.py``).  Worker processes spawned by
-:func:`repro.runtime.parallel_map` inherit ``REPRO_TRACE`` through the
-environment, record into their own recorder, and ship a
+``benchmarks/bench_obs_overhead.py``).  Entry points switch tracing on
+from their :class:`~repro.config.RunConfig` (``REPRO_TRACE`` /
+``--trace``).  Worker processes started by
+:func:`repro.runtime.parallel_map` get the parent's flag from the pool
+initializer, record into their own recorder, and ship a
 :func:`drain`-ed payload back with their chunk results; the parent
 :func:`absorb`-s those payloads in chunk order, so aggregation is
 deterministic at any worker count.
@@ -35,15 +37,8 @@ and every ``if obs.ACTIVE:`` guard all touch the same binding.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Mapping
-
-#: Environment variable that switches tracing on for a process tree
-#: (worker processes spawned by ``runtime.parallel_map`` inherit it).
-TRACE_ENV = "REPRO_TRACE"
-
-_FALSEY = ("", "0", "false", "off", "no")
 
 #: Raw observations retained per histogram; count/total/min/max stay
 #: exact beyond the cap, only the stored sample list saturates.
@@ -54,28 +49,21 @@ HISTOGRAM_VALUE_CAP = 4096
 FAILURE_RECORD_CAP = 1024
 
 
-def _env_active() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() not in _FALSEY
-
-
 #: Module-level guard flag read by every instrumented call site
-#: (``if obs.ACTIVE:``).  Mutate only through :func:`enable` /
-#: :func:`disable` so the environment stays in sync for worker processes.
-ACTIVE: bool = _env_active()
+#: (``if obs.ACTIVE:``).  Off until :func:`enable`.
+ACTIVE: bool = False
 
 
 def enable() -> None:
-    """Switch tracing on for this process and future workers."""
+    """Switch tracing on for this process and the workers it starts."""
     global ACTIVE
     ACTIVE = True
-    os.environ[TRACE_ENV] = "1"
 
 
 def disable() -> None:
-    """Switch tracing off (and stop exporting it to workers)."""
+    """Switch tracing off."""
     global ACTIVE
     ACTIVE = False
-    os.environ.pop(TRACE_ENV, None)
 
 
 def active() -> bool:
@@ -346,7 +334,6 @@ from repro.obs.manifest import (  # noqa: E402
     MANIFEST_SCHEMA,
     build_manifest,
     compute_rollups,
-    environment_knobs,
     git_revision,
     load_manifest,
     write_manifest,
@@ -360,7 +347,6 @@ from repro.obs.summary import (  # noqa: E402
 
 __all__ = [
     "ACTIVE",
-    "TRACE_ENV",
     "FAILURE_RECORD_CAP",
     "HISTOGRAM_VALUE_CAP",
     "NULL_SPAN",
@@ -381,7 +367,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
     "compute_rollups",
-    "environment_knobs",
     "git_revision",
     "load_manifest",
     "write_manifest",

@@ -1,7 +1,8 @@
-"""Per-run JSON manifests: config, environment, timings, metric rollups.
+"""Per-run JSON manifests: config, run config, timings, metric rollups.
 
 A manifest is the durable artifact of a traced run: one JSON document
-holding the run's configuration, the ``REPRO_*`` environment knobs, the
+holding the run's configuration, the resolved
+:class:`~repro.config.RunConfig` (every field, defaults included), the
 git revision, interval timings (``perf_counter`` wall span and
 ``process_time`` CPU span — never absolute timestamps), the full
 recorder snapshot, and a small set of *rollups* — the headline numbers
@@ -22,6 +23,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.config import RunConfig
+
 #: Schema tag stamped into every manifest; bump on breaking layout changes.
 MANIFEST_SCHEMA = "repro-obs-manifest/1"
 
@@ -36,12 +39,6 @@ def git_revision() -> str | None:
         return None
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else None
-
-
-def environment_knobs() -> dict[str, str]:
-    """All ``REPRO_*`` environment variables, sorted by name."""
-    return {k: v for k, v in sorted(os.environ.items())
-            if k.startswith("REPRO_")}
 
 
 def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
@@ -105,14 +102,19 @@ def build_manifest(label: str,
                    wall_s: float | None = None,
                    cpu_s: float | None = None,
                    snapshot: Mapping[str, Any] | None = None,
+                   run_config: RunConfig | None = None,
                    ) -> dict[str, Any]:
     """Assemble a manifest document from a recorder snapshot.
 
     ``snapshot`` defaults to the live process recorder
     (:func:`repro.obs.snapshot`).  ``wall_s`` / ``cpu_s`` are *interval*
     durations measured by the caller with ``time.perf_counter`` /
-    ``time.process_time`` deltas.
+    ``time.process_time`` deltas.  ``run_config`` is the resolved
+    execution config (default :meth:`RunConfig.from_env`), recorded
+    with every field.
     """
+    if run_config is None:
+        run_config = RunConfig.from_env()
     # Function-level import: manifest is imported while the obs package
     # ``__init__`` (which owns the live recorder) is still executing.
     from repro import obs
@@ -123,7 +125,7 @@ def build_manifest(label: str,
         "config": dict(config) if config is not None else {},
         "seed": seed,
         "git_rev": git_revision(),
-        "env": environment_knobs(),
+        "run_config": run_config.to_dict(),
         "timing": {"wall_s": wall_s, "cpu_s": cpu_s},
         "counters": snap.get("counters", {}),
         "gauges": snap.get("gauges", {}),

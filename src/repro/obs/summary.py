@@ -74,7 +74,11 @@ def summarize_text(manifest: Mapping[str, Any],
     if wall is not None:
         cpu_text = f", cpu {cpu:.3f} s" if cpu is not None else ""
         lines.append(f"  timing: wall {wall:.3f} s{cpu_text}")
-    env = manifest.get("env", {})
+    run_config = manifest.get("run_config")
+    if run_config is not None:
+        fields = " ".join(f"{k}={v}" for k, v in run_config.items())
+        lines.append(f"  run config: {fields}")
+    env = manifest.get("env", {})  # written before the run_config block
     if env:
         knobs = " ".join(f"{k}={v}" for k, v in sorted(env.items()))
         lines.append(f"  env: {knobs}")
@@ -136,12 +140,12 @@ def summarize_json(manifest: Mapping[str, Any],
             "max": hist.get("max"),
             "mean": (hist.get("total", 0.0) / count) if count else None,
         }
-    return {
+    summary = {
         "schema": "repro-obs-summary/1",
         "label": manifest.get("label"),
         "git_rev": manifest.get("git_rev"),
         "timing": manifest.get("timing", {}),
-        "env": manifest.get("env", {}),
+        "run_config": manifest.get("run_config"),
         "seed": manifest.get("seed"),
         "rollups": manifest.get("rollups", {}),
         "top_spans": top_spans(manifest, top=top),
@@ -149,3 +153,6 @@ def summarize_json(manifest: Mapping[str, Any],
         "gauges": manifest.get("gauges", {}),
         "histograms": histograms,
     }
+    if "env" in manifest:  # written before the run_config block
+        summary["env"] = manifest["env"]
+    return summary

@@ -5,19 +5,18 @@ evaluation and returns ``(report_text, data)`` where ``data`` is a
 dictionary of raw results (figure series, metric values) suitable for
 asserting against in tests and benchmarks.  The CLI (``python -m
 repro.cli run <id>``) and the benchmark harness both dispatch through
-:data:`EXPERIMENTS`.
+:data:`EXPERIMENTS`.  Every ``run_*`` takes the run's
+:class:`~repro.config.RunConfig` (``None`` = :meth:`RunConfig.from_env`)
+and passes it on to the sweeps and table builds it calls.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.circuit.inverter import inverter_snm
+from repro.config import RunConfig
 from repro.constants import ROOM_TEMPERATURE_K
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
-from repro.exploration.adaptive import adaptive_enabled, refine_vdd_vt
 from repro.device.iv import sweep_iv
 from repro.device.negf_device import NEGFDevice
 from repro.device.vt_extraction import extract_vt_linear
@@ -40,19 +39,28 @@ from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 from repro.variability.width import width_variation_study
 
 
-@lru_cache(maxsize=4)
-def nominal_technology() -> GNRFETTechnology:
-    """The nominal N=12 technology, built once per process."""
-    return GNRFETTechnology.build()
+_NOMINAL: list[GNRFETTechnology] = []
+
+
+def nominal_technology(config: RunConfig | None = None) -> GNRFETTechnology:
+    """The nominal N=12 technology, built once per process.
+
+    ``config`` only governs that first build (it never changes the
+    technology itself).
+    """
+    if not _NOMINAL:
+        _NOMINAL.append(GNRFETTechnology.build(config=config))
+    return _NOMINAL[0]
 
 
 # --------------------------------------------------------------------- #
 # Figure 2: intrinsic I-V and V_T extraction
 # --------------------------------------------------------------------- #
-def run_fig2(fast: bool = False) -> tuple[str, dict]:
+def run_fig2(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Fig. 2(a): I-V of the ideal N=12 GNRFET at several V_D;
     Fig. 2(b): V_T extraction at low V_D with and without gate offset."""
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     table = tech.ribbon_table
     vg = table.vg
     mask = (vg >= 0.0) & (vg <= 0.75 + 1e-9)
@@ -89,21 +97,17 @@ def run_fig2(fast: bool = False) -> tuple[str, dict]:
 # --------------------------------------------------------------------- #
 # Figure 3(b): EDP / frequency / SNM contours
 # --------------------------------------------------------------------- #
-def run_fig3(fast: bool = False) -> tuple[str, dict]:
+def run_fig3(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Fig. 3(b): contours over the (V_T, V_DD) plane and points A/B/C."""
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     if fast:
         vt_grid = np.linspace(0.02, 0.3, 8)
         vdd_grid = np.linspace(0.1, 0.7, 8)
     else:
         vt_grid = np.linspace(0.02, 0.30, 15)
         vdd_grid = np.linspace(0.10, 0.70, 13)
-    adaptive = None
-    if adaptive_enabled():
-        adaptive = refine_vdd_vt(tech, vt_grid, vdd_grid)
-        grid = adaptive.grid
-    else:
-        grid = sweep_vdd_vt(tech, vt_grid, vdd_grid)
+    grid = sweep_vdd_vt(tech, vt_grid, vdd_grid, config=config)
 
     opt = min_edp_point(grid)
     point_a = min_edp_at_frequency(grid, 3e9)
@@ -138,16 +142,16 @@ def run_fig3(fast: bool = False) -> tuple[str, dict]:
     return report, {"grid": grid, "optimum": opt, "A": point_a,
                     "B": point_b, "snm_floor": snm_floor,
                     "edp_contours": contours,
-                    "frequency_contours": freq_contours,
-                    "adaptive": adaptive}
+                    "frequency_contours": freq_contours}
 
 
 # --------------------------------------------------------------------- #
 # Table 1: GNRFET vs scaled CMOS
 # --------------------------------------------------------------------- #
-def run_table1(fast: bool = False) -> tuple[str, dict]:
+def run_table1(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Table 1: frequency / EDP / SNM of GNRFET A/B/C vs CMOS nodes."""
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     points = {"A": (0.06, 0.3), "B": (0.13, 0.4), "C": (0.23, 0.4)}
     gnr_rows, cmos_rows, r_min, r_max = table1_comparison(
         tech, points, transient=not fast)
@@ -167,13 +171,15 @@ def run_table1(fast: bool = False) -> tuple[str, dict]:
 # --------------------------------------------------------------------- #
 # Figure 4: I-V vs GNR width
 # --------------------------------------------------------------------- #
-def run_fig4(fast: bool = False) -> tuple[str, dict]:
+def run_fig4(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Fig. 4: I-V at V_D = 0.5 V for N = 9 / 12 / 15 / 18."""
     vg = np.round(np.arange(0.0, 0.7501, 0.05 if fast else 0.025), 10)
     series = []
     ratios = {}
     for n in (9, 12, 15, 18):
-        sweep = sweep_iv(GNRFETGeometry(n_index=n), vg, np.array([0.0, 0.5]))
+        sweep = sweep_iv(GNRFETGeometry(n_index=n), vg, np.array([0.0, 0.5]),
+                         config=config)
         current = sweep.current_a[:, 1]
         series.append(FigureSeries(
             name=f"N={n}", x=vg, y=current,
@@ -190,7 +196,8 @@ def run_fig4(fast: bool = False) -> tuple[str, dict]:
 # --------------------------------------------------------------------- #
 # Figure 5: charge-impurity band profiles and I-V
 # --------------------------------------------------------------------- #
-def run_fig5(fast: bool = False) -> tuple[str, dict]:
+def run_fig5(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Fig. 5(a): NEGF conduction-band profiles with impurities -2q..+2q;
     Fig. 5(b): I-V of N=12 with +-2q impurities (fast engine)."""
     profiles = []
@@ -210,7 +217,7 @@ def run_fig5(fast: bool = False) -> tuple[str, dict]:
     for q in (-2.0, 0.0, 2.0):
         imp = ChargeImpurity(charge_e=q) if q else None
         sweep = sweep_iv(GNRFETGeometry(n_index=12, impurity=imp),
-                         vg, np.array([0.0, 0.5]))
+                         vg, np.array([0.0, 0.5]), config=config)
         label = "no impurity" if q == 0 else f"{q:+g}q"
         iv_series.append(FigureSeries(
             name=label, x=vg, y=sweep.current_a[:, 1],
@@ -253,34 +260,40 @@ def _sensitivity_report(title, nominal, entries, key_fmt) -> str:
     return "\n".join(lines)
 
 
-def run_table2(fast: bool = False) -> tuple[str, dict]:
+def run_table2(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Table 2: independent n/p width variation effects on the inverter."""
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     indices = (9, 18) if fast else (9, 12, 15, 18)
-    nominal, entries = width_variation_study(tech, indices=indices)
+    nominal, entries = width_variation_study(tech, indices=indices,
+                                             config=config)
     report = _sensitivity_report(
         "Table 2: GNR width variation (cells: one affected, all affected)",
         nominal, entries, lambda k: f"p:N={k[0]} n:N={k[1]}")
     return report, {"nominal": nominal, "entries": entries}
 
 
-def run_table3(fast: bool = False) -> tuple[str, dict]:
+def run_table3(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Table 3: independent n/p charge-impurity effects on the inverter."""
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     charges = (-2.0, 0.0, 2.0) if fast else (-2.0, -1.0, 0.0, 1.0, 2.0)
-    nominal, entries = charge_impurity_study(tech, charges=charges)
+    nominal, entries = charge_impurity_study(tech, charges=charges,
+                                             config=config)
     report = _sensitivity_report(
         "Table 3: charge impurities (cells: one affected, all affected)",
         nominal, entries, lambda k: f"p:{k[0]:+g}q n:{k[1]:+g}q")
     return report, {"nominal": nominal, "entries": entries}
 
 
-def run_table4(fast: bool = False) -> tuple[str, dict]:
+def run_table4(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Table 4: simultaneous width + impurity variations."""
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     variants = (((9, 1.0), (18, -1.0)) if fast
                 else ((9, -1.0), (9, 1.0), (18, -1.0), (18, 1.0)))
-    nominal, entries = combined_variation_study(tech, variants=variants)
+    nominal, entries = combined_variation_study(tech, variants=variants,
+                                                config=config)
     report = _sensitivity_report(
         "Table 4: simultaneous width and impurity variations",
         nominal, entries,
@@ -291,11 +304,13 @@ def run_table4(fast: bool = False) -> tuple[str, dict]:
 # --------------------------------------------------------------------- #
 # Figure 6: Monte Carlo histograms
 # --------------------------------------------------------------------- #
-def run_fig6(fast: bool = False) -> tuple[str, dict]:
+def run_fig6(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Fig. 6: Monte Carlo distributions of the ring oscillator."""
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     n_samples = 200 if fast else 2000
-    result = run_ring_oscillator_monte_carlo(tech, n_samples=n_samples)
+    result = run_ring_oscillator_monte_carlo(tech, n_samples=n_samples,
+                                             config=config)
     report = "\n\n".join([
         ascii_histogram(result.frequencies_hz / 1e9, title=(
             "Fig 6: frequency (GHz); nominal "
@@ -314,10 +329,11 @@ def run_fig6(fast: bool = False) -> tuple[str, dict]:
 # --------------------------------------------------------------------- #
 # Figure 7: latch butterfly curves
 # --------------------------------------------------------------------- #
-def run_fig7(fast: bool = False) -> tuple[str, dict]:
+def run_fig7(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Fig. 7: latch butterfly under worst-case variations + defects."""
-    tech = nominal_technology()
-    cases = latch_variability_study(tech)
+    tech = nominal_technology(config)
+    cases = latch_variability_study(tech, config=config)
     nominal = cases[0]
     rows = []
     for c in cases:
@@ -341,7 +357,8 @@ def run_fig7(fast: bool = False) -> tuple[str, dict]:
 # --------------------------------------------------------------------- #
 # Extensions (mechanisms the paper names but defers; see EXPERIMENTS.md)
 # --------------------------------------------------------------------- #
-def run_ext_roughness(fast: bool = False) -> tuple[str, dict]:
+def run_ext_roughness(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Edge-roughness defects in the real-space p_z basis (paper ref 17)."""
     from repro.variability.edge_roughness import roughness_width_study
 
@@ -358,14 +375,16 @@ def run_ext_roughness(fast: bool = False) -> tuple[str, dict]:
     return report, {"study": study}
 
 
-def run_ext_oxide(fast: bool = False) -> tuple[str, dict]:
+def run_ext_oxide(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Oxide-thickness variation study."""
     from repro.variability.oxide import oxide_thickness_study
 
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     thicknesses = (1.5, 2.1) if fast else (1.2, 1.5, 1.8, 2.1)
     nominal, entries = oxide_thickness_study(tech,
-                                             thicknesses_nm=thicknesses)
+                                             thicknesses_nm=thicknesses,
+                                             config=config)
     rows = [[f"{e.oxide_thickness_nm:.1f}",
              f"{e.metrics.delay_s * 1e12:.2f}",
              f"{e.metrics.static_power_w * 1e6:.4f}",
@@ -376,7 +395,8 @@ def run_ext_oxide(fast: bool = False) -> tuple[str, dict]:
     return report, {"nominal": nominal, "entries": entries}
 
 
-def run_ext_temperature(fast: bool = False) -> tuple[str, dict]:
+def run_ext_temperature(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Temperature sweep of device leakage and inverter metrics."""
     from repro.exploration.temperature import (
         leakage_activation_energy_ev,
@@ -385,7 +405,7 @@ def run_ext_temperature(fast: bool = False) -> tuple[str, dict]:
 
     temps = ((ROOM_TEMPERATURE_K, 400.0) if fast
              else (250.0, ROOM_TEMPERATURE_K, 350.0, 400.0))
-    points = temperature_study(temperatures_k=temps)
+    points = temperature_study(temperatures_k=temps, config=config)
     e_a = leakage_activation_energy_ev(points)
     rows = [[f"{p.temperature_k:.0f}", f"{p.i_min_a * 1e9:.2f}",
              f"{p.inverter_static_power_w * 1e6:.4f}",
@@ -396,7 +416,8 @@ def run_ext_temperature(fast: bool = False) -> tuple[str, dict]:
     return report, {"points": points, "activation_energy_ev": e_a}
 
 
-def run_ext_yield(fast: bool = False) -> tuple[str, dict]:
+def run_ext_yield(fast: bool = False, config: RunConfig | None = None
+             ) -> tuple[str, dict]:
     """Memory yield / ECC analysis from sampled latch SNMs."""
     from repro.variability.yield_model import (
         ECCAnalysis,
@@ -404,9 +425,9 @@ def run_ext_yield(fast: bool = False) -> tuple[str, dict]:
         sample_latch_snm,
     )
 
-    tech = nominal_technology()
+    tech = nominal_technology(config)
     snm = sample_latch_snm(tech, n_cells=40 if fast else 250,
-                           n_vtc_points=21 if fast else 31)
+                           n_vtc_points=21 if fast else 31, config=config)
     rows = []
     for budget in (0.02, 0.035, 0.05):
         p_cell = cell_failure_probability(snm, budget)
@@ -443,11 +464,13 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(experiment_id: str, fast: bool = False) -> tuple[str, dict]:
-    """Dispatch one experiment by id."""
+def run_experiment(experiment_id: str, fast: bool = False,
+                   config: RunConfig | None = None) -> tuple[str, dict]:
+    """Dispatch one experiment by id (``config`` passed on)."""
     if experiment_id not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
             f"available: {', '.join(sorted(EXPERIMENTS))}")
     _, fn = EXPERIMENTS[experiment_id]
-    return fn(fast=fast)
+    config = RunConfig.from_env() if config is None else config
+    return fn(fast=fast, config=config)

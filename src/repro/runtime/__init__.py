@@ -7,44 +7,24 @@ over :func:`repro.runtime.parallel.parallel_map`), and the expensive
 self-consistent device tables persist across processes through
 :class:`repro.runtime.cache.ArtifactCache`.
 
-Environment knobs
------------------
-``REPRO_WORKERS``
-    Default worker count for every sweep (overridden per-call by the
-    ``workers`` argument; ``<=1`` means serial).
-``REPRO_CACHE_DIR``
-    Cache root (default ``~/.cache/repro-gnrfet``).
-``REPRO_NO_CACHE``
-    Any non-empty value disables the on-disk cache.
-``REPRO_TRACE``
-    Enables :mod:`repro.obs` tracing; worker processes inherit it and
-    forward their recorded metrics back to the parent in chunk order.
-``REPRO_STRICT``
-    Truthy value flips every sweep back to raise-on-first-failure
-    instead of quarantining failed cells (see
-    :mod:`repro.runtime.resilience`).
-``REPRO_CHECKPOINT`` / ``REPRO_RESUME``
-    Checkpoint interval in sweep units, and whether to resume from an
-    existing checkpoint (see :mod:`repro.runtime.resilience`).
-``REPRO_FAULTS``
-    Deterministic fault-injection plan for exercising the recovery
-    paths (see :mod:`repro.runtime.faults`).
+How a sweep executes — worker count, failure policy, checkpoints, the
+cache root — comes from the :class:`~repro.config.RunConfig` it is
+handed (see :mod:`repro.config` for the ``REPRO_*`` knobs).  The three
+process-wide switches (tracing, the sanitizer, a fault plan) are set
+once per process by :func:`activate`; worker processes get the parent's
+switches from the pool initializer.
 """
 
+from repro import obs, sanitize
+from repro.config import RunConfig
+import repro.runtime.faults as faults
 from repro.runtime.cache import (
-    CACHE_DIR_ENV,
-    NO_CACHE_ENV,
     TABLE_ENGINE_VERSION,
     ArtifactCache,
-    cache_enabled,
-    cache_root,
     canonical_repr,
-    clear_all,
     content_key,
 )
-from repro.runtime.faults import FAULTS_ENV
 from repro.runtime.parallel import (
-    WORKERS_ENV,
     batch_indices,
     default_chunk_size,
     guided_chunk_plan,
@@ -53,45 +33,42 @@ from repro.runtime.parallel import (
     resolve_workers,
     spawn_seed_sequences,
 )
-from repro.runtime.scheduler import (
-    LocalScheduler,
-    Scheduler,
-    resolve_scheduler,
-)
+from repro.runtime.scheduler import LocalScheduler
 from repro.runtime.resilience import (
-    CHECKPOINT_ENV,
-    RESUME_ENV,
-    STRICT_ENV,
+    CHECKPOINT_NAMESPACE,
     FailureRecord,
     SweepCheckpoint,
-    checkpoint_interval,
     quarantine,
     recover_parallel,
-    resume_enabled,
     run_ladder,
-    strict_default,
 )
+
+
+def activate(config: RunConfig) -> None:
+    """Switch on what ``config`` asks of this process.
+
+    Tracing, the numerical sanitizer and the fault plan are
+    process-wide; an entry point calls this once after resolving its
+    config.  Switches already on stay on.
+    """
+    if config.trace:
+        obs.enable()
+    if config.sanitize:
+        sanitize.enable()
+    if config.faults:
+        faults.enable(config.faults)
+
 
 __all__ = [
     "ArtifactCache",
-    "CACHE_DIR_ENV",
-    "CHECKPOINT_ENV",
-    "FAULTS_ENV",
+    "CHECKPOINT_NAMESPACE",
     "FailureRecord",
     "LocalScheduler",
-    "NO_CACHE_ENV",
-    "RESUME_ENV",
-    "STRICT_ENV",
-    "Scheduler",
     "SweepCheckpoint",
     "TABLE_ENGINE_VERSION",
-    "WORKERS_ENV",
+    "activate",
     "batch_indices",
-    "cache_enabled",
-    "cache_root",
     "canonical_repr",
-    "checkpoint_interval",
-    "clear_all",
     "content_key",
     "default_chunk_size",
     "guided_chunk_plan",
@@ -99,10 +76,7 @@ __all__ = [
     "parallel_map",
     "quarantine",
     "recover_parallel",
-    "resolve_scheduler",
     "resolve_workers",
-    "resume_enabled",
     "run_ladder",
     "spawn_seed_sequences",
-    "strict_default",
 ]

@@ -9,8 +9,10 @@ tables computed by any earlier one.
 
 Layout and protocol
 -------------------
-* Default root: ``~/.cache/repro-gnrfet`` (override with
-  ``REPRO_CACHE_DIR``; disable entirely with ``REPRO_NO_CACHE=1``).
+* Root and on/off switch come from the run's
+  :class:`~repro.config.RunConfig` (``cache_root`` / ``use_cache``:
+  ``~/.cache/repro-gnrfet`` unless ``REPRO_CACHE_DIR`` says otherwise,
+  off with ``REPRO_NO_CACHE=1``).
 * One file per artifact: ``<root>/<namespace>/<sha256-hex>.npz``.
 * Writes are atomic (write to a same-directory temp file, then
   ``os.replace``), so concurrent workers never observe torn files; the
@@ -32,18 +34,12 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from repro import obs
-
-#: Environment variable overriding the cache root directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable disabling the disk cache entirely (any non-empty
-#: value).
-NO_CACHE_ENV = "REPRO_NO_CACHE"
+from repro.config import RunConfig
 
 #: Version tag of the fast SBFET table engine.  Bump when the engine's
 #: physics or numerics change so previously cached tables are not reused.
@@ -54,19 +50,6 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 #: are cold-started again without a tag bump: dropping the warm-start
 #: flag from the table key already changed every digest.
 TABLE_ENGINE_VERSION = "sbfet-v3"
-
-
-def cache_enabled() -> bool:
-    """True unless ``REPRO_NO_CACHE`` is set (to any non-empty value)."""
-    return not os.environ.get(NO_CACHE_ENV)
-
-
-def cache_root() -> Path:
-    """Cache root directory (not created until first write)."""
-    override = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro-gnrfet"
 
 
 def canonical_repr(value: Any) -> str:
@@ -117,23 +100,25 @@ class ArtifactCache:
 
     Payloads are dictionaries of numpy arrays, stored as compressed
     ``.npz`` files under ``<root>/<namespace>/``.  A disabled cache
-    (``REPRO_NO_CACHE``) degrades every operation to a no-op / miss.
+    degrades every operation to a no-op / miss.  ``root`` / ``enabled``
+    left at ``None`` come from :meth:`RunConfig.from_env`, resolved once
+    here.
     """
 
     def __init__(self, namespace: str, root: Path | None = None,
                  enabled: bool | None = None):
+        if root is None or enabled is None:
+            config = RunConfig.from_env()
+            root = config.cache_root if root is None else root
+            enabled = config.use_cache if enabled is None else enabled
         self.namespace = namespace
-        self._root = root
-        self._enabled = enabled
+        self.enabled = enabled
+        self.directory = Path(root) / namespace
 
-    @property
-    def enabled(self) -> bool:
-        return cache_enabled() if self._enabled is None else self._enabled
-
-    @property
-    def directory(self) -> Path:
-        return (self._root if self._root is not None
-                else cache_root()) / self.namespace
+    @classmethod
+    def for_config(cls, namespace: str, config: RunConfig) -> "ArtifactCache":
+        """The ``namespace`` store under ``config``'s root and switch."""
+        return cls(namespace, config.cache_root, config.use_cache)
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.npz"
@@ -204,7 +189,3 @@ class ArtifactCache:
                 p.unlink(missing_ok=True)
         return removed
 
-
-def clear_all(namespaces: Iterable[str] = ("tables",)) -> int:
-    """Clear the listed namespaces of the active cache root."""
-    return sum(ArtifactCache(ns).clear() for ns in namespaces)

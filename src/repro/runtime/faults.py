@@ -6,10 +6,13 @@ events that essentially never occur in a healthy run.  This module makes
 those events *reproducible on demand* so each recovery path is testable
 in CI: a fault specification names a site and the task indices at which
 that site must fail, and the instrumented call sites consult it through
-one module-flag guard (``if faults.ACTIVE:``), so a run without
-``REPRO_FAULTS`` pays one attribute load per hook.
+one module-flag guard (``if faults.ACTIVE:``), so a run without a fault
+plan pays one attribute load per hook.  Entry points arm the plan of
+their :class:`~repro.config.RunConfig` (``REPRO_FAULTS`` / ``--faults``)
+through :func:`enable`; worker processes get the parent's plan from the
+pool initializer of :func:`repro.runtime.parallel_map`.
 
-Specification grammar (``REPRO_FAULTS`` or :func:`enable`)::
+Specification grammar (:func:`repro.config.parse_fault_spec`)::
 
     spec     := clause (";" clause)*
     clause   := site "@" index ("," index)*
@@ -46,18 +49,16 @@ from __future__ import annotations
 
 import os
 
+from repro.config import parse_fault_spec as parse_spec
 from repro.errors import CheckpointError, ConvergenceError
-
-#: Environment variable holding the fault specification.
-FAULTS_ENV = "REPRO_FAULTS"
-
-#: Recognized fault sites.
-SITES = ("scf", "worker", "checkpoint")
 
 #: Module-level guard flag: ``True`` iff a fault plan is armed.  Hot
 #: hooks check this before anything else, so a faultless run costs one
 #: attribute load per hook.
 ACTIVE: bool = False
+
+#: The armed specification ("" when disarmed).
+SPEC: str = ""
 
 #: Parsed plan: ``(site, index) -> max failing attempts`` (None = always).
 _PLAN: dict[tuple[str, int], int | None] = {}
@@ -66,65 +67,23 @@ _PLAN: dict[tuple[str, int], int | None] = {}
 _ATTEMPTS: dict[tuple[str, int], int] = {}
 
 
-def parse_spec(spec: str) -> dict[tuple[str, int], int | None]:
-    """Parse a ``REPRO_FAULTS`` specification string.
+def enable(spec: str) -> None:
+    """Arm a fault plan for this process and the workers it starts.
 
-    Returns ``{(site, index): count_or_None}`` where ``None`` means the
-    site fails at that index on every attempt.  Raises ``ValueError``
-    on malformed clauses or unknown sites.
+    Raises ``ValueError`` on a malformed spec (the old plan stays armed).
     """
-    plan: dict[tuple[str, int], int | None] = {}
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        site, sep, rest = clause.partition("@")
-        site = site.strip()
-        if not sep or site not in SITES:
-            raise ValueError(
-                f"bad fault clause {clause!r}: expected site@indices with "
-                f"site in {SITES}")
-        for token in rest.split(","):
-            token = token.strip()
-            if not token:
-                raise ValueError(f"bad fault clause {clause!r}: empty index")
-            head, x, tail = token.partition("x")
-            try:
-                index = int(head)
-                count = int(tail) if x else None
-            except ValueError:
-                raise ValueError(
-                    f"bad fault index {token!r} in clause {clause!r}; "
-                    "expected INT or INTxCOUNT") from None
-            if index < 0 or (count is not None and count < 1):
-                raise ValueError(
-                    f"bad fault index {token!r}: index must be >= 0 and "
-                    "count >= 1")
-            plan[(site, index)] = count
-    return plan
-
-
-def _sync_from_env() -> None:
-    """Arm (or disarm) the plan from the current environment value."""
-    global ACTIVE
-    spec = os.environ.get(FAULTS_ENV, "").strip()
+    global ACTIVE, SPEC
+    plan = parse_spec(spec)
     _PLAN.clear()
     _ATTEMPTS.clear()
-    if spec:
-        _PLAN.update(parse_spec(spec))
+    _PLAN.update(plan)
+    SPEC = spec.strip() if plan else ""
     ACTIVE = bool(_PLAN)
 
 
-def enable(spec: str) -> None:
-    """Arm a fault plan for this process and future workers."""
-    os.environ[FAULTS_ENV] = spec
-    _sync_from_env()
-
-
 def disable() -> None:
-    """Disarm fault injection (and stop exporting it to workers)."""
-    os.environ.pop(FAULTS_ENV, None)
-    _sync_from_env()
+    """Disarm fault injection."""
+    enable("")
 
 
 def reset_attempts() -> None:
@@ -171,8 +130,3 @@ def inject(site: str, index: int, detail: str = "") -> None:
     raise ConvergenceError(
         f"injected {site} fault at {where}",
         context={"injected": True, "fault_site": site, "task_index": index})
-
-
-# Arm from the environment at import so worker processes (which inherit
-# REPRO_FAULTS) come up with the same plan as the parent.
-_sync_from_env()

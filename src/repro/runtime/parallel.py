@@ -12,15 +12,17 @@ Design rules
   matter which worker finished first, so parallel sweeps are
   bit-for-bit identical to serial ones.
 * **Serial fallback** — ``workers <= 1`` (the default when neither the
-  argument nor ``REPRO_WORKERS`` is set) runs a plain list
+  argument nor ``REPRO_WORKERS`` sets it) runs a plain list
   comprehension in-process: no pool, no pickling, easy debugging.
 * **Chunked dispatch** — items are shipped to workers in contiguous
   chunks (default: ~4 chunks per worker) to amortize pickling overhead
   while keeping the pool load-balanced.
-* **No nested pools** — worker processes see ``_REPRO_IN_WORKER`` in
-  their environment and resolve every inner ``workers=None`` to 1, so a
-  parallel Monte Carlo whose workers build device tables never
-  oversubscribes the machine.
+* **No nested pools** — worker processes resolve every inner worker
+  count to 1, so a parallel Monte Carlo whose workers build device
+  tables never oversubscribes the machine.
+* **Same switches in workers** — each pool starts its workers with the
+  parent's tracing, sanitizer and fault-plan state (a pool initializer,
+  so it holds under any start method).
 * **Reproducible randomness** — :func:`spawn_seed_sequences` derives one
   independent child :class:`numpy.random.SeedSequence` per task from a
   single root seed.  Because the spawn tree depends only on the root
@@ -31,61 +33,66 @@ Design rules
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from repro import obs
+from repro import obs, sanitize
+from repro.config import RunConfig
 from repro.errors import ParallelMapError
+import repro.runtime.faults as faults
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment variable read when ``workers=None`` is passed.
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Set inside worker processes; forces inner ``workers=None`` to serial.
-_IN_WORKER_ENV = "_REPRO_IN_WORKER"
+#: True inside a :func:`parallel_map` worker process (set by the pool
+#: initializer); forces every inner worker count to serial.
+_IN_WORKER = False
 
 
 def resolve_workers(workers: int | None = None) -> int:
     """Resolve the effective worker count.
 
-    Priority: explicit argument > ``REPRO_WORKERS`` env var > 1 (serial).
-    Inside a worker process the answer is always 1 (no nested pools).
-    ``workers=0`` or negative counts clamp to serial.
+    ``None`` means :meth:`RunConfig.from_env` (``REPRO_WORKERS``, else
+    serial).  Inside a worker process the answer is always 1 (no nested
+    pools).  ``workers=0`` or negative counts clamp to serial.
     """
-    if os.environ.get(_IN_WORKER_ENV):
+    if _IN_WORKER:
         return 1
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        workers = RunConfig.from_env().workers
     return max(1, int(workers))
 
 
 def in_worker() -> bool:
     """True when executing inside a :func:`parallel_map` worker process."""
-    return bool(os.environ.get(_IN_WORKER_ENV))
+    return _IN_WORKER
+
+
+def _init_worker(trace: bool, fault_spec: str, sanitizer: bool) -> None:
+    """Pool initializer: mark the process and copy the parent's switches.
+
+    A forked worker already holds the parent's state, so its fault plan
+    (attempt counts included) is left alone; a spawned one arms it here.
+    """
+    global _IN_WORKER
+    _IN_WORKER = True
+    obs.ACTIVE = trace
+    sanitize.ACTIVE = sanitizer
+    if faults.SPEC != fault_spec:
+        faults.enable(fault_spec)
 
 
 def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]
                ) -> tuple[list[R], dict | None]:
     """Worker-side chunk executor (module-level so it pickles).
 
-    Returns ``(results, obs_payload)``: workers inherit ``REPRO_TRACE``
-    through the environment, record spans/metrics into their own
-    process-local recorder, and ship the drained payload back alongside
-    the chunk results so the parent can absorb it deterministically.
+    Returns ``(results, obs_payload)``: traced workers record
+    spans/metrics into their own process-local recorder and ship the
+    drained payload back alongside the chunk results so the parent can
+    absorb it deterministically.
     """
-    os.environ[_IN_WORKER_ENV] = "1"
     if not obs.ACTIVE:
         return [fn(item) for item in chunk], None
     obs.reset()
@@ -184,7 +191,9 @@ def parallel_map(
         failed: dict[int, BaseException] = {}
         n_cancelled = 0
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks))) as pool:
+                max_workers=min(workers, len(chunks)),
+                initializer=_init_worker,
+                initargs=(obs.ACTIVE, faults.SPEC, sanitize.ACTIVE)) as pool:
             future_index = {pool.submit(_run_chunk, fn, chunk): k
                             for k, chunk in enumerate(chunks)}
             wait(future_index, return_when=FIRST_EXCEPTION)

@@ -35,11 +35,11 @@ Checkpoint/resume (:class:`SweepCheckpoint`)
     bitwise-identical to an uninterrupted one.  The
     checkpoint is deleted when the sweep completes.
 
-Environment knobs: ``REPRO_STRICT`` flips the quarantine default back to
-raise-on-first-failure, ``REPRO_CHECKPOINT`` sets the checkpoint
-interval in sweep units (``1`` = after every unit), ``REPRO_RESUME``
-makes sweeps look for an existing checkpoint before computing.  All are
-inherited by worker processes.  Deterministic failures for exercising
+The policy comes from the sweep's :class:`~repro.config.RunConfig`:
+``strict`` flips the quarantine default back to raise-on-first-failure,
+``checkpoint`` sets the checkpoint interval in sweep units (``1`` =
+after every unit), ``resume`` makes sweeps look for an existing
+checkpoint before computing.  Deterministic failures for exercising
 these paths come from :mod:`repro.runtime.faults`.
 """
 
@@ -47,57 +47,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from repro import obs
+from repro.config import RunConfig
 from repro.errors import CheckpointError, ConvergenceError, ParallelMapError
 import repro.runtime.faults as faults
 from repro.runtime.cache import ArtifactCache
 
-#: Environment variable flipping sweeps back to raise-on-first-failure.
-STRICT_ENV = "REPRO_STRICT"
-
-#: Environment variable setting the checkpoint interval in sweep units
-#: (rows for bias sweeps, samples for Monte Carlo); 0/unset disables.
-CHECKPOINT_ENV = "REPRO_CHECKPOINT"
-
-#: Environment variable making sweeps resume from an existing checkpoint.
-RESUME_ENV = "REPRO_RESUME"
-
 #: Artifact-cache namespace holding sweep checkpoints.
 CHECKPOINT_NAMESPACE = "checkpoints"
 
-_FALSEY = ("", "0", "false", "off", "no")
-
 T = TypeVar("T")
-
-
-def strict_default() -> bool:
-    """Default ``strict`` flag for sweeps (from ``REPRO_STRICT``)."""
-    return os.environ.get(STRICT_ENV, "").strip().lower() not in _FALSEY
-
-
-def checkpoint_interval() -> int:
-    """Checkpoint interval in sweep units; 0 disables checkpointing.
-
-    ``REPRO_CHECKPOINT`` accepts an integer interval; any other truthy
-    value means "after every unit".
-    """
-    raw = os.environ.get(CHECKPOINT_ENV, "").strip().lower()
-    if raw in _FALSEY:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 1
-
-
-def resume_enabled() -> bool:
-    """True if sweeps should look for a checkpoint (``REPRO_RESUME``)."""
-    return os.environ.get(RESUME_ENV, "").strip().lower() not in _FALSEY
 
 
 # --------------------------------------------------------------------- #
@@ -295,14 +258,18 @@ class SweepCheckpoint:
     simply misses and starts fresh.
     """
 
-    def __init__(self, key: str, interval: int | None = None,
-                 cache: ArtifactCache | None = None):
+    def __init__(self, key: str, interval: int, cache: ArtifactCache):
         self.key = key
-        self.interval = checkpoint_interval() if interval is None else interval
-        self.cache = cache if cache is not None else ArtifactCache(
-            CHECKPOINT_NAMESPACE)
+        self.interval = interval
+        self.cache = cache
         self._writes = 0
         self._since_last = 0
+
+    @classmethod
+    def for_config(cls, key: str, config: RunConfig) -> "SweepCheckpoint":
+        """Checkpoint ``key`` at ``config``'s interval, in its cache root."""
+        return cls(key, config.checkpoint,
+                   ArtifactCache.for_config(CHECKPOINT_NAMESPACE, config))
 
     @property
     def enabled(self) -> bool:

@@ -23,9 +23,10 @@ The sanitizer is **off by default** and compiled out of the hot paths
 behind the module-level :data:`ACTIVE` flag — call sites guard with
 ``if sanitize.ACTIVE:``, so the disabled cost is one global load and a
 jump (asserted by ``benchmarks/bench_sanitizer_overhead.py``).  Enable it
-with the environment variable ``REPRO_SANITIZE=1`` (inherited by
-``runtime.parallel_map`` worker processes) or the CLI flag
-``repro run --sanitize``, or programmatically via :func:`enable`.
+with ``repro run --sanitize`` or ``REPRO_SANITIZE=1`` (the CLI entry
+points switch it on from their :class:`~repro.config.RunConfig`), or
+programmatically via :func:`enable`; ``runtime.parallel_map`` workers
+get the parent's flag.
 
 Failures raise :class:`repro.errors.SanitizerError` naming the operator,
 the offending quantity, the energy point and the bias.
@@ -33,41 +34,25 @@ the offending quantity, the energy point and the bias.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.errors import SanitizerError
 
-#: Environment variable that switches the sanitizer on for a process
-#: tree (worker processes spawned by ``runtime.parallel_map`` inherit it).
-SANITIZE_ENV = "REPRO_SANITIZE"
-
-_FALSEY = ("", "0", "false", "off", "no")
-
-
-def _env_active() -> bool:
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() not in _FALSEY
-
-
 #: Module-level guard flag read by every instrumented call site
-#: (``if sanitize.ACTIVE:``).  Mutate only through :func:`enable` /
-#: :func:`disable` so the environment stays in sync for worker processes.
-ACTIVE: bool = _env_active()
+#: (``if sanitize.ACTIVE:``).  Off until :func:`enable`.
+ACTIVE: bool = False
 
 
 def enable() -> None:
-    """Switch the sanitizer on for this process and future workers."""
+    """Switch the sanitizer on for this process and the workers it starts."""
     global ACTIVE
     ACTIVE = True
-    os.environ[SANITIZE_ENV] = "1"
 
 
 def disable() -> None:
-    """Switch the sanitizer off (and stop exporting it to workers)."""
+    """Switch the sanitizer off."""
     global ACTIVE
     ACTIVE = False
-    os.environ.pop(SANITIZE_ENV, None)
 
 
 def active() -> bool:

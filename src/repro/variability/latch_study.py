@@ -17,6 +17,7 @@ from repro.circuit.inverter import CircuitParameters, add_inverter, inverter_vtc
 from repro.circuit.dc import solve_dc
 from repro.circuit.netlist import Circuit
 from repro.circuit.snm import ButterflyData, butterfly_curves, static_noise_margin
+from repro.config import RunConfig
 from repro.device.tables import DeviceTable
 from repro.exploration.technology import GNRFETTechnology
 from repro.variability.variants import DeviceVariant, variant_array_table
@@ -64,13 +65,15 @@ def latch_case(
     n_affected: int,
     vdd: float,
     vt: float,
+    config: RunConfig | None = None,
 ) -> LatchCase:
     """Evaluate one latch configuration (both inverters identical)."""
+    config = RunConfig.from_env() if config is None else config
     offset = tech.gate_offset_for_vt(vt)
     nt = variant_array_table(n_variant, +1, n_affected, offset,
-                             tech.params.n_ribbons, tech.geometry)
+                             tech.params.n_ribbons, tech.geometry, config)
     pt = variant_array_table(p_variant, -1, n_affected, offset,
-                             tech.params.n_ribbons, tech.geometry)
+                             tech.params.n_ribbons, tech.geometry, config)
     vin, vout = inverter_vtc(nt, pt, vdd, tech.params)
     butterfly = butterfly_curves(vin, vout)
     return LatchCase(
@@ -86,13 +89,18 @@ def latch_variability_study(
     vt: float = 0.13,
     n_variant: DeviceVariant = WORST_CASE_N,
     p_variant: DeviceVariant = WORST_CASE_P,
+    config: RunConfig | None = None,
 ) -> list[LatchCase]:
-    """The paper's three Fig. 7 cases in order: nominal / single / all."""
+    """The paper's three Fig. 7 cases in order: nominal / single / all.
+
+    ``config`` is passed on to the variant table builds.
+    """
+    config = RunConfig.from_env() if config is None else config
     nominal = DeviceVariant()
     return [
-        latch_case(tech, "nominal", nominal, nominal, 0, vdd, vt),
+        latch_case(tech, "nominal", nominal, nominal, 0, vdd, vt, config),
         latch_case(tech, "single GNR affected", n_variant, p_variant,
-                   1, vdd, vt),
+                   1, vdd, vt, config),
         latch_case(tech, "all GNRs affected", n_variant, p_variant,
-                   tech.params.n_ribbons, vdd, vt),
+                   tech.params.n_ribbons, vdd, vt, config),
     ]

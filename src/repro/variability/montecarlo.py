@@ -39,9 +39,11 @@ counts are bitwise those of the scalar formulation
 
 Parallel execution
 ------------------
-Both phases dispatch through :mod:`repro.runtime`: the variant ribbon
-tables are prefetched across worker processes (the expensive part when
-tables are cold), and the samples are batched across workers.  Every
+Both phases dispatch through :class:`repro.runtime.LocalScheduler` with
+the worker count of the run's :class:`~repro.config.RunConfig`: the
+variant ribbon tables are prefetched across worker processes (the
+expensive part when tables are cold), and the samples are batched
+across workers.  Every
 sample draws from its own generator spawned
 (``np.random.SeedSequence.spawn``) from the root seed by sample index,
 so a fixed seed gives bit-for-bit identical distributions at any worker
@@ -58,24 +60,20 @@ import numpy as np
 
 from repro import obs
 from repro.circuit.ring_oscillator import simulate_ring_oscillator
-from repro.device.engines import engine_version, resolve_engine
+from repro.config import RunConfig
 from repro.errors import ConvergenceError
 from repro.exploration.technology import GNRFETTechnology
 from repro.runtime import (
     TABLE_ENGINE_VERSION,
     FailureRecord,
-    Scheduler,
+    LocalScheduler,
     SweepCheckpoint,
     batch_indices,
-    checkpoint_interval,
     content_key,
     in_worker,
     quarantine,
-    resolve_scheduler,
     resolve_workers,
-    resume_enabled,
     spawn_seed_sequences,
-    strict_default,
 )
 from repro.runtime import faults
 from repro.variability.sampling import (
@@ -136,7 +134,8 @@ class MonteCarloResult:
 
 
 def _ribbon_electricals(tech: GNRFETTechnology, offset: float, vdd: float,
-                        variant: DeviceVariant, polarity: int) -> dict:
+                        variant: DeviceVariant, polarity: int,
+                        config: RunConfig | None = None) -> dict:
     """Electrical quantities of one ribbon (module-level so it pickles).
 
     Builds (or fetches from the device-table cache) the variant ribbon
@@ -144,7 +143,7 @@ def _ribbon_electricals(tech: GNRFETTechnology, offset: float, vdd: float,
     stage-delay surrogate needs.
     """
     table = variant_ribbon_table(
-        variant, polarity, tech.geometry).with_gate_offset(offset)
+        variant, polarity, tech.geometry, config).with_gate_offset(offset)
     vs = np.linspace(0.0, vdd, 21)
     if polarity > 0:
         caps = [sum(table.capacitances(float(v), vdd - float(v)))
@@ -165,16 +164,16 @@ def _ribbon_electricals(tech: GNRFETTechnology, offset: float, vdd: float,
 
 
 def _ribbon_task(tech: GNRFETTechnology, offset: float, vdd: float,
-                 key: tuple[DeviceVariant, int]
+                 config: RunConfig, key: tuple[DeviceVariant, int]
                  ) -> tuple[tuple[DeviceVariant, int], dict]:
     """Prefetch task: one (variant, polarity) pair -> its electricals."""
     variant, polarity = key
-    return key, _ribbon_electricals(tech, offset, vdd, variant, polarity)
+    return key, _ribbon_electricals(tech, offset, vdd, variant, polarity,
+                                    config)
 
 
 def _variant_electricals(tech: GNRFETTechnology, vdd: float, vt: float,
-                         width_levels, charge_levels,
-                         workers: int | None, scheduler: Scheduler | None
+                         width_levels, charge_levels, config: RunConfig
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ribbon electricals of every variant the levels can draw.
 
@@ -189,9 +188,9 @@ def _variant_electricals(tech: GNRFETTechnology, vdd: float, vt: float,
                 for n in width_levels for q in charge_levels]
     keys = [(v, pol) for v in dict.fromkeys([DeviceVariant()] + variants)
             for pol in POLARITIES]
-    sched = resolve_scheduler(scheduler, workers=workers)
-    data = dict(sched.run(
-        partial(_ribbon_task, tech, tech.gate_offset_for_vt(vt), vdd), keys))
+    data = dict(LocalScheduler(config.workers).run(
+        partial(_ribbon_task, tech, tech.gate_offset_for_vt(vt), vdd, config),
+        keys))
 
     def quantities(variant: DeviceVariant, polarity: int) -> list[float]:
         return [data[variant, polarity][q] for q in QUANTITIES]
@@ -338,6 +337,29 @@ def _evaluate_batch(
     return freqs, p_dyns, p_stats, counts, failures
 
 
+def monte_carlo_checkpoint_key(
+    tech: GNRFETTechnology,
+    n_samples: int,
+    vdd: float,
+    vt: float,
+    n_stages: int,
+    width_levels: tuple[int, int, int],
+    charge_levels: tuple[float, float, float],
+    seed: int,
+    granularity: str,
+) -> str:
+    """Checkpoint key of one Monte Carlo: every input its samples hold.
+
+    The samples are functions of the variant device tables, so the
+    table engine version is in the key too.  Calibration is not: it
+    rescales the raw checkpointed frequencies at return time.
+    """
+    return content_key("monte_carlo", tech.geometry, tech.params,
+                       n_samples, vdd, vt, n_stages, tuple(width_levels),
+                       tuple(charge_levels), seed, granularity,
+                       TABLE_ENGINE_VERSION)
+
+
 def run_ring_oscillator_monte_carlo(
     tech: GNRFETTechnology,
     n_samples: int = 1000,
@@ -348,12 +370,8 @@ def run_ring_oscillator_monte_carlo(
     charge_levels: tuple[float, float, float] = (-1.0, 0.0, 1.0),
     seed: int = 2008,
     granularity: str = "ribbon",
-    calibrate_against_transient: bool = False,  # repro: nokey[RPA601] rescales raw checkpointed frequencies at return time
-    workers: int | None = None,  # repro: nokey[RPA601] parallelism degree; per-sample spawned RNG streams are worker-count independent
-    strict: bool | None = None,  # repro: nokey[RPA601] failure policy only; surviving samples agree either way
-    checkpoint: int | None = None,  # repro: nokey[RPA601] snapshot cadence only, not sample content
-    resume: bool | None = None,  # repro: nokey[RPA601] whether to load the checkpoint this key names, not what it holds
-    scheduler: Scheduler | None = None,  # repro: nokey[RPA601] dispatch policy; schedulers must return [fn(t) for t in tasks]
+    calibrate_against_transient: bool = False,
+    config: RunConfig | None = None,
 ) -> MonteCarloResult:
     """Fig. 6: sample width/impurity variations of every inverter.
 
@@ -366,20 +384,18 @@ def run_ring_oscillator_monte_carlo(
     nominal ring-oscillator transient and rescales all frequencies by the
     transient/surrogate ratio.
 
-    ``workers`` (default from ``REPRO_WORKERS``) fans both the variant
-    table builds and the sample batches across a process pool.  Every
-    sample draws from its own generator spawned from ``seed`` by sample
-    index, so the distributions are bit-for-bit identical at any worker
-    count.
-
-    ``strict`` (default from ``REPRO_STRICT``) re-raises the first
-    failed sample; otherwise failed samples are NaN rows recorded on
-    ``failures`` (the shift properties skip them).  ``checkpoint``
-    (default from ``REPRO_CHECKPOINT``) is the interval in completed
-    samples between atomic progress snapshots; ``resume`` (default from
-    ``REPRO_RESUME``) reloads one and evaluates only the missing
-    samples — bitwise-identical to an uninterrupted run because every
-    sample is keyed by its global index.
+    ``config`` (default :meth:`RunConfig.from_env`) says how the study
+    executes.  ``workers`` fans both the variant table builds and the
+    sample batches across a process pool; every sample draws from its
+    own generator spawned from ``seed`` by sample index, so the
+    distributions are bit-for-bit identical at any worker count.
+    ``strict`` re-raises the first failed sample; otherwise failed
+    samples are NaN rows recorded on ``failures`` (the shift properties
+    skip them).  ``checkpoint`` is the interval in completed samples
+    between atomic progress snapshots (keyed by
+    :func:`monte_carlo_checkpoint_key`); ``resume`` reloads one and
+    evaluates only the missing samples — bitwise-identical to an
+    uninterrupted run because every sample is keyed by its global index.
     """
     if granularity not in ("ribbon", "device"):
         raise ValueError(f"granularity must be 'ribbon' or 'device', "
@@ -391,15 +407,15 @@ def run_ring_oscillator_monte_carlo(
                          f"got {n_stages}")
     require_three_levels(width_levels, "width_levels")
     require_three_levels(charge_levels, "charge_levels")
-    strict = strict_default() if strict is None else strict
-    interval = (checkpoint_interval() if checkpoint is None
-                else max(0, int(checkpoint)))
-    resume = resume_enabled() if resume is None else resume
-    n_workers = resolve_workers(workers)
-    sched = resolve_scheduler(scheduler, workers=workers)
+    config = RunConfig.from_env() if config is None else config
+    strict = config.strict
+    interval = config.checkpoint
+    resume = config.resume
+    n_workers = resolve_workers(config.workers)
+    sched = LocalScheduler(config.workers)
 
     electricals, nominal_ribbon = _variant_electricals(
-        tech, vdd, vt, width_levels, charge_levels, workers, scheduler)
+        tech, vdd, vt, width_levels, charge_levels, config)
     nominal = _compose(nominal_ribbon[:, None],
                        np.zeros((len(POLARITIES), 1), dtype=int),
                        tech.params.n_ribbons)
@@ -429,18 +445,9 @@ def run_ring_oscillator_monte_carlo(
 
     ckpt: SweepCheckpoint | None = None
     if interval > 0 or resume:
-        # The samples are functions of the variant device tables, so
-        # everything that selects a table variant — the resolved
-        # transport engine (REPRO_ENGINE) and its version — must be in
-        # the key, or a checkpoint written under one engine could
-        # resume under another.
-        engine = resolve_engine(None)
-        key = content_key("monte_carlo", tech.geometry, tech.params,
-                          n_samples, vdd, vt, n_stages,
-                          tuple(width_levels), tuple(charge_levels), seed,
-                          granularity, TABLE_ENGINE_VERSION, engine,
-                          engine_version(engine))
-        ckpt = SweepCheckpoint(key, interval=interval)
+        ckpt = SweepCheckpoint.for_config(monte_carlo_checkpoint_key(
+            tech, n_samples, vdd, vt, n_stages, width_levels, charge_levels,
+            seed, granularity), config)
         if resume:
             loaded = ckpt.load()
             if loaded is not None and loaded[0].shape == done.shape:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.circuit.inverter import InverterMetrics, characterize_inverter
+from repro.config import RunConfig
 from repro.device.geometry import GNRFETGeometry
 from repro.device.tables import build_device_table
 from repro.exploration.technology import GNRFETTechnology
@@ -51,13 +52,16 @@ def oxide_thickness_study(
     thicknesses_nm: tuple[float, ...] = (1.2, 1.5, 1.8, 2.1),
     vdd: float = 0.4,
     vt: float = 0.13,
+    config: RunConfig | None = None,
 ) -> tuple[InverterMetrics, list[OxideEntry]]:
     """Inverter sensitivity to oxide thickness (both devices affected).
 
     The work-function offset stays at the *nominal* design value (a
     fixed gate metal), so thickness drift shifts the effective operating
-    point exactly as width drift does in Table 2.
+    point exactly as width drift does in Table 2.  ``config`` is passed
+    on to the table builds.
     """
+    config = RunConfig.from_env() if config is None else config
     nominal = characterize_inverter(*tech.inverter_tables(vt), vdd,
                                     tech.params)
     offset = tech.gate_offset_for_vt(vt)
@@ -68,7 +72,7 @@ def oxide_thickness_study(
     entries = []
     for t_ox in thicknesses_nm:
         geometry = oxide_variant_geometry(tech.geometry, t_ox)
-        table = (build_device_table(geometry)
+        table = (build_device_table(geometry, config=config)
                  .scaled(tech.params.n_ribbons)
                  .with_gate_offset(offset))
         metrics = characterize_inverter(table, table, vdd, tech.params,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import RunConfig
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
 from repro.device.tables import DeviceTable, build_device_table
 
@@ -55,9 +56,11 @@ def variant_geometry(variant: DeviceVariant, polarity: int,
 
 
 def variant_ribbon_table(variant: DeviceVariant, polarity: int = +1,
-                         base: GNRFETGeometry | None = None) -> DeviceTable:
+                         base: GNRFETGeometry | None = None,
+                         config: RunConfig | None = None) -> DeviceTable:
     """Intrinsic table of one variant ribbon (cached by the device layer)."""
-    return build_device_table(variant_geometry(variant, polarity, base))
+    return build_device_table(variant_geometry(variant, polarity, base),
+                              config=config)
 
 
 def variant_array_table(
@@ -67,6 +70,7 @@ def variant_array_table(
     gate_offset_v: float,
     n_ribbons: int = 4,
     base: GNRFETGeometry | None = None,
+    config: RunConfig | None = None,
 ) -> DeviceTable:
     """Array table with ``n_affected`` variant ribbons, rest nominal.
 
@@ -78,8 +82,9 @@ def variant_array_table(
     if not 0 <= n_affected <= n_ribbons:
         raise ValueError(
             f"n_affected must be in [0, {n_ribbons}], got {n_affected}")
-    var_tab = variant_ribbon_table(variant, polarity, base)
-    nom_tab = variant_ribbon_table(NOMINAL_VARIANT, polarity, base)
+    config = RunConfig.from_env() if config is None else config
+    var_tab = variant_ribbon_table(variant, polarity, base, config)
+    nom_tab = variant_ribbon_table(NOMINAL_VARIANT, polarity, base, config)
     tables = [var_tab] * n_affected + [nom_tab] * (n_ribbons - n_affected)
     composed = DeviceTable.compose(
         tables, label=f"{variant.label()}x{n_affected}/{n_ribbons}")

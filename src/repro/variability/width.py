@@ -19,6 +19,7 @@ from repro.circuit.inverter import (
     inverter_snm,
     inverter_static_power_w,
 )
+from repro.config import RunConfig
 from repro.errors import AnalysisError
 from repro.exploration.technology import GNRFETTechnology
 from repro.variability.variants import DeviceVariant, variant_array_table
@@ -57,6 +58,7 @@ def characterize_variant_inverter(
     vdd: float,
     vt: float,
     degenerate_ok: bool = False,
+    config: RunConfig | None = None,
 ) -> InverterMetrics:
     """Characterize one variant inverter against a nominal FO4 load.
 
@@ -65,13 +67,14 @@ def characterize_variant_inverter(
     at the most asymmetric corners of Table 4) is reported with NaN
     delay/dynamic power instead of raising; its static power and SNM are
     still measured (the SNM of a collapsed cell is 0 by the bistability
-    rule).
+    rule).  ``config`` is passed on to the variant table builds.
     """
+    config = RunConfig.from_env() if config is None else config
     offset = tech.gate_offset_for_vt(vt)
     nt = variant_array_table(n_variant, +1, n_affected, offset,
-                             tech.params.n_ribbons, tech.geometry)
+                             tech.params.n_ribbons, tech.geometry, config)
     pt = variant_array_table(p_variant, -1, n_affected, offset,
-                             tech.params.n_ribbons, tech.geometry)
+                             tech.params.n_ribbons, tech.geometry, config)
     nominal = tech.inverter_tables(vt)
     try:
         return characterize_inverter(nt, pt, vdd, tech.params,
@@ -97,18 +100,20 @@ def sensitivity_entry(
     vt: float,
     scenarios: tuple[int, int] = (1, 4),
     degenerate_ok: bool = True,
+    config: RunConfig | None = None,
 ) -> VariabilityEntry:
     """Both scenarios of one variant pair, as percentage deltas.
 
     Broken (swing-less) cells surface as NaN percentages (rendered as
     ``-`` by the reporting layer) rather than aborting the study.
     """
+    config = RunConfig.from_env() if config is None else config
     m_one = characterize_variant_inverter(tech, n_variant, p_variant,
                                           scenarios[0], vdd, vt,
-                                          degenerate_ok=degenerate_ok)
+                                          degenerate_ok, config)
     m_all = characterize_variant_inverter(tech, n_variant, p_variant,
                                           scenarios[1], vdd, vt,
-                                          degenerate_ok=degenerate_ok)
+                                          degenerate_ok, config)
     return VariabilityEntry(
         n_label=n_variant.label(), p_label=p_variant.label(),
         delay_pct=(_pct(m_one.delay_s, nominal.delay_s),
@@ -128,12 +133,15 @@ def width_variation_study(
     vdd: float = 0.4,
     vt: float = 0.13,
     indices: tuple[int, ...] = (9, 12, 15, 18),
+    config: RunConfig | None = None,
 ) -> tuple[InverterMetrics, dict[tuple[int, int], VariabilityEntry]]:
     """Full Table 2: nominal metrics plus every (N_p, N_n) cell.
 
     Returns ``(nominal_metrics, entries)`` with entries keyed by
     ``(p_index, n_index)`` to match the paper's row/column layout.
+    ``config`` is passed on to the variant table builds.
     """
+    config = RunConfig.from_env() if config is None else config
     nominal = characterize_inverter(*tech.inverter_tables(vt), vdd,
                                     tech.params)
     entries: dict[tuple[int, int], VariabilityEntry] = {}
@@ -143,6 +151,6 @@ def width_variation_study(
                 continue
             entry = sensitivity_entry(
                 tech, DeviceVariant(n_index=n_n), DeviceVariant(n_index=n_p),
-                nominal, vdd, vt)
+                nominal, vdd, vt, config=config)
             entries[(n_p, n_n)] = entry
     return nominal, entries

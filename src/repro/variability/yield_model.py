@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.circuit.inverter import inverter_vtc
 from repro.circuit.snm import butterfly_curves, static_noise_margin
+from repro.config import RunConfig
 from repro.device.tables import DeviceTable
 from repro.exploration.technology import GNRFETTechnology
 from repro.variability.sampling import (
@@ -35,13 +36,13 @@ from repro.variability.variants import DeviceVariant, variant_ribbon_table
 
 
 def _array_table(tech, polarity, offset, width_levels, charge_levels,
-                 levels: np.ndarray) -> DeviceTable:
+                 levels: np.ndarray, config: RunConfig) -> DeviceTable:
     """Array table of one device from its ribbons' (width, charge)
     level indices."""
     ribbons = [variant_ribbon_table(
         DeviceVariant(n_index=width_levels[int(w)],
                       impurity_e=charge_levels[int(q)]),
-        polarity, tech.geometry) for w, q in levels]
+        polarity, tech.geometry, config) for w, q in levels]
     return DeviceTable.compose(ribbons).with_gate_offset(offset)
 
 
@@ -55,6 +56,7 @@ def sample_latch_snm(
     seed: int = 404,
     n_vtc_points: int = 31,
     rng: np.random.Generator | None = None,
+    config: RunConfig | None = None,
 ) -> np.ndarray:
     """Hold-SNM samples of Monte Carlo latch cells (volts).
 
@@ -66,9 +68,11 @@ def sample_latch_snm(
     Each cell draws one block of standard normals ordered (n- then
     p-device, ribbon, width then charge): the same values, and the same
     generator consumption, as one scalar draw per trait in that order.
+    ``config`` is passed on to the variant table builds.
     """
     require_three_levels(width_levels, "width_levels")
     require_three_levels(charge_levels, "charge_levels")
+    config = RunConfig.from_env() if config is None else config
     if rng is None:
         rng = np.random.default_rng(seed)
     offset = tech.gate_offset_for_vt(vt)
@@ -77,9 +81,9 @@ def sample_latch_snm(
     for c in range(n_cells):
         levels = discretized_normal_indices(rng.standard_normal(shape))
         nt = _array_table(tech, +1, offset, width_levels, charge_levels,
-                          levels[0])
+                          levels[0], config)
         pt = _array_table(tech, -1, offset, width_levels, charge_levels,
-                          levels[1])
+                          levels[1], config)
         vin, vout = inverter_vtc(nt, pt, vdd, tech.params,
                                  n_points=n_vtc_points)
         snms[c] = static_noise_margin(butterfly_curves(vin, vout))

@@ -1,9 +1,7 @@
-"""Tests of the lint CLI modes: SARIF output, --select, --strict,
---changed."""
+"""Tests of the lint CLI modes: --select, --strict, --changed."""
 
 from __future__ import annotations
 
-import json
 import subprocess
 import textwrap
 
@@ -18,35 +16,10 @@ def _seed(tmp_path, rel="src/repro/device/bad.py",
     return path
 
 
-class TestSarif:
-    def test_document_shape(self, tmp_path, capsys):
-        bad = _seed(tmp_path)
-        assert lint_main([str(bad), "--format", "sarif"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-        (run,) = document["runs"]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        (rule,) = run["tool"]["driver"]["rules"]
-        assert rule["id"] == "RPA201"
-        (result,) = run["results"]
-        assert result["ruleId"] == "RPA201"
-        assert result["ruleIndex"] == 0
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 1
-        assert region["startColumn"] >= 1
-
-    def test_clean_tree_yields_empty_results(self, tmp_path, capsys):
-        clean = _seed(tmp_path, source="X = 1\n")
-        assert lint_main([str(clean), "--format", "sarif"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["runs"][0]["results"] == []
-        assert document["runs"][0]["tool"]["driver"]["rules"] == []
-
-
 class TestSelect:
     def test_select_filters_out_other_families(self, tmp_path, capsys):
         bad = _seed(tmp_path)  # RPA201 units finding
-        assert lint_main([str(bad), "--select", "RPA6,RPA7,RPA8"]) == 0
+        assert lint_main([str(bad), "--select", "RPA3,RPA8"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_select_keeps_matching_family(self, tmp_path, capsys):
@@ -56,7 +29,7 @@ class TestSelect:
 
     def test_parse_errors_always_reported(self, tmp_path, capsys):
         broken = _seed(tmp_path, source="def broken(:\n")
-        assert lint_main([str(broken), "--select", "RPA6"]) == 1
+        assert lint_main([str(broken), "--select", "RPA8"]) == 1
         assert "RPA001" in capsys.readouterr().out
 
 
@@ -141,11 +114,9 @@ class TestChanged:
     def test_changed_mode_keeps_project_context(self, tmp_path,
                                                 monkeypatch, capsys):
         # Regression: analysing only the changed subset hands the
-        # dataflow checkers a truncated project — content_key no
-        # longer resolves through the runtime facade and a sound key
-        # looks ad-hoc (RPA603), and package imports appear cyclic
-        # (RPA302).  --changed must parse the full path set and only
-        # narrow the *reporting*.
+        # project-wide passes a truncated project, in which package
+        # imports appear cyclic (RPA302).  --changed must parse the
+        # full path set and only narrow the *reporting*.
         repo = self._repo(tmp_path)
         _seed(repo, "src/repro/runtime/cache.py", textwrap.dedent("""\
             def content_key(*parts):

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from repro import sanitize
+from repro.config import RunConfig
 from repro.errors import ReproError, SanitizerError
 from repro.negf.greens import dense_retarded_gf, recursive_greens_function
 from repro.negf.scf import SCFOptions, self_consistent_loop
+from repro.runtime import parallel_map
 
 
 @pytest.fixture()
 def sanitizer_on(monkeypatch):
-    """Activate the sanitizer for one test without touching os.environ."""
+    """Activate the sanitizer for one test only."""
     monkeypatch.setattr(sanitize, "ACTIVE", True)
+
+
+def _worker_flag(_item):
+    """Module-level so it pickles: the sanitizer flag a pool worker sees."""
+    return sanitize.ACTIVE
 
 
 def _chain(n_blocks=4, size=2):
@@ -130,20 +137,18 @@ class TestHotPathHooks:
 
 
 class TestActivation:
-    def test_enable_disable_sync_environment(self, monkeypatch):
-        monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    def test_enable_disable_reach_workers(self, monkeypatch):
         monkeypatch.setattr(sanitize, "ACTIVE", False)
         sanitize.enable()
         assert sanitize.ACTIVE and sanitize.active()
-        import os
-        assert os.environ[sanitize.SANITIZE_ENV] == "1"
+        assert parallel_map(_worker_flag, [0, 1], workers=2) == [True, True]
         sanitize.disable()
         assert not sanitize.ACTIVE
-        assert sanitize.SANITIZE_ENV not in os.environ
+        assert parallel_map(_worker_flag, [0, 1], workers=2) == [False, False]
 
     def test_env_parsing(self):
-        assert sanitize._env_active.__call__ is not None
         for raw, expected in [("1", True), ("true", True), ("on", True),
                               ("0", False), ("", False), ("off", False),
                               ("no", False), ("false", False)]:
-            assert (raw.strip().lower() not in sanitize._FALSEY) == expected
+            config = RunConfig.from_env({"REPRO_SANITIZE": raw})
+            assert config.sanitize == expected

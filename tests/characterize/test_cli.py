@@ -30,7 +30,7 @@ def sandbox(tmp_path, monkeypatch):
 
 
 def _stub_measure(monkeypatch, value: float):
-    def fake_measure(ids, fast=False, workers=None, scheduler=None):
+    def fake_measure(ids, fast=False, config=None):
         measured = {eid: {name: value
                           for name in SPECS[eid].metric_names()}
                     for eid in ids}

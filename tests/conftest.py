@@ -12,11 +12,12 @@ import os
 import numpy as np
 import pytest
 
+import repro.config as repro_config
 from repro.circuit.inverter import CircuitParameters
+from repro.config import CACHE_DIR_ENV
 from repro.device.geometry import GNRFETGeometry
 from repro.device.tables import DeviceTable, build_device_table
 from repro.exploration.technology import GNRFETTechnology
-from repro.runtime import CACHE_DIR_ENV
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -26,12 +27,18 @@ def _hermetic_cache_dir(tmp_path_factory):
     Test runs must never reuse stale artifacts from (or pollute) the
     user-level ``~/.cache/repro-gnrfet`` store; within the session the
     temp store still exercises the persistent-cache code paths and lets
-    parallel workers share tables.
+    parallel workers share tables.  Both roads to the cache root lead
+    there: ``REPRO_CACHE_DIR`` (configs resolved from the environment,
+    subprocesses) and the default root of a ``RunConfig`` built in a
+    test.
     """
     path = tmp_path_factory.mktemp("repro-cache")
     previous = os.environ.get(CACHE_DIR_ENV)
+    previous_default = repro_config.DEFAULT_CACHE_DIR
     os.environ[CACHE_DIR_ENV] = str(path)
+    repro_config.DEFAULT_CACHE_DIR = path
     yield path
+    repro_config.DEFAULT_CACHE_DIR = previous_default
     if previous is None:
         os.environ.pop(CACHE_DIR_ENV, None)
     else:

@@ -21,7 +21,6 @@ from repro.atomistic.lattice import ArmchairGNR
 from repro.device.engines import (
     CONTACT_BROADENING_EV,
     DEFAULT_ENGINE,
-    ENGINE_ENV,
     ENGINES,
     AtomisticTransport,
     engine_version,
@@ -36,27 +35,12 @@ from repro.errors import InvalidDeviceError
 
 
 class TestEngineRegistry:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_default(self):
         assert resolve_engine() == DEFAULT_ENGINE == "semianalytic"
 
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "realspace")
-        assert resolve_engine("modespace") == "modespace"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "modespace")
-        assert resolve_engine() == "modespace"
-        monkeypatch.setenv(ENGINE_ENV, "")
-        assert resolve_engine() == DEFAULT_ENGINE
-
-    def test_unknown_raises(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_unknown_raises(self):
         with pytest.raises(InvalidDeviceError):
             resolve_engine("tight-binding")
-        monkeypatch.setenv(ENGINE_ENV, "nope")
-        with pytest.raises(InvalidDeviceError):
-            resolve_engine()
 
     def test_versions_distinct(self):
         versions = {engine_version(e) for e in ENGINES}
@@ -87,8 +71,7 @@ class TestCacheKeyRegression:
                                  engine="modespace")
         assert k_none != k_four
 
-    def test_default_engine_explicit_and_implicit_agree(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_default_engine_explicit_and_implicit_agree(self):
         implicit = table_cache_key(self.geometry, self.vg, self.vd, None)
         explicit = table_cache_key(self.geometry, self.vg, self.vd, None,
                                    engine="semianalytic")

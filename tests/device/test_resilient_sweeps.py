@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device import tables
 from repro.device.tables import build_device_table
 from repro.errors import CheckpointError, ConvergenceError
-from repro.runtime import CACHE_DIR_ENV, faults
+from repro.runtime import faults
 
 VG = np.linspace(0.0, 0.6, 13)
 VD = np.linspace(0.0, 0.6, 5)
@@ -37,7 +38,7 @@ def _disarm():
 def baseline():
     """Uninterrupted, fault-free reference sweep."""
     faults.disable()
-    return sweep_iv(GEOM, VG, VD, workers=1)
+    return sweep_iv(GEOM, VG, VD, config=RunConfig())
 
 
 def _assert_same(a, b):
@@ -49,7 +50,7 @@ def _assert_same(a, b):
 class TestQuarantine:
     def test_failed_cells_are_nan_masked_with_records(self):
         faults.enable("scf@3,17,40")
-        sweep = sweep_iv(GEOM, VG, VD, workers=1)
+        sweep = sweep_iv(GEOM, VG, VD, config=RunConfig())
         failed = {f.index for f in sweep.failures}
         assert failed == {3, 17, 40}
         n_vd = VD.size
@@ -70,9 +71,9 @@ class TestQuarantine:
 
     def test_serial_equals_parallel_bitwise(self):
         faults.enable("scf@3,17,40")
-        serial = sweep_iv(GEOM, VG, VD, workers=1)
+        serial = sweep_iv(GEOM, VG, VD, config=RunConfig())
         faults.reset_attempts()
-        parallel = sweep_iv(GEOM, VG, VD, workers=4)
+        parallel = sweep_iv(GEOM, VG, VD, config=RunConfig(workers=4))
         _assert_same(serial, parallel)
         assert serial.failures == parallel.failures
 
@@ -80,7 +81,8 @@ class TestQuarantine:
     def test_strict_raises_first_failure(self, workers):
         faults.enable("scf@17")
         with pytest.raises(ConvergenceError) as err:
-            sweep_iv(GEOM, VG, VD, workers=workers, strict=True)
+            sweep_iv(GEOM, VG, VD,
+                     config=RunConfig(workers=workers, strict=True))
         i, j = divmod(17, VD.size)
         assert err.value.context["cell_index"] == 17
         assert err.value.context["vg"] == float(VG[i])
@@ -92,7 +94,7 @@ class TestQuarantine:
 
         obs.enable()
         faults.enable("scf@3")
-        sweep_iv(GEOM, VG, VD, workers=1)
+        sweep_iv(GEOM, VG, VD, config=RunConfig())
         manifest = build_manifest("test", snapshot=obs.snapshot())
         assert len(manifest["failures"]) == 1
         assert manifest["failures"][0]["index"] == 3
@@ -104,21 +106,21 @@ class TestCheckpointResume:
         # First run dies on its second checkpoint write (ordinal 1).
         faults.enable("checkpoint@1")
         with pytest.raises(CheckpointError):
-            sweep_iv(GEOM, VG, VD, workers=1, checkpoint=2)
+            sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=2))
         faults.disable()
-        resumed = sweep_iv(GEOM, VG, VD, workers=1, checkpoint=2,
-                           resume=True)
+        resumed = sweep_iv(GEOM, VG, VD,
+                           config=RunConfig(checkpoint=2, resume=True))
         _assert_same(resumed, baseline)
         assert resumed.failures == ()
 
     def test_resume_skips_completed_rows(self, baseline):
         faults.enable("checkpoint@2")
         with pytest.raises(CheckpointError):
-            sweep_iv(GEOM, VG, VD, workers=1, checkpoint=1)
+            sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=1))
         faults.disable()
         obs.enable()
-        resumed = sweep_iv(GEOM, VG, VD, workers=1, checkpoint=1,
-                           resume=True)
+        resumed = sweep_iv(GEOM, VG, VD,
+                           config=RunConfig(checkpoint=1, resume=True))
         _assert_same(resumed, baseline)
         counters = obs.snapshot()["counters"]
         assert counters["resilience.checkpoint_resumes"] == 1
@@ -127,20 +129,20 @@ class TestCheckpointResume:
         assert counters["resilience.checkpoint_writes"] <= VG.size - 2
 
     def test_completed_sweep_clears_checkpoint(self, baseline):
-        sweep = sweep_iv(GEOM, VG, VD, workers=1, checkpoint=2)
+        sweep = sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=2))
         _assert_same(sweep, baseline)
-        resumed = sweep_iv(GEOM, VG, VD, workers=1, checkpoint=2,
-                           resume=True)
+        resumed = sweep_iv(GEOM, VG, VD,
+                           config=RunConfig(checkpoint=2, resume=True))
         _assert_same(resumed, baseline)  # nothing stale to resume from
 
     def test_resume_with_quarantine_keeps_failure_records(self):
         faults.enable("scf@3;checkpoint@1")
         with pytest.raises(CheckpointError):
-            sweep_iv(GEOM, VG, VD, workers=1, checkpoint=2)
+            sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=2))
         faults.enable("scf@3")  # keep the cell failing after resume
         faults.reset_attempts()
-        resumed = sweep_iv(GEOM, VG, VD, workers=1, checkpoint=2,
-                           resume=True)
+        resumed = sweep_iv(GEOM, VG, VD,
+                           config=RunConfig(checkpoint=2, resume=True))
         assert {f.index for f in resumed.failures} == {3}
         assert np.isnan(resumed.current_a[0, 3])
 
@@ -149,7 +151,7 @@ class TestWorkerCrashRecovery:
     def test_crashed_worker_rows_are_recomputed(self, baseline):
         obs.enable()
         faults.enable("worker@5")
-        sweep = sweep_iv(GEOM, VG, VD, workers=2)
+        sweep = sweep_iv(GEOM, VG, VD, config=RunConfig(workers=2))
         _assert_same(sweep, baseline)
         assert sweep.failures == ()
         counters = obs.snapshot()["counters"]
@@ -161,7 +163,7 @@ class TestWorkerCrashRecovery:
 
         faults.enable("worker@5")
         with pytest.raises(ParallelMapError):
-            sweep_iv(GEOM, VG, VD, workers=2, strict=True)
+            sweep_iv(GEOM, VG, VD, config=RunConfig(workers=2, strict=True))
 
 
 class TestTableBuildQuarantine:
@@ -170,30 +172,31 @@ class TestTableBuildQuarantine:
             self, workers, tmp_path, monkeypatch):
         # Fresh cache layers: the other worker count's clean rebuild
         # must not serve this build.
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        config = RunConfig(workers=workers, cache_dir=tmp_path)
         monkeypatch.setattr(tables, "_TABLE_CACHE", {})
         vg = np.linspace(0.0, 0.4, 5)
         vd = np.array([0.0, 0.2, 0.4])
         geom = GNRFETGeometry(n_index=9)
         faults.enable("scf@4")
-        table = build_device_table(geom, vg, vd, workers=workers)
+        table = build_device_table(geom, vg, vd, config=config)
         assert len(table.failures) == 1
         assert np.isnan(table.current_a[1, 1])  # cell 4 of a 5x3 grid
         faults.disable()
-        rebuilt = build_device_table(geom, vg, vd, workers=workers)
+        rebuilt = build_device_table(geom, vg, vd, config=config)
         # neither the in-process memo nor the disk store kept the holes
         assert rebuilt.failures == ()
         assert np.all(np.isfinite(rebuilt.current_a))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_strict_table_build_raises(self, workers):
+    def test_strict_table_build_raises(self, workers, monkeypatch):
+        monkeypatch.setattr(tables, "_TABLE_CACHE", {})
         vg = np.linspace(0.0, 0.4, 5)
         vd = np.array([0.0, 0.2, 0.4])
         faults.enable("scf@4")
         with pytest.raises(ConvergenceError) as err:
             build_device_table(GNRFETGeometry(n_index=9), vg, vd,
-                               use_cache=False, strict=True,
-                               workers=workers)
+                               config=RunConfig(use_cache=False, strict=True,
+                                                workers=workers))
         assert err.value.context["cell_index"] == 4
         assert err.value.context["vg"] == float(vg[1])
         assert err.value.context["vd"] == float(vd[1])

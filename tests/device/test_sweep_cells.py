@@ -10,8 +10,10 @@ environments must change neither a table key nor a table.
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import sweep_iv
+from repro.device import tables
 from repro.device.sbfet import SBFETModel
 from repro.device.tables import build_device_table, table_cache_key
 
@@ -22,7 +24,7 @@ VD = np.linspace(0.0, 0.6, 5)
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_every_cell_equals_a_lone_solve(workers):
-    sweep = sweep_iv(GEOM, VG, VD, workers=workers)
+    sweep = sweep_iv(GEOM, VG, VD, config=RunConfig(workers=workers))
     model = SBFETModel(GEOM)
     for i, vg in enumerate(VG):
         for j, vd in enumerate(VD):
@@ -34,20 +36,25 @@ def test_every_cell_equals_a_lone_solve(workers):
 
 def test_drain_subset_equals_full_sweep_at_shared_points():
     vd = np.linspace(0.0, 0.6, 7)
-    full = sweep_iv(GEOM, VG, vd, workers=1)
-    half = sweep_iv(GEOM, VG, vd[::2], workers=1)
+    full = sweep_iv(GEOM, VG, vd, config=RunConfig())
+    half = sweep_iv(GEOM, VG, vd[::2], config=RunConfig())
     for name in ("current_a", "charge_c", "midgap_ev"):
         assert np.array_equal(getattr(half, name),
                               getattr(full, name)[:, ::2]), name
 
 
 def test_leftover_no_warmstart_env_changes_nothing(monkeypatch):
+    # A private memo, emptied before each build: both builds sweep.
+    monkeypatch.setattr(tables, "_TABLE_CACHE", {})
     vg = np.linspace(0.0, 0.4, 3)
     vd = np.array([0.0, 0.3])
     key = table_cache_key(GEOM, vg, vd, None)
-    table = build_device_table(GEOM, vg, vd, use_cache=False, workers=1)
+    table = build_device_table(GEOM, vg, vd,
+                               config=RunConfig(use_cache=False))
     monkeypatch.setenv("REPRO_NO_WARMSTART", "1")
     assert table_cache_key(GEOM, vg, vd, None) == key
-    again = build_device_table(GEOM, vg, vd, use_cache=False, workers=1)
+    tables._TABLE_CACHE.clear()
+    again = build_device_table(GEOM, vg, vd,
+                               config=RunConfig(use_cache=False))
     assert np.array_equal(again.current_a, table.current_a)
     assert np.array_equal(again.charge_c, table.charge_c)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import sanitize
+from repro.config import RunConfig
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device.sbfet import SBFETModel
@@ -121,7 +122,7 @@ def test_sweep_iv_matches_oracle_kernel(monkeypatch):
     geometry = GNRFETGeometry(n_index=12)
     vg = np.linspace(0.0, 0.75, 4)
     vd = np.linspace(0.0, 0.75, 4)
-    kwargs = dict(workers=1, checkpoint=0, resume=False)
+    kwargs = dict(config=RunConfig())
     new = sweep_iv(geometry, vg, vd, **kwargs)
     monkeypatch.setattr(SBFETModel, "transmission", reference_transmission)
     ref = sweep_iv(geometry, vg, vd, **kwargs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 from repro.errors import ConvergenceError, ParallelMapError
 from repro.exploration.sweep import sweep_vdd_vt
 from repro.runtime import faults
@@ -25,13 +26,13 @@ def _disarm():
 @pytest.fixture(scope="module")
 def baseline(tech):
     faults.disable()
-    return sweep_vdd_vt(tech, VT, VDD, workers=1)
+    return sweep_vdd_vt(tech, VT, VDD, config=RunConfig())
 
 
 class TestRowQuarantine:
     def test_failed_row_is_nan_masked_with_record(self, tech, baseline):
         faults.enable("scf@1")
-        grid = sweep_vdd_vt(tech, VT, VDD, workers=1)
+        grid = sweep_vdd_vt(tech, VT, VDD, config=RunConfig())
         assert len(grid.failures) == 1
         record = grid.failures[0]
         assert record.site == "exploration"
@@ -46,9 +47,9 @@ class TestRowQuarantine:
 
     def test_serial_equals_parallel_bitwise(self, tech):
         faults.enable("scf@1")
-        serial = sweep_vdd_vt(tech, VT, VDD, workers=1)
+        serial = sweep_vdd_vt(tech, VT, VDD, config=RunConfig())
         faults.reset_attempts()
-        parallel = sweep_vdd_vt(tech, VT, VDD, workers=3)
+        parallel = sweep_vdd_vt(tech, VT, VDD, config=RunConfig(workers=3))
         for name in ("frequency_hz", "edp_j_s", "snm_v", "total_power_w",
                      "static_power_w"):
             assert np.array_equal(getattr(serial, name),
@@ -60,7 +61,8 @@ class TestRowQuarantine:
     def test_strict_raises(self, tech, workers):
         faults.enable("scf@1")
         with pytest.raises(ConvergenceError) as err:
-            sweep_vdd_vt(tech, VT, VDD, workers=workers, strict=True)
+            sweep_vdd_vt(tech, VT, VDD,
+                         config=RunConfig(workers=workers, strict=True))
         assert err.value.context["row_index"] == 1
         assert err.value.context["vt"] == float(VT[1])
         assert err.value.context["injected"] is True
@@ -70,7 +72,7 @@ class TestWorkerCrashRecovery:
     def test_crashed_worker_rows_recomputed(self, tech, baseline):
         obs.enable()
         faults.enable("worker@1")
-        grid = sweep_vdd_vt(tech, VT, VDD, workers=2)
+        grid = sweep_vdd_vt(tech, VT, VDD, config=RunConfig(workers=2))
         assert grid.failures == ()
         for name in ("frequency_hz", "edp_j_s", "snm_v"):
             assert np.array_equal(getattr(grid, name),
@@ -82,4 +84,5 @@ class TestWorkerCrashRecovery:
     def test_strict_propagates_pool_failure(self, tech):
         faults.enable("worker@1")
         with pytest.raises(ParallelMapError):
-            sweep_vdd_vt(tech, VT, VDD, workers=2, strict=True)
+            sweep_vdd_vt(tech, VT, VDD,
+                         config=RunConfig(workers=2, strict=True))

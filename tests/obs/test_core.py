@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import os
-
 from repro import obs
+from repro.config import RunConfig
+from repro.runtime import parallel_map
+
+
+def _worker_flag(_item):
+    """Module-level so it pickles: the tracing flag a pool worker sees."""
+    return obs.ACTIVE
 
 
 class TestFlag:
@@ -12,17 +17,18 @@ class TestFlag:
         assert obs.ACTIVE is False
         assert obs.active() is False
 
-    def test_enable_sets_env_for_workers(self):
+    def test_enable_reaches_workers(self):
         obs.enable()
         assert obs.ACTIVE is True
-        assert os.environ[obs.TRACE_ENV] == "1"
+        assert parallel_map(_worker_flag, [0, 1], workers=2) == [True, True]
         obs.disable()
         assert obs.ACTIVE is False
-        assert obs.TRACE_ENV not in os.environ
+        assert parallel_map(_worker_flag, [0, 1], workers=2) == [False, False]
+        obs.reset()
 
     def test_falsey_env_values_stay_disabled(self):
         for value in ("", "0", "false", "OFF", "No"):
-            assert value.strip().lower() in obs._FALSEY
+            assert RunConfig.from_env({"REPRO_TRACE": value}).trace is False
 
 
 class TestDisabledPath:

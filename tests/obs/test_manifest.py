@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 
 
 def _traced_snapshot() -> dict:
@@ -81,8 +83,24 @@ class TestManifestDocument:
     def test_env_knobs_are_captured(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
         manifest = obs.build_manifest("env test")
-        assert manifest["env"]["REPRO_WORKERS"] == "4"
-        assert all(k.startswith("REPRO_") for k in manifest["env"])
+        assert manifest["run_config"]["workers"] == 4
+        assert set(manifest["run_config"]) == {
+            f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_resolved_run_config_is_recorded_whole(self):
+        config = RunConfig(workers=3, strict=True, faults="scf@1")
+        manifest = obs.build_manifest("config test", run_config=config)
+        assert manifest["run_config"] == {
+            "workers": 3, "strict": True, "checkpoint": 0, "resume": False,
+            "faults": "scf@1", "use_cache": True, "cache_dir": None,
+            "trace": False, "sanitize": False}
+        assert "env" not in manifest
+        text = obs.summarize_text(manifest)
+        assert ("  run config: workers=3 strict=True checkpoint=0 "
+                "resume=False faults=scf@1 use_cache=True cache_dir=None "
+                "trace=False sanitize=False") in text
+        assert obs.summarize_json(manifest)["run_config"] == \
+            manifest["run_config"]
 
     def test_git_revision_is_none_outside_a_repo(self, tmp_path,
                                                  monkeypatch):
@@ -119,6 +137,22 @@ class TestPersistence:
         assert loaded["annotations"] == {"scheduler_kind": "LocalScheduler"}
         assert "run manifest: legacy" in obs.summarize_text(loaded)
         json.dumps(obs.summarize_json(loaded))
+
+    def test_env_block_of_older_manifests_still_summarizes(self, tmp_path):
+        # Manifests written before the run_config block carry the raw
+        # REPRO_* environment instead.
+        _traced_snapshot()
+        manifest = obs.build_manifest("older")
+        del manifest["run_config"]
+        manifest["env"] = {"REPRO_TRACE": "1", "REPRO_WORKERS": "2"}
+        path = obs.write_manifest(manifest, tmp_path / "old.manifest.json")
+        loaded = obs.load_manifest(path)
+        text = obs.summarize_text(loaded)
+        assert "  env: REPRO_TRACE=1 REPRO_WORKERS=2" in text
+        assert "run config:" not in text
+        summary = obs.summarize_json(loaded)
+        assert summary["env"] == {"REPRO_TRACE": "1", "REPRO_WORKERS": "2"}
+        assert summary["run_config"] is None
 
     def test_parent_directories_are_created(self, tmp_path):
         manifest = obs.build_manifest("nested")

@@ -22,7 +22,7 @@ def _sweep(workers: int | None, chunk_size: int | None = None) -> list[int]:
 
 class TestWorkerForwarding:
     def test_worker_spans_nest_under_parallel_map(self):
-        obs.enable()  # workers inherit REPRO_TRACE from the environment
+        obs.enable()  # workers get the flag from the pool initializer
         results = _sweep(workers=2, chunk_size=2)
         assert results == [x * x for x in range(8)]
         snap = obs.snapshot()

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.config import CACHE_DIR_ENV, NO_CACHE_ENV, RunConfig
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
 from repro.device.tables import (
     build_device_table,
@@ -12,11 +13,7 @@ from repro.device.tables import (
     table_cache_key,
 )
 from repro.runtime.cache import (
-    CACHE_DIR_ENV,
-    NO_CACHE_ENV,
     ArtifactCache,
-    cache_enabled,
-    cache_root,
     canonical_repr,
     content_key,
 )
@@ -80,7 +77,7 @@ class TestArtifactCache:
     def test_disabled_by_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(NO_CACHE_ENV, "1")
         store = ArtifactCache("tables", root=tmp_path)
-        assert not cache_enabled()
+        assert not RunConfig.from_env().use_cache
         assert not store.enabled
         assert store.put("k1", x=np.zeros(2)) is None
         assert store.get("k1") is None
@@ -88,7 +85,7 @@ class TestArtifactCache:
 
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "elsewhere"))
-        assert cache_root() == tmp_path / "elsewhere"
+        assert RunConfig.from_env().cache_root == tmp_path / "elsewhere"
 
     def test_clear_counts_artifacts(self, tmp_path):
         store = ArtifactCache("tables", root=tmp_path)
@@ -169,7 +166,8 @@ class TestDeviceTablePersistence:
         assert not (_isolated_cache / "tables").exists()
 
     def test_use_cache_false_bypasses_disk(self, _isolated_cache):
-        build_device_table(GNRFETGeometry(), VG, VD, use_cache=False)
+        build_device_table(GNRFETGeometry(), VG, VD,
+                           config=RunConfig(use_cache=False))
         assert not (_isolated_cache / "tables").exists()
 
     def test_corrupt_artifact_rebuilt(self, _isolated_cache):

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import CheckpointError, ConvergenceError
-from repro.runtime import faults
+from repro.runtime import faults, parallel_map
+
+
+def _worker_plan(_item):
+    """Module-level so it pickles: the plan a pool worker sees."""
+    return faults.ACTIVE, faults.SPEC
 
 
 @pytest.fixture(autouse=True)
@@ -40,14 +45,15 @@ class TestParseSpec:
 
 
 class TestArming:
-    def test_enable_sets_env_and_flag(self, monkeypatch):
+    def test_enable_arms_workers_and_flag(self):
         faults.enable("scf@2")
         assert faults.ACTIVE
-        import os
-        assert os.environ[faults.FAULTS_ENV] == "scf@2"
+        assert parallel_map(_worker_plan, [0, 1], workers=2) == [
+            (True, "scf@2")] * 2
         faults.disable()
         assert not faults.ACTIVE
-        assert faults.FAULTS_ENV not in os.environ
+        assert parallel_map(_worker_plan, [0, 1], workers=2) == [
+            (False, "")] * 2
 
     def test_should_fire_only_at_armed_indices(self):
         faults.enable("scf@2")

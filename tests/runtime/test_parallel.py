@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.config import WORKERS_ENV
 from repro.errors import ParallelMapError
+from repro.runtime import parallel
 from repro.runtime.parallel import (
-    WORKERS_ENV,
-    _IN_WORKER_ENV,
     batch_indices,
     default_chunk_size,
     parallel_map,
@@ -59,7 +59,7 @@ class TestResolveWorkers:
         assert inner == [1, 1, 1, 1]
 
     def test_in_worker_env_forces_serial(self, monkeypatch):
-        monkeypatch.setenv(_IN_WORKER_ENV, "1")
+        monkeypatch.setattr(parallel, "_IN_WORKER", True)
         assert resolve_workers(8) == 1
 
 

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 from repro.errors import CheckpointError, ConvergenceError, ParallelMapError
 from repro.runtime.cache import ArtifactCache
 from repro.runtime import faults
 from repro.runtime.resilience import (
     FailureRecord,
     SweepCheckpoint,
-    checkpoint_interval,
     decode_failures,
     encode_failures,
     quarantine,
     recover_parallel,
-    resume_enabled,
     run_ladder,
-    strict_default,
 )
 
 
@@ -48,27 +46,27 @@ def _failing(n_failures, value="ok"):
 class TestEnvDefaults:
     def test_strict_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_STRICT", raising=False)
-        assert strict_default() is False
+        assert RunConfig.from_env().strict is False
         monkeypatch.setenv("REPRO_STRICT", "1")
-        assert strict_default() is True
+        assert RunConfig.from_env().strict is True
         monkeypatch.setenv("REPRO_STRICT", "off")
-        assert strict_default() is False
+        assert RunConfig.from_env().strict is False
 
     def test_checkpoint_interval(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKPOINT", raising=False)
-        assert checkpoint_interval() == 0
+        assert RunConfig.from_env().checkpoint == 0
         monkeypatch.setenv("REPRO_CHECKPOINT", "5")
-        assert checkpoint_interval() == 5
+        assert RunConfig.from_env().checkpoint == 5
         monkeypatch.setenv("REPRO_CHECKPOINT", "yes")
-        assert checkpoint_interval() == 1
+        assert RunConfig.from_env().checkpoint == 1
         monkeypatch.setenv("REPRO_CHECKPOINT", "0")
-        assert checkpoint_interval() == 0
+        assert RunConfig.from_env().checkpoint == 0
 
     def test_resume_enabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_RESUME", raising=False)
-        assert resume_enabled() is False
+        assert RunConfig.from_env().resume is False
         monkeypatch.setenv("REPRO_RESUME", "1")
-        assert resume_enabled() is True
+        assert RunConfig.from_env().resume is True
 
 
 class TestRunLadder:

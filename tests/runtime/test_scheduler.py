@@ -1,15 +1,11 @@
-"""Tests for the scheduler seam (``runtime.scheduler``)."""
+"""Tests for the one dispatch path (``runtime.scheduler``)."""
 
 import pytest
 
 from repro.errors import ParallelMapError
 from repro.runtime.parallel import guided_chunk_plan, in_worker, parallel_map
 from repro.runtime.resilience import recover_parallel
-from repro.runtime.scheduler import (
-    LocalScheduler,
-    Scheduler,
-    resolve_scheduler,
-)
+from repro.runtime.scheduler import LocalScheduler
 
 
 def _square(x):
@@ -134,28 +130,3 @@ class TestLocalScheduler:
 
     def test_repr_names_workers(self):
         assert "workers=3" in repr(LocalScheduler(workers=3))
-
-
-class TestResolveScheduler:
-    def test_default_is_local(self):
-        sched = resolve_scheduler(None, workers=2)
-        assert isinstance(sched, LocalScheduler)
-        assert sched.workers == 2
-
-    def test_explicit_instance_wins(self):
-        class Recording(Scheduler):
-            def __init__(self):
-                self.calls = 0
-
-            def run(self, fn, tasks, *, strict=False, chunk_size=None):
-                self.calls += 1
-                return [fn(task) for task in tasks]
-
-        rec = Recording()
-        assert resolve_scheduler(rec, workers=8) is rec
-        assert rec.run(_square, [1, 2]) == [1, 4]
-        assert rec.calls == 1
-
-    def test_base_class_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            Scheduler().run(_square, [1])

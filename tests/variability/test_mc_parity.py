@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 from repro.errors import CheckpointError, ConvergenceError
 from repro.runtime import faults
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
@@ -89,7 +90,8 @@ def test_variants_of_the_study(tech, kwargs):
 
 
 def test_pooled_run(tech):
-    result = run_ring_oscillator_monte_carlo(tech, n_samples=40, workers=2)
+    result = run_ring_oscillator_monte_carlo(tech, n_samples=40,
+                                             config=RunConfig(workers=2))
     _assert_same(result, ref.monte_carlo(tech, n_samples=40))
 
 
@@ -97,7 +99,7 @@ class TestFaults:
     def test_quarantined_samples(self, tech):
         faults.enable("scf@3,7")
         result = run_ring_oscillator_monte_carlo(tech, n_samples=20,
-                                                 workers=1)
+                                                 config=RunConfig())
         faults.reset_attempts()
         oracle = ref.monte_carlo(tech, n_samples=20)
         assert {f.index for f in result.failures} == {3, 7}
@@ -106,8 +108,8 @@ class TestFaults:
     def test_strict_raises_at_the_same_sample(self, tech):
         faults.enable("scf@7")
         with pytest.raises(ConvergenceError) as new:
-            run_ring_oscillator_monte_carlo(tech, n_samples=20, workers=1,
-                                            strict=True)
+            run_ring_oscillator_monte_carlo(tech, n_samples=20,
+                                            config=RunConfig(strict=True))
         faults.reset_attempts()
         with pytest.raises(ConvergenceError) as old:
             ref.monte_carlo(tech, n_samples=20, strict=True)
@@ -117,11 +119,11 @@ class TestFaults:
     def test_killed_then_resumed(self, tech):
         faults.enable("checkpoint@1")  # the second snapshot write dies
         with pytest.raises(CheckpointError):
-            run_ring_oscillator_monte_carlo(tech, n_samples=20, workers=1,
-                                            checkpoint=5)
+            run_ring_oscillator_monte_carlo(tech, n_samples=20,
+                                            config=RunConfig(checkpoint=5))
         faults.disable()
         resumed = run_ring_oscillator_monte_carlo(
-            tech, n_samples=20, workers=1, checkpoint=5, resume=True)
+            tech, n_samples=20, config=RunConfig(checkpoint=5, resume=True))
         # The snapshot stores the counts with sorted keys, so a resumed
         # run restores them in label order.
         _assert_same(resumed, ref.monte_carlo(tech, n_samples=20),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import Scheduler
+from repro.runtime import LocalScheduler
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 
 
@@ -79,11 +79,9 @@ class TestRealDistribution:
         assert device.mean_frequency_shift < result.mean_frequency_shift
 
 
-class _NoDispatch(Scheduler):
-    """A scheduler that fails the test if any work reaches it."""
-
-    def run(self, fn, tasks, *, strict=False, chunk_size=None):
-        raise AssertionError("work was dispatched")
+def _no_dispatch(self, fn, tasks, *, strict=False, chunk_size=None):
+    """Stands in for ``LocalScheduler.run``: fails if work reaches it."""
+    raise AssertionError("work was dispatched")
 
 
 class TestArgumentValidation:
@@ -100,7 +98,7 @@ class TestArgumentValidation:
         {"charge_levels": (-1.0, 0.0, 0.5, 1.0)},
         {"granularity": "array"},
     ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
-    def test_rejected_before_prefetch(self, tech, kwargs):
+    def test_rejected_before_prefetch(self, tech, kwargs, monkeypatch):
+        monkeypatch.setattr(LocalScheduler, "run", _no_dispatch)
         with pytest.raises(ValueError):
-            run_ring_oscillator_monte_carlo(tech, scheduler=_NoDispatch(),
-                                            **kwargs)
+            run_ring_oscillator_monte_carlo(tech, **kwargs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 from repro.errors import CheckpointError, ConvergenceError
 from repro.runtime import faults
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
@@ -25,14 +26,14 @@ def _disarm():
 def baseline(tech):
     faults.disable()
     return run_ring_oscillator_monte_carlo(tech, n_samples=N_SAMPLES,
-                                           seed=2008, workers=1)
+                                           seed=2008, config=RunConfig())
 
 
 class TestSampleQuarantine:
     def test_failed_samples_are_nan_rows_with_records(self, tech, baseline):
         faults.enable("scf@3,7")
         result = run_ring_oscillator_monte_carlo(tech, n_samples=N_SAMPLES,
-                                                 seed=2008, workers=1)
+                                                 seed=2008, config=RunConfig())
         assert {f.index for f in result.failures} == {3, 7}
         assert all(f.site == "montecarlo" for f in result.failures)
         assert np.isnan(result.frequencies_hz[3])
@@ -47,10 +48,10 @@ class TestSampleQuarantine:
     def test_serial_equals_parallel_bitwise(self, tech):
         faults.enable("scf@3,7")
         serial = run_ring_oscillator_monte_carlo(tech, n_samples=N_SAMPLES,
-                                                 seed=2008, workers=1)
+                                                 seed=2008, config=RunConfig())
         faults.reset_attempts()
         parallel = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008, workers=4)
+            tech, n_samples=N_SAMPLES, seed=2008, config=RunConfig(workers=4))
         assert np.array_equal(serial.frequencies_hz,
                               parallel.frequencies_hz, equal_nan=True)
         assert np.array_equal(serial.static_power_w,
@@ -62,8 +63,9 @@ class TestSampleQuarantine:
         faults.enable("scf@7")
         with pytest.raises(ConvergenceError) as err:
             run_ring_oscillator_monte_carlo(tech, n_samples=N_SAMPLES,
-                                            seed=2008, workers=workers,
-                                            strict=True)
+                                            seed=2008,
+                                            config=RunConfig(workers=workers,
+                                                             strict=True))
         assert err.value.context["sample_index"] == 7
         assert err.value.context["injected"] is True
 
@@ -73,12 +75,12 @@ class TestCheckpointResume:
         faults.enable("checkpoint@1")  # second snapshot write dies
         with pytest.raises(CheckpointError):
             run_ring_oscillator_monte_carlo(tech, n_samples=N_SAMPLES,
-                                            seed=2008, workers=1,
-                                            checkpoint=5)
+                                            seed=2008,
+                                            config=RunConfig(checkpoint=5))
         faults.disable()
         resumed = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008, workers=1,
-            checkpoint=5, resume=True)
+            tech, n_samples=N_SAMPLES, seed=2008,
+            config=RunConfig(checkpoint=5, resume=True))
         assert np.array_equal(resumed.frequencies_hz,
                               baseline.frequencies_hz)
         assert np.array_equal(resumed.dynamic_power_w,
@@ -90,12 +92,13 @@ class TestCheckpointResume:
 
     def test_completed_run_clears_checkpoint(self, tech, baseline):
         first = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008, workers=1, checkpoint=5)
+            tech, n_samples=N_SAMPLES, seed=2008,
+            config=RunConfig(checkpoint=5))
         assert np.array_equal(first.frequencies_hz,
                               baseline.frequencies_hz)
         resumed = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008, workers=1,
-            checkpoint=5, resume=True)
+            tech, n_samples=N_SAMPLES, seed=2008,
+            config=RunConfig(checkpoint=5, resume=True))
         assert np.array_equal(resumed.frequencies_hz,
                               baseline.frequencies_hz)
 
@@ -107,7 +110,7 @@ class TestWorkerCrashRecovery:
         # batches the second batch starts at sample 3
         faults.enable("worker@3")
         result = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008, workers=2)
+            tech, n_samples=N_SAMPLES, seed=2008, config=RunConfig(workers=2))
         assert np.array_equal(result.frequencies_hz,
                               baseline.frequencies_hz)
         assert result.variant_counts == baseline.variant_counts
