@@ -1,12 +1,11 @@
 """Resilience overhead: disabled hooks must cost nothing measurable.
 
 The resilience layer (:mod:`repro.runtime.resilience` /
-:mod:`repro.runtime.faults`) threads three kinds of hooks through the
+:mod:`repro.runtime.faults`) threads two kinds of hooks through the
 sweep hot paths: ``if faults.ACTIVE:`` guards in front of every
-injectable site, the retry-ladder wrapper around every cell solve, and
-the checkpoint ``due()`` accounting per completed row.  The design
-claim — same as the sanitizer's — is that with faults disabled and
-checkpointing off, a sweep is indistinguishable from the pre-resilience
+injectable site, and the retry-ladder wrapper around every ladder
+solve.  The design claim — same as the sanitizer's — is that with
+faults disabled, a sweep is indistinguishable from the pre-resilience
 engine.  This bench pins that claim with the
 ``bench_sanitizer_overhead`` methodology:
 

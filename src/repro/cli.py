@@ -5,7 +5,7 @@ Usage::
     repro list
     repro run fig4 [--fast] [--out report.txt] [--workers 4] [--no-cache]
     repro run all [--fast] [--sanitize] [--trace]
-    repro run fig4 [--strict] [--checkpoint N] [--resume] [--faults SPEC]
+    repro run fig4 [--strict] [--faults SPEC]
     repro lint [paths ...] [--format json] [--baseline FILE]
     repro characterize [--check|--update|--docs] [--only fig2,table1] [--fast]
     repro cache info
@@ -17,10 +17,10 @@ Usage::
 flags taking precedence, before doing anything else; a malformed knob
 exits 2 with one line naming it.  ``repro run`` passes the config to
 every experiment: ``--workers`` / ``--no-cache`` set the worker count
-and the on-disk table cache of every sweep, ``--strict`` /
-``--checkpoint N`` / ``--resume`` / ``--faults SPEC`` the resilience
-layer of :mod:`repro.runtime.resilience` (see ``docs/robustness.md``),
-``--sanitize`` the numerical sanitizer of :mod:`repro.sanitize` and
+and the on-disk table cache of every sweep, ``--strict`` / ``--faults
+SPEC`` the resilience layer of :mod:`repro.runtime.resilience` (see
+``docs/robustness.md``), ``--sanitize`` the numerical sanitizer of
+:mod:`repro.sanitize` and
 ``--trace`` the observability layer of :mod:`repro.obs`, which writes
 a JSON run manifest next to the report.  ``repro lint`` is the static
 analysis front end of :mod:`repro.analysis`, and ``repro trace
@@ -65,8 +65,6 @@ def _resolve_config(args) -> RunConfig | None:
             workers=getattr(args, "workers", None),
             use_cache=False if getattr(args, "no_cache", False) else None,
             strict=getattr(args, "strict", False) or None,
-            checkpoint=getattr(args, "checkpoint", None),
-            resume=getattr(args, "resume", False) or None,
             faults=getattr(args, "faults", None),
             sanitize=getattr(args, "sanitize", False) or None,
             trace=getattr(args, "trace", False) or None)
@@ -193,14 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="raise on the first non-converged sweep cell "
                             "instead of quarantining it "
                             "(equivalent to REPRO_STRICT=1)")
-    p_run.add_argument("--checkpoint", type=int, default=None, metavar="N",
-                       help="write an atomic sweep checkpoint every N "
-                            "completed rows/samples "
-                            "(equivalent to REPRO_CHECKPOINT=N)")
-    p_run.add_argument("--resume", action="store_true",
-                       help="resume sweeps from existing checkpoints, "
-                            "recomputing only missing cells "
-                            "(equivalent to REPRO_RESUME=1)")
     p_run.add_argument("--faults", default=None, metavar="SPEC",
                        help="deterministic fault injection spec, e.g. "
                             "'scf@3,17x2;worker@1' "

@@ -1,4 +1,4 @@
-"""One resolved run configuration: the nine ``REPRO_*`` knobs, read once.
+"""One resolved run configuration: the seven ``REPRO_*`` knobs, read once.
 
 Layer: cross-cutting utility below :mod:`repro.obs` (imports nothing
 from :mod:`repro`).  Responsibility: turn the environment — and, at
@@ -6,10 +6,10 @@ the CLI, the flags that override it — into one frozen
 :class:`RunConfig`, and be the only code that reads ``os.environ``.
 
 Every knob is execution policy: it changes how a run executes (worker
-count, failure policy, checkpoints, cache location, tracing, the
-sanitizer, injected faults), never a finite result.  That is why no
-cache or checkpoint key ever sees a :class:`RunConfig`: the keys hash
-only the explicit inputs of the artifact they name.
+count, failure policy, cache location, tracing, the sanitizer,
+injected faults), never a finite result.  That is why no cache key
+ever sees a :class:`RunConfig`: the keys hash only the explicit inputs
+of the artifact they name.
 
 Entry points resolve the config once (``repro run``, ``repro
 characterize`` and ``repro cache`` with their flags taking precedence)
@@ -31,8 +31,6 @@ from typing import Any, Mapping
 
 WORKERS_ENV = "REPRO_WORKERS"
 STRICT_ENV = "REPRO_STRICT"
-CHECKPOINT_ENV = "REPRO_CHECKPOINT"
-RESUME_ENV = "REPRO_RESUME"
 FAULTS_ENV = "REPRO_FAULTS"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -42,11 +40,8 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 #: Words a boolean knob reads as false (compared case-insensitively).
 FALSE_WORDS = ("", "0", "false", "off", "no")
 
-#: Words ``REPRO_CHECKPOINT`` reads as "after every unit".
-_TRUE_WORDS = ("true", "on", "yes")
-
 #: Fault-injection sites (see :mod:`repro.runtime.faults`).
-FAULT_SITES = ("scf", "worker", "checkpoint")
+FAULT_SITES = ("scf", "worker")
 
 #: Cache root used when ``REPRO_CACHE_DIR`` is unset.
 DEFAULT_CACHE_DIR = Path("~/.cache/repro-gnrfet")
@@ -95,24 +90,6 @@ def parse_fault_spec(spec: str) -> dict[tuple[str, int], int | None]:
     return plan
 
 
-def _parse_checkpoint(raw: str) -> int:
-    """A non-negative interval, or a boolean word (true = every unit)."""
-    word = raw.strip().lower()
-    try:
-        interval = int(word)
-    except ValueError:
-        if word in FALSE_WORDS:
-            return 0
-        if word in _TRUE_WORDS:
-            return 1
-        raise ValueError(
-            f"expected a non-negative integer or a boolean word, "
-            f"got {raw!r}") from None
-    if interval < 0:
-        raise ValueError(f"expected a non-negative integer, got {raw!r}")
-    return interval
-
-
 def _parse_workers(raw: str) -> int:
     try:
         return int(raw.strip() or "1")
@@ -137,10 +114,6 @@ class RunConfig:
         a worker process, so pools never nest).
     strict:
         Raise on the first failed sweep cell instead of quarantining it.
-    checkpoint:
-        Checkpoint interval in sweep units (rows, samples); 0 disables.
-    resume:
-        Resume sweeps from an existing checkpoint.
     faults:
         Deterministic fault-injection spec ("" = none).
     use_cache:
@@ -156,8 +129,6 @@ class RunConfig:
 
     workers: int = 1
     strict: bool = False
-    checkpoint: int = 0
-    resume: bool = False
     faults: str = ""
     use_cache: bool = True
     cache_dir: Path | None = None
@@ -165,17 +136,14 @@ class RunConfig:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("strict", "resume", "use_cache", "trace", "sanitize"):
+        for name in ("strict", "use_cache", "trace", "sanitize"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got "
                                  f"{getattr(self, name)!r}")
-        for name in ("workers", "checkpoint"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.checkpoint < 0:
+        if (isinstance(self.workers, bool)
+                or not isinstance(self.workers, int)):
             raise ValueError(
-                f"checkpoint must be >= 0, got {self.checkpoint}")
+                f"workers must be an integer, got {self.workers!r}")
         if not isinstance(self.faults, str):
             raise ValueError(f"faults must be a string, got {self.faults!r}")
         parse_fault_spec(self.faults)
@@ -211,8 +179,6 @@ class RunConfig:
         return cls(
             workers=parsed(WORKERS_ENV, _parse_workers, 1),
             strict=parsed(STRICT_ENV, _parse_flag, False),
-            checkpoint=parsed(CHECKPOINT_ENV, _parse_checkpoint, 0),
-            resume=parsed(RESUME_ENV, _parse_flag, False),
             faults=parsed(FAULTS_ENV, _parse_faults, ""),
             use_cache=not parsed(NO_CACHE_ENV, _parse_flag, False),
             cache_dir=Path(cache_dir) if cache_dir else None,
@@ -235,13 +201,11 @@ class RunConfig:
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CHECKPOINT_ENV",
     "DEFAULT_CACHE_DIR",
     "FALSE_WORDS",
     "FAULTS_ENV",
     "FAULT_SITES",
     "NO_CACHE_ENV",
-    "RESUME_ENV",
     "RunConfig",
     "SANITIZE_ENV",
     "STRICT_ENV",

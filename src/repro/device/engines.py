@@ -17,7 +17,7 @@ RealSpaceGNRDevice`): the slow reference the other two are validated
 
 Every engine shares the same electrostatics (bisection over the density
 LUT); only ``transmission(E, profile)`` swaps.  The engine choice is
-part of every table/checkpoint cache key through
+part of every table cache key through
 :func:`engine_version`, so artifacts from different engines can never
 collide.
 

@@ -18,10 +18,7 @@ Resilience (see ``docs/robustness.md``): a cell whose solve raises
 :class:`~repro.runtime.resilience.FailureRecord` on the result (and in
 the obs manifest) unless the run config is ``strict``, in which case
 the first failure raises with its bias point and cell index in the
-error context.  With the config's ``checkpoint``/``resume`` the sweep
-writes atomic row-granular checkpoints and skips already-completed rows
-on resume — bitwise identical to an uninterrupted run because rows are
-independent.  A crashed worker process costs only its unfinished rows,
+error context.  A crashed worker process costs only its unfinished rows,
 which are recomputed in-process from the salvaged
 :class:`~repro.errors.ParallelMapError` state.
 """
@@ -35,15 +32,13 @@ import numpy as np
 
 from repro import obs
 from repro.config import RunConfig
-from repro.device.engines import DEFAULT_ENGINE, engine_version, resolve_engine
+from repro.device.engines import DEFAULT_ENGINE, resolve_engine
 from repro.device.geometry import GNRFETGeometry
 from repro.device.sbfet import SBFETModel
 from repro.errors import ConvergenceError
 from repro.runtime import (
     FailureRecord,
     LocalScheduler,
-    SweepCheckpoint,
-    content_key,
     in_worker,
     quarantine,
     resolve_workers,
@@ -147,18 +142,6 @@ def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
     return current, charge, midgap, failures
 
 
-_RowResult = tuple[np.ndarray, np.ndarray, np.ndarray, list[FailureRecord]]
-
-
-def sweep_checkpoint_key(geometry: GNRFETGeometry, vg_grid: np.ndarray,
-                         vd_grid: np.ndarray, n_modes: int | None,
-                         engine: str = DEFAULT_ENGINE) -> str:
-    """Checkpoint key of one sweep: every input its rows depend on."""
-    return content_key("sweep_iv", geometry, np.asarray(vg_grid, float),
-                       np.asarray(vd_grid, float), n_modes, engine,
-                       engine_version(engine))
-
-
 def sweep_iv(
     geometry: GNRFETGeometry,
     vg_grid: np.ndarray,
@@ -170,18 +153,12 @@ def sweep_iv(
     """Run the selected transport engine over a (V_G, V_D) grid.
 
     ``engine`` picks the transmission engine (see
-    :mod:`repro.device.engines`).  Its name and version tag enter the
-    checkpoint key, so checkpoints from different engines can never be
-    resumed into each other.
+    :mod:`repro.device.engines`).
 
     ``config`` (default :meth:`RunConfig.from_env`) says how the sweep
     executes: ``workers`` > 1 fans the gate rows out across a process
-    pool (bit-for-bit identical to serial); ``strict`` re-raises the
-    first failed cell instead of quarantining it; ``checkpoint`` is the
-    checkpoint interval in completed rows (0 disables) and ``resume``
-    loads an existing checkpoint and computes only the missing rows.
-    Checkpoints are keyed by :func:`sweep_checkpoint_key` under the
-    ``checkpoints`` cache namespace and deleted on completion.
+    pool in one dispatch (bit-for-bit identical to serial); ``strict``
+    re-raises the first failed cell instead of quarantining it.
     """
     vg_grid = np.asarray(vg_grid, dtype=float)
     vd_grid = np.asarray(vd_grid, dtype=float)
@@ -193,75 +170,27 @@ def sweep_iv(
     engine = resolve_engine(engine)
     config = RunConfig.from_env() if config is None else config
     strict = config.strict
-    interval = config.checkpoint
-    resume = config.resume
 
-    shape = (vg_grid.size, vd_grid.size)
-    current = np.full(shape, np.nan)
-    charge = np.full(shape, np.nan)
-    midgap = np.full(shape, np.nan)
-    done = np.zeros(vg_grid.size, dtype=bool)
-    failures: list[FailureRecord] = []
-
-    ckpt: SweepCheckpoint | None = None
-    if interval > 0 or resume:
-        ckpt = SweepCheckpoint.for_config(
-            sweep_checkpoint_key(geometry, vg_grid, vd_grid, n_modes,
-                                 engine), config)
-        if resume:
-            loaded = ckpt.load()
-            if loaded is not None and loaded[0].shape == done.shape:
-                done, arrays, saved_failures = loaded
-                current = np.asarray(arrays["current_a"], dtype=float)
-                charge = np.asarray(arrays["charge_c"], dtype=float)
-                midgap = np.asarray(arrays["midgap_ev"], dtype=float)
-                for record in saved_failures:
-                    failures.append(record)
-                    if obs.ACTIVE:
-                        # Re-recorded so the resumed run's manifest
-                        # carries the full failure set, not just the
-                        # post-resume tail.
-                        obs.incr("resilience.quarantined")
-                        obs.record_failure(record.to_dict())
-
-    def save_checkpoint() -> None:
-        assert ckpt is not None
-        ckpt.save(done, {"current_a": current, "charge_c": charge,
-                         "midgap_ev": midgap}, failures)
-
-    def store(i: int, row: _RowResult) -> None:
-        current[i], charge[i], midgap[i] = row[0], row[1], row[2]
-        failures.extend(row[3])
-        done[i] = True
-
-    tasks = [(int(i), float(vg_grid[i]))
-             for i in range(vg_grid.size) if not done[i]]
+    tasks = [(int(i), float(vg)) for i, vg in enumerate(vg_grid)]
     fn = partial(_solve_iv_row, geometry, vd_grid, n_modes, strict, engine)
     with obs.span("device.sweep_iv", n_index=geometry.n_index,
                   grid=f"{vg_grid.size}x{vd_grid.size}"):
         if resolve_workers(config.workers) <= 1:
             # Serial fast path: one model serves every row.
             model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
-            for task in tasks:
-                store(task[0], fn(task, model=model))
-                if ckpt is not None and ckpt.due():
-                    save_checkpoint()
+            rows = [fn(task, model=model) for task in tasks]
         else:
-            # With checkpointing on, rows are dispatched in waves of one
-            # checkpoint interval so a snapshot lands between waves;
-            # with it off this is a single scheduler call.
-            scheduler = LocalScheduler(workers=config.workers)
-            wave_size = (interval if ckpt is not None and ckpt.enabled
-                         and interval > 0 else len(tasks)) or 1
-            for w in range(0, len(tasks), wave_size):
-                wave = tasks[w:w + wave_size]
-                rows = scheduler.run(fn, wave, strict=strict)
-                for task, row in zip(wave, rows):
-                    store(task[0], row)
-                if ckpt is not None and ckpt.enabled and interval > 0:
-                    save_checkpoint()
-        if ckpt is not None:
-            ckpt.clear()
+            rows = LocalScheduler(workers=config.workers).run(
+                fn, tasks, strict=strict)
+
+    shape = (vg_grid.size, vd_grid.size)
+    current = np.full(shape, np.nan)
+    charge = np.full(shape, np.nan)
+    midgap = np.full(shape, np.nan)
+    failures: list[FailureRecord] = []
+    for i, (i_row, q_row, m_row, row_failures) in enumerate(rows):
+        current[i], charge[i], midgap[i] = i_row, q_row, m_row
+        failures.extend(row_failures)
     return IVSweep(vg=vg_grid, vd=vd_grid, current_a=current,
                    charge_c=charge, midgap_ev=midgap, geometry=geometry,
                    failures=tuple(failures))

@@ -93,15 +93,8 @@ class ParallelMapError(ReproError):
     n_cancelled:
         Chunks cancelled before they ran (their items were never
         computed).
-    chunk_size:
-        Items per chunk (the last chunk may be shorter), so callers can
-        map chunk indices back to item indices.  Only meaningful for
-        uniform chunking; see ``chunk_offsets``.
     chunk_offsets:
-        Start item index of each chunk, or ``None`` for uniform
-        chunking.  Set when the dispatch used an explicit per-chunk
-        size plan (work-stealing-style decreasing chunks), in which
-        case ``chunk_offsets[k]`` — not ``k * chunk_size`` — maps chunk
+        Start item index of each chunk: ``chunk_offsets[k]`` maps chunk
         ``k`` back to its first item.
     """
 
@@ -109,25 +102,13 @@ class ParallelMapError(ReproError):
                  completed: Mapping[int, list] | None = None,
                  failed: Mapping[int, str] | None = None,
                  n_chunks: int = 0, n_cancelled: int = 0,
-                 chunk_size: int = 1,
-                 chunk_offsets: Sequence[int] | None = None):
+                 chunk_offsets: Sequence[int] = ()):
         super().__init__(message)
         self.completed: dict[int, list] = dict(completed or {})
         self.failed: dict[int, str] = dict(failed or {})
         self.n_chunks = n_chunks
         self.n_cancelled = n_cancelled
-        self.chunk_size = chunk_size
-        self.chunk_offsets: tuple[int, ...] | None = (
-            None if chunk_offsets is None else tuple(chunk_offsets))
-
-
-class CheckpointError(ReproError):
-    """A sweep checkpoint could not be written or read back.
-
-    Also the vehicle of the ``checkpoint`` fault-injection site
-    (:mod:`repro.runtime.faults`), which interrupts a checkpoint write
-    at a chosen index to prove that resume survives torn writes.
-    """
+        self.chunk_offsets: tuple[int, ...] = tuple(chunk_offsets)
 
 
 class SanitizerError(ReproError):

@@ -117,7 +117,6 @@ def sweep_vdd_vt(
     vdd_grid: np.ndarray,
     n_stages: int = 15,
     with_snm: bool = True,
-    snm_points: int = 41,
     config: RunConfig | None = None,
 ) -> ExplorationGrid:
     """Quasi-static sweep of RO metrics and inverter SNM.

@@ -91,8 +91,6 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "cells_quarantined": count("resilience.quarantined"),
         "ladders_exhausted": count("resilience.exhausted"),
         "worker_crash_recoveries": count("resilience.worker_crash_recoveries"),
-        "checkpoint_writes": count("resilience.checkpoint_writes"),
-        "checkpoint_resumes": count("resilience.checkpoint_resumes"),
     }
 
 

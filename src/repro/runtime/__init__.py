@@ -7,9 +7,9 @@ over :func:`repro.runtime.parallel.parallel_map`), and the expensive
 self-consistent device tables persist across processes through
 :class:`repro.runtime.cache.ArtifactCache`.
 
-How a sweep executes — worker count, failure policy, checkpoints, the
-cache root — comes from the :class:`~repro.config.RunConfig` it is
-handed (see :mod:`repro.config` for the ``REPRO_*`` knobs).  The three
+How a sweep executes — worker count, failure policy, the cache root —
+comes from the :class:`~repro.config.RunConfig` it is handed (see
+:mod:`repro.config` for the ``REPRO_*`` knobs).  The three
 process-wide switches (tracing, the sanitizer, a fault plan) are set
 once per process by :func:`activate`; worker processes get the parent's
 switches from the pool initializer.
@@ -26,7 +26,6 @@ from repro.runtime.cache import (
 )
 from repro.runtime.parallel import (
     batch_indices,
-    default_chunk_size,
     guided_chunk_plan,
     in_worker,
     parallel_map,
@@ -35,9 +34,7 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.scheduler import LocalScheduler
 from repro.runtime.resilience import (
-    CHECKPOINT_NAMESPACE,
     FailureRecord,
-    SweepCheckpoint,
     quarantine,
     recover_parallel,
     run_ladder,
@@ -61,16 +58,13 @@ def activate(config: RunConfig) -> None:
 
 __all__ = [
     "ArtifactCache",
-    "CHECKPOINT_NAMESPACE",
     "FailureRecord",
     "LocalScheduler",
-    "SweepCheckpoint",
     "TABLE_ENGINE_VERSION",
     "activate",
     "batch_indices",
     "canonical_repr",
     "content_key",
-    "default_chunk_size",
     "guided_chunk_plan",
     "in_worker",
     "parallel_map",

@@ -1,9 +1,9 @@
 """Deterministic fault injection for exercising recovery paths.
 
 Every resilience mechanism in this repo — retry ladders, failure
-quarantine, checkpoint/resume, parallel-chunk salvage — exists for
-events that essentially never occur in a healthy run.  This module makes
-those events *reproducible on demand* so each recovery path is testable
+quarantine, parallel-chunk salvage — exists for events that essentially
+never occur in a healthy run.  This module makes those events
+*reproducible on demand* so each recovery path is testable
 in CI: a fault specification names a site and the task indices at which
 that site must fail, and the instrumented call sites consult it through
 one module-flag guard (``if faults.ACTIVE:``), so a run without a fault
@@ -17,7 +17,7 @@ Specification grammar (:func:`repro.config.parse_fault_spec`)::
     spec     := clause (";" clause)*
     clause   := site "@" index ("," index)*
     index    := INT ("x" INT)?          # "x" caps how many attempts fail
-    site     := "scf" | "worker" | "checkpoint"
+    site     := "scf" | "worker"
 
 Examples
 --------
@@ -32,15 +32,11 @@ Examples
     The worker process handling task index 2 exits hard
     (``os._exit``), breaking the process pool — exercises
     :class:`~repro.errors.ParallelMapError` salvage.
-``checkpoint@1``
-    The second checkpoint write (index 1) is interrupted after the
-    temp file is written but before the atomic replace — exercises
-    resume-from-previous-checkpoint.
 
 Indices are *task indices of the enclosing sweep* (flat cell index for
-bias grids, sample index for Monte Carlo, write ordinal for
-checkpoints), never global call counts, so the same spec fires at the
-same logical work item at any worker count.  Attempt counters are
+bias grids, sample index for Monte Carlo), never global call counts,
+so the same spec fires at the same logical work item at any worker
+count.  Attempt counters are
 process-local; because a given task is always retried within the one
 process that owns it, ``xN`` counting is exact in workers too.
 """
@@ -50,7 +46,7 @@ from __future__ import annotations
 import os
 
 from repro.config import parse_fault_spec as parse_spec
-from repro.errors import CheckpointError, ConvergenceError
+from repro.errors import ConvergenceError
 
 #: Module-level guard flag: ``True`` iff a fault plan is armed.  Hot
 #: hooks check this before anything else, so a faultless run costs one
@@ -116,7 +112,6 @@ def inject(site: str, index: int, detail: str = "") -> None:
 
     * ``scf`` — :class:`~repro.errors.ConvergenceError` with a
       ``context`` marking the failure as injected;
-    * ``checkpoint`` — :class:`~repro.errors.CheckpointError`;
     * ``worker`` — hard process exit (``os._exit(17)``), the closest
       reproducible stand-in for an OOM-killed / segfaulted worker.
     """
@@ -125,8 +120,6 @@ def inject(site: str, index: int, detail: str = "") -> None:
     if site == "worker":
         os._exit(17)
     where = f"{site}@{index}" + (f" ({detail})" if detail else "")
-    if site == "checkpoint":
-        raise CheckpointError(f"injected checkpoint-write fault at {where}")
     raise ConvergenceError(
         f"injected {site} fault at {where}",
         context={"injected": True, "fault_site": site, "task_index": index})

@@ -14,9 +14,10 @@ Design rules
 * **Serial fallback** — ``workers <= 1`` (the default when neither the
   argument nor ``REPRO_WORKERS`` sets it) runs a plain list
   comprehension in-process: no pool, no pickling, easy debugging.
-* **Chunked dispatch** — items are shipped to workers in contiguous
-  chunks (default: ~4 chunks per worker) to amortize pickling overhead
-  while keeping the pool load-balanced.
+* **Guided chunks** — items are shipped to workers in contiguous chunks
+  of decreasing size (:func:`guided_chunk_plan`): large early chunks
+  amortize pickling overhead, small late ones keep the pool
+  load-balanced.
 * **No nested pools** — worker processes resolve every inner worker
   count to 1, so a parallel Monte Carlo whose workers build device
   tables never oversubscribes the machine.
@@ -32,6 +33,7 @@ Design rules
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -100,12 +102,6 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]
     return results, obs.drain()
 
 
-def default_chunk_size(n_items: int, workers: int,
-                       chunks_per_worker: int = 4) -> int:
-    """Chunk size giving ~``chunks_per_worker`` chunks per worker."""
-    return max(1, math.ceil(n_items / max(1, workers * chunks_per_worker)))
-
-
 def guided_chunk_plan(n_items: int, workers: int) -> list[int]:
     """Decreasing chunk sizes in the guided-self-scheduling style.
 
@@ -132,7 +128,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: int | None = None,
-    chunk_size: int | None = None,
     chunk_plan: Sequence[int] | None = None,
 ) -> list[R]:
     """``[fn(x) for x in items]`` across a process pool.
@@ -142,9 +137,8 @@ def parallel_map(
     ``fn`` must be a module-level function or a :func:`functools.partial`
     of one).
 
-    ``chunk_plan`` (mutually exclusive with ``chunk_size``) gives the
-    explicit size of every chunk in order, e.g. from
-    :func:`guided_chunk_plan`; the sizes must sum to ``len(items)``.
+    ``chunk_plan`` gives the size of every chunk in order (default
+    :func:`guided_chunk_plan`); the sizes must sum to ``len(items)``.
 
     Failure contract: on the serial path the item's exception propagates
     unchanged.  On the pooled path a chunk failure (worker exception or
@@ -158,31 +152,19 @@ def parallel_map(
     """
     items = list(items)
     workers = resolve_workers(workers)
-    if chunk_plan is not None:
-        if chunk_size is not None:
-            raise ValueError("pass chunk_size or chunk_plan, not both")
-        if sum(chunk_plan) != len(items) or any(s < 1 for s in chunk_plan):
-            raise ValueError(
-                f"chunk_plan {list(chunk_plan)!r} does not partition "
-                f"{len(items)} item(s)")
+    if chunk_plan is not None and (sum(chunk_plan) != len(items)
+                                   or any(s < 1 for s in chunk_plan)):
+        raise ValueError(
+            f"chunk_plan {list(chunk_plan)!r} does not partition "
+            f"{len(items)} item(s)")
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
 
-    if chunk_plan is not None:
-        offsets: list[int] | None = []
-        chunks = []
-        start = 0
-        for size in chunk_plan:
-            offsets.append(start)
-            chunks.append(items[start:start + size])
-            start += size
-        chunk_size = chunk_plan[0]
-    else:
-        offsets = None
-        if chunk_size is None:
-            chunk_size = default_chunk_size(len(items), workers)
-        chunks = [items[i:i + chunk_size]
-                  for i in range(0, len(items), chunk_size)]
+    if chunk_plan is None:
+        chunk_plan = guided_chunk_plan(len(items), workers)
+    offsets = list(itertools.accumulate(chunk_plan, initial=0))[:-1]
+    chunks = [items[start:start + size]
+              for start, size in zip(offsets, chunk_plan)]
 
     with obs.span("runtime.parallel_map", workers=workers,
                   items=len(items), chunks=len(chunks)):
@@ -233,7 +215,6 @@ def parallel_map(
                            if r is not None},
                 failed={k: repr(e) for k, e in sorted(failed.items())},
                 n_chunks=len(chunks), n_cancelled=n_cancelled,
-                chunk_size=chunk_size,
                 chunk_offsets=offsets) from failed[first]
         return [r for chunk in results
                 for r in chunk]  # type: ignore[union-attr]

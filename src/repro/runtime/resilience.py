@@ -1,4 +1,4 @@
-"""Resilient sweep execution: retry ladders, quarantine, checkpoints.
+"""Resilient sweep execution: retry ladders, quarantine, crash recovery.
 
 Every deliverable of the paper is a large independent-cell sweep — the
 I/Q(V_G, V_D) device tables, the V_DD–V_T exploration plane, the
@@ -21,44 +21,28 @@ Retry ladder (:func:`run_ladder`)
 
 Failure quarantine (:class:`FailureRecord`)
     When a cell fails and the sweep is not ``strict``, the cell is
-    NaN-masked and a structured, JSON-round-trippable record (exception
+    NaN-masked and a structured, JSON-serializable record (exception
     class, message, task index, grid coordinates, bias, rungs tried,
     residual, solver context) is collected into the sweep's result
     dataclass and the obs run manifest.
 
-Checkpoint/resume (:class:`SweepCheckpoint`)
-    Periodic atomic ``.npz`` checkpoints under the artifact cache
-    (namespace ``checkpoints``), keyed like the table cache by a content
-    hash of the sweep specification.  A resumed run loads the mask of
-    completed units and recomputes only the rest; because sweep units
-    (rows / samples) are computed independently, the resumed result is
-    bitwise-identical to an uninterrupted one.  The
-    checkpoint is deleted when the sweep completes.
+Worker-crash recovery (:func:`recover_parallel`)
+    When a process pool breaks, the chunks it delivered are kept and
+    only the undelivered tasks are recomputed in the parent.
 
 The policy comes from the sweep's :class:`~repro.config.RunConfig`:
-``strict`` flips the quarantine default back to raise-on-first-failure,
-``checkpoint`` sets the checkpoint interval in sweep units (``1`` =
-after every unit), ``resume`` makes sweeps look for an existing
-checkpoint before computing.  Deterministic failures for exercising
-these paths come from :mod:`repro.runtime.faults`.
+``strict`` flips the quarantine default back to raise-on-first-failure.
+Deterministic failures for exercising these paths come from
+:mod:`repro.runtime.faults`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
-import numpy as np
-
 from repro import obs
-from repro.config import RunConfig
-from repro.errors import CheckpointError, ConvergenceError, ParallelMapError
-import repro.runtime.faults as faults
-from repro.runtime.cache import ArtifactCache
-
-#: Artifact-cache namespace holding sweep checkpoints.
-CHECKPOINT_NAMESPACE = "checkpoints"
+from repro.errors import ConvergenceError, ParallelMapError
 
 T = TypeVar("T")
 
@@ -161,23 +145,12 @@ class FailureRecord:
                    context=context)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (round-trips via :meth:`from_dict`)."""
+        """JSON-serializable form (the manifest's ``failures`` entries)."""
         return {"site": self.site, "error": self.error,
                 "message": self.message, "index": self.index,
                 "coords": list(self.coords), "bias": dict(self.bias),
                 "rungs_tried": list(self.rungs_tried),
                 "residual": self.residual, "context": dict(self.context)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(site=str(data["site"]), error=str(data["error"]),
-                   message=str(data["message"]), index=int(data["index"]),
-                   coords=tuple(int(c) for c in data.get("coords", ())),
-                   bias=dict(data.get("bias", {})),
-                   rungs_tried=tuple(data.get("rungs_tried", ())),
-                   residual=data.get("residual"),
-                   context=dict(data.get("context", {})))
 
 
 def quarantine(exc: BaseException, site: str, index: int,
@@ -208,15 +181,12 @@ def recover_parallel(err: ParallelMapError, fn: Callable[[Any], T],
     recovery) and ``resilience.rows_recomputed`` (one per task).
     """
     results: list[T | None] = [None] * len(tasks)
-    delivered = np.zeros(len(tasks), dtype=bool)
+    delivered = [False] * len(tasks)
     for k, chunk_results in err.completed.items():
-        # Explicit chunk offsets (guided/dynamic plans) take precedence;
-        # uniform chunking keeps the k * chunk_size arithmetic.
-        start = (err.chunk_offsets[k] if err.chunk_offsets is not None
-                 else k * err.chunk_size)
-        for offset, value in enumerate(chunk_results):
-            results[start + offset] = value
-            delivered[start + offset] = True
+        start = err.chunk_offsets[k]
+        stop = start + len(chunk_results)
+        results[start:stop] = chunk_results
+        delivered[start:stop] = [True] * len(chunk_results)
     missing = [idx for idx in range(len(tasks)) if not delivered[idx]]
     if obs.ACTIVE:
         obs.incr("resilience.worker_crash_recoveries")
@@ -224,116 +194,3 @@ def recover_parallel(err: ParallelMapError, fn: Callable[[Any], T],
     for idx in missing:
         results[idx] = fn(tasks[idx])
     return results  # type: ignore[return-value]
-
-
-def encode_failures(records: Sequence[FailureRecord]) -> np.ndarray:
-    """Pack records into one JSON string array (npz-storable)."""
-    text = json.dumps([r.to_dict() for r in records], sort_keys=True)
-    return np.array(text)
-
-
-def decode_failures(encoded: np.ndarray) -> tuple[FailureRecord, ...]:
-    """Inverse of :func:`encode_failures`."""
-    return tuple(FailureRecord.from_dict(d)
-                 for d in json.loads(str(encoded)))
-
-
-# --------------------------------------------------------------------- #
-# Checkpoint / resume
-# --------------------------------------------------------------------- #
-class SweepCheckpoint:
-    """Atomic, resumable progress snapshots for one sweep.
-
-    A checkpoint stores a boolean ``done`` mask over sweep units, the
-    partially filled result arrays, and the failure records collected so
-    far.  Writes go through :class:`~repro.runtime.cache.ArtifactCache`
-    (same-directory temp file + ``os.replace``), so a checkpoint is
-    either fully the old snapshot or fully the new one — an interrupted
-    write (including the injected ``checkpoint`` fault) leaves the
-    previous snapshot intact.
-
-    The key must content-hash everything that determines the sweep's
-    output (geometry, grids, mode count, engine and its version),
-    exactly like the table cache: a resumed run with a different spec
-    simply misses and starts fresh.
-    """
-
-    def __init__(self, key: str, interval: int, cache: ArtifactCache):
-        self.key = key
-        self.interval = interval
-        self.cache = cache
-        self._writes = 0
-        self._since_last = 0
-
-    @classmethod
-    def for_config(cls, key: str, config: RunConfig) -> "SweepCheckpoint":
-        """Checkpoint ``key`` at ``config``'s interval, in its cache root."""
-        return cls(key, config.checkpoint,
-                   ArtifactCache.for_config(CHECKPOINT_NAMESPACE, config))
-
-    @property
-    def enabled(self) -> bool:
-        """True if snapshots will actually be written."""
-        return self.interval > 0 and self.cache.enabled
-
-    def due(self) -> bool:
-        """True when ``interval`` units completed since the last write."""
-        if not self.enabled:
-            return False
-        self._since_last += 1
-        return self._since_last >= self.interval
-
-    def save(self, done: np.ndarray, arrays: Mapping[str, np.ndarray],
-             failures: Sequence[FailureRecord] = ()) -> None:
-        """Atomically persist the current progress snapshot.
-
-        Raises :class:`~repro.errors.CheckpointError` if the write fails
-        (the previous snapshot, if any, stays readable).
-        """
-        if not self.enabled:
-            return
-        self._since_last = 0
-        write_index = self._writes
-        self._writes += 1
-        if faults.ACTIVE:
-            faults.inject("checkpoint", write_index, detail=self.key[:12])
-        reserved = {"__done__", "__failures__"}
-        if reserved & set(arrays):
-            raise CheckpointError(
-                f"checkpoint array names {sorted(reserved & set(arrays))} "
-                "are reserved")
-        try:
-            self.cache.put(self.key, __done__=np.asarray(done, dtype=bool),
-                           __failures__=encode_failures(failures), **arrays)
-        except CheckpointError:
-            raise
-        except OSError as exc:
-            raise CheckpointError(
-                f"could not write checkpoint {self.key[:12]}…: {exc}"
-            ) from exc
-        if obs.ACTIVE:
-            obs.incr("resilience.checkpoint_writes")
-
-    def load(self) -> tuple[np.ndarray, dict[str, np.ndarray],
-                            tuple[FailureRecord, ...]] | None:
-        """Load the latest snapshot, or None if absent/disabled/corrupt."""
-        if not self.cache.enabled:
-            return None
-        payload = self.cache.get(self.key)
-        if payload is None or "__done__" not in payload:
-            return None
-        done = np.asarray(payload.pop("__done__"), dtype=bool)
-        encoded = payload.pop("__failures__", None)
-        try:
-            failures = (decode_failures(encoded)
-                        if encoded is not None else ())
-        except (ValueError, KeyError, TypeError):
-            return None  # torn/foreign payload: start fresh
-        if obs.ACTIVE:
-            obs.incr("resilience.checkpoint_resumes")
-        return done, payload, failures
-
-    def clear(self) -> None:
-        """Remove the checkpoint (called when the sweep completes)."""
-        if self.cache.enabled:
-            self.cache.path_for(self.key).unlink(missing_ok=True)

@@ -52,24 +52,19 @@ count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from repro import obs
 from repro.circuit.ring_oscillator import simulate_ring_oscillator
 from repro.config import RunConfig
 from repro.errors import ConvergenceError
 from repro.exploration.technology import GNRFETTechnology
 from repro.runtime import (
-    TABLE_ENGINE_VERSION,
     FailureRecord,
     LocalScheduler,
-    SweepCheckpoint,
     batch_indices,
-    content_key,
     in_worker,
     quarantine,
     resolve_workers,
@@ -278,8 +273,7 @@ def _evaluate_batch(
     ``task`` is ``(sample_indices, seeds)`` — global sample indices plus
     the per-sample seed sequences spawned from the root seed by sample
     index, so results are independent of how samples are batched across
-    workers — ``workers=1`` and ``workers=4`` are bit-for-bit identical,
-    and a resumed run may re-batch the remaining samples freely.
+    workers — ``workers=1`` and ``workers=4`` are bit-for-bit identical.
 
     Each sample draws one block of standard normals ordered (stage,
     polarity n then p, ribbon, width then charge) — the order of the
@@ -337,29 +331,6 @@ def _evaluate_batch(
     return freqs, p_dyns, p_stats, counts, failures
 
 
-def monte_carlo_checkpoint_key(
-    tech: GNRFETTechnology,
-    n_samples: int,
-    vdd: float,
-    vt: float,
-    n_stages: int,
-    width_levels: tuple[int, int, int],
-    charge_levels: tuple[float, float, float],
-    seed: int,
-    granularity: str,
-) -> str:
-    """Checkpoint key of one Monte Carlo: every input its samples hold.
-
-    The samples are functions of the variant device tables, so the
-    table engine version is in the key too.  Calibration is not: it
-    rescales the raw checkpointed frequencies at return time.
-    """
-    return content_key("monte_carlo", tech.geometry, tech.params,
-                       n_samples, vdd, vt, n_stages, tuple(width_levels),
-                       tuple(charge_levels), seed, granularity,
-                       TABLE_ENGINE_VERSION)
-
-
 def run_ring_oscillator_monte_carlo(
     tech: GNRFETTechnology,
     n_samples: int = 1000,
@@ -386,16 +357,12 @@ def run_ring_oscillator_monte_carlo(
 
     ``config`` (default :meth:`RunConfig.from_env`) says how the study
     executes.  ``workers`` fans both the variant table builds and the
-    sample batches across a process pool; every sample draws from its
-    own generator spawned from ``seed`` by sample index, so the
-    distributions are bit-for-bit identical at any worker count.
-    ``strict`` re-raises the first failed sample; otherwise failed
-    samples are NaN rows recorded on ``failures`` (the shift properties
-    skip them).  ``checkpoint`` is the interval in completed samples
-    between atomic progress snapshots (keyed by
-    :func:`monte_carlo_checkpoint_key`); ``resume`` reloads one and
-    evaluates only the missing samples — bitwise-identical to an
-    uninterrupted run because every sample is keyed by its global index.
+    sample batches (one batch when serial, four per worker otherwise)
+    across a process pool; every sample draws from its own generator
+    spawned from ``seed`` by sample index, so the distributions are
+    bit-for-bit identical at any worker count.  ``strict`` re-raises the
+    first failed sample; otherwise failed samples are NaN rows recorded
+    on ``failures`` (the shift properties skip them).
     """
     if granularity not in ("ribbon", "device"):
         raise ValueError(f"granularity must be 'ribbon' or 'device', "
@@ -409,10 +376,6 @@ def run_ring_oscillator_monte_carlo(
     require_three_levels(charge_levels, "charge_levels")
     config = RunConfig.from_env() if config is None else config
     strict = config.strict
-    interval = config.checkpoint
-    resume = config.resume
-    n_workers = resolve_workers(config.workers)
-    sched = LocalScheduler(config.workers)
 
     electricals, nominal_ribbon = _variant_electricals(
         tech, vdd, vt, width_levels, charge_levels, config)
@@ -436,92 +399,20 @@ def run_ring_oscillator_monte_carlo(
     eval_fn = partial(_evaluate_batch, tech.params, vdd, vt, n_stages,
                       labels, granularity, electricals, nominal, strict)
 
-    freqs = np.full(n_samples, np.nan)
-    p_dyns = np.full(n_samples, np.nan)
-    p_stats = np.full(n_samples, np.nan)
-    done = np.zeros(n_samples, dtype=bool)
+    n_workers = resolve_workers(config.workers)
+    n_batches = 1 if n_workers <= 1 else 4 * n_workers
+    tasks = [(tuple(batch), [seeds[i] for i in batch])
+             for batch in batch_indices(n_samples, n_batches)]
+    results = LocalScheduler(config.workers).run(eval_fn, tasks,
+                                                 strict=strict)
+    freqs, p_dyns, p_stats = (np.concatenate([r[k] for r in results])
+                              for k in range(3))
     counts: dict[str, int] = {}
     failures: list[FailureRecord] = []
-
-    ckpt: SweepCheckpoint | None = None
-    if interval > 0 or resume:
-        ckpt = SweepCheckpoint.for_config(monte_carlo_checkpoint_key(
-            tech, n_samples, vdd, vt, n_stages, width_levels, charge_levels,
-            seed, granularity), config)
-        if resume:
-            loaded = ckpt.load()
-            if loaded is not None and loaded[0].shape == done.shape:
-                done, arrays, saved_failures = loaded
-                freqs = np.asarray(arrays["frequencies_hz"], dtype=float)
-                p_dyns = np.asarray(arrays["dynamic_power_w"], dtype=float)
-                p_stats = np.asarray(arrays["static_power_w"], dtype=float)
-                counts = {str(k): int(v) for k, v in json.loads(
-                    str(arrays["counts_json"])).items()}
-                for record in saved_failures:
-                    failures.append(record)
-                    if obs.ACTIVE:
-                        obs.incr("resilience.quarantined")
-                        obs.record_failure(record.to_dict())
-
-    def save_checkpoint() -> None:
-        assert ckpt is not None
-        ckpt.save(done, {
-            "frequencies_hz": freqs, "dynamic_power_w": p_dyns,
-            "static_power_w": p_stats,
-            "counts_json": np.array(json.dumps(counts, sort_keys=True)),
-        }, failures)
-
-    def store(task, result) -> None:
-        indices = task[0]
-        b_freqs, b_dyns, b_stats, b_counts, b_failures = result
-        for k, sample in enumerate(indices):
-            freqs[sample] = b_freqs[k]
-            p_dyns[sample] = b_dyns[k]
-            p_stats[sample] = b_stats[k]
-            done[sample] = True
+    for *_, b_counts, b_failures in results:
         for label, c in b_counts.items():
             counts[label] = counts.get(label, 0) + c
         failures.extend(b_failures)
-
-    remaining = [i for i in range(n_samples) if not done[i]]
-    checkpointing = ckpt is not None and ckpt.enabled and interval > 0
-    if checkpointing:
-        # One batch per checkpoint interval, independent of the worker
-        # count, so a killed run can resume under any parallelism.
-        n_batches = max(1, -(-len(remaining) // max(1, interval)))
-    elif n_workers <= 1:
-        n_batches = 1
-    else:
-        n_batches = n_workers * 4
-    tasks = []
-    if remaining:
-        for r in batch_indices(len(remaining), n_batches):
-            idx = tuple(remaining[r.start:r.stop])
-            tasks.append((idx, [seeds[i] for i in idx]))
-
-    if not checkpointing or n_workers <= 1:
-        if n_workers <= 1 and checkpointing:
-            for task in tasks:
-                store(task, eval_fn(task))
-                save_checkpoint()
-        else:
-            results = sched.run(eval_fn, tasks, strict=strict,
-                                chunk_size=1)
-            for task, result in zip(tasks, results):
-                store(task, result)
-    else:
-        # Parallel + checkpointing: dispatch one pool-width of batches
-        # per wave so a snapshot lands between waves.
-        wave_size = max(1, n_workers)
-        for w in range(0, len(tasks), wave_size):
-            wave = tasks[w:w + wave_size]
-            results = sched.run(eval_fn, wave, strict=strict,
-                                chunk_size=1)
-            for task, result in zip(wave, results):
-                store(task, result)
-            save_checkpoint()
-    if ckpt is not None:
-        ckpt.clear()
 
     return MonteCarloResult(
         frequencies_hz=freqs * calibration,

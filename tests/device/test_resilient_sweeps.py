@@ -2,9 +2,8 @@
 
 Forced SCF failures mid-sweep must yield NaN-masked cells with matching
 ``FailureRecord``s (identically serial and parallel), ``strict=True``
-must keep today's raise-on-first-failure behavior, a killed-then-resumed
-sweep must be bitwise-identical to an uninterrupted one, and a crashed
-worker process must cost nothing but a recompute.
+must keep today's raise-on-first-failure behavior, and a crashed worker
+process must cost nothing but a recompute.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device import tables
 from repro.device.tables import build_device_table
-from repro.errors import CheckpointError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.runtime import faults
 
 VG = np.linspace(0.0, 0.6, 13)
@@ -99,52 +98,6 @@ class TestQuarantine:
         assert len(manifest["failures"]) == 1
         assert manifest["failures"][0]["index"] == 3
         assert manifest["rollups"]["cells_quarantined"] == 1
-
-
-class TestCheckpointResume:
-    def test_killed_then_resumed_equals_uninterrupted(self, baseline):
-        # First run dies on its second checkpoint write (ordinal 1).
-        faults.enable("checkpoint@1")
-        with pytest.raises(CheckpointError):
-            sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=2))
-        faults.disable()
-        resumed = sweep_iv(GEOM, VG, VD,
-                           config=RunConfig(checkpoint=2, resume=True))
-        _assert_same(resumed, baseline)
-        assert resumed.failures == ()
-
-    def test_resume_skips_completed_rows(self, baseline):
-        faults.enable("checkpoint@2")
-        with pytest.raises(CheckpointError):
-            sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=1))
-        faults.disable()
-        obs.enable()
-        resumed = sweep_iv(GEOM, VG, VD,
-                           config=RunConfig(checkpoint=1, resume=True))
-        _assert_same(resumed, baseline)
-        counters = obs.snapshot()["counters"]
-        assert counters["resilience.checkpoint_resumes"] == 1
-        # two rows were checkpointed before the injected death, so the
-        # resumed run writes fewer checkpoints than a fresh one would
-        assert counters["resilience.checkpoint_writes"] <= VG.size - 2
-
-    def test_completed_sweep_clears_checkpoint(self, baseline):
-        sweep = sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=2))
-        _assert_same(sweep, baseline)
-        resumed = sweep_iv(GEOM, VG, VD,
-                           config=RunConfig(checkpoint=2, resume=True))
-        _assert_same(resumed, baseline)  # nothing stale to resume from
-
-    def test_resume_with_quarantine_keeps_failure_records(self):
-        faults.enable("scf@3;checkpoint@1")
-        with pytest.raises(CheckpointError):
-            sweep_iv(GEOM, VG, VD, config=RunConfig(checkpoint=2))
-        faults.enable("scf@3")  # keep the cell failing after resume
-        faults.reset_attempts()
-        resumed = sweep_iv(GEOM, VG, VD,
-                           config=RunConfig(checkpoint=2, resume=True))
-        assert {f.index for f in resumed.failures} == {3}
-        assert np.isnan(resumed.current_a[0, 3])
 
 
 class TestWorkerCrashRecovery:

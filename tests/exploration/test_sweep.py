@@ -10,7 +10,7 @@ from repro.exploration.sweep import sweep_vdd_vt
 def small_grid(tech):
     vt = np.array([0.08, 0.15, 0.22])
     vdd = np.array([0.25, 0.4, 0.55])
-    return sweep_vdd_vt(tech, vt, vdd, with_snm=True, snm_points=21)
+    return sweep_vdd_vt(tech, vt, vdd, with_snm=True)
 
 
 class TestSweep:

@@ -6,11 +6,15 @@ import json
 
 from repro import obs
 from repro.cli import main
+from repro.reporting import experiments
 
 
 class TestRunTrace:
     def test_traced_run_writes_manifest_with_rollups(self, tmp_path, tech,
-                                                     capsys):
+                                                     capsys, monkeypatch):
+        # An earlier in-process experiment may have built the nominal
+        # technology already; forget it so this run looks its table up.
+        monkeypatch.setattr(experiments, "_NOMINAL", [])
         out = tmp_path / "report.txt"
         assert main(["run", "fig2", "--fast", "--trace",
                      "--out", str(out)]) == 0

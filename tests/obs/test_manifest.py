@@ -91,14 +91,14 @@ class TestManifestDocument:
         config = RunConfig(workers=3, strict=True, faults="scf@1")
         manifest = obs.build_manifest("config test", run_config=config)
         assert manifest["run_config"] == {
-            "workers": 3, "strict": True, "checkpoint": 0, "resume": False,
-            "faults": "scf@1", "use_cache": True, "cache_dir": None,
-            "trace": False, "sanitize": False}
+            "workers": 3, "strict": True, "faults": "scf@1",
+            "use_cache": True, "cache_dir": None, "trace": False,
+            "sanitize": False}
         assert "env" not in manifest
         text = obs.summarize_text(manifest)
-        assert ("  run config: workers=3 strict=True checkpoint=0 "
-                "resume=False faults=scf@1 use_cache=True cache_dir=None "
-                "trace=False sanitize=False") in text
+        assert ("  run config: workers=3 strict=True faults=scf@1 "
+                "use_cache=True cache_dir=None trace=False "
+                "sanitize=False") in text
         assert obs.summarize_json(manifest)["run_config"] == \
             manifest["run_config"]
 
@@ -153,6 +153,27 @@ class TestPersistence:
         summary = obs.summarize_json(loaded)
         assert summary["env"] == {"REPRO_TRACE": "1", "REPRO_WORKERS": "2"}
         assert summary["run_config"] is None
+
+        # Manifests written while sweeps could checkpoint record nine
+        # run_config fields and two checkpoint rollups.
+        manifest = obs.build_manifest("nine fields")
+        manifest["run_config"] = {
+            "workers": 1, "strict": False, "checkpoint": 2, "resume": True,
+            "faults": "", "use_cache": True, "cache_dir": None,
+            "trace": True, "sanitize": False}
+        manifest["rollups"].update(checkpoint_writes=3,
+                                   checkpoint_resumes=1)
+        path = obs.write_manifest(manifest, tmp_path / "nine.manifest.json")
+        loaded = obs.load_manifest(path)
+        text = obs.summarize_text(loaded)
+        assert ("  run config: workers=1 strict=False checkpoint=2 "
+                "resume=True faults= use_cache=True cache_dir=None "
+                "trace=True sanitize=False") in text
+        assert "checkpoint_resumes" in text
+        summary = obs.summarize_json(loaded)
+        assert summary["run_config"] == manifest["run_config"]
+        assert summary["rollups"]["checkpoint_writes"] == 3
+        json.dumps(summary)
 
     def test_parent_directories_are_created(self, tmp_path):
         manifest = obs.build_manifest("nested")

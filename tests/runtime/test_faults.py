@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CheckpointError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.runtime import faults, parallel_map
 
 
@@ -32,12 +32,13 @@ class TestParseSpec:
         assert faults.parse_spec("scf@5x2") == {("scf", 5): 2}
 
     def test_whitespace_tolerated(self):
-        assert faults.parse_spec(" scf@1 ; checkpoint@0 ") == {
-            ("scf", 1): None, ("checkpoint", 0): None}
+        assert faults.parse_spec(" scf@1 ; worker@0 ") == {
+            ("scf", 1): None, ("worker", 0): None}
 
     @pytest.mark.parametrize("bad", [
         "bogus@1", "scf", "scf@", "scf@x2", "scf@1x0", "scf@-1",
         "scf@1.5", "scf@1,,2", "host@0", "stall@1", "lease@2", "sr@5",
+        "checkpoint@1",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -88,11 +89,6 @@ class TestInject:
         assert err.value.context["fault_site"] == "scf"
         assert err.value.context["task_index"] == 4
         assert "VG=0.1" in str(err.value)
-
-    def test_checkpoint_raises_checkpoint_error(self):
-        faults.enable("checkpoint@0")
-        with pytest.raises(CheckpointError):
-            faults.inject("checkpoint", 0)
 
     def test_unarmed_index_is_a_noop(self):
         faults.enable("scf@4")

@@ -8,7 +8,6 @@ from repro.errors import ParallelMapError
 from repro.runtime import parallel
 from repro.runtime.parallel import (
     batch_indices,
-    default_chunk_size,
     parallel_map,
     resolve_workers,
     spawn_seed_sequences,
@@ -72,8 +71,10 @@ class TestParallelMap:
         items = list(range(23))
         serial = parallel_map(_square, items, workers=1)
         assert parallel_map(_square, items, workers=3) == serial
-        assert parallel_map(_square, items, workers=3, chunk_size=1) == serial
-        assert parallel_map(_square, items, workers=2, chunk_size=7) == serial
+        assert parallel_map(_square, items, workers=3,
+                            chunk_plan=[1] * 23) == serial
+        assert parallel_map(_square, items, workers=2,
+                            chunk_plan=[7, 7, 7, 2]) == serial
 
     def test_serial_fallback_accepts_closures(self):
         """workers<=1 never pickles, so lambdas are fine there."""
@@ -88,17 +89,17 @@ class TestParallelMap:
         exception, with completed chunks salvaged on the wrapper."""
         with pytest.raises(ParallelMapError) as info:
             parallel_map(_fail_on_13, list(range(20)), workers=2,
-                         chunk_size=5)
+                         chunk_plan=[5, 5, 5, 5])
         err = info.value
         assert isinstance(err.__cause__, ValueError)
         assert "boom" in str(err.__cause__)
         assert err.n_chunks == 4
-        assert err.chunk_size == 5
+        assert err.chunk_offsets == (0, 5, 10, 15)
         # Chunk 2 (items 10..14) holds 13; the others either completed
         # or were cancelled, and every completed chunk is intact.
         assert set(err.failed) == {2}
         for k, chunk_results in err.completed.items():
-            start = k * err.chunk_size
+            start = err.chunk_offsets[k]
             assert chunk_results == list(range(start, start + 5))
         assert len(err.completed) + len(err.failed) + err.n_cancelled == 4
 
@@ -108,11 +109,6 @@ class TestParallelMap:
 
 
 class TestChunking:
-    def test_default_chunk_size_targets_four_per_worker(self):
-        assert default_chunk_size(100, 5) == 5
-        assert default_chunk_size(3, 8) == 1
-        assert default_chunk_size(0, 4) == 1
-
     def test_batch_indices_cover_exactly(self):
         for n_items, n_batches in ((10, 3), (4, 4), (7, 2), (5, 9)):
             ranges = batch_indices(n_items, n_batches)

@@ -1,18 +1,13 @@
-"""Retry ladders, failure records, checkpoints (``runtime.resilience``)."""
+"""Retry ladders, failure records, crash recovery (``runtime.resilience``)."""
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.config import RunConfig
-from repro.errors import CheckpointError, ConvergenceError, ParallelMapError
-from repro.runtime.cache import ArtifactCache
+from repro.errors import ConvergenceError, ParallelMapError
 from repro.runtime import faults
 from repro.runtime.resilience import (
     FailureRecord,
-    SweepCheckpoint,
-    decode_failures,
-    encode_failures,
     quarantine,
     recover_parallel,
     run_ladder,
@@ -51,22 +46,6 @@ class TestEnvDefaults:
         assert RunConfig.from_env().strict is True
         monkeypatch.setenv("REPRO_STRICT", "off")
         assert RunConfig.from_env().strict is False
-
-    def test_checkpoint_interval(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT", raising=False)
-        assert RunConfig.from_env().checkpoint == 0
-        monkeypatch.setenv("REPRO_CHECKPOINT", "5")
-        assert RunConfig.from_env().checkpoint == 5
-        monkeypatch.setenv("REPRO_CHECKPOINT", "yes")
-        assert RunConfig.from_env().checkpoint == 1
-        monkeypatch.setenv("REPRO_CHECKPOINT", "0")
-        assert RunConfig.from_env().checkpoint == 0
-
-    def test_resume_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESUME", raising=False)
-        assert RunConfig.from_env().resume is False
-        monkeypatch.setenv("REPRO_RESUME", "1")
-        assert RunConfig.from_env().resume is True
 
 
 class TestRunLadder:
@@ -126,20 +105,6 @@ class TestFailureRecord:
         assert "rungs_tried" not in record.context
         assert record.context["solver"] == "scf"
 
-    def test_dict_round_trip(self):
-        record = FailureRecord(site="scf", error="ConvergenceError",
-                               message="m", index=3, coords=(0, 1),
-                               bias={"vg": 0.4}, rungs_tried=("warm",),
-                               residual=0.25, context={"injected": True})
-        assert FailureRecord.from_dict(record.to_dict()) == record
-
-    def test_encode_decode_array_round_trip(self):
-        records = (FailureRecord(site="scf", error="E", message="m",
-                                 index=0),
-                   FailureRecord(site="sr", error="E", message="n",
-                                 index=4, coords=(2,)))
-        assert decode_failures(encode_failures(records)) == records
-
     def test_quarantine_records_to_obs(self):
         obs.enable()
         record = quarantine(ConvergenceError("x"), site="scf", index=5)
@@ -149,70 +114,13 @@ class TestFailureRecord:
         assert snap["failures"][0]["index"] == 5
 
 
-class TestSweepCheckpoint:
-    @pytest.fixture()
-    def cache(self, tmp_path):
-        return ArtifactCache("checkpoints", root=tmp_path, enabled=True)
-
-    def test_save_load_round_trip(self, cache):
-        ckpt = SweepCheckpoint("key1", interval=2, cache=cache)
-        done = np.array([True, False, True])
-        arrays = {"a": np.arange(3.0)}
-        failures = (FailureRecord(site="scf", error="E", message="m",
-                                  index=1),)
-        ckpt.save(done, arrays, failures)
-        loaded = ckpt.load()
-        assert loaded is not None
-        got_done, got_arrays, got_failures = loaded
-        assert np.array_equal(got_done, done)
-        assert np.array_equal(got_arrays["a"], arrays["a"])
-        assert got_failures == failures
-
-    def test_due_counts_interval(self, cache):
-        ckpt = SweepCheckpoint("key2", interval=2, cache=cache)
-        assert not ckpt.due()
-        assert ckpt.due()
-        assert ckpt.due()  # still due until a save resets the counter
-        ckpt.save(np.array([True]), {})
-        assert not ckpt.due()
-        assert ckpt.due()
-
-    def test_disabled_interval_never_due_never_writes(self, cache):
-        ckpt = SweepCheckpoint("key3", interval=0, cache=cache)
-        assert not ckpt.enabled
-        assert not ckpt.due()
-        ckpt.save(np.array([True]), {"a": np.zeros(1)})
-        assert ckpt.load() is None
-
-    def test_reserved_array_names_rejected(self, cache):
-        ckpt = SweepCheckpoint("key4", interval=1, cache=cache)
-        with pytest.raises(CheckpointError):
-            ckpt.save(np.array([True]), {"__done__": np.zeros(1)})
-
-    def test_injected_write_fault_preserves_previous_snapshot(self, cache):
-        ckpt = SweepCheckpoint("key5", interval=1, cache=cache)
-        ckpt.save(np.array([True, False]), {"a": np.array([1.0, 0.0])})
-        faults.enable("checkpoint@1")  # second write (ordinal 1) dies
-        with pytest.raises(CheckpointError):
-            ckpt.save(np.array([True, True]), {"a": np.array([1.0, 2.0])})
-        loaded = ckpt.load()
-        assert loaded is not None
-        assert np.array_equal(loaded[0], [True, False])
-
-    def test_clear_removes_snapshot(self, cache):
-        ckpt = SweepCheckpoint("key6", interval=1, cache=cache)
-        ckpt.save(np.array([True]), {})
-        ckpt.clear()
-        assert ckpt.load() is None
-
-
 class TestRecoverParallel:
     def test_recomputes_only_missing_chunks(self):
         obs.enable()
         err = ParallelMapError("pool died",
                                completed={0: ["r0", "r1"], 2: ["r4"]},
                                failed={1: "crash"}, n_chunks=3,
-                               n_cancelled=0, chunk_size=2)
+                               n_cancelled=0, chunk_offsets=(0, 2, 4))
         recomputed = []
 
         def fn(task):

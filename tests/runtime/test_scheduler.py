@@ -64,11 +64,6 @@ class TestChunkPlanDispatch:
             parallel_map(_square, list(range(10)), workers=2,
                          chunk_plan=[4, 4])
 
-    def test_plan_exclusive_with_chunk_size(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, list(range(10)), workers=2,
-                         chunk_size=5, chunk_plan=[5, 5])
-
     def test_bad_plan_rejected_even_in_serial_fallback(self):
         # Validation happens before the workers<=1 early return, so a
         # buggy plan cannot hide behind REPRO_WORKERS=1.
@@ -86,9 +81,9 @@ class TestChunkPlanDispatch:
         assert 1 in err.failed
 
     def test_recover_uses_offsets(self):
-        # Non-uniform plan: chunk 2 starts at offset 10, while the
-        # uniform fallback (k * chunk_size with chunk_size=3) would put
-        # it at 6 — recovery must follow the recorded offsets.
+        # Non-uniform plan: chunk 2 starts at offset 10, while uniform
+        # chunks of the first chunk's size (3) would put it at 6 —
+        # recovery must follow the recorded offsets.
         items = list(range(20))
         with pytest.raises(ParallelMapError) as info:
             parallel_map(_flaky_13, items, workers=2,
@@ -107,12 +102,6 @@ class TestLocalScheduler:
             sched = LocalScheduler(workers=workers)
             assert sched.run(_square, tasks) == [x * x for x in tasks]
 
-    def test_explicit_chunk_size_respected(self):
-        sched = LocalScheduler(workers=2)
-        tasks = list(range(10))
-        assert sched.run(_square, tasks,
-                         chunk_size=1) == [x * x for x in tasks]
-
     def test_recovers_pool_failures(self):
         # _fail_on_13 raises inside the pool; the scheduler salvages
         # completed chunks and re-runs the rest serially.
@@ -125,8 +114,7 @@ class TestLocalScheduler:
     def test_strict_propagates_pool_error(self):
         sched = LocalScheduler(workers=2)
         with pytest.raises(ParallelMapError):
-            sched.run(_fail_on_13, list(range(20)), strict=True,
-                      chunk_size=5)
+            sched.run(_fail_on_13, list(range(20)), strict=True)
 
     def test_repr_names_workers(self):
         assert "workers=3" in repr(LocalScheduler(workers=3))

@@ -14,10 +14,8 @@ import pytest
 
 from repro import cli
 from repro.config import (
-    CHECKPOINT_ENV,
     FALSE_WORDS,
     NO_CACHE_ENV,
-    RESUME_ENV,
     SANITIZE_ENV,
     STRICT_ENV,
     TRACE_ENV,
@@ -27,8 +25,8 @@ from repro.config import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Boolean knob -> the config field it sets (``REPRO_NO_CACHE`` inverts).
-BOOLEAN_KNOBS = {STRICT_ENV: "strict", RESUME_ENV: "resume",
-                 TRACE_ENV: "trace", SANITIZE_ENV: "sanitize"}
+BOOLEAN_KNOBS = {STRICT_ENV: "strict", TRACE_ENV: "trace",
+                 SANITIZE_ENV: "sanitize"}
 
 
 class TestGrammar:
@@ -56,26 +54,13 @@ class TestGrammar:
     def test_no_cache_true_disables_the_cache(self):
         assert RunConfig.from_env({NO_CACHE_ENV: "1"}).use_cache is False
 
-    @pytest.mark.parametrize("raw, interval", [
-        ("", 0), ("0", 0), ("off", 0), ("3", 3), (" 12 ", 12),
-        ("yes", 1), ("TRUE", 1), ("on", 1)])
-    def test_checkpoint_accepts_intervals_and_boolean_words(self, raw,
-                                                            interval):
-        assert RunConfig.from_env({CHECKPOINT_ENV: raw}).checkpoint == \
-            interval
-
-    @pytest.mark.parametrize("raw", ["-4", "2.5", "every", "1e3"])
-    def test_checkpoint_rejects_anything_else(self, raw):
-        with pytest.raises(ValueError, match=CHECKPOINT_ENV):
-            RunConfig.from_env({CHECKPOINT_ENV: raw})
-
     def test_cache_dir(self, tmp_path):
         config = RunConfig.from_env({"REPRO_CACHE_DIR": str(tmp_path)})
         assert config.cache_root == tmp_path
         assert RunConfig(cache_dir=str(tmp_path)).cache_dir == tmp_path
 
     @pytest.mark.parametrize("fields", [
-        {"workers": "2"}, {"workers": True}, {"checkpoint": -1},
+        {"workers": "2"}, {"workers": True}, {"workers": 2.5},
         {"strict": 1}, {"faults": "bogus@1"}, {"faults": None}])
     def test_constructor_validates(self, fields):
         with pytest.raises(ValueError):
@@ -83,17 +68,16 @@ class TestGrammar:
 
     def test_override_skips_none(self):
         base = RunConfig.from_env({"REPRO_WORKERS": "3", STRICT_ENV: "1"})
-        config = base.override(workers=None, strict=None, checkpoint=4)
-        assert (config.workers, config.strict, config.checkpoint) == \
-            (3, True, 4)
+        config = base.override(workers=None, strict=None, faults="scf@4")
+        assert (config.workers, config.strict, config.faults) == \
+            (3, True, "scf@4")
         assert base.override(workers=1).workers == 1
 
     def test_to_dict_has_every_field(self, tmp_path):
         data = RunConfig(cache_dir=tmp_path).to_dict()
         assert data["cache_dir"] == str(tmp_path)
-        assert list(data) == ["workers", "strict", "checkpoint", "resume",
-                              "faults", "use_cache", "cache_dir", "trace",
-                              "sanitize"]
+        assert list(data) == ["workers", "strict", "faults", "use_cache",
+                              "cache_dir", "trace", "sanitize"]
 
 
 def test_only_the_config_module_reads_the_environment():
@@ -123,7 +107,7 @@ def test_run_flags_reach_the_dispatch_path(monkeypatch, capsys):
 
     seen = []
 
-    def spy(self, fn, tasks, *, strict=False, chunk_size=None):
+    def spy(self, fn, tasks, *, strict=False):
         seen.append((resolve_workers(self.workers), strict))
         return [fn(task) for task in tasks]
 

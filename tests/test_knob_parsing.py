@@ -16,12 +16,10 @@ import numpy as np
 import pytest
 
 from repro.device.geometry import GNRFETGeometry
-from repro.device.iv import sweep_iv
 from repro.device.tables import build_device_table, clear_table_cache
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
-CHECKPOINT_ENV = "REPRO_CHECKPOINT"
 
 VG = np.array([0.0, 0.3])
 VD = np.array([0.0, 0.3])
@@ -45,19 +43,11 @@ def test_no_cache_zero_keeps_the_disk_cache(tmp_path, monkeypatch):
     assert len(list((tmp_path / "tables").glob("*.npz"))) == 1
 
 
-@pytest.mark.parametrize("raw", ["-4", "2.5"])
-def test_malformed_checkpoint_fails_before_the_sweep(raw, monkeypatch):
-    monkeypatch.setenv(CHECKPOINT_ENV, raw)
-    with pytest.raises(ValueError, match=CHECKPOINT_ENV):
-        sweep_iv(GEOM, VG, VD)
-
-
 def test_import_survives_malformed_knobs(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", "import repro.cli"], cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(SRC),
-             "REPRO_FAULTS": "bogus@1", "REPRO_WORKERS": "two",
-             "REPRO_CHECKPOINT": "-4"},
+             "REPRO_FAULTS": "bogus@1", "REPRO_WORKERS": "two"},
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 

@@ -79,7 +79,7 @@ class TestRealDistribution:
         assert device.mean_frequency_shift < result.mean_frequency_shift
 
 
-def _no_dispatch(self, fn, tasks, *, strict=False, chunk_size=None):
+def _no_dispatch(self, fn, tasks, *, strict=False):
     """Stands in for ``LocalScheduler.run``: fails if work reaches it."""
     raise AssertionError("work was dispatched")
 

@@ -1,11 +1,11 @@
-"""Per-sample quarantine and checkpoint/resume in the Monte Carlo."""
+"""Per-sample quarantine and worker-crash recovery in the Monte Carlo."""
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.config import RunConfig
-from repro.errors import CheckpointError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.runtime import faults
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 
@@ -68,39 +68,6 @@ class TestSampleQuarantine:
                                                              strict=True))
         assert err.value.context["sample_index"] == 7
         assert err.value.context["injected"] is True
-
-
-class TestCheckpointResume:
-    def test_killed_then_resumed_equals_uninterrupted(self, tech, baseline):
-        faults.enable("checkpoint@1")  # second snapshot write dies
-        with pytest.raises(CheckpointError):
-            run_ring_oscillator_monte_carlo(tech, n_samples=N_SAMPLES,
-                                            seed=2008,
-                                            config=RunConfig(checkpoint=5))
-        faults.disable()
-        resumed = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008,
-            config=RunConfig(checkpoint=5, resume=True))
-        assert np.array_equal(resumed.frequencies_hz,
-                              baseline.frequencies_hz)
-        assert np.array_equal(resumed.dynamic_power_w,
-                              baseline.dynamic_power_w)
-        assert np.array_equal(resumed.static_power_w,
-                              baseline.static_power_w)
-        assert resumed.variant_counts == baseline.variant_counts
-        assert resumed.failures == ()
-
-    def test_completed_run_clears_checkpoint(self, tech, baseline):
-        first = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008,
-            config=RunConfig(checkpoint=5))
-        assert np.array_equal(first.frequencies_hz,
-                              baseline.frequencies_hz)
-        resumed = run_ring_oscillator_monte_carlo(
-            tech, n_samples=N_SAMPLES, seed=2008,
-            config=RunConfig(checkpoint=5, resume=True))
-        assert np.array_equal(resumed.frequencies_hz,
-                              baseline.frequencies_hz)
 
 
 class TestWorkerCrashRecovery:
