@@ -615,13 +615,14 @@ def _generated_kernel(circuit) -> dict:
     }
 
 
-def _ring_linear_solve(circuit, args) -> dict:
+def _ring_linear_solve(oracle, circuit, args) -> dict:
     """One Newton iteration's linear solve on the production ring (one
     ``fanout - 1``-fold replica per stage), three ways.
 
     The system is the ring's transient free-block Jacobian one step into
-    the window (static stamps, each capacitor branch's companion,
-    ``gmin``) with the static residual there as ``r`` in ``J dv = -r``.
+    the window (static stamps, each capacitor branch's trapezoidal
+    companion at the ``oracle``'s branch capacitances there, ``gmin``)
+    with the static residual there as ``r`` in ``J dv = -r``.
     It is solved by the dense LAPACK call the engine used to
     make (a preallocated matrix refilled from the flat Jacobian list,
     ``solve1``, the step back to a list), by ``splu`` (CSC assembly,
@@ -633,13 +634,14 @@ def _ring_linear_solve(circuit, args) -> dict:
     program = circuit.program()
     free, width = program.free, program.n_nodes + 1
     t_end_s, dt_s, v0 = args
-    v = list(simulate_transient(circuit, dt_s, dt_s, v0).voltages[-1])
-    v.append(0.0)
-    caps, dv_old = program.kernel.branches(v, program.data)
-    geqs = [2.0 * c / dt_s for c in caps]
+    state = simulate_transient(circuit, dt_s, dt_s, v0).voltages[-1]
+    v = state.tolist() + [0.0]
     f, flat = program.assemble(v)
     jac = np.array(flat).reshape(width, width)
-    for (a, b), geq in zip(program.branches, geqs):
+    for a, b, c in (stamp for el in circuit.elements
+                    for stamp in oracle.capacitor_stamps(el, state)):
+        # Ground (-1) indexes the last slot, which the free block drops.
+        geq = 2.0 * c / dt_s
         jac[a, a] += geq
         jac[a, b] -= geq
         jac[b, b] += geq
@@ -729,7 +731,7 @@ def _bench_circuit_engine(tech) -> dict:
             "vtc": _generated_kernel(vtc_circuit),
             "ring_window": _generated_kernel(ring_case[0]),
         },
-        "ring_linear_solve": _ring_linear_solve(*_ring_transient(
+        "ring_linear_solve": _ring_linear_solve(oracle, *_ring_transient(
             n_table, p_table, vdd, params, build_ring_oscillator,
             _alternating_start)[:2]),
         "max_drift": {

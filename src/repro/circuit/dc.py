@@ -10,6 +10,7 @@ regions where table derivatives vanish.  Each Newton solve runs as the
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ def _newton(prog: StampProgram, v: list[float], gmin: float, tol_a: float,
 
 def solve_dc(
     circuit: Circuit,
-    v0: np.ndarray | None = None,
+    v0: np.ndarray | Sequence[float] | None = None,
     t: float = 0.0,
     gmin: float = 1e-12,
     tol_a: float = 1e-14,

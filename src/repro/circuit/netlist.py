@@ -18,14 +18,16 @@ straight-line Python source and compiled into a :class:`Kernel`: every
 slot of the residual and every Jacobian entry becomes one expression that
 adds its element contributions in element order, so the kernel performs
 the float operations of a record-by-record assembly in the same order
-without its loops, tuple unpacking or kind dispatch.  The kernel runs a
-whole damped Newton loop and solves each iteration's free-node system by
-sparse elimination in an order fixed at emit time, also as straight-line
-code.  Circuits with the same topology (every inverter of a VTC sweep,
-every variant of an FO4 chain) share one kernel.  For the paper's gates
-(a handful of FETs) per-call numpy overhead costs more than the scalar
-work it would replace (see docs/performance.md, "Why not array
-assembly"), so numpy only sees a free-node system the elimination
+without its loops, tuple unpacking or kind dispatch.  The kernel's
+``dc_newton`` runs a whole damped Newton loop, and its ``transient_run``
+a whole transient (every step's Newton loop, with the table lookups of
+uniform-grid tables inlined); each Newton iteration solves its free-node
+system by sparse elimination in an order fixed at emit time, also as
+straight-line code.  Circuits with the same topology (every inverter of
+a VTC sweep, every variant of an FO4 chain) share one kernel.  For the
+paper's gates (a handful of FETs) per-call numpy overhead costs more
+than the scalar work it would replace (see docs/performance.md, "Why not
+array assembly"), so numpy only sees a free-node system the elimination
 declines.
 """
 
@@ -47,15 +49,17 @@ from repro.circuit.elements import (
     Resistor,
     TableFET,
 )
-from repro.errors import CircuitError
+from repro.errors import CircuitError, ConvergenceError
 
 GROUND = -1
 """Node index of the reference node (0 V)."""
 
 _GROUND_NAMES = ("0", "gnd", "ground")
 
-# Element kinds of a topology signature.
-_RESISTOR, _SOURCE, _CAPACITOR, _TABLE_FET, _MOSFET = range(5)
+# Element kinds of a topology signature.  A table FET on a uniform grid
+# is a ``_GRID_FET``, whose lookups ``transient_run`` inlines; any other
+# table FET is a ``_TABLE_FET``, which calls its lookup closures.
+_RESISTOR, _SOURCE, _CAPACITOR, _TABLE_FET, _MOSFET, _GRID_FET = range(6)
 
 #: Largest multiplier magnitude the generated elimination accepts.  It
 #: does not pivot, so a larger multiplier (or a NaN) sends that Newton
@@ -69,14 +73,28 @@ MAX_MULTIPLIER = 10.0
 _solve1 = _umath_linalg.solve1
 
 
-def _lapack(jac: list[float], residual: list[float]) -> list[float]:
-    """``J^-1 r`` for the flat, row-major free-node Jacobian ``jac`` by
-    LAPACK (partial pivoting): the kernels' fallback.  The kernels step
-    by ``-J^-1 r``, and negating the right-hand side negates every
+def _lapack(entries: tuple[float, ...], positions: tuple[int, ...],
+            residual: list[float]) -> list[float]:
+    """``J^-1 r`` by LAPACK (partial pivoting): the kernels' fallback.
+
+    ``entries`` are the structurally nonzero entries of the free-node
+    Jacobian and ``positions`` their flat, row-major indices in the dense
+    block (an emit-time table); every other entry is zero.  The kernels
+    step by ``-J^-1 r``, and negating the right-hand side negates every
     intermediate exactly, so this is the step of ``solve(J, -r)`` bit for
     bit."""
     m = len(residual)
-    return _solve1(np.array(jac).reshape(m, m), residual).tolist()
+    jac = np.zeros(m * m)
+    jac[list(positions)] = entries
+    return _solve1(jac.reshape(m, m), residual).tolist()
+
+
+def _diverged(t: float, halvings: int) -> ConvergenceError:
+    """The error a transient run raises for a step that no halving
+    saves."""
+    return ConvergenceError(
+        f"transient step failed to converge at t = {t:.3e} s "
+        f"even after {halvings} step halvings")
 
 
 class Elimination(NamedTuple):
@@ -113,32 +131,43 @@ class Kernel(NamedTuple):
       and steps by ``-J^-1 r``, scaled down to ``damping_v`` in its
       largest entry; a non-finite step fails.  ``gmin`` is stamped only
       when positive.
-    * ``transient_newton(v, data, geqs, dv_old, i_prev, gmin, tol_a,
-      max_iter, damping_v, fallbacks)`` -> ``(converged, branch_currents,
-      fixed_residual, fallbacks)``, both lists empty when the step fails
-      (``v`` then holds the last iterate):
-      the same loop over the static stamps, then every capacitor branch's
-      trapezoidal companion (conductance ``geqs[k]``, current
-      ``geqs[k] * (v_a - v_b - dv_old[k]) - i_prev[k]``), then ``gmin``.
-      ``fixed_residual`` is the static residual at each fixed node
-      (ascending) of the converged iterate, which is the current its
-      source delivers.
-    * ``branches(v, data)`` -> ``(capacitances, voltages)`` of the
-      capacitor branches.
+    * ``transient_run(v, data, waves, t_end, dt, gmin, tol_a, max_iter,
+      damping_v, max_halvings, check)`` -> ``(times, states, rows,
+      halvings, fallbacks)``: the whole trapezoidal integration of
+      :func:`repro.circuit.transient.simulate_transient` from the slot
+      voltages ``v`` at ``t = 0``.  Each step takes the capacitor
+      branches' capacitances at the last accepted state, then tries
+      ``h = min(dt, t_end - t)``, halved up to ``max_halvings`` times:
+      the first step by backward Euler from ``v``, every later one by
+      trapezoidal companions from the last state extrapolated over ``h``
+      (by at most one step), the fixed slots at ``t + h`` (``waves``
+      holds one callable per fixed slot, ascending, or ``None`` for a
+      constant, which keeps its value in ``v``), and the Newton loop of
+      ``dc_newton`` over the static stamps, then every branch's companion
+      (conductance ``B``, current ``B * (v_a - v_b - O) - Q``), then
+      ``gmin``.  ``times`` lists the accepted times (``0.0`` first),
+      ``states`` the node voltages at each as a tuple and ``rows`` the
+      static residual at each fixed slot of each accepted state (the
+      current its source delivers); ``check``, unless ``None``, is called
+      as ``check(t, voltages)`` on every accepted state before it is
+      recorded.  A step that fails every halving raises
+      :class:`repro.errors.ConvergenceError`.  On return or that error
+      the free slots of ``v`` hold the last iterate.
     * ``assemble(v, data)`` -> static ``(residual, jacobian)`` over every
       slot, ground included; the Jacobian is flat ``(n+1)**2``.
 
-    The Newton functions solve by elimination without pivoting in the
-    order of ``dc_elimination`` / ``transient_elimination``.  A
-    multiplier above :data:`MAX_MULTIPLIER` in magnitude (or NaN), a zero
-    pivot or a non-finite step sends that iteration to LAPACK on the
-    dense free block instead, and adds one to ``fallbacks``.
+    The Newton loops solve by elimination without pivoting in the order
+    of ``dc_elimination`` / ``transient_elimination``.  A multiplier
+    above :data:`MAX_MULTIPLIER` in magnitude (or NaN), a zero pivot or a
+    non-finite step sends that iteration to LAPACK on the dense free
+    block instead, and adds one to ``fallbacks``.  ``transient_run``
+    inlines the current and capacitance lookups of every table FET on a
+    uniform grid; every other FET calls its callables.
     """
 
     source: str
     dc_newton: Callable
-    transient_newton: Callable
-    branches: Callable
+    transient_run: Callable
     assemble: Callable
     dc_elimination: Elimination
     transient_elimination: Elimination
@@ -152,11 +181,11 @@ def _kernel(signature: tuple) -> Kernel:
     kernel = _KERNELS.get(signature)
     if kernel is None:
         source, dc_lu, transient_lu = _kernel_source(*signature)
-        namespace: dict = {"lapack": _lapack}
+        namespace: dict = {"lapack": _lapack, "diverged": _diverged}
         exec(compile(source, "<circuit kernel>", "exec"), namespace)
         kernel = Kernel(source, namespace["dc_newton"],
-                        namespace["transient_newton"], namespace["branches"],
-                        namespace["assemble"], dc_lu, transient_lu)
+                        namespace["transient_run"], namespace["assemble"],
+                        dc_lu, transient_lu)
         _KERNELS[signature] = kernel
         if obs.ACTIVE:
             obs.incr("circuit.kernels_compiled")
@@ -224,26 +253,89 @@ def _symbolic_lu(order: list[int], pattern: Collection[tuple[int, int]]
     return terms, filled
 
 
+def _grid_index(k: int, grid: str) -> list[str]:
+    """Lines that place FET ``k``'s mapped bias ``(gs<k>, ds<k>)`` on its
+    table's uniform grid and read the four corners ``z00 .. z11`` of its
+    cell from the nested list ``grid``: the opening of the table's scalar
+    lookups (:func:`repro.device.tables._scalar_lookups`), negative
+    ``V_DS`` mirrored, both axes clamped to the grid, the same float
+    operations in the same order.  The constants are FET ``k``'s unpacked
+    :class:`repro.device.tables.UniformGrid`."""
+    return [
+        f"if ds{k} < 0.0:",
+        f"    fx = (gs{k} - ds{k} + OF{k} - VG{k}) / DG{k}",
+        f"    fy = (-ds{k} - VD{k}) / DD{k}",
+        "else:",
+        f"    fx = (gs{k} + OF{k} - VG{k}) / DG{k}",
+        f"    fy = (ds{k} - VD{k}) / DD{k}",
+        "if fx < 0.0:", "    fx = 0.0", f"elif fx > FX{k}:", f"    fx = FX{k}",
+        "ix = int(fx)", f"if ix > IX{k}:", f"    ix = IX{k}", "tx = fx - ix",
+        "if fy < 0.0:", "    fy = 0.0", f"elif fy > FY{k}:", f"    fy = FY{k}",
+        "iy = int(fy)", f"if iy > IY{k}:", f"    iy = IY{k}", "ty = fy - iy",
+        f"row0 = {grid}[ix]", f"row1 = {grid}[ix + 1]",
+        "z00 = row0[iy]", "z01 = row0[iy + 1]",
+        "z10 = row1[iy]", "z11 = row1[iy + 1]",
+    ]
+
+
+def _grid_current(k: int) -> list[str]:
+    """``e<k>, x<k>, y<k>``: FET ``k``'s table current and its
+    derivatives at ``(gs<k>, ds<k>)``, the table's
+    ``current_and_derivatives`` inlined."""
+    return _grid_index(k, f"CU{k}") + [
+        "sx = 1.0 - tx",
+        "sy = 1.0 - ty",
+        f"e{k} = z00 * sx * sy + z10 * tx * sy + z01 * sx * ty + z11 * tx * ty",
+        f"x{k} = ((z10 - z00) * sy + (z11 - z01) * ty) / DG{k}",
+        f"y{k} = ((z01 - z00) * sx + (z11 - z10) * tx) / DD{k}",
+        f"if ds{k} < 0.0:",
+        f"    e{k}, x{k}, y{k} = -e{k}, -x{k}, x{k} + y{k}",
+    ]
+
+
+def _grid_capacitances(k: int) -> list[str]:
+    """``a<k>, b<k>``: FET ``k``'s intrinsic ``C_GS,i`` (clamped at zero)
+    and ``C_GD,i`` at ``(gs<k>, ds<k>)``, the table's ``capacitances``
+    inlined."""
+    return _grid_index(k, f"CH{k}") + [
+        f"b{k} = abs(((z01 - z00) * (1.0 - tx) + (z11 - z10) * tx) / DD{k})",
+        f"a{k} = abs(((z10 - z00) * (1.0 - ty) + (z11 - z01) * ty) / DG{k})"
+        f" - b{k}",
+        f"if not a{k} > 0.0:",
+        f"    a{k} = 0.0",
+    ]
+
+
+def _grid_constants(k: int) -> str:
+    """The line that unpacks FET ``k``'s grid constants ``T<k>``."""
+    return (f"OF{k}, VG{k}, DG{k}, FX{k}, IX{k}, VD{k}, DD{k}, FY{k}, "
+            f"IY{k}, CU{k}, CH{k} = T{k}")
+
+
 def _kernel_source(n: int, fixed: tuple[int, ...],
                    elements: tuple[tuple[int, ...], ...]
                    ) -> tuple[str, Elimination, Elimination]:
     """Python source of the :class:`Kernel` functions of one topology,
-    and the eliminations of its DC and transient Newton functions.
+    and the eliminations of its DC and transient Newton loops.
 
     ``elements`` holds ``(kind, *slots)`` per element in netlist order;
     ``fixed`` the fixed node slots, ascending.  Each residual slot and
     Jacobian entry collects its terms in element order (capacitor
     companions after every static stamp, ``gmin`` last); only the entries
-    a function reads are emitted.  Both Newton functions eliminate the
-    free slots in minimum-degree order on the transient Jacobian's
-    pattern, which contains the DC pattern.
+    a function reads are emitted.  Both Newton loops eliminate the free
+    slots in minimum-degree order on the transient Jacobian's pattern,
+    which contains the DC pattern.
     """
     width = n + 1
     free = [i for i in range(n) if i not in fixed]
     data: list[str] = []
     currents: list[str] = []   # element currents and their derivatives
     slopes: list[str] = []     # derivatives only the Jacobian reads
+    # ``transient_run``'s element currents, FET capacitances and grid
+    # constants: the lookups of table FETs on a uniform grid inlined.
+    run_currents: list[str] = []
     caps: list[str] = []
+    grids: list[str] = []
     cap_values: list[str] = []
     branches: list[tuple[int, int]] = []
     f_terms: dict[int, list[str]] = defaultdict(list)
@@ -254,6 +346,7 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
             a, b = slots
             data.append(f"G{k}")
             currents.append(f"e{k} = G{k} * (v{a} - v{b})")
+            run_currents.append(currents[-1])
             f_terms[a].append(f" + e{k}")
             f_terms[b].append(f" - e{k}")
             j_terms[a, a].append(f" + G{k}")
@@ -275,8 +368,9 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
             bias = f"P{k} * (v{g} - v{s}), P{k} * (v{d} - v{s})"
             # Current flows drain -> source inside the device for i > 0;
             # dI/dVs = -(dI/dVd + dI/dVg).
-            currents += [f"e{k}, x{k}, y{k} = IV{k}({bias})",
-                         f"e{k} = P{k} * e{k}"]
+            call = f"e{k}, x{k}, y{k} = IV{k}({bias})"
+            polarity = f"e{k} = P{k} * e{k}"
+            currents += [call, polarity]
             slopes.append(f"u{k} = y{k} + x{k}")
             f_terms[d].append(f" + e{k}")
             f_terms[s].append(f" - e{k}")
@@ -286,13 +380,22 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
             j_terms[s, d].append(f" - y{k}")
             j_terms[s, g].append(f" - x{k}")
             j_terms[s, s].append(f" + u{k}")
-            caps.append(f"a{k}, b{k} = CV{k}({bias})")
-            if kind == _TABLE_FET:
+            if kind == _MOSFET:
+                cap_values += [f"float(a{k})", f"float(b{k})"]
+            else:
                 # Intrinsic table capacitance plus the extrinsic junction.
                 data += [f"PS{k}", f"PD{k}"]
                 cap_values += [f"a{k} + PS{k}", f"b{k} + PD{k}"]
+            if kind == _GRID_FET:
+                data.append(f"T{k}")
+                grids.append(_grid_constants(k))
+                at_bias = [f"gs{k} = P{k} * (v{g} - v{s})",
+                           f"ds{k} = P{k} * (v{d} - v{s})"]
+                run_currents += at_bias + _grid_current(k) + [polarity]
+                caps += at_bias + _grid_capacitances(k)
             else:
-                cap_values += [f"float(a{k})", f"float(b{k})"]
+                run_currents += [call, polarity]
+                caps.append(f"a{k}, b{k} = CV{k}({bias})")
             branches += [(g, s), (g, d)]
 
     # Transient terms: each capacitor branch's companion after the statics.
@@ -329,55 +432,93 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
     write_back = [f"v[{i}] = v{i}" for i in free]
     header = (unpack([f"v{i}" for i in range(width)], "v")
               + unpack(data, "data"))
+    converged = " and ".join(f"abs(r{i}) < tol_a" for i in free)
+    no_lu = Elimination((), frozenset(), 0, 0, 0)
 
-    def newton(signature: str, prologue: list[str], loop: str,
-               body: list[str], done: list[str], jacobian: dict,
-               dc_gmin: bool, failed: str) -> tuple[list[str], Elimination]:
-        """A Newton function: ``body`` evaluates the free residual, and
-        ``done`` returns once it is below ``tol_a`` in every entry (a NaN
-        never is), which with no free slot is at once."""
-        lines = [f"def {signature}:"] + indent(header + prologue + [loop], 1)
-        if not free:
-            return lines + indent(body + done, 2) + [""], Elimination(
-                (), frozenset(), 0, 0, 0)
-        step, lu = _newton_lines(width, free, order, jacobian, dc_gmin)
-        test = " and ".join(f"abs(r{i}) < tol_a" for i in free)
-        lines += indent(body + [f"if {test}:"] + indent(write_back + done, 1)
-                        + slopes + step, 2)
-        return lines + indent(write_back + [failed], 1) + [""], lu
-
-    # One DC solve attempt.
+    # One DC solve attempt: returns once the residual is below ``tol_a``
+    # (at once with no free slot).
     body = currents + [f"r{i} = {_sum(f_terms.get(i, []))}" for i in free]
+    src = ["def dc_newton(v, data, gmin, tol_a, max_iter, damping_v, "
+           "fallbacks):"]
+    src += indent(header + ["for iteration in range(1, max_iter + 1):"], 1)
+    done = ["return iteration, True, fallbacks"]
     if free:
         body += ["if gmin > 0.0:"]
         body += indent([f"r{i} = r{i} + gmin * v{i}" for i in free], 1)
-    src, dc_lu = newton(
-        "dc_newton(v, data, gmin, tol_a, max_iter, damping_v, fallbacks)",
-        [], "for iteration in range(1, max_iter + 1):", body,
-        ["return iteration, True, fallbacks"], dc_jac, True,
-        "return iteration, False, fallbacks")
+        step, dc_lu = _newton_lines(width, free, order, dc_jac, True)
+        src += indent(body + [f"if {converged}:"]
+                      + indent(write_back + done, 1) + slopes + step, 2)
+        src += indent(write_back + ["return iteration, False, fallbacks"], 1)
+    else:
+        src += indent(body + done, 2)
+        dc_lu = no_lu
+    src.append("")
 
-    # One integration step.
-    fixed_rows = ", ".join(_sum(f_terms.get(m, [])) for m in fixed)
-    step_currents = ", ".join(f"c{k}" for k in range(len(branches)))
-    prologue: list[str] = []
-    for name, value in (("B", "geqs"), ("O", "dv_old"), ("Q", "i_prev")):
-        prologue += unpack([f"{name}{k}" for k in range(len(branches))],
-                           value)
-    lines, transient_lu = newton(
-        "transient_newton(v, data, geqs, dv_old, i_prev, gmin, tol_a, "
-        "max_iter, damping_v, fallbacks)", prologue,
-        "for iteration in range(max_iter):",
-        currents + companions + [
-            f"r{i} = {_sum(t_f.get(i, []))} + gmin * v{i}" for i in free],
-        [f"return True, [{step_currents}], [{fixed_rows}], fallbacks"],
-        t_jac, False, "return False, [], [], fallbacks")
-    src += lines
-
-    # Branch capacitances and voltages.
-    voltages = ", ".join(f"v{a} - v{b}" for a, b in branches)
-    src += ["def branches(v, data):"] + indent(header + caps, 1)
-    src += [f"    return [{', '.join(cap_values)}], [{voltages}]", ""]
+    # The transient run.  Locals carry the state between steps: the
+    # slots ``v<i>`` (the accepted state, then each attempt's iterate),
+    # the accepted free state ``w<i>`` and the one before it ``o<i>``,
+    # and each branch's capacitance ``CB<k>``, voltage ``O<k>`` and
+    # companion current ``Q<k>`` at the accepted state.
+    nb = len(branches)
+    nodes = ", ".join(f"v{i}" for i in range(n)) + ","
+    fixed_rows = "".join(f"{_sum(f_terms.get(m, []))}," for m in fixed)
+    body = run_currents + companions + [
+        f"r{i} = {_sum(t_f.get(i, []))} + gmin * v{i}" for i in free]
+    if free:
+        step, transient_lu = _newton_lines(width, free, order, t_jac, False)
+        newton = (["converged = False",
+                   "for iteration in range(max_iter):"]
+                  + indent(body + [f"if {converged}:", "    converged = True",
+                                   "    break"] + slopes + step, 1))
+    else:
+        newton, transient_lu = body + ["converged = True"], no_lu
+    # Backward Euler from the accepted state on the first step (the
+    # companion currents are not known yet, and subtracting their 0.0
+    # leaves the BE current bit for bit); trapezoidal from the state
+    # extrapolated over ``h``, by at most one step, on every later one.
+    attempt = ["if first:"] + indent(
+        [f"v{i} = w{i}" for i in free]
+        + [f"B{k} = CB{k} / h" for k in range(nb)] or ["pass"], 1)
+    attempt += ["else:"] + indent(
+        ["ratio = min(h / h_old, 1.0)"]
+        + [f"v{i} = w{i} + ratio * (w{i} - o{i})" for i in free]
+        + [f"B{k} = 2.0 * CB{k} / h" for k in range(nb)], 1)
+    if fixed:
+        attempt.append("t_next = t + h")
+    for m in fixed:
+        attempt += [f"if W{m} is not None:", f"    v{m} = float(W{m}(t_next))"]
+    attempt += newton + ["if converged:", "    halvings += attempt",
+                         "    break", "h *= 0.5"]
+    # Branch capacitances and voltages depend only on the accepted state,
+    # so every halving reuses them.
+    step_lines = (["h = min(dt, t_end - t)"] + caps
+                  + [f"CB{k} = {value}" for k, value in enumerate(cap_values)]
+                  + [f"O{k} = v{a} - v{b}"
+                     for k, (a, b) in enumerate(branches)]
+                  + [f"w{i} = v{i}" for i in free]
+                  + ["for attempt in range(max_halvings + 1):"]
+                  + indent(attempt, 1)
+                  + ["else:"]
+                  + indent(write_back + ["raise diverged(t, max_halvings)"], 1)
+                  + ["t += h"] + [f"o{i} = w{i}" for i in free] + ["h_old = h"]
+                  + [f"Q{k} = c{k}" for k in range(nb)]
+                  + ["first = False",
+                     "if check is not None:", f"    check(t, ({nodes}))",
+                     "times.append(t)", f"states.append(({nodes}))",
+                     f"rows.append(({fixed_rows}))"])
+    prologue = (header + grids + unpack([f"W{m}" for m in fixed], "waves")
+                + ["times = [0.0]", f"states = [({nodes})]", "rows = []",
+                   "halvings = 0", "fallbacks = 0", "t = 0.0", "h_old = dt",
+                   "first = True"]
+                + [f"o{i} = v{i}" for i in free]
+                + [f"Q{k} = 0.0" for k in range(nb)])
+    src += ["def transient_run(v, data, waves, t_end, dt, gmin, tol_a, "
+            "max_iter, damping_v, max_halvings, check):"]
+    src += indent(prologue + ["while t < t_end - 1e-21:"], 1)
+    src += indent(step_lines, 2)
+    src += indent(write_back
+                  + ["return times, states, rows, halvings, fallbacks"], 1)
+    src.append("")
 
     # Full-slot static assembly.
     lines = [f"jac = [0.0] * {width * width}"]
@@ -396,16 +537,17 @@ def _elimination(width: int, order: list[int],
     """Straight-line solve of the free-node system with nonzero
     ``pattern`` (slot pairs), eliminated in ``order`` without pivoting.
 
-    Entry ``(i, j)`` of the system lives in ``q{i * width + j}``, and
-    column ``n = width - 1`` (the ground slot, never free) holds the
+    Entry ``(i, j)`` of the system is read from ``q{i * width + j}``,
+    and column ``n = width - 1`` (the ground slot, never free) holds the
     right-hand side, which starts as the residual ``r{i}``.  The lines
-    run the elimination row by row in ``order`` (Doolittle), overwriting
-    each entry with its ``L`` or ``U`` factor; every factor is one
-    expression that subtracts its updates in elimination order, the
-    order of a right-looking LU.  Back substitution leaves ``J^-1 r`` in
-    column ``n``.  A zero pivot raises ``ZeroDivisionError``.  Returns
-    the lines, the names of the multipliers and the symbolic
-    factorization.
+    run the elimination row by row in ``order`` (Doolittle), writing
+    each ``L`` or ``U`` factor that differs from its entry to
+    ``f{i * width + j}`` (so the entries survive for the LAPACK
+    fallback); every factor is one expression that subtracts its updates
+    in elimination order, the order of a right-looking LU.  Back
+    substitution leaves ``J^-1 r`` in ``q`` column ``n``.  A zero pivot
+    raises ``ZeroDivisionError``.  Returns the lines, the names of the
+    multipliers and the symbolic factorization.
     """
     n = width - 1
 
@@ -417,34 +559,38 @@ def _elimination(width: int, order: list[int],
     rows: dict[int, list[int]] = {i: [] for i in order}
     for i, j in filled:
         rows[i].append(j)
+    #: The name holding each entry of ``L + U`` once it is computed.
+    factor = {(i, j): q(i, j) for i, j in pattern}
     lines: list[str] = []
     multipliers: list[str] = []
     rhs = {i: f"r{i}" for i in order}
     for i in order:
         row = sorted(rows[i], key=pos.__getitem__)
         for j in row:
-            updates = "".join(f" - {q(i, k)} * {q(k, j)}"
+            updates = "".join(f" - {factor[i, k]} * {factor[k, j]}"
                               for k in terms[i, j])
             value = (q(i, j) + updates if (i, j) in pattern
                      else "-" + updates[3:])
             if pos[j] < pos[i]:
                 if updates:
                     value = f"({value})"
-                lines.append(f"{q(i, j)} = {value} / {q(j, j)}")
-                multipliers.append(q(i, j))
+                factor[i, j] = f"f{i * width + j}"
+                lines.append(f"{factor[i, j]} = {value} / {factor[j, j]}")
+                multipliers.append(factor[i, j])
             elif updates:
-                lines.append(f"{q(i, j)} = {value}")
+                factor[i, j] = f"f{i * width + j}"
+                lines.append(f"{factor[i, j]} = {value}")
         lower = [k for k in row if pos[k] < pos[i]]
         if lower:
             lines.append(f"{q(i, n)} = r{i}" + "".join(
-                f" - {q(i, k)} * {rhs[k]}" for k in lower))
+                f" - {factor[i, k]} * {rhs[k]}" for k in lower))
             rhs[i] = q(i, n)
     for i in reversed(order):
         upper = sorted((j for j in rows[i] if pos[j] > pos[i]),
                        key=pos.__getitem__, reverse=True)
-        updates = "".join(f" - {q(i, j)} * {q(j, n)}" for j in upper)
+        updates = "".join(f" - {factor[i, j]} * {q(j, n)}" for j in upper)
         value = f"({rhs[i]}{updates})" if updates else rhs[i]
-        lines.append(f"{q(i, n)} = {value} / {q(i, i)}")
+        lines.append(f"{q(i, n)} = {value} / {factor[i, i]}")
     lu = Elimination(
         order=tuple(order),
         pattern=frozenset(pattern),
@@ -463,9 +609,9 @@ def _newton_lines(width: int, free: list[int], order: list[int],
     ``dc_gmin`` the diagonal also takes ``gmin`` when it is positive.
     The system is solved by :func:`_elimination`.  On a zero pivot, a
     multiplier above :data:`MAX_MULTIPLIER` in magnitude (or NaN) or a
-    non-finite solution, LAPACK solves the same iteration from the dense
-    free block, rebuilt from the same expressions.  A non-finite step
-    leaves the loop.
+    non-finite solution, LAPACK solves the same iteration from the same
+    Jacobian entries, placed in the dense free block by an emit-time
+    position table.  A non-finite step leaves the loop.
     """
     m = len(free)
     lines = [f"q{i * width + j} = {value}"
@@ -487,17 +633,13 @@ def _newton_lines(width: int, free: list[int], order: list[int],
 
     # The dense free block, ascending free order, for LAPACK.
     index = {slot: fi for fi, slot in enumerate(free)}
-    dense = [f"jac = [0.0] * {m * m}"]
-    dense += [f"jac[{index[i] * m + index[j]}] = {value}"
-              for (i, j), value in sorted(jacobian.items())]
-    if dc_gmin:
-        dense += ["if gmin > 0.0:"]
-        dense += [f"    jac[{index[i] * (m + 1)}] = "
-                  f"jac[{index[i] * (m + 1)}] + gmin" for i in free]
+    entries = "".join(f"q{i * width + j}," for i, j in jacobian)
+    positions = "".join(f"{index[i] * m + index[j]}," for i, j in jacobian)
     residual = ", ".join(f"r{i}" for i in free)
-    fallback = ["fallbacks += 1"] + dense + [
-        f"{', '.join(step)}, = lapack(jac, [{residual}])",
-        f"if not {finite}:", "    break"]
+    fallback = ["fallbacks += 1",
+                f"{', '.join(step)}, = lapack(({entries}), ({positions}), "
+                f"[{residual}])",
+                f"if not {finite}:", "    break"]
 
     largest = (f"max({', '.join(f'abs({x})' for x in step)})" if m > 1
                else f"abs({step[0]})")
@@ -519,9 +661,10 @@ class StampProgram:
     current source's current, each capacitor's capacitance, and for each
     FET its scalar ``current_and_derivatives`` and ``capacitances``
     callables and polarity (table FETs also their two parasitic
-    capacitances).  ``branches`` lists the two-terminal capacitor
-    branches as slot pairs, in element order (a fixed capacitor gives one
-    branch, a FET its gate-source then gate-drain branch); ``fixed`` the
+    capacitances, and on a uniform grid the
+    :class:`repro.device.tables.UniformGrid` their lookups read).  The
+    capacitor branches are, in element order, each capacitor's terminals
+    and each FET's gate-source then gate-drain pair.  ``fixed`` lists the
     fixed node slots in the kernel's order.
     """
 
@@ -533,7 +676,6 @@ class StampProgram:
 
         elements: list[tuple[int, ...]] = []
         data: list = []
-        branches: list[tuple[int, int]] = []
         for el in circuit.elements:
             if isinstance(el, Resistor):
                 a, b = el.nodes
@@ -547,20 +689,22 @@ class StampProgram:
                 a, b = el.nodes
                 elements.append((_CAPACITOR, slot(a), slot(b)))
                 data.append(el.capacitance_f)
-                branches.append((slot(a), slot(b)))
             elif isinstance(el, (TableFET, CompactMOSFET)):
                 d, g, s = (slot(node) for node in el.nodes)
                 if isinstance(el, TableFET):
                     lookups = el.table.scalar_lookups()
-                    elements.append((_TABLE_FET, d, g, s))
                     data += [lookups.current_and_derivatives,
                              lookups.capacitances, el.polarity,
                              el.c_par_gs_f, el.c_par_gd_f]
+                    if lookups.grid is None:
+                        elements.append((_TABLE_FET, d, g, s))
+                    else:
+                        elements.append((_GRID_FET, d, g, s))
+                        data.append(lookups.grid)
                 else:
                     elements.append((_MOSFET, d, g, s))
                     data += [el.model.ids, el.model.capacitances,
                              el.polarity]
-                branches += [(g, s), (g, d)]
             else:
                 raise CircuitError(
                     f"{el!r} is not a circuit element (Resistor, Capacitor, "
@@ -575,7 +719,6 @@ class StampProgram:
         self.fixed = fixed
         #: Free node indices (ascending).
         self.free = [i for i in range(n) if i not in circuit.fixed]
-        self.branches = branches
         self.data = tuple(data)
         self.kernel = _kernel(self.signature)
 
@@ -588,10 +731,6 @@ class StampProgram:
         order.
         """
         return self.kernel.assemble(v, self.data)
-
-    def capacitances(self, v: list[float]) -> list[float]:
-        """Capacitance of every branch (farads) at slot voltages ``v``."""
-        return self.kernel.branches(v, self.data)[0]
 
 
 class Circuit:

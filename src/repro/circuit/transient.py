@@ -10,12 +10,12 @@ generically:
 with ``C`` evaluated at the previous converged solution (semi-implicit in
 the bias dependence — standard practice for table-based simulators and
 accurate for the smooth Q-V characteristics here).  The per-capacitor
-companion current is part of the integrator state.  Each step's Newton
-loop is the kernel's ``transient_newton``, started from a first-order
-prediction of the free node voltages.
-
-Non-converging steps are retried with halved step size; the supply current
-is recorded every step so energy and power integrate directly.
+companion current is part of the integrator state.  The whole step
+loop runs as the compiled kernel's ``transient_run`` (see
+:class:`repro.circuit.netlist.Kernel`): each step's Newton loop starts
+from a first-order prediction of the free node voltages, non-converging
+steps are retried with halved step size, and the supply current is
+recorded every step so energy and power integrate directly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from repro import obs, sanitize
 from repro.circuit.netlist import Circuit, GROUND
-from repro.errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -113,95 +112,39 @@ def simulate_transient(
     for node, value in circuit.fixed_voltages(0.0).items():
         v_init[node] = value
     v = v_init.tolist() + [0.0]
-
-    times = [0.0]
-    traj = [v[:n]]
-    supply_traces: dict[int, list[float]] = {m: [] for m in monitor}
-
-    def record_supplies(sample: list[float]) -> None:
-        for m, current in zip(monitor, sample):
-            supply_traces[m].append(current)
-
-    if monitor:
-        f0, _ = prog.assemble(v)
-        record_supplies([f0[m] for m in monitor])
     # Supply current: the static residual of the source node, taken
     # before companion currents and gmin (capacitive displacement
     # currents integrate to ~zero over a cycle and the builders put
-    # decoupling caps on rails anyway); the kernel returns it for every
+    # decoupling caps on rails anyway); the kernel records it for every
     # fixed node, in ``prog.fixed`` order.
-    monitor_pos = [prog.fixed.index(m) for m in monitor]
-
-    # Initial capacitor state: zero companion current (consistent DC start).
-    i_cap = [0.0] * len(prog.branches)
-
-    t = 0.0
-    first_step = True
-    # The previous accepted state and step, for the predictor.
-    v_old, h_old = v, dt_s
-    # Counters accumulate in locals and flush to obs once at the end:
-    # the step loop is the hot path of every delay/power figure.
-    n_steps = 0
-    n_halvings = 0
-    fallbacks = 0
-    branches, newton, data = (prog.kernel.branches,
-                              prog.kernel.transient_newton, prog.data)
+    f0 = prog.assemble(v)[0] if monitor else []
+    waves = tuple(value if callable(value) else None
+                  for value in (circuit.fixed[m] for m in prog.fixed))
+    check = _check_finite if sanitize.ACTIVE else None
     with obs.span("circuit.transient", t_end_s=t_end_s, dt_s=dt_s), \
             np.errstate(all="ignore"):
-        while t < t_end_s - 1e-21:
-            h = min(dt_s, t_end_s - t)
-            # Branch capacitances and old branch voltages depend only on
-            # the previous converged state, so every halving reuses them.
-            caps, dv_old = branches(v, data)
-            for attempt in range(max_step_halvings + 1):
-                if first_step:
-                    # Backward Euler: the trapezoidal companion current
-                    # is not known yet (the classic SPICE startup rule).
-                    # ``i_cap`` is still all zeros, and subtracting 0.0
-                    # leaves the BE current bit for bit.  Newton starts
-                    # from ``v0``.
-                    v_try = list(v)
-                    geqs = [c / h for c in caps]
-                else:
-                    # Newton starts from the last step extrapolated over
-                    # ``h``, but never further than one step (``h`` may
-                    # exceed a halved last step).
-                    ratio = min(h / h_old, 1.0)
-                    v_try = [x + ratio * (x - y) for x, y in zip(v, v_old)]
-                    geqs = [2.0 * c / h for c in caps]
-                for node, value in circuit.fixed_voltages(t + h).items():
-                    v_try[node] = value
-                converged, currents, fixed_f, fallbacks = newton(
-                    v_try, data, geqs, dv_old, i_cap, gmin, tol_a, max_iter,
-                    damping_v, fallbacks)
-                if converged:
-                    n_halvings += attempt
-                    break
-                h *= 0.5
-            else:
-                raise ConvergenceError(
-                    f"transient step failed to converge at t = {t:.3e} s "
-                    f"even after {max_step_halvings} step halvings")
-            t += h
-            v_old, v, h_old = v, v_try, h
-            i_cap = currents
-            if sanitize.ACTIVE:
-                sanitize.check_finite(np.array(v[:n]), "simulate_transient",
-                                      f"node voltages at t={t:.6g} s")
-            first_step = False
-            n_steps += 1
-            times.append(t)
-            traj.append(v[:n])
-            record_supplies([fixed_f[k] for k in monitor_pos])
+        times, states, rows, halvings, fallbacks = prog.kernel.transient_run(
+            v, prog.data, waves, t_end_s, dt_s, gmin, tol_a, max_iter,
+            damping_v, max_step_halvings, check)
     if obs.ACTIVE:
         obs.incr("circuit.transient_runs")
-        obs.incr("circuit.transient_steps", n_steps)
-        obs.incr("circuit.step_halvings", n_halvings)
+        obs.incr("circuit.transient_steps", len(times) - 1)
+        obs.incr("circuit.step_halvings", halvings)
         obs.incr("circuit.newton_fallbacks", fallbacks)
 
+    supplies: dict[int, np.ndarray] = {}
+    for m in monitor:
+        k = prog.fixed.index(m)
+        supplies[m] = np.array([f0[m]] + [row[k] for row in rows])
     return TransientResult(
         circuit=circuit,
         time_s=np.array(times),
-        voltages=np.array(traj),
-        supply_currents={m: np.array(tr) for m, tr in supply_traces.items()},
+        voltages=np.array(states),
+        supply_currents=supplies,
     )
+
+
+def _check_finite(t: float, voltages: tuple[float, ...]) -> None:
+    """The sanitizer's check of one accepted state."""
+    sanitize.check_finite(np.array(voltages), "simulate_transient",
+                          f"node voltages at t={t:.6g} s")

@@ -31,15 +31,16 @@ def compute_vtc(
 
     vout = np.empty_like(vin_grid)
     points = vin_grid.tolist()
-    v_prev = v_older = None
+    v_prev: list[float] = []
+    v_older: list[float] = []
     for i, vin in enumerate(points):
         circuit.fixed[in_idx] = vin
-        v0 = v_prev
+        v0 = v_prev or None
         if i >= 2 and points[i - 1] != points[i - 2]:
-            v0 = v_prev - v_older
-            v0 *= (vin - points[i - 1]) / (points[i - 1] - points[i - 2])
-            v0 += v_prev
+            # The secant through the last two solutions, at ``vin``.
+            ratio = (vin - points[i - 1]) / (points[i - 1] - points[i - 2])
+            v0 = [(p - o) * ratio + p for p, o in zip(v_prev, v_older)]
         result = solve_dc(circuit, v0=v0)
-        v_older, v_prev = v_prev, result.voltages
+        v_older, v_prev = v_prev, result.voltages.tolist()
         vout[i] = result.voltage(out_idx)
     return vout

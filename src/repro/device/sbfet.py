@@ -35,6 +35,7 @@ simulator in the test suite and in ``benchmarks/bench_ablation_engines.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,6 +100,58 @@ class SBFETSolution:
     iterations: int
 
 
+def _mode_grids(modes: tuple[TransverseMode, ...], n_k: int
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-mode ``hbar v`` in eV nm (it converts kappa to 1/nm), and the
+    k-grid of each mode's charge integral, spanning energies up to ~1 eV
+    above its subband edge."""
+    hv_ev_nm = np.array(
+        [HBAR_SI * m.velocity_m_per_s / Q_E * 1e9 for m in modes])
+    k_grids = []
+    for m, hv in zip(modes, hv_ev_nm):
+        e_span = 1.0
+        k_max = np.sqrt((m.edge_ev + e_span) ** 2 - m.edge_ev ** 2) / hv
+        k_grids.append(np.linspace(0.0, k_max, n_k))
+    return hv_ev_nm, k_grids
+
+
+@lru_cache(maxsize=32)
+def _density_lut(modes: tuple[TransverseMode, ...], n_k: int, kt_ev: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Equilibrium carrier densities vs midgap level: ``(u, n0, p0,
+    q0)``.
+
+    With a single chemical potential ``mu``, the densities depend
+    only on ``u - mu`` (the Fermi factor sees ``E(k) + u - mu``), so
+    one equilibrium table ``n0(u)`` / ``p0(u)`` at ``mu = 0`` serves
+    every bias: the ballistic two-contact filling is the average of
+    two shifted lookups.  This turns the inner loop of the
+    electrostatic bisection into two ``np.interp`` calls on the
+    net-charge table ``q0 = n0 - p0``.
+
+    The table depends only on the retained modes, the k-grid size and
+    ``kT``, so it is built once per process for each (every impurity
+    variant of a ribbon shares it) and returned read-only.
+    """
+    hv_ev_nm, k_grids = _mode_grids(modes, n_k)
+    u_grid = np.linspace(-3.0, 3.0, 2401)
+    n0 = np.zeros_like(u_grid)
+    p0 = np.zeros_like(u_grid)
+    for mode, hv, ks in zip(modes, hv_ev_nm, k_grids):
+        e_k = np.sqrt(mode.edge_ev ** 2 + (hv * ks) ** 2)  # (nk,)
+        e_cond = u_grid[:, None] + e_k[None, :]
+        e_val = u_grid[:, None] - e_k[None, :]
+        f_cond = fermi_dirac(e_cond, 0.0, kt_ev)
+        f_val = fermi_dirac(e_val, 0.0, kt_ev)
+        # n = (2/pi) int dk f(E(k)); spin x2, +-k folded in.
+        n0 += (2.0 / np.pi) * np.trapezoid(f_cond, ks, axis=1)
+        p0 += (2.0 / np.pi) * np.trapezoid(1.0 - f_val, ks, axis=1)
+    lut = (u_grid, n0, p0, n0 - p0)
+    for array in lut:
+        array.flags.writeable = False
+    return lut
+
+
 class SBFETModel:
     """Fast ballistic SBFET solver for one :class:`GNRFETGeometry`.
 
@@ -156,9 +209,7 @@ class SBFETModel:
         self._trap_w = np.full(n_x, self._dx_nm)
         self._trap_w[[0, -1]] *= 0.5
 
-        # Per-mode hbar*v in eV nm (converts kappa to 1/nm).
-        self._hv_ev_nm = np.array(
-            [HBAR_SI * m.velocity_m_per_s / Q_E * 1e9 for m in self.modes])
+        self._hv_ev_nm, self._k_grids = _mode_grids(self.modes, n_k)
         self._edges_ev = np.array([m.edge_ev for m in self.modes])
         # Band-mask bounds b with mask == [E - u >= b]: ``E - u > edge``
         # is ``>=`` the next float above the edge (hole channel, one row
@@ -167,16 +218,9 @@ class SBFETModel:
         self._mask_bounds = np.concatenate(
             (np.nextafter(self._edges_ev, np.inf), -self._edges_ev))[:, None]
 
-        # k-grids for the charge integral, one per mode, spanning energies
-        # up to ~1 eV above each subband edge.
-        self._k_grids = []
-        for m, hv in zip(self.modes, self._hv_ev_nm):
-            e_span = 1.0
-            k_max = np.sqrt((m.edge_ev + e_span) ** 2 - m.edge_ev ** 2) / hv
-            self._k_grids.append(np.linspace(0.0, k_max, n_k))
-
         self._impurity_profile_ev = self._build_impurity_profile()
-        self._build_density_lut()
+        self._lut_u, self._lut_n0, self._lut_p0, self._lut_q0 = _density_lut(
+            self.modes, n_k, self.kt_ev)
 
     # ------------------------------------------------------------------ #
     # Electrostatics
@@ -218,34 +262,6 @@ class SBFETModel:
                    + (0.0 - u_ch_ev) * np.exp(-x / lam)
                    + (-vd - u_ch_ev) * np.exp(-(length - x) / lam))
         return profile + self._impurity_profile_ev
-
-    def _build_density_lut(self) -> None:
-        """Tabulate equilibrium carrier densities vs midgap level.
-
-        With a single chemical potential ``mu``, the densities depend
-        only on ``u - mu`` (the Fermi factor sees ``E(k) + u - mu``), so
-        one equilibrium table ``n0(u)`` / ``p0(u)`` at ``mu = 0`` serves
-        every bias: the ballistic two-contact filling is the average of
-        two shifted lookups.  This turns the inner loop of the
-        electrostatic bisection into two ``np.interp`` calls on the
-        net-charge table ``q0 = n0 - p0``.
-        """
-        u_grid = np.linspace(-3.0, 3.0, 2401)
-        n0 = np.zeros_like(u_grid)
-        p0 = np.zeros_like(u_grid)
-        for mode, hv, ks in zip(self.modes, self._hv_ev_nm, self._k_grids):
-            e_k = np.sqrt(mode.edge_ev ** 2 + (hv * ks) ** 2)  # (nk,)
-            e_cond = u_grid[:, None] + e_k[None, :]
-            e_val = u_grid[:, None] - e_k[None, :]
-            f_cond = fermi_dirac(e_cond, 0.0, self.kt_ev)
-            f_val = fermi_dirac(e_val, 0.0, self.kt_ev)
-            # n = (2/pi) int dk f(E(k)); spin x2, +-k folded in.
-            n0 += (2.0 / np.pi) * np.trapezoid(f_cond, ks, axis=1)
-            p0 += (2.0 / np.pi) * np.trapezoid(1.0 - f_val, ks, axis=1)
-        self._lut_u = u_grid
-        self._lut_n0 = n0
-        self._lut_p0 = p0
-        self._lut_q0 = n0 - p0
 
     def _densities_at_level(self, u_ev: np.ndarray, mu_s_ev: float,
                             mu_d_ev: float) -> tuple[np.ndarray, np.ndarray]:

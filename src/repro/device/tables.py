@@ -65,6 +65,26 @@ def _bilinear(axis_x: np.ndarray, axis_y: np.ndarray, grid: np.ndarray,
 _SCALAR = (int, float)
 
 
+class UniformGrid(NamedTuple):
+    """What the scalar lookups of a table on a uniform grid read: the
+    gate offset, each axis's start, step, largest fractional index and
+    largest cell index, and the current and charge grids as nested lists
+    (gate-major).  The circuit kernel inlines the lookups over these
+    fields (see :mod:`repro.circuit.netlist`)."""
+
+    offset: float
+    vg0: float
+    dvg: float
+    fx_max: float
+    ix_max: int
+    vd0: float
+    dvd: float
+    fy_max: float
+    iy_max: int
+    current: list
+    charge: list
+
+
 class ScalarLookups(NamedTuple):
     """Float-query evaluations of one table (built by
     :meth:`DeviceTable.scalar_lookups`)."""
@@ -76,6 +96,8 @@ class ScalarLookups(NamedTuple):
     capacitances: Callable[[float, float], tuple[float, float]]
     #: ``(vgs, vds) -> Q``
     charge: Callable[[float, float], float]
+    #: The constants the closures read on a uniform grid, else ``None``.
+    grid: UniformGrid | None
 
 
 def _scalar_lookups(table: "DeviceTable") -> ScalarLookups:
@@ -94,14 +116,15 @@ def _scalar_lookups(table: "DeviceTable") -> ScalarLookups:
     if not (np.allclose(steps_g, steps_g[0], rtol=1e-9, atol=1e-12)
             and np.allclose(steps_d, steps_d[0], rtol=1e-9, atol=1e-12)):
         return ScalarLookups(table._array_current_and_derivatives,
-                             table._array_capacitances, table._array_charge)
-    vg0, dvg, fx_max, ix_max = (float(vg[0]), float(steps_g[0]),
-                                float(vg.size - 1), vg.size - 2)
-    vd0, dvd, fy_max, iy_max = (float(vd[0]), float(steps_d[0]),
-                                float(vd.size - 1), vd.size - 2)
-    offset = table.gate_offset_v
-    cur = table.current_a.tolist()
-    chg = table.charge_c.tolist()
+                             table._array_capacitances, table._array_charge,
+                             None)
+    uniform = UniformGrid(
+        table.gate_offset_v,
+        float(vg[0]), float(steps_g[0]), float(vg.size - 1), vg.size - 2,
+        float(vd[0]), float(steps_d[0]), float(vd.size - 1), vd.size - 2,
+        table.current_a.tolist(), table.charge_c.tolist())
+    (offset, vg0, dvg, fx_max, ix_max, vd0, dvd, fy_max, iy_max, cur,
+     chg) = uniform
 
     def bilinear(grid: list, x: float, y: float
                  ) -> tuple[float, float, float]:
@@ -216,7 +239,8 @@ def _scalar_lookups(table: "DeviceTable") -> ScalarLookups:
             vgs, vds = vgs - vds, -vds
         return bilinear(chg, vgs + offset, vds)[0]
 
-    return ScalarLookups(current_and_derivatives, capacitances, charge)
+    return ScalarLookups(current_and_derivatives, capacitances, charge,
+                         uniform)
 
 
 @dataclass(frozen=True)

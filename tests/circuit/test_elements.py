@@ -2,9 +2,10 @@
 
 Every element's physics (branch currents, Jacobian entries, capacitor
 branches) lives in :class:`repro.circuit.netlist.StampProgram`; these
-tests read it back through ``assemble`` and ``capacitances`` on small
-netlists, first element by element and then as properties over random
-netlists mixing every element kind.
+tests read it back through ``assemble`` and through one Newton iteration
+of ``dc_newton`` and of a transient's first step on small netlists,
+first element by element and then as properties over random netlists
+mixing every element kind.
 """
 
 import math
@@ -22,7 +23,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import GROUND, Circuit, StampProgram
 from repro.device.tables import DeviceTable
-from repro.errors import CircuitError
+from repro.errors import CircuitError, ConvergenceError
 
 
 def _toy_table():
@@ -34,14 +35,16 @@ def _toy_table():
     return DeviceTable(vg=vg, vd=vd, current_a=current, charge_c=charge)
 
 
-def _program(elements, n_nodes):
-    """Compile ``elements`` over nodes ``0 .. n_nodes-1`` (no validation,
-    so a property netlist may leave nodes unconnected)."""
+def _program(elements, n_nodes, fixed=()):
+    """Compile ``elements`` over nodes ``0 .. n_nodes-1`` with the nodes
+    ``fixed`` fixed (no validation, so a property netlist may leave nodes
+    unconnected)."""
     c = Circuit()
     for i in range(n_nodes):
         c.node(f"n{i}")
     for el in elements:
         c.add(el)
+    c.fixed.update(dict.fromkeys(fixed, 0.0))
     return StampProgram(c)
 
 
@@ -55,17 +58,31 @@ def _stamp(elements, v):
 
 
 def _branches(elements, n_nodes, v=None):
-    """``(node_a, node_b, farads)`` of every capacitor branch."""
-    prog = _program(elements, n_nodes)
+    """``(node_a, node_b, farads)`` of every capacitor branch at node
+    voltages ``v``, in the kernel's order (each capacitor, each FET's
+    gate-source then gate-drain pair) and float operations, read through
+    the public lookups; :func:`_assert_first_step` holds the kernel's
+    transient stamps to them."""
     v = [0.0] * n_nodes if v is None else [float(x) for x in v]
-    ground = n_nodes
 
-    def node(slot):
-        return GROUND if slot == ground else slot
+    def volt(node):
+        return 0.0 if node == GROUND else v[node]
 
-    caps = prog.capacitances(v + [0.0])
-    return [(node(a), node(b), c)
-            for (a, b, *_), c in zip(prog.branches, caps)]
+    out = []
+    for el in elements:
+        if isinstance(el, Capacitor):
+            out.append((*el.nodes, el.capacitance_f))
+        elif isinstance(el, (TableFET, CompactMOSFET)):
+            d, g, s = el.nodes
+            p = el.polarity
+            bias = p * (volt(g) - volt(s)), p * (volt(d) - volt(s))
+            if isinstance(el, TableFET):
+                cgs, cgd = el.table.capacitances(*bias)
+                cgs, cgd = cgs + el.c_par_gs_f, cgd + el.c_par_gd_f
+            else:
+                cgs, cgd = (float(c) for c in el.model.capacitances(*bias))
+            out += [(g, s, cgs), (g, d, cgd)]
+    return out
 
 
 def _assert_jacobian_matches_fd(elements, v, atol=1e-9, h=1e-7):
@@ -102,6 +119,8 @@ class TestCapacitor:
 
     def test_cap_stamp(self):
         assert _branches([Capacitor(0, 1, 1e-15)], 2) == [(0, 1, 1e-15)]
+        _assert_first_step([Capacitor(0, 1, 1e-15), Resistor(1, GROUND, 1e3)],
+                           [0.0, 0.0], {0: 1.0})
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -165,6 +184,7 @@ class TestTableFETCapacitors:
         assert (g2, d2) == (1, 0)
         assert cgs >= 1e-18
         assert cgd >= 2e-18
+        _assert_first_step([fet], [0.0, 0.0, 0.0], {1: 0.5})
 
     @given(st.floats(min_value=-0.5, max_value=1.0),
            st.floats(min_value=-0.5, max_value=1.0))
@@ -173,6 +193,7 @@ class TestTableFETCapacitors:
         fet = TableFET(0, 1, GROUND, _toy_table())
         for _, _, c in _branches([fet], 2, [vd, vg]):
             assert c >= 0.0
+        _assert_first_step([fet], [vd, vg], {1: 0.5 * vg})
 
 
 # --- properties over random netlists -------------------------------------------
@@ -263,16 +284,16 @@ def _single_fets(draw):
 
 
 def _free_system(prog, v, gmin, companions=None):
-    """The free-node Jacobian and residual a Newton function solves at
+    """The free-node Jacobian and residual a Newton iteration solves at
     slot voltages ``v``: the static ``assemble``, then (for a transient
-    step) each capacitor branch's companion ``(geqs, dv_old, i_prev)``
-    in branch order, then ``gmin`` (DC: only when positive), which is
-    the kernel's float order."""
+    step) each capacitor branch's companion ``(branches, geqs, dv_old,
+    i_prev)`` in branch order, then ``gmin`` (DC: only when positive),
+    which is the kernel's float order."""
     width = len(v)
     f, flat = prog.assemble(v)
     jac = np.array(flat).reshape(width, width)
     if companions is not None:
-        for (a, b), geq, old, prev in zip(prog.branches, *companions):
+        for (a, b), geq, old, prev in zip(*companions):
             current = geq * ((v[a] - v[b]) - old) - prev
             f[a] = f[a] + current
             jac[a, a] += geq
@@ -289,53 +310,95 @@ def _free_system(prog, v, gmin, companions=None):
     return jac, residual
 
 
+def _first_step(elements, v, jumps, h=1e-13, gmin=1e-12):
+    """One undamped Newton iteration of a transient's first (backward
+    Euler) step from node voltages ``v``, each node of ``jumps`` fixed
+    and stepping from its ``v`` entry to the given voltage at ``t = h``.
+    With ``tol_a=0`` no attempt converges, so the run raises and leaves
+    that iterate in its slot voltages.  Returns the program, the slot
+    voltages at ``t = 0``, the iteration's start (``jumps`` applied) and
+    its result."""
+    prog = _program(elements, len(v), jumps)
+    slots = [float(x) for x in v] + [0.0]
+    got = list(slots)
+    waves = tuple((lambda t, value=jumps[m]: value) for m in prog.fixed)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        prog.kernel.transient_run(got, prog.data, waves, h, h, gmin, 0.0, 1,
+                                  math.inf, 0, None)
+    start = list(slots)
+    for node, value in jumps.items():
+        start[node] = float(value)
+    return prog, slots, start, got
+
+
+def _assert_step(prog, start, got, jac, residual, fallbacks=None):
+    """``got`` is ``start`` stepped by the free block's solution: LAPACK's
+    step bit for bit when the elimination handed the iteration to it
+    (``fallbacks``; for a transient iteration, whenever the bits agree),
+    else ``np.linalg.solve``'s to 1e-12 relative in units of the block's
+    condition number (two backward-stable solvers of one system agree
+    that far), above the rounding of the update itself."""
+    try:
+        want = np.linalg.solve(jac, -residual)
+    except np.linalg.LinAlgError:
+        # LAPACK's NaN step fails the iteration before any update.
+        assert fallbacks in (None, 1)
+        assert [got[i] for i in prog.free] == [start[i] for i in prog.free]
+        return
+    expected = [start[i] + step for i, step in zip(prog.free, want)]
+    got_free = [got[i] for i in prog.free]
+    if fallbacks:
+        assert got_free == expected
+        return
+    if fallbacks is None and got_free == expected:
+        return
+    step = np.array([g - start[i] for g, i in zip(got_free, prog.free)])
+    bound = (1e-12 * np.linalg.cond(jac, np.inf) * np.max(np.abs(want))
+             + 4.0 * np.finfo(float).eps * np.max(np.abs(expected)))
+    assert np.max(np.abs(step - want)) <= bound
+
+
+def _assert_first_step(elements, v, jumps=None, h=1e-13, gmin=1e-12):
+    """The kernel's first transient iteration (:func:`_first_step`)
+    solves the system built from :func:`_branches`: backward-Euler
+    companions ``C / h`` with the branch voltages at ``t = 0`` and no
+    companion current yet."""
+    prog, slots, start, got = _first_step(elements, v, jumps or {}, h, gmin)
+    n = len(v)
+
+    def slot(node):
+        return n if node == GROUND else node
+
+    branches = _branches(elements, n, v)
+    pairs = [(slot(a), slot(b)) for a, b, _ in branches]
+    companions = (pairs, [c / h for *_, c in branches],
+                  [slots[a] - slots[b] for a, b in pairs],
+                  [0.0] * len(pairs))
+    jac, residual = _free_system(prog, start, gmin, companions)
+    _assert_step(prog, start, got, jac, residual)
+
+
 class TestKernelProperties:
     @given(_netlists(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_newton_iteration_solves_the_free_block(self, netlist, data):
-        """One undamped DC and one transient Newton iteration
-        (``max_iter=1``) step by the free block's solution: LAPACK's step
-        bit for bit when the elimination hands the iteration to it, else
-        ``np.linalg.solve``'s to 1e-12 relative in units of the block's
-        condition number (two backward-stable solvers of one system agree
-        that far), above the rounding of the update itself."""
+        """One undamped DC Newton iteration and one of a transient's
+        first step (``max_iter=1``) step by the free block's solution
+        (:func:`_assert_step`); the transient may fix node 0 and step it
+        at ``t = h``, which gives the companions a current."""
         elements, v = netlist
         prog = _program(elements, len(v))
-        kernel = prog.kernel
         slots = [float(x) for x in v] + [0.0]
-        caps, dv_old = kernel.branches(slots, prog.data)
-        geqs = [2.0 * c / 1e-13 for c in caps]
-        i_prev = data.draw(st.lists(
-            st.floats(min_value=-1e-6, max_value=1e-6),
-            min_size=len(caps), max_size=len(caps)))
         gmin = 1e-12
-        for transient in (False, True):
-            got = list(slots)
-            if transient:
-                companions = (geqs, dv_old, i_prev)
-                *_, fallbacks = kernel.transient_newton(
-                    got, prog.data, geqs, dv_old, i_prev, gmin, 0.0, 1,
-                    math.inf, 0)
-            else:
-                companions = None
-                *_, fallbacks = kernel.dc_newton(got, prog.data, gmin, 0.0,
-                                                 1, math.inf, 0)
-            jac, residual = _free_system(prog, slots, gmin, companions)
-            try:
-                want = np.linalg.solve(jac, -residual)
-            except np.linalg.LinAlgError:
-                # LAPACK's NaN step fails the iteration before any update.
-                assert fallbacks == 1 and got == slots
-                continue
-            expected = [slots[i] + step for i, step in zip(prog.free, want)]
-            step = np.array([got[i] - slots[i] for i in prog.free])
-            if fallbacks:
-                assert [got[i] for i in prog.free] == expected
-                continue
-            bound = (1e-12 * np.linalg.cond(jac, np.inf)
-                     * np.max(np.abs(want))
-                     + 4.0 * np.finfo(float).eps * np.max(np.abs(expected)))
-            assert np.max(np.abs(step - want)) <= bound
+        got = list(slots)
+        with np.errstate(all="ignore"):
+            *_, fallbacks = prog.kernel.dc_newton(got, prog.data, gmin, 0.0,
+                                                  1, math.inf, 0)
+        jac, residual = _free_system(prog, slots, gmin)
+        _assert_step(prog, slots, got, jac, residual, fallbacks)
+        jumps = data.draw(st.dictionaries(
+            st.just(0), st.floats(min_value=-0.5, max_value=1.0)))
+        _assert_first_step(elements, v, jumps)
 
     @given(_netlists())
     @settings(max_examples=60, deadline=None)
@@ -381,6 +444,8 @@ class TestKernelProperties:
     @given(_netlists())
     @settings(max_examples=60, deadline=None)
     def test_capacitances_never_negative(self, netlist):
+        """The branch capacitances the kernel stamps (held to
+        :func:`_branches` by the Newton-iteration property above)."""
         elements, v = netlist
         for _, _, c in _branches(elements, len(v), v):
             assert c >= 0.0

@@ -7,11 +7,14 @@ The parity cases replay each production solve through the frozen oracle
 ``gmin > 0.0`` branch), a singular Jacobian (the elimination's zero
 pivot goes to LAPACK, whose NaN solution must take the path
 ``LinAlgError`` takes in the oracle), an FO4 transient of compact-model
-CMOS FETs (their ``float(C)`` capacitance stamps) and an FO4 chain whose
-tables sit on a non-uniform grid (the numpy lookup path).  The structure
-tests pin one kernel per topology, a source made of integer slots and
-fixed identifiers only, and the fill of the eliminations; a hand-built
-system with a zero pivot pins the LAPACK fallback.
+CMOS FETs (their ``float(C)`` capacitance stamps), an FO4 chain whose
+tables sit on a non-uniform grid (the numpy lookup path) and a
+transient mixing a uniform table, a non-uniform table and compact
+models.  The structure tests pin one kernel per topology, a source made
+of integer slots and fixed identifiers only, and the fill of the
+eliminations; a hand-built system with a zero pivot pins the LAPACK
+fallback of both Newton loops.  A property holds ``transient_run``'s
+inlined table lookups to the table's scalar lookups bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.circuit import dc, transient
+from repro.circuit import dc, netlist, transient
 from repro.circuit.elements import Capacitor, CompactMOSFET, Resistor
 from repro.circuit.inverter import add_inverter, build_inverter_chain
 from repro.circuit.netlist import GROUND, Circuit
@@ -68,16 +72,16 @@ def _cmos_fo4(node):
 
 
 class _Slopes:
-    """A compact model with constant current and slopes."""
+    """A compact model with constant current, slopes and capacitances."""
 
-    def __init__(self, gm, gds):
-        self.gm, self.gds = gm, gds
+    def __init__(self, gm, gds, c=1e-18):
+        self.gm, self.gds, self.c = gm, gds, c
 
     def ids(self, vgs, vds):
         return 1e-6, self.gm, self.gds
 
     def capacitances(self, vgs, vds):
-        return 1e-18, 1e-18
+        return self.c, self.c
 
 
 def _non_uniform(table, drop=7):
@@ -144,16 +148,48 @@ class TestParity:
         result = transient.simulate_transient(c, *args, **kwargs)
         _assert_transient_equal(c, result, *args, **kwargs)
 
+    def test_mixed_lookups_transient(self, nominal_pair, params):
+        """A table inverter whose n-FET table is on a uniform grid (its
+        lookups inlined) and whose p-FET table is not (its closures
+        called), driving a compact-model CMOS inverter."""
+        nt, pt = nominal_pair
+        cmos = ptm_node(45)
+        c = Circuit("mixed")
+        vin, mid, vdd = c.node("in"), c.node("mid"), c.node("vdd")
+        out = c.node("out")
+        c.fix(vdd, VDD)
+        c.fix(vin, 0.0)
+        add_inverter(c, "inv", vin, mid, vdd, nt, _non_uniform(pt), params)
+        c.add(CompactMOSFET(out, mid, GROUND, cmos.nmos, polarity=+1))
+        c.add(CompactMOSFET(out, mid, vdd, cmos.pmos, polarity=-1))
+        c.add(Capacitor(out, GROUND, 1e-17))
+        kinds = {kind for kind, *_ in c.program().signature[2]}
+        assert {netlist._GRID_FET, netlist._TABLE_FET,
+                netlist._MOSFET} <= kinds
+        dc0 = dc.solve_dc(c)
+        _assert_dc_equal(c, dc0)
+        c.fixed[vin] = _step_input(2e-12)
+        args = (25e-12, 0.25e-12, dc0.voltages)
+        kwargs = dict(monitor_supplies=("vdd", "in"))
+        result = transient.simulate_transient(c, *args, **kwargs)
+        _assert_transient_equal(c, result, *args, **kwargs)
+
 
 #: Identifiers the emitter may write besides ``<letters><slot or index>``.
-_FIXED_IDENTIFIERS = {"dc_newton", "transient_newton", "branches",
-                      "assemble", "v", "data", "gmin", "geqs", "dv_old",
-                      "i_prev", "tol_a", "max_iter", "damping_v",
-                      "fallbacks", "iteration", "solved", "max_step",
-                      "scale", "jac", "lapack", "float", "abs", "max",
-                      "range", "ZeroDivisionError"}
-_NUMBERED = re.compile(r"(v|e|x|y|u|a|b|c|r|q|B|O|Q|G|I|C|IV|CV|P|PS|PD)"
-                       r"\d+")
+_FIXED_IDENTIFIERS = {
+    "dc_newton", "transient_run", "assemble", "v", "data", "waves",
+    "t_end", "dt", "gmin", "tol_a", "max_iter", "damping_v",
+    "max_halvings", "check", "times", "states", "rows", "halvings",
+    "fallbacks", "t", "h", "h_old", "t_next", "first", "attempt", "ratio",
+    "converged", "iteration", "solved", "max_step", "scale", "jac",
+    "lapack", "diverged", "float", "abs", "max", "min", "int", "range",
+    "ZeroDivisionError",
+    # the scratch names of the inlined table lookups
+    "fx", "fy", "ix", "iy", "tx", "ty", "sx", "sy", "row0", "row1",
+    "z00", "z01", "z10", "z11"}
+_NUMBERED = re.compile(
+    r"(v|w|o|e|x|y|u|a|b|c|r|q|f|gs|ds|B|O|Q|CB|W|G|I|C|IV|CV|P|PS|PD|T"
+    r"|OF|VG|DG|FX|IX|VD|DD|FY|IY|CU|CH)\d+")
 
 
 class TestKernelStructure:
@@ -182,7 +218,9 @@ class TestKernelStructure:
             elif isinstance(node, ast.FunctionDef):
                 names.add(node.name)
             elif isinstance(node, ast.Constant):
-                assert isinstance(node.value, (int, float)), node.value
+                # Numbers, and None for an absent waveform or check.
+                assert (node.value is None
+                        or isinstance(node.value, (int, float))), node.value
         odd = {name for name in names if name not in _FIXED_IDENTIFIERS
                and not _NUMBERED.fullmatch(name)}
         assert not odd
@@ -225,3 +263,90 @@ class TestKernelStructure:
         assert jac[0, 0] == gds
         step = np.linalg.solve(jac, -np.array(f[:2]))
         assert got[:2] == [v[0] + step[0], v[1] + step[1]]
+
+    @pytest.mark.parametrize("gds", [0.0, 1e-30])
+    def test_transient_zero_pivot_takes_the_lapack_fallback(self, gds):
+        """The same pair without capacitance or ``gmin``: the first
+        transient iteration's free block is the static one, and its step
+        is LAPACK's (the run fails after that one iteration and leaves
+        it in ``v``)."""
+        c = Circuit()
+        a, b = c.node("a"), c.node("b")
+        c.add(CompactMOSFET(a, b, GROUND, _Slopes(2e-5, gds, 0.0), +1))
+        c.add(CompactMOSFET(b, a, GROUND, _Slopes(3e-5, 1e-6, 0.0), +1))
+        prog = c.program()
+        assert prog.kernel.transient_elimination.order == (a, b)
+        v = [0.3, 0.2, 0.0]
+        got = list(v)
+        with pytest.raises(ConvergenceError):
+            prog.kernel.transient_run(got, prog.data, (), 1e-12, 1e-12,
+                                      0.0, 0.0, 1, math.inf, 0, None)
+        f, flat = prog.assemble(v)
+        jac = np.array(flat).reshape(3, 3)[:2, :2]
+        step = np.linalg.solve(jac, -np.array(f[:2]))
+        assert got[:2] == [v[0] + step[0], v[1] + step[1]]
+
+
+def _clamped_table():
+    """A uniform table with a gate offset whose ``|dQ/dV_GS| -
+    |dQ/dV_DS|`` changes sign, so the ``C_GS,i >= 0`` clamp bites."""
+    vg = np.linspace(-0.6, 0.9, 16)
+    vd = np.linspace(0.0, 0.75, 6)
+    gg, dd = np.meshgrid(vg, vd, indexing="ij")
+    current = 1e-6 * (gg + 1.0) ** 2 * np.tanh(4.0 * dd)
+    charge = 1e-18 * (0.3 * gg + 0.5 * dd + 0.9 * gg * dd + 0.4 * gg ** 2)
+    return DeviceTable(vg=vg, vd=vd, current_a=current, charge_c=charge,
+                       gate_offset_v=0.07)
+
+
+CLAMPED = _clamped_table()
+
+
+def _inline_lookup():
+    """``transient_run``'s inlined current and capacitance lookups of one
+    table FET, compiled alone: ``(gs, ds, grid) -> (I, dI/dV_GS,
+    dI/dV_DS, C_GS,i, C_GD,i)``."""
+    lines = ["def lookup(gs0, ds0, T0):", "    " + netlist._grid_constants(0)]
+    lines += ["    " + line for line in netlist._grid_current(0)
+              + netlist._grid_capacitances(0)]
+    lines.append("    return e0, x0, y0, a0, b0")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<inline lookup>", "exec"), namespace)
+    return namespace["lookup"]
+
+
+INLINE_LOOKUP = _inline_lookup()
+
+
+def _biases(axis, offset, span):
+    """Grid nodes (exact after the offset), points inside and up to
+    ``span`` past both ends of ``axis``."""
+    nodes = [float(x) - offset for x in axis]
+    return st.one_of(st.sampled_from(nodes),
+                     st.floats(min_value=nodes[0] - span,
+                               max_value=nodes[-1] + span))
+
+
+class TestInlineLookups:
+    @given(_biases(CLAMPED.vg, CLAMPED.gate_offset_v, 0.5),
+           st.one_of(_biases(CLAMPED.vd, 0.0, 0.5),
+                     _biases(-CLAMPED.vd[::-1], 0.0, 0.5)))
+    @settings(max_examples=300, deadline=None)
+    def test_inline_lookups_match_scalar_lookups(self, vgs, vds):
+        """Same bits as :class:`repro.device.tables.ScalarLookups`, over
+        mirrored negative ``V_DS``, both ends of both axes and the clamp
+        of ``C_GS,i`` at zero."""
+        lookups = CLAMPED.scalar_lookups()
+        want = (*lookups.current_and_derivatives(vgs, vds),
+                *lookups.capacitances(vgs, vds))
+        got = INLINE_LOOKUP(vgs, vds, lookups.grid)
+        assert [float(x).hex() for x in got] == [float(x).hex()
+                                                 for x in want]
+
+    def test_property_reaches_the_clamp_and_the_mirror(self):
+        """The table above does clamp ``C_GS,i`` and the mirror changes
+        the current's sign, so the property covers both branches."""
+        lookups = CLAMPED.scalar_lookups()
+        assert lookups.capacitances(0.5, 0.1)[0] == 0.0
+        assert lookups.capacitances(0.5, 0.4)[0] > 0.0
+        assert lookups.current_and_derivatives(0.5, -0.2)[0] < 0.0

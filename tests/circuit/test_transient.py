@@ -1,5 +1,6 @@
 """Tests for the transient integrator against analytic circuits."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import sanitize
 from repro.circuit.dc import solve_dc
-from repro.circuit.elements import Capacitor, Resistor
+from repro.circuit.elements import Capacitor, CompactMOSFET, Resistor
 from repro.circuit.netlist import Circuit, GROUND
 from repro.circuit.transient import simulate_transient
-from repro.errors import CircuitError
+from repro.errors import CircuitError, ConvergenceError, SanitizerError
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -124,7 +126,7 @@ class TestValidation:
         process so that a regression fails on the timeout, not hangs."""
         script = textwrap.dedent("""
             import numpy as np
-            from repro.circuit.elements import Capacitor, Resistor
+            from repro.circuit.elements import Capacitor, CompactMOSFET, Resistor
             from repro.circuit.netlist import Circuit, GROUND
             from repro.circuit.transient import simulate_transient
             c = Circuit()
@@ -179,51 +181,73 @@ class TestMonitorValidation:
                               by_index.supply_currents[0])
 
 
+class _Probe:
+    """A compact model with no current, slopes or capacitance that
+    records the ``v_ds`` of every ``ids`` call: tied across a node and
+    ground, it sees each Newton iterate of that node."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def ids(self, vgs, vds):
+        self.log.append(("v", vds))
+        return 0.0, 0.0, 0.0
+
+    def capacitances(self, vgs, vds):
+        return 0.0, 0.0
+
+
 class TestPredictor:
     """Every step but the first starts Newton from the last step
     extrapolated over the new step, never further than one step."""
 
     @staticmethod
-    def _starts(monkeypatch, circuit):
-        """Record the slot voltages each ``transient_newton`` call starts
-        from, and whether it converged."""
-        prog = circuit.program()
-        newton = prog.kernel.transient_newton
-        calls = []
+    def _starts(circuit, node, waveform):
+        """Drive ``in`` by ``waveform`` and probe ``node``.  Each attempt
+        evaluates the input at its end time (after the initial state at
+        ``t = 0``) once, before its Newton loop, whose first iterate the
+        probe sees next; returns a function of the result giving ``(end
+        time, start voltage, converged)`` per attempt."""
+        log = []
+        circuit.add(CompactMOSFET(node, GROUND, GROUND, _Probe(log)))
 
-        def spy(v, *args):
-            start = list(v)
-            result = newton(v, *args)
-            calls.append((start, result[0]))
-            return result
+        def wave(t):
+            log.append(("t", t))
+            return waveform(t)
 
-        monkeypatch.setattr(prog, "kernel",
-                            prog.kernel._replace(transient_newton=spy))
-        return calls
+        circuit.fixed[circuit.node("in")] = wave
 
-    def test_first_step_starts_from_v0(self, monkeypatch):
+        def attempts(res):
+            times = set(res.time_s.tolist())
+            out = []
+            for k, (kind, t) in enumerate(log):
+                if kind == "t" and t > 0.0:
+                    start = next(v for kind, v in log[k + 1:] if kind == "v")
+                    out.append((t, start, t in times))
+            return out
+        return attempts
+
+    def test_first_step_starts_from_v0(self):
         circ, out = _rc_circuit()
-        circ.fixed[circ.node("in")] = lambda t: min(t / 1e-9, 1.0)
-        calls = self._starts(monkeypatch, circ)
+        attempts = self._starts(circ, out, lambda t: min(t / 1e-9, 1.0))
         v0 = np.zeros(circ.n_nodes)
         v0[out] = 0.25
         res = simulate_transient(circ, 3e-10, 1e-10, v0)
-        (first, ok_first), (second, ok_second) = calls[:2]
+        (_, first, ok_first), (_, second, ok_second) = attempts(res)[:2]
         assert ok_first and ok_second
-        assert first[out] == 0.25
+        assert first == 0.25
         v = res.v(out)
-        assert second[out] == v[1] + 1.0 * (v[1] - v[0])
+        assert second == v[1] + 1.0 * (v[1] - v[0])
 
-    def test_step_after_halvings_extrapolates_at_most_one_step(
-            self, monkeypatch):
+    def test_step_after_halvings_extrapolates_at_most_one_step(self):
         """A stiff input (2 V in 4 ps through a 1 ps RC, at most three
         damped 0.3 V Newton iterations per attempt) forces halvings.  A
         full step after a halved one extrapolates by the last step only
         (the ratio is capped at 1), and no attempt starts further than
         one step from the last state."""
         circ, out = _rc_circuit(r=1e3, c=1e-15)
-        circ.fixed[circ.node("in")] = lambda t: 2.0 * min(t / 4e-12, 1.0)
-        calls = self._starts(monkeypatch, circ)
+        attempts = self._starts(circ, out,
+                                lambda t: 2.0 * min(t / 4e-12, 1.0))
         dt = 4e-12
         res = simulate_transient(circ, 40e-12, dt, np.zeros(circ.n_nodes),
                                  max_iter=3)
@@ -232,16 +256,47 @@ class TestPredictor:
                   if steps[k - 1] < dt and steps[k] == dt]
         assert halved
         firsts, n = {}, 0
-        for start, converged in calls:
-            firsts.setdefault(n, start[out])
+        for _, start, converged in attempts(res):
+            firsts.setdefault(n, start)
             if n == 0:
-                assert start[out] == v[0]
+                assert start == v[0]
             else:
-                assert (abs(start[out] - v[n])
+                assert (abs(start - v[n])
                         <= abs(v[n] - v[n - 1]) + 1e-15 * abs(v[n]))
             n += converged
+        assert n == len(steps)
         for k in halved:
             assert firsts[k] == v[k] + 1.0 * (v[k] - v[k - 1])
+
+
+class TestRunFailures:
+    def test_sanitizer_raises_at_first_non_finite_state(self, monkeypatch):
+        """A fixed node no element touches goes NaN from 25 ps on while
+        every step converges: the run records it, or with the sanitizer
+        on raises at the first accepted state that holds it."""
+        circ, _ = _rc_circuit()
+        probe = circ.node("probe")
+        circ.fix(probe, lambda t: math.nan if t > 2.5e-11 else 0.0)
+        v0 = np.zeros(circ.n_nodes)
+        res = simulate_transient(circ, 1e-10, 1e-11, v0)
+        assert np.isnan(res.v(probe)).tolist() == [False] * 3 + [True] * 8
+        monkeypatch.setattr(sanitize, "ACTIVE", True)
+        with pytest.raises(SanitizerError) as err:
+            simulate_transient(circ, 1e-10, 1e-11, v0)
+        assert err.value.operator == "simulate_transient"
+        assert err.value.quantity == "node voltages at t=3e-11 s"
+
+    def test_convergence_error_after_every_halving(self):
+        """One Newton iteration per attempt never converges a step that
+        moves the input."""
+        circ, _ = _rc_circuit(r=1e3, c=1e-15)
+        circ.fixed[circ.node("in")] = lambda t: 2.0 * min(t / 4e-12, 1.0)
+        with pytest.raises(ConvergenceError) as err:
+            simulate_transient(circ, 40e-12, 4e-12, np.zeros(circ.n_nodes),
+                               max_iter=1, max_step_halvings=2)
+        assert str(err.value) == ("transient step failed to converge at "
+                                  "t = 0.000e+00 s even after 2 step "
+                                  "halvings")
 
 
 class TestInverterTransient:

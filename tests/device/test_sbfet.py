@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import RunConfig
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
-from repro.device.sbfet import SBFETModel
+from repro.device.iv import sweep_iv
+from repro.device.sbfet import SBFETModel, _density_lut
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +163,34 @@ class TestImpurityProfile:
             n_index=12, impurity=ChargeImpurity(charge_e=-2.0)))
         assert m2._impurity_profile_ev.max() == pytest.approx(
             2.0 * m1._impurity_profile_ev.max(), rel=1e-9)
+
+
+class TestDensityLUT:
+    """The equilibrium density table is built once per process for each
+    (retained modes, k-grid size, kT) and shared read-only."""
+
+    def test_shared_across_impurities_not_temperatures(self):
+        base = GNRFETGeometry(n_index=12)
+        nominal = SBFETModel(base)
+        impure = SBFETModel(base.with_impurity(ChargeImpurity(charge_e=-1.0)))
+        hot = SBFETModel(GNRFETGeometry(n_index=12, temperature_k=350.0))
+        for name in ("_lut_u", "_lut_n0", "_lut_p0", "_lut_q0"):
+            assert getattr(impure, name) is getattr(nominal, name)
+            assert not getattr(nominal, name).flags.writeable
+        assert hot._lut_n0 is not nominal._lut_n0
+        assert not np.array_equal(hot._lut_n0, nominal._lut_n0)
+
+    def test_sweep_on_a_shared_table_is_bitwise(self):
+        """An impurity sweep reads the same bits whether its model built
+        the table or the nominal model did."""
+        base = GNRFETGeometry(n_index=12)
+        impure = base.with_impurity(ChargeImpurity(charge_e=-1.0))
+        vg, vd = np.linspace(0.0, 0.6, 4), np.array([0.0, 0.3])
+        _density_lut.cache_clear()
+        own = sweep_iv(impure, vg, vd, config=RunConfig(workers=1))
+        _density_lut.cache_clear()
+        SBFETModel(base)
+        shared = sweep_iv(impure, vg, vd, config=RunConfig(workers=1))
+        assert own.current_a.tobytes() == shared.current_a.tobytes()
+        assert own.charge_c.tobytes() == shared.charge_c.tobytes()
+        assert own.midgap_ev.tobytes() == shared.midgap_ev.tobytes()
