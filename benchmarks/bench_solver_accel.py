@@ -1,6 +1,6 @@
 """Solver acceleration layer: the hot-path wins, measured.
 
-The acceleration work has eight legs, each with a quantitative
+The acceleration work has nine legs, each with a quantitative
 acceptance target measured here and persisted to ``BENCH_solvers.json``
 at the repository root:
 
@@ -30,6 +30,19 @@ at the repository root:
   (``tests/device/wkb_reference.py``) and the production kernel.
   Target: >= 4x per call with relative parity <= 1e-12; the whole
   table sweep is timed under both kernels.
+* **Table builds** — ``sweep_iv`` solves every cell's channel midgap in
+  one vectorized bisection (``SBFETModel.solve_midgaps``) and integrates
+  each current on a breakpoint grid: merged fine windows around the
+  subband edges ``u_ch +- E_n`` only, coarse elsewhere
+  (``repro.negf.energy_grid.breakpoint_energy_grid``).  Measures, on five
+  tables (nominal N = 12, 400 K, 2.1 nm oxide, N = 9, -1q impurity), the
+  points per cell and the relative current error of the previous
+  overlaid grid and of the breakpoint grid against a 0.05 meV uniform
+  grid, and times the serial nominal build with the frozen scalar
+  bisection (``tests/device/bisection_reference.py``) and the previous
+  grid swapped in, against production.  Target: worst-cell error no
+  larger than the previous grid's on the nominal table and <= 1e-3 on
+  every table, bitwise midgaps and charges, build <= 0.6x.
 * **Compiled circuit engine** — ``solve_dc`` and ``simulate_transient``
   run the Newton loops that each netlist topology is emitted and
   compiled into as straight-line Python
@@ -110,14 +123,15 @@ from repro.circuit.ring_oscillator import (
 from repro.circuit.transient import simulate_transient
 from repro.circuit.vtc import compute_vtc
 from repro.config import RunConfig
-from repro.constants import fermi_dirac
-from repro.device import negf_device
-from repro.device.geometry import GNRFETGeometry
+from repro.constants import KT_ROOM_EV, LANDAUER_PREFACTOR_A_PER_EV, fermi_dirac
+from repro.device import negf_device, sbfet
+from repro.device.geometry import ChargeImpurity, GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device.negf_modespace import ModeSpaceGNRDevice
 from repro.device.negf_realspace import RealSpaceGNRDevice
 from repro.device.sbfet import SBFETModel
 from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
+from repro.negf.energy_grid import adaptive_energy_grid, uniform_energy_grid
 from repro.poisson.fd import PoissonOperator, solve_poisson_2d
 from repro.poisson.grid import Grid2D
 from repro.reporting.tables import format_table
@@ -143,6 +157,10 @@ MODESPACE_SWEEP = (4,) if SMOKE else (2, 4, 6, None)
 WKB_VG_GRID = DEFAULT_VG_GRID[::6] if SMOKE else DEFAULT_VG_GRID
 WKB_VD_GRID = DEFAULT_VD_GRID[::3] if SMOKE else DEFAULT_VD_GRID
 WKB_REPEATS = 1 if SMOKE else 3
+GRID_VG = DEFAULT_VG_GRID[::6] if SMOKE else DEFAULT_VG_GRID
+GRID_VD = DEFAULT_VD_GRID[::3] if SMOKE else DEFAULT_VD_GRID
+GRID_REFERENCE_STEP_EV = 5e-5
+GRID_BUILD_PAIRS = 2 if SMOKE else 5
 CIRCUIT_FO4_CYCLES = 0.5 if SMOKE else 2.0
 CIRCUIT_VTC_POINTS = 21 if SMOKE else 61
 CIRCUIT_RING_STEPS = 40 if SMOKE else 300
@@ -158,6 +176,7 @@ NEGF_REPEATS = 3 if SMOKE else 10
 SCHEMA = "repro-bench-solvers/11"
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 ORACLE_PATH = TESTS_DIR / "device" / "wkb_reference.py"
+BISECTION_ORACLE_PATH = TESTS_DIR / "device" / "bisection_reference.py"
 CIRCUIT_ORACLE_PATH = TESTS_DIR / "circuit" / "engine_reference.py"
 CIRCUIT_PARITY_PATH = TESTS_DIR / "circuit" / "test_engine_parity.py"
 REPLICA_ORACLE_PATH = TESTS_DIR / "circuit" / "replica_reference.py"
@@ -445,6 +464,192 @@ def test_solver_acceleration(save_report):
         "modespace_engine": modespace,
         "wkb_kernel": wkb,
     })
+
+
+GRID_TABLES = {
+    "nominal": GNRFETGeometry(n_index=12),
+    "400K": GNRFETGeometry(n_index=12, temperature_k=400.0),
+    "oxide_2.1nm": GNRFETGeometry(n_index=12, oxide_thickness_nm=2.1),
+    "N9": GNRFETGeometry(n_index=9),
+    "impurity_-1q": GNRFETGeometry(
+        n_index=12, impurity=ChargeImpurity(charge_e=-1.0)),
+}
+
+
+def _previous_current_grid(model, u_ch_ev, vd):
+    """The quadrature of ``current_a`` before the breakpoint grid: a
+    0.8 meV grid per feature (subband edges and both Fermi levels)
+    overlaid on a 4 meV one and merged by ``np.unique``."""
+    window = 12.0 * model.kt_ev
+    e_min = min(-vd, 0.0) - window
+    e_max = max(-vd, 0.0) + window
+    features = [0.0, -vd]
+    for edge in model._edges_ev:
+        features += [u_ch_ev + edge, u_ch_ev - edge]
+    features = [f for f in features if e_min <= f <= e_max]
+    return adaptive_energy_grid(e_min, e_max, features,
+                                coarse_step_ev=4e-3, fine_step_ev=8e-4)
+
+
+def _reference_current_grid(model, u_ch_ev, vd):
+    """0.05 meV uniform grid on the same window.  With an impurity it
+    also straddles the well factor's jumps at ``u_interior -+ E_n``:
+    a uniform grid alone is off there by up to 6e-4 relative."""
+    window = 12.0 * model.kt_ev
+    e_min = min(-vd, 0.0) - window
+    e_max = max(-vd, 0.0) + window
+    grid = uniform_energy_grid(e_min, e_max, GRID_REFERENCE_STEP_EV)
+    imp = model._impurity_profile_ev
+    if not imp.any():
+        return grid
+    u_interior = float(np.median(model.band_profile_midgap_ev(u_ch_ev, vd)))
+    jumps = ([u_interior + e for e in model._edges_ev] if imp.min() < 0.0
+             else []) + ([u_interior - e for e in model._edges_ev]
+                         if imp.max() > 0.0 else [])
+    cuts = [j + side for j in jumps for side in (-1e-10, 1e-10)
+            if e_min < j + side < e_max]
+    return np.unique(np.concatenate([grid, cuts]))
+
+
+def _landauer_a(model, u_ch_ev, vd, energies):
+    """``current_a``'s integral on the given energies."""
+    t = model.transmission(energies, model.band_profile_midgap_ev(u_ch_ev,
+                                                                  vd))
+    occupation = (fermi_dirac(energies, 0.0, model.kt_ev)
+                  - fermi_dirac(energies, -vd, model.kt_ev))
+    return LANDAUER_PREFACTOR_A_PER_EV * float(
+        np.trapezoid(t * occupation, energies))
+
+
+def _grid_errors(geometry) -> dict:
+    """Points per cell and relative current error of both grids."""
+    model = SBFETModel(geometry)
+    midgap, _, _ = model.solve_midgaps(GRID_VG[:, None], GRID_VD[None, :])
+    grids = {"previous": lambda u, vd: _previous_current_grid(model, u, vd),
+             "breakpoint": model._current_energy_grid}
+    points: dict[str, list[int]] = {name: [] for name in grids}
+    errors: dict[str, list[float]] = {name: [] for name in grids}
+    for i in range(GRID_VG.size):
+        for j, vd in enumerate(GRID_VD.tolist()):
+            if vd == 0.0:
+                continue
+            u = float(midgap[i, j])
+            ref = _landauer_a(model, u, vd,
+                              _reference_current_grid(model, u, vd))
+            for name, grid in grids.items():
+                energies = grid(u, vd)
+                value = _landauer_a(model, u, vd, energies)
+                points[name].append(energies.size)
+                errors[name].append(abs(value - ref) / abs(ref))
+            assert value == model.current_a(u, vd)  # the production path
+    out: dict = {"cells": len(errors["breakpoint"])}
+    for name in grids:
+        err = np.array(errors[name])
+        out[name] = {
+            "points_per_cell": float(np.mean(points[name])),
+            "worst_rel_err": float(err.max()),
+            "p50_rel_err": float(np.quantile(err, 0.5)),
+            "p90_rel_err": float(np.quantile(err, 0.9)),
+        }
+    return out
+
+
+def _build_times() -> dict:
+    """Serial nominal build, previous path vs production, alternating.
+
+    The previous path is the sweep with the frozen scalar bisection
+    (one cell per call) and the previous grid swapped in."""
+    oracle = _load_module(BISECTION_ORACLE_PATH).reference_solve_midgap_ev
+    solve, grid = SBFETModel.solve_midgaps, SBFETModel._current_energy_grid
+
+    def scalar_solve(self, vg, vd, tol_ev=1e-6, max_iter=80):
+        vg_b, vd_b = np.broadcast_arrays(vg, vd)
+        cells = [oracle(self, a, b, tol_ev, max_iter)
+                 for a, b in zip(vg_b.ravel().tolist(),
+                                 vd_b.ravel().tolist())]
+        return (np.array([u for u, _ in cells]).reshape(vg_b.shape),
+                np.array([n for _, n in cells]).reshape(vg_b.shape), {})
+
+    def build(previous: bool):
+        if previous:
+            SBFETModel.solve_midgaps = scalar_solve
+            SBFETModel._current_energy_grid = _previous_current_grid
+        try:
+            start = time.perf_counter()
+            sweep = sweep_iv(GRID_TABLES["nominal"], GRID_VG, GRID_VD,
+                             config=RunConfig(workers=1))
+            return time.perf_counter() - start, sweep
+        finally:
+            SBFETModel.solve_midgaps, SBFETModel._current_energy_grid = (
+                solve, grid)
+
+    before, after = [], []
+    for _ in range(GRID_BUILD_PAIRS):
+        t, old = build(previous=True)
+        before.append(t)
+        t, new = build(previous=False)
+        after.append(t)
+    return {
+        "grid": [int(GRID_VG.size), int(GRID_VD.size)],
+        "pairs": GRID_BUILD_PAIRS,
+        "before_s": float(np.median(before)),
+        "after_s": float(np.median(after)),
+        "ratio": float(np.median(after) / np.median(before)),
+        "before_runs_s": before,
+        "after_runs_s": after,
+        "bitwise_midgap_charge": bool(
+            np.array_equal(old.midgap_ev, new.midgap_ev)
+            and np.array_equal(old.charge_c, new.charge_c)),
+    }
+
+
+def test_current_grid(save_report):
+    leg = {
+        "reference_step_ev": GRID_REFERENCE_STEP_EV,
+        "breakpoint_grid": {
+            "fine_step_ev": sbfet.CURRENT_GRID_FINE_STEP_EV,
+            "coarse_step_ev": sbfet.CURRENT_GRID_COARSE_STEP_EV,
+            "halfwidth_kt": sbfet.CURRENT_GRID_HALFWIDTH_KT},
+        "previous_grid": {"fine_step_ev": 8e-4, "coarse_step_ev": 4e-3,
+                          "halfwidth_ev": 4.0 * KT_ROOM_EV},
+        "tables": {name: _grid_errors(g) for name, g in GRID_TABLES.items()},
+        "build": _build_times(),
+    }
+    rows = []
+    for name, table in leg["tables"].items():
+        prev, new = table["previous"], table["breakpoint"]
+        rows.append([f"{name} ({table['cells']} cells)",
+                     f"{prev['points_per_cell']:.0f} pts, worst "
+                     f"{prev['worst_rel_err']:.1e}",
+                     f"{new['points_per_cell']:.0f} pts, worst "
+                     f"{new['worst_rel_err']:.1e}",
+                     f"p50 {new['p50_rel_err']:.1e}, "
+                     f"p90 {new['p90_rel_err']:.1e}"])
+    build = leg["build"]
+    rows.append([f"serial build {build['grid'][0]}x{build['grid'][1]} "
+                 f"(median of {build['pairs']})",
+                 f"{build['before_s']:.3f} s", f"{build['after_s']:.3f} s",
+                 f"{build['ratio']:.2f}x"])
+    report = format_table(
+        ["table", "previous grid", "breakpoint grid", "breakpoint spread"],
+        rows, title="Current quadrature vs a "
+                    f"{GRID_REFERENCE_STEP_EV * 1e3:.2f} meV reference")
+    save_report("current_grid", report)
+    print(report)
+
+    assert build["bitwise_midgap_charge"]
+    for table in leg["tables"].values():
+        assert table["breakpoint"]["worst_rel_err"] <= 1e-3
+        assert (table["breakpoint"]["points_per_cell"]
+                < table["previous"]["points_per_cell"])
+    if SMOKE:
+        assert build["ratio"] < 1.0
+        return
+    nominal = leg["tables"]["nominal"]
+    assert (nominal["breakpoint"]["worst_rel_err"]
+            <= nominal["previous"]["worst_rel_err"])
+    assert build["ratio"] <= 0.6
+    _write_legs({"current_grid": leg})
 
 
 def _best_pair_s(oracle, kernel, repeats: int) -> tuple[float, float]:

@@ -76,7 +76,10 @@ def solve_dc(
     Strategy: plain damped Newton from ``v0`` (or from all fixed voltages
     applied, free nodes at the average rail voltage); on failure, source
     stepping — ramp every fixed voltage from 0 to its target over
-    ``source_steps`` stages, re-converging at each stage.
+    ``source_steps`` stages, re-converging at each stage.  If that fails
+    too after a ``v0`` start, one last Newton runs from the default
+    start: damped Newton can 2-cycle across a kink of a bilinear table
+    from a warm start that the default start avoids.
 
     ``v0`` also selects the basin for bistable circuits (latches).
     ``max_iter`` and ``source_steps`` must be at least 1.
@@ -88,16 +91,17 @@ def solve_dc(
     fixed = circuit.fixed_voltages(t)
     n = prog.n_nodes
 
+    default = np.zeros(n)
+    if fixed:
+        default[prog.free] = 0.5 * float(np.mean(list(fixed.values())))
     if v0 is not None:
         v = np.asarray(v0, dtype=float).copy()
         if v.shape != (n,):
             raise ValueError(f"v0 must have shape ({n},), got {v.shape}")
     else:
-        v = np.zeros(n)
-        if fixed:
-            v[prog.free] = 0.5 * float(np.mean(list(fixed.values())))
+        v = default
     for node, value in fixed.items():
-        v[node] = value
+        v[node] = default[node] = value
 
     v_slots = v.tolist() + [0.0]
     # The kernel's LAPACK fallback reports a singular system as a NaN
@@ -105,16 +109,27 @@ def solve_dc(
     with np.errstate(all="ignore"):
         iters, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a,
                                        max_iter, damping_v, 0)
-        if not ok:
-            v_slots, iters, fallbacks = _source_stepping(
-                prog, fixed, gmin, tol_a, max_iter, damping_v, source_steps,
-                iters, fallbacks)
+        stepped = not ok
+        if stepped:
+            try:
+                v_slots, iters, fallbacks = _source_stepping(
+                    prog, fixed, gmin, tol_a, max_iter, damping_v,
+                    source_steps, iters, fallbacks)
+            except ConvergenceError as exc:
+                if v0 is None:
+                    raise
+                v_slots = default.tolist() + [0.0]
+                it, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a,
+                                            max_iter, damping_v, fallbacks)
+                if not ok:
+                    raise
+                iters = (exc.iterations or 0) + it
     v_sol = np.array(v_slots[:n])
     if sanitize.ACTIVE:
         sanitize.check_finite(v_sol, "solve_dc", "node voltages")
     if obs.ACTIVE:
         obs.incr("circuit.dc_solves")
-        if not ok:
+        if stepped:
             obs.incr("circuit.dc_source_stepped")
         obs.incr("circuit.newton_iterations", iters)
         obs.observe("circuit.dc_newton_iterations", iters)

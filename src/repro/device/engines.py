@@ -42,11 +42,12 @@ DEFAULT_ENGINE = "semianalytic"
 #: Cache-key version tag per engine.  The semianalytic tag is the
 #: historical ``TABLE_ENGINE_VERSION`` so pre-engine-selection caches
 #: remain valid for the default path; bump an engine's tag when its
-#: physics or numerics change.
+#: physics or numerics change.  Every engine shares the SBFET current
+#: quadrature, so the v2 NEGF tags follow ``sbfet-v4``'s breakpoint grid.
 ENGINE_VERSIONS = {
     "semianalytic": TABLE_ENGINE_VERSION,
-    "realspace": "negf-realspace-v1",
-    "modespace": "negf-modespace-v1",
+    "realspace": "negf-realspace-v2",
+    "modespace": "negf-modespace-v2",
 }
 
 

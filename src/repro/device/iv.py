@@ -5,15 +5,17 @@ and ``Q(V_G, V_D)`` data that Section 3 of the paper stores in lookup
 tables "at discrete voltage steps of V_GS and V_DS ranging from 0 V to
 0.75 V".
 
-The grid fans out across worker processes through
-:class:`repro.runtime.LocalScheduler` with one task per gate row.  Every
-cell is solved from scratch, so a stored current is a pure function of
-the geometry and its own ``(V_G, V_D)``: serial and parallel sweeps are
-bit-for-bit equal regardless of worker count or chunking, and a sweep
-over a subset of the bias axes reproduces the full sweep at the shared
-points.
+The channel electrostatics of the whole grid are solved first, in one
+vectorized bisection (:meth:`SBFETModel.solve_midgaps`), and the channel
+charges in one broadcast.  The current integrals then fan out across
+worker processes through :class:`repro.runtime.LocalScheduler` with one
+task per gate row.  Every cell is solved from scratch, so a stored value
+is a pure function of the geometry and its own ``(V_G, V_D)``: serial
+and parallel sweeps are bit-for-bit equal regardless of worker count or
+chunking, and a sweep over a subset of the bias axes reproduces the full
+sweep at the shared points.
 
-Resilience (see ``docs/robustness.md``): a cell whose solve raises
+Resilience (see ``docs/robustness.md``): a cell whose solve fails with a
 :class:`~repro.errors.ConvergenceError` is NaN-masked and recorded as a
 :class:`~repro.runtime.resilience.FailureRecord` on the result (and in
 the obs manifest) unless the run config is ``strict``, in which case
@@ -30,11 +32,11 @@ from functools import partial
 
 import numpy as np
 
-from repro import obs
+from repro import obs, sanitize
 from repro.config import RunConfig
 from repro.device.engines import DEFAULT_ENGINE, resolve_engine
 from repro.device.geometry import GNRFETGeometry
-from repro.device.sbfet import SBFETModel
+from repro.device.sbfet import SBFETModel, record_bias_point
 from repro.errors import ConvergenceError
 from repro.runtime import (
     FailureRecord,
@@ -99,35 +101,41 @@ class IVSweep:
 
 def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
                   n_modes: int | None, strict: bool, engine: str,
-                  task: tuple[int, float],
+                  task: tuple[int, float, np.ndarray, np.ndarray,
+                              dict[int, ConvergenceError]],
                   model: SBFETModel | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                             list[FailureRecord]]:
-    """One gate row of the sweep (module-level so it pickles to workers).
+                  ) -> tuple[np.ndarray, list[FailureRecord]]:
+    """The currents of one gate row (module-level so it pickles to
+    workers).
 
-    ``task`` is ``(row_index, vg)``; the row index keys the ``worker``
-    fault site, and the flat cell index ``row * len(vd_grid) + column``
-    keys the ``scf`` fault site and quarantine records.  When no
-    ``model`` is supplied (worker processes) one is rebuilt from the
-    geometry; construction is deterministic and every cell is solved
-    from scratch, so row results do not depend on how rows are batched.
+    ``task`` is ``(row_index, vg, midgaps, iterations, errors)``: the
+    row's solved channel midgaps and bisection iteration counts, and the
+    bisection failures keyed by column.  The row index keys the
+    ``worker`` fault site, and the flat cell index
+    ``row * len(vd_grid) + column`` keys the ``scf`` fault site and
+    quarantine records.  When no ``model`` is supplied (worker
+    processes) one is rebuilt from the geometry; construction is
+    deterministic and every cell's current depends only on its own
+    midgap, so row results do not depend on how rows are batched.
     """
-    i, vg = task
+    i, vg, midgaps, iterations, errors = task
     if model is None:
         model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
     if faults.ACTIVE and in_worker():
         faults.inject("worker", i)
     n_vd = vd_grid.size
     current = np.full(n_vd, np.nan)
-    charge = np.full(n_vd, np.nan)
-    midgap = np.full(n_vd, np.nan)
     failures: list[FailureRecord] = []
     for j, vd in enumerate(vd_grid):
         cell = i * n_vd + j
         try:
             if faults.ACTIVE:
                 faults.inject("scf", cell, detail=f"VG={vg}, VD={vd}")
-            sol = model.solve_bias(float(vg), float(vd))
+            if j in errors:
+                raise errors[j]
+            if obs.ACTIVE:
+                record_bias_point(int(iterations[j]))
+            current[j] = model.current_a(float(midgaps[j]), float(vd))
         except ConvergenceError as exc:
             exc.with_context(vg=float(vg), vd=float(vd), cell_index=cell)
             if strict:
@@ -136,10 +144,11 @@ def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
                 exc, site="scf", index=cell, coords=(i, j),
                 bias={"vg": float(vg), "vd": float(vd)}))
             continue
-        current[j] = sol.current_a
-        charge[j] = sol.charge_c
-        midgap[j] = sol.midgap_ev
-    return current, charge, midgap, failures
+        if sanitize.ACTIVE:
+            sanitize.check_finite(current[j:j + 1], "sweep_iv",
+                                  "drain current",
+                                  bias=sanitize.format_bias(vg=vg, vd=vd))
+    return current, failures
 
 
 def sweep_iv(
@@ -171,26 +180,42 @@ def sweep_iv(
     config = RunConfig.from_env() if config is None else config
     strict = config.strict
 
-    tasks = [(int(i), float(vg)) for i, vg in enumerate(vg_grid)]
-    fn = partial(_solve_iv_row, geometry, vd_grid, n_modes, strict, engine)
+    n_vd = vd_grid.size
     with obs.span("device.sweep_iv", n_index=geometry.n_index,
-                  grid=f"{vg_grid.size}x{vd_grid.size}"):
+                  grid=f"{vg_grid.size}x{n_vd}"):
+        # The electrostatics of every cell in one vectorized bisection,
+        # and their channel charges in one broadcast; the rows then
+        # integrate the currents.
+        model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
+        midgap, iterations, errors = model.solve_midgaps(
+            vg_grid[:, None], vd_grid[None, :])
+        charge = model.channel_charges_c(midgap, vd_grid[None, :])
+        if sanitize.ACTIVE:
+            solved = ~np.isnan(midgap)
+            sanitize.check_finite(charge[solved], "sweep_iv",
+                                  "channel charge")
+        row_errors: list[dict[int, ConvergenceError]] = [
+            {} for _ in vg_grid]
+        for cell, err in errors.items():
+            row_errors[cell // n_vd][cell % n_vd] = err
+        tasks = [(i, float(vg), midgap[i], iterations[i], row_errors[i])
+                 for i, vg in enumerate(vg_grid)]
+        fn = partial(_solve_iv_row, geometry, vd_grid, n_modes, strict,
+                     engine)
         if resolve_workers(config.workers) <= 1:
             # Serial fast path: one model serves every row.
-            model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
             rows = [fn(task, model=model) for task in tasks]
         else:
             rows = LocalScheduler(workers=config.workers).run(
                 fn, tasks, strict=strict)
 
-    shape = (vg_grid.size, vd_grid.size)
-    current = np.full(shape, np.nan)
-    charge = np.full(shape, np.nan)
-    midgap = np.full(shape, np.nan)
-    failures: list[FailureRecord] = []
-    for i, (i_row, q_row, m_row, row_failures) in enumerate(rows):
-        current[i], charge[i], midgap[i] = i_row, q_row, m_row
-        failures.extend(row_failures)
+    current = np.array([row_current for row_current, _ in rows]
+                       ).reshape(vg_grid.size, n_vd)
+    failures = [record for _, row_failures in rows
+                for record in row_failures]
+    for record in failures:
+        # Injected faults hit converged cells: mask them like the rest.
+        midgap[record.coords] = charge[record.coords] = np.nan
     return IVSweep(vg=vg_grid, vd=vd_grid, current_a=current,
                    charge_c=charge, midgap_ev=midgap, geometry=geometry,
                    failures=tuple(failures))

@@ -55,7 +55,7 @@ from repro.device.engines import (
 )
 from repro.device.geometry import GNRFETGeometry, GRAPHENE_THICKNESS_NM
 from repro.errors import ConvergenceError
-from repro.negf.energy_grid import adaptive_energy_grid
+from repro.negf.energy_grid import breakpoint_energy_grid
 from repro.poisson.pointcharge import screened_impurity_potential_ev
 
 
@@ -98,6 +98,29 @@ class SBFETSolution:
     electron_linear_density_per_nm: float
     hole_linear_density_per_nm: float
     iterations: int
+
+
+#: Landauer quadrature of the current (:meth:`SBFETModel._current_energy_grid`):
+#: fine and coarse steps, and the half-width of the fine window around each
+#: subband edge in units of kT.  Chosen by the error study against a
+#: 0.05 meV uniform grid in ``benchmarks/bench_solver_accel.py`` (the
+#: ``current_grid`` leg of ``BENCH_solvers.json``).
+CURRENT_GRID_FINE_STEP_EV = 5e-4
+CURRENT_GRID_COARSE_STEP_EV = 3e-3
+CURRENT_GRID_HALFWIDTH_KT = 2.0
+
+
+def record_bias_point(iterations: int) -> None:
+    """Count one solved bias point (call under ``obs.ACTIVE``).
+
+    The bisection is this engine's SCF: it emits the same counter family
+    as the NEGF loop so rollups cover both engines.
+    """
+    obs.incr("device.bias_points")
+    obs.incr("scf.solves")
+    obs.incr("scf.converged")
+    obs.incr("scf.iterations", iterations)
+    obs.observe("scf.iterations_to_converge", iterations)
 
 
 def _mode_grids(modes: tuple[TransverseMode, ...], n_k: int
@@ -242,29 +265,36 @@ class SBFETModel:
             plane_height_nm=z_plane)
         return self.geometry.impurity_screening * u
 
-    def laplace_midgap_ev(self, vg: float, vd: float) -> float:
-        """Channel midgap in the zero-charge (Laplace) limit."""
+    def laplace_midgap_ev(self, vg: float | np.ndarray,
+                          vd: float | np.ndarray) -> float | np.ndarray:
+        """Channel midgap in the zero-charge (Laplace) limit
+        (elementwise for arrays)."""
         g = self.geometry
         return -g.gate_coupling * vg - g.drain_coupling * vd
 
-    def band_profile_midgap_ev(self, u_ch_ev: float, vd: float) -> np.ndarray:
+    def band_profile_midgap_ev(self, u_ch_ev: float | np.ndarray,
+                               vd: float | np.ndarray) -> np.ndarray:
         """Midgap energy along the channel for a given channel level.
 
         Contact-induced band bending is exponential with the natural
         length; the source interface midgap is pinned at the source Fermi
         level (0) and the drain interface at ``-V_D`` (midgap pinning with
-        barriers E_g/2 for both carriers).
+        barriers E_g/2 for both carriers).  Array levels and drain biases
+        broadcast, and the channel axis is appended last.
         """
         lam = self.geometry.natural_length_nm
         x = self._x_nm
         length = self.geometry.channel_length_nm
-        profile = (u_ch_ev
-                   + (0.0 - u_ch_ev) * np.exp(-x / lam)
-                   + (-vd - u_ch_ev) * np.exp(-(length - x) / lam))
+        u = np.asarray(u_ch_ev, dtype=float)[..., None]
+        drain = np.asarray(vd, dtype=float)[..., None]
+        profile = (u
+                   + (0.0 - u) * np.exp(-x / lam)
+                   + (-drain - u) * np.exp(-(length - x) / lam))
         return profile + self._impurity_profile_ev
 
     def _densities_at_level(self, u_ev: np.ndarray, mu_s_ev: float,
-                            mu_d_ev: float) -> tuple[np.ndarray, np.ndarray]:
+                            mu_d_ev: float | np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
         """Electron/hole linear densities (1/nm) for midgap level(s) ``u``.
 
         Ballistic filling: half the states populated from each contact
@@ -278,62 +308,108 @@ class SBFETModel:
                    + np.interp(u - mu_d_ev, self._lut_u, self._lut_p0))
         return n, p
 
-    def solve_midgap_ev(self, vg: float, vd: float,
-                        tol_ev: float = 1e-6,
-                        max_iter: int = 80) -> tuple[float, int]:
-        """Self-consistent channel midgap by bisection.
+    def solve_midgaps(self, vg: np.ndarray | float, vd: np.ndarray | float,
+                      tol_ev: float = 1e-6, max_iter: int = 80
+                      ) -> tuple[np.ndarray, np.ndarray,
+                                 dict[int, ConvergenceError]]:
+        """Self-consistent channel midgaps of many bias points by bisection.
+
+        ``vg`` and ``vd`` broadcast to the shape of the bias points.
+        Returns ``(midgap_ev, iterations, failures)`` of that shape:
+        failed cells hold NaN and 0 iterations, and ``failures`` maps
+        each one's flat (row-major) index to its
+        :class:`~repro.errors.ConvergenceError`, which is returned, not
+        raised.
 
         The residual ``r(U) = U - U_L - q (n(U) - p(U)) / C_ins`` is
         strictly increasing in ``U`` (raising the bands empties electrons
         and adds holes), so the root is unique and bisection cannot fail
         once bracketed.  The bracket starts 3 eV wide around the Laplace
-        midgap and widens by 1 eV per side until it holds the root.
+        midgap and widens by 1 eV per side until it holds the root; a
+        cell still open at the sixth widening fails.  Every cell runs
+        the scalar recurrence with the same floating-point operations
+        and stops at its own ``hi - lo < tol_ev``, so a cell's midgap and
+        iteration count do not depend on the other cells solved with it.
         """
-        u_laplace = self.laplace_midgap_ev(vg, vd)
+        vg_b, vd_b = np.broadcast_arrays(np.asarray(vg, dtype=float),
+                                         np.asarray(vd, dtype=float))
+        shape = vg_b.shape
+        vg_f, vd_f = vg_b.ravel(), vd_b.ravel()
+        u_laplace = np.asarray(self.laplace_midgap_ev(vg_f, vd_f))
         c_ins = self.geometry.insulator_capacitance_f_per_nm
-        mu_s, mu_d = 0.0, -vd
         lut_u, lut_q0 = self._lut_u, self._lut_q0
 
-        def residual(u: float) -> float:
-            # n - p with the ballistic filling of _densities_at_level.
-            q = 0.5 * (np.interp(u - mu_s, lut_u, lut_q0)
-                       + np.interp(u - mu_d, lut_u, lut_q0))
+        def residual(u: np.ndarray, drain: np.ndarray,
+                     laplace: np.ndarray) -> np.ndarray:
+            # n - p with the ballistic filling of _densities_at_level
+            # (source at 0, drain at -V_D).
+            q = 0.5 * (np.interp(u, lut_u, lut_q0)
+                       + np.interp(u + drain, lut_u, lut_q0))
             charging = Q_E * q / c_ins  # volts == eV here
-            return float(u - u_laplace - charging)
+            return u - laplace - charging
 
         lo, hi = u_laplace - 1.5, u_laplace + 1.5
-        r_lo, r_hi = residual(lo), residual(hi)
-        expand = 0
-        while r_lo > 0.0 or r_hi < 0.0:
-            lo -= 1.0
-            hi += 1.0
-            r_lo, r_hi = residual(lo), residual(hi)
-            expand += 1
-            if expand > 5:
-                raise ConvergenceError(
-                    f"cannot bracket electrostatic solution at "
-                    f"VG={vg}, VD={vd}",
-                    context={"solver": "sbfet_bisection",
-                             "stage": "bracket",
-                             "vg": float(vg), "vd": float(vd),
-                             "n_index": self.geometry.n_index})
-
-        for iteration in range(1, max_iter + 1):
-            mid = 0.5 * (lo + hi)
-            r_mid = residual(mid)
-            if r_mid > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < tol_ev:
-                return 0.5 * (lo + hi), iteration
-        raise ConvergenceError(
-            f"electrostatic bisection stalled at VG={vg}, VD={vd}",
-            iterations=max_iter, residual=hi - lo,
-            context={"solver": "sbfet_bisection", "stage": "bisect",
-                     "vg": float(vg), "vd": float(vd),
-                     "tol_ev": float(tol_ev), "max_iter": int(max_iter),
+        cells = np.arange(vg_f.size)    # cells whose bracket may be open
+        for widenings in range(6):
+            drain, laplace = vd_f[cells], u_laplace[cells]
+            cells = cells[(residual(lo[cells], drain, laplace) > 0.0)
+                          | (residual(hi[cells], drain, laplace) < 0.0)]
+            if not cells.size or widenings == 5:
+                break
+            lo[cells] -= 1.0
+            hi[cells] += 1.0
+        failures = {c: ConvergenceError(
+            f"cannot bracket electrostatic solution at "
+            f"VG={float(vg_f[c])}, VD={float(vd_f[c])}",
+            context={"solver": "sbfet_bisection", "stage": "bracket",
+                     "vg": float(vg_f[c]), "vd": float(vd_f[c]),
                      "n_index": self.geometry.n_index})
+            for c in cells.tolist()}
+
+        midgap = np.full(vg_f.size, np.nan)
+        iterations = np.zeros(vg_f.size, dtype=np.int64)
+        bracketed = np.ones(vg_f.size, dtype=bool)
+        bracketed[cells] = False
+        cells = np.flatnonzero(bracketed)
+        lo, hi = lo[cells], hi[cells]
+        drain, laplace = vd_f[cells], u_laplace[cells]
+        for iteration in range(1, max_iter + 1):
+            if not cells.size:
+                break
+            mid = 0.5 * (lo + hi)
+            above = residual(mid, drain, laplace) > 0.0
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+            done = hi - lo < tol_ev
+            if done.any():
+                midgap[cells[done]] = 0.5 * (lo[done] + hi[done])
+                iterations[cells[done]] = iteration
+                keep = ~done
+                cells, lo, hi = cells[keep], lo[keep], hi[keep]
+                drain, laplace = drain[keep], laplace[keep]
+        for c, width in zip(cells.tolist(), (hi - lo).tolist()):
+            failures[c] = ConvergenceError(
+                f"electrostatic bisection stalled at "
+                f"VG={float(vg_f[c])}, VD={float(vd_f[c])}",
+                iterations=max_iter, residual=width,
+                context={"solver": "sbfet_bisection", "stage": "bisect",
+                         "vg": float(vg_f[c]), "vd": float(vd_f[c]),
+                         "tol_ev": float(tol_ev), "max_iter": int(max_iter),
+                         "n_index": self.geometry.n_index})
+        return (midgap.reshape(shape), iterations.reshape(shape),
+                dict(sorted(failures.items())))
+
+    def solve_midgap_ev(self, vg: float, vd: float,
+                        tol_ev: float = 1e-6,
+                        max_iter: int = 80) -> tuple[float, int]:
+        """Self-consistent channel midgap of one bias point: a one-cell
+        :meth:`solve_midgaps` that raises the cell's
+        :class:`~repro.errors.ConvergenceError` if it fails."""
+        midgap, iterations, failures = self.solve_midgaps(
+            vg, vd, tol_ev, max_iter)
+        if failures:
+            raise failures[0]
+        return float(midgap), int(iterations)
 
     # ------------------------------------------------------------------ #
     # Transport
@@ -485,15 +561,44 @@ class SBFETModel:
         return np.where(propagating, t_well, 1.0)
 
     def _current_energy_grid(self, u_ch_ev: float, vd: float) -> np.ndarray:
+        """Landauer quadrature of :meth:`current_a`.
+
+        The window reaches 12 kT beyond both contact Fermi levels.  The
+        WKB transmission's sharp features sit where ``E -+ E_n`` crosses
+        an extreme level of the band profile: the channel interior
+        ``u_ch`` and, with an impurity, the profile's turning points and
+        its global maximum and minimum.  The grid is fine within
+        ``CURRENT_GRID_HALFWIDTH_KT`` kT of each such subband edge and
+        coarse elsewhere (the Fermi factors are smooth on the coarse
+        step).  An impurity's well factor also switches on with a jump
+        at ``u_interior +- E_n`` (see :meth:`transmission`), which the
+        grid straddles.  Without an impurity the edges of a mirrored
+        bias point mirror about ``-V_D / 2``, and so does the grid.
+        """
         window = 12.0 * self.kt_ev
         e_min = min(-vd, 0.0) - window
         e_max = max(-vd, 0.0) + window
-        features = [0.0, -vd]
-        for edge in self._edges_ev:
-            features += [u_ch_ev + edge, u_ch_ev - edge]
-        features = [f for f in features if e_min <= f <= e_max]
-        return adaptive_energy_grid(e_min, e_max, features,
-                                    coarse_step_ev=4e-3, fine_step_ev=8e-4)
+        edges = self._edges_ev.tolist()
+        levels = [u_ch_ev]
+        jumps: list[float] = []
+        imp = self._impurity_profile_ev
+        if imp.any():
+            profile = self.band_profile_midgap_ev(u_ch_ev, vd)
+            slope = np.diff(profile)
+            turns = np.flatnonzero(slope[1:] * slope[:-1] < 0.0) + 1
+            levels += profile[turns].tolist()
+            levels += [float(profile.max()), float(profile.min())]
+            u_interior = float(np.median(profile))
+            if imp.min() < 0.0:     # electron well
+                jumps += [u_interior + edge for edge in edges]
+            if imp.max() > 0.0:     # hole well
+                jumps += [u_interior - edge for edge in edges]
+        breakpoints = [level + sign * edge for level in levels
+                       for edge in edges for sign in (1.0, -1.0)]
+        return breakpoint_energy_grid(
+            e_min, e_max, breakpoints, CURRENT_GRID_FINE_STEP_EV,
+            CURRENT_GRID_COARSE_STEP_EV,
+            CURRENT_GRID_HALFWIDTH_KT * self.kt_ev, jumps)
 
     def current_a(self, u_ch_ev: float, vd: float) -> float:
         """Landauer current at a converged channel level."""
@@ -507,11 +612,19 @@ class SBFETModel:
         return LANDAUER_PREFACTOR_A_PER_EV * float(
             np.trapezoid(t * (f_s - f_d), energies))
 
+    def channel_charges_c(self, u_ch_ev: np.ndarray,
+                          vd: np.ndarray) -> np.ndarray:
+        """Net mobile charge ``q (n - p)`` integrated along the channel,
+        one per bias point of the broadcast ``u_ch_ev`` and ``vd``."""
+        profile = self.band_profile_midgap_ev(u_ch_ev, vd)
+        mu_d = -np.asarray(vd, dtype=float)[..., None]
+        n_x, p_x = self._densities_at_level(profile, 0.0, mu_d)
+        return np.asarray(Q_E * np.trapezoid(n_x - p_x, self._x_nm, axis=-1))
+
     def channel_charge_c(self, u_ch_ev: float, vd: float) -> float:
         """Net mobile charge ``q (n - p)`` integrated along the channel."""
-        profile = self.band_profile_midgap_ev(u_ch_ev, vd)
-        n_x, p_x = self._densities_at_level(profile, 0.0, -vd)
-        return Q_E * float(np.trapezoid(n_x - p_x, self._x_nm))
+        return float(self.channel_charges_c(np.asarray(u_ch_ev),
+                                            np.asarray(vd)))
 
     # ------------------------------------------------------------------ #
     # Public entry point
@@ -524,13 +637,7 @@ class SBFETModel:
         """
         u_ch, iterations = self.solve_midgap_ev(vg, vd)
         if obs.ACTIVE:
-            # The bisection is this engine's SCF: emit the same counter
-            # family as the NEGF loop so rollups cover both engines.
-            obs.incr("device.bias_points")
-            obs.incr("scf.solves")
-            obs.incr("scf.converged")
-            obs.incr("scf.iterations", iterations)
-            obs.observe("scf.iterations_to_converge", iterations)
+            record_bias_point(iterations)
         n, p = self._densities_at_level(np.array([u_ch]), 0.0, -vd)
         current = self.current_a(u_ch, vd)
         charge = self.channel_charge_c(u_ch, vd)

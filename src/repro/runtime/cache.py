@@ -49,7 +49,9 @@ from repro.config import RunConfig
 #: integrals and CDF band masks (currents move in the last bits).  Cells
 #: are cold-started again without a tag bump: dropping the warm-start
 #: flag from the table key already changed every digest.
-TABLE_ENGINE_VERSION = "sbfet-v3"
+#: v4: breakpoint Landauer grid in ``SBFETModel.current_a`` (currents
+#: move by up to ~5e-4 relative; midgaps and charges are bitwise).
+TABLE_ENGINE_VERSION = "sbfet-v4"
 
 
 def canonical_repr(value: Any) -> str:

@@ -162,3 +162,50 @@ class TestNonlinearCircuits:
         result = solve_dc(c)
         f, _ = c.program().assemble(result.voltages.tolist() + [0.0])
         assert np.max(np.abs(np.array(f)[c.free_nodes()])) < 1e-12
+
+
+class TestLastResortStart:
+    """After a ``v0`` start and source stepping both fail, one Newton
+    runs from the default start before the solve gives up."""
+
+    def _inverter(self, nominal_pair, params):
+        from repro.circuit.inverter import add_inverter
+
+        nt, pt = nominal_pair
+        c = Circuit()
+        vin, vout, vdd = c.node("in"), c.node("out"), c.node("vdd")
+        c.fix(vdd, 0.4)
+        c.fix(vin, 0.1)
+        add_inverter(c, "inv", vin, vout, vdd, nt, pt, params)
+        return c
+
+    @pytest.fixture
+    def failing_stepping(self, monkeypatch):
+        import repro.circuit.dc as dc_mod
+        from repro.errors import ConvergenceError
+
+        def fail(prog, fixed, gmin, tol_a, max_iter, damping_v,
+                 source_steps, iters, fallbacks):
+            # Like the real loop: the count includes the iterations
+            # spent before it.
+            raise ConvergenceError("stepping failed", iterations=iters + 7)
+
+        monkeypatch.setattr(dc_mod, "_source_stepping", fail)
+
+    def test_warm_start_falls_back_to_the_default_start(
+            self, nominal_pair, params, failing_stepping):
+        c = self._inverter(nominal_pair, params)
+        cold = solve_dc(c, max_iter=12)
+        # 6 V everywhere exhausts 12 Newton iterations (see the source
+        # stepping parity test), and stepping fails here by fiat.
+        rescued = solve_dc(c, v0=np.full(c.n_nodes, 6.0), max_iter=12)
+        assert np.array_equal(rescued.voltages, cold.voltages)
+        assert rescued.iterations == 12 + 7 + cold.iterations
+
+    def test_cold_start_still_raises(self, nominal_pair, params,
+                                     failing_stepping):
+        from repro.errors import ConvergenceError
+
+        c = self._inverter(nominal_pair, params)
+        with pytest.raises(ConvergenceError, match="stepping failed"):
+            solve_dc(c, max_iter=1)

@@ -1,18 +1,28 @@
 """Tests for the fast SBFET engine: shapes, symmetries, convergence."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import RunConfig
+from repro.constants import LANDAUER_PREFACTOR_A_PER_EV, fermi_dirac
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
 from repro.device.iv import sweep_iv
 from repro.device.sbfet import SBFETModel, _density_lut
+from repro.negf.energy_grid import uniform_energy_grid
 
 
 @pytest.fixture(scope="module")
 def model():
     return SBFETModel(GNRFETGeometry(n_index=12))
+
+
+@lru_cache(maxsize=None)
+def _ribbon(n_index: int, temperature_k: float) -> SBFETModel:
+    return SBFETModel(GNRFETGeometry(n_index=n_index,
+                                     temperature_k=temperature_k))
 
 
 class TestElectrostatics:
@@ -104,11 +114,50 @@ class TestIVShape:
         for vg in (0.0, 0.3, 0.7):
             assert model.current_at(vg, 0.5) > 0.0
 
+    @given(st.sampled_from([9, 12, 15]), st.sampled_from([300.0, 400.0]),
+           st.floats(min_value=-0.4, max_value=1.1),
+           st.floats(min_value=0.01, max_value=0.75))
+    @settings(max_examples=40, deadline=None)
+    def test_ambipolar_mirror(self, n_index, temperature_k, vg, vd):
+        """I(V_G, V_D) = I(V_D - V_G, V_D) on impurity-free ribbons.
+
+        ``gate_coupling + 2 drain_coupling = 1`` mirrors the channel
+        level about ``-V_D / 2``; the current holds it to round-off only
+        if the energy grid of the mirrored point is the mirrored grid.
+        """
+        m = _ribbon(n_index, temperature_k)
+        assert m.current_at(vg, vd) == pytest.approx(
+            m.current_at(vd - vg, vd), rel=1e-10)
+
     @given(st.floats(min_value=0.0, max_value=0.75))
     @settings(max_examples=10, deadline=None)
     def test_current_increases_with_vd_n_branch(self, vg):
         m = SBFETModel(GNRFETGeometry(n_index=12))
         assert m.current_at(vg, 0.6) >= m.current_at(vg, 0.3) * 0.99
+
+
+class TestCurrentQuadrature:
+    """The Landauer grid integrates the transmission to within 1e-3 of a
+    0.05 meV uniform grid over the same window."""
+
+    @pytest.mark.parametrize("temperature_k,vg,vd", [
+        (300.0, 0.0, 0.05),     # worst cell of the previous grid
+        (300.0, 0.75, 0.5),     # on state
+        (400.0, 0.3, 0.4)])
+    def test_matches_fine_uniform_grid(self, temperature_k, vg, vd):
+        m = _ribbon(12, temperature_k)
+        u_ch, _ = m.solve_midgap_ev(vg, vd)
+        window = 12.0 * m.kt_ev
+        energies = uniform_energy_grid(min(-vd, 0.0) - window,
+                                       max(-vd, 0.0) + window, 5e-5)
+        t = m.transmission(energies, m.band_profile_midgap_ev(u_ch, vd))
+        occupation = (fermi_dirac(energies, 0.0, m.kt_ev)
+                      - fermi_dirac(energies, -vd, m.kt_ev))
+        reference = LANDAUER_PREFACTOR_A_PER_EV * np.trapezoid(
+            t * occupation, energies)
+        grid = m._current_energy_grid(u_ch, vd)
+        assert grid.size < energies.size // 20
+        assert m.current_a(u_ch, vd) == pytest.approx(reference, rel=1e-3)
 
 
 class TestCharge:

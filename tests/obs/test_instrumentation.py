@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import RunConfig
 from repro.device.geometry import GNRFETGeometry
+from repro.device.iv import sweep_iv
 from repro.device.sbfet import SBFETModel
 from repro.negf.scf import SCFOptions, self_consistent_loop
 from repro.runtime import ArtifactCache
@@ -105,6 +107,27 @@ class TestDeviceCounters:
         assert roll["energy_grids_built"] >= 1
         assert roll["energy_grid_points_total"] > 0
         assert roll["device_bias_points"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_counts_each_cell_like_a_lone_solve(self, model, workers):
+        """The sweep bisects every cell up front; its rows still count
+        each cell exactly as a lone ``solve_bias`` does."""
+        vg, vd = np.linspace(0.0, 0.6, 3), np.array([0.0, 0.3])
+        obs.enable()
+        for a in vg:
+            for b in vd:
+                model.solve_bias(float(a), float(b))
+        lone = obs.snapshot()
+        obs.reset()
+        obs.enable()
+        sweep_iv(model.geometry, vg, vd, config=RunConfig(workers=workers))
+        swept = obs.snapshot()
+        for key in ("device.bias_points", "scf.solves", "scf.converged",
+                    "scf.iterations", "negf.energy_grids",
+                    "negf.energy_grid_points"):
+            assert swept["counters"][key] == lone["counters"][key], key
+        hist = "scf.iterations_to_converge"
+        assert swept["histograms"][hist] == lone["histograms"][hist]
 
     def test_disabled_solve_emits_nothing(self, model):
         assert obs.ACTIVE is False

@@ -126,10 +126,11 @@ class TestTableCacheKey:
                 != table_cache_key(g, VG, VD, None, version="sbfet-v2"))
 
     def test_current_kernel_never_reads_older_tables(self):
-        """Tables from the pre-CDF WKB kernel live under other keys."""
+        """Tables from older kernels and quadratures live under other
+        keys."""
         g = GNRFETGeometry()
         current = table_cache_key(g, VG, VD, None, engine="semianalytic")
-        for old in ("sbfet-v1", "sbfet-v2"):
+        for old in ("sbfet-v1", "sbfet-v2", "sbfet-v3"):
             assert current != table_cache_key(g, VG, VD, None,
                                               engine="semianalytic",
                                               version=old)
