@@ -40,9 +40,13 @@ at the repository root:
   overlaid grid and of the breakpoint grid against a 0.05 meV uniform
   grid, and times the serial nominal build with the frozen scalar
   bisection (``tests/device/bisection_reference.py``) and the previous
-  grid swapped in, against production.  Target: worst-cell error no
-  larger than the previous grid's on the nominal table and <= 1e-3 on
-  every table, bitwise midgaps and charges, build <= 0.6x.
+  grid swapped in, with every p-branch cell integrated at its own point
+  (the mirror off), and production, alternating.  It also records how
+  far each mirrored p-branch current moved from its own-point integral.
+  Target: worst-cell error no larger than the previous grid's on the
+  nominal table and <= 1e-3 on every table, bitwise midgaps and charges,
+  build <= 0.6x of the previous path, mirrored build <= 0.85x of the
+  unmirrored one with bitwise n-branch currents.
 * **Compiled circuit engine** — ``solve_dc`` and ``simulate_transient``
   run the Newton loops that each netlist topology is emitted and
   compiled into as straight-line Python
@@ -554,11 +558,48 @@ def _grid_errors(geometry) -> dict:
     return out
 
 
+def _own_points(self, vg, vd):
+    """``SBFETModel.mirror_gate_v`` with the mirror off: every point is
+    integrated at its own gate bias."""
+    return np.broadcast_arrays(np.asarray(vg, dtype=float),
+                               np.asarray(vd, dtype=float))[0].copy()
+
+
+def _unmirrored_sweep(geometry, vg, vd):
+    mirror = SBFETModel.mirror_gate_v
+    SBFETModel.mirror_gate_v = _own_points
+    try:
+        return sweep_iv(geometry, vg, vd, config=RunConfig(workers=1))
+    finally:
+        SBFETModel.mirror_gate_v = mirror
+
+
+def _mirror_drift(geometry) -> dict:
+    """How far the mirrored p-branch currents of a table moved from
+    their own-point integrals; every other cell must keep its bits."""
+    own = _unmirrored_sweep(geometry, GRID_VG, GRID_VD)
+    mirrored = sweep_iv(geometry, GRID_VG, GRID_VD,
+                        config=RunConfig(workers=1))
+    p_branch = ((GRID_VG[:, None] < 0.5 * GRID_VD[None, :])
+                & (GRID_VD[None, :] > 0.0)
+                & SBFETModel(geometry).mirror_symmetric)
+    drift = (np.abs(mirrored.current_a[p_branch] - own.current_a[p_branch])
+             / np.abs(own.current_a[p_branch]))
+    return {
+        "p_branch_cells": int(p_branch.sum()),
+        "max_rel_drift": float(drift.max()) if drift.size else 0.0,
+        "other_cells_bitwise": bool(np.array_equal(
+            mirrored.current_a[~p_branch], own.current_a[~p_branch])),
+    }
+
+
 def _build_times() -> dict:
-    """Serial nominal build, previous path vs production, alternating.
+    """Serial nominal build: previous path, unmirrored and production,
+    alternating.
 
     The previous path is the sweep with the frozen scalar bisection
-    (one cell per call) and the previous grid swapped in."""
+    (one cell per call) and the previous grid swapped in; the unmirrored
+    path is production with every cell integrated at its own point."""
     oracle = _load_module(BISECTION_ORACLE_PATH).reference_solve_midgap_ev
     solve, grid = SBFETModel.solve_midgaps, SBFETModel._current_energy_grid
 
@@ -570,33 +611,44 @@ def _build_times() -> dict:
         return (np.array([u for u, _ in cells]).reshape(vg_b.shape),
                 np.array([n for _, n in cells]).reshape(vg_b.shape), {})
 
-    def build(previous: bool):
-        if previous:
+    def build(path: str):
+        if path == "previous":
             SBFETModel.solve_midgaps = scalar_solve
             SBFETModel._current_energy_grid = _previous_current_grid
         try:
             start = time.perf_counter()
-            sweep = sweep_iv(GRID_TABLES["nominal"], GRID_VG, GRID_VD,
-                             config=RunConfig(workers=1))
+            if path == "production":
+                sweep = sweep_iv(GRID_TABLES["nominal"], GRID_VG, GRID_VD,
+                                 config=RunConfig(workers=1))
+            else:
+                sweep = _unmirrored_sweep(GRID_TABLES["nominal"], GRID_VG,
+                                          GRID_VD)
             return time.perf_counter() - start, sweep
         finally:
             SBFETModel.solve_midgaps, SBFETModel._current_energy_grid = (
                 solve, grid)
 
-    before, after = [], []
+    runs: dict[str, list[float]] = {
+        "previous": [], "unmirrored": [], "production": []}
+    sweeps = {}
     for _ in range(GRID_BUILD_PAIRS):
-        t, old = build(previous=True)
-        before.append(t)
-        t, new = build(previous=False)
-        after.append(t)
+        for path, times in runs.items():
+            t, sweeps[path] = build(path)
+            times.append(t)
+    before, unmirrored, after = (float(np.median(times))
+                                 for times in runs.values())
+    old, new = sweeps["previous"], sweeps["production"]
     return {
         "grid": [int(GRID_VG.size), int(GRID_VD.size)],
         "pairs": GRID_BUILD_PAIRS,
-        "before_s": float(np.median(before)),
-        "after_s": float(np.median(after)),
-        "ratio": float(np.median(after) / np.median(before)),
-        "before_runs_s": before,
-        "after_runs_s": after,
+        "before_s": before,
+        "unmirrored_s": unmirrored,
+        "after_s": after,
+        "ratio": after / before,
+        "mirror_ratio": after / unmirrored,
+        "before_runs_s": runs["previous"],
+        "unmirrored_runs_s": runs["unmirrored"],
+        "after_runs_s": runs["production"],
         "bitwise_midgap_charge": bool(
             np.array_equal(old.midgap_ev, new.midgap_ev)
             and np.array_equal(old.charge_c, new.charge_c)),
@@ -613,6 +665,7 @@ def test_current_grid(save_report):
         "previous_grid": {"fine_step_ev": 8e-4, "coarse_step_ev": 4e-3,
                           "halfwidth_ev": 4.0 * KT_ROOM_EV},
         "tables": {name: _grid_errors(g) for name, g in GRID_TABLES.items()},
+        "mirror": {name: _mirror_drift(g) for name, g in GRID_TABLES.items()},
         "build": _build_times(),
     }
     rows = []
@@ -625,11 +678,20 @@ def test_current_grid(save_report):
                      f"{new['worst_rel_err']:.1e}",
                      f"p50 {new['p50_rel_err']:.1e}, "
                      f"p90 {new['p90_rel_err']:.1e}"])
+    for name, mirror in leg["mirror"].items():
+        rows.append([f"{name} mirror ({mirror['p_branch_cells']} p-branch "
+                     "cells)", "own-point integrals",
+                     f"twin integrals, max drift "
+                     f"{mirror['max_rel_drift']:.1e}",
+                     f"others bitwise: {mirror['other_cells_bitwise']}"])
     build = leg["build"]
     rows.append([f"serial build {build['grid'][0]}x{build['grid'][1]} "
                  f"(median of {build['pairs']})",
                  f"{build['before_s']:.3f} s", f"{build['after_s']:.3f} s",
                  f"{build['ratio']:.2f}x"])
+    rows.append(["serial build, mirror off -> on",
+                 f"{build['unmirrored_s']:.3f} s", f"{build['after_s']:.3f} s",
+                 f"{build['mirror_ratio']:.2f}x"])
     report = format_table(
         ["table", "previous grid", "breakpoint grid", "breakpoint spread"],
         rows, title="Current quadrature vs a "
@@ -642,13 +704,18 @@ def test_current_grid(save_report):
         assert table["breakpoint"]["worst_rel_err"] <= 1e-3
         assert (table["breakpoint"]["points_per_cell"]
                 < table["previous"]["points_per_cell"])
+    for mirror in leg["mirror"].values():
+        assert mirror["other_cells_bitwise"]
+        assert mirror["max_rel_drift"] <= 1e-11
     if SMOKE:
+        # The smoke grid's twins mostly fall off it: no mirror ratio.
         assert build["ratio"] < 1.0
         return
     nominal = leg["tables"]["nominal"]
     assert (nominal["breakpoint"]["worst_rel_err"]
             <= nominal["previous"]["worst_rel_err"])
     assert build["ratio"] <= 0.6
+    assert build["mirror_ratio"] <= 0.85
     _write_legs({"current_grid": leg})
 
 
@@ -805,8 +872,10 @@ def _generated_kernel(circuit) -> dict:
     best = np.inf
     for _ in range(CIRCUIT_REPEATS):
         start = time.perf_counter()
-        source, _, _ = netlist._kernel_source(*program.signature)
-        compile(source, "<circuit kernel>", "exec")
+        dc_source, run_source, _, _ = netlist._kernel_source(
+            *program.signature)
+        compile(dc_source, "<circuit kernel>", "exec")
+        compile(run_source, "<circuit kernel>", "exec")
         best = min(best, time.perf_counter() - start)
     kernel = program.kernel
     return {

@@ -115,7 +115,7 @@ class Elimination(NamedTuple):
     fill: int
 
 
-class Kernel(NamedTuple):
+class Kernel:
     """The compiled functions of one topology.
 
     Voltages live in *slots*: slot ``i < n`` is node ``i`` and slot ``n``
@@ -163,29 +163,55 @@ class Kernel(NamedTuple):
     block instead, and adds one to ``fallbacks``.  ``transient_run``
     inlines the current and capacitance lookups of every table FET on a
     uniform grid; every other FET calls its callables.
+
+    ``dc_newton`` and ``assemble`` are compiled with the kernel;
+    ``transient_run``, the bulk of the source, on its first use, so a
+    topology that only ever runs DC (a VTC inverter, a latch) never
+    compiles it.  ``source`` is the whole text either way.
     """
 
-    source: str
-    dc_newton: Callable
-    transient_run: Callable
-    assemble: Callable
-    dc_elimination: Elimination
-    transient_elimination: Elimination
+    def __init__(self, dc_source: str, transient_source: str,
+                 dc_elimination: Elimination,
+                 transient_elimination: Elimination):
+        self.dc_elimination = dc_elimination
+        self.transient_elimination = transient_elimination
+        self._dc_source = dc_source
+        self._transient_source = transient_source
+        namespace = _compiled(dc_source)
+        self.dc_newton: Callable = namespace["dc_newton"]
+        self.assemble: Callable = namespace["assemble"]
+        self._transient_run: Callable | None = None
+
+    @property
+    def source(self) -> str:
+        """The Python source of all three functions."""
+        return self._dc_source + self._transient_source
+
+    @property
+    def transient_run(self) -> Callable:
+        if self._transient_run is None:
+            self._transient_run = _compiled(
+                self._transient_source)["transient_run"]
+            if obs.ACTIVE:
+                obs.incr("circuit.transient_kernels_compiled")
+        return self._transient_run
 
 
-#: Compiled kernels by topology signature, for the life of the process.
+def _compiled(source: str) -> dict:
+    """The namespace that executing kernel ``source`` defines."""
+    namespace: dict = {"lapack": _lapack, "diverged": _diverged}
+    exec(compile(source, "<circuit kernel>", "exec"), namespace)
+    return namespace
+
+
+#: Kernels by topology signature, for the life of the process.
 _KERNELS: dict[tuple, Kernel] = {}
 
 
 def _kernel(signature: tuple) -> Kernel:
     kernel = _KERNELS.get(signature)
     if kernel is None:
-        source, dc_lu, transient_lu = _kernel_source(*signature)
-        namespace: dict = {"lapack": _lapack, "diverged": _diverged}
-        exec(compile(source, "<circuit kernel>", "exec"), namespace)
-        kernel = Kernel(source, namespace["dc_newton"],
-                        namespace["transient_run"], namespace["assemble"],
-                        dc_lu, transient_lu)
+        kernel = Kernel(*_kernel_source(*signature))
         _KERNELS[signature] = kernel
         if obs.ACTIVE:
             obs.incr("circuit.kernels_compiled")
@@ -314,9 +340,10 @@ def _grid_constants(k: int) -> str:
 
 def _kernel_source(n: int, fixed: tuple[int, ...],
                    elements: tuple[tuple[int, ...], ...]
-                   ) -> tuple[str, Elimination, Elimination]:
-    """Python source of the :class:`Kernel` functions of one topology,
-    and the eliminations of its DC and transient Newton loops.
+                   ) -> tuple[str, str, Elimination, Elimination]:
+    """Python sources of the :class:`Kernel` functions of one topology
+    (``dc_newton`` with ``assemble``, then ``transient_run``), and the
+    eliminations of its DC and transient Newton loops.
 
     ``elements`` holds ``(kind, *slots)`` per element in netlist order;
     ``fixed`` the fixed node slots, ascending.  Each residual slot and
@@ -512,13 +539,13 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
                    "first = True"]
                 + [f"o{i} = v{i}" for i in free]
                 + [f"Q{k} = 0.0" for k in range(nb)])
-    src += ["def transient_run(v, data, waves, t_end, dt, gmin, tol_a, "
-            "max_iter, damping_v, max_halvings, check):"]
-    src += indent(prologue + ["while t < t_end - 1e-21:"], 1)
-    src += indent(step_lines, 2)
-    src += indent(write_back
+    run = ["def transient_run(v, data, waves, t_end, dt, gmin, tol_a, "
+           "max_iter, damping_v, max_halvings, check):"]
+    run += indent(prologue + ["while t < t_end - 1e-21:"], 1)
+    run += indent(step_lines, 2)
+    run += indent(write_back
                   + ["return times, states, rows, halvings, fallbacks"], 1)
-    src.append("")
+    run.append("")
 
     # Full-slot static assembly.
     lines = [f"jac = [0.0] * {width * width}"]
@@ -528,7 +555,7 @@ def _kernel_source(n: int, fixed: tuple[int, ...],
     src += ["def assemble(v, data):"]
     src += indent(header + currents + slopes + lines, 1)
     src += [f"    return [{rows}], jac", ""]
-    return "\n".join(src), dc_lu, transient_lu
+    return "\n".join(src), "\n".join(run), dc_lu, transient_lu
 
 
 def _elimination(width: int, order: list[int],

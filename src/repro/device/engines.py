@@ -43,7 +43,9 @@ DEFAULT_ENGINE = "semianalytic"
 #: historical ``TABLE_ENGINE_VERSION`` so pre-engine-selection caches
 #: remain valid for the default path; bump an engine's tag when its
 #: physics or numerics change.  Every engine shares the SBFET current
-#: quadrature, so the v2 NEGF tags follow ``sbfet-v4``'s breakpoint grid.
+#: quadrature, so the v2 NEGF tags follow ``sbfet-v4``'s breakpoint grid;
+#: ``sbfet-v5``'s mirror twins never apply to them (a NEGF engine turns
+#: ``SBFETModel.mirror_symmetric`` off).
 ENGINE_VERSIONS = {
     "semianalytic": TABLE_ENGINE_VERSION,
     "realspace": "negf-realspace-v2",

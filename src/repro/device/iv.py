@@ -5,22 +5,34 @@ and ``Q(V_G, V_D)`` data that Section 3 of the paper stores in lookup
 tables "at discrete voltage steps of V_GS and V_DS ranging from 0 V to
 0.75 V".
 
-The channel electrostatics of the whole grid are solved first, in one
-vectorized bisection (:meth:`SBFETModel.solve_midgaps`), and the channel
-charges in one broadcast.  The current integrals then fan out across
-worker processes through :class:`repro.runtime.LocalScheduler` with one
-task per gate row.  Every cell is solved from scratch, so a stored value
+A cell's current is the Landauer integral at its *canonical point*
+(:meth:`SBFETModel.mirror_gate_v`): its own bias point, or on a
+mirror-symmetric model (ambipolar SBFET, no impurity) the n-branch twin
+``(round(V_D - V_G, 10), V_D)`` of a p-branch cell.  The channel
+electrostatics of the whole grid, plus the canonical points that fall
+off it, are solved first in one vectorized bisection
+(:meth:`SBFETModel.solve_midgaps`), and the channel charges in one
+broadcast.  Each distinct canonical point is then integrated once,
+fanned out across worker processes through
+:class:`repro.runtime.LocalScheduler` with one task per canonical gate
+bias; on the default 31 x 16 grid that is 282 integrals for 465 cells
+with ``V_D > 0``.  Every point is solved from scratch, so a stored value
 is a pure function of the geometry and its own ``(V_G, V_D)``: serial
 and parallel sweeps are bit-for-bit equal regardless of worker count or
-chunking, and a sweep over a subset of the bias axes reproduces the full
-sweep at the shared points.
+chunking, every cell equals a lone :meth:`SBFETModel.solve_bias`, and a
+sweep over a subset of the bias axes reproduces the full sweep at the
+shared points (a twin that falls off the subset is bisected as an extra
+point).
 
-Resilience (see ``docs/robustness.md``): a cell whose solve fails with a
-:class:`~repro.errors.ConvergenceError` is NaN-masked and recorded as a
-:class:`~repro.runtime.resilience.FailureRecord` on the result (and in
-the obs manifest) unless the run config is ``strict``, in which case
-the first failure raises with its bias point and cell index in the
-error context.  A crashed worker process costs only its unfinished rows,
+Resilience (see ``docs/robustness.md``): the cells are visited in order
+after the integrals, each one the ``scf`` fault site at its flat index.
+A cell whose bisection fails, or whose canonical twin's does, raises a
+:class:`~repro.errors.ConvergenceError` and is NaN-masked and recorded
+as a :class:`~repro.runtime.resilience.FailureRecord` on the result (and
+in the obs manifest) unless the run config is ``strict``, in which case
+the first failed cell raises with its bias point and cell index in the
+error context.  A fault at one cell of a mirror pair leaves the other
+intact.  A crashed worker process costs only its unfinished integrals,
 which are recomputed in-process from the salvaged
 :class:`~repro.errors.ParallelMapError` state.
 """
@@ -99,56 +111,40 @@ class IVSweep:
         return float(i_on / i_off)
 
 
-def _solve_iv_row(geometry: GNRFETGeometry, vd_grid: np.ndarray,
-                  n_modes: int | None, strict: bool, engine: str,
-                  task: tuple[int, float, np.ndarray, np.ndarray,
-                              dict[int, ConvergenceError]],
-                  model: SBFETModel | None = None
-                  ) -> tuple[np.ndarray, list[FailureRecord]]:
-    """The currents of one gate row (module-level so it pickles to
-    workers).
+def _integrate_currents(geometry: GNRFETGeometry, n_modes: int | None,
+                        engine: str,
+                        task: tuple[int, np.ndarray, np.ndarray],
+                        model: SBFETModel | None = None) -> np.ndarray:
+    """The Landauer integrals of one task (module-level so it pickles
+    to workers).
 
-    ``task`` is ``(row_index, vg, midgaps, iterations, errors)``: the
-    row's solved channel midgaps and bisection iteration counts, and the
-    bisection failures keyed by column.  The row index keys the
-    ``worker`` fault site, and the flat cell index
-    ``row * len(vd_grid) + column`` keys the ``scf`` fault site and
-    quarantine records.  When no ``model`` is supplied (worker
-    processes) one is rebuilt from the geometry; construction is
-    deterministic and every cell's current depends only on its own
-    midgap, so row results do not depend on how rows are batched.
+    ``task`` is ``(index, drains, midgaps)``: the drain biases and
+    solved channel midgaps of the points to integrate, all at one gate
+    bias.  The task index keys the ``worker`` fault site.  When no
+    ``model`` is supplied (worker processes) one is rebuilt from the
+    geometry; construction is deterministic and each integral depends
+    only on its own midgap and drain bias, so results do not depend on
+    how the points are batched.
     """
-    i, vg, midgaps, iterations, errors = task
+    index, drains, midgaps = task
     if model is None:
         model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
     if faults.ACTIVE and in_worker():
-        faults.inject("worker", i)
-    n_vd = vd_grid.size
-    current = np.full(n_vd, np.nan)
-    failures: list[FailureRecord] = []
-    for j, vd in enumerate(vd_grid):
-        cell = i * n_vd + j
-        try:
-            if faults.ACTIVE:
-                faults.inject("scf", cell, detail=f"VG={vg}, VD={vd}")
-            if j in errors:
-                raise errors[j]
-            if obs.ACTIVE:
-                record_bias_point(int(iterations[j]))
-            current[j] = model.current_a(float(midgaps[j]), float(vd))
-        except ConvergenceError as exc:
-            exc.with_context(vg=float(vg), vd=float(vd), cell_index=cell)
-            if strict:
-                raise
-            failures.append(quarantine(
-                exc, site="scf", index=cell, coords=(i, j),
-                bias={"vg": float(vg), "vd": float(vd)}))
-            continue
-        if sanitize.ACTIVE:
-            sanitize.check_finite(current[j:j + 1], "sweep_iv",
-                                  "drain current",
-                                  bias=sanitize.format_bias(vg=vg, vd=vd))
-    return current, failures
+        faults.inject("worker", index)
+    return np.array([model.current_a(float(u), float(vd))
+                     for u, vd in zip(midgaps, drains)])
+
+
+def _twin_failure(err: ConvergenceError, twin_vg: float
+                  ) -> ConvergenceError:
+    """A cell's own copy of its canonical twin's bisection failure (the
+    cell fills in its own gate bias and index)."""
+    context = {key: value for key, value in err.context.items()
+               if key not in ("vg", "cell_index")}
+    context["twin_vg"] = twin_vg
+    return ConvergenceError(f"mirror twin at VG={twin_vg}: {err}",
+                            iterations=err.iterations, residual=err.residual,
+                            context=context)
 
 
 def sweep_iv(
@@ -165,9 +161,10 @@ def sweep_iv(
     :mod:`repro.device.engines`).
 
     ``config`` (default :meth:`RunConfig.from_env`) says how the sweep
-    executes: ``workers`` > 1 fans the gate rows out across a process
-    pool in one dispatch (bit-for-bit identical to serial); ``strict``
-    re-raises the first failed cell instead of quarantining it.
+    executes: ``workers`` > 1 fans the current integrals out across a
+    process pool in one dispatch (bit-for-bit identical to serial);
+    ``strict`` re-raises the first failed cell instead of quarantining
+    it.
     """
     vg_grid = np.asarray(vg_grid, dtype=float)
     vd_grid = np.asarray(vd_grid, dtype=float)
@@ -180,39 +177,93 @@ def sweep_iv(
     config = RunConfig.from_env() if config is None else config
     strict = config.strict
 
-    n_vd = vd_grid.size
+    n_vg, n_vd = vg_grid.size, vd_grid.size
+    n_cells = n_vg * n_vd
     with obs.span("device.sweep_iv", n_index=geometry.n_index,
-                  grid=f"{vg_grid.size}x{n_vd}"):
-        # The electrostatics of every cell in one vectorized bisection,
-        # and their channel charges in one broadcast; the rows then
-        # integrate the currents.
+                  grid=f"{n_vg}x{n_vd}"):
         model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
-        midgap, iterations, errors = model.solve_midgaps(
-            vg_grid[:, None], vd_grid[None, :])
+        # Cells in row-major order; each one's current is the integral
+        # at its canonical point (model.mirror_gate_v).  Canonical points
+        # off the grid are appended to the cells, so one vectorized
+        # bisection solves every point, and its channel charges follow
+        # in one broadcast.
+        points_vg = np.repeat(vg_grid, n_vd)
+        points_vd = np.tile(vd_grid, n_vg)
+        twin_vg = model.mirror_gate_v(points_vg, points_vd)
+        row_of = {v: i for i, v in enumerate(vg_grid.tolist())}
+        extra: dict[tuple[float, float], int] = {}
+        canonical = np.arange(n_cells)
+        for cell in np.flatnonzero(twin_vg != points_vg).tolist():
+            twin, vd = float(twin_vg[cell]), float(points_vd[cell])
+            if twin in row_of:
+                canonical[cell] = row_of[twin] * n_vd + cell % n_vd
+            else:
+                canonical[cell] = extra.setdefault(
+                    (twin, vd), n_cells + len(extra))
+        points_vg = np.concatenate((points_vg, [vg for vg, _ in extra]))
+        points_vd = np.concatenate((points_vd, [vd for _, vd in extra]))
+        midgaps, iterations, errors = model.solve_midgaps(points_vg,
+                                                          points_vd)
+        midgap = midgaps[:n_cells].reshape(n_vg, n_vd)
         charge = model.channel_charges_c(midgap, vd_grid[None, :])
         if sanitize.ACTIVE:
             solved = ~np.isnan(midgap)
             sanitize.check_finite(charge[solved], "sweep_iv",
                                   "channel charge")
-        row_errors: list[dict[int, ConvergenceError]] = [
-            {} for _ in vg_grid]
-        for cell, err in errors.items():
-            row_errors[cell // n_vd][cell % n_vd] = err
-        tasks = [(i, float(vg), midgap[i], iterations[i], row_errors[i])
-                 for i, vg in enumerate(vg_grid)]
-        fn = partial(_solve_iv_row, geometry, vd_grid, n_modes, strict,
-                     engine)
-        if resolve_workers(config.workers) <= 1:
-            # Serial fast path: one model serves every row.
-            rows = [fn(task, model=model) for task in tasks]
-        else:
-            rows = LocalScheduler(workers=config.workers).run(
-                fn, tasks, strict=strict)
 
-    current = np.array([row_current for row_current, _ in rows]
-                       ).reshape(vg_grid.size, n_vd)
-    failures = [record for _, row_failures in rows
-                for record in row_failures]
+        # Each distinct canonical point of a solved cell is integrated
+        # once; one task per gate bias goes to the workers.
+        failed = np.zeros(points_vg.size, dtype=bool)
+        failed[list(errors)] = True
+        solved_cells = ~failed[:n_cells] & ~failed[canonical]
+        by_gate: dict[float, list[int]] = {}
+        for point in np.unique(canonical[solved_cells]).tolist():
+            by_gate.setdefault(float(points_vg[point]), []).append(point)
+        tasks = [(index, points_vd[points], midgaps[points])
+                 for index, points in enumerate(by_gate.values())]
+        fn = partial(_integrate_currents, geometry, n_modes, engine)
+        if resolve_workers(config.workers) <= 1:
+            # Serial fast path: one model serves every task.
+            results = [fn(task, model=model) for task in tasks]
+        else:
+            results = LocalScheduler(workers=config.workers).run(
+                fn, tasks, strict=strict)
+        integral = np.full(points_vg.size, np.nan)
+        for points, values in zip(by_gate.values(), results):
+            integral[points] = values
+
+        # The cells: fault site, counters, quarantine and strict.
+        current = np.full(n_cells, np.nan)
+        failures: list[FailureRecord] = []
+        for cell in range(n_cells):
+            i, j = divmod(cell, n_vd)
+            vg, vd = float(vg_grid[i]), float(vd_grid[j])
+            point = int(canonical[cell])
+            try:
+                if faults.ACTIVE:
+                    faults.inject("scf", cell, detail=f"VG={vg}, VD={vd}")
+                if cell in errors:
+                    raise errors[cell]
+                if point in errors:
+                    raise _twin_failure(errors[point],
+                                        float(points_vg[point]))
+                if obs.ACTIVE:
+                    record_bias_point(int(iterations[cell]))
+                current[cell] = integral[point]
+            except ConvergenceError as exc:
+                exc.with_context(vg=vg, vd=vd, cell_index=cell)
+                if strict:
+                    raise
+                failures.append(quarantine(
+                    exc, site="scf", index=cell, coords=(i, j),
+                    bias={"vg": vg, "vd": vd}))
+                continue
+            if sanitize.ACTIVE:
+                sanitize.check_finite(current[cell:cell + 1], "sweep_iv",
+                                      "drain current",
+                                      bias=sanitize.format_bias(vg=vg, vd=vd))
+
+    current = current.reshape(n_vg, n_vd)
     for record in failures:
         # Injected faults hit converged cells: mask them like the rest.
         midgap[record.coords] = charge[record.coords] = np.nan

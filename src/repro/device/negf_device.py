@@ -56,7 +56,6 @@ from repro.negf.scf import (
     self_consistent_loop,
 )
 from repro.negf.self_energy import lead_self_energy_1d
-from repro.poisson.fd import PoissonOperator
 from repro.poisson.grid import Grid2D
 from repro.poisson.pointcharge import screened_impurity_potential_ev
 
@@ -266,6 +265,9 @@ class NEGFDevice:
         mask[-1, :] = True
         self._bc_mask = mask
         self._bc_values = np.zeros(self._grid.shape)
+        # Imported here: the operator's scipy loads with the first NEGF
+        # device, not with ``import repro``.
+        from repro.poisson.fd import PoissonOperator
         self._poisson_op = PoissonOperator.for_grid(self._grid, self._eps,
                                                     mask)
 

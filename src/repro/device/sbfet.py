@@ -109,6 +109,17 @@ CURRENT_GRID_FINE_STEP_EV = 5e-4
 CURRENT_GRID_COARSE_STEP_EV = 3e-3
 CURRENT_GRID_HALFWIDTH_KT = 2.0
 
+#: Decimals of the canonical twin ``np.round(V_D - V_G, BIAS_DECIMALS)``
+#: of a mirrored bias point: the rounding of the default table grids
+#: (:data:`repro.device.tables.DEFAULT_VG_GRID`), so a twin that lies on
+#: such a grid is that grid point, bit for bit.
+BIAS_DECIMALS = 10
+
+#: Drain biases below this magnitude (volts) carry no current:
+#: :meth:`SBFETModel.current_a` returns 0.0 without an integral, and no
+#: such point is mirrored.
+_ZERO_DRAIN_V = 1e-12
+
 
 def record_bias_point(iterations: int) -> None:
     """Count one solved bias point (call under ``obs.ACTIVE``).
@@ -201,6 +212,20 @@ class SBFETModel:
         the retained subbands) or ``realspace`` (full atomistic NEGF).
         The electrostatics (bisection, density LUT) are shared by all
         engines.
+
+    Attributes
+    ----------
+    mirror_symmetric:
+        Whether the model holds ``I(V_G, V_D) = I(V_D - V_G, V_D)`` to
+        round-off, checked from its own inputs: the semianalytic engine,
+        no impurity profile, and ``gate_coupling + 2 drain_coupling = 1``
+        (the Laplace midgap then mirrors about ``-V_D / 2``, and with
+        midgap-pinned contacts so do the band profile, the charge and the
+        Landauer grid).  Such a model takes the current of a p-branch
+        point from its canonical n-branch twin (:meth:`mirror_gate_v`),
+        so :meth:`solve_bias`, :meth:`current_at` and
+        :func:`repro.device.iv.sweep_iv` integrate each mirror pair once.
+        :meth:`current_a` stays the raw integral at the level it is given.
     """
 
     def __init__(self, geometry: GNRFETGeometry, n_modes: int | None = None,
@@ -242,6 +267,11 @@ class SBFETModel:
             (np.nextafter(self._edges_ev, np.inf), -self._edges_ev))[:, None]
 
         self._impurity_profile_ev = self._build_impurity_profile()
+        self.mirror_symmetric = bool(
+            self.engine == "semianalytic"
+            and not self._impurity_profile_ev.any()
+            and abs(geometry.gate_coupling + 2.0 * geometry.drain_coupling
+                    - 1.0) <= 4.0 * np.finfo(float).eps)
         self._lut_u, self._lut_n0, self._lut_p0, self._lut_q0 = _density_lut(
             self.modes, n_k, self.kt_ev)
 
@@ -410,6 +440,24 @@ class SBFETModel:
         if failures:
             raise failures[0]
         return float(midgap), int(iterations)
+
+    def mirror_gate_v(self, vg: float | np.ndarray,
+                      vd: float | np.ndarray) -> np.ndarray:
+        """Gate bias of the point whose Landauer integral is the current
+        at ``(vg, vd)``, elementwise over the broadcast arrays.
+
+        On a :attr:`mirror_symmetric` model a p-branch point
+        (``vg < vd / 2``, ``vd`` nonzero) maps to its canonical twin
+        ``np.round(vd - vg, BIAS_DECIMALS)`` at the same drain bias; every
+        other point maps to its own gate bias.  The map depends on the
+        point alone, so a current taken through it stays a pure function
+        of the point.
+        """
+        vg = np.asarray(vg, dtype=float)
+        vd = np.asarray(vd, dtype=float)
+        p_branch = ((vg < 0.5 * vd) & (np.abs(vd) >= _ZERO_DRAIN_V)
+                    & self.mirror_symmetric)
+        return np.where(p_branch, np.round(vd - vg, BIAS_DECIMALS), vg)
 
     # ------------------------------------------------------------------ #
     # Transport
@@ -601,8 +649,9 @@ class SBFETModel:
             CURRENT_GRID_HALFWIDTH_KT * self.kt_ev, jumps)
 
     def current_a(self, u_ch_ev: float, vd: float) -> float:
-        """Landauer current at a converged channel level."""
-        if abs(vd) < 1e-12:
+        """Landauer current at a converged channel level (the raw
+        integral; no mirroring)."""
+        if abs(vd) < _ZERO_DRAIN_V:
             return 0.0
         profile = self.band_profile_midgap_ev(u_ch_ev, vd)
         energies = self._current_energy_grid(u_ch_ev, vd)
@@ -633,13 +682,20 @@ class SBFETModel:
         """Solve one bias point self-consistently and return all outputs.
 
         The result depends on ``(vg, vd)`` and the model alone, never on
-        which bias points were solved before it.
+        which bias points were solved before it.  The midgap, charge and
+        densities are the point's own; on a :attr:`mirror_symmetric`
+        model the current of a p-branch point is the integral at its
+        canonical twin (:meth:`mirror_gate_v`), whose failed bisection
+        fails the point.
         """
         u_ch, iterations = self.solve_midgap_ev(vg, vd)
+        vg_integral = float(self.mirror_gate_v(vg, vd))
+        u_integral = (u_ch if vg_integral == vg
+                      else self.solve_midgap_ev(vg_integral, vd)[0])
         if obs.ACTIVE:
             record_bias_point(iterations)
         n, p = self._densities_at_level(np.array([u_ch]), 0.0, -vd)
-        current = self.current_a(u_ch, vd)
+        current = self.current_a(u_integral, vd)
         charge = self.channel_charge_c(u_ch, vd)
         if sanitize.ACTIVE:
             op = "SBFETModel.solve_bias"
@@ -658,6 +714,9 @@ class SBFETModel:
         )
 
     def current_at(self, vg: float, vd: float) -> float:
-        """Convenience: self-consistent drain current at one bias point."""
-        u_ch, _ = self.solve_midgap_ev(vg, vd)
+        """Convenience: self-consistent drain current at one bias point,
+        the :meth:`solve_bias` current (only the point that is integrated
+        is bisected)."""
+        vg_integral = float(self.mirror_gate_v(vg, vd))
+        u_ch, _ = self.solve_midgap_ev(vg_integral, vd)
         return self.current_a(u_ch, vd)

@@ -30,6 +30,7 @@ from repro.config import RunConfig
 from repro.device.engines import DEFAULT_ENGINE, engine_version, resolve_engine
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import IVSweep, sweep_iv
+from repro.device.sbfet import BIAS_DECIMALS
 from repro.errors import TableRangeError
 from repro.runtime import ArtifactCache, content_key
 
@@ -467,9 +468,10 @@ class DeviceTable:
 
 # Default bias grid: the paper tabulates 0..0.75 V; the gate axis is
 # extended on both sides so that work-function offsets and transient
-# overshoots stay inside the table.
-DEFAULT_VG_GRID = np.round(np.arange(-0.40, 1.1001, 0.05), 10)
-DEFAULT_VD_GRID = np.round(np.arange(0.0, 0.7501, 0.05), 10)
+# overshoots stay inside the table.  Rounded like a mirror twin, so the
+# twin of a grid point is a grid point wherever it falls in range.
+DEFAULT_VG_GRID = np.round(np.arange(-0.40, 1.1001, 0.05), BIAS_DECIMALS)
+DEFAULT_VD_GRID = np.round(np.arange(0.0, 0.7501, 0.05), BIAS_DECIMALS)
 
 _TABLE_CACHE: dict[tuple, DeviceTable] = {}
 

@@ -17,16 +17,15 @@ The production GNRFET device path uses the 2-D FD solver on the
 (transport x gate-stack) cross-section; the FEM and 3-D solvers validate
 that reduction and serve the impurity-screening calculation (see DESIGN.md
 section 5 for the substitution rationale).
+
+The package root re-exports only the numpy-only grids and point-charge
+potentials.  The solvers are imported from their modules
+(``repro.poisson.fd``, ``.fem``, ``.mesh``): they load scipy, which
+every SBFET model would otherwise pay for through
+:mod:`repro.poisson.pointcharge`.
 """
 
 from repro.poisson.grid import Grid1D, Grid2D, Grid3D
-from repro.poisson.fd import (
-    solve_poisson_1d,
-    solve_poisson_2d,
-    solve_poisson_3d,
-)
-from repro.poisson.mesh import TriangleMesh, rectangle_mesh
-from repro.poisson.fem import solve_poisson_fem_2d
 from repro.poisson.pointcharge import (
     coulomb_potential_ev,
     screened_impurity_potential_ev,
@@ -36,12 +35,6 @@ __all__ = [
     "Grid1D",
     "Grid2D",
     "Grid3D",
-    "solve_poisson_1d",
-    "solve_poisson_2d",
-    "solve_poisson_3d",
-    "TriangleMesh",
-    "rectangle_mesh",
-    "solve_poisson_fem_2d",
     "coulomb_potential_ev",
     "screened_impurity_potential_ev",
 ]

@@ -51,7 +51,10 @@ from repro.config import RunConfig
 #: flag from the table key already changed every digest.
 #: v4: breakpoint Landauer grid in ``SBFETModel.current_a`` (currents
 #: move by up to ~5e-4 relative; midgaps and charges are bitwise).
-TABLE_ENGINE_VERSION = "sbfet-v4"
+#: v5: p-branch currents of mirror-symmetric models are their canonical
+#: n-branch twins' integrals (move by up to 2.6e-12 relative; midgaps,
+#: charges and n-branch currents are bitwise).
+TABLE_ENGINE_VERSION = "sbfet-v5"
 
 
 def canonical_repr(value: Any) -> str:

@@ -49,6 +49,14 @@ DC_BOUND_V = 2e-15
 WAVEFORM_BOUND_V = 2.1e-8
 SUPPLY_BOUND = 1.2e-7
 
+#: Newton tolerance of every transient compared here, on both engines.
+#: At the default 1e-13 A each engine stops anywhere within the tolerance
+#: of the root from its own start (predictor vs previous state), which
+#: can leave supply traces further apart than ``SUPPLY_BOUND`` (5.8e-14 A
+#: on a 0.4 V inverter) whenever the tables move; converged to 1e-15 A
+#: they agree to round-off, which is what the bounds above pin.
+PARITY_TOL_A = 1e-15
+
 
 def _max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
@@ -88,6 +96,7 @@ class _Replay:
         return result
 
     def simulate_transient(self, circuit, *args, **kwargs):
+        kwargs = {**kwargs, "tol_a": PARITY_TOL_A}
         result = transient.simulate_transient(circuit, *args, **kwargs)
         _assert_transient_equal(circuit, result, *args, **kwargs)
         self.transient_calls += 1
@@ -171,7 +180,7 @@ class TestTransientParity:
         _assert_dc_equal(c, dc0)
         c.fixed[c.node("b")] = _step_input(2e-12)
         args = (30e-12, 0.25e-12, dc0.voltages)
-        kwargs = dict(monitor_supplies=("vdd",))
+        kwargs = dict(monitor_supplies=("vdd",), tol_a=PARITY_TOL_A)
         result = transient.simulate_transient(c, *args, **kwargs)
         _assert_transient_equal(c, result, *args, **kwargs)
 
@@ -182,7 +191,7 @@ class TestTransientParity:
         _assert_dc_equal(c, dc0)
         c.fixed[c.node("in")] = _step_input(3e-12)
         args = (40e-12, 0.25e-12, dc0.voltages)
-        kwargs = dict(monitor_supplies=("vdd", "in"))
+        kwargs = dict(monitor_supplies=("vdd", "in"), tol_a=PARITY_TOL_A)
         result = transient.simulate_transient(c, *args, **kwargs)
         _assert_transient_equal(c, result, *args, **kwargs)
 
@@ -199,7 +208,7 @@ class TestTransientParity:
         est = estimate_inverter_delay(nt, pt, VDD, params)
         dt = max(2.0 * n_stages * est * 2.5 / 480.0, 0.05e-12)
         args = (150 * dt, dt, v0)
-        kwargs = dict(monitor_supplies=("vdd",))
+        kwargs = dict(monitor_supplies=("vdd",), tol_a=PARITY_TOL_A)
         result = transient.simulate_transient(c, *args, **kwargs)
         assert len(result.time_s) == 151
         _assert_transient_equal(c, result, *args, **kwargs)
@@ -222,7 +231,7 @@ class TestRCParity:
         v0 = np.zeros(circ.n_nodes)
         v0[circ.node("in")] = 1.0
         args = (3e-9, dt_s, v0)
-        kwargs = dict(monitor_supplies=("in",))
+        kwargs = dict(monitor_supplies=("in",), tol_a=PARITY_TOL_A)
         result = transient.simulate_transient(circ, *args, **kwargs)
         _assert_transient_equal(circ, result, *args, **kwargs)
 
@@ -230,5 +239,6 @@ class TestRCParity:
         circ = _rc_circuit()
         circ.fixed[circ.node("in")] = lambda t: min(t / 20e-9, 1.0)
         args = (20e-9, 1e-10, np.zeros(circ.n_nodes))
-        result = transient.simulate_transient(circ, *args)
-        _assert_transient_equal(circ, result, *args)
+        kwargs = dict(tol_a=PARITY_TOL_A)
+        result = transient.simulate_transient(circ, *args, **kwargs)
+        _assert_transient_equal(circ, result, *args, **kwargs)

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.circuit import dc, netlist, transient
 from repro.circuit.elements import Capacitor, CompactMOSFET, Resistor
 from repro.circuit.inverter import add_inverter, build_inverter_chain
@@ -208,6 +209,40 @@ class TestKernelStructure:
         assert b.program().data != a.program().data
         b.fix(b.node("out"), 0.1)       # another fixed set, another kernel
         assert b.program().kernel is not a.program().kernel
+
+    def test_transient_run_compiles_on_first_transient(self, monkeypatch):
+        """A topology that only runs DC never compiles ``transient_run``;
+        the first transient compiles it once for every circuit of the
+        topology."""
+        monkeypatch.setattr(netlist, "_KERNELS", {})
+        def divider():
+            c = Circuit("lazy-transient")
+            vin, mid, out = c.node("in"), c.node("mid"), c.node("out")
+            c.fix(vin, 1.0)
+            c.add(Resistor(vin, mid, 1e3))
+            c.add(Resistor(mid, out, 2e3))
+            c.add(Resistor(out, GROUND, 3e3))
+            c.add(Capacitor(out, GROUND, 1e-12))
+            c.add(Capacitor(mid, out, 1e-13))
+            return c
+
+        obs.reset()
+        obs.enable()
+        try:
+            first, second = divider(), divider()
+            dc0 = dc.solve_dc(first)
+            counters = obs.snapshot()["counters"]
+            assert counters["circuit.kernels_compiled"] == 1
+            assert "circuit.transient_kernels_compiled" not in counters
+            for c in (first, second):
+                transient.simulate_transient(c, 1e-9, 1e-10, dc0.voltages)
+            counters = obs.snapshot()["counters"]
+            assert counters["circuit.kernels_compiled"] == 1
+            assert counters["circuit.transient_kernels_compiled"] == 1
+            assert "def transient_run" in first.program().kernel.source
+        finally:
+            obs.disable()
+            obs.reset()
 
     def test_source_holds_slots_and_fixed_identifiers(self, nominal_pair,
                                                       params):

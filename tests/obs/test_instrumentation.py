@@ -110,22 +110,34 @@ class TestDeviceCounters:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_counts_each_cell_like_a_lone_solve(self, model, workers):
-        """The sweep bisects every cell up front; its rows still count
-        each cell exactly as a lone ``solve_bias`` does."""
+        """The sweep bisects every cell up front; it counts each cell's
+        bisection exactly as a lone ``solve_bias`` does, and builds one
+        energy grid per distinct canonical point (a p-branch cell and its
+        twin share one), as lone integrals at those points do."""
         vg, vd = np.linspace(0.0, 0.6, 3), np.array([0.0, 0.3])
+        cells = [(float(a), float(b)) for a in vg for b in vd]
+        canonical = {(float(model.mirror_gate_v(a, b)), b) for a, b in cells}
+        # (0.0, 0.3) integrates at its on-grid twin (0.3, 0.3).
+        assert len(canonical) == len(cells) - 1
         obs.enable()
-        for a in vg:
-            for b in vd:
-                model.solve_bias(float(a), float(b))
+        for a, b in cells:
+            model.solve_bias(a, b)
         lone = obs.snapshot()
+        obs.reset()
+        obs.enable()
+        for a, b in sorted(canonical):
+            model.current_a(model.solve_midgap_ev(a, b)[0], b)
+        integrals = obs.snapshot()
         obs.reset()
         obs.enable()
         sweep_iv(model.geometry, vg, vd, config=RunConfig(workers=workers))
         swept = obs.snapshot()
         for key in ("device.bias_points", "scf.solves", "scf.converged",
-                    "scf.iterations", "negf.energy_grids",
-                    "negf.energy_grid_points"):
+                    "scf.iterations"):
             assert swept["counters"][key] == lone["counters"][key], key
+        for key in ("negf.energy_grids", "negf.energy_grid_points"):
+            assert (swept["counters"][key]
+                    == integrals["counters"][key]), key
         hist = "scf.iterations_to_converge"
         assert swept["histograms"][hist] == lone["histograms"][hist]
 

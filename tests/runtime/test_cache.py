@@ -130,7 +130,7 @@ class TestTableCacheKey:
         keys."""
         g = GNRFETGeometry()
         current = table_cache_key(g, VG, VD, None, engine="semianalytic")
-        for old in ("sbfet-v1", "sbfet-v2", "sbfet-v3"):
+        for old in ("sbfet-v1", "sbfet-v2", "sbfet-v3", "sbfet-v4"):
             assert current != table_cache_key(g, VG, VD, None,
                                               engine="semianalytic",
                                               version=old)
