@@ -5,7 +5,7 @@ invariants this codebase lives by:
 
 * **RPA1xx determinism** — no OS entropy, no global RNG state, no wall
   clock inside the library; samplers take explicit Generators so
-  ``runtime.parallel_map`` sweeps stay bit-reproducible.
+  experiments stay bit-reproducible at any worker count.
 * **RPA2xx units** — physical constants live in :mod:`repro.constants`,
   nowhere else.
 * **RPA3xx layering** — the package import graph must follow the

@@ -6,7 +6,7 @@
   nested closures and dunder methods are exempt.
 * ``RPA402`` — mutable default arguments (``def f(x=[])``) are shared
   across calls — the classic aliasing bug, doubly dangerous now that
-  sweeps run in long-lived worker processes.
+  experiments run in long-lived worker processes.
 * ``RPA403`` — result dataclasses (``*Result``, ``*Solution``,
   ``*Metrics``, ``*Output``) are values handed across layer boundaries
   and into caches; they must be ``frozen=True`` so a consumer cannot

@@ -1,6 +1,6 @@
 """RPA1xx — determinism: RNG and wall-clock hygiene.
 
-``runtime.parallel_map`` promises bit-for-bit identical sweeps at any
+``runtime.parallel_map`` promises bit-for-bit identical runs at any
 worker count, and the device-table cache assumes a function of its
 inputs.  Both promises die the moment library code draws entropy from
 the OS or the wall clock:
@@ -10,7 +10,7 @@ the OS or the wall clock:
 * ``RPA102`` — the legacy ``np.random.*`` global-state API
   (``np.random.seed`` / ``rand`` / ``normal`` ...) is shared mutable
   state across the whole process: results depend on call order and on
-  which worker executed which chunk.
+  which worker executed which experiment.
 * ``RPA103`` — ``time.time()`` / ``datetime.now()`` inside ``src/repro``
   make results depend on when they ran (use ``time.perf_counter()`` for
   interval timing — it measures durations, never absolute time).

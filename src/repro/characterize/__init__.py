@@ -2,9 +2,10 @@
 
 Declares every paper experiment as an :class:`ExperimentSpec` (runner,
 figures of merit, paper reference values, per-metric tolerances), runs
-them through the resilient :func:`repro.runtime.parallel_map` substrate,
-diffs the extracted metrics against committed golden JSONs under
-``goldens/`` (schema ``repro-golden/1``), and renders the
+them through the experiment fan-out of :mod:`repro.characterize.runner`
+(the one place a run goes parallel), diffs the extracted metrics
+against committed golden JSONs under ``goldens/`` (schema
+``repro-golden/1``), and renders the
 ``docs/experiments/`` pages from the same source of truth so the
 documentation can never drift from the measurements.
 

@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "goldens' 'fast' mode block")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel experiment workers "
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="experiments run in parallel worker processes "
                              "(default: $REPRO_WORKERS or serial)")
     return parser
 

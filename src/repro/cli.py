@@ -15,12 +15,14 @@ Usage::
 ``repro run``, ``repro characterize`` and ``repro cache`` resolve one
 :class:`~repro.config.RunConfig` from the ``REPRO_*`` environment, their
 flags taking precedence, before doing anything else; a malformed knob
-exits 2 with one line naming it.  ``repro run`` passes the config to
-every experiment: ``--workers`` / ``--no-cache`` set the worker count
-and the on-disk table cache of every sweep, ``--strict`` / ``--faults
-SPEC`` the resilience layer of :mod:`repro.runtime.resilience` (see
-``docs/robustness.md``), ``--sanitize`` the numerical sanitizer of
-:mod:`repro.sanitize` and
+exits 2 with one line naming it.  ``repro run`` hands its experiments and
+the config to :func:`repro.characterize.runner.run_experiments`, the
+fan-out ``repro characterize`` uses too: ``--workers N`` runs N
+experiments at once in worker processes (every sweep inside an
+experiment runs in-process) and ``--no-cache`` bypasses the on-disk
+table cache; ``--strict`` / ``--faults SPEC`` set the resilience layer
+of :mod:`repro.runtime.resilience` (see ``docs/robustness.md``),
+``--sanitize`` the numerical sanitizer of :mod:`repro.sanitize` and
 ``--trace`` the observability layer of :mod:`repro.obs`, which writes
 a JSON run manifest next to the report.  ``repro lint`` is the static
 analysis front end of :mod:`repro.analysis`, and ``repro trace
@@ -41,8 +43,9 @@ from repro.analysis.cli import build_parser as build_lint_parser
 from repro.analysis.cli import main as lint_main
 from repro.characterize.cli import build_parser as build_characterize_parser
 from repro.characterize.cli import main as characterize_main
+from repro.characterize.runner import report_of, run_experiments
 from repro.config import RunConfig
-from repro.reporting.experiments import EXPERIMENTS, run_experiment
+from repro.reporting.experiments import EXPERIMENTS
 from repro.runtime import ArtifactCache, activate
 
 
@@ -84,22 +87,20 @@ def _cmd_run(args) -> int:
     config = _resolve_config(args)
     if config is None:
         return 2
-    activate(config)
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    reports = []
+    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
+        print(f"unknown experiment {args.experiment!r}; try 'repro list'",
+              file=sys.stderr)
+        return 2
+    activate(config)
     if obs.ACTIVE:
         obs.reset()
     wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    for target in targets:
-        if target not in EXPERIMENTS:
-            print(f"unknown experiment {target!r}; try 'repro list'",
-                  file=sys.stderr)
-            return 2
-        start = time.perf_counter()
-        with obs.span(f"cli.run.{target}", fast=args.fast):
-            report, _ = run_experiment(target, fast=args.fast, config=config)
-        elapsed = time.perf_counter() - start
+    cpu_start, children_start = time.process_time(), obs.children_cpu_s()
+    results = run_experiments(targets, args.fast, config, report_of,
+                              span="cli.run")
+    reports = []
+    for target, (report, elapsed) in zip(targets, results):
         banner = f"=== {target} ({elapsed:.1f} s) ==="
         reports.append(banner + "\n" + report)
         print(banner)
@@ -113,7 +114,9 @@ def _cmd_run(args) -> int:
             label="repro run " + " ".join(targets),
             config={"experiments": targets, "fast": bool(args.fast)},
             wall_s=time.perf_counter() - wall_start,
-            cpu_s=time.process_time() - cpu_start, run_config=config)
+            cpu_s=time.process_time() - cpu_start,
+            cpu_children_s=obs.children_cpu_s() - children_start,
+            run_config=config)
         path = obs.write_manifest(manifest, _manifest_path(args.out))
         print(f"wrote {path}")
     return 0
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced resolution for a quick pass")
     p_run.add_argument("--out", help="also write the report to a file")
     p_run.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker processes for every sweep "
+                       help="experiments run in parallel worker processes "
                             "(default: $REPRO_WORKERS or serial)")
     p_run.add_argument("--no-cache", action="store_true",
                        help="bypass the on-disk device-table cache "

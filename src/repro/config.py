@@ -110,8 +110,8 @@ class RunConfig:
     Attributes
     ----------
     workers:
-        Worker processes per sweep (``<= 1`` is serial; always 1 inside
-        a worker process, so pools never nest).
+        Experiments run in parallel worker processes (``<= 1`` is
+        serial); the sweeps inside an experiment always run in-process.
     strict:
         Raise on the first failed sweep cell instead of quarantining it.
     faults:

@@ -12,17 +12,15 @@ mirror-symmetric model (ambipolar SBFET, no impurity) the n-branch twin
 electrostatics of the whole grid, plus the canonical points that fall
 off it, are solved first in one vectorized bisection
 (:meth:`SBFETModel.solve_midgaps`), and the channel charges in one
-broadcast.  Each distinct canonical point is then integrated once,
-fanned out across worker processes through
-:class:`repro.runtime.LocalScheduler` with one task per canonical gate
-bias; on the default 31 x 16 grid that is 282 integrals for 465 cells
-with ``V_D > 0``.  Every point is solved from scratch, so a stored value
-is a pure function of the geometry and its own ``(V_G, V_D)``: serial
-and parallel sweeps are bit-for-bit equal regardless of worker count or
-chunking, every cell equals a lone :meth:`SBFETModel.solve_bias`, and a
-sweep over a subset of the bias axes reproduces the full sweep at the
-shared points (a twin that falls off the subset is bisected as an extra
-point).
+broadcast.  Each distinct canonical point is then integrated once; on
+the default 31 x 16 grid that is 282 integrals for 465 cells with
+``V_D > 0``.  The sweep runs in-process (parallelism lives one level up,
+in the experiment fan-out).  Every point is solved from scratch, so a
+stored value is a pure function of the geometry and its own
+``(V_G, V_D)``: every cell equals a lone :meth:`SBFETModel.solve_bias`,
+and a sweep over a subset of the bias axes reproduces the full sweep at
+the shared points (a twin that falls off the subset is bisected as an
+extra point).
 
 Resilience (see ``docs/robustness.md``): the cells are visited in order
 after the integrals, each one the ``scf`` fault site at its flat index.
@@ -32,15 +30,12 @@ as a :class:`~repro.runtime.resilience.FailureRecord` on the result (and
 in the obs manifest) unless the run config is ``strict``, in which case
 the first failed cell raises with its bias point and cell index in the
 error context.  A fault at one cell of a mirror pair leaves the other
-intact.  A crashed worker process costs only its unfinished integrals,
-which are recomputed in-process from the salvaged
-:class:`~repro.errors.ParallelMapError` state.
+intact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -50,13 +45,7 @@ from repro.device.engines import DEFAULT_ENGINE, resolve_engine
 from repro.device.geometry import GNRFETGeometry
 from repro.device.sbfet import SBFETModel, record_bias_point
 from repro.errors import ConvergenceError
-from repro.runtime import (
-    FailureRecord,
-    LocalScheduler,
-    in_worker,
-    quarantine,
-    resolve_workers,
-)
+from repro.runtime import FailureRecord, quarantine
 from repro.runtime import faults
 
 
@@ -111,30 +100,6 @@ class IVSweep:
         return float(i_on / i_off)
 
 
-def _integrate_currents(geometry: GNRFETGeometry, n_modes: int | None,
-                        engine: str,
-                        task: tuple[int, np.ndarray, np.ndarray],
-                        model: SBFETModel | None = None) -> np.ndarray:
-    """The Landauer integrals of one task (module-level so it pickles
-    to workers).
-
-    ``task`` is ``(index, drains, midgaps)``: the drain biases and
-    solved channel midgaps of the points to integrate, all at one gate
-    bias.  The task index keys the ``worker`` fault site.  When no
-    ``model`` is supplied (worker processes) one is rebuilt from the
-    geometry; construction is deterministic and each integral depends
-    only on its own midgap and drain bias, so results do not depend on
-    how the points are batched.
-    """
-    index, drains, midgaps = task
-    if model is None:
-        model = SBFETModel(geometry, n_modes=n_modes, engine=engine)
-    if faults.ACTIVE and in_worker():
-        faults.inject("worker", index)
-    return np.array([model.current_a(float(u), float(vd))
-                     for u, vd in zip(midgaps, drains)])
-
-
 def _twin_failure(err: ConvergenceError, twin_vg: float
                   ) -> ConvergenceError:
     """A cell's own copy of its canonical twin's bisection failure (the
@@ -161,10 +126,8 @@ def sweep_iv(
     :mod:`repro.device.engines`).
 
     ``config`` (default :meth:`RunConfig.from_env`) says how the sweep
-    executes: ``workers`` > 1 fans the current integrals out across a
-    process pool in one dispatch (bit-for-bit identical to serial);
-    ``strict`` re-raises the first failed cell instead of quarantining
-    it.
+    handles failures: ``strict`` re-raises the first failed cell
+    instead of quarantining it.
     """
     vg_grid = np.asarray(vg_grid, dtype=float)
     vd_grid = np.asarray(vd_grid, dtype=float)
@@ -212,25 +175,14 @@ def sweep_iv(
                                   "channel charge")
 
         # Each distinct canonical point of a solved cell is integrated
-        # once; one task per gate bias goes to the workers.
+        # once.
         failed = np.zeros(points_vg.size, dtype=bool)
         failed[list(errors)] = True
         solved_cells = ~failed[:n_cells] & ~failed[canonical]
-        by_gate: dict[float, list[int]] = {}
-        for point in np.unique(canonical[solved_cells]).tolist():
-            by_gate.setdefault(float(points_vg[point]), []).append(point)
-        tasks = [(index, points_vd[points], midgaps[points])
-                 for index, points in enumerate(by_gate.values())]
-        fn = partial(_integrate_currents, geometry, n_modes, engine)
-        if resolve_workers(config.workers) <= 1:
-            # Serial fast path: one model serves every task.
-            results = [fn(task, model=model) for task in tasks]
-        else:
-            results = LocalScheduler(workers=config.workers).run(
-                fn, tasks, strict=strict)
         integral = np.full(points_vg.size, np.nan)
-        for points, values in zip(by_gate.values(), results):
-            integral[points] = values
+        for point in np.unique(canonical[solved_cells]).tolist():
+            integral[point] = model.current_a(float(midgaps[point]),
+                                              float(points_vd[point]))
 
         # The cells: fault site, counters, quarantine and strict.
         current = np.full(n_cells, np.nan)

@@ -6,7 +6,7 @@ catch simulation problems without masking programming errors.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 
 class ReproError(Exception):
@@ -73,42 +73,36 @@ class GoldenError(ReproError):
 
 
 class ParallelMapError(ReproError):
-    """A :func:`repro.runtime.parallel_map` worker chunk failed.
+    """A :func:`repro.runtime.parallel_map` worker task failed.
 
     Raised *instead of* the bare worker exception so that work already
-    finished by other chunks is salvaged rather than thrown away: the
-    completed chunk results (and their chunk indices) ride along on the
-    wrapper, and the original worker exception is chained as
-    ``__cause__``.
+    finished by other tasks is salvaged rather than thrown away: the
+    completed results (keyed by item index) ride along on the wrapper,
+    and the original worker exception is chained as ``__cause__``.
 
     Attributes
     ----------
     completed:
-        Mapping of chunk index to that chunk's result list, for every
-        chunk that finished successfully before the failure surfaced.
+        Mapping of item index to its result, for every task that
+        finished successfully before the failure surfaced.
     failed:
-        Mapping of chunk index to the repr of its exception.
-    n_chunks:
-        Total chunks dispatched.
+        Mapping of item index to the repr of its exception.
+    n_tasks:
+        Total tasks dispatched.
     n_cancelled:
-        Chunks cancelled before they ran (their items were never
+        Tasks cancelled before they ran (their items were never
         computed).
-    chunk_offsets:
-        Start item index of each chunk: ``chunk_offsets[k]`` maps chunk
-        ``k`` back to its first item.
     """
 
     def __init__(self, message: str,
-                 completed: Mapping[int, list] | None = None,
+                 completed: Mapping[int, object] | None = None,
                  failed: Mapping[int, str] | None = None,
-                 n_chunks: int = 0, n_cancelled: int = 0,
-                 chunk_offsets: Sequence[int] = ()):
+                 n_tasks: int = 0, n_cancelled: int = 0):
         super().__init__(message)
-        self.completed: dict[int, list] = dict(completed or {})
+        self.completed: dict[int, object] = dict(completed or {})
         self.failed: dict[int, str] = dict(failed or {})
-        self.n_chunks = n_chunks
+        self.n_tasks = n_tasks
         self.n_cancelled = n_cancelled
-        self.chunk_offsets: tuple[int, ...] = tuple(chunk_offsets)
 
 
 class SanitizerError(ReproError):

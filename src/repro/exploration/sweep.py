@@ -1,16 +1,13 @@
 """Dense V_DD-V_T exploration sweep (the data behind Fig. 3b).
 
-Every (V_T, V_DD) cell is an independent quasi-static analysis, so the
-sweep fans V_T rows out across worker processes through
-:class:`repro.runtime.LocalScheduler`; the per-cell computation is
-identical either way, so parallel and serial grids are bit-for-bit
-equal.
+Every (V_T, V_DD) cell is an independent quasi-static analysis; the
+sweep visits the V_T rows in order, in-process (parallelism lives one
+level up, in the experiment fan-out).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -20,12 +17,7 @@ from repro.circuit.ring_oscillator import estimate_ring_oscillator
 from repro.config import RunConfig
 from repro.errors import AnalysisError, ConvergenceError
 from repro.exploration.technology import GNRFETTechnology
-from repro.runtime import (
-    FailureRecord,
-    LocalScheduler,
-    in_worker,
-    quarantine,
-)
+from repro.runtime import FailureRecord, quarantine
 from repro.runtime import faults
 
 
@@ -55,20 +47,16 @@ class ExplorationGrid:
 
 def _explore_vt_row(tech: GNRFETTechnology, vdd_grid: np.ndarray,
                     n_stages: int, with_snm: bool, strict: bool,
-                    task: tuple[int, float]
+                    i: int, vt: float
                     ) -> tuple[np.ndarray, ...]:
-    """All V_DD cells of one V_T row (module-level so it pickles).
+    """All V_DD cells of V_T row ``i``.
 
-    ``task`` is ``(row_index, vt)``; the row index keys the ``worker``
-    fault-injection site and quarantine records.  A device-table build
-    with a failed cell (it surfaces here as a
-    :class:`~repro.errors.ConvergenceError` when the underlying sweep is
-    strict) NaN-masks the whole row and yields one
+    The row index keys the ``scf`` fault-injection site and quarantine
+    records.  A device-table build with a failed cell (it surfaces here
+    as a :class:`~repro.errors.ConvergenceError` when the underlying
+    sweep is strict) NaN-masks the whole row and yields one
     :class:`~repro.runtime.resilience.FailureRecord` unless ``strict``.
     """
-    i, vt = task
-    if faults.ACTIVE and in_worker():
-        faults.inject("worker", i)
     n_vdd = vdd_grid.size
     freq = np.full(n_vdd, np.nan)
     edp = np.full(n_vdd, np.nan)
@@ -125,17 +113,13 @@ def sweep_vdd_vt(
     recorded as NaN rather than raised, so contour extraction can operate
     on the full rectangle.
 
-    ``config`` (default :meth:`RunConfig.from_env`): ``workers`` > 1
-    distributes V_T rows across a process pool, bit-for-bit identical
-    to a serial sweep; ``strict`` re-raises the first failed
-    device-table build, otherwise the affected V_T row is NaN-masked
-    and recorded on ``failures``.  A crashed worker process costs only
-    its undelivered rows, which the scheduler recomputes in-process.
+    ``config`` (default :meth:`RunConfig.from_env`): ``strict``
+    re-raises the first failed device-table build, otherwise the
+    affected V_T row is NaN-masked and recorded on ``failures``.
     """
     vt_grid = np.asarray(vt_grid, dtype=float)
     vdd_grid = np.asarray(vdd_grid, dtype=float)
     config = RunConfig.from_env() if config is None else config
-    strict = config.strict
     shape = (vt_grid.size, vdd_grid.size)
     freq = np.full(shape, np.nan)
     edp = np.full(shape, np.nan)
@@ -144,20 +128,14 @@ def sweep_vdd_vt(
     p_stat = np.full(shape, np.nan)
     failures: list[FailureRecord] = []
 
-    tasks = [(int(i), float(vt)) for i, vt in enumerate(vt_grid)]
-    fn = partial(_explore_vt_row, tech, vdd_grid, n_stages, with_snm,
-                 strict)
     with obs.span("exploration.sweep_vdd_vt",
                   grid=f"{vt_grid.size}x{vdd_grid.size}"):
-        rows = LocalScheduler(config.workers).run(fn, tasks, strict=strict)
-    for i, (f_row, e_row, s_row, pt_row, ps_row, row_failures) \
-            in enumerate(rows):
-        freq[i] = f_row
-        edp[i] = e_row
-        snm[i] = s_row
-        p_tot[i] = pt_row
-        p_stat[i] = ps_row
-        failures.extend(row_failures)
+        for i, vt in enumerate(vt_grid):
+            *row, row_failures = _explore_vt_row(
+                tech, vdd_grid, n_stages, with_snm, config.strict, i,
+                float(vt))
+            freq[i], edp[i], snm[i], p_tot[i], p_stat[i] = row
+            failures.extend(row_failures)
 
     return ExplorationGrid(vt=vt_grid, vdd=vdd_grid, frequency_hz=freq,
                            edp_j_s=edp, snm_v=snm, total_power_w=p_tot,

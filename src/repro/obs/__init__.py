@@ -15,9 +15,9 @@ from their :class:`~repro.config.RunConfig` (``REPRO_TRACE`` /
 ``--trace``).  Worker processes started by
 :func:`repro.runtime.parallel_map` get the parent's flag from the pool
 initializer, record into their own recorder, and ship a
-:func:`drain`-ed payload back with their chunk results; the parent
-:func:`absorb`-s those payloads in chunk order, so aggregation is
-deterministic at any worker count.
+:func:`drain`-ed payload back with each task's result; the parent
+:func:`absorb`-s those payloads in task order, so the merge does not
+depend on which task finished first.
 
 Spans aggregate by *path*: a span named ``b`` opened inside a span
 named ``a`` contributes to the key ``"a/b"``.  Durations use
@@ -261,7 +261,7 @@ def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
     """Open a traced region: ``with obs.span("scf.solve", vg=0.4): ...``.
 
     Nested spans aggregate under slash-joined paths
-    (``"device.sweep_iv/runtime.parallel_map"``).  Keyword attributes are
+    (``"device.build_table/device.sweep_iv"``).  Keyword attributes are
     attached to the aggregate (last occurrence wins) — use them for
     small identifying facts (device index, bias), not bulk data.
     """
@@ -333,6 +333,7 @@ def absorb(payload: Mapping[str, Any] | None, nest: bool = True) -> None:
 from repro.obs.manifest import (  # noqa: E402
     MANIFEST_SCHEMA,
     build_manifest,
+    children_cpu_s,
     compute_rollups,
     git_revision,
     load_manifest,
@@ -366,6 +367,7 @@ __all__ = [
     "span",
     "MANIFEST_SCHEMA",
     "build_manifest",
+    "children_cpu_s",
     "compute_rollups",
     "git_revision",
     "load_manifest",

@@ -3,8 +3,9 @@
 A manifest is the durable artifact of a traced run: one JSON document
 holding the run's configuration, the resolved
 :class:`~repro.config.RunConfig` (every field, defaults included), the
-git revision, interval timings (``perf_counter`` wall span and
-``process_time`` CPU span — never absolute timestamps), the full
+git revision, interval timings (``perf_counter`` wall span, the
+``process_time`` CPU span and the CPU of the worker processes the run
+waited for — never absolute timestamps), the full
 recorder snapshot, and a small set of *rollups* — the headline numbers
 (SCF iterations, energy-grid evaluations, cache hit rate) that answer
 "where did this run spend its effort" without reading the raw spans.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import tempfile
 from pathlib import Path
@@ -39,6 +41,13 @@ def git_revision() -> str | None:
         return None
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else None
+
+
+def children_cpu_s() -> float:
+    """User + system CPU seconds of this process's finished children
+    (``getrusage(RUSAGE_CHILDREN)``); a run records its delta."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
@@ -101,13 +110,16 @@ def build_manifest(label: str,
                    cpu_s: float | None = None,
                    snapshot: Mapping[str, Any] | None = None,
                    run_config: RunConfig | None = None,
+                   cpu_children_s: float | None = None,
                    ) -> dict[str, Any]:
     """Assemble a manifest document from a recorder snapshot.
 
     ``snapshot`` defaults to the live process recorder
-    (:func:`repro.obs.snapshot`).  ``wall_s`` / ``cpu_s`` are *interval*
-    durations measured by the caller with ``time.perf_counter`` /
-    ``time.process_time`` deltas.  ``run_config`` is the resolved
+    (:func:`repro.obs.snapshot`).  ``wall_s`` / ``cpu_s`` /
+    ``cpu_children_s`` are *interval* durations measured by the caller
+    with ``time.perf_counter`` / ``time.process_time`` /
+    :func:`children_cpu_s` deltas; the last is the CPU of the worker
+    processes a parallel run waited for.  ``run_config`` is the resolved
     execution config (default :meth:`RunConfig.from_env`), recorded
     with every field.
     """
@@ -124,7 +136,8 @@ def build_manifest(label: str,
         "seed": seed,
         "git_rev": git_revision(),
         "run_config": run_config.to_dict(),
-        "timing": {"wall_s": wall_s, "cpu_s": cpu_s},
+        "timing": {"wall_s": wall_s, "cpu_s": cpu_s,
+                   "cpu_children_s": cpu_children_s},
         "counters": snap.get("counters", {}),
         "gauges": snap.get("gauges", {}),
         "histograms": snap.get("histograms", {}),

@@ -71,8 +71,11 @@ def summarize_text(manifest: Mapping[str, Any],
         lines.append(f"  git: {git_rev}")
     timing = manifest.get("timing", {})
     wall, cpu = timing.get("wall_s"), timing.get("cpu_s")
+    children = timing.get("cpu_children_s")
     if wall is not None:
         cpu_text = f", cpu {cpu:.3f} s" if cpu is not None else ""
+        if children is not None:
+            cpu_text += f", children cpu {children:.3f} s"
         lines.append(f"  timing: wall {wall:.3f} s{cpu_text}")
     run_config = manifest.get("run_config")
     if run_config is not None:

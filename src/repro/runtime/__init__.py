@@ -1,13 +1,14 @@
-"""Shared execution substrate: process-pool sweeps + persistent caching.
+"""Shared execution substrate: the experiment pool + persistent caching.
 
-Every sweep layer in the repo — device ``I_D/Q(V_G, V_D)`` grids, the
-V_DD-V_T exploration plane, the ring-oscillator Monte Carlo — dispatches
-through :class:`repro.runtime.scheduler.LocalScheduler` (a process pool
-over :func:`repro.runtime.parallel.parallel_map`), and the expensive
-self-consistent device tables persist across processes through
-:class:`repro.runtime.cache.ArtifactCache`.
+Whole experiments fan out through
+:class:`repro.runtime.scheduler.LocalScheduler` (a process pool over
+:func:`repro.runtime.parallel.parallel_map`); every sweep inside an
+experiment — device ``I_D/Q(V_G, V_D)`` grids, the V_DD-V_T exploration
+plane, the ring-oscillator Monte Carlo — runs in-process, and the
+expensive self-consistent device tables persist across processes
+through :class:`repro.runtime.cache.ArtifactCache`.
 
-How a sweep executes — worker count, failure policy, the cache root —
+How a run executes — worker count, failure policy, the cache root —
 comes from the :class:`~repro.config.RunConfig` it is handed (see
 :mod:`repro.config` for the ``REPRO_*`` knobs).  The three
 process-wide switches (tracing, the sanitizer, a fault plan) are set
@@ -25,9 +26,6 @@ from repro.runtime.cache import (
     content_key,
 )
 from repro.runtime.parallel import (
-    batch_indices,
-    guided_chunk_plan,
-    in_worker,
     parallel_map,
     resolve_workers,
     spawn_seed_sequences,
@@ -62,11 +60,8 @@ __all__ = [
     "LocalScheduler",
     "TABLE_ENGINE_VERSION",
     "activate",
-    "batch_indices",
     "canonical_repr",
     "content_key",
-    "guided_chunk_plan",
-    "in_worker",
     "parallel_map",
     "quarantine",
     "recover_parallel",

@@ -29,14 +29,16 @@ Examples
     Only the first two attempts at task 5 fail; a third solve of that
     task in the same process succeeds.
 ``worker@2``
-    The worker process handling task index 2 exits hard
+    The worker process running the run's third experiment exits hard
     (``os._exit``), breaking the process pool — exercises
-    :class:`~repro.errors.ParallelMapError` salvage.
+    :class:`~repro.errors.ParallelMapError` salvage.  A serial run, or
+    a run of one experiment, has no worker and never fires it.
 
-Indices are *task indices of the enclosing sweep* (flat cell index for
-bias grids, sample index for Monte Carlo), never global call counts,
-so the same spec fires at the same logical work item at any worker
-count.  Attempt counters are
+``scf`` indices are *task indices of the enclosing sweep* (flat cell
+index for bias grids, V_T row for the exploration plane, sample index
+for Monte Carlo) and ``worker`` indices the experiment's position in
+the run, never global call counts, so the same spec fires at the same
+logical work item at any worker count.  Attempt counters are
 process-local; because a given task is always retried within the one
 process that owns it, ``xN`` counting is exact in workers too.
 """

@@ -27,7 +27,7 @@ Failure quarantine (:class:`FailureRecord`)
     dataclass and the obs run manifest.
 
 Worker-crash recovery (:func:`recover_parallel`)
-    When a process pool breaks, the chunks it delivered are kept and
+    When a process pool breaks, the results it delivered are kept and
     only the undelivered tasks are recomputed in the parent.
 
 The policy comes from the sweep's :class:`~repro.config.RunConfig`:
@@ -169,28 +169,24 @@ def recover_parallel(err: ParallelMapError, fn: Callable[[Any], T],
                      tasks: Sequence[Any]) -> list[T]:
     """Fill in the tasks a broken process pool failed to deliver.
 
-    Completed chunks ride along on the
+    Completed results ride along on the
     :class:`~repro.errors.ParallelMapError` (their obs payloads were
     already absorbed by ``parallel_map``); only the failed/cancelled
     tasks are recomputed, serially in this process, by calling ``fn`` on
     the original task values.  Recomputed results are identical to
     worker-computed ones whenever ``fn`` is deterministic and per-task
-    independent — the contract every sweep in this repo already meets.
+    independent — the contract every experiment in this repo already
+    meets.
 
     Counted under ``resilience.worker_crash_recoveries`` (one per
     recovery) and ``resilience.rows_recomputed`` (one per task).
     """
-    results: list[T | None] = [None] * len(tasks)
-    delivered = [False] * len(tasks)
-    for k, chunk_results in err.completed.items():
-        start = err.chunk_offsets[k]
-        stop = start + len(chunk_results)
-        results[start:stop] = chunk_results
-        delivered[start:stop] = [True] * len(chunk_results)
-    missing = [idx for idx in range(len(tasks)) if not delivered[idx]]
+    missing = [idx for idx in range(len(tasks)) if idx not in err.completed]
     if obs.ACTIVE:
         obs.incr("resilience.worker_crash_recoveries")
         obs.incr("resilience.rows_recomputed", len(missing))
+    results: list[Any] = [err.completed.get(idx)
+                          for idx in range(len(tasks))]
     for idx in missing:
         results[idx] = fn(tasks[idx])
-    return results  # type: ignore[return-value]
+    return results

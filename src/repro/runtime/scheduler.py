@@ -1,22 +1,20 @@
-"""Task dispatch for every sweep: ``parallel_map`` plus crash recovery.
+"""Task dispatch for the experiment fan-out: ``parallel_map`` plus crash
+recovery.
 
 :func:`repro.runtime.parallel.parallel_map` is a *mechanism* — a
-process pool with deterministic, input-ordered results, shipped in
-work-stealing-style *guided chunks* (decreasing chunk sizes from
-:func:`~repro.runtime.parallel.guided_chunk_plan`, so a straggler task
-cannot serialize the pool).  :class:`LocalScheduler` is the one
-dispatch path every sweep uses on top of it, and its only caller: it
-absorbs :class:`~repro.errors.ParallelMapError` through
+process pool with deterministic, input-ordered results, one task per
+item.  :class:`LocalScheduler` adds the policy on top of it: it absorbs
+:class:`~repro.errors.ParallelMapError` through
 :func:`~repro.runtime.resilience.recover_parallel` unless the caller is
-strict.  The fault-injection sites, quarantine records and obs payload
-forwarding of the underlying machinery ride through unchanged: tasks
-keep their caller-assigned indices, so fault specs fire at the same
-logical work item at any worker count.
+strict.  Its one caller is the experiment fan-out
+(:func:`repro.characterize.runner.run_experiments`); every sweep inside
+an experiment runs in-process.  Tasks keep their positions, so a
+``worker@N`` fault spec fires at the same experiment at any worker
+count.
 
 Determinism contract: ``run(fn, tasks)`` returns results in task order,
 computed by a per-task pure function — exactly ``[fn(t) for t in
-tasks]``.  Chunking/worker-count choices affect wall-clock only, never
-values.
+tasks]``.  The worker count affects wall-clock only, never values.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ class LocalScheduler:
     """Process-pool scheduler: ``parallel_map`` + crash recovery.
 
     ``workers=None`` defers to ``REPRO_WORKERS`` at each ``run`` call
-    (serial fallback included); sweeps pass their config's count.
+    (serial fallback included); the fan-out passes its config's count.
     """
 
     def __init__(self, workers: int | None = None):

@@ -31,29 +31,23 @@ quantity).  Each sample draws one block of standard normals ordered
 (stage, n- then p-device, ribbon, width then charge) — the order, and
 so the values, of one scalar draw per trait — and maps it to level
 indices with the +-sigma/2 rule.  Devices are summed ribbon by ribbon
-and the surrogate walks the stages on vectors spanning every sample of
-a batch, keeping the float operations of a one-sample-at-a-time
+and the surrogate walks the stages on vectors spanning every sample,
+keeping the float operations of a one-sample-at-a-time
 evaluation in their order, so samples, nominal values and variant
 counts are bitwise those of the scalar formulation
 (``tests/variability/test_mc_parity.py``).
 
-Parallel execution
-------------------
-Both phases dispatch through :class:`repro.runtime.LocalScheduler` with
-the worker count of the run's :class:`~repro.config.RunConfig`: the
-variant ribbon tables are prefetched across worker processes (the
-expensive part when tables are cold), and the samples are batched
-across workers.  Every
-sample draws from its own generator spawned
+Every sample draws from its own generator spawned
 (``np.random.SeedSequence.spawn``) from the root seed by sample index,
-so a fixed seed gives bit-for-bit identical distributions at any worker
-count.
+so the first ``n`` samples of a longer run equal a run of ``n``.  The
+study runs in-process: the variant tables are built (or read from the
+cache) one after another and every sample is evaluated in one batch
+(parallelism lives one level up, in the experiment fan-out).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -61,15 +55,7 @@ from repro.circuit.ring_oscillator import simulate_ring_oscillator
 from repro.config import RunConfig
 from repro.errors import ConvergenceError
 from repro.exploration.technology import GNRFETTechnology
-from repro.runtime import (
-    FailureRecord,
-    LocalScheduler,
-    batch_indices,
-    in_worker,
-    quarantine,
-    resolve_workers,
-    spawn_seed_sequences,
-)
+from repro.runtime import FailureRecord, quarantine, spawn_seed_sequences
 from repro.runtime import faults
 from repro.variability.sampling import (
     discretized_normal_indices,
@@ -131,7 +117,7 @@ class MonteCarloResult:
 def _ribbon_electricals(tech: GNRFETTechnology, offset: float, vdd: float,
                         variant: DeviceVariant, polarity: int,
                         config: RunConfig | None = None) -> dict:
-    """Electrical quantities of one ribbon (module-level so it pickles).
+    """Electrical quantities of one ribbon.
 
     Builds (or fetches from the device-table cache) the variant ribbon
     table and condenses it to the five linear-composable quantities the
@@ -158,15 +144,6 @@ def _ribbon_electricals(tech: GNRFETTechnology, offset: float, vdd: float,
     }
 
 
-def _ribbon_task(tech: GNRFETTechnology, offset: float, vdd: float,
-                 config: RunConfig, key: tuple[DeviceVariant, int]
-                 ) -> tuple[tuple[DeviceVariant, int], dict]:
-    """Prefetch task: one (variant, polarity) pair -> its electricals."""
-    variant, polarity = key
-    return key, _ribbon_electricals(tech, offset, vdd, variant, polarity,
-                                    config)
-
-
 def _variant_electricals(tech: GNRFETTechnology, vdd: float, vt: float,
                          width_levels, charge_levels, config: RunConfig
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +154,14 @@ def _variant_electricals(tech: GNRFETTechnology, vdd: float, vt: float,
     and charge level ``q`` at ``code = 3 * w + q``, and
     ``nominal[polarity]`` those of the nominal ribbon (polarity 0 is
     the n-device, 1 the p-device).  The variant table builds behind
-    them (the expensive part when tables are cold) fan across workers.
+    them are the expensive part when tables are cold.
     """
     variants = [DeviceVariant(n_index=n, impurity_e=q)
                 for n in width_levels for q in charge_levels]
-    keys = [(v, pol) for v in dict.fromkeys([DeviceVariant()] + variants)
-            for pol in POLARITIES]
-    data = dict(LocalScheduler(config.workers).run(
-        partial(_ribbon_task, tech, tech.gate_offset_for_vt(vt), vdd, config),
-        keys))
+    offset = tech.gate_offset_for_vt(vt)
+    data = {(v, pol): _ribbon_electricals(tech, offset, vdd, v, pol, config)
+            for v in dict.fromkeys([DeviceVariant()] + variants)
+            for pol in POLARITIES}
 
     def quantities(variant: DeviceVariant, polarity: int) -> list[float]:
         return [data[variant, polarity][q] for q in QUANTITIES]
@@ -255,7 +231,7 @@ def _surrogate_oscillator(devices: np.ndarray, nominal: np.ndarray,
     return freq, energy_per_cycle * freq, p_stat
 
 
-def _evaluate_batch(
+def _evaluate_samples(
     params,
     vdd: float,
     vt: float,
@@ -265,15 +241,10 @@ def _evaluate_batch(
     electricals: np.ndarray,
     nominal: np.ndarray,
     strict: bool,
-    task: tuple[tuple[int, ...], list[np.random.SeedSequence]],
+    seeds: list[np.random.SeedSequence],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int],
            list[FailureRecord]]:
-    """Evaluate one batch of samples (worker-side entry point).
-
-    ``task`` is ``(sample_indices, seeds)`` — global sample indices plus
-    the per-sample seed sequences spawned from the root seed by sample
-    index, so results are independent of how samples are batched across
-    workers — ``workers=1`` and ``workers=4`` are bit-for-bit identical.
+    """Evaluate every sample; ``seeds[k]`` is sample ``k``'s sequence.
 
     Each sample draws one block of standard normals ordered (stage,
     polarity n then p, ribbon, width then charge) — the order of the
@@ -282,14 +253,10 @@ def _evaluate_batch(
     first-draw order.
 
     The ``scf`` fault-injection site fires per sample (keyed by the
-    global sample index, before any draws, so variant counts stay
-    exact); the ``worker`` site is keyed by the batch's first sample
-    index.  A failed sample draws nothing and is NaN-masked and recorded
-    unless ``strict``.
+    sample index, before any draws, so variant counts stay exact).  A
+    failed sample draws nothing and is NaN-masked and recorded unless
+    ``strict``.
     """
-    indices, seeds = task
-    if faults.ACTIVE and in_worker():
-        faults.inject("worker", indices[0] if indices else 0)
     n = len(seeds)
     freqs = np.full(n, np.nan)
     p_dyns = np.full(n, np.nan)
@@ -299,14 +266,13 @@ def _evaluate_batch(
     if faults.ACTIVE:
         ok = []
         for k in range(n):
-            sample = int(indices[k])
             try:
-                faults.inject("scf", sample, detail=f"sample={sample}")
+                faults.inject("scf", k, detail=f"sample={k}")
             except ConvergenceError as exc:
                 if strict:
-                    raise exc.with_context(sample_index=sample)
+                    raise exc.with_context(sample_index=k)
                 failures.append(quarantine(
-                    exc, site="montecarlo", index=sample, coords=(sample,),
+                    exc, site="montecarlo", index=k, coords=(k,),
                     bias={"vdd": float(vdd), "vt": float(vt)}))
             else:
                 ok.append(k)
@@ -355,14 +321,11 @@ def run_ring_oscillator_monte_carlo(
     nominal ring-oscillator transient and rescales all frequencies by the
     transient/surrogate ratio.
 
-    ``config`` (default :meth:`RunConfig.from_env`) says how the study
-    executes.  ``workers`` fans both the variant table builds and the
-    sample batches (one batch when serial, four per worker otherwise)
-    across a process pool; every sample draws from its own generator
-    spawned from ``seed`` by sample index, so the distributions are
-    bit-for-bit identical at any worker count.  ``strict`` re-raises the
-    first failed sample; otherwise failed samples are NaN rows recorded
-    on ``failures`` (the shift properties skip them).
+    Every sample draws from its own generator spawned from ``seed`` by
+    sample index.  ``config`` (default :meth:`RunConfig.from_env`) says
+    how the study executes: ``strict`` re-raises the first failed
+    sample; otherwise failed samples are NaN rows recorded on
+    ``failures`` (the shift properties skip them).
     """
     if granularity not in ("ribbon", "device"):
         raise ValueError(f"granularity must be 'ribbon' or 'device', "
@@ -393,26 +356,11 @@ def run_ring_oscillator_monte_carlo(
                                            tech.params)
         calibration = metrics.frequency_hz / f_nom
 
-    seeds = spawn_seed_sequences(seed, n_samples)
     labels = tuple(DeviceVariant(n_index=n, impurity_e=q).label()
                    for n in width_levels for q in charge_levels)
-    eval_fn = partial(_evaluate_batch, tech.params, vdd, vt, n_stages,
-                      labels, granularity, electricals, nominal, strict)
-
-    n_workers = resolve_workers(config.workers)
-    n_batches = 1 if n_workers <= 1 else 4 * n_workers
-    tasks = [(tuple(batch), [seeds[i] for i in batch])
-             for batch in batch_indices(n_samples, n_batches)]
-    results = LocalScheduler(config.workers).run(eval_fn, tasks,
-                                                 strict=strict)
-    freqs, p_dyns, p_stats = (np.concatenate([r[k] for r in results])
-                              for k in range(3))
-    counts: dict[str, int] = {}
-    failures: list[FailureRecord] = []
-    for *_, b_counts, b_failures in results:
-        for label, c in b_counts.items():
-            counts[label] = counts.get(label, 0) + c
-        failures.extend(b_failures)
+    freqs, p_dyns, p_stats, counts, failures = _evaluate_samples(
+        tech.params, vdd, vt, n_stages, labels, granularity, electricals,
+        nominal, strict, spawn_seed_sequences(seed, n_samples))
 
     return MonteCarloResult(
         frequencies_hz=freqs * calibration,

@@ -75,7 +75,8 @@ class TestManifestDocument:
         assert manifest["label"] == "unit test"
         assert manifest["config"] == {"fast": True}
         assert manifest["seed"] == 7
-        assert manifest["timing"] == {"wall_s": 1.5, "cpu_s": 1.2}
+        assert manifest["timing"] == {"wall_s": 1.5, "cpu_s": 1.2,
+                                      "cpu_children_s": None}
         assert manifest["counters"]["scf.solves"] == 4
         assert manifest["rollups"]["scf_iterations_total"] == 80
         assert "cli.run.fig2" in manifest["spans"]

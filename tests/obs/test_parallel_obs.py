@@ -14,17 +14,15 @@ def _traced_square(x: int) -> int:
     return x * x
 
 
-def _sweep(workers: int | None, chunk_plan: list[int] | None = None
-           ) -> list[int]:
+def _sweep(workers: int | None) -> list[int]:
     with obs.span("test.sweep"):
-        return parallel_map(_traced_square, range(8), workers=workers,
-                            chunk_plan=chunk_plan)
+        return parallel_map(_traced_square, range(8), workers=workers)
 
 
 class TestWorkerForwarding:
     def test_worker_spans_nest_under_parallel_map(self):
         obs.enable()  # workers get the flag from the pool initializer
-        results = _sweep(workers=2, chunk_plan=[2, 2, 2, 2])
+        results = _sweep(workers=2)
         assert results == [x * x for x in range(8)]
         snap = obs.snapshot()
         assert snap["counters"]["work.items"] == 8
@@ -37,7 +35,7 @@ class TestWorkerForwarding:
 
     def test_histograms_cross_the_boundary(self):
         obs.enable()
-        _sweep(workers=2, chunk_plan=[3, 3, 2])
+        _sweep(workers=3)
         h = obs.snapshot()["histograms"]["work.value"]
         assert h["count"] == 8
         assert h["total"] == float(sum(range(8)))
@@ -75,7 +73,7 @@ class TestWorkerForwarding:
 
     def test_disabled_mode_forwards_nothing(self):
         assert obs.ACTIVE is False
-        results = _sweep(workers=2, chunk_plan=[2, 2, 2, 2])
+        results = _sweep(workers=2)
         assert results == [x * x for x in range(8)]
         assert obs.snapshot()["spans"] == {}
         assert obs.snapshot()["counters"] == {}

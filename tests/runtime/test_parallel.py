@@ -5,9 +5,7 @@ import pytest
 
 from repro.config import WORKERS_ENV
 from repro.errors import ParallelMapError
-from repro.runtime import parallel
 from repro.runtime.parallel import (
-    batch_indices,
     parallel_map,
     resolve_workers,
     spawn_seed_sequences,
@@ -22,10 +20,6 @@ def _fail_on_13(x):
     if x == 13:
         raise ValueError("boom")
     return x
-
-
-def _inner_worker_count(_x):
-    return resolve_workers(None)
 
 
 class TestResolveWorkers:
@@ -50,17 +44,6 @@ class TestResolveWorkers:
         assert resolve_workers(0) == 1
         assert resolve_workers(-4) == 1
 
-    def test_worker_processes_never_nest(self, monkeypatch):
-        """Inside a worker, workers=None must resolve to 1 even when
-        REPRO_WORKERS asks for more (no nested pools)."""
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        inner = parallel_map(_inner_worker_count, [0, 1, 2, 3], workers=2)
-        assert inner == [1, 1, 1, 1]
-
-    def test_in_worker_env_forces_serial(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_IN_WORKER", True)
-        assert resolve_workers(8) == 1
-
 
 class TestParallelMap:
     def test_serial_matches_comprehension(self):
@@ -71,10 +54,7 @@ class TestParallelMap:
         items = list(range(23))
         serial = parallel_map(_square, items, workers=1)
         assert parallel_map(_square, items, workers=3) == serial
-        assert parallel_map(_square, items, workers=3,
-                            chunk_plan=[1] * 23) == serial
-        assert parallel_map(_square, items, workers=2,
-                            chunk_plan=[7, 7, 7, 2]) == serial
+        assert parallel_map(_square, items, workers=2) == serial
 
     def test_serial_fallback_accepts_closures(self):
         """workers<=1 never pickles, so lambdas are fine there."""
@@ -86,39 +66,22 @@ class TestParallelMap:
 
     def test_worker_exception_wrapped_with_salvage(self):
         """Pooled failures raise ParallelMapError chaining the original
-        exception, with completed chunks salvaged on the wrapper."""
+        exception, with completed tasks salvaged on the wrapper."""
         with pytest.raises(ParallelMapError) as info:
-            parallel_map(_fail_on_13, list(range(20)), workers=2,
-                         chunk_plan=[5, 5, 5, 5])
+            parallel_map(_fail_on_13, list(range(20)), workers=2)
         err = info.value
         assert isinstance(err.__cause__, ValueError)
         assert "boom" in str(err.__cause__)
-        assert err.n_chunks == 4
-        assert err.chunk_offsets == (0, 5, 10, 15)
-        # Chunk 2 (items 10..14) holds 13; the others either completed
-        # or were cancelled, and every completed chunk is intact.
-        assert set(err.failed) == {2}
-        for k, chunk_results in err.completed.items():
-            start = err.chunk_offsets[k]
-            assert chunk_results == list(range(start, start + 5))
-        assert len(err.completed) + len(err.failed) + err.n_cancelled == 4
+        assert err.n_tasks == 20
+        # Item 13 failed; the others either completed or were
+        # cancelled, and every completed result is keyed by its item.
+        assert set(err.failed) == {13}
+        assert all(result == k for k, result in err.completed.items())
+        assert len(err.completed) + len(err.failed) + err.n_cancelled == 20
 
     def test_serial_exception_propagates(self):
         with pytest.raises(ValueError, match="boom"):
             parallel_map(_fail_on_13, list(range(20)), workers=1)
-
-
-class TestChunking:
-    def test_batch_indices_cover_exactly(self):
-        for n_items, n_batches in ((10, 3), (4, 4), (7, 2), (5, 9)):
-            ranges = batch_indices(n_items, n_batches)
-            flat = [i for r in ranges for i in r]
-            assert flat == list(range(n_items))
-            sizes = [len(r) for r in ranges]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_batch_indices_empty(self):
-        assert batch_indices(0, 4) == []
 
 
 class TestSeedSpawning:

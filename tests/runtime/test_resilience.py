@@ -118,9 +118,9 @@ class TestRecoverParallel:
     def test_recomputes_only_missing_chunks(self):
         obs.enable()
         err = ParallelMapError("pool died",
-                               completed={0: ["r0", "r1"], 2: ["r4"]},
-                               failed={1: "crash"}, n_chunks=3,
-                               n_cancelled=0, chunk_offsets=(0, 2, 4))
+                               completed={0: "r0", 1: "r1", 4: "r4"},
+                               failed={2: "crash"}, n_tasks=5,
+                               n_cancelled=1)
         recomputed = []
 
         def fn(task):

@@ -86,12 +86,6 @@ def test_variants_of_the_study(tech, kwargs):
                  ref.monte_carlo(tech, **kwargs))
 
 
-def test_pooled_run(tech):
-    result = run_ring_oscillator_monte_carlo(tech, n_samples=40,
-                                             config=RunConfig(workers=2))
-    _assert_same(result, ref.monte_carlo(tech, n_samples=40))
-
-
 class TestFaults:
     def test_quarantined_samples(self, tech):
         faults.enable("scf@3,7")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import LocalScheduler
+from repro.variability import montecarlo
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 
 
@@ -79,9 +79,29 @@ class TestRealDistribution:
         assert device.mean_frequency_shift < result.mean_frequency_shift
 
 
-def _no_dispatch(self, fn, tasks, *, strict=False):
-    """Stands in for ``LocalScheduler.run``: fails if work reaches it."""
-    raise AssertionError("work was dispatched")
+def _no_table_work(*args, **kwargs):
+    """Stands in for the variant-table step: fails if work reaches it."""
+    raise AssertionError("table work started")
+
+
+class TestSeeding:
+    @pytest.fixture(scope="class")
+    def short(self, tech):
+        return run_ring_oscillator_monte_carlo(tech, n_samples=40, seed=2008)
+
+    def test_sample_prefix_independent_of_sample_count(self, tech, short):
+        """Seeds spawn per sample index, so the first N samples of a
+        longer run replicate a shorter run exactly."""
+        longer = run_ring_oscillator_monte_carlo(tech, n_samples=55,
+                                                 seed=2008)
+        assert np.array_equal(short.frequencies_hz,
+                              longer.frequencies_hz[:40])
+
+    def test_different_seeds_differ(self, tech, short):
+        other = run_ring_oscillator_monte_carlo(tech, n_samples=40,
+                                                seed=1234)
+        assert not np.array_equal(short.frequencies_hz,
+                                  other.frequencies_hz)
 
 
 class TestArgumentValidation:
@@ -99,6 +119,7 @@ class TestArgumentValidation:
         {"granularity": "array"},
     ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
     def test_rejected_before_prefetch(self, tech, kwargs, monkeypatch):
-        monkeypatch.setattr(LocalScheduler, "run", _no_dispatch)
+        monkeypatch.setattr(montecarlo, "_ribbon_electricals",
+                            _no_table_work)
         with pytest.raises(ValueError):
             run_ring_oscillator_monte_carlo(tech, **kwargs)
