@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.config as repro_config
+import repro.runtime.parallel as parallel
 from repro.circuit.inverter import CircuitParameters
 from repro.config import CACHE_DIR_ENV
 from repro.device.geometry import GNRFETGeometry
@@ -76,3 +77,16 @@ def params() -> CircuitParameters:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20080613)  # DAC 2008 dates
+
+
+@pytest.fixture()
+def no_pool(monkeypatch):
+    """Fail the test if it starts a process pool.
+
+    Only the experiment fan-out goes parallel: a sweep runs in-process
+    whatever worker count its config carries.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)

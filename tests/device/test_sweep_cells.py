@@ -36,7 +36,7 @@ SLICE_VD = DEFAULT_VD_GRID[::3]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_every_cell_equals_a_lone_solve(workers):
+def test_every_cell_equals_a_lone_solve(no_pool, workers):
     model = SBFETModel(GEOM)
     for vg_grid, vd_grid in ((VG, VD), (SLICE_VG, SLICE_VD)):
         sweep = sweep_iv(GEOM, vg_grid, vd_grid,

@@ -109,7 +109,8 @@ class TestDeviceCounters:
         assert roll["device_bias_points"] == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_counts_each_cell_like_a_lone_solve(self, model, workers):
+    def test_sweep_counts_each_cell_like_a_lone_solve(self, model, no_pool,
+                                                       workers):
         """The sweep bisects every cell up front; it counts each cell's
         bisection exactly as a lone ``solve_bias`` does, and builds one
         energy grid per distinct canonical point (a p-branch cell and its
