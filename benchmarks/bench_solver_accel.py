@@ -112,7 +112,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from repro.circuit import inverter, netlist, vtc
-from repro.circuit.dc import solve_dc
+from repro.circuit.dc import _solve as dc_core
 from repro.circuit.inverter import (
     add_inverter,
     build_inverter_chain,
@@ -811,8 +811,8 @@ def _vtc_leg(oracle, n_table, p_table, vdd, params
              ) -> tuple[dict, dict, Circuit]:
     """A ``compute_vtc`` sweep of one inverter against the oracle's
     plain continuation over the same grid, and the DC drift: every
-    production solve replayed through the oracle from the same start
-    must take as many iterations."""
+    point's call of the DC core, replayed through the oracle from the
+    same start, must take as many iterations."""
     circuit = Circuit("inverter-vtc")
     vin, vout = circuit.node("in"), circuit.node("out")
     vdd_node = circuit.node("vdd")
@@ -823,24 +823,28 @@ def _vtc_leg(oracle, n_table, p_table, vdd, params
     grid = np.linspace(0.0, vdd, CIRCUIT_VTC_POINTS)
 
     calls = []
+    n = circuit.n_nodes
 
-    def record(circuit, v0=None, **kwargs):
-        result = solve_dc(circuit, v0=v0, **kwargs)
-        calls.append((v0, result))
-        return result
+    def record(prog, fixed, v_slots, warm, **kwargs):
+        # The kernel updates the slots in place: keep the start.
+        start = v_slots[:n]
+        v_slots, iters = dc_core(prog, fixed, v_slots, warm, **kwargs)
+        calls.append((start, v_slots[:n], iters))
+        return v_slots, iters
 
-    vtc.solve_dc = record
+    vtc._solve = record
     try:
         compute_vtc(circuit, vin, vout, grid)
     finally:
-        vtc.solve_dc = solve_dc
+        vtc._solve = dc_core
+    assert len(calls) == grid.size
     dc_v, iterations = 0.0, 0
-    for value, (v0, result) in zip(grid, calls):
+    for value, (start, v, iters) in zip(grid, calls):
         circuit.fixed[vin] = float(value)
-        ref_v, ref_iterations = oracle.solve_dc(circuit, v0=v0)
-        assert result.iterations == ref_iterations
-        dc_v = max(dc_v, _max_abs_diff(result.voltages, ref_v))
-        iterations += result.iterations
+        ref_v, ref_iterations = oracle.solve_dc(circuit, v0=start)
+        assert iters == ref_iterations
+        dc_v = max(dc_v, _max_abs_diff(v, ref_v))
+        iterations += iters
 
     def reference() -> int:
         total, v_prev = 0, None

@@ -5,7 +5,8 @@ of it (KCL); fixed nodes (supplies, inputs) contribute known voltages.  A
 small ``gmin`` conductance to ground conditions the Jacobian in cut-off
 regions where table derivatives vanish.  Each Newton solve runs as the
 ``dc_newton`` loop of the circuit's compiled kernel
-(:meth:`Circuit.program`).
+(:meth:`Circuit.program`), inside one core on slot voltages that
+:func:`solve_dc` wraps and sweeps call point by point.
 """
 
 from __future__ import annotations
@@ -90,43 +91,66 @@ def solve_dc(
     prog = circuit.program()
     fixed = circuit.fixed_voltages(t)
     n = prog.n_nodes
-
-    default = np.zeros(n)
-    if fixed:
-        default[prog.free] = 0.5 * float(np.mean(list(fixed.values())))
-    if v0 is not None:
-        v = np.asarray(v0, dtype=float).copy()
+    if v0 is None:
+        v_slots = _default_start(prog, fixed)
+    else:
+        v = np.asarray(v0, dtype=float)
         if v.shape != (n,):
             raise ValueError(f"v0 must have shape ({n},), got {v.shape}")
-    else:
-        v = default
-    for node, value in fixed.items():
-        v[node] = default[node] = value
-
-    v_slots = v.tolist() + [0.0]
+        v_slots = v.tolist() + [0.0]
+        for node, value in fixed.items():
+            v_slots[node] = value
     # The kernel's LAPACK fallback reports a singular system as a NaN
     # step, with floating-point flags this silences.
     with np.errstate(all="ignore"):
-        iters, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a,
-                                       max_iter, damping_v, 0)
-        stepped = not ok
-        if stepped:
-            try:
-                v_slots, iters, fallbacks = _source_stepping(
-                    prog, fixed, gmin, tol_a, max_iter, damping_v,
-                    source_steps, iters, fallbacks)
-            except ConvergenceError as exc:
-                if v0 is None:
-                    raise
-                v_slots = default.tolist() + [0.0]
-                it, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a,
-                                            max_iter, damping_v, fallbacks)
-                if not ok:
-                    raise
-                iters = (exc.iterations or 0) + it
-    v_sol = np.array(v_slots[:n])
+        v_slots, iters = _solve(prog, fixed, v_slots, v0 is not None, gmin,
+                                tol_a, max_iter, damping_v, source_steps)
+    return DCResult(circuit=circuit, voltages=np.array(v_slots[:n]),
+                    iterations=iters)
+
+
+def _default_start(prog: StampProgram, fixed: dict[int, float]
+                   ) -> list[float]:
+    """Slot voltages of the default start: fixed nodes at their values,
+    free nodes at half the mean fixed voltage."""
+    v_slots = [0.0] * (prog.n_nodes + 1)
+    half = 0.5 * float(np.mean(list(fixed.values()))) if fixed else 0.0
+    for node in prog.free:
+        v_slots[node] = half
+    for node, value in fixed.items():
+        v_slots[node] = value
+    return v_slots
+
+
+def _solve(prog: StampProgram, fixed: dict[int, float], v_slots: list[float],
+           warm: bool, gmin: float = 1e-12, tol_a: float = 1e-14,
+           max_iter: int = 200, damping_v: float = 0.2,
+           source_steps: int = 8) -> tuple[list[float], int]:
+    """:func:`solve_dc` (with its defaults) on slot voltages: Newton from
+    ``v_slots`` (fixed slots at ``fixed``, the ground slot at 0), then
+    source stepping, then after a ``warm`` start the default start.
+    Returns the solution's slots and iteration count and records the
+    per-solve counters; the caller holds ``np.errstate(all="ignore")``."""
+    iters, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a, max_iter,
+                                   damping_v, 0)
+    stepped = not ok
+    if stepped:
+        try:
+            v_slots, iters, fallbacks = _source_stepping(
+                prog, fixed, gmin, tol_a, max_iter, damping_v,
+                source_steps, iters, fallbacks)
+        except ConvergenceError as exc:
+            if not warm:
+                raise
+            v_slots = _default_start(prog, fixed)
+            it, ok, fallbacks = _newton(prog, v_slots, gmin, tol_a,
+                                        max_iter, damping_v, fallbacks)
+            if not ok:
+                raise
+            iters = (exc.iterations or 0) + it
     if sanitize.ACTIVE:
-        sanitize.check_finite(v_sol, "solve_dc", "node voltages")
+        sanitize.check_finite(np.array(v_slots[:prog.n_nodes]), "solve_dc",
+                              "node voltages")
     if obs.ACTIVE:
         obs.incr("circuit.dc_solves")
         if stepped:
@@ -134,7 +158,7 @@ def solve_dc(
         obs.incr("circuit.newton_iterations", iters)
         obs.observe("circuit.dc_newton_iterations", iters)
         obs.incr("circuit.newton_fallbacks", fallbacks)
-    return DCResult(circuit=circuit, voltages=v_sol, iterations=iters)
+    return v_slots, iters
 
 
 def _source_stepping(prog: StampProgram, fixed: dict[int, float],

@@ -107,6 +107,10 @@ def _parse_faults(raw: str) -> str:
 class RunConfig:
     """How a run executes; never what it computes.
 
+    A config built directly reads no environment: ``RunConfig(workers=2)``
+    caches under :data:`DEFAULT_CACHE_DIR` whatever ``REPRO_CACHE_DIR``
+    says, and ``RunConfig.from_env().override(workers=2)`` keeps it.
+
     Attributes
     ----------
     workers:

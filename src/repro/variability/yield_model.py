@@ -35,17 +35,6 @@ from repro.variability.sampling import (
 from repro.variability.variants import DeviceVariant, variant_ribbon_table
 
 
-def _array_table(tech, polarity, offset, width_levels, charge_levels,
-                 levels: np.ndarray, config: RunConfig) -> DeviceTable:
-    """Array table of one device from its ribbons' (width, charge)
-    level indices."""
-    ribbons = [variant_ribbon_table(
-        DeviceVariant(n_index=width_levels[int(w)],
-                      impurity_e=charge_levels[int(q)]),
-        polarity, tech.geometry, config) for w, q in levels]
-    return DeviceTable.compose(ribbons).with_gate_offset(offset)
-
-
 def sample_latch_snm(
     tech: GNRFETTechnology,
     n_cells: int = 200,
@@ -68,7 +57,8 @@ def sample_latch_snm(
     Each cell draws one block of standard normals ordered (n- then
     p-device, ribbon, width then charge): the same values, and the same
     generator consumption, as one scalar draw per trait in that order.
-    ``config`` is passed on to the variant table builds.
+    Each distinct ribbon table is fetched once per call, on first use;
+    ``config`` is passed on to those builds.
     """
     require_three_levels(width_levels, "width_levels")
     require_three_levels(charge_levels, "charge_levels")
@@ -77,13 +67,26 @@ def sample_latch_snm(
         rng = np.random.default_rng(seed)
     offset = tech.gate_offset_for_vt(vt)
     shape = (2, tech.params.n_ribbons, 2)
+    tables: dict[tuple[int, int, int], DeviceTable] = {}
+
+    def array_table(polarity: int, levels: np.ndarray) -> DeviceTable:
+        """A device's table from its ribbons' (width, charge) levels."""
+        ribbons = []
+        for w, q in levels.tolist():
+            key = (polarity, w, q)
+            if key not in tables:
+                tables[key] = variant_ribbon_table(
+                    DeviceVariant(n_index=width_levels[w],
+                                  impurity_e=charge_levels[q]),
+                    polarity, tech.geometry, config)
+            ribbons.append(tables[key])
+        return DeviceTable.compose(ribbons).with_gate_offset(offset)
+
     snms = np.empty(n_cells)
     for c in range(n_cells):
         levels = discretized_normal_indices(rng.standard_normal(shape))
-        nt = _array_table(tech, +1, offset, width_levels, charge_levels,
-                          levels[0], config)
-        pt = _array_table(tech, -1, offset, width_levels, charge_levels,
-                          levels[1], config)
+        nt = array_table(+1, levels[0])
+        pt = array_table(-1, levels[1])
         vin, vout = inverter_vtc(nt, pt, vdd, tech.params,
                                  n_points=n_vtc_points)
         snms[c] = static_noise_margin(butterfly_curves(vin, vout))

@@ -1,6 +1,8 @@
 """Parity of the circuit engine with the frozen reference engine.
 
-Every production ``solve_dc`` / ``simulate_transient`` call below is
+Every production ``solve_dc`` / ``simulate_transient`` call below, and
+every VTC point (a call of the DC core ``dc._solve`` that
+``compute_vtc`` makes from the start ``solve_dc`` would be given), is
 replayed through ``tests/circuit/engine_reference.py`` on the same
 circuit state.  Time points, DC iteration counts and source currents
 (the oracle's, evaluated at the production voltages) must be identical;
@@ -33,7 +35,7 @@ from repro.circuit.inverter import (
     inverter_vtc,
 )
 from repro.circuit.latch import latch_static_power
-from repro.circuit.netlist import GROUND, Circuit
+from repro.circuit.netlist import GROUND, Circuit, StampProgram
 from repro.circuit.ring_oscillator import build_ring_oscillator
 from repro.circuit.vtc import compute_vtc
 from repro.cmos.circuits import _build_cmos_inverter
@@ -41,6 +43,8 @@ from repro.cmos.ptm import ptm_node
 from tests.circuit import engine_reference as ref
 
 VDD = 0.4
+
+_PROGRAM = Circuit.program
 
 #: Largest differences from the oracle: 10x the largest drift measured
 #: over both parity suites (1.8e-16 V on DC voltages, 2.0e-9 V on
@@ -88,12 +92,30 @@ class _Replay:
     def __init__(self):
         self.dc_calls = 0
         self.transient_calls = 0
+        #: The circuit of each compiled program handed out, for the core.
+        self.circuits: dict[StampProgram, Circuit] = {}
+
+    def program(self, circuit):
+        prog = _PROGRAM(circuit)
+        self.circuits[prog] = circuit
+        return prog
 
     def solve_dc(self, circuit, v0=None, **kwargs):
         result = dc.solve_dc(circuit, v0=v0, **kwargs)
         _assert_dc_equal(circuit, result, v0=v0, **kwargs)
         self.dc_calls += 1
         return result
+
+    def dc_core(self, prog, fixed, v_slots, warm, **kwargs):
+        """A VTC point, replayed from its production start (copied before
+        the kernel updates the slots in place)."""
+        circuit, n = self.circuits[prog], prog.n_nodes
+        start = v_slots[:n]
+        v_slots, iters = dc._solve(prog, fixed, v_slots, warm, **kwargs)
+        result = dc.DCResult(circuit, np.array(v_slots[:n]), iters)
+        _assert_dc_equal(circuit, result, v0=start, **kwargs)
+        self.dc_calls += 1
+        return v_slots, iters
 
     def simulate_transient(self, circuit, *args, **kwargs):
         kwargs = {**kwargs, "tol_a": PARITY_TOL_A}
@@ -106,8 +128,11 @@ class _Replay:
 @pytest.fixture()
 def replay(monkeypatch):
     spy = _Replay()
-    for module in (inverter_mod, vtc_mod, latch_mod):
+    monkeypatch.setattr(Circuit, "program",
+                        lambda circuit: spy.program(circuit))
+    for module in (inverter_mod, latch_mod):
         monkeypatch.setattr(module, "solve_dc", spy.solve_dc)
+    monkeypatch.setattr(vtc_mod, "_solve", spy.dc_core)
     monkeypatch.setattr(inverter_mod, "simulate_transient",
                         spy.simulate_transient)
     return spy

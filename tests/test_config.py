@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.config as repro_config
 from repro import cli
 from repro.config import (
+    CACHE_DIR_ENV,
     FALSE_WORDS,
     NO_CACHE_ENV,
     SANITIZE_ENV,
@@ -72,6 +74,19 @@ class TestGrammar:
         assert (config.workers, config.strict, config.faults) == \
             (3, True, "scf@4")
         assert base.override(workers=1).workers == 1
+
+    def test_direct_config_ignores_the_environment(self, tmp_path,
+                                                    monkeypatch):
+        """Only ``from_env`` reads the knobs: a directly built config
+        keeps its defaults, and ``from_env().override`` keeps the
+        environment's values under the replaced fields."""
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        direct = RunConfig(workers=2)
+        assert direct.cache_dir is None
+        assert direct.cache_root == repro_config.DEFAULT_CACHE_DIR.expanduser()
+        assert direct.cache_root != tmp_path
+        resolved = RunConfig.from_env().override(workers=2)
+        assert (resolved.workers, resolved.cache_root) == (2, tmp_path)
 
     def test_to_dict_has_every_field(self, tmp_path):
         data = RunConfig(cache_dir=tmp_path).to_dict()

@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.circuit.inverter import inverter_vtc
+from repro.circuit.snm import butterfly_curves, static_noise_margin
+from repro.device.tables import DeviceTable
+from repro.variability import yield_model
+from repro.variability.sampling import discretized_normal_indices
+from repro.variability.variants import DeviceVariant, variant_ribbon_table
 from repro.variability.yield_model import (
     ECCAnalysis,
     cell_failure_probability,
@@ -87,6 +93,41 @@ class TestLatchSampling:
         expected = np.random.default_rng(3)
         expected.standard_normal(2 * 2 * tech.params.n_ribbons * 2)
         assert rng.standard_normal() == expected.standard_normal()
+
+    def test_seeded_study_equals_per_cell_table_fetches(self, tech,
+                                                        monkeypatch):
+        """Each distinct ribbon table is fetched once per study, and the
+        cells compose the same tables in the same order as fetching
+        every ribbon of every cell: the SNMs are equal bit for bit."""
+        def per_cell_study(n_cells, seed):
+            rng = np.random.default_rng(seed)
+            offset = tech.gate_offset_for_vt(0.13)
+            snms = []
+            for _ in range(n_cells):
+                levels = discretized_normal_indices(rng.standard_normal(
+                    (2, tech.params.n_ribbons, 2)))
+                nt, pt = (DeviceTable.compose([variant_ribbon_table(
+                    DeviceVariant(n_index=(9, 12, 15)[int(w)],
+                                  impurity_e=(-1.0, 0.0, 1.0)[int(q)]),
+                    polarity, tech.geometry) for w, q in device]
+                ).with_gate_offset(offset)
+                    for polarity, device in zip((+1, -1), levels))
+                vin, vout = inverter_vtc(nt, pt, 0.4, tech.params,
+                                         n_points=21)
+                snms.append(static_noise_margin(butterfly_curves(vin,
+                                                                 vout)))
+            return np.array(snms)
+
+        fetched = []
+
+        def spy(variant, polarity, *args):
+            fetched.append((variant, polarity))
+            return variant_ribbon_table(variant, polarity, *args)
+
+        monkeypatch.setattr(yield_model, "variant_ribbon_table", spy)
+        got = sample_latch_snm(tech, n_cells=8, seed=5, n_vtc_points=21)
+        assert got.tolist() == per_cell_study(8, seed=5).tolist()
+        assert len(fetched) == len(set(fetched)) < 8 * 8
 
     def test_variability_spreads_snm(self, tech):
         """Variant cells must show spread and a degraded tail vs the
