@@ -13,16 +13,16 @@ with multiple gates".  This package provides:
 * screened point-charge (impurity) potentials with gate image charges
   (:mod:`repro.poisson.pointcharge`).
 
-The production GNRFET device path uses the 2-D FD solver on the
-(transport x gate-stack) cross-section; the FEM and 3-D solvers validate
-that reduction and serve the impurity-screening calculation (see DESIGN.md
-section 5 for the substitution rationale).
+The NEGF device solves the 2-D FD stencil on the (transport x
+gate-stack) cross-section as a channel-row response in numpy; the sparse
+FD operator, the FEM and the 3-D solvers validate that reduction and
+serve the impurity-screening calculation (see DESIGN.md section 5 for
+the substitution rationale).
 
 The package root re-exports only the numpy-only grids and point-charge
 potentials.  The solvers are imported from their modules
-(``repro.poisson.fd``, ``.fem``, ``.mesh``): they load scipy, which
-every SBFET model would otherwise pay for through
-:mod:`repro.poisson.pointcharge`.
+(``repro.poisson.fd``, ``.fem``, ``.mesh``): ``PoissonOperator`` and
+the FEM solver load scipy, which no experiment pays for.
 """
 
 from repro.poisson.grid import Grid1D, Grid2D, Grid3D

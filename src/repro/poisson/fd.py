@@ -18,36 +18,38 @@ Operator assembly is split from solving: a :class:`PoissonOperator`
 assembles the FD matrix once per (grid, permittivity, Dirichlet mask)
 and holds a sparse LU factorization of the free-node block, so each
 subsequent solve — bias and charge enter only through the right-hand
-side — is two triangular substitutions.  One operator therefore serves
-every SCF iteration of every bias point of a sweep.  The
-``solve_poisson_1d/2d/3d`` functions remain as one-shot compatibility
-wrappers over a throwaway operator.
+side — is two triangular substitutions.  The ``solve_poisson_1d/2d/3d``
+functions remain as one-shot compatibility wrappers over a throwaway
+operator.
+
+The stencil itself (:func:`assemble_stencil`) is numpy-only; scipy is
+imported where :class:`PoissonOperator` builds its sparse matrix and
+factorization, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.constants import EPS_0_F_PER_NM
 from repro.poisson.grid import Grid1D, Grid2D, Grid3D
 
 
-def _assemble_matrix(
+def assemble_stencil(
     shape: tuple[int, ...],
     spacings: tuple[float, ...],
     eps_r: np.ndarray,
-) -> tuple[sp.csr_matrix, float]:
-    """Assemble the (negative-divergence, SPD) FD operator.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Assemble the (negative-divergence, SPD) FD operator as triplets.
 
-    Returns ``(A, cell_volume)`` where ``A phi = rho V / eps_0`` before
-    Dirichlet elimination.  The node volume is the cell-centered control
-    volume ``prod(spacings)``; boundary half-cells are absorbed into the
-    same expression, which is second-order accurate in the interior and
-    first order at Neumann boundaries — adequate for the smooth gate
-    fields simulated here.
+    Returns ``(rows, cols, vals, cell_volume)``: the entries of ``A``
+    over the flattened grid, each ``(row, col)`` once, where
+    ``A phi = rho V / eps_0`` before Dirichlet elimination.  The node
+    volume is the cell-centered control volume ``prod(spacings)``;
+    boundary half-cells are absorbed into the same expression, which is
+    second-order accurate in the interior and first order at Neumann
+    boundaries — adequate for the smooth gate fields simulated here.
     """
     ndim = len(shape)
     n_total = int(np.prod(shape))
@@ -91,11 +93,8 @@ def _assemble_matrix(
     rows.append(np.arange(n_total))
     cols.append(np.arange(n_total))
     vals.append(diag)
-
-    a = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_total, n_total))
-    return a, cell_volume
+    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+            cell_volume)
 
 
 class PoissonOperator:
@@ -137,10 +136,17 @@ class PoissonOperator:
                 "at least one Dirichlet node is required (otherwise the "
                 "Neumann problem is singular)")
 
+        # scipy loads with the first operator, not with this module.
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         self.shape = shape
         self.spacings = tuple(float(h) for h in spacings)
-        self.matrix, self._cell_volume = _assemble_matrix(
+        rows, cols, vals, self._cell_volume = assemble_stencil(
             shape, self.spacings, eps_r)
+        n_total = int(np.prod(shape))
+        self.matrix = sp.csr_matrix((vals, (rows, cols)),
+                                    shape=(n_total, n_total))
         self._mask = dirichlet_mask.ravel()
         self._free = ~self._mask
         self._any_free = bool(np.any(self._free))

@@ -337,7 +337,10 @@ def _assert_step(prog, start, got, jac, residual, fallbacks=None):
     (``fallbacks``; for a transient iteration, whenever the bits agree),
     else ``np.linalg.solve``'s to 1e-12 relative in units of the block's
     condition number (two backward-stable solvers of one system agree
-    that far), above the rounding of the update itself."""
+    that far), above the rounding of the update itself and of subnormal
+    arithmetic: at voltages near the smallest normal double the
+    residual's products round in absolute steps of ``2**-1074``, which
+    ``J^-1`` carries into the step."""
     try:
         want = np.linalg.solve(jac, -residual)
     except np.linalg.LinAlgError:
@@ -354,8 +357,23 @@ def _assert_step(prog, start, got, jac, residual, fallbacks=None):
         return
     step = np.array([g - start[i] for g, i in zip(got_free, prog.free)])
     bound = (1e-12 * np.linalg.cond(jac, np.inf) * np.max(np.abs(want))
-             + 4.0 * np.finfo(float).eps * np.max(np.abs(expected)))
+             + 4.0 * np.finfo(float).eps * np.max(np.abs(expected))
+             + 4.0 * 2.0 ** -1074 * np.linalg.norm(np.linalg.inv(jac),
+                                                   np.inf))
     assert np.max(np.abs(step - want)) <= bound
+
+
+def _assert_dc_step(elements, v, gmin=1e-12):
+    """One undamped DC Newton iteration (``max_iter=1``) from node
+    voltages ``v`` steps by the free block's solution."""
+    prog = _program(elements, len(v))
+    slots = [float(x) for x in v] + [0.0]
+    got = list(slots)
+    with np.errstate(all="ignore"):
+        *_, fallbacks = prog.kernel.dc_newton(got, prog.data, gmin, 0.0, 1,
+                                              math.inf, 0)
+    jac, residual = _free_system(prog, slots, gmin)
+    _assert_step(prog, slots, got, jac, residual, fallbacks)
 
 
 def _assert_first_step(elements, v, jumps=None, h=1e-13, gmin=1e-12):
@@ -387,18 +405,20 @@ class TestKernelProperties:
         (:func:`_assert_step`); the transient may fix node 0 and step it
         at ``t = h``, which gives the companions a current."""
         elements, v = netlist
-        prog = _program(elements, len(v))
-        slots = [float(x) for x in v] + [0.0]
-        gmin = 1e-12
-        got = list(slots)
-        with np.errstate(all="ignore"):
-            *_, fallbacks = prog.kernel.dc_newton(got, prog.data, gmin, 0.0,
-                                                  1, math.inf, 0)
-        jac, residual = _free_system(prog, slots, gmin)
-        _assert_step(prog, slots, got, jac, residual, fallbacks)
+        _assert_dc_step(elements, v)
         jumps = data.draw(st.dictionaries(
             st.just(0), st.floats(min_value=-0.5, max_value=1.0)))
         _assert_first_step(elements, v, jumps)
+
+    def test_newton_iteration_at_subnormal_voltages(self):
+        """A node at the smallest normal voltage, as hypothesis draws
+        them: the step's products fall into subnormals and the step
+        leaves LAPACK's by more than the relative terms of
+        :func:`_assert_step` allow (1.2e-318 V against 8.6e-319 V here)."""
+        elements = [Resistor(0, 1, 33e3), Resistor(GROUND, 2, 68e3),
+                    TableFET(2, 0, GROUND, SMOOTH_TABLE, +1),
+                    TableFET(0, 2, GROUND, SMOOTH_TABLE, -1)]
+        _assert_dc_step(elements, [0.0, 2.2250738585072014e-308, 0.0])
 
     @given(_netlists())
     @settings(max_examples=60, deadline=None)

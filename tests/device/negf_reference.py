@@ -13,6 +13,11 @@ kept verbatim (the methods only lifted into a subclass) as the oracle
 the parity tests and ``benchmarks/bench_solver_accel.py`` hold
 production to.  Do not optimise them: their value is that they are the
 obvious transcription of the recurrences.
+
+``OperatorNEGFDevice`` keeps the device's electrostatics as it was
+before the channel-row response: a full 2-D solve of the cross-section
+through a :class:`repro.poisson.fd.PoissonOperator` built per device,
+read on the channel row.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ import numpy as np
 
 from repro import obs, sanitize
 from repro.atomistic.lattice import ArmchairGNR
-from repro.constants import KT_ROOM_EV, LANDAUER_PREFACTOR_A_PER_EV
+from repro.constants import KT_ROOM_EV, LANDAUER_PREFACTOR_A_PER_EV, Q_E
 from repro.device.negf_device import NEGFDevice, _ChainRGFOutput
 from repro.device.negf_realspace import RealSpaceGNRDevice, rough_edge_onsite
 from repro.negf.greens import recursive_greens_function
 from repro.negf.self_energy import lead_self_energy_1d
+from repro.poisson.fd import PoissonOperator
+from repro.poisson.grid import Grid2D
 from repro.variability.edge_roughness import _probe_energy_ev
 
 
@@ -185,6 +192,48 @@ class ReferenceNEGFDevice(NEGFDevice):
                 np.trapezoid(trans_h * (f_d_h - f_s_h), energies_h))
             p_tot += dens_h / self._dx
         return current, n_tot, p_tot
+
+
+class OperatorNEGFDevice(NEGFDevice):
+    """:class:`NEGFDevice` whose Poisson solve is the 2-D operator solve."""
+
+    def __init__(self, geometry, n_x: int = 61, n_y: int = 15, **kwargs):
+        super().__init__(geometry, n_x=n_x, n_y=n_y, **kwargs)
+        self._grid = Grid2D(lx_nm=geometry.channel_length_nm,
+                            ly_nm=geometry.gate_separation_nm,
+                            nx=n_x, ny=n_y)
+        self._channel_row = n_y // 2
+        self._eps = np.full(self._grid.shape, geometry.eps_ox)
+        # Assignment order matters for the corner nodes: contact columns
+        # are pinned after the gate rails so corners take the contact
+        # potential.
+        mask = np.zeros(self._grid.shape, dtype=bool)
+        mask[:, 0] = True
+        mask[:, -1] = True
+        mask[0, :] = True
+        mask[-1, :] = True
+        self._bc_mask = mask
+        self._bc_values = np.zeros(self._grid.shape)
+        self._poisson_op = PoissonOperator.for_grid(self._grid, self._eps,
+                                                    mask)
+
+    def _solve_poisson_midgap(self, net_density_per_nm: np.ndarray,
+                              vg: float, vd: float) -> np.ndarray:
+        """Poisson solve -> midgap energy profile on the channel row."""
+        g = self._grid
+        rho = np.zeros(g.shape)
+        w_eff = self.geometry.width_nm + self.geometry.oxide_thickness_nm
+        sheet = -Q_E * np.asarray(net_density_per_nm) / w_eff  # C/nm^2
+        rho[:, self._channel_row] = sheet / g.dy_nm
+
+        values = self._bc_values
+        values[:, 0] = vg
+        values[:, -1] = vg
+        values[0, :] = 0.0
+        values[-1, :] = vd
+
+        phi = self._poisson_op.solve(rho, values)
+        return -phi[:, self._channel_row] + self._impurity_profile
 
 
 def roughness_samples(n_index: int, vacancy_probability: float,

@@ -18,7 +18,7 @@ from repro import obs
 from repro.constants import EPS_0_F_PER_NM
 from repro.poisson.fd import (
     PoissonOperator,
-    _assemble_matrix,
+    assemble_stencil,
     solve_poisson_1d,
     solve_poisson_2d,
     solve_poisson_3d,
@@ -28,9 +28,10 @@ from repro.poisson.grid import Grid1D, Grid2D, Grid3D
 
 def _reference_solve(shape, spacings, eps_r, rho, mask, values):
     """Independent reference: row-replacement Dirichlet + direct spsolve."""
-    a, volume = _assemble_matrix(shape, spacings, eps_r)
+    rows, cols, vals, volume = assemble_stencil(shape, spacings, eps_r)
     b = rho.ravel() * volume / EPS_0_F_PER_NM
-    a = a.tolil()
+    a = sp.lil_matrix(sp.coo_matrix((vals, (rows, cols)),
+                                    shape=(b.size, b.size)))
     flat_mask = mask.ravel()
     flat_values = values.ravel()
     for i in np.flatnonzero(flat_mask):
