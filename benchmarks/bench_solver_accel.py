@@ -1,14 +1,9 @@
 """Solver acceleration layer: the hot-path wins, measured.
 
-The acceleration work has nine legs, each with a quantitative
+The acceleration work has eight legs, each with a quantitative
 acceptance target measured here and persisted to ``BENCH_solvers.json``
 at the repository root:
 
-* **Prefactorized Poisson** — :class:`repro.poisson.fd.PoissonOperator`
-  assembles + LU-factorizes once per (grid, permittivity, mask); each
-  SCF iteration then pays two triangular substitutions.  Target: >= 3x
-  over assemble-per-solve on the reference 61 x 15 device grid (measured
-  ~25x: factorization dominates at this size).
 * **Energy-batched real-space transport** — stacked Sancho-Rubio + RGF
   kernels carry all energies per LAPACK call.  Target: >= 5x over the
   per-energy loop at 12 and at 64 energies on the edge-roughness
@@ -140,7 +135,6 @@ from repro.device.negf_realspace import RealSpaceGNRDevice
 from repro.device.sbfet import SBFETModel
 from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
 from repro.negf.energy_grid import adaptive_energy_grid, uniform_energy_grid
-from repro.poisson.fd import PoissonOperator, solve_poisson_2d
 from repro.poisson.grid import Grid2D
 from repro.reporting.tables import format_table
 from repro.variability.edge_roughness import roughness_ensemble
@@ -151,8 +145,6 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_solvers.json"
 
 # Workload sizes (full / smoke).
-POISSON_SHAPE = (61, 15)
-POISSON_REPEATS = 50 if SMOKE else 200
 TRANSPORT_N_INDEX = 7
 TRANSPORT_CELLS = 16 if SMOKE else 80
 TRANSPORT_GRIDS = (12,) if SMOKE else (12, 64)
@@ -207,36 +199,6 @@ def _write_legs(legs: dict) -> None:
     payload.update(legs)
     payload["schema"] = SCHEMA
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _bench_poisson() -> dict:
-    grid = Grid2D(15.0, 3.0, *POISSON_SHAPE)
-    rng = np.random.default_rng(0)
-    eps = rng.uniform(1.0, 4.0, grid.shape)
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[:, 0] = mask[:, -1] = mask[0, :] = mask[-1, :] = True
-    values = np.zeros(grid.shape)
-    rho = rng.normal(scale=1e-21, size=grid.shape)
-
-    operator = PoissonOperator.for_grid(grid, eps, mask)
-    start = time.perf_counter()
-    for _ in range(POISSON_REPEATS):
-        phi_fast = operator.solve(rho, values)
-    prefactorized_s = (time.perf_counter() - start) / POISSON_REPEATS
-
-    one_shot_repeats = max(POISSON_REPEATS // 10, 3)
-    start = time.perf_counter()
-    for _ in range(one_shot_repeats):
-        phi_ref = solve_poisson_2d(grid, eps, rho, mask, values)
-    one_shot_s = (time.perf_counter() - start) / one_shot_repeats
-
-    return {
-        "grid": list(POISSON_SHAPE),
-        "one_shot_ms": one_shot_s * 1e3,
-        "prefactorized_ms": prefactorized_s * 1e3,
-        "speedup": one_shot_s / prefactorized_s,
-        "max_abs_dphi": float(np.max(np.abs(phi_fast - phi_ref))),
-    }
 
 
 def _bench_batched_transport() -> dict:
@@ -394,18 +356,11 @@ def _bench_wkb_kernel() -> dict:
 
 
 def test_solver_acceleration(save_report):
-    poisson = _bench_poisson()
     transport = _bench_batched_transport()
     modespace = _bench_modespace_engine()
     wkb = _bench_wkb_kernel()
 
-    rows = [
-        ["Poisson prefactorized "
-         f"({poisson['grid'][0]}x{poisson['grid'][1]})",
-         f"{poisson['one_shot_ms']:.2f} ms",
-         f"{poisson['prefactorized_ms']:.3f} ms",
-         f"{poisson['speedup']:.1f}x"],
-    ]
+    rows = []
     for n_energy, g in transport["energy_grids"].items():
         rows.append(
             [f"batched transport (N={transport['n_index']}, "
@@ -437,7 +392,6 @@ def test_solver_acceleration(save_report):
     print(report)
 
     # Physics parity first: acceleration is worthless if answers moved.
-    assert poisson["max_abs_dphi"] == 0.0  # same operator, same solve
     for g in transport["energy_grids"].values():
         assert g["max_abs_dT"] < 1e-10
     # Full rank must reproduce real space to round-off; the truncated
@@ -453,14 +407,12 @@ def test_solver_acceleration(save_report):
 
     if SMOKE:
         # Sanity bounds only: smoke runners are slow and shared.
-        assert poisson["speedup"] > 1.5
         for g in transport["energy_grids"].values():
             assert g["speedup"] > 1.5
         assert modespace["n_modes_sweep"]["4"]["speedup"] > 1.5
         assert wkb["speedup"] > 1.5
         return
 
-    assert poisson["speedup"] >= 3.0
     for g in transport["energy_grids"].values():
         assert g["speedup"] >= 5.0
     # The headline claim: >= 5x over real space at matched accuracy.
@@ -468,7 +420,6 @@ def test_solver_acceleration(save_report):
     assert wkb["speedup"] >= 4.0
 
     _write_legs({
-        "poisson_prefactorized": poisson,
         "batched_transport": transport,
         "modespace_engine": modespace,
         "wkb_kernel": wkb,

@@ -37,7 +37,6 @@ _OBS_RECORDS = frozenset({"incr", "gauge", "observe", "record_failure"})
 _SCALAR_KERNELS = {
     "sancho_rubio_surface_gf": "sancho_rubio_surface_gf_batched",
     "resilient_surface_gf": "resilient_surface_gf_batched",
-    "dense_retarded_gf": "rgf_transmission_batched",
     "recursive_greens_function": "rgf_transmission_batched",
     "rgf_transmission": "rgf_transmission_batched",
 }

@@ -24,7 +24,6 @@ from repro.atomistic.bandstructure import (
     band_edges_ev,
     subband_edges,
     effective_masses,
-    density_of_states,
 )
 from repro.atomistic.modespace import (
     TransverseMode,
@@ -44,7 +43,6 @@ __all__ = [
     "band_edges_ev",
     "subband_edges",
     "effective_masses",
-    "density_of_states",
     "TransverseMode",
     "transverse_modes",
 ]

@@ -6,8 +6,7 @@ Provides the quantities the device layer consumes:
 * band gap and band edges (``E_g(N)`` drives everything in the paper:
   Schottky-barrier heights are ``E_g/2`` and the width-variation study is a
   band-gap study in disguise),
-* subband edges and effective masses for the mode-space NEGF reduction,
-* density of states per unit length.
+* subband edges and effective masses for the mode-space NEGF reduction.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.constants import (
-    ARMCHAIR_PERIOD_NM,
-    EDGE_RELAXATION,
-    HBAR_EV_S,
-    T_HOPPING_EV,
-)
+from repro.constants import EDGE_RELAXATION, T_HOPPING_EV
 from repro.atomistic.hamiltonian import bloch_hamiltonian, build_unit_cell_hamiltonian
 from repro.atomistic.lattice import ArmchairGNR
 
@@ -205,31 +199,3 @@ def band_velocity_m_per_s(gap_half_ev: float, mass_kg: float) -> float:
     if mass_kg <= 0.0:
         raise ValueError(f"mass must be positive, got {mass_kg}")
     return float(np.sqrt(gap_half_ev * Q_E / mass_kg))
-
-
-def density_of_states(
-    bands: BandStructure,
-    energies_ev: np.ndarray,
-    broadening_ev: float = 2e-3,
-) -> np.ndarray:
-    """Density of states per unit length (states / (eV nm), spin included).
-
-    Computed by summing Gaussian-broadened contributions
-    ``(2 / pi) |dk/dE|`` of every band over the stored half Brillouin zone
-    (the factor 2 accounts for spin; the +k/-k symmetry is folded into the
-    normalization of the k-integral).
-    """
-    if broadening_ev <= 0.0:
-        raise ValueError("broadening must be positive")
-    energies_ev = np.asarray(energies_ev, dtype=float)
-    dos = np.zeros_like(energies_ev)
-    ks = bands.k_per_nm
-    dk = np.gradient(ks)
-    # DOS(E) = (2_spin * 2_{±k} / 2π) Σ_b ∫ dk δ(E - E_b(k))
-    norm = 2.0 * 2.0 / (2.0 * np.pi)
-    for b in range(bands.n_bands):
-        e_b = bands.energies_ev[:, b]
-        w = norm * dk / (np.sqrt(2.0 * np.pi) * broadening_ev)
-        diff = energies_ev[:, None] - e_b[None, :]
-        dos += (w[None, :] * np.exp(-0.5 * (diff / broadening_ev) ** 2)).sum(axis=1)
-    return dos

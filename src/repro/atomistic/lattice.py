@@ -17,7 +17,7 @@ length ``a_cc``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,29 +192,3 @@ class ArmchairGNR:
         dist = np.sqrt((diff ** 2).sum(axis=2))
         ii, jj = np.where(np.abs(dist - A_CC_NM) < tol_nm)
         return {(int(i), int(j)) for i, j in zip(ii, jj) if i < j}
-
-
-@dataclass(frozen=True)
-class GNRArraySpec:
-    """Specification of the multi-ribbon channel of an extrinsic GNRFET.
-
-    The paper's device uses ``n_ribbons = 4`` equidistant GNRs at a pitch of
-    10 nm; the contact width per ribbon equals the pitch, for a total
-    contact width of 40 nm.
-    """
-
-    n_ribbons: int = 4
-    pitch_nm: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.n_ribbons < 1:
-            raise InvalidDeviceError(
-                f"array must contain at least one ribbon, got {self.n_ribbons}")
-        if self.pitch_nm <= 0.0:
-            raise InvalidDeviceError(
-                f"pitch must be positive, got {self.pitch_nm}")
-
-    @property
-    def contact_width_nm(self) -> float:
-        """Total contact width of the array (n_ribbons * pitch)."""
-        return self.n_ribbons * self.pitch_nm

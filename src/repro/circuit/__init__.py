@@ -15,8 +15,11 @@ through the straight-line Newton steps its topology is compiled into
 (:class:`repro.circuit.netlist.Kernel`), built once per topology and
 shared by every circuit with that topology.
 
-Circuit builders for the paper's three representative circuits: inverter
-(fanout-of-4), 15-stage ring oscillator, and latch.
+Circuit builders for the paper's three representative circuits, and no
+others: inverter (fanout-of-4), 15-stage ring oscillator, and latch (its
+netlist and hold-state static power; Fig. 7's SNM is the butterfly of
+two inverter VTCs).  Multi-input gates are test topologies only
+(``tests/circuit/gate_netlists.py``).
 """
 
 from repro.circuit.netlist import Circuit, GROUND
@@ -55,15 +58,7 @@ from repro.circuit.ring_oscillator import (
     RingOscillatorMetrics,
     estimate_ring_oscillator,
 )
-from repro.circuit.latch import build_latch, latch_butterfly, latch_snm, latch_static_power
-from repro.circuit.gates import (
-    GateMetrics,
-    build_nand2,
-    build_nor2,
-    characterize_gate,
-    gate_static_power_w,
-    gate_truth_table,
-)
+from repro.circuit.latch import build_latch, latch_static_power
 
 __all__ = [
     "Circuit",
@@ -98,14 +93,6 @@ __all__ = [
     "simulate_ring_oscillator",
     "RingOscillatorMetrics",
     "estimate_ring_oscillator",
-    "GateMetrics",
-    "build_nand2",
-    "build_nor2",
-    "characterize_gate",
-    "gate_static_power_w",
-    "gate_truth_table",
     "build_latch",
-    "latch_snm",
-    "latch_butterfly",
     "latch_static_power",
 ]

@@ -1,10 +1,11 @@
-"""Latch (cross-coupled inverter pair): butterfly curves and static power.
+"""Latch (cross-coupled inverter pair): netlist and hold static power.
 
 Paper Section 5.3: "Figure 7 shows butterfly curves for three cases:
 nominal, single GNR affected, and all GNRs affected.  Both inverters in
 the latch are assumed to have the same widths and impurities."  The SNM is
-read from the butterfly of the two inverters' VTCs; the static power comes
-from the DC hold states.
+read from the butterfly of the two inverters' VTCs
+(:mod:`repro.variability.latch_study`); the static power comes from the
+DC hold states solved here.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.dc import solve_dc
-from repro.circuit.inverter import CircuitParameters, add_inverter, inverter_vtc
+from repro.circuit.inverter import CircuitParameters, add_inverter
 from repro.circuit.netlist import Circuit
-from repro.circuit.snm import ButterflyData, butterfly_curves, static_noise_margin
 from repro.device.tables import DeviceTable
 
 
@@ -34,34 +34,6 @@ def build_latch(
     add_inverter(circuit, "inv1", q, qb, vdd_node, n_table, p_table, params)
     add_inverter(circuit, "inv2", qb, q, vdd_node, n_table, p_table, params)
     return circuit
-
-
-def latch_butterfly(
-    n_table: DeviceTable,
-    p_table: DeviceTable,
-    vdd: float,
-    params: CircuitParameters | None = None,
-    n_points: int = 61,
-) -> ButterflyData:
-    """Butterfly data of the latch (loop broken, both VTCs swept).
-
-    With both inverters identical the two curves coincide; the function
-    still sweeps one VTC and mirrors it, matching the paper's setup where
-    the latch's two inverters carry the same variations.
-    """
-    vin, vout = inverter_vtc(n_table, p_table, vdd, params,
-                             n_points=n_points)
-    return butterfly_curves(vin, vout)
-
-
-def latch_snm(
-    n_table: DeviceTable,
-    p_table: DeviceTable,
-    vdd: float,
-    params: CircuitParameters | None = None,
-) -> float:
-    """Hold static noise margin of the latch."""
-    return static_noise_margin(latch_butterfly(n_table, p_table, vdd, params))
 
 
 def latch_static_power(

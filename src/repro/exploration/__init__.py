@@ -8,7 +8,7 @@ A / B / C, and the comparison against scaled CMOS (Table 1).
 
 from repro.exploration.technology import GNRFETTechnology
 from repro.exploration.sweep import ExplorationGrid, sweep_vdd_vt
-from repro.exploration.contours import contour_lines, interpolate_on_grid
+from repro.exploration.contours import contour_lines
 from repro.exploration.operating_point import (
     OperatingPoint,
     min_edp_point,
@@ -28,7 +28,6 @@ __all__ = [
     "ExplorationGrid",
     "sweep_vdd_vt",
     "contour_lines",
-    "interpolate_on_grid",
     "OperatingPoint",
     "min_edp_point",
     "min_edp_at_frequency",

@@ -11,24 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def interpolate_on_grid(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                        xq: float, yq: float) -> float:
-    """Bilinear interpolation of ``z(x, y)`` (NaN-propagating)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (x.size, y.size):
-        raise ValueError("z must have shape (len(x), len(y))")
-    i = int(np.clip(np.searchsorted(x, xq) - 1, 0, x.size - 2))
-    j = int(np.clip(np.searchsorted(y, yq) - 1, 0, y.size - 2))
-    tx = (xq - x[i]) / (x[i + 1] - x[i])
-    ty = (yq - y[j]) / (y[j + 1] - y[j])
-    tx = float(np.clip(tx, 0.0, 1.0))
-    ty = float(np.clip(ty, 0.0, 1.0))
-    return float(z[i, j] * (1 - tx) * (1 - ty) + z[i + 1, j] * tx * (1 - ty)
-                 + z[i, j + 1] * (1 - tx) * ty + z[i + 1, j + 1] * tx * ty)
-
-
 def _edge_point(p1, p2, v1, v2, level):
     t = (level - v1) / (v2 - v1)
     return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))

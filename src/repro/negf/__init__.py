@@ -1,9 +1,11 @@
 """Non-equilibrium Green's function (NEGF) transport engine.
 
 Implements the quantum-transport machinery of the paper's Section 2:
-retarded Green's functions (Eq. 1), contact self-energies, transmission and
-Landauer current, spectral charge density, adaptive energy grids and the
-mixing schemes used by the self-consistent NEGF-Poisson loop.
+retarded Green's functions (Eq. 1) and their transmission, contact
+self-energies, adaptive energy grids and the mixing schemes used by the
+self-consistent NEGF-Poisson loop.  The device engines
+(:mod:`repro.device`) integrate the Landauer current and the carrier
+densities over these kernels.
 
 The kernels are basis-agnostic: they operate on (block-)tridiagonal
 Hamiltonians, so the same code serves the full real-space p_z basis (small
@@ -21,17 +23,7 @@ from repro.negf.self_energy import (
     wide_band_self_energy,
     broadening_from_self_energy,
 )
-from repro.negf.greens import (
-    dense_retarded_gf,
-    RGFResult,
-    recursive_greens_function,
-)
-from repro.negf.transmission import (
-    transmission_dense,
-    landauer_current,
-    landauer_conductance,
-)
-from repro.negf.charge import carrier_density_from_spectral
+from repro.negf.greens import RGFResult, recursive_greens_function
 from repro.negf.mixing import LinearMixer, AndersonMixer
 from repro.negf.scf import (
     SCFOptions,
@@ -50,13 +42,8 @@ __all__ = [
     "self_energy_from_surface_gf",
     "wide_band_self_energy",
     "broadening_from_self_energy",
-    "dense_retarded_gf",
     "RGFResult",
     "recursive_greens_function",
-    "transmission_dense",
-    "landauer_current",
-    "landauer_conductance",
-    "carrier_density_from_spectral",
     "LinearMixer",
     "AndersonMixer",
     "SCFOptions",

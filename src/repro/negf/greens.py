@@ -1,14 +1,13 @@
-"""Retarded Green's functions: dense reference and recursive (RGF) kernels.
+"""Retarded Green's functions: recursive (RGF) kernels.
 
 Equation (1) of the paper,
 
 ``G^r(E) = [(E + i0+) I - H - U - Sigma_1 - Sigma_2 - Sigma_S]^{-1}``,
 
-is implemented twice:
+is evaluated block by block, never by inverting the full matrix (the
+tests hold these kernels to a dense inversion, the frozen oracle in
+``tests/negf/greens_reference.py``):
 
-* :func:`dense_retarded_gf` — direct inversion.  O(n^3) in the full device
-  size; the reference implementation used by unit tests and for small
-  real-space ribbons.
 * :func:`recursive_greens_function` — the standard RGF algorithm for
   block-tridiagonal Hamiltonians.  It computes exactly the pieces the
   device layer needs — diagonal blocks of ``G^r``, the first and last
@@ -45,37 +44,6 @@ def stacked_identity(n_batch: int, n: int) -> np.ndarray:
     """
     eye = np.eye(n, dtype=complex)
     return np.broadcast_to(eye, (n_batch, n, n)).copy()
-
-
-def dense_retarded_gf(
-    energy_ev: float,
-    hamiltonian: np.ndarray,
-    sigma_left: np.ndarray | None = None,
-    sigma_right: np.ndarray | None = None,
-    eta_ev: float = 1e-6,
-) -> np.ndarray:
-    """Retarded Green's function by direct inversion.
-
-    ``sigma_left`` / ``sigma_right`` are full-size matrices (usually zero
-    except on the first / last block); pass ``None`` for a closed boundary.
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    if sanitize.ACTIVE:
-        sanitize.check_hermitian(h, "dense_retarded_gf", "H",
-                                 energy_ev=energy_ev)
-    n = h.shape[0]
-    a = (energy_ev + 1j * eta_ev) * np.eye(n, dtype=complex) - h
-    if sigma_left is not None:
-        a = a - sigma_left
-    if sigma_right is not None:
-        a = a - sigma_right
-    gf = np.linalg.solve(a, np.eye(n, dtype=complex))
-    if sanitize.ACTIVE:
-        sanitize.check_finite(gf, "dense_retarded_gf", "G^r",
-                              energy_ev=energy_ev)
-    if obs.ACTIVE:
-        obs.incr("negf.dense_gf_solves")
-    return gf
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,6 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "energy_grids_built": count("negf.energy_grids"),
         "energy_grid_points_total": count("negf.energy_grid_points"),
         "rgf_block_solves_total": count("negf.rgf_block_solves"),
-        "dense_gf_solves_total": count("negf.dense_gf_solves"),
         "chain_rgf_energy_points_total": count("negf.chain_energy_points"),
         "newton_iterations_total": count("circuit.newton_iterations"),
         "transient_steps_total": count("circuit.transient_steps"),

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.circuit.inverter import CircuitParameters, add_inverter, inverter_vtc
-from repro.circuit.dc import solve_dc
-from repro.circuit.netlist import Circuit
+from repro.circuit.inverter import inverter_vtc
+from repro.circuit.latch import latch_static_power
 from repro.circuit.snm import ButterflyData, butterfly_curves, static_noise_margin
 from repro.config import RunConfig
-from repro.device.tables import DeviceTable
 from repro.exploration.technology import GNRFETTechnology
 from repro.variability.variants import DeviceVariant, variant_array_table
 
@@ -35,26 +31,6 @@ class LatchCase:
     butterfly: ButterflyData
     snm_v: float
     static_power_w: float
-
-
-def _latch_static_power(nt: DeviceTable, pt: DeviceTable, vdd: float,
-                        params: CircuitParameters) -> float:
-    circuit = Circuit("latch")
-    q = circuit.node("q")
-    qb = circuit.node("qb")
-    vdd_node = circuit.node("vdd")
-    circuit.fix(vdd_node, vdd)
-    add_inverter(circuit, "inv1", q, qb, vdd_node, nt, pt, params)
-    add_inverter(circuit, "inv2", qb, q, vdd_node, nt, pt, params)
-    power = 0.0
-    for q_val in (0.0, vdd):
-        v0 = np.full(circuit.n_nodes, vdd / 2.0)
-        v0[vdd_node] = vdd
-        v0[q] = q_val
-        v0[qb] = vdd - q_val
-        result = solve_dc(circuit, v0=v0)
-        power += vdd * abs(result.source_current(vdd_node))
-    return power / 2.0
 
 
 def latch_case(
@@ -80,7 +56,7 @@ def latch_case(
         label=label,
         butterfly=butterfly,
         snm_v=static_noise_margin(butterfly),
-        static_power_w=_latch_static_power(nt, pt, vdd, tech.params))
+        static_power_w=latch_static_power(nt, pt, vdd, tech.params))
 
 
 def latch_variability_study(

@@ -50,12 +50,3 @@ def require_three_levels(levels: Sequence, name: str) -> None:
     """Reject a level tuple the three-level rule cannot index."""
     if len(levels) != 3:
         raise ValueError(f"need exactly 3 {name}, got {len(levels)}")
-
-
-def discretized_level_probabilities() -> tuple[float, float, float]:
-    """Exact probabilities of the three levels under the +-sigma/2 rule."""
-    from math import erf, sqrt
-
-    p_center = erf(0.5 / sqrt(2.0))
-    p_tail = (1.0 - p_center) / 2.0
-    return p_tail, p_center, p_tail

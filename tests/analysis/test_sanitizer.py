@@ -8,7 +8,7 @@ import pytest
 from repro import sanitize
 from repro.config import RunConfig
 from repro.errors import ReproError, SanitizerError
-from repro.negf.greens import dense_retarded_gf, recursive_greens_function
+from repro.negf.greens import recursive_greens_function
 from repro.negf.scf import SCFOptions, self_consistent_loop
 from repro.runtime import parallel_map
 
@@ -105,11 +105,6 @@ class TestHotPathHooks:
             recursive_greens_function(0.125, diag, coup, sl, sr)
         assert "E=0.125 eV" in str(excinfo.value)
         assert excinfo.value.operator == "recursive_greens_function"
-
-    def test_dense_gf_catches_nonhermitian(self, sanitizer_on):
-        h = np.array([[0.0, 0.4], [0.1, 0.0]])
-        with pytest.raises(SanitizerError, match="hermiticity"):
-            dense_retarded_gf(0.0, h)
 
     def test_scf_catches_nan_charge(self, sanitizer_on):
         calls = {"n": 0}

@@ -1,4 +1,4 @@
-"""Tests for A-GNR band structure: gaps, families, masses, DOS."""
+"""Tests for A-GNR band structure: gaps, families, masses."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.atomistic.bandstructure import (
     band_gap_ev,
     band_velocity_m_per_s,
     compute_bands,
-    density_of_states,
     effective_masses,
     subband_edges,
 )
@@ -117,32 +116,6 @@ class TestEffectiveMass:
             band_velocity_m_per_s(-0.1, 1e-31)
         with pytest.raises(ValueError):
             band_velocity_m_per_s(0.1, 0.0)
-
-
-class TestDOS:
-    def test_zero_in_gap(self):
-        bands = compute_bands(9, n_k=201)
-        gap = band_gap_ev(9)
-        energies = np.array([0.0, gap / 4.0, -gap / 4.0])
-        dos = density_of_states(bands, energies, broadening_ev=2e-3)
-        assert np.all(dos < 1e-2)
-
-    def test_van_hove_peak_at_band_edge(self):
-        bands = compute_bands(9, n_k=401)
-        edge = band_gap_ev(9) / 2.0
-        at_edge = density_of_states(bands, np.array([edge]))[0]
-        above = density_of_states(bands, np.array([edge + 0.15]))[0]
-        assert at_edge > 3.0 * above
-
-    def test_nonnegative(self):
-        bands = compute_bands(12, n_k=101)
-        energies = np.linspace(-1.0, 1.0, 50)
-        assert np.all(density_of_states(bands, energies) >= 0.0)
-
-    def test_rejects_bad_broadening(self):
-        bands = compute_bands(9, n_k=21)
-        with pytest.raises(ValueError):
-            density_of_states(bands, np.array([0.0]), broadening_ev=0.0)
 
 
 class TestPropertyBased:

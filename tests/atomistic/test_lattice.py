@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atomistic.lattice import (
     ArmchairGNR,
-    GNRArraySpec,
     gnr_family,
     is_semiconducting_index,
 )
@@ -114,17 +113,3 @@ class TestBonds:
         interior = counts[r.atoms_per_cell:-r.atoms_per_cell]
         assert interior.min() >= 2
         assert counts.max() == 3
-
-
-class TestArraySpec:
-    def test_paper_defaults(self):
-        spec = GNRArraySpec()
-        assert spec.n_ribbons == 4
-        assert spec.pitch_nm == 10.0
-        assert spec.contact_width_nm == 40.0
-
-    def test_validation(self):
-        with pytest.raises(InvalidDeviceError):
-            GNRArraySpec(n_ribbons=0)
-        with pytest.raises(InvalidDeviceError):
-            GNRArraySpec(pitch_nm=0.0)

@@ -9,8 +9,9 @@ kept verbatim (the replica branch of the old ``add_inverter`` lifted out
 as :func:`add_replica_inverter`) as the oracle that
 ``tests/circuit/test_replica_load.py`` and
 ``benchmarks/bench_solver_accel.py`` hold the collapsed netlists to.
-The extrinsic (driven) inverters and the gate pull networks come from
-production, which the collapse does not touch.
+The extrinsic (driven) inverters come from production and the gate
+pull networks from ``tests/circuit/gate_netlists.py``; the collapse
+touches neither.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.elements import Capacitor, TableFET
-from repro.circuit.gates import _parallel_pair, _stacked_pair
 from repro.circuit.inverter import CircuitParameters, add_inverter
 from repro.circuit.netlist import Circuit
 from repro.device.tables import DeviceTable
+from tests.circuit.gate_netlists import _parallel_pair, _stacked_pair
 
 
 def add_replica_inverter(

@@ -27,7 +27,6 @@ import repro.circuit.latch as latch_mod
 import repro.circuit.vtc as vtc_mod
 from repro.circuit import dc, transient
 from repro.circuit.elements import Capacitor, Resistor
-from repro.circuit.gates import build_nand2
 from repro.circuit.inverter import (
     add_inverter,
     characterize_inverter,
@@ -41,6 +40,7 @@ from repro.circuit.vtc import compute_vtc
 from repro.cmos.circuits import _build_cmos_inverter
 from repro.cmos.ptm import ptm_node
 from tests.circuit import engine_reference as ref
+from tests.circuit.gate_netlists import build_nand2
 
 VDD = 0.4
 

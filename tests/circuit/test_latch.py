@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.circuit.latch import (
-    build_latch,
-    latch_butterfly,
-    latch_snm,
-    latch_static_power,
-)
-from repro.circuit.inverter import inverter_snm, inverter_static_power_w
+from repro.circuit.latch import build_latch, latch_static_power
+from repro.circuit.inverter import inverter_static_power_w
 
 
 class TestLatch:
@@ -17,18 +12,6 @@ class TestLatch:
         c = build_latch(nt, pt, 0.4, params)
         c.validate()
         assert c.n_nodes == 2 + 1 + 8  # q, qb, vdd, 2x4 internals
-
-    def test_snm_matches_inverter_pair(self, nominal_pair, params):
-        """A latch of two identical inverters has the inverter-pair SNM."""
-        nt, pt = nominal_pair
-        assert latch_snm(nt, pt, 0.4, params) == pytest.approx(
-            inverter_snm(nt, pt, 0.4, params), abs=5e-3)
-
-    def test_butterfly_data_shape(self, nominal_pair, params):
-        nt, pt = nominal_pair
-        b = latch_butterfly(nt, pt, 0.4, params, n_points=31)
-        assert b.v_in.shape == (31,)
-        assert b.forward.shape == (31,)
 
     def test_static_power_two_inverters(self, nominal_pair, params):
         """Hold-state leakage ~ 2x the single-inverter leakage (each

@@ -21,15 +21,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.circuit import gates, inverter
+from repro.circuit import inverter
 from repro.circuit.dc import solve_dc
-from repro.circuit.gates import build_nand2, build_nor2, characterize_gate
 from repro.circuit.inverter import (
     add_replica_load,
     build_inverter_chain,
     characterize_inverter,
     estimate_inverter_delay,
 )
+from repro.circuit.metrics import propagation_delays
 from repro.circuit.netlist import Circuit
 from repro.circuit.ring_oscillator import (
     _alternating_start,
@@ -38,6 +38,7 @@ from repro.circuit.ring_oscillator import (
 from repro.circuit.transient import simulate_transient
 from repro.variability.variants import DeviceVariant, variant_array_table
 from tests.circuit import replica_reference as ref
+from tests.circuit.gate_netlists import build_nand2, build_nor2
 
 VDD = 0.4
 DC_TOL_V = 1e-12
@@ -235,9 +236,11 @@ class TestGates:
         ("nand2", build_nand2, ref.build_nand2),
         ("nor2", build_nor2, ref.build_nor2),
     ])
-    def test_dc_transient_and_metrics(self, nominal_pair, params,
-                                      monkeypatch, kind, build_new,
-                                      build_old):
+    def test_dc_transient_and_metrics(self, nominal_pair, params, kind,
+                                      build_new, build_old):
+        """DC at all four input states, then one window with pin ``b``
+        pulsed and pin ``a`` held at its non-controlling value: the
+        waveforms and the pin's propagation delays."""
         nt, pt = nominal_pair
         new = build_new(nt, pt, VDD, params)
         old = build_old(nt, pt, VDD, params)
@@ -249,20 +252,25 @@ class TestGates:
                     c.fixed[c.node("b")] = vb
                 _assert_dc_close(new, old)
 
-        (got, new_runs), (want, old_runs) = (
-            _characterize(monkeypatch, gates, f"build_{kind}", build,
-                          characterize_gate, kind, nt, pt, VDD, params)
-            for build in (build_new, build_old))
-        assert len(new_runs) == len(old_runs) == 2
-        for a, b in zip(new_runs, old_runs):
-            _assert_waves_close(a, b)
-        for pin, delay in want.delays_s.items():
-            assert got.delays_s[pin] == pytest.approx(delay,
-                                                      rel=METRIC_RTOL)
-        _assert_metrics_close(got, want, ("worst_delay_s",))
-        # The supply also feeds the GMIN shunt on every replica output
-        # (at most GMIN * VDD each), and the explicit load has
-        # fanout - 1 more of them: NOR2 measures 1.05e-6 relative.
-        shunts_w = (params.fanout - 1) * GMIN * VDD * VDD
-        assert got.static_power_w == pytest.approx(
-            want.static_power_w, rel=METRIC_RTOL, abs=shunts_w)
+        est = estimate_inverter_delay(nt, pt, VDD, params)
+        window = max(20.0 * est, 60e-12)
+        ramp = max(2.0 * est, 2e-12)
+
+        def pulse(t: float) -> float:
+            rise = min(t / ramp, 1.0)
+            fall = min(max((t - window / 2.0) / ramp, 0.0), 1.0)
+            return VDD * (rise - fall)
+
+        results = []
+        for c in (new, old):
+            c.fixed[c.node("a")] = VDD if kind == "nand2" else 0.0
+            c.fixed[c.node("b")] = 0.0
+            dc0 = solve_dc(c)
+            c.fixed[c.node("b")] = pulse
+            results.append(simulate_transient(
+                c, window, 0.25e-12, dc0.voltages,
+                monitor_supplies=("vdd",)))
+        _assert_waves_close(*results)
+        got, want = (propagation_delays(r.time_s, r.v("b"), r.v("out"), VDD)
+                     for r in results)
+        assert got == pytest.approx(want, rel=METRIC_RTOL, abs=0.0)

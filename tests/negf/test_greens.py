@@ -1,12 +1,12 @@
-"""Tests for dense and recursive Green's function kernels."""
+"""Tests for the recursive Green's function kernels and their dense oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.negf.greens import dense_retarded_gf, recursive_greens_function
+from repro.negf.greens import recursive_greens_function
 from repro.negf.self_energy import lead_self_energy_1d
-from repro.negf.transmission import transmission_dense
+from tests.negf.greens_reference import dense_retarded_gf, transmission_dense
 
 
 def _random_system(rng, n_blocks, block_size):

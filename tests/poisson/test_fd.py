@@ -135,6 +135,28 @@ class TestFD2D:
         assert phi[10, 10] > 0.0
         assert phi[10, 10] == phi.max()
 
+    def test_layered_dielectric_is_a_series_capacitor(self):
+        """Oxide (eps_r 3.9) below y = 1.5 nm, vacuum above, plates at 0
+        and 0.4 V: the harmonic face average makes the interface face
+        two half-cells in series, so the solution is the exact
+        series-capacitor profile with the interface at that face's
+        midpoint."""
+        g = Grid2D(5.0, 3.0, 25, 17)
+        _, yy = g.meshgrid()
+        eps = np.where(yy < 1.5, 3.9, 1.0)
+        mask = np.zeros(g.shape, bool)
+        mask[:, 0] = mask[:, -1] = True
+        vals = np.zeros(g.shape)
+        vals[:, -1] = 0.4
+        phi = solve_poisson_2d(g, eps, np.zeros(g.shape), mask, vals)
+
+        y_i = 0.5 * (g.y[7] + g.y[8])
+        assert y_i == 1.40625
+        d = 0.4 / (y_i / 3.9 + (3.0 - y_i) / 1.0)
+        exact = np.where(yy < y_i, d * yy / 3.9,
+                         d * y_i / 3.9 + d * (yy - y_i))
+        assert np.max(np.abs(phi - exact)) <= 1e-12
+
 
 class TestFD3D:
     def test_laplace_linear_in_z(self):

@@ -1,22 +1,15 @@
 """Tests for the discretized-normal sampler."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.variability.sampling import (
-    discretized_level_probabilities,
     discretized_normal_choice,
     discretized_normal_indices,
 )
-
-
-class TestProbabilities:
-    def test_exact_values(self):
-        p_lo, p_mid, p_hi = discretized_level_probabilities()
-        assert p_lo == p_hi
-        assert p_mid == pytest.approx(0.3829, abs=1e-3)
-        assert p_lo + p_mid + p_hi == pytest.approx(1.0)
 
 
 class TestSampler:
@@ -35,7 +28,9 @@ class TestSampler:
         rng = np.random.default_rng(42)
         n = 40000
         vs = np.array(discretized_normal_choice(rng, (0, 1, 2), size=n))
-        p_lo, p_mid, p_hi = discretized_level_probabilities()
+        # Thresholds at +-sigma/2: P(center) = erf(0.5 / sqrt(2)).
+        p_mid = math.erf(0.5 / math.sqrt(2.0))
+        p_lo = p_hi = (1.0 - p_mid) / 2.0
         assert np.mean(vs == 1) == pytest.approx(p_mid, abs=0.01)
         assert np.mean(vs == 0) == pytest.approx(p_lo, abs=0.01)
         assert np.mean(vs == 2) == pytest.approx(p_hi, abs=0.01)
