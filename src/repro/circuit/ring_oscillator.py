@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.circuit.dc import solve_dc
 from repro.circuit.inverter import (
     CircuitParameters,
     add_inverter,
@@ -32,7 +31,6 @@ from repro.circuit.inverter import (
     estimate_inverter_delay,
     estimate_inverter_energy,
     inverter_static_power_w,
-    inverter_snm,
 )
 from repro.circuit.metrics import average_power_w, oscillation_frequency
 from repro.circuit.netlist import Circuit

@@ -79,26 +79,6 @@ class IVSweep:
     geometry: GNRFETGeometry
     failures: tuple[FailureRecord, ...] = field(default=())
 
-    def current_curve(self, vd: float) -> np.ndarray:
-        """I_D(V_G) at the tabulated drain voltage nearest ``vd``."""
-        j = int(np.argmin(np.abs(self.vd - vd)))
-        return self.current_a[:, j]
-
-    def on_off_ratio(self, vd: float, vg_on: float | None = None) -> float:
-        """``I_on / I_off`` at drain bias ``vd``.
-
-        ``I_on`` is the current at ``vg_on`` (default: the top of the
-        gate range); ``I_off`` the minimum over the gate sweep (the
-        ambipolar leakage floor).
-        """
-        curve = np.abs(self.current_curve(vd))
-        i_on = curve[-1] if vg_on is None else curve[
-            int(np.argmin(np.abs(self.vg - vg_on)))]
-        i_off = curve.min()
-        if i_off <= 0.0:
-            return np.inf
-        return float(i_on / i_off)
-
 
 def _twin_failure(err: ConvergenceError, twin_vg: float
                   ) -> ConvergenceError:

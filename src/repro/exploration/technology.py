@@ -11,7 +11,7 @@ nominal per-ribbon device table plus its extracted zero-offset threshold
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuit.inverter import CircuitParameters
 from repro.config import RunConfig

@@ -17,8 +17,8 @@ import numpy as np
 from repro.config import RunConfig
 from repro.constants import ROOM_TEMPERATURE_K
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
-from repro.device.iv import sweep_iv
 from repro.device.negf_device import NEGFDevice
+from repro.device.tables import build_device_table
 from repro.device.vt_extraction import extract_vt_linear
 from repro.exploration.compare_cmos import table1_comparison
 from repro.exploration.contours import contour_lines
@@ -178,9 +178,9 @@ def run_fig4(fast: bool = False, config: RunConfig | None = None
     series = []
     ratios = {}
     for n in (9, 12, 15, 18):
-        sweep = sweep_iv(GNRFETGeometry(n_index=n), vg, np.array([0.0, 0.5]),
-                         config=config)
-        current = sweep.current_a[:, 1]
+        table = build_device_table(GNRFETGeometry(n_index=n), vg,
+                                   np.array([0.0, 0.5]), config=config)
+        current = table.current_a[:, 1]
         series.append(FigureSeries(
             name=f"N={n}", x=vg, y=current,
             meta={"figure": "4", "xlabel": "VG (V)", "ylabel": "ID (A)"}))
@@ -216,11 +216,11 @@ def run_fig5(fast: bool = False, config: RunConfig | None = None
     iv_series = []
     for q in (-2.0, 0.0, 2.0):
         imp = ChargeImpurity(charge_e=q) if q else None
-        sweep = sweep_iv(GNRFETGeometry(n_index=12, impurity=imp),
-                         vg, np.array([0.0, 0.5]), config=config)
+        table = build_device_table(GNRFETGeometry(n_index=12, impurity=imp),
+                                   vg, np.array([0.0, 0.5]), config=config)
         label = "no impurity" if q == 0 else f"{q:+g}q"
         iv_series.append(FigureSeries(
-            name=label, x=vg, y=sweep.current_a[:, 1],
+            name=label, x=vg, y=table.current_a[:, 1],
             meta={"figure": "5b"}))
 
     i_on = {s.name: float(s.y[-1]) for s in iv_series}

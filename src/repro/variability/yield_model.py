@@ -19,7 +19,6 @@ numbers on that sentence:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 

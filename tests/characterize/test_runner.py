@@ -13,9 +13,9 @@ from repro.errors import ParallelMapError
 from repro.reporting.experiments import EXPERIMENTS
 from repro.runtime import faults
 
-#: Two cheap fast experiments: small I-V sweeps, and two temperature
-#: tables.  Neither builds the process-wide nominal technology, whose
-#: first build a later CLI trace test counts.
+#: Two cheap fast experiments: four small 16 x 2 I-V tables, and two
+#: temperature tables.  Neither builds the process-wide nominal
+#: technology, whose first build a later CLI trace test counts.
 IDS = ["fig4", "ext-temperature"]
 
 

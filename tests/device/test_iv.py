@@ -23,14 +23,6 @@ class TestSweep:
     def test_zero_vd_column_is_zero_current(self, small_sweep):
         assert np.allclose(small_sweep.current_a[:, 0], 0.0)
 
-    def test_current_curve_selects_nearest(self, small_sweep):
-        curve = small_sweep.current_curve(0.26)
-        assert np.allclose(curve, small_sweep.current_a[:, 1])
-
-    def test_on_off_ratio(self, small_sweep):
-        ratio = small_sweep.on_off_ratio(0.5)
-        assert ratio > 1.0
-
     def test_midgap_monotone_in_vg(self, small_sweep):
         """The converged channel level must fall monotonically with
         gate voltage at fixed drain bias."""
