@@ -1245,8 +1245,10 @@ def _bench_negf() -> dict:
     n_index, probability, n_cells, n_samples = NEGF_ENSEMBLE
 
     def ensemble():
+        # Uncached, so every repeat times the transport, not a disk read.
         return roughness_ensemble(n_index, probability, n_cells=n_cells,
-                                  n_samples=n_samples).samples
+                                  n_samples=n_samples,
+                                  config=RunConfig(use_cache=False)).samples
 
     def ensemble_oracle():
         return oracle.roughness_samples(n_index, probability, n_cells,

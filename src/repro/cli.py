@@ -20,7 +20,7 @@ the config to :func:`repro.characterize.runner.run_experiments`, the
 fan-out ``repro characterize`` uses too: ``--workers N`` runs N
 experiments at once in worker processes (every sweep inside an
 experiment runs in-process) and ``--no-cache`` bypasses the on-disk
-table cache; ``--strict`` / ``--faults SPEC`` set the resilience layer
+artifact cache; ``--strict`` / ``--faults SPEC`` set the resilience layer
 of :mod:`repro.runtime.resilience` (see ``docs/robustness.md``),
 ``--sanitize`` the numerical sanitizer of :mod:`repro.sanitize` and
 ``--trace`` the observability layer of :mod:`repro.obs`, which writes
@@ -47,6 +47,7 @@ from repro.characterize.runner import report_of, run_experiments
 from repro.config import RunConfig
 from repro.reporting.experiments import EXPERIMENTS
 from repro.runtime import ArtifactCache, activate
+from repro.runtime.cache import cache_namespaces
 
 
 def _cmd_list(_args) -> int:
@@ -134,18 +135,25 @@ def _cmd_cache(args) -> int:
     config = _resolve_config(args)
     if config is None:
         return 2
-    store = ArtifactCache.for_config("tables", config)
+    # What is on disk, whether or not this run's switch would read it.
+    stores = [ArtifactCache(namespace, config.cache_root, enabled=True)
+              for namespace in cache_namespaces(config.cache_root)]
     if args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} cached table(s) from {store.directory}")
+        removed = sum(store.clear() for store in stores)
+        print(f"removed {removed} cached artifact(s) from "
+              f"{len(stores)} namespace(s) under {config.cache_root}")
         return 0
-    keys = store.keys()
-    size_mb = store.size_bytes() / 1e6
     print(f"cache root:  {config.cache_root}")
-    print(f"enabled:     {store.enabled}")
-    print(f"tables:      {len(keys)} artifact(s), {size_mb:.2f} MB")
-    for key in keys:
-        print(f"  {key}")
+    print(f"enabled:     {config.use_cache}")
+    if not stores:
+        print("namespaces:  none")
+    for store in stores:
+        keys = store.keys()
+        size_mb = store.size_bytes() / 1e6
+        print(f"{store.namespace + ':':<12} {len(keys)} artifact(s), "
+              f"{size_mb:.2f} MB")
+        for key in keys:
+            print(f"  {key}")
     return 0
 
 
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiments run in parallel worker processes "
                             "(default: $REPRO_WORKERS or serial)")
     p_run.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk device-table cache "
+                       help="bypass the on-disk artifact cache "
                             "(equivalent to REPRO_NO_CACHE=1)")
     p_run.add_argument("--sanitize", action="store_true",
                        help="enable the numerical sanitizer "
@@ -218,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache",
                              help="inspect or clear the on-disk cache")
     p_cache.add_argument("action", choices=("info", "clear"),
-                         help="'info' lists artifacts, 'clear' deletes them")
+                         help="'info' lists every namespace's artifacts, "
+                              "'clear' deletes them")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_trace = sub.add_parser("trace",

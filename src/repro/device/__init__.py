@@ -36,7 +36,11 @@ from repro.device.sbfet import SBFETModel, BiasPoint, SBFETSolution
 from repro.device.iv import IVSweep, sweep_iv
 from repro.device.tables import DeviceTable, build_device_table
 from repro.device.vt_extraction import extract_vt_linear
-from repro.device.negf_device import NEGFDevice, NEGFDeviceResult
+from repro.device.negf_device import (
+    NEGFDevice,
+    NEGFDeviceResult,
+    solve_negf_point,
+)
 from repro.device.negf_modespace import ModeSpaceGNRDevice, reduced_lead_blocks
 from repro.device.negf_realspace import (
     RealSpaceGNRDevice,
@@ -71,4 +75,5 @@ __all__ = [
     "extract_vt_linear",
     "NEGFDevice",
     "NEGFDeviceResult",
+    "solve_negf_point",
 ]

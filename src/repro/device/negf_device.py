@@ -31,6 +31,10 @@ Physics and numerics
 The engine is deliberately the *reference* (slow, explicit) path: the
 production lookup tables come from :mod:`repro.device.sbfet`, which is
 cross-validated against this module in the test suite.
+
+:func:`solve_negf_point` is the experiments' entry point: one bias point
+of one device, served from the ``negf`` namespace of the artifact cache
+when an earlier run solved it (:func:`negf_cache_key`).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro import obs, sanitize
+from repro.config import RunConfig
 from repro.constants import (
     EPS_0_F_PER_NM,
     HBAR_SI,
@@ -63,6 +68,14 @@ from repro.negf.self_energy import lead_self_energy_1d
 from repro.poisson.fd import assemble_stencil
 from repro.poisson.grid import Grid2D
 from repro.poisson.pointcharge import screened_impurity_potential_ev
+from repro.runtime.cache import ArtifactCache, content_key, load_or_build
+
+#: Namespace of persisted NEGF bias points under the runtime cache root.
+NEGF_CACHE_NAMESPACE = "negf"
+
+#: Version tag of :class:`NEGFDevice`'s solve.  Bump when its physics or
+#: numerics change so previously cached bias points are not reused.
+NEGF_DEVICE_VERSION = "negf-device-v1"
 
 
 @dataclass
@@ -490,3 +503,87 @@ class NEGFDevice:
         """Convenience: ``(x, E_C(x))`` of the converged solution."""
         result = self.solve(vg, vd)
         return result.x_nm, result.conduction_band_ev
+
+
+def negf_cache_key(geometry: GNRFETGeometry, vg: float, vd: float,
+                   n_modes: int, n_x: int, n_y: int,
+                   coarse_step_ev: float, fine_step_ev: float,
+                   tolerance_ev: float, max_iterations: int,
+                   version: str = NEGF_DEVICE_VERSION) -> str:
+    """Stable content hash of one :func:`solve_negf_point` on disk.
+
+    Every input of the solve is hashed: the whole geometry (impurity
+    included), the device discretization and energy steps, the bias,
+    the SCF tolerance and iteration cap, and the version tag.
+    """
+    return content_key("negf-point", version, geometry, n_modes, n_x, n_y,
+                       float(coarse_step_ev), float(fine_step_ev),
+                       float(vg), float(vd), float(tolerance_ev),
+                       int(max_iterations))
+
+
+def _result_payload(result: NEGFDeviceResult
+                    ) -> dict[str, np.ndarray] | None:
+    scf = result.scf
+    if scf is None or not scf.converged:
+        # A best-effort state is not a solution: the next run retries.
+        return None
+    return dict(
+        current_a=np.array(result.current_a), x_nm=result.x_nm,
+        midgap_ev=result.midgap_ev,
+        conduction_band_ev=result.conduction_band_ev,
+        valence_band_ev=result.valence_band_ev,
+        electron_density_per_nm=result.electron_density_per_nm,
+        hole_density_per_nm=result.hole_density_per_nm,
+        scf_potential=scf.potential, scf_charge=scf.charge,
+        scf_converged=np.array(scf.converged),
+        scf_iterations=np.array(scf.iterations),
+        scf_residual_history=np.array(scf.residual_history, dtype=float))
+
+
+def _result_from_payload(payload: dict[str, np.ndarray], vg: float,
+                         vd: float) -> NEGFDeviceResult:
+    scf = SCFResult(
+        potential=payload["scf_potential"], charge=payload["scf_charge"],
+        converged=bool(payload["scf_converged"]),
+        iterations=int(payload["scf_iterations"]),
+        residual_history=payload["scf_residual_history"].tolist())
+    return NEGFDeviceResult(
+        vg=vg, vd=vd, current_a=float(payload["current_a"]),
+        x_nm=payload["x_nm"], midgap_ev=payload["midgap_ev"],
+        conduction_band_ev=payload["conduction_band_ev"],
+        valence_band_ev=payload["valence_band_ev"],
+        electron_density_per_nm=payload["electron_density_per_nm"],
+        hole_density_per_nm=payload["hole_density_per_nm"], scf=scf)
+
+
+def solve_negf_point(geometry: GNRFETGeometry, vg: float, vd: float, *,
+                     n_modes: int = 2, n_x: int = 61, n_y: int = 15,
+                     coarse_step_ev: float = 5e-3,
+                     fine_step_ev: float = 1e-3,
+                     tolerance_ev: float = 1e-3, max_iterations: int = 60,
+                     config: RunConfig | None = None) -> NEGFDeviceResult:
+    """``NEGFDevice(geometry, ...).solve(vg, vd, ...)`` through the cache.
+
+    A bias point an earlier run solved comes back from the ``negf``
+    namespace equal to a fresh solve field for field, ``scf`` included,
+    without building the device or its band structure.  Only converged
+    solves are written.  ``config`` (default
+    :meth:`RunConfig.from_env`) locates the store, and
+    ``use_cache=False`` keeps it out (every call solves).
+    """
+    config = RunConfig.from_env() if config is None else config
+
+    def build() -> NEGFDeviceResult:
+        device = NEGFDevice(geometry, n_modes=n_modes, n_x=n_x, n_y=n_y,
+                            coarse_step_ev=coarse_step_ev,
+                            fine_step_ev=fine_step_ev)
+        return device.solve(vg, vd, tolerance_ev=tolerance_ev,
+                            max_iterations=max_iterations)
+
+    return load_or_build(
+        ArtifactCache.for_config(NEGF_CACHE_NAMESPACE, config),
+        negf_cache_key(geometry, vg, vd, n_modes, n_x, n_y, coarse_step_ev,
+                       fine_step_ev, tolerance_ev, max_iterations),
+        lambda payload: _result_from_payload(payload, vg, vd), build,
+        _result_payload)

@@ -32,7 +32,7 @@ from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import IVSweep, sweep_iv
 from repro.device.sbfet import BIAS_DECIMALS
 from repro.errors import TableRangeError
-from repro.runtime import ArtifactCache, content_key
+from repro.runtime import ArtifactCache, content_key, load_or_build
 
 
 def _bilinear(axis_x: np.ndarray, axis_y: np.ndarray, grid: np.ndarray,
@@ -512,10 +512,23 @@ def table_memo_key(geometry: GNRFETGeometry, vg_grid: np.ndarray,
 
 
 def _table_from_payload(payload: dict) -> DeviceTable:
-    return DeviceTable(vg=payload["vg"], vd=payload["vd"],
-                       current_a=payload["current_a"],
-                       charge_c=payload["charge_c"],
-                       label=str(payload["label"]))
+    table = DeviceTable(vg=payload["vg"], vd=payload["vd"],
+                        current_a=payload["current_a"],
+                        charge_c=payload["charge_c"],
+                        label=str(payload["label"]))
+    if obs.ACTIVE:
+        obs.incr("cache.table_disk_hits")
+    return table
+
+
+def _table_payload(table: DeviceTable) -> dict[str, np.ndarray] | None:
+    if table.failures:
+        # Quarantined holes must not outlive this process: caching a
+        # table with NaN cells would turn a transient failure into a
+        # permanently poisoned artifact.
+        return None
+    return dict(vg=table.vg, vd=table.vd, current_a=table.current_a,
+                charge_c=table.charge_c, label=np.array(table.label))
 
 
 def build_device_table(
@@ -529,7 +542,8 @@ def build_device_table(
     """Build (or fetch from cache) one ribbon's table.
 
     Lookup order: in-process memo (:func:`table_memo_key`), then the
-    persistent on-disk store (:func:`table_cache_key`), then a fresh
+    persistent on-disk store (:func:`table_cache_key`, through
+    :func:`~repro.runtime.cache.load_or_build`), then a fresh
     :func:`~repro.device.iv.sweep_iv` whose result is written back to
     both layers.  Both keys hold the full geometry (a frozen
     dataclass), the grids, the mode count and the engine, so variant
@@ -560,19 +574,8 @@ def build_device_table(
         return _TABLE_CACHE[key]
 
     config = RunConfig.from_env() if config is None else config
-    disk = ArtifactCache.for_config(TABLE_CACHE_NAMESPACE, config)
-    digest = table_cache_key(geometry, vg_grid, vd_grid, n_modes,
-                             engine=engine)
-    table = None
-    payload = disk.get(digest)
-    if payload is not None:
-        try:
-            table = _table_from_payload(payload)
-        except (KeyError, ValueError):
-            table = None  # corrupt/foreign payload: rebuild
-    if table is not None and obs.ACTIVE:
-        obs.incr("cache.table_disk_hits")
-    if table is None:
+
+    def build() -> DeviceTable:
         if obs.ACTIVE:
             obs.incr("cache.table_builds")
         with obs.span("device.build_table", n_index=geometry.n_index):
@@ -584,16 +587,14 @@ def build_device_table(
                 label += f",imp={geometry.impurity.charge_e:+g}q"
             if engine != DEFAULT_ENGINE:
                 label += f",engine={engine}"
-            table = DeviceTable.from_sweep(sweep, label=label)
-        if table.failures:
-            # Quarantined holes must not outlive this process: caching a
-            # table with NaN cells would turn a transient failure into a
-            # permanently poisoned artifact.
-            return table
-        disk.put(digest, vg=table.vg, vd=table.vd,
-                 current_a=table.current_a, charge_c=table.charge_c,
-                 label=np.array(table.label))
-    _TABLE_CACHE[key] = table
+            return DeviceTable.from_sweep(sweep, label=label)
+
+    table = load_or_build(
+        ArtifactCache.for_config(TABLE_CACHE_NAMESPACE, config),
+        table_cache_key(geometry, vg_grid, vd_grid, n_modes, engine=engine),
+        _table_from_payload, build, _table_payload)
+    if not table.failures:
+        _TABLE_CACHE[key] = table
     return table
 
 

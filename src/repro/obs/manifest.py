@@ -57,6 +57,8 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     subsystem never ran), so downstream consumers can index without
     guards.  ``cache_hit_rate`` is ``None`` when no cache lookup
     happened at all — a 0.0 would wrongly read as "everything missed".
+    ``cache_namespaces`` maps each artifact-cache namespace the run
+    touched to its ``hits`` / ``misses`` / ``writes`` (empty if none).
     """
     counters = snapshot.get("counters", {})
     histograms = snapshot.get("histograms", {})
@@ -71,6 +73,16 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     memory_hits = count("cache.table_memory_hits")
     hits = artifact_hits + memory_hits
     lookups = hits + artifact_misses
+
+    # ``cache.<namespace>.hits|misses|writes``, one rollup per namespace.
+    namespaces: dict[str, dict[str, float]] = {}
+    for name, value in sorted(counters.items()):
+        parts = name.split(".")
+        if (len(parts) == 3 and parts[0] == "cache"
+                and parts[2] in ("hits", "misses", "writes")):
+            rollup = namespaces.setdefault(
+                parts[1], {"hits": 0, "misses": 0, "writes": 0})
+            rollup[parts[2]] = value
 
     iter_hist = histograms.get("scf.iterations_to_converge", {})
     return {
@@ -89,6 +101,8 @@ def compute_rollups(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "cache_hits": hits,
         "cache_misses": artifact_misses,
         "cache_hit_rate": (hits / lookups if lookups else None),
+        "cache_writes": count("cache.artifact_writes"),
+        "cache_namespaces": namespaces,
         "table_builds": count("cache.table_builds"),
         "table_memory_hits": memory_hits,
         "table_disk_hits": count("cache.table_disk_hits"),

@@ -60,6 +60,14 @@ def _histogram_lines(name: str, hist: Mapping[str, Any]) -> list[str]:
     return lines
 
 
+def _rollup_value(value: Any) -> str:
+    if value is None:
+        return "n/a"
+    if isinstance(value, float):
+        return f"{value:g}" if value.is_integer() else f"{value:.4g}"
+    return str(value)
+
+
 def summarize_text(manifest: Mapping[str, Any],
                    top: int = DEFAULT_TOP_SPANS) -> str:
     """Multi-section plain-text summary of a run manifest."""
@@ -94,13 +102,15 @@ def summarize_text(manifest: Mapping[str, Any],
         lines.append("")
         lines.append("rollups")
         for key, value in rollups.items():
-            if value is None:
-                rendered = "n/a"
-            elif isinstance(value, float) and not value.is_integer():
-                rendered = f"{value:.4g}"
-            else:
-                rendered = f"{value:g}" if isinstance(value, float) else str(value)
-            lines.append(f"  {key:<32} {rendered}")
+            if isinstance(value, Mapping):
+                # Per-namespace cache traffic: one line per namespace.
+                lines.append(f"  {key}")
+                for name, fields in value.items():
+                    rendered = " ".join(f"{field}={_rollup_value(v)}"
+                                        for field, v in fields.items())
+                    lines.append(f"    {name:<30} {rendered}")
+                continue
+            lines.append(f"  {key:<32} {_rollup_value(value)}")
 
     ranked = top_spans(manifest, top=top)
     if ranked:

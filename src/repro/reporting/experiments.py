@@ -17,7 +17,7 @@ import numpy as np
 from repro.config import RunConfig
 from repro.constants import ROOM_TEMPERATURE_K
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
-from repro.device.negf_device import NEGFDevice
+from repro.device.negf_device import solve_negf_point
 from repro.device.tables import build_device_table
 from repro.device.vt_extraction import extract_vt_linear
 from repro.exploration.compare_cmos import table1_comparison
@@ -204,9 +204,8 @@ def run_fig5(fast: bool = False, config: RunConfig | None = None
     n_x = 31 if fast else 51
     for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
         imp = ChargeImpurity(charge_e=q) if q else None
-        device = NEGFDevice(GNRFETGeometry(n_index=12, impurity=imp),
-                            n_x=n_x, n_y=11)
-        result = device.solve(0.1, 0.5)
+        result = solve_negf_point(GNRFETGeometry(n_index=12, impurity=imp),
+                                  0.1, 0.5, n_x=n_x, n_y=11, config=config)
         label = "no impurity" if q == 0 else f"{q:+g}q"
         profiles.append(FigureSeries(
             name=label, x=result.x_nm, y=result.conduction_band_ev,
@@ -366,7 +365,8 @@ def run_ext_roughness(fast: bool = False, config: RunConfig | None = None
         indices=(9, 18) if fast else (9, 12, 18),
         probabilities=(0.05,) if fast else (0.02, 0.05, 0.1),
         n_cells=12 if fast else 24,
-        n_samples=4 if fast else 10)
+        n_samples=4 if fast else 10,
+        config=config)
     rows = [[f"N={n}", f"{p:.2f}", f"{s.mean_transmission:.3f}",
              f"{s.std_transmission:.3f}"]
             for (n, p), s in sorted(study.items())]

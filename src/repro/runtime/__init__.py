@@ -6,7 +6,8 @@ Whole experiments fan out through
 experiment — device ``I_D/Q(V_G, V_D)`` grids, the V_DD-V_T exploration
 plane, the ring-oscillator Monte Carlo — runs in-process, and the
 expensive self-consistent device tables persist across processes
-through :class:`repro.runtime.cache.ArtifactCache`.
+through :class:`repro.runtime.cache.ArtifactCache` (so do Fig. 5's
+NEGF bias points and the edge-roughness transmission ensembles).
 
 How a run executes — worker count, failure policy, the cache root —
 comes from the :class:`~repro.config.RunConfig` it is handed (see
@@ -24,6 +25,7 @@ from repro.runtime.cache import (
     ArtifactCache,
     canonical_repr,
     content_key,
+    load_or_build,
 )
 from repro.runtime.parallel import (
     parallel_map,
@@ -62,6 +64,7 @@ __all__ = [
     "activate",
     "canonical_repr",
     "content_key",
+    "load_or_build",
     "parallel_map",
     "quarantine",
     "recover_parallel",

@@ -5,7 +5,10 @@ take seconds-to-minutes to build but depend only on (geometry, bias
 grids, mode count, engine version).  This module persists them as
 compressed ``.npz`` payloads keyed by a stable content hash, so a fresh
 process — a new CLI invocation, a test run, a benchmark worker — reuses
-tables computed by any earlier one.
+tables computed by any earlier one.  Three producers share the store
+through :func:`load_or_build`, one namespace each: the device tables
+(``tables``), Fig. 5's NEGF+Poisson bias points (``negf``) and the
+edge-roughness transmission ensembles (``roughness``).
 
 Layout and protocol
 -------------------
@@ -20,7 +23,10 @@ Layout and protocol
 * Keys hash a canonical string form of the inputs: dataclasses are
   flattened field-by-field (sorted), floats go through ``repr`` (full
   precision), arrays through their dtype/shape/bytes.  Any change to
-  geometry, grids, mode count or the engine version tag changes the key.
+  an artifact's inputs (a table's geometry, grids, mode count or engine
+  version tag) changes its key.
+* A corrupt or truncated payload reads as a miss, and the rebuilt
+  artifact replaces it.
 * Invalidation is by construction: nothing is ever mutated in place.
   Bump the relevant ``*_VERSION`` tag when an engine's physics changes
   so stale artifacts are orphaned rather than reused.  ``repro cache
@@ -33,8 +39,10 @@ import dataclasses
 import hashlib
 import os
 import tempfile
+import zipfile
+import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -55,6 +63,8 @@ from repro.config import RunConfig
 #: n-branch twins' integrals (move by up to 2.6e-12 relative; midgaps,
 #: charges and n-branch currents are bitwise).
 TABLE_ENGINE_VERSION = "sbfet-v5"
+
+T = TypeVar("T")
 
 
 def canonical_repr(value: Any) -> str:
@@ -133,21 +143,23 @@ class ArtifactCache:
         if not self.enabled:
             return None
         path = self.path_for(key)
-        if not path.is_file():
-            if obs.ACTIVE:
-                obs.incr("cache.artifact_misses")
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                payload = {name: data[name] for name in data.files}
-        except (OSError, ValueError, KeyError):
-            # Torn or foreign file: treat as a miss; the rebuilt artifact
-            # will atomically replace it.
-            if obs.ACTIVE:
-                obs.incr("cache.artifact_misses")
-            return None
+        payload = None
+        if path.is_file():
+            try:
+                with np.load(path, allow_pickle=False) as data:
+                    payload = {name: data[name] for name in data.files}
+            except (OSError, ValueError, KeyError, EOFError,
+                    zipfile.BadZipFile, zlib.error):
+                # Torn or foreign file: a miss, and the rebuilt artifact
+                # atomically replaces it.  A truncated zip raises
+                # BadZipFile, an empty file EOFError, a bit-flipped
+                # member zlib.error, and bytes that are no zip at all
+                # ValueError (np.load refuses them as a pickle).
+                pass
         if obs.ACTIVE:
-            obs.incr("cache.artifact_hits")
+            outcome = "misses" if payload is None else "hits"
+            obs.incr(f"cache.artifact_{outcome}")
+            obs.incr(f"cache.{self.namespace}.{outcome}")
         return payload
 
     def put(self, key: str, **arrays: np.ndarray) -> Path | None:
@@ -169,6 +181,7 @@ class ArtifactCache:
             raise
         if obs.ACTIVE:
             obs.incr("cache.artifact_writes")
+            obs.incr(f"cache.{self.namespace}.writes")
         return final
 
     def keys(self) -> list[str]:
@@ -193,4 +206,42 @@ class ArtifactCache:
             for p in list(self.directory.glob("*.tmp")):
                 p.unlink(missing_ok=True)
         return removed
+
+
+def cache_namespaces(root: Path) -> list[str]:
+    """Names of the namespaces present under a cache root, sorted."""
+    root = Path(root)
+    if not root.is_dir():
+        return []
+    return sorted(p.name for p in root.iterdir() if p.is_dir())
+
+
+def load_or_build(
+    store: ArtifactCache,
+    key: str,
+    decode: Callable[[dict[str, np.ndarray]], T],
+    build: Callable[[], T],
+    encode: Callable[[T], dict[str, np.ndarray] | None],
+) -> T:
+    """The artifact under ``key`` in ``store``, built on a miss.
+
+    A stored payload is turned back into a value by ``decode``; one that
+    fails to decode (``KeyError`` / ``ValueError``: a member missing or
+    malformed) counts as a miss.  On a miss ``build()`` computes the
+    value, and ``encode`` gives the arrays to persist under ``key``, or
+    None for a value that must not outlive this process (a table with
+    quarantined cells, an unconverged solve), which is then not written.
+    A disabled store never reads or writes, so every call builds.
+    """
+    payload = store.get(key)
+    if payload is not None:
+        try:
+            return decode(payload)
+        except (KeyError, ValueError):
+            pass  # foreign or stale layout: rebuild and replace it
+    value = build()
+    arrays = encode(value)
+    if arrays is not None:
+        store.put(key, **arrays)
+    return value
 

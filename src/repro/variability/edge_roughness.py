@@ -17,6 +17,12 @@ space does not apply).  Two statistics are produced:
   closer to the edges), compounding the paper's width-variability story;
 * transmission vs channel length at fixed roughness — the exponential
   decay whose length is the roughness-limited localization length.
+
+An ensemble's transmissions are a pure function of the rough on-site
+arrays it draws, so they persist in the ``roughness`` namespace of the
+artifact cache (:func:`roughness_cache_key`); the edges themselves are
+always drawn, so the caller's generator advances alike on a hit and a
+miss.
 """
 
 from __future__ import annotations
@@ -27,10 +33,16 @@ import numpy as np
 
 from repro.atomistic.bandstructure import band_gap_ev
 from repro.atomistic.lattice import ArmchairGNR
+from repro.config import RunConfig
+from repro.device.engines import engine_version
 from repro.device.negf_realspace import (
     RealSpaceGNRDevice,
     rough_edge_onsite,
 )
+from repro.runtime.cache import ArtifactCache, content_key, load_or_build
+
+#: Namespace of persisted roughness transmissions under the cache root.
+ROUGHNESS_CACHE_NAMESPACE = "roughness"
 
 
 @dataclass
@@ -59,6 +71,41 @@ def _probe_energy_ev(n_index: int) -> float:
     return float(0.5 * (edges[0] + min(edges[1], edges[0] + 0.4)))
 
 
+def roughness_cache_key(n_index: int, n_cells: int, energy_ev: float,
+                        onsite_ev: np.ndarray,
+                        version: str | None = None) -> str:
+    """Stable content hash of one ensemble's transmissions on disk.
+
+    Hashes exactly what the real-space RGF reads: the ribbon, its
+    length, the probe energy and the stacked per-sample on-site arrays
+    (``(n_samples, n_atoms)``), under the ``realspace`` engine's
+    version tag (``version`` overrides it).  How the edges were drawn
+    (probability, seed, generator) is not an input: the arrays are.
+    """
+    if version is None:
+        version = engine_version("realspace")
+    return content_key("roughness-transmission", version, n_index, n_cells,
+                       float(energy_ev), np.asarray(onsite_ev, dtype=float))
+
+
+def _ensemble_transmissions(n_index: int, n_cells: int, energy_ev: float,
+                            onsite_ev: np.ndarray) -> np.ndarray:
+    """First-plateau transmission of each rough segment in the stack."""
+    samples = np.empty(len(onsite_ev))
+    # Every sample shares the pristine leads, which do not depend on the
+    # segment, so their self-energies at the probe energy are decimated
+    # once for the whole ensemble (on a one-cell device).
+    self_energies = RealSpaceGNRDevice(n_index, 1).lead_self_energies(
+        energy_ev)
+    for s, onsite in enumerate(onsite_ev):
+        device = RealSpaceGNRDevice(n_index, n_cells, onsite)
+        # Single probe energy per disorder sample: no energy grid to
+        # batch over.
+        samples[s] = device.transmission_at(  # repro: noqa[RPA802]
+            energy_ev, self_energies=self_energies)
+    return samples
+
+
 def roughness_ensemble(
     n_index: int,
     vacancy_probability: float,
@@ -67,12 +114,18 @@ def roughness_ensemble(
     seed: int = 17,
     energy_ev: float | None = None,
     rng: np.random.Generator | None = None,
+    config: RunConfig | None = None,
 ) -> RoughnessStatistics:
     """Ensemble-average first-plateau transmission under edge roughness.
 
     Pass an explicit ``rng`` to control the stream (e.g. from a
     spawned :class:`~numpy.random.SeedSequence`); ``seed`` is only
-    used when ``rng`` is not given.
+    used when ``rng`` is not given.  Every sample's edges are drawn
+    from it first; the transmissions then come from the ``roughness``
+    namespace of the artifact cache when an earlier run computed them
+    for the same on-site arrays.  ``config`` (default
+    :meth:`RunConfig.from_env`) locates the store, and
+    ``use_cache=False`` keeps it out.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -81,21 +134,18 @@ def roughness_ensemble(
     ribbon = ArmchairGNR(n_index, n_cells=n_cells)
     energy = _probe_energy_ev(n_index) if energy_ev is None else energy_ev
 
-    samples = np.empty(n_samples)
+    onsite = np.empty((n_samples, ribbon.n_atoms))
     removed = np.empty(n_samples)
-    # Every sample shares the pristine leads, which do not depend on the
-    # segment, so their self-energies at the probe energy are decimated
-    # once for the whole ensemble (on a one-cell device).
-    self_energies = RealSpaceGNRDevice(n_index, 1).lead_self_energies(energy)
     for s in range(n_samples):
-        onsite, n_removed = rough_edge_onsite(ribbon, vacancy_probability,
-                                              rng)
-        device = RealSpaceGNRDevice(n_index, n_cells, onsite)
-        # Single probe energy per disorder sample: no energy grid to
-        # batch over.
-        samples[s] = device.transmission_at(  # repro: noqa[RPA802]
-            energy, self_energies=self_energies)
-        removed[s] = n_removed
+        onsite[s], removed[s] = rough_edge_onsite(
+            ribbon, vacancy_probability, rng)
+    config = RunConfig.from_env() if config is None else config
+    samples = load_or_build(
+        ArtifactCache.for_config(ROUGHNESS_CACHE_NAMESPACE, config),
+        roughness_cache_key(n_index, n_cells, energy, onsite),
+        lambda payload: payload["samples"],
+        lambda: _ensemble_transmissions(n_index, n_cells, energy, onsite),
+        lambda values: {"samples": values})
     return RoughnessStatistics(
         n_index=n_index, vacancy_probability=vacancy_probability,
         n_cells=n_cells, mean_transmission=float(samples.mean()),
@@ -109,13 +159,20 @@ def roughness_width_study(
     n_cells: int = 24,
     n_samples: int = 10,
     seed: int = 17,
+    config: RunConfig | None = None,
 ) -> dict[tuple[int, float], RoughnessStatistics]:
-    """Grid study: degradation vs (width, roughness probability)."""
+    """Grid study: degradation vs (width, roughness probability).
+
+    ``config`` (default :meth:`RunConfig.from_env`, resolved once) is
+    passed to every ensemble.
+    """
+    config = RunConfig.from_env() if config is None else config
     out = {}
     for n in indices:
         for p in probabilities:
             out[(n, p)] = roughness_ensemble(
-                n, p, n_cells=n_cells, n_samples=n_samples, seed=seed)
+                n, p, n_cells=n_cells, n_samples=n_samples, seed=seed,
+                config=config)
     return out
 
 

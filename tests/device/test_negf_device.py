@@ -5,11 +5,19 @@ production path); the physics checks mirror the paper's Section 2 and
 Fig. 5(a).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
+from repro.device import negf_device
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
-from repro.device.negf_device import NEGFDevice, _scalar_chain_rgf
+from repro.device.negf_device import (
+    NEGFDevice,
+    _scalar_chain_rgf,
+    solve_negf_point,
+)
 from repro.device.sbfet import SBFETModel
 from repro.negf.greens import recursive_greens_function
 from repro.negf.self_energy import lead_self_energy_1d
@@ -148,3 +156,58 @@ class TestEngineCrossValidation:
             i_negf = negf.solve(vg, 0.5).current_a
             i_fast = fast.current_at(vg, 0.5)
             assert 0.1 < i_fast / i_negf < 10.0
+
+
+class TestSolveNEGFPoint:
+    """The cached entry point: a disk hit is a solve, field for field."""
+
+    GEOMETRY = GNRFETGeometry(n_index=12,
+                              impurity=ChargeImpurity(charge_e=-1.0))
+    GRID = dict(n_x=21, n_y=7)
+
+    @staticmethod
+    def _assert_same(a, b):
+        """Every field equal, arrays by value, dtype and shape."""
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert type(x) is type(y), f.name
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            elif dataclasses.is_dataclass(x):
+                TestSolveNEGFPoint._assert_same(x, y)
+            else:
+                assert x == y, f.name
+
+    def test_round_trip_equals_a_solve(self, tmp_path, monkeypatch):
+        config = RunConfig(cache_dir=tmp_path)
+        solved = NEGFDevice(self.GEOMETRY, **self.GRID).solve(0.1, 0.5)
+        assert solved.scf.converged
+        cold = solve_negf_point(self.GEOMETRY, 0.1, 0.5, config=config,
+                                **self.GRID)
+        assert len(list((tmp_path / "negf").glob("*.npz"))) == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached point built a device")
+
+        monkeypatch.setattr(negf_device, "NEGFDevice", refuse)
+        warm = solve_negf_point(self.GEOMETRY, 0.1, 0.5, config=config,
+                                **self.GRID)
+        for result in (cold, warm):
+            self._assert_same(result, solved)
+
+    def test_unconverged_point_is_not_written(self, tmp_path):
+        result = solve_negf_point(self.GEOMETRY, 0.1, 0.5, max_iterations=1,
+                                  config=RunConfig(cache_dir=tmp_path),
+                                  **self.GRID)
+        assert not result.scf.converged
+        assert not (tmp_path / "negf").exists()
+
+    def test_use_cache_false_reads_and_writes_nothing(self, tmp_path):
+        config = RunConfig(cache_dir=tmp_path)
+        solve_negf_point(self.GEOMETRY, 0.1, 0.5, config=config, **self.GRID)
+        (path,) = (tmp_path / "negf").glob("*.npz")
+        path.write_bytes(b"")  # a read would have to rebuild it
+        solve_negf_point(self.GEOMETRY, 0.1, 0.5,
+                         config=RunConfig(cache_dir=tmp_path,
+                                          use_cache=False), **self.GRID)
+        assert path.read_bytes() == b""

@@ -61,6 +61,10 @@ class TestCacheCounters:
         assert counters["cache.artifact_misses"] == 1
         assert counters["cache.artifact_writes"] == 1
         assert counters["cache.artifact_hits"] == 1
+        # The same traffic, counted under the namespace too.
+        assert counters["cache.unit.misses"] == 1
+        assert counters["cache.unit.writes"] == 1
+        assert counters["cache.unit.hits"] == 1
 
     def test_corrupt_file_counts_as_miss(self, tmp_path):
         obs.enable()

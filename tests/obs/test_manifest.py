@@ -51,12 +51,27 @@ class TestRollups:
         assert roll["cache_hit_rate"] is None
         assert roll["transient_steps_total"] == 0
         assert roll["device_bias_points"] == 0
+        assert roll["cache_writes"] == 0
+        assert roll["cache_namespaces"] == {}
 
     def test_no_scheduler_rollups(self):
         roll = obs.compute_rollups({"counters": {}, "histograms": {}})
         assert not [k for k in roll
                     if k.startswith(("scheduler", "lease", "agent"))]
         assert "deadlines_exceeded" not in roll
+
+    def test_cache_traffic_per_namespace(self):
+        roll = obs.compute_rollups({"counters": {
+            "cache.negf.hits": 5, "cache.roughness.misses": 2,
+            "cache.roughness.writes": 2, "cache.artifact_writes": 2,
+            "cache.table_disk_hits": 1}})
+        assert roll["cache_writes"] == 2
+        assert roll["cache_namespaces"] == {
+            "negf": {"hits": 5, "misses": 0, "writes": 0},
+            "roughness": {"hits": 0, "misses": 2, "writes": 2}}
+        text = obs.summarize_text(obs.build_manifest(
+            "namespaces", snapshot={"counters": {"cache.negf.hits": 5}}))
+        assert "    negf" in text and "hits=5 misses=0 writes=0" in text
 
     def test_memory_hits_count_as_cache_hits(self):
         roll = obs.compute_rollups(

@@ -2,19 +2,23 @@
 
 The full experiments are exercised by the benchmark harness; here we
 check registry integrity plus the fast paths of the device-level
-experiments (fig2, fig4, and fig5 where its I-V meets the table cache;
-fig7 is covered through its building blocks elsewhere).
+experiments (fig2, fig4, and fig5 and ext-roughness where they meet the
+artifact cache; fig7 is covered through its building blocks elsewhere).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.config import RunConfig
-from repro.device import iv, tables
+from repro.device import iv, negf_device, negf_realspace, tables
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
+from repro.negf import self_energy
 from repro.reporting.experiments import (
     EXPERIMENTS,
     run_experiment,
+    run_ext_roughness,
     run_fig2,
     run_fig4,
     run_fig5,
@@ -83,9 +87,14 @@ class TestFig4:
 
 
 def _plain(value):
-    """``value`` with every series as lists, so ``==`` compares bits."""
+    """``value`` with every series and array as lists, so ``==``
+    compares values."""
     if isinstance(value, FigureSeries):
         return value.name, value.x.tolist(), value.y.tolist(), value.meta
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _plain(vars(value))
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -119,3 +128,33 @@ def test_fig4_and_fig5_iv_come_from_the_table_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(iv, "SBFETModel", refuse)
     for run, data in cold.items():
         assert _plain(run(fast=True, config=config)[1]) == _plain(data)
+
+
+def test_fig5_and_ext_roughness_warm_runs_do_no_device_physics(
+        tmp_path, monkeypatch):
+    """Warm, fig5's NEGF points and ext-roughness's transmissions come
+    from the artifact cache, `==` to the cold data."""
+    config = RunConfig(cache_dir=tmp_path)
+    monkeypatch.setattr(tables, "_TABLE_CACHE", {})  # this test's own memo
+    runs = (run_fig5, run_ext_roughness)
+    cold = {run: run(fast=True, config=config)[1] for run in runs}
+    assert sorted(p.parent.name for p in tmp_path.glob("*/*.npz")) == \
+        ["negf"] * 5 + ["roughness"] * 2 + ["tables"] * 3
+    tables.clear_table_cache(disk=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run did device physics")
+
+    monkeypatch.setattr(negf_device, "NEGFDevice", refuse)
+    monkeypatch.setattr(negf_realspace, "rgf_transmission", refuse)
+    monkeypatch.setattr(self_energy, "sancho_rubio_surface_gf", refuse)
+    for run, data in cold.items():
+        assert _plain(run(fast=True, config=config)[1]) == _plain(data)
+
+
+def test_no_cache_writes_to_no_namespace(tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "_TABLE_CACHE", {})
+    config = RunConfig(cache_dir=tmp_path, use_cache=False)
+    for run in (run_fig5, run_ext_roughness):
+        run(fast=True, config=config)
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Tests for the content-addressed on-disk artifact cache."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,39 @@ from repro.runtime.cache import (
 
 VG = np.array([0.0, 0.2, 0.4, 0.6])
 VD = np.array([0.0, 0.5])
+
+
+def _truncate(path):
+    """Halve the file: the zip loses its central directory
+    (``zipfile.BadZipFile``)."""
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _empty(path):
+    """A zero-byte file (``EOFError``)."""
+    path.write_bytes(b"")
+
+
+def _flip_member(path):
+    """Set the first member's first deflate block to the reserved block
+    type (``zlib.error``)."""
+    data = bytearray(path.read_bytes())
+    assert data[:4] == b"PK\x03\x04"
+    name_len, extra_len = struct.unpack_from("<HH", data, 26)
+    data[30 + name_len + extra_len] |= 0b110
+    path.write_bytes(bytes(data))
+
+
+def _not_a_zip(path):
+    """Foreign bytes (``np.load`` refuses them as a pickle:
+    ``ValueError``)."""
+    path.write_bytes(b"torn write")
+
+
+#: Ways an artifact on disk can be damaged; each must read as a miss.
+CORRUPTIONS = {"truncated": _truncate, "empty": _empty,
+               "bit-flipped": _flip_member, "not-a-zip": _not_a_zip}
 
 
 class TestCanonicalRepr:
@@ -68,10 +102,12 @@ class TestArtifactCache:
         assert list(store.directory.glob("*.tmp")) == []
         assert [p.name for p in store.directory.glob("*.npz")] == ["k1.npz"]
 
-    def test_corrupt_file_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(),
+                             ids=CORRUPTIONS.keys())
+    def test_corrupt_file_is_a_miss(self, tmp_path, corrupt):
         store = ArtifactCache("tables", root=tmp_path)
-        store.directory.mkdir(parents=True)
-        store.path_for("bad").write_bytes(b"not an npz payload")
+        store.put("bad", x=np.linspace(0.0, 1.0, 50), y=np.eye(4))
+        corrupt(store.path_for("bad"))
         assert store.get("bad") is None
 
     def test_disabled_by_env(self, tmp_path, monkeypatch):
@@ -171,16 +207,21 @@ class TestDeviceTablePersistence:
                            config=RunConfig(use_cache=False))
         assert not (_isolated_cache / "tables").exists()
 
-    def test_corrupt_artifact_rebuilt(self, _isolated_cache):
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(),
+                             ids=CORRUPTIONS.keys())
+    def test_corrupt_artifact_rebuilt(self, _isolated_cache, corrupt):
         geom = GNRFETGeometry()
         built = build_device_table(geom, VG, VD)
         clear_table_cache()
         key = table_cache_key(geom, VG, VD, None)
         path = _isolated_cache / "tables" / f"{key}.npz"
         assert path.is_file()
-        path.write_bytes(b"torn write")
+        corrupt(path)
         rebuilt = build_device_table(geom, VG, VD)
         assert np.array_equal(built.current_a, rebuilt.current_a)
+        clear_table_cache()  # the replaced artifact reads back whole
+        assert np.array_equal(build_device_table(geom, VG, VD).current_a,
+                              built.current_a)
 
     def test_clear_table_cache_disk(self, _isolated_cache):
         build_device_table(GNRFETGeometry(), VG, VD)
