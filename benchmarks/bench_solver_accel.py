@@ -1,22 +1,9 @@
 """Solver acceleration layer: the hot-path wins, measured.
 
-The acceleration work has eight legs, each with a quantitative
+The acceleration work has six legs, each with a quantitative
 acceptance target measured here and persisted to ``BENCH_solvers.json``
 at the repository root:
 
-* **Energy-batched real-space transport** — stacked Sancho-Rubio + RGF
-  kernels carry all energies per LAPACK call.  Target: >= 5x over the
-  per-energy loop at 12 and at 64 energies on the edge-roughness
-  ensemble workload shape (N = 7 ribbon, 80 cells), with parity to
-  1e-10.  (On wide ribbons the stacked calls amortize less — see
-  docs/performance.md for the block-size dependence.)
-* **Mode-space engine** — the coupled mode-space reduction of
-  :class:`repro.device.negf_modespace.ModeSpaceGNRDevice` shrinks every
-  RGF block from ``2N`` to the retained mode count.  Target: >= 5x over
-  the real-space engine at matched accuracy (max |dT| <= 0.05 and
-  relative dI <= 0.05 over the transport window) on the paper-scale
-  N = 12 barrier device, with the full n_modes/accuracy trade-off curve
-  recorded.
 * **Semianalytic WKB kernel** — ``SBFETModel.transmission`` shares one
   ``(E - u)**2`` across modes, reduces each mode's gap integral with a
   single matvec and reads the band masks off a sorted-profile CDF.
@@ -130,8 +117,6 @@ from repro.constants import KT_ROOM_EV, LANDAUER_PREFACTOR_A_PER_EV, fermi_dirac
 from repro.device import negf_device, sbfet
 from repro.device.geometry import ChargeImpurity, GNRFETGeometry
 from repro.device.iv import sweep_iv
-from repro.device.negf_modespace import ModeSpaceGNRDevice
-from repro.device.negf_realspace import RealSpaceGNRDevice
 from repro.device.sbfet import SBFETModel
 from repro.device.tables import DEFAULT_VD_GRID, DEFAULT_VG_GRID
 from repro.negf.energy_grid import adaptive_energy_grid, uniform_energy_grid
@@ -145,15 +130,6 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_solvers.json"
 
 # Workload sizes (full / smoke).
-TRANSPORT_N_INDEX = 7
-TRANSPORT_CELLS = 16 if SMOKE else 80
-TRANSPORT_GRIDS = (12,) if SMOKE else (12, 64)
-TRANSPORT_REPEATS = 1 if SMOKE else 5
-MODESPACE_N_INDEX = 12
-MODESPACE_CELLS = 12 if SMOKE else 36
-MODESPACE_ENERGIES = 21 if SMOKE else 61
-MODESPACE_REPEATS = 1 if SMOKE else 3
-MODESPACE_SWEEP = (4,) if SMOKE else (2, 4, 6, None)
 WKB_VG_GRID = DEFAULT_VG_GRID[::6] if SMOKE else DEFAULT_VG_GRID
 WKB_VD_GRID = DEFAULT_VD_GRID[::3] if SMOKE else DEFAULT_VD_GRID
 WKB_REPEATS = 1 if SMOKE else 3
@@ -174,7 +150,7 @@ NEGF_ENSEMBLE = (12, 0.05, 12, 4) if SMOKE else (12, 0.05, 24, 10)
 NEGF_REPEATS = 3 if SMOKE else 10
 NEGF_PASS_REPEATS = 1 if SMOKE else 3
 
-SCHEMA = "repro-bench-solvers/11"
+SCHEMA = "repro-bench-solvers/12"
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 ORACLE_PATH = TESTS_DIR / "device" / "wkb_reference.py"
 BISECTION_ORACLE_PATH = TESTS_DIR / "device" / "bisection_reference.py"
@@ -199,92 +175,6 @@ def _write_legs(legs: dict) -> None:
     payload.update(legs)
     payload["schema"] = SCHEMA
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _bench_batched_transport() -> dict:
-    device = RealSpaceGNRDevice(TRANSPORT_N_INDEX, TRANSPORT_CELLS)
-    grids = {}
-    for n_energy in TRANSPORT_GRIDS:
-        energies = np.linspace(-1.0, 1.0, n_energy)
-        looped = device.transport(energies, batched=False)
-        batched = device.transport(energies, batched=True)
-        parity = float(np.max(np.abs(looped.transmission
-                                     - batched.transmission)))
-        best_loop = best_batch = np.inf
-        for _ in range(TRANSPORT_REPEATS):
-            start = time.perf_counter()
-            device.transport(energies, batched=False)
-            best_loop = min(best_loop, time.perf_counter() - start)
-            start = time.perf_counter()
-            device.transport(energies, batched=True)
-            best_batch = min(best_batch, time.perf_counter() - start)
-        grids[str(n_energy)] = {
-            "looped_ms": best_loop * 1e3,
-            "batched_ms": best_batch * 1e3,
-            "speedup": best_loop / best_batch,
-            "max_abs_dT": parity,
-        }
-    return {
-        "n_index": TRANSPORT_N_INDEX,
-        "n_cells": TRANSPORT_CELLS,
-        "energy_grids": grids,
-    }
-
-
-def _bench_modespace_engine() -> dict:
-    """Mode-space vs real-space engine on a paper-scale barrier device.
-
-    The workload is the 15 nm channel shape: an N = 12 ribbon with a
-    smooth 0.35 eV barrier over the middle third, swept over the
-    transport window.  Current parity integrates the transmission
-    between source/drain windows at V_D = 0.5 V.
-    """
-    n_cells = MODESPACE_CELLS
-    cells = np.arange(n_cells)
-    profile = 0.35 * np.exp(-(((cells + 0.5) / n_cells - 0.5) / 0.18) ** 2)
-    energies = np.linspace(-1.0, 1.0, MODESPACE_ENERGIES)
-    mu_source, mu_drain = 0.0, -0.5
-
-    realspace = RealSpaceGNRDevice(
-        MODESPACE_N_INDEX, n_cells,
-        onsite_ev=np.repeat(profile, 2 * MODESPACE_N_INDEX))
-    ref = realspace.transport(energies)
-    i_ref = ref.current_a(mu_source, mu_drain)
-    best_ref = np.inf
-    for _ in range(MODESPACE_REPEATS):
-        start = time.perf_counter()
-        realspace.transport(energies)
-        best_ref = min(best_ref, time.perf_counter() - start)
-
-    sweep = {}
-    for n_modes in MODESPACE_SWEEP:
-        device = ModeSpaceGNRDevice(MODESPACE_N_INDEX, n_cells,
-                                    onsite_ev=profile, n_modes=n_modes)
-        result = device.transport(energies)
-        best = np.inf
-        for _ in range(MODESPACE_REPEATS):
-            start = time.perf_counter()
-            device.transport(energies)
-            best = min(best, time.perf_counter() - start)
-        i_ms = result.current_a(mu_source, mu_drain)
-        sweep[str(n_modes)] = {
-            "n_retained": device.n_retained,
-            "realspace_ms": best_ref * 1e3,
-            "modespace_ms": best * 1e3,
-            "speedup": best_ref / best,
-            "max_abs_dT": float(np.max(np.abs(ref.transmission
-                                              - result.transmission))),
-            "rel_dI": abs(i_ms - i_ref) / abs(i_ref),
-        }
-    return {
-        "n_index": MODESPACE_N_INDEX,
-        "n_cells": n_cells,
-        "n_energies": MODESPACE_ENERGIES,
-        "n_orbitals": 2 * MODESPACE_N_INDEX,
-        "barrier_ev": 0.35,
-        "tolerance": {"max_abs_dT": 0.05, "rel_dI": 0.05},
-        "n_modes_sweep": sweep,
-    }
 
 
 def _load_wkb_oracle():
@@ -356,35 +246,18 @@ def _bench_wkb_kernel() -> dict:
 
 
 def test_solver_acceleration(save_report):
-    transport = _bench_batched_transport()
-    modespace = _bench_modespace_engine()
     wkb = _bench_wkb_kernel()
 
-    rows = []
-    for n_energy, g in transport["energy_grids"].items():
-        rows.append(
-            [f"batched transport (N={transport['n_index']}, "
-             f"{transport['n_cells']} cells, {n_energy} E)",
-             f"{g['looped_ms']:.1f} ms",
-             f"{g['batched_ms']:.1f} ms",
-             f"{g['speedup']:.2f}x"])
-    for n_modes, g in modespace["n_modes_sweep"].items():
-        rows.append(
-            [f"modespace engine (N={modespace['n_index']}, "
-             f"n_modes={n_modes}, m={g['n_retained']})",
-             f"{g['realspace_ms']:.1f} ms",
-             f"{g['modespace_ms']:.1f} ms",
-             f"{g['speedup']:.2f}x (dT {g['max_abs_dT']:.1e})"])
-    rows.append(
+    rows = [
         [f"WKB kernel (N={wkb['n_index']} table, {wkb['calls']} calls)",
          f"{wkb['oracle_ms_per_call']:.2f} ms/call",
          f"{wkb['kernel_ms_per_call']:.2f} ms/call",
-         f"{wkb['speedup']:.2f}x (rel dT {wkb['max_rel_dT']:.1e})"])
-    rows.append(
+         f"{wkb['speedup']:.2f}x (rel dT {wkb['max_rel_dT']:.1e})"],
         [f"WKB table sweep ({wkb['grid'][0]}x{wkb['grid'][1]})",
          f"{wkb['sweep_oracle_s']:.2f} s",
          f"{wkb['sweep_kernel_s']:.2f} s",
-         f"{wkb['sweep_speedup']:.2f}x"])
+         f"{wkb['sweep_speedup']:.2f}x"],
+    ]
     report = format_table(
         ["path", "before", "after", "gain"], rows,
         title="Solver acceleration layer (best of repeated runs)")
@@ -392,38 +265,16 @@ def test_solver_acceleration(save_report):
     print(report)
 
     # Physics parity first: acceleration is worthless if answers moved.
-    for g in transport["energy_grids"].values():
-        assert g["max_abs_dT"] < 1e-10
-    # Full rank must reproduce real space to round-off; the truncated
-    # points must stay inside the documented accuracy contract.
-    tol = modespace["tolerance"]
-    for n_modes, g in modespace["n_modes_sweep"].items():
-        if n_modes == "None":
-            assert g["max_abs_dT"] < 1e-6
-        if n_modes in ("4", "6", "None"):
-            assert g["max_abs_dT"] <= tol["max_abs_dT"]
-            assert g["rel_dI"] <= tol["rel_dI"]
     assert wkb["max_rel_dT"] <= 1e-12
 
     if SMOKE:
         # Sanity bounds only: smoke runners are slow and shared.
-        for g in transport["energy_grids"].values():
-            assert g["speedup"] > 1.5
-        assert modespace["n_modes_sweep"]["4"]["speedup"] > 1.5
         assert wkb["speedup"] > 1.5
         return
 
-    for g in transport["energy_grids"].values():
-        assert g["speedup"] >= 5.0
-    # The headline claim: >= 5x over real space at matched accuracy.
-    assert modespace["n_modes_sweep"]["4"]["speedup"] >= 5.0
     assert wkb["speedup"] >= 4.0
 
-    _write_legs({
-        "batched_transport": transport,
-        "modespace_engine": modespace,
-        "wkb_kernel": wkb,
-    })
+    _write_legs({"wkb_kernel": wkb})
 
 
 GRID_TABLES = {

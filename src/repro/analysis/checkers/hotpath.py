@@ -10,12 +10,11 @@ batched-kernel speedups the benchmarks pin:
   (the pattern ``if obs.ACTIVE: obs.incr(...)``; see
   ``benchmarks/bench_obs_overhead.py``).
 * ``RPA802`` — a Python-level per-energy loop (or comprehension) over
-  a scalar transport kernel where an energy-batched kernel exists:
-  ``sancho_rubio_surface_gf_batched`` / ``rgf_transmission_batched``
-  replace per-energy ``sancho_rubio_surface_gf`` / ``.transport_at``
-  calls with stacked LAPACK operations.  Calls to a scalar kernel
-  from its *own* defining module are exempt (the batched kernels and
-  retry ladders legitimately wrap their scalar forms).
+  a scalar RGF kernel: ``rgf_transmission_batched`` replaces per-energy
+  ``recursive_greens_function`` / ``rgf_transmission`` calls with
+  stacked LAPACK operations.  Calls to a scalar kernel from its *own*
+  defining module are exempt (a batched kernel may legitimately wrap
+  its scalar form).
 * ``RPA803`` — array allocation (``np.zeros``/``empty``/``eye``/
   ``stacked_identity``/...) inside the iteration loop of a
   ``*_batched`` kernel: decimation loops run tens of times per call;
@@ -35,15 +34,8 @@ _OBS_RECORDS = frozenset({"incr", "gauge", "observe", "record_failure"})
 
 #: Scalar kernels with an energy-batched counterpart.
 _SCALAR_KERNELS = {
-    "sancho_rubio_surface_gf": "sancho_rubio_surface_gf_batched",
-    "resilient_surface_gf": "resilient_surface_gf_batched",
     "recursive_greens_function": "rgf_transmission_batched",
     "rgf_transmission": "rgf_transmission_batched",
-}
-
-#: Per-point evaluation methods with a batched counterpart.
-_SCALAR_METHODS = {
-    "transmission_at": "transport",
 }
 
 _ALLOCATORS = frozenset({
@@ -234,15 +226,6 @@ class HotPathChecker(Checker):
                 f"per-energy loop over scalar kernel '{tail}'; use "
                 f"'{_SCALAR_KERNELS[tail]}' on the full energy grid "
                 "instead",
-                symbol=dotted))
-        elif isinstance(call.func, ast.Attribute) and \
-                call.func.attr in _SCALAR_METHODS:
-            method = call.func.attr
-            findings.append(self.finding(
-                module, call, "RPA802",
-                f"per-energy loop over '.{method}()'; use "
-                f"'.{_SCALAR_METHODS[method]}()' on the full energy "
-                "grid instead",
                 symbol=dotted))
 
 

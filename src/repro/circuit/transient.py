@@ -55,16 +55,6 @@ class TransientResult:
             return np.zeros_like(self.time_s)
         return self.voltages[:, idx]
 
-    def supply_energy_j(self, node: int | str) -> float:
-        """Energy delivered by the source at ``node`` over the whole run."""
-        idx = self.circuit.node(node) if isinstance(node, str) else node
-        if idx not in self.supply_currents:
-            raise KeyError(f"node {idx} was not monitored; pass it in "
-                           "monitor_supplies when simulating")
-        volt = self.v(idx)
-        return float(np.trapezoid(self.supply_currents[idx] * volt,
-                                  self.time_s))
-
 
 def simulate_transient(
     circuit: Circuit,

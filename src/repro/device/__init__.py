@@ -9,16 +9,21 @@ with ``engine=`` (see :mod:`repro.device.engines`):
   self-consistent top-of-barrier electrostatics).  This is the default
   production path for populating circuit lookup tables.
 * :mod:`repro.device.negf_modespace` — coupled mode-space NEGF: the
-  atomistic Hamiltonian projected onto the lowest transverse subbands,
-  run through the energy-batched Sancho-Rubio/RGF kernels on reduced
-  blocks (engine name ``modespace``).
+  atomistic Hamiltonian projected onto the lowest transverse subbands
+  (engine name ``modespace``).
 * :mod:`repro.device.negf_realspace` — full atomistic p_z NEGF transport
   (engine name ``realspace``), the slow reference, and the only engine
-  for transversely non-uniform disorder (edge roughness).
+  for transversely non-uniform disorder (edge roughness, which closes
+  the segment with semi-infinite GNR leads, one energy at a time).
 * :mod:`repro.device.negf_device` — the reference self-consistent
   NEGF + Poisson simulator (mode-space RGF transport on a 2-D electrostatic
   cross-section), used for physics validation and the impurity band-profile
   study (paper Fig. 5a).
+
+The two atomistic engines run through
+:class:`~repro.device.engines.AtomisticTransport`, which closes either
+device's blocks with wide-band metal contacts and solves every energy in
+one batched RGF pass.
 
 All engines share the same atomistic band-structure inputs and the same
 :class:`~repro.device.geometry.GNRFETGeometry` specification.
@@ -44,7 +49,6 @@ from repro.device.negf_device import (
 from repro.device.negf_modespace import ModeSpaceGNRDevice, reduced_lead_blocks
 from repro.device.negf_realspace import (
     RealSpaceGNRDevice,
-    RealSpaceTransport,
     ideal_transmission_staircase,
     longitudinal_onsite,
     rough_edge_onsite,
@@ -56,7 +60,6 @@ __all__ = [
     "ENGINES",
     "ModeSpaceGNRDevice",
     "RealSpaceGNRDevice",
-    "RealSpaceTransport",
     "engine_version",
     "ideal_transmission_staircase",
     "longitudinal_onsite",

@@ -8,12 +8,18 @@ SBFETModel` — the production engine that populates the circuit tables.
 ``modespace``
     Coupled mode-space NEGF (:class:`~repro.device.negf_modespace.\
 ModeSpaceGNRDevice`): the real-space Hamiltonian projected onto the
-    lowest transverse subbands, run through the energy-batched
-    Sancho-Rubio/RGF kernels on reduced blocks.
+    lowest transverse subbands.  Exact at full rank; truncation drops
+    the coupling that edge-bond relaxation adds, so at ``n_modes=4`` a
+    36-cell N = 12 barrier device's transmission is off by up to 0.41
+    and its current by 9.5% (``docs/performance.md``).
 ``realspace``
     Full atomistic p_z NEGF (:class:`~repro.device.negf_realspace.\
 RealSpaceGNRDevice`): the slow reference the other two are validated
     against.
+
+Both atomistic engines run through :class:`AtomisticTransport`: the
+device's blocks, closed by wide-band metal contacts, in one
+energy-batched RGF pass.
 
 Every engine shares the same electrostatics (bisection over the density
 LUT); only ``transmission(E, profile)`` swaps.  The engine choice is

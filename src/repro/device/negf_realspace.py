@@ -21,6 +21,11 @@ Two uses:
   real-space basis.  :func:`rough_edge_onsite` implements vacancy-style
   edge roughness via the standard large-on-site-energy device.
 
+The ``realspace`` transport engine reads only the device's ``diagonal``
+and ``coupling`` blocks and closes them with wide-band metal contacts
+(:class:`~repro.device.engines.AtomisticTransport`); the GNR leads here
+serve the two uses above, one energy at a time.
+
 Cost: O(n_cells) inversions of (2N x 2N) blocks per energy — fine for the
 15 nm / N<=18 devices studied here, which is exactly the "routine device
 simulation ... on a personal computer" regime the paper describes.
@@ -28,27 +33,18 @@ simulation ... on a personal computer" regime the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.constants import (
-    EDGE_RELAXATION,
-    KT_ROOM_EV,
-    LANDAUER_PREFACTOR_A_PER_EV,
-    T_HOPPING_EV,
-    fermi_dirac,
-)
+from repro.constants import EDGE_RELAXATION, T_HOPPING_EV
 from repro.atomistic.hamiltonian import (
     block_tridiagonal_blocks,
     build_unit_cell_hamiltonian,
 )
 from repro.atomistic.lattice import ArmchairGNR
 from repro.errors import InvalidDeviceError
-from repro.negf.greens import rgf_transmission, rgf_transmission_batched
+from repro.negf.greens import rgf_transmission
 from repro.negf.self_energy import (
     resilient_surface_gf,
-    resilient_surface_gf_batched,
     self_energy_from_surface_gf,
 )
 
@@ -56,31 +52,6 @@ from repro.negf.self_energy import (
 #: The standard vacancy treatment: a site energy far outside the band
 #: (|E| >> 3t) decouples the atom without changing the matrix size.
 VACANCY_ONSITE_EV = 1e3
-
-
-@dataclass
-class RealSpaceTransport:
-    """Transmission (and optionally current) of one device configuration.
-
-    Attributes
-    ----------
-    energies_ev:
-        Energy grid (midgap of the leads at 0).
-    transmission:
-        Landauer transmission summed over all transverse channels.
-    """
-
-    energies_ev: np.ndarray
-    transmission: np.ndarray
-
-    def current_a(self, mu_source_ev: float, mu_drain_ev: float,
-                  kt_ev: float = KT_ROOM_EV) -> float:
-        """Spin-degenerate Landauer current over the stored grid."""
-        f_s = fermi_dirac(self.energies_ev, mu_source_ev, kt_ev)
-        f_d = fermi_dirac(self.energies_ev, mu_drain_ev, kt_ev)
-        return LANDAUER_PREFACTOR_A_PER_EV * float(
-            np.trapezoid(self.transmission * (f_s - f_d),
-                         self.energies_ev))
 
 
 class RealSpaceGNRDevice:
@@ -95,35 +66,21 @@ class RealSpaceGNRDevice:
     onsite_ev:
         Per-atom on-site energies (potential profile, impurities, edge
         vacancies), length ``2 * n_index * n_cells``; scalar broadcast.
-    lead_onsite_ev:
-        Rigid potential shifts ``(source, drain)`` applied to the two
-        semi-infinite leads (e.g. the endpoints of a device profile);
-        the default ``(0, 0)`` leaves the legacy midgap-at-zero leads
-        bitwise unchanged.
     """
 
     def __init__(self, n_index: int, n_cells: int,
                  onsite_ev: np.ndarray | float = 0.0,
                  hopping_ev: float = T_HOPPING_EV,
-                 edge_relaxation: float = EDGE_RELAXATION,
-                 lead_onsite_ev: tuple[float, float] = (0.0, 0.0)):
+                 edge_relaxation: float = EDGE_RELAXATION):
         if n_cells < 1:
             raise InvalidDeviceError("device needs at least one cell")
         self.ribbon = ArmchairGNR(n_index, n_cells=n_cells)
         self.hopping_ev = hopping_ev
         self.edge_relaxation = edge_relaxation
-        self.lead_onsite_ev = (float(lead_onsite_ev[0]),
-                               float(lead_onsite_ev[1]))
         self.diagonal, self.coupling = block_tridiagonal_blocks(
             self.ribbon, onsite_ev, hopping_ev, edge_relaxation)
         self._h00, self._h01 = build_unit_cell_hamiltonian(
             ArmchairGNR(n_index), hopping_ev, edge_relaxation)
-
-    def _lead_h00(self, side: int) -> np.ndarray:
-        shift = self.lead_onsite_ev[side]
-        if shift:
-            return self._h00 + shift * np.eye(self._h00.shape[0])
-        return self._h00
 
     # ------------------------------------------------------------------ #
     def lead_self_energies(self, energy_ev: float, eta_ev: float = 1e-6
@@ -137,11 +94,11 @@ class RealSpaceGNRDevice:
         rung runs the exact legacy settings, so a converging decimation
         is bitwise-unchanged).
         """
-        g_left = resilient_surface_gf(energy_ev, self._lead_h00(0),
-                                      self._h01.T, eta_ev)
+        g_left = resilient_surface_gf(energy_ev, self._h00, self._h01.T,
+                                      eta_ev)
         sigma_l = self_energy_from_surface_gf(g_left, self._h01.T)
-        g_right = resilient_surface_gf(energy_ev, self._lead_h00(1),
-                                       self._h01, eta_ev)
+        g_right = resilient_surface_gf(energy_ev, self._h00, self._h01,
+                                       eta_ev)
         sigma_r = self_energy_from_surface_gf(g_right, self._h01)
         return sigma_l, sigma_r
 
@@ -154,8 +111,8 @@ class RealSpaceGNRDevice:
         ``self_energies`` is ``lead_self_energies(energy_ev, eta_ev)``
         computed earlier, for callers that probe many devices with the
         same leads at the same energy (a disorder ensemble); the leads
-        depend only on the ribbon index, the lead shifts, the energy and
-        ``eta_ev``, not on the device segment.
+        depend only on the ribbon index, the energy and ``eta_ev``, not
+        on the device segment.
         """
         if self_energies is None:
             self_energies = self.lead_self_energies(energy_ev, eta_ev)
@@ -164,52 +121,6 @@ class RealSpaceGNRDevice:
             energy_ev, self.diagonal, self.coupling, sigma_l, sigma_r,
             eta_ev)
         return max(transmission, 0.0)
-
-    def lead_self_energies_batched(
-            self, energies_ev: np.ndarray, eta_ev: float = 1e-6
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(Sigma_L, Sigma_R)``, shape ``(n_energy, b, b)``.
-
-        Energy-batched counterpart of :meth:`lead_self_energies`: the
-        Sancho-Rubio decimation runs once per lead with every energy
-        carried in the stacked iteration.
-        """
-        energies_ev = np.asarray(energies_ev, dtype=float)
-        g_left = resilient_surface_gf_batched(
-            energies_ev, self._lead_h00(0), self._h01.T, eta_ev)
-        sigma_l = self_energy_from_surface_gf(g_left, self._h01.T)
-        g_right = resilient_surface_gf_batched(
-            energies_ev, self._lead_h00(1), self._h01, eta_ev)
-        sigma_r = self_energy_from_surface_gf(g_right, self._h01)
-        return sigma_l, sigma_r
-
-    def transport(self, energies_ev: np.ndarray,
-                  eta_ev: float = 1e-6,
-                  batched: bool = True) -> RealSpaceTransport:
-        """Transmission over an energy grid.
-
-        By default every energy is carried simultaneously through the
-        stacked Sancho-Rubio + RGF kernels (identical output to the
-        per-energy loop to numerical round-off).  ``batched=False``
-        forces the legacy per-energy loop — the reference path the
-        batched kernels are validated against in the test suite.
-        """
-        energies_ev = np.asarray(energies_ev, dtype=float)
-        if not batched or energies_ev.size == 0:
-            # Legacy reference path the batched kernels are validated
-            # against; kept per-energy by design.
-            trans = np.array([self.transmission_at(float(e), eta_ev)  # repro: noqa[RPA802]
-                              for e in energies_ev])
-            return RealSpaceTransport(energies_ev=energies_ev,
-                                      transmission=trans)
-        sigma_l, sigma_r = self.lead_self_energies_batched(
-            energies_ev, eta_ev)
-        trans = rgf_transmission_batched(
-            energies_ev, self.diagonal, self.coupling, sigma_l, sigma_r,
-            eta_ev)
-        # Same clamp as transmission_at: tiny negative round-off -> 0.
-        return RealSpaceTransport(energies_ev=energies_ev,
-                                  transmission=np.maximum(trans, 0.0))
 
 
 def longitudinal_onsite(ribbon: ArmchairGNR,

@@ -10,18 +10,20 @@ densities over these kernels.
 The kernels are basis-agnostic: they operate on (block-)tridiagonal
 Hamiltonians, so the same code serves the full real-space p_z basis (small
 ribbons, used in tests) and the per-subband mode-space chains used by the
-production device simulator.
+production device simulator.  Each transport job takes one path through
+them: semi-infinite GNR leads decimated per energy by Sancho-Rubio with
+the transmission-only RGF (edge-roughness ensembles), wide-band metal
+contacts with the energy-batched RGF (the atomistic ``engine=`` choices),
+and analytic 1-D leads on the Fig. 5 device's mode-space chains.
 """
 
 from repro.negf.energy_grid import adaptive_energy_grid, uniform_energy_grid
 from repro.negf.self_energy import (
     lead_self_energy_1d,
     resilient_surface_gf,
-    resilient_surface_gf_batched,
     sancho_rubio_surface_gf,
     self_energy_from_surface_gf,
     wide_band_self_energy,
-    broadening_from_self_energy,
 )
 from repro.negf.greens import RGFResult, recursive_greens_function
 from repro.negf.mixing import LinearMixer, AndersonMixer
@@ -37,11 +39,9 @@ __all__ = [
     "uniform_energy_grid",
     "lead_self_energy_1d",
     "resilient_surface_gf",
-    "resilient_surface_gf_batched",
     "sancho_rubio_surface_gf",
     "self_energy_from_surface_gf",
     "wide_band_self_energy",
-    "broadening_from_self_energy",
     "RGFResult",
     "recursive_greens_function",
     "LinearMixer",

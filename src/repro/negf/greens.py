@@ -38,9 +38,7 @@ from repro import obs, sanitize
 def stacked_identity(n_batch: int, n: int) -> np.ndarray:
     """``(n_batch, n, n)`` complex array holding one identity per batch.
 
-    The right-hand side shared by the energy-batched inversions of the
-    RGF and Sancho-Rubio recurrences; built once per kernel invocation
-    and reused across recurrence steps.
+    The right-hand side of the energy-batched RGF's stacked inversions.
     """
     eye = np.eye(n, dtype=complex)
     return np.broadcast_to(eye, (n_batch, n, n)).copy()
@@ -283,8 +281,9 @@ def rgf_transmission_batched(
     and the backward last-column recurrence are carried over a leading
     energy axis via broadcast ``np.linalg.solve``/``@``, so the Python
     loop runs over the O(N_blocks) recurrence — not over energies.  This
-    is the hot kernel under every edge-roughness / width-variation
-    ensemble, where the same device is probed on dense energy grids.
+    is the kernel under the atomistic ``engine=`` choices
+    (:class:`repro.device.engines.AtomisticTransport`), which probe one
+    device on a dense energy grid.
 
     Parameters
     ----------
@@ -295,8 +294,8 @@ def rgf_transmission_batched(
         :func:`recursive_greens_function`.
     sigma_left, sigma_right:
         Contact self-energies *per energy*, shape ``(n_energy, b, b)``
-        (e.g. from
-        :func:`repro.negf.self_energy.sancho_rubio_surface_gf_batched`).
+        (e.g. :func:`repro.negf.self_energy.wide_band_self_energy`
+        broadcast over the grid).
 
     Returns
     -------

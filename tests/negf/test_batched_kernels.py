@@ -1,34 +1,41 @@
-"""Energy-batched Sancho-Rubio + RGF kernels vs the per-energy loop.
+"""Energy-batched RGF kernel vs the per-energy kernels.
 
-The batched kernels carry every energy of a grid through stacked LAPACK
-calls.  Their contract is strict: identical physics to the scalar
-kernels (parity below 1e-10), the same convergence behaviour (active-set
-shrinking retires an energy at exactly the iteration where the scalar
-kernel stops), working sanitizer hooks, and the new obs counters.
+The batched kernel carries every energy of a grid through stacked LAPACK
+calls.  Its contract is strict: identical physics to the scalar kernels
+(parity below 1e-10), working sanitizer hooks, and the obs counters.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs, sanitize
+from repro.device.engines import CONTACT_BROADENING_EV
 from repro.device.negf_realspace import RealSpaceGNRDevice
 from repro.errors import SanitizerError
 from repro.negf.greens import (
     recursive_greens_function,
     rgf_transmission_batched,
 )
-from repro.negf.self_energy import (
-    sancho_rubio_surface_gf,
-    sancho_rubio_surface_gf_batched,
-    wide_band_self_energy,
-)
+from repro.negf.self_energy import wide_band_self_energy
 
 
-def _lead(rng, n=6):
-    h00 = rng.normal(size=(n, n))
-    h00 = h00 + h00.T
-    h01 = rng.normal(size=(n, n))
-    return h00, h01
+def _wide_band_transmission(device, energies):
+    """The engine path: the device's blocks closed by wide-band metal
+    contacts, every energy in one batched RGF pass."""
+    b = device.diagonal[0].shape[0]
+    sigma = np.broadcast_to(wide_band_self_energy(CONTACT_BROADENING_EV, b),
+                            (energies.size, b, b)).copy()
+    return rgf_transmission_batched(energies, device.diagonal,
+                                    device.coupling, sigma, sigma)
+
+
+def _lead_transmission(device, energies):
+    """Batched RGF with the GNR leads' self-energies stacked per energy."""
+    sigmas = [device.lead_self_energies(float(e)) for e in energies]
+    sigma_l = np.stack([left for left, _ in sigmas])
+    sigma_r = np.stack([right for _, right in sigmas])
+    return rgf_transmission_batched(energies, device.diagonal,
+                                    device.coupling, sigma_l, sigma_r)
 
 
 def _chain(rng, n_blocks=5, size=4):
@@ -38,35 +45,6 @@ def _chain(rng, n_blocks=5, size=4):
         diag.append(m + m.T)
     coup = [rng.normal(size=(size, size)) for _ in range(n_blocks - 1)]
     return diag, coup
-
-
-class TestBatchedSanchoRubio:
-    def test_matches_scalar_kernel(self):
-        rng = np.random.default_rng(11)
-        h00, h01 = _lead(rng)
-        energies = np.linspace(-3.0, 3.0, 41)
-        batched = sancho_rubio_surface_gf_batched(energies, h00, h01)
-        for k, e in enumerate(energies):
-            scalar = sancho_rubio_surface_gf(float(e), h00, h01)
-            assert np.max(np.abs(batched[k] - scalar)) < 1e-10
-
-    def test_single_energy_grid(self):
-        rng = np.random.default_rng(5)
-        h00, h01 = _lead(rng, n=4)
-        batched = sancho_rubio_surface_gf_batched(np.array([0.37]), h00, h01)
-        scalar = sancho_rubio_surface_gf(0.37, h00, h01)
-        assert batched.shape == (1, 4, 4)
-        assert np.max(np.abs(batched[0] - scalar)) < 1e-10
-
-    def test_physical_gnr_lead(self):
-        """Real armchair-GNR lead blocks, energies across gap and bands."""
-        dev = RealSpaceGNRDevice(7, 2)
-        energies = np.linspace(-1.2, 1.2, 25)
-        batched = sancho_rubio_surface_gf_batched(
-            energies, dev._h00, dev._h01)
-        for k, e in enumerate(energies):
-            scalar = sancho_rubio_surface_gf(float(e), dev._h00, dev._h01)
-            assert np.max(np.abs(batched[k] - scalar)) < 1e-10
 
 
 class TestBatchedRGF:
@@ -119,8 +97,8 @@ class TestRealSpaceDeviceBatched:
     def test_transport_matches_loop(self):
         dev = RealSpaceGNRDevice(7, 6)
         energies = np.linspace(-1.0, 1.0, 31)
-        batched = dev.transport(energies, batched=True).transmission
-        looped = dev.transport(energies, batched=False).transmission
+        batched = _lead_transmission(dev, energies)
+        looped = [dev.transmission_at(float(e)) for e in energies]
         assert np.max(np.abs(batched - looped)) < 1e-10
 
     def test_rough_edge_device_matches_loop(self):
@@ -132,14 +110,14 @@ class TestRealSpaceDeviceBatched:
         assert n_removed > 0
         dev = RealSpaceGNRDevice(7, 8, onsite_ev=onsite)
         energies = np.linspace(-0.8, 0.8, 17)
-        batched = dev.transport(energies, batched=True).transmission
-        looped = dev.transport(energies, batched=False).transmission
+        batched = _lead_transmission(dev, energies)
+        looped = [dev.transmission_at(float(e)) for e in energies]
         assert np.max(np.abs(batched - looped)) < 1e-10
 
     def test_empty_grid(self):
         dev = RealSpaceGNRDevice(7, 2)
-        out = dev.transport(np.array([]))
-        assert out.transmission.size == 0
+        out = _wide_band_transmission(dev, np.array([]))
+        assert out.size == 0
 
 
 class TestBatchedSanitizer:
@@ -149,8 +127,8 @@ class TestBatchedSanitizer:
 
     def test_clean_device_passes(self, sanitizer_on):
         dev = RealSpaceGNRDevice(7, 4)
-        out = dev.transport(np.linspace(-0.9, 0.9, 13))
-        assert np.all(np.isfinite(out.transmission))
+        out = _wide_band_transmission(dev, np.linspace(-0.9, 0.9, 13))
+        assert np.all(np.isfinite(out))
 
     def test_nonhermitian_block_rejected(self, sanitizer_on):
         rng = np.random.default_rng(3)
@@ -173,7 +151,7 @@ class TestBatchedCounters:
 
     def test_energy_points_counted(self, traced):
         dev = RealSpaceGNRDevice(7, 3)
-        dev.transport(np.linspace(-0.5, 0.5, 11))
+        _wide_band_transmission(dev, np.linspace(-0.5, 0.5, 11))
         counters = obs.snapshot()["counters"]
         assert counters["negf.batched_energy_points"] == 11
         assert counters["negf.rgf_batched_passes"] == 1

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.negf.self_energy import (
-    broadening_from_self_energy,
     lead_self_energy_1d,
     sancho_rubio_surface_gf,
     self_energy_from_surface_gf,
@@ -61,7 +60,7 @@ class TestSanchoRubio:
         h01 = np.array([[-1.0, 0.0], [0.0, -1.0]])
         g = sancho_rubio_surface_gf(0.4, h00, h01, eta_ev=1e-7)
         sigma = self_energy_from_surface_gf(g, h01)
-        gamma = broadening_from_self_energy(sigma)
+        gamma = 1j * (sigma - sigma.conj().T)
         eigs = np.linalg.eigvalsh(gamma)
         assert np.all(eigs > -1e-8)
 
@@ -76,21 +75,10 @@ class TestWideBand:
     def test_constant_antihermitian(self):
         sigma = wide_band_self_energy(0.5, n=3)
         assert sigma.shape == (3, 3)
-        gamma = broadening_from_self_energy(sigma)
+        gamma = 1j * (sigma - sigma.conj().T)
         assert np.allclose(gamma, 0.5 * np.eye(3))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             wide_band_self_energy(-0.1)
 
-
-class TestBroadening:
-    def test_hermitian_output(self):
-        rng = np.random.default_rng(3)
-        sigma = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        gamma = broadening_from_self_energy(sigma)
-        assert np.allclose(gamma, gamma.conj().T)
-
-    def test_scalar_input(self):
-        gamma = broadening_from_self_energy(np.array(-0.25j))
-        assert gamma[0, 0] == pytest.approx(0.5)
