@@ -5,8 +5,9 @@ for what happens when a solve fails: retry ladders absorb
 ``ConvergenceError`` only, quarantine converts exhausted failures into
 structured records, and everything else propagates.  A broad handler
 anywhere else — ``except Exception:``, ``except BaseException:`` or a
-bare ``except:`` — silently swallows programming errors, masks injected
-faults, and forks the recovery policy into ad-hoc local variants:
+bare ``except:`` — silently swallows programming errors, hides a
+solver's non-convergence from the quarantine records and the run
+manifest, and forks the recovery policy into ad-hoc local variants:
 
 * ``RPA501`` — broad exception handler outside
   ``repro.runtime.resilience``.  Catch the narrowest concrete type

@@ -5,7 +5,7 @@ Usage::
     repro list
     repro run fig4 [--fast] [--out report.txt] [--workers 4] [--no-cache]
     repro run all [--fast] [--sanitize] [--trace]
-    repro run fig4 [--strict] [--faults SPEC]
+    repro run fig4 [--strict]
     repro lint [paths ...] [--format json] [--baseline FILE]
     repro characterize [--check|--update|--docs] [--only fig2,table1] [--fast]
     repro cache info
@@ -20,8 +20,8 @@ the config to :func:`repro.characterize.runner.run_experiments`, the
 fan-out ``repro characterize`` uses too: ``--workers N`` runs N
 experiments at once in worker processes (every sweep inside an
 experiment runs in-process) and ``--no-cache`` bypasses the on-disk
-artifact cache; ``--strict`` / ``--faults SPEC`` set the resilience layer
-of :mod:`repro.runtime.resilience` (see ``docs/robustness.md``),
+artifact cache; ``--strict`` sets the failure policy of
+:mod:`repro.runtime.resilience` (see ``docs/robustness.md``),
 ``--sanitize`` the numerical sanitizer of :mod:`repro.sanitize` and
 ``--trace`` the observability layer of :mod:`repro.obs`, which writes
 a JSON run manifest next to the report.  ``repro lint`` is the static
@@ -69,7 +69,6 @@ def _resolve_config(args) -> RunConfig | None:
             workers=getattr(args, "workers", None),
             use_cache=False if getattr(args, "no_cache", False) else None,
             strict=getattr(args, "strict", False) or None,
-            faults=getattr(args, "faults", None),
             sanitize=getattr(args, "sanitize", False) or None,
             trace=getattr(args, "trace", False) or None)
     except ValueError as exc:
@@ -202,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="raise on the first non-converged sweep cell "
                             "instead of quarantining it "
                             "(equivalent to REPRO_STRICT=1)")
-    p_run.add_argument("--faults", default=None, metavar="SPEC",
-                       help="deterministic fault injection spec, e.g. "
-                            "'scf@3,17x2;worker@1' "
-                            "(equivalent to REPRO_FAULTS=SPEC; testing "
-                            "aid — see docs/robustness.md)")
     p_run.add_argument("--trace", action="store_true",
                        help="enable tracing/metrics and write a JSON run "
                             "manifest (equivalent to REPRO_TRACE=1)")

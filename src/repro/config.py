@@ -1,4 +1,4 @@
-"""One resolved run configuration: the seven ``REPRO_*`` knobs, read once.
+"""One resolved run configuration: the six ``REPRO_*`` knobs, read once.
 
 Layer: cross-cutting utility below :mod:`repro.obs` (imports nothing
 from :mod:`repro`).  Responsibility: turn the environment — and, at
@@ -6,10 +6,10 @@ the CLI, the flags that override it — into one frozen
 :class:`RunConfig`, and be the only code that reads ``os.environ``.
 
 Every knob is execution policy: it changes how a run executes (worker
-count, failure policy, cache location, tracing, the sanitizer,
-injected faults), never a finite result.  That is why no cache key
-ever sees a :class:`RunConfig`: the keys hash only the explicit inputs
-of the artifact they name.
+count, failure policy, cache location, tracing, the sanitizer), never
+a finite result.  That is why no cache key ever sees a
+:class:`RunConfig`: the keys hash only the explicit inputs of the
+artifact they name.
 
 Entry points resolve the config once (``repro run``, ``repro
 characterize`` and ``repro cache`` with their flags taking precedence)
@@ -31,7 +31,6 @@ from typing import Any, Mapping
 
 WORKERS_ENV = "REPRO_WORKERS"
 STRICT_ENV = "REPRO_STRICT"
-FAULTS_ENV = "REPRO_FAULTS"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 TRACE_ENV = "REPRO_TRACE"
@@ -39,9 +38,6 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: Words a boolean knob reads as false (compared case-insensitively).
 FALSE_WORDS = ("", "0", "false", "off", "no")
-
-#: Fault-injection sites (see :mod:`repro.runtime.faults`).
-FAULT_SITES = ("scf", "worker")
 
 #: Cache root used when ``REPRO_CACHE_DIR`` is unset.
 DEFAULT_CACHE_DIR = Path("~/.cache/repro-gnrfet")
@@ -52,55 +48,11 @@ def _parse_flag(raw: str) -> bool:
     return raw.strip().lower() not in FALSE_WORDS
 
 
-def parse_fault_spec(spec: str) -> dict[tuple[str, int], int | None]:
-    """Parse a fault specification (grammar in :mod:`repro.runtime.faults`).
-
-    Returns ``{(site, index): count_or_None}`` where ``None`` means the
-    site fails at that index on every attempt.  Raises ``ValueError``
-    on malformed clauses or unknown sites.
-    """
-    plan: dict[tuple[str, int], int | None] = {}
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        site, sep, rest = clause.partition("@")
-        site = site.strip()
-        if not sep or site not in FAULT_SITES:
-            raise ValueError(
-                f"bad fault clause {clause!r}: expected site@indices with "
-                f"site in {FAULT_SITES}")
-        for token in rest.split(","):
-            token = token.strip()
-            if not token:
-                raise ValueError(f"bad fault clause {clause!r}: empty index")
-            head, x, tail = token.partition("x")
-            try:
-                index = int(head)
-                count = int(tail) if x else None
-            except ValueError:
-                raise ValueError(
-                    f"bad fault index {token!r} in clause {clause!r}; "
-                    "expected INT or INTxCOUNT") from None
-            if index < 0 or (count is not None and count < 1):
-                raise ValueError(
-                    f"bad fault index {token!r}: index must be >= 0 and "
-                    "count >= 1")
-            plan[(site, index)] = count
-    return plan
-
-
 def _parse_workers(raw: str) -> int:
     try:
         return int(raw.strip() or "1")
     except ValueError:
         raise ValueError(f"expected an integer, got {raw!r}") from None
-
-
-def _parse_faults(raw: str) -> str:
-    spec = raw.strip()
-    parse_fault_spec(spec)
-    return spec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,8 +70,6 @@ class RunConfig:
         serial); the sweeps inside an experiment always run in-process.
     strict:
         Raise on the first failed sweep cell instead of quarantining it.
-    faults:
-        Deterministic fault-injection spec ("" = none).
     use_cache:
         Use the on-disk device-table store; ``False`` neither reads nor
         writes it.
@@ -133,7 +83,6 @@ class RunConfig:
 
     workers: int = 1
     strict: bool = False
-    faults: str = ""
     use_cache: bool = True
     cache_dir: Path | None = None
     trace: bool = False
@@ -148,9 +97,6 @@ class RunConfig:
                 or not isinstance(self.workers, int)):
             raise ValueError(
                 f"workers must be an integer, got {self.workers!r}")
-        if not isinstance(self.faults, str):
-            raise ValueError(f"faults must be a string, got {self.faults!r}")
-        parse_fault_spec(self.faults)
         if self.cache_dir is not None and not isinstance(self.cache_dir,
                                                          Path):
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
@@ -183,7 +129,6 @@ class RunConfig:
         return cls(
             workers=parsed(WORKERS_ENV, _parse_workers, 1),
             strict=parsed(STRICT_ENV, _parse_flag, False),
-            faults=parsed(FAULTS_ENV, _parse_faults, ""),
             use_cache=not parsed(NO_CACHE_ENV, _parse_flag, False),
             cache_dir=Path(cache_dir) if cache_dir else None,
             trace=parsed(TRACE_ENV, _parse_flag, False),
@@ -207,13 +152,10 @@ __all__ = [
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
     "FALSE_WORDS",
-    "FAULTS_ENV",
-    "FAULT_SITES",
     "NO_CACHE_ENV",
     "RunConfig",
     "SANITIZE_ENV",
     "STRICT_ENV",
     "TRACE_ENV",
     "WORKERS_ENV",
-    "parse_fault_spec",
 ]

@@ -23,14 +23,13 @@ the shared points (a twin that falls off the subset is bisected as an
 extra point).
 
 Resilience (see ``docs/robustness.md``): the cells are visited in order
-after the integrals, each one the ``scf`` fault site at its flat index.
-A cell whose bisection fails, or whose canonical twin's does, raises a
-:class:`~repro.errors.ConvergenceError` and is NaN-masked and recorded
-as a :class:`~repro.runtime.resilience.FailureRecord` on the result (and
-in the obs manifest) unless the run config is ``strict``, in which case
-the first failed cell raises with its bias point and cell index in the
-error context.  A fault at one cell of a mirror pair leaves the other
-intact.
+after the integrals.  A cell whose bisection fails, or whose canonical
+twin's does, raises a :class:`~repro.errors.ConvergenceError` and gets a
+NaN current and a :class:`~repro.runtime.resilience.FailureRecord` on
+the result (and in the obs manifest) unless the run config is
+``strict``, in which case the first failed cell raises with its bias
+point and cell index in the error context.  A p-branch cell whose own
+bisection fails leaves its twin intact.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from repro.device.geometry import GNRFETGeometry
 from repro.device.sbfet import SBFETModel, record_bias_point
 from repro.errors import ConvergenceError
 from repro.runtime import FailureRecord, quarantine
-from repro.runtime import faults
 
 
 @dataclass
@@ -67,8 +65,9 @@ class IVSweep:
         The device specification the sweep belongs to.
     failures:
         Quarantined cells (empty unless a cell failed to converge in a
-        non-strict sweep); each record's grid coordinates point at a
-        NaN-masked cell of the arrays above.
+        non-strict sweep); each record's grid coordinates point at a NaN
+        ``current_a`` cell, whose ``midgap_ev`` and ``charge_c`` are NaN
+        too unless only its canonical twin failed.
     """
 
     vg: np.ndarray
@@ -164,7 +163,7 @@ def sweep_iv(
             integral[point] = model.current_a(float(midgaps[point]),
                                               float(points_vd[point]))
 
-        # The cells: fault site, counters, quarantine and strict.
+        # The cells: counters, quarantine and strict.
         current = np.full(n_cells, np.nan)
         failures: list[FailureRecord] = []
         for cell in range(n_cells):
@@ -172,8 +171,6 @@ def sweep_iv(
             vg, vd = float(vg_grid[i]), float(vd_grid[j])
             point = int(canonical[cell])
             try:
-                if faults.ACTIVE:
-                    faults.inject("scf", cell, detail=f"VG={vg}, VD={vd}")
                 if cell in errors:
                     raise errors[cell]
                 if point in errors:
@@ -196,9 +193,6 @@ def sweep_iv(
                                       bias=sanitize.format_bias(vg=vg, vd=vd))
 
     current = current.reshape(n_vg, n_vd)
-    for record in failures:
-        # Injected faults hit converged cells: mask them like the rest.
-        midgap[record.coords] = charge[record.coords] = np.nan
     return IVSweep(vg=vg_grid, vd=vd_grid, current_a=current,
                    charge_c=charge, midgap_ev=midgap, geometry=geometry,
                    failures=tuple(failures))

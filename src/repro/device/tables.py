@@ -20,7 +20,6 @@ mechanism behind the "one of four GNRs affected" variability scenarios).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.device.engines import DEFAULT_ENGINE, engine_version, resolve_engine
 from repro.device.geometry import GNRFETGeometry
 from repro.device.iv import IVSweep, sweep_iv
 from repro.device.sbfet import BIAS_DECIMALS
-from repro.errors import TableRangeError
 from repro.runtime import ArtifactCache, content_key, load_or_build
 
 
@@ -436,34 +434,6 @@ class DeviceTable:
         cgd = np.abs(dq_dvd)
         cgs = np.clip(np.abs(dq_dvg) - cgd, 0.0, None)
         return cgs, cgd
-
-    def check_range(self, vgs: float | np.ndarray,
-                    vds: float | np.ndarray) -> None:
-        """Raise :class:`TableRangeError` if a query needs extrapolation."""
-        vg_i, vd_i, _ = self._map_bias(vgs, vds)
-        if np.any(vg_i < self.vg[0] - 1e-9) or np.any(vg_i > self.vg[-1] + 1e-9):
-            raise TableRangeError(
-                f"gate bias outside table range [{self.vg[0]}, {self.vg[-1]}]")
-        if np.any(vd_i > self.vd[-1] + 1e-9):
-            raise TableRangeError(
-                f"drain bias outside table range [0, {self.vd[-1]}]")
-
-    # --- persistence -----------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Save to a compressed ``.npz`` file."""
-        np.savez_compressed(
-            Path(path), vg=self.vg, vd=self.vd, current_a=self.current_a,
-            charge_c=self.charge_c, gate_offset_v=self.gate_offset_v,
-            label=np.array(self.label))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DeviceTable":
-        """Load a table previously written by :meth:`save`."""
-        with np.load(Path(path)) as data:
-            return cls(vg=data["vg"], vd=data["vd"],
-                       current_a=data["current_a"], charge_c=data["charge_c"],
-                       gate_offset_v=float(data["gate_offset_v"]),
-                       label=str(data["label"]))
 
 
 # Default bias grid: the paper tabulates 0..0.75 V; the gate axis is

@@ -50,10 +50,6 @@ class ConvergenceError(ReproError):
         return self
 
 
-class TableRangeError(ReproError):
-    """A lookup-table evaluation was requested outside the tabulated range."""
-
-
 class InvalidDeviceError(ReproError):
     """A device specification is physically or structurally invalid."""
 

@@ -14,11 +14,8 @@ import numpy as np
 from repro import obs
 from repro.circuit.inverter import inverter_snm
 from repro.circuit.ring_oscillator import estimate_ring_oscillator
-from repro.config import RunConfig
-from repro.errors import AnalysisError, ConvergenceError
+from repro.errors import AnalysisError
 from repro.exploration.technology import GNRFETTechnology
-from repro.runtime import FailureRecord, quarantine
-from repro.runtime import faults
 
 
 @dataclass
@@ -36,7 +33,6 @@ class ExplorationGrid:
     snm_v: np.ndarray
     total_power_w: np.ndarray
     static_power_w: np.ndarray
-    failures: tuple[FailureRecord, ...] = ()
 
     def log_edp(self, floor: float = 1e-40) -> np.ndarray:
         """Natural log of the EDP in aJ-ps (the paper's Fig. 3b contour
@@ -46,16 +42,14 @@ class ExplorationGrid:
 
 
 def _explore_vt_row(tech: GNRFETTechnology, vdd_grid: np.ndarray,
-                    n_stages: int, with_snm: bool, strict: bool,
-                    i: int, vt: float
+                    n_stages: int, with_snm: bool, vt: float
                     ) -> tuple[np.ndarray, ...]:
-    """All V_DD cells of V_T row ``i``.
+    """All V_DD cells of the V_T row ``vt``.
 
-    The row index keys the ``scf`` fault-injection site and quarantine
-    records.  A device-table build with a failed cell (it surfaces here
-    as a :class:`~repro.errors.ConvergenceError` when the underlying
-    sweep is strict) NaN-masks the whole row and yields one
-    :class:`~repro.runtime.resilience.FailureRecord` unless ``strict``.
+    The row's inverter tables are the prebuilt nominal ribbon table
+    scaled to the array and gate-offset to ``vt``
+    (:meth:`GNRFETTechnology.inverter_tables`), so a row does no device
+    physics.
     """
     n_vdd = vdd_grid.size
     freq = np.full(n_vdd, np.nan)
@@ -63,18 +57,7 @@ def _explore_vt_row(tech: GNRFETTechnology, vdd_grid: np.ndarray,
     snm = np.full(n_vdd, np.nan)
     p_tot = np.full(n_vdd, np.nan)
     p_stat = np.full(n_vdd, np.nan)
-    failures: list[FailureRecord] = []
-    try:
-        if faults.ACTIVE:
-            faults.inject("scf", i, detail=f"VT={vt}")
-        nt, pt = tech.inverter_tables(float(vt))
-    except ConvergenceError as exc:
-        if strict:
-            raise exc.with_context(vt=float(vt), row_index=int(i))
-        failures.append(quarantine(
-            exc.with_context(vt=float(vt)), site="exploration", index=i,
-            coords=(i,), bias={"vt": float(vt)}))
-        return freq, edp, snm, p_tot, p_stat, failures
+    nt, pt = tech.inverter_tables(float(vt))
     n_skipped = 0
     for j, vdd in enumerate(vdd_grid):
         vdd = float(vdd)
@@ -96,7 +79,7 @@ def _explore_vt_row(tech: GNRFETTechnology, vdd_grid: np.ndarray,
             snm[j] = inverter_snm(nt, pt, vdd, tech.params)
     if obs.ACTIVE and n_skipped:
         obs.incr("exploration.invalid_cells_skipped", n_skipped)
-    return freq, edp, snm, p_tot, p_stat, failures
+    return freq, edp, snm, p_tot, p_stat
 
 
 def sweep_vdd_vt(
@@ -105,39 +88,28 @@ def sweep_vdd_vt(
     vdd_grid: np.ndarray,
     n_stages: int = 15,
     with_snm: bool = True,
-    config: RunConfig | None = None,
 ) -> ExplorationGrid:
     """Quasi-static sweep of RO metrics and inverter SNM.
 
     Invalid corners (V_T >= V_DD with no headroom, vanishing drive) are
     recorded as NaN rather than raised, so contour extraction can operate
     on the full rectangle.
-
-    ``config`` (default :meth:`RunConfig.from_env`): ``strict``
-    re-raises the first failed device-table build, otherwise the
-    affected V_T row is NaN-masked and recorded on ``failures``.
     """
     vt_grid = np.asarray(vt_grid, dtype=float)
     vdd_grid = np.asarray(vdd_grid, dtype=float)
-    config = RunConfig.from_env() if config is None else config
     shape = (vt_grid.size, vdd_grid.size)
     freq = np.full(shape, np.nan)
     edp = np.full(shape, np.nan)
     snm = np.full(shape, np.nan)
     p_tot = np.full(shape, np.nan)
     p_stat = np.full(shape, np.nan)
-    failures: list[FailureRecord] = []
 
     with obs.span("exploration.sweep_vdd_vt",
                   grid=f"{vt_grid.size}x{vdd_grid.size}"):
         for i, vt in enumerate(vt_grid):
-            *row, row_failures = _explore_vt_row(
-                tech, vdd_grid, n_stages, with_snm, config.strict, i,
-                float(vt))
-            freq[i], edp[i], snm[i], p_tot[i], p_stat[i] = row
-            failures.extend(row_failures)
+            freq[i], edp[i], snm[i], p_tot[i], p_stat[i] = _explore_vt_row(
+                tech, vdd_grid, n_stages, with_snm, float(vt))
 
     return ExplorationGrid(vt=vt_grid, vdd=vdd_grid, frequency_hz=freq,
                            edp_j_s=edp, snm_v=snm, total_power_w=p_tot,
-                           static_power_w=p_stat,
-                           failures=tuple(failures))
+                           static_power_w=p_stat)

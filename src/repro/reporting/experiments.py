@@ -107,7 +107,7 @@ def run_fig3(fast: bool = False, config: RunConfig | None = None
     else:
         vt_grid = np.linspace(0.02, 0.30, 15)
         vdd_grid = np.linspace(0.10, 0.70, 13)
-    grid = sweep_vdd_vt(tech, vt_grid, vdd_grid, config=config)
+    grid = sweep_vdd_vt(tech, vt_grid, vdd_grid)
 
     opt = min_edp_point(grid)
     point_a = min_edp_at_frequency(grid, 3e9)

@@ -11,15 +11,14 @@ NEGF bias points and the edge-roughness transmission ensembles).
 
 How a run executes — worker count, failure policy, the cache root —
 comes from the :class:`~repro.config.RunConfig` it is handed (see
-:mod:`repro.config` for the ``REPRO_*`` knobs).  The three
-process-wide switches (tracing, the sanitizer, a fault plan) are set
-once per process by :func:`activate`; worker processes get the parent's
-switches from the pool initializer.
+:mod:`repro.config` for the ``REPRO_*`` knobs).  The two
+process-wide switches (tracing, the sanitizer) are set once per process
+by :func:`activate`; worker processes get the parent's switches from
+the pool initializer.
 """
 
 from repro import obs, sanitize
 from repro.config import RunConfig
-import repro.runtime.faults as faults
 from repro.runtime.cache import (
     TABLE_ENGINE_VERSION,
     ArtifactCache,
@@ -44,16 +43,14 @@ from repro.runtime.resilience import (
 def activate(config: RunConfig) -> None:
     """Switch on what ``config`` asks of this process.
 
-    Tracing, the numerical sanitizer and the fault plan are
-    process-wide; an entry point calls this once after resolving its
-    config.  Switches already on stay on.
+    Tracing and the numerical sanitizer are process-wide; an entry
+    point calls this once after resolving its config.  Switches already
+    on stay on.
     """
     if config.trace:
         obs.enable()
     if config.sanitize:
         sanitize.enable()
-    if config.faults:
-        faults.enable(config.faults)
 
 
 __all__ = [

@@ -18,9 +18,8 @@ Design rules
 * **One task per item** — each item is its own pool task: experiments
   are few and coarse, so there is no chunking to amortize.
 * **Same switches in workers** — each pool starts its workers with the
-  parent's tracing, sanitizer and fault-plan state (a pool initializer,
-  so it holds under any start method).  The ``worker`` fault site is the
-  task executor, keyed by the item's position.
+  parent's tracing and sanitizer state (a pool initializer, so it holds
+  under any start method).
 * **Reproducible randomness** — :func:`spawn_seed_sequences` derives one
   independent child :class:`numpy.random.SeedSequence` per task from a
   single root seed.  Because the spawn tree depends only on the root
@@ -38,7 +37,6 @@ import numpy as np
 from repro import obs, sanitize
 from repro.config import RunConfig
 from repro.errors import ParallelMapError
-import repro.runtime.faults as faults
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,30 +53,19 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, int(workers))
 
 
-def _init_worker(trace: bool, fault_spec: str, sanitizer: bool) -> None:
-    """Pool initializer: copy the parent's switches.
-
-    A forked worker already holds the parent's state, so its fault plan
-    (attempt counts included) is left alone; a spawned one arms it here.
-    """
+def _init_worker(trace: bool, sanitizer: bool) -> None:
+    """Pool initializer: copy the parent's switches."""
     obs.ACTIVE = trace
     sanitize.ACTIVE = sanitizer
-    if faults.SPEC != fault_spec:
-        faults.enable(fault_spec)
 
 
-def _run_task(fn: Callable[[T], R], index: int, item: T
-              ) -> tuple[R, dict | None]:
+def _run_task(fn: Callable[[T], R], item: T) -> tuple[R, dict | None]:
     """Worker-side task executor (module-level so it pickles).
 
-    The ``worker`` fault site: an armed ``worker@index`` exits the
-    process here.  Returns ``(result, obs_payload)``: traced workers
-    record spans/metrics into their own process-local recorder and ship
-    the drained payload back so the parent can absorb it
-    deterministically.
+    Returns ``(result, obs_payload)``: traced workers record
+    spans/metrics into their own process-local recorder and ship the
+    drained payload back so the parent can absorb it deterministically.
     """
-    if faults.ACTIVE:
-        faults.inject("worker", index)
     if not obs.ACTIVE:
         return fn(item), None
     obs.reset()
@@ -122,8 +109,8 @@ def parallel_map(
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(items)),
                 initializer=_init_worker,
-                initargs=(obs.ACTIVE, faults.SPEC, sanitize.ACTIVE)) as pool:
-            future_index = {pool.submit(_run_task, fn, k, item): k
+                initargs=(obs.ACTIVE, sanitize.ACTIVE)) as pool:
+            future_index = {pool.submit(_run_task, fn, item): k
                             for k, item in enumerate(items)}
             wait(future_index, return_when=FIRST_EXCEPTION)
             for future in future_index:

@@ -20,11 +20,13 @@ Retry ladder (:func:`run_ladder`)
     them, keeping the layer DAG intact.
 
 Failure quarantine (:class:`FailureRecord`)
-    When a cell fails and the sweep is not ``strict``, the cell is
-    NaN-masked and a structured, JSON-serializable record (exception
-    class, message, task index, grid coordinates, bias, rungs tried,
-    residual, solver context) is collected into the sweep's result
-    dataclass and the obs run manifest.
+    When a cell of a device I-V sweep fails and the sweep is not
+    ``strict``, the cell is NaN-masked and a structured,
+    JSON-serializable record (exception class, message, task index,
+    grid coordinates, bias, rungs tried, residual, solver context) is
+    collected into the sweep's result (and the table built from it) and
+    the obs run manifest.  The exploration plane and the Monte Carlo
+    read prebuilt tables and have no cell that can fail to converge.
 
 Worker-crash recovery (:func:`recover_parallel`)
     When a process pool breaks, the results it delivered are kept and
@@ -32,8 +34,9 @@ Worker-crash recovery (:func:`recover_parallel`)
 
 The policy comes from the sweep's :class:`~repro.config.RunConfig`:
 ``strict`` flips the quarantine default back to raise-on-first-failure.
-Deterministic failures for exercising these paths come from
-:mod:`repro.runtime.faults`.
+Tests exercise these paths by raising what a real failure raises (a
+bisection's :class:`~repro.errors.ConvergenceError`, a worker process
+that exits), never through a hook in the library.
 """
 
 from __future__ import annotations

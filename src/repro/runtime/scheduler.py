@@ -8,9 +8,7 @@ item.  :class:`LocalScheduler` adds the policy on top of it: it absorbs
 :func:`~repro.runtime.resilience.recover_parallel` unless the caller is
 strict.  Its one caller is the experiment fan-out
 (:func:`repro.characterize.runner.run_experiments`); every sweep inside
-an experiment runs in-process.  Tasks keep their positions, so a
-``worker@N`` fault spec fires at the same experiment at any worker
-count.
+an experiment runs in-process.
 
 Determinism contract: ``run(fn, tasks)`` returns results in task order,
 computed by a per-task pure function — exactly ``[fn(t) for t in

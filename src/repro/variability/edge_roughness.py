@@ -224,6 +224,11 @@ def effective_gap_widening_ev(
     transport gap beyond the structural one).  Every sample's edges are
     drawn first; each of the 26 energies then runs the ensemble kernel
     of :func:`roughness_ensemble` (leads decimated once per energy).
+
+    Returns ``np.inf`` when the mean transmission stays below
+    ``threshold`` over the whole 0.5 eV scan: the widening is then
+    unresolved, not 0.5 eV (the convention of
+    :func:`localization_length_cells` for an unresolved fit).
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -239,6 +244,6 @@ def effective_gap_widening_ev(
         _ensemble_transmissions(n_index, n_cells, float(e), onsite).mean()
         for e in energies])
     above = np.nonzero(mean_t >= threshold)[0]
-    if above.size:
-        return float(energies[int(above[0])] - edge)
-    return float(energies[-1] - edge)
+    if not above.size:
+        return np.inf
+    return float(energies[int(above[0])] - edge)

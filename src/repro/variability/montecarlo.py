@@ -53,10 +53,8 @@ import numpy as np
 
 from repro.circuit.ring_oscillator import simulate_ring_oscillator
 from repro.config import RunConfig
-from repro.errors import ConvergenceError
 from repro.exploration.technology import GNRFETTechnology
-from repro.runtime import FailureRecord, quarantine, spawn_seed_sequences
-from repro.runtime import faults
+from repro.runtime import spawn_seed_sequences
 from repro.variability.sampling import (
     discretized_normal_indices,
     require_three_levels,
@@ -89,27 +87,30 @@ class MonteCarloResult:
     vdd: float
     calibration_factor: float = 1.0
     variant_counts: dict = field(default_factory=dict)
-    failures: tuple[FailureRecord, ...] = ()
 
     @property
     def mean_frequency_shift(self) -> float:
         """Relative shift of the mean frequency vs nominal (paper: ~ -10%).
 
-        Quarantined samples are NaN rows and excluded from the mean
-        (``failures`` lists them); with no failures this is a plain mean.
+        NaN samples are excluded from the mean: a variant table built
+        with quarantined cells
+        (:attr:`~repro.device.tables.DeviceTable.failures`) can yield
+        them; otherwise this is a plain mean.
         """
         return float(np.nanmean(self.frequencies_hz)
                      / self.nominal_frequency_hz - 1.0)
 
     @property
     def mean_static_power_shift(self) -> float:
-        """Relative shift of mean static power (paper: ~ +23%)."""
+        """Relative shift of mean static power (paper: ~ +23%), NaN
+        samples excluded."""
         return float(np.nanmean(self.static_power_w)
                      / self.nominal_static_power_w - 1.0)
 
     @property
     def mean_dynamic_power_shift(self) -> float:
-        """Relative shift of mean dynamic power (paper: ~unchanged)."""
+        """Relative shift of mean dynamic power (paper: ~unchanged), NaN
+        samples excluded."""
         return float(np.nanmean(self.dynamic_power_w)
                      / self.nominal_dynamic_power_w - 1.0)
 
@@ -234,16 +235,13 @@ def _surrogate_oscillator(devices: np.ndarray, nominal: np.ndarray,
 def _evaluate_samples(
     params,
     vdd: float,
-    vt: float,
     n_stages: int,
     labels: tuple[str, ...],
     granularity: str,
     electricals: np.ndarray,
     nominal: np.ndarray,
-    strict: bool,
     seeds: list[np.random.SeedSequence],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int],
-           list[FailureRecord]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
     """Evaluate every sample; ``seeds[k]`` is sample ``k``'s sequence.
 
     Each sample draws one block of standard normals ordered (stage,
@@ -251,42 +249,17 @@ def _evaluate_samples(
     scalar draws it replaces, so the values are the same.  ``labels``
     names the variant of each code for ``variant_counts``, which keep
     first-draw order.
-
-    The ``scf`` fault-injection site fires per sample (keyed by the
-    sample index, before any draws, so variant counts stay exact).  A
-    failed sample draws nothing and is NaN-masked and recorded unless
-    ``strict``.
     """
-    n = len(seeds)
-    freqs = np.full(n, np.nan)
-    p_dyns = np.full(n, np.nan)
-    p_stats = np.full(n, np.nan)
-    failures: list[FailureRecord] = []
-    ok = list(range(n))
-    if faults.ACTIVE:
-        ok = []
-        for k in range(n):
-            try:
-                faults.inject("scf", k, detail=f"sample={k}")
-            except ConvergenceError as exc:
-                if strict:
-                    raise exc.with_context(sample_index=k)
-                failures.append(quarantine(
-                    exc, site="montecarlo", index=k, coords=(k,),
-                    bias={"vdd": float(vdd), "vt": float(vt)}))
-            else:
-                ok.append(k)
-
     n_drawn = params.n_ribbons if granularity == "ribbon" else 1
     shape = (n_stages, len(POLARITIES), n_drawn, 2)
-    draws = np.empty((len(ok),) + shape)
-    for row, k in enumerate(ok):
-        draws[row] = np.random.default_rng(seeds[k]).standard_normal(shape)
+    draws = np.empty((len(seeds),) + shape)
+    for k, seed in enumerate(seeds):
+        draws[k] = np.random.default_rng(seed).standard_normal(shape)
     levels = discretized_normal_indices(draws)
     codes = 3 * levels[..., 0] + levels[..., 1]
     devices = _compose(electricals, codes, params.n_ribbons)
-    freqs[ok], p_dyns[ok], p_stats[ok] = _surrogate_oscillator(
-        devices, nominal, vdd, params)
+    freqs, p_dyns, p_stats = _surrogate_oscillator(devices, nominal, vdd,
+                                                   params)
 
     counts: dict[str, int] = {}
     drawn, first, tally = np.unique(codes, return_index=True,
@@ -294,7 +267,7 @@ def _evaluate_samples(
     for j in np.argsort(first):
         label = labels[drawn[j]]
         counts[label] = counts.get(label, 0) + int(tally[j])
-    return freqs, p_dyns, p_stats, counts, failures
+    return freqs, p_dyns, p_stats, counts
 
 
 def run_ring_oscillator_monte_carlo(
@@ -322,10 +295,8 @@ def run_ring_oscillator_monte_carlo(
     transient/surrogate ratio.
 
     Every sample draws from its own generator spawned from ``seed`` by
-    sample index.  ``config`` (default :meth:`RunConfig.from_env`) says
-    how the study executes: ``strict`` re-raises the first failed
-    sample; otherwise failed samples are NaN rows recorded on
-    ``failures`` (the shift properties skip them).
+    sample index.  ``config`` (default :meth:`RunConfig.from_env`) is
+    passed on to the variant table builds.
     """
     if granularity not in ("ribbon", "device"):
         raise ValueError(f"granularity must be 'ribbon' or 'device', "
@@ -338,7 +309,6 @@ def run_ring_oscillator_monte_carlo(
     require_three_levels(width_levels, "width_levels")
     require_three_levels(charge_levels, "charge_levels")
     config = RunConfig.from_env() if config is None else config
-    strict = config.strict
 
     electricals, nominal_ribbon = _variant_electricals(
         tech, vdd, vt, width_levels, charge_levels, config)
@@ -358,9 +328,9 @@ def run_ring_oscillator_monte_carlo(
 
     labels = tuple(DeviceVariant(n_index=n, impurity_e=q).label()
                    for n in width_levels for q in charge_levels)
-    freqs, p_dyns, p_stats, counts, failures = _evaluate_samples(
-        tech.params, vdd, vt, n_stages, labels, granularity, electricals,
-        nominal, strict, spawn_seed_sequences(seed, n_samples))
+    freqs, p_dyns, p_stats, counts = _evaluate_samples(
+        tech.params, vdd, n_stages, labels, granularity, electricals,
+        nominal, spawn_seed_sequences(seed, n_samples))
 
     return MonteCarloResult(
         frequencies_hz=freqs * calibration,
@@ -371,5 +341,4 @@ def run_ring_oscillator_monte_carlo(
         nominal_static_power_w=p_stat_nom,
         n_stages=n_stages, vdd=vdd,
         calibration_factor=calibration,
-        variant_counts=counts,
-        failures=tuple(failures))
+        variant_counts=counts)

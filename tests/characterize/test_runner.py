@@ -7,11 +7,17 @@ import re
 import pytest
 
 from repro import cli, obs
-from repro.characterize.runner import characterize, measure, run_manifest
+from repro.characterize.runner import (
+    characterize,
+    measure,
+    metrics_of,
+    run_experiments,
+    run_manifest,
+)
 from repro.config import RunConfig
 from repro.errors import ParallelMapError
 from repro.reporting.experiments import EXPERIMENTS
-from repro.runtime import faults
+from tests.worker_crash import exit_in_worker
 
 #: Two cheap fast experiments: four small 16 x 2 I-V tables, and two
 #: temperature tables.  Neither builds the process-wide nominal
@@ -20,13 +26,19 @@ IDS = ["fig4", "ext-temperature"]
 
 
 @pytest.fixture(autouse=True)
-def _disarm():
-    faults.disable()
+def _reset_obs():
     obs.reset()
     yield
-    faults.disable()
     obs.disable()
     obs.reset()
+
+
+def _metrics_crashing_on_fig4(experiment_id, report, data):
+    """:func:`metrics_of`, whose ``fig4`` call exits the worker running
+    it."""
+    if experiment_id == "fig4":
+        exit_in_worker()
+    return metrics_of(experiment_id, report, data)
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +54,12 @@ def test_measure_is_equal_at_one_and_two_workers(serial):
 
 
 def test_crashed_worker_experiment_is_recomputed(serial):
-    """``worker@0`` exits the process running the first experiment; the
-    undelivered experiments are recomputed in the parent."""
+    """The worker running fig4 exits; the undelivered experiments are
+    recomputed in the parent."""
     obs.enable()
-    faults.enable("worker@0")
-    recovered, _ = measure(IDS, fast=True, config=RunConfig(workers=2))
+    results = run_experiments(IDS, True, RunConfig(workers=2),
+                              _metrics_crashing_on_fig4)
+    recovered = {eid: metrics for eid, (metrics, _) in zip(IDS, results)}
     assert recovered == serial
     counters = obs.snapshot()["counters"]
     assert counters["resilience.worker_crash_recoveries"] == 1
@@ -54,9 +67,9 @@ def test_crashed_worker_experiment_is_recomputed(serial):
 
 
 def test_strict_propagates_pool_failure():
-    faults.enable("worker@0")
     with pytest.raises(ParallelMapError):
-        measure(IDS, fast=True, config=RunConfig(workers=2, strict=True))
+        run_experiments(IDS, True, RunConfig(workers=2, strict=True),
+                        _metrics_crashing_on_fig4)
 
 
 def test_run_reports_are_equal_at_one_and_two_workers(tmp_path, monkeypatch,

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.device.tables import DeviceTable
-from repro.errors import TableRangeError
 from tests.device.table_reference import ReferenceTable
 
 
@@ -43,14 +42,6 @@ class TestInterpolation:
     def test_clamps_outside_range(self):
         t = _toy_table()
         assert t.current(5.0, 0.4) == pytest.approx(1.0 * 0.4, abs=1e-9)
-
-    def test_check_range_raises(self):
-        t = _toy_table()
-        with pytest.raises(TableRangeError):
-            t.check_range(5.0, 0.4)
-        with pytest.raises(TableRangeError):
-            t.check_range(0.5, 2.0)
-        t.check_range(0.5, 0.5)  # in range: no raise
 
     @given(st.floats(min_value=-0.4, max_value=1.0),
            st.floats(min_value=0.0, max_value=0.8))
@@ -253,17 +244,6 @@ class TestComposition:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        t = _toy_table(gate_offset=0.15)
-        path = tmp_path / "table.npz"
-        t.save(path)
-        loaded = DeviceTable.load(path)
-        assert np.allclose(loaded.current_a, t.current_a)
-        assert np.allclose(loaded.charge_c, t.charge_c)
-        assert loaded.gate_offset_v == 0.15
-        assert loaded.label == "toy"
-
-
     def test_pickles_after_a_lookup(self):
         """The lookup closures a query builds are never pickled."""
         t = _toy_table(gate_offset=0.15)

@@ -10,7 +10,6 @@ import pytest
 
 from repro import (
     ChargeImpurity,
-    DeviceTable,
     GNRFETGeometry,
     GNRFETTechnology,
     SBFETModel,
@@ -20,6 +19,8 @@ from repro.circuit import (
     estimate_ring_oscillator,
     inverter_snm,
 )
+from repro.config import RunConfig
+from repro.device import tables
 from repro.device.tables import build_device_table
 
 
@@ -53,16 +54,28 @@ class TestPublicAPIQuickstart:
         assert metrics.delay_s > 0
         assert metrics.snm_v > 0
 
-    def test_table_persistence_through_circuit(self, tech, tmp_path):
-        """Tables survive a save/load round trip and drive identical
-        circuit results."""
-        nt, _ = tech.inverter_tables(0.13)
-        path = tmp_path / "n12.npz"
-        nt.save(path)
-        reloaded = DeviceTable.load(path)
-        a = inverter_snm(nt, nt, 0.4, tech.params)
-        b = inverter_snm(reloaded, reloaded, 0.4, tech.params)
-        assert a == pytest.approx(b, abs=1e-12)
+    def test_table_persistence_through_circuit(self, tech, tmp_path,
+                                               monkeypatch):
+        """Tables survive the artifact-cache round trip and drive
+        identical circuit results."""
+        monkeypatch.setattr(tables, "_TABLE_CACHE", {})
+        config = RunConfig(cache_dir=tmp_path)
+        built = build_device_table(tech.geometry, config=config)
+        tables._TABLE_CACHE.clear()
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the rebuild swept instead of reading "
+                                 "the disk store")
+
+        monkeypatch.setattr(tables, "sweep_iv", no_sweep)
+        reloaded = build_device_table(tech.geometry, config=config)
+        assert reloaded is not built
+        offset = tech.gate_offset_for_vt(0.13)
+        snm = [inverter_snm(array, array, 0.4, tech.params)
+               for array in (table.scaled(tech.params.n_ribbons)
+                             .with_gate_offset(offset)
+                             for table in (built, reloaded))]
+        assert snm[0] == snm[1]
 
 
 class TestImpurityEndToEnd:

@@ -104,17 +104,15 @@ class TestManifestDocument:
             f.name for f in dataclasses.fields(RunConfig)}
 
     def test_resolved_run_config_is_recorded_whole(self):
-        config = RunConfig(workers=3, strict=True, faults="scf@1")
+        config = RunConfig(workers=3, strict=True)
         manifest = obs.build_manifest("config test", run_config=config)
         assert manifest["run_config"] == {
-            "workers": 3, "strict": True, "faults": "scf@1",
-            "use_cache": True, "cache_dir": None, "trace": False,
-            "sanitize": False}
+            "workers": 3, "strict": True, "use_cache": True,
+            "cache_dir": None, "trace": False, "sanitize": False}
         assert "env" not in manifest
         text = obs.summarize_text(manifest)
-        assert ("  run config: workers=3 strict=True faults=scf@1 "
-                "use_cache=True cache_dir=None trace=False "
-                "sanitize=False") in text
+        assert ("  run config: workers=3 strict=True use_cache=True "
+                "cache_dir=None trace=False sanitize=False") in text
         assert obs.summarize_json(manifest)["run_config"] == \
             manifest["run_config"]
 

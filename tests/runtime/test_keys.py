@@ -42,7 +42,7 @@ GEOMETRIES = [
 
 #: One non-default value per RunConfig field.
 NON_DEFAULTS = {
-    "workers": 2, "strict": True, "faults": "scf@999", "use_cache": False,
+    "workers": 2, "strict": True, "use_cache": False,
     "cache_dir": "elsewhere", "trace": True, "sanitize": True,
 }
 

@@ -5,7 +5,6 @@ import pytest
 from repro import obs
 from repro.config import RunConfig
 from repro.errors import ConvergenceError, ParallelMapError
-from repro.runtime import faults
 from repro.runtime.resilience import (
     FailureRecord,
     quarantine,
@@ -16,10 +15,8 @@ from repro.runtime.resilience import (
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    faults.disable()
     obs.reset()
     yield
-    faults.disable()
     obs.disable()
     obs.reset()
 

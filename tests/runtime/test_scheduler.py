@@ -6,20 +6,24 @@ import pytest
 
 from repro import obs
 from repro.errors import ParallelMapError
-from repro.runtime import faults
 from repro.runtime.scheduler import LocalScheduler
+from tests.worker_crash import exit_in_worker
 
 
 @pytest.fixture(autouse=True)
-def _disarm():
-    faults.disable()
+def _reset_obs():
     yield
-    faults.disable()
     obs.disable()
     obs.reset()
 
 
 def _square(x):
+    return x * x
+
+
+def _square_crashing_at_1(x):
+    if x == 1:
+        exit_in_worker()
     return x * x
 
 
@@ -50,29 +54,23 @@ class TestLocalScheduler:
         with pytest.raises(ParallelMapError):
             sched.run(_fail_on_13, list(range(20)), strict=True)
 
-    def test_worker_fault_site_is_the_task_position(self):
-        # worker@1 exits the process running task 1: the pool breaks,
+    def test_crashed_worker_task_is_recomputed(self):
+        # Task 1 exits the worker process running it: the pool breaks,
         # and the undelivered tasks are recomputed in the parent, where
-        # the site never fires.
-        faults.enable("worker@1")
+        # the task does not exit.
         obs.enable()
         with pytest.raises(ParallelMapError) as info:
-            LocalScheduler(workers=2).run(_square, list(range(4)),
-                                          strict=True)
+            LocalScheduler(workers=2).run(_square_crashing_at_1,
+                                          list(range(4)), strict=True)
         assert isinstance(info.value.__cause__, BrokenProcessPool)
         assert 1 in info.value.failed
         obs.reset()
         tasks = list(range(4))
-        assert LocalScheduler(workers=2).run(_square, tasks) == [
-            x * x for x in tasks]
+        assert LocalScheduler(workers=2).run(_square_crashing_at_1,
+                                             tasks) == [0, 1, 4, 9]
         counters = obs.snapshot()["counters"]
         assert counters["resilience.worker_crash_recoveries"] == 1
         assert counters["resilience.rows_recomputed"] >= 1
-
-    def test_serial_run_never_fires_the_worker_site(self):
-        faults.enable("worker@0")
-        assert LocalScheduler(workers=1).run(_square, [3]) == [9]
-        assert LocalScheduler(workers=2).run(_square, [3]) == [9]
 
     def test_repr_names_workers(self):
         assert "workers=3" in repr(LocalScheduler(workers=3))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.config as repro_config
@@ -23,6 +24,9 @@ from repro.config import (
     TRACE_ENV,
     RunConfig,
 )
+from repro.device.geometry import GNRFETGeometry
+from repro.device.iv import sweep_iv
+from repro.runtime import activate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,16 +67,16 @@ class TestGrammar:
 
     @pytest.mark.parametrize("fields", [
         {"workers": "2"}, {"workers": True}, {"workers": 2.5},
-        {"strict": 1}, {"faults": "bogus@1"}, {"faults": None}])
+        {"strict": 1}, {"use_cache": "no"}, {"trace": None}])
     def test_constructor_validates(self, fields):
         with pytest.raises(ValueError):
             RunConfig(**fields)
 
     def test_override_skips_none(self):
         base = RunConfig.from_env({"REPRO_WORKERS": "3", STRICT_ENV: "1"})
-        config = base.override(workers=None, strict=None, faults="scf@4")
-        assert (config.workers, config.strict, config.faults) == \
-            (3, True, "scf@4")
+        config = base.override(workers=None, strict=None, trace=True)
+        assert (config.workers, config.strict, config.trace) == \
+            (3, True, True)
         assert base.override(workers=1).workers == 1
 
     def test_direct_config_ignores_the_environment(self, tmp_path,
@@ -91,8 +95,22 @@ class TestGrammar:
     def test_to_dict_has_every_field(self, tmp_path):
         data = RunConfig(cache_dir=tmp_path).to_dict()
         assert data["cache_dir"] == str(tmp_path)
-        assert list(data) == ["workers", "strict", "faults", "use_cache",
+        assert list(data) == ["workers", "strict", "use_cache",
                               "cache_dir", "trace", "sanitize"]
+
+
+def test_leftover_faults_env_changes_nothing(monkeypatch):
+    """``REPRO_FAULTS`` armed fault injection in older releases; left in
+    an environment it is no knob: it resolves to the default config, and
+    a sweep run under that config quarantines no cell."""
+    assert RunConfig.from_env({"REPRO_FAULTS": "scf@0"}) == RunConfig()
+    monkeypatch.setenv("REPRO_FAULTS", "scf@0")
+    config = RunConfig.from_env()
+    activate(config)
+    sweep = sweep_iv(GNRFETGeometry(n_index=9), np.array([0.0, 0.3]),
+                     np.array([0.0, 0.3]), config=config)
+    assert sweep.failures == ()
+    assert np.isfinite(sweep.current_a).all()
 
 
 def test_only_the_config_module_reads_the_environment():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.runtime import faults, quarantine, spawn_seed_sequences
+from repro.runtime import quarantine, spawn_seed_sequences
 from repro.variability.montecarlo import _ribbon_electricals
 from repro.variability.sampling import discretized_normal_choice
 from repro.variability.variants import DeviceVariant
@@ -117,8 +117,6 @@ def evaluate_samples(data: dict, params, vdd: float, vt: float,
         sample = int(indices[k])
         rng = np.random.default_rng(seed_seq)
         try:
-            if faults.ACTIVE:
-                faults.inject("scf", sample, detail=f"sample={sample}")
             stages = [
                 (draw_device(rng, data, granularity, params.n_ribbons,
                              width_levels, charge_levels, counts, +1),

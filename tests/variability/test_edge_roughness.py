@@ -95,6 +95,9 @@ class TestTransportGap:
         widening = effective_gap_widening_ev(9, 0.12, n_cells=16,
                                              n_samples=4)
         assert widening > 0.02
+        # The mean transmission never reaches the threshold within the
+        # 0.5 eV scan: unresolved, not the scan ceiling.
+        assert widening == np.inf
 
     def test_clean_ribbon_no_widening(self):
         widening = effective_gap_widening_ev(9, 0.0, n_cells=16,

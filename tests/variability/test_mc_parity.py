@@ -4,11 +4,10 @@ Every production ``run_ring_oscillator_monte_carlo`` call below is
 replayed through ``tests/variability/mc_reference.py`` (scalar draws,
 dict electricals, one sample at a time) and the results must be
 identical: the sample arrays (``np.array_equal``, NaN rows included),
-the nominal values (``==``), the variant counts including their
-insertion order (first draw first), and the failure records.  The cases are the Fig. 6
-study in fast and full mode, whole-device draws, degenerate levels, a
-pooled run, another seed and bias point, and quarantined and strict
-fault injection.
+the nominal values (``==``) and the variant counts including their
+insertion order (first draw first).  The cases are the Fig. 6 study in
+fast and full mode, whole-device draws, degenerate levels, and another
+seed and bias point.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import RunConfig
-from repro.errors import ConvergenceError
-from repro.runtime import faults
 from repro.variability.montecarlo import run_ring_oscillator_monte_carlo
 from tests.variability import mc_reference as ref
 
@@ -29,11 +25,9 @@ NOMINALS = ("nominal_frequency_hz", "nominal_dynamic_power_w",
 
 
 @pytest.fixture(autouse=True)
-def _disarm():
-    faults.disable()
+def _reset_obs():
     obs.reset()
     yield
-    faults.disable()
     obs.reset()
 
 
@@ -49,7 +43,6 @@ def _assert_same(result, oracle: dict, samples=None) -> None:
     if samples is None:
         assert result.variant_counts == oracle["variant_counts"]
         assert list(result.variant_counts) == list(oracle["variant_counts"])
-        assert result.failures == oracle["failures"]
 
 
 @pytest.fixture(scope="module")
@@ -85,24 +78,3 @@ def test_variants_of_the_study(tech, kwargs):
     _assert_same(run_ring_oscillator_monte_carlo(tech, **kwargs),
                  ref.monte_carlo(tech, **kwargs))
 
-
-class TestFaults:
-    def test_quarantined_samples(self, tech):
-        faults.enable("scf@3,7")
-        result = run_ring_oscillator_monte_carlo(tech, n_samples=20,
-                                                 config=RunConfig())
-        faults.reset_attempts()
-        oracle = ref.monte_carlo(tech, n_samples=20)
-        assert {f.index for f in result.failures} == {3, 7}
-        _assert_same(result, oracle)
-
-    def test_strict_raises_at_the_same_sample(self, tech):
-        faults.enable("scf@7")
-        with pytest.raises(ConvergenceError) as new:
-            run_ring_oscillator_monte_carlo(tech, n_samples=20,
-                                            config=RunConfig(strict=True))
-        faults.reset_attempts()
-        with pytest.raises(ConvergenceError) as old:
-            ref.monte_carlo(tech, n_samples=20, strict=True)
-        assert new.value.context == old.value.context
-        assert new.value.context["sample_index"] == 7
